@@ -83,8 +83,9 @@ func (s *Scratch) ConeTruth16(a *aig.AIG, rootLit aig.Lit, leaves []int32) (uint
 		s.val16[l] = leafTT[i]
 	}
 	root := rootLit.Var()
+	// Stored back on every return; a deferred closure per call is measurable
+	// on this path.
 	st := s.stack[:0]
-	defer func() { s.stack = st }()
 	if s.stamp[root] != s.trav {
 		st = append(st, root)
 		for len(st) > 0 {
@@ -94,6 +95,7 @@ func (s *Scratch) ConeTruth16(a *aig.AIG, rootLit aig.Lit, leaves []int32) (uint
 				continue
 			}
 			if !a.IsAnd(cur) {
+				s.stack = st
 				return 0, false // reached a PI outside the cut
 			}
 			f0, f1 := a.Fanin0(cur), a.Fanin1(cur)
@@ -117,10 +119,12 @@ func (s *Scratch) ConeTruth16(a *aig.AIG, rootLit aig.Lit, leaves []int32) (uint
 			st = st[:len(st)-1]
 			count++
 			if count > 4096 {
+				s.stack = st
 				return 0, false // runaway cone: not a valid small cut
 			}
 		}
 	}
+	s.stack = st
 	res := s.val16[root]
 	if rootLit.IsCompl() {
 		res = ^res
@@ -195,7 +199,6 @@ func (s *Scratch) ValidCut(a *aig.AIG, root int32, leaves []int32, budget int) b
 	}
 	count := 0
 	st := append(s.stack[:0], root)
-	defer func() { s.stack = st }()
 	for len(st) > 0 {
 		cur := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -203,14 +206,17 @@ func (s *Scratch) ValidCut(a *aig.AIG, root int32, leaves []int32, budget int) b
 			continue
 		}
 		if !a.IsAnd(cur) {
+			s.stack = st
 			return false // escaped to a PI or constant
 		}
 		s.stamp[cur] = s.trav
 		count++
 		if count > budget {
+			s.stack = st
 			return false
 		}
 		st = append(st, a.Fanin0(cur).Var(), a.Fanin1(cur).Var())
 	}
+	s.stack = st
 	return true
 }

@@ -265,24 +265,35 @@ func (c *Cache) Store(tt truth.TT, nLeaves int, e Entry) {
 
 // Npn4 returns the NPN-canonical representative of tt and the transform
 // mapping tt onto it, memoized in the packed table. Equivalent to
-// truth.Npn4Canon (which enumerates all 768 transforms) on a miss.
+// truth.Npn4Canon (which enumerates all 768 transforms) on a miss. Each call
+// counts one NPN hit or miss; per-cut callers use Npn4Uncounted and AddNpn.
 func (c *Cache) Npn4(tt uint16) (uint16, truth.Npn4Transform) {
+	canon, tr, hit := c.Npn4Uncounted(tt)
+	if hit {
+		c.AddNpn(1, 0)
+	} else {
+		c.AddNpn(0, 1)
+	}
+	return canon, tr
+}
+
+// Npn4Uncounted is Npn4 without touching the shared hit/miss counters, so a
+// hit reads one table word and writes nothing other workers read. It reports
+// whether the probe hit; the caller owes the cache one AddNpn for it, which
+// evaluation workers pay in batches.
+func (c *Cache) Npn4Uncounted(tt uint16) (canon uint16, tr truth.Npn4Transform, hit bool) {
 	if c == nil || c.disabled {
-		if c != nil {
-			c.npnMisses.Add(1)
-		}
-		return truth.Npn4Canon(tt)
+		canon, tr = truth.Npn4Canon(tt)
+		return canon, tr, false
 	}
 	if e := atomic.LoadUint32(&c.npn[tt]); e&npnValidBit != 0 {
-		c.npnHits.Add(1)
 		return uint16(e), truth.Npn4Transform{
 			Perm:      truth.Npn4Perm(int(e >> npnPermShift & 31)),
 			InputNeg:  uint8(e >> npnInNegShift & 15),
 			OutputNeg: e&npnOutNegBit != 0,
-		}
+		}, true
 	}
-	c.npnMisses.Add(1)
-	canon, tr := truth.Npn4Canon(tt)
+	canon, tr = truth.Npn4Canon(tt)
 	e := uint32(canon) |
 		uint32(truth.Npn4PermIndex(tr.Perm))<<npnPermShift |
 		uint32(tr.InputNeg)<<npnInNegShift |
@@ -291,7 +302,20 @@ func (c *Cache) Npn4(tt uint16) (uint16, truth.Npn4Transform) {
 		e |= npnOutNegBit
 	}
 	atomic.StoreUint32(&c.npn[tt], e)
-	return canon, tr
+	return canon, tr, false
+}
+
+// AddNpn adds a batch of Npn4Uncounted outcomes to the NPN counters.
+func (c *Cache) AddNpn(hits, misses int64) {
+	if c == nil {
+		return
+	}
+	if hits != 0 {
+		c.npnHits.Add(hits)
+	}
+	if misses != 0 {
+		c.npnMisses.Add(misses)
+	}
 }
 
 // Entries returns the number of resident program entries.

@@ -138,3 +138,80 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestNpn4UncountedBatchedCounters: the uncounted probe returns what Npn4
+// returns and leaves the shared counters alone; the batch the caller adds
+// afterwards lands exactly, from any number of goroutines.
+func TestNpn4UncountedBatchedCounters(t *testing.T) {
+	c := New()
+	const goroutines, probes = 8, 4000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var hits, misses int64
+			for i := 0; i < probes; i++ {
+				f := uint16(rng.Intn(1 << 10)) // small key space: mostly hits
+				canon, tr, hit := c.Npn4Uncounted(f)
+				wantCanon, wantTr := truth.Npn4Canon(f)
+				if canon != wantCanon || tr != wantTr {
+					t.Errorf("Npn4Uncounted(%04x) diverged from direct canonization", f)
+					return
+				}
+				if hit {
+					hits++
+				} else {
+					misses++
+				}
+				if i%64 == 63 { // flush like a worker does per node
+					c.AddNpn(hits, misses)
+					hits, misses = 0, 0
+				}
+			}
+			c.AddNpn(hits, misses)
+		}(int64(g) + 1)
+	}
+	wg.Wait()
+	st := c.Snapshot()
+	if st.NpnHits+st.NpnMisses != goroutines*probes {
+		t.Errorf("%d hits + %d misses, want %d probes", st.NpnHits, st.NpnMisses, goroutines*probes)
+	}
+	if st.NpnMisses < 1<<10 {
+		t.Errorf("%d misses for %d distinct functions", st.NpnMisses, 1<<10)
+	}
+	before := c.Snapshot()
+	c.Npn4Uncounted(0x1234)
+	var nilCache *Cache
+	nilCache.AddNpn(1, 1)
+	if after := c.Snapshot(); after != before {
+		t.Errorf("uncounted probe moved the counters: %+v -> %+v", before, after)
+	}
+}
+
+// BenchmarkNpn4Parallel is the NPN hit path under contention, the way the
+// rewrite workers use it: uncounted probes, one counter flush per 8 cuts.
+func BenchmarkNpn4Parallel(b *testing.B) {
+	c := New()
+	for f := 0; f < 1<<12; f++ { // a miss costs 768 transforms; 4096 entries span 256 lines of the table
+		c.Npn4(uint16(f))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		f := uint16(1)
+		var hits int64
+		for pb.Next() {
+			if _, _, hit := c.Npn4Uncounted(f & (1<<12 - 1)); hit {
+				hits++
+			}
+			if hits == 8 {
+				c.AddNpn(hits, 0)
+				hits = 0
+			}
+			f = f*25173 + 13849
+		}
+		c.AddNpn(hits, 0)
+	})
+}

@@ -12,7 +12,7 @@
 package rewrite
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"aigre/internal/aig"
 	"aigre/internal/core"
@@ -23,10 +23,15 @@ import (
 // Library maps canonical NPN classes of 4-variable functions to optimized
 // implementations. ABC ships a precomputed library; this one is synthesized
 // on first use per class (best of ISOP-factoring and Shannon/mux
-// decomposition, both memoized) — see DESIGN.md for the substitution note.
+// decomposition) — see DESIGN.md for the substitution note.
+//
+// The library is a dense table indexed by the canonical 16-bit function
+// (512 KB of pointers, 222 of them ever non-nil). An entry is published once
+// with a compare-and-swap and never changes afterwards, so a lookup is one
+// atomic load: no lock, no map, nothing written on the hit path.
 type Library struct {
-	mu      sync.RWMutex
-	entries map[uint16]libEntry
+	entries [1 << 16]atomic.Pointer[libEntry]
+	size    atomic.Int32
 }
 
 type libEntry struct {
@@ -35,40 +40,33 @@ type libEntry struct {
 }
 
 // NewLibrary creates an empty lazily-filled library.
-func NewLibrary() *Library {
-	return &Library{entries: make(map[uint16]libEntry, 256)}
-}
+func NewLibrary() *Library { return new(Library) }
 
 // DefaultLibrary is the process-wide shared library (classes accumulate
 // across passes, like ABC's static rewriting data).
 var DefaultLibrary = NewLibrary()
 
 // Best returns an implementation program and its node cost for the
-// canonical function canon. Safe for concurrent use.
+// canonical function canon. Safe for concurrent use: when several callers
+// synthesize a missing class at once the first to publish wins and all of
+// them return the published entry.
 func (l *Library) Best(canon uint16) (core.Program, int) {
-	l.mu.RLock()
-	e, ok := l.entries[canon]
-	l.mu.RUnlock()
-	if ok {
-		return e.prog, e.cost
+	slot := &l.entries[canon]
+	e := slot.Load()
+	if e == nil {
+		prog, cost := synthesize(canon)
+		e = &libEntry{prog, cost}
+		if slot.CompareAndSwap(nil, e) {
+			l.size.Add(1)
+		} else {
+			e = slot.Load()
+		}
 	}
-	prog, cost := synthesize(canon)
-	l.mu.Lock()
-	if prev, ok := l.entries[canon]; ok {
-		l.mu.Unlock()
-		return prev.prog, prev.cost
-	}
-	l.entries[canon] = libEntry{prog, cost}
-	l.mu.Unlock()
-	return prog, cost
+	return e.prog, e.cost
 }
 
 // Size returns the number of cached classes.
-func (l *Library) Size() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.entries)
-}
+func (l *Library) Size() int { return int(l.size.Load()) }
 
 // synthesize builds the best known implementation of a 4-variable function:
 // the cheaper of the algebraically factored form and a Shannon (mux)

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"slices"
 	"sync"
 
 	"aigre/internal/aig"
@@ -53,15 +54,27 @@ type evalScratch struct {
 	cs cut.Scratch
 	es core.EvalScratch
 
-	seen   map[[4]int32]bool
-	qbuf   []int32 // flat queue storage; item i is qbuf[qoff[i]:qoff[i+1]]
+	seen   [][4]int32 // leaf sets dequeued for the current node (a dozen at most)
+	qbuf   []int32    // flat queue storage; item i is qbuf[qoff[i]:qoff[i+1]]
 	qoff   []int32
 	cutBuf []int32   // flat storage of accepted cuts
 	cuts   [][]int32 // headers into cutBuf, reused across nodes
+
+	// NPN cache outcomes not yet added to the cache's shared counters.
+	npnHits, npnMisses int64
+}
+
+// flushNpn adds the pending NPN outcomes to c's counters. Workers call it
+// once per node (parallel kernel) or once per pass (sequential) instead of
+// once per cut, so the counters' cache line stays out of the cut loop; a
+// scratch goes back to the pool flushed.
+func (s *evalScratch) flushNpn(c *rcache.Cache) {
+	c.AddNpn(s.npnHits, s.npnMisses)
+	s.npnHits, s.npnMisses = 0, 0
 }
 
 var scratchPool = sync.Pool{
-	New: func() any { return &evalScratch{seen: make(map[[4]int32]bool, 32)} },
+	New: func() any { return new(evalScratch) },
 }
 
 // enumLocalCuts enumerates 4-feasible cuts of n on the current graph by
@@ -69,7 +82,7 @@ var scratchPool = sync.Pool{
 // id sets, sorted, deduplicated, capped at maxCuts; the returned slices are
 // owned by the scratch and valid until its next call.
 func enumLocalCuts(a *aig.AIG, n int32, maxCuts int, s *evalScratch) [][]int32 {
-	clear(s.seen)
+	s.seen = s.seen[:0]
 	s.qbuf = append(s.qbuf[:0], a.Fanin0(n).Var(), a.Fanin1(n).Var())
 	s.qoff = append(s.qoff[:0], 0, 2)
 	s.cutBuf = s.cutBuf[:0]
@@ -88,10 +101,10 @@ func enumLocalCuts(a *aig.AIG, n int32, maxCuts int, s *evalScratch) [][]int32 {
 		}
 		var k [4]int32
 		copy(k[:], ls)
-		if s.seen[k] {
+		if slices.Contains(s.seen, k) {
 			continue
 		}
-		s.seen[k] = true
+		s.seen = append(s.seen, k)
 		hasConst := len(ls) > 0 && ls[0] == 0
 		if !hasConst && len(ls) >= 2 {
 			off := len(s.cutBuf)
@@ -172,7 +185,12 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 		}
 		ops += int64(30 + 4*len(leaves))
 		padded := pad16(tt16, len(leaves))
-		canon, tr := opts.Cache.Npn4(padded)
+		canon, tr, hit := opts.Cache.Npn4Uncounted(padded)
+		if hit {
+			s.npnHits++
+		} else {
+			s.npnMisses++
+		}
 		prog, _ := opts.Library.Best(canon)
 		mapped, outNeg := mapLeaves(leaves, tr)
 		members := s.es.MffcMembers(a, n, leaves)
@@ -275,7 +293,10 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	work.EnableStrash()
 	work.EnableFanouts()
 	s := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(s)
+	defer func() {
+		s.flushNpn(opts.Cache)
+		scratchPool.Put(s)
+	}()
 	lastOriginal := int32(work.NumObjs())
 	for id := int32(work.NumPIs() + 1); id < lastOriginal; id++ {
 		if work.IsDeleted(id) {
@@ -316,6 +337,7 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	d.Launch("rewrite/evaluate", len(nodes), func(tid int) int64 {
 		s := scratchPool.Get().(*evalScratch)
 		cand, ok, ops := evaluateNode(work, nodes[tid], opts, s)
+		s.flushNpn(opts.Cache)
 		scratchPool.Put(s)
 		cands[tid] = cand
 		oks[tid] = ok

@@ -1,6 +1,9 @@
 package truth
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cube is a product term over up to MaxVars variables: bit v of Pos (Neg)
 // set means the positive (negative) literal of variable v appears.
@@ -99,61 +102,6 @@ func (s SOP) TT() TT {
 	return res
 }
 
-// isopArena recycles truth-table word buffers across the ISOP recursion,
-// which otherwise dominates refactoring runtime with allocations.
-type isopArena struct {
-	n     int
-	words int
-	free  []TT
-	vars  []TT // cached Var tables
-	calls int  // recursion count, for work estimation
-}
-
-func newIsopArena(n int) *isopArena {
-	a := &isopArena{n: n, words: WordCount(n)}
-	a.vars = make([]TT, n)
-	for v := 0; v < n; v++ {
-		a.vars[v] = Var(n, v)
-	}
-	return a
-}
-
-func (a *isopArena) get() TT {
-	if k := len(a.free); k > 0 {
-		t := a.free[k-1]
-		a.free = a.free[:k-1]
-		return t
-	}
-	return New(a.n)
-}
-
-func (a *isopArena) put(ts ...TT) {
-	a.free = append(a.free, ts...)
-}
-
-// dependsOn checks variable dependence without allocating.
-func dependsOn(t TT, v int) bool {
-	if v < 6 {
-		mask := varMasks[v]
-		shift := uint(1) << v
-		for _, w := range t.Words {
-			if (w&mask)>>shift != w&^mask {
-				return true
-			}
-		}
-		return false
-	}
-	step := 1 << (v - 6)
-	for i := 0; i < len(t.Words); i += 2 * step {
-		for j := 0; j < step; j++ {
-			if t.Words[i+j] != t.Words[i+j+step] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ISOP computes an irredundant sum-of-products of the incompletely
 // specified function [onset, onset|dc] using the Minato-Morreale procedure.
 // With dc = nil the function is completely specified. The returned SOP
@@ -167,83 +115,8 @@ func ISOP(onset TT, dc TT) SOP {
 // ISOPCount is ISOP returning additionally an elementary-operation estimate
 // (recursive calls times table size), used for device-time accounting.
 func ISOPCount(onset TT, dc TT) (SOP, int64) {
-	n := onset.NVars
-	ar := newIsopArena(n)
-	lower := ar.get().Copy(onset)
-	upper := ar.get().Copy(onset)
-	if dc.Words != nil {
-		upper.Or(upper, dc)
-	}
-	cubes, cover := isopRec(ar, lower, upper, n)
-	ar.put(lower, upper, cover)
-	return SOP{NVars: n, Cubes: cubes}, int64(ar.calls) * int64(12*ar.words)
-}
-
-// isopRec returns cubes covering [L, U] plus the truth table of the cover.
-// L and U are owned by the caller; the returned cover is arena-allocated
-// and owned by the caller.
-func isopRec(ar *isopArena, L, U TT, topVar int) ([]Cube, TT) {
-	ar.calls++
-	if L.IsConst0() {
-		cov := ar.get()
-		for i := range cov.Words {
-			cov.Words[i] = 0
-		}
-		return nil, cov
-	}
-	if U.IsConst1() {
-		cov := ar.get()
-		for i := range cov.Words {
-			cov.Words[i] = ^uint64(0)
-		}
-		return []Cube{{}}, cov
-	}
-	// Find the top variable either bound depends on.
-	v := topVar - 1
-	for v >= 0 && !dependsOn(L, v) && !dependsOn(U, v) {
-		v--
-	}
-	if v < 0 {
-		// L nonzero and U not tautology with no support left cannot happen
-		// for consistent bounds (L <= U).
-		panic("truth: ISOP invariant violated (is onset <= upperset?)")
-	}
-	L0 := ar.get().Cofactor0(L, v)
-	L1 := ar.get().Cofactor1(L, v)
-	U0 := ar.get().Cofactor0(U, v)
-	U1 := ar.get().Cofactor1(U, v)
-
-	// Cubes that must contain !v: needed where the function must be 1 with
-	// v=0 but may not be 1 with v=1.
-	t0 := ar.get().AndNot(L0, U1)
-	c0, cov0 := isopRec(ar, t0, U0, v)
-	// Cubes that must contain v.
-	t1 := ar.get().AndNot(L1, U0)
-	c1, cov1 := isopRec(ar, t1, U1, v)
-	// Remaining onset, coverable without v.
-	Lstar := t0.AndNot(L0, cov0) // reuse t0
-	tmp := t1.AndNot(L1, cov1)   // reuse t1
-	Lstar.Or(Lstar, tmp)
-	Ustar := tmp.And(U0, U1)
-	cs, covs := isopRec(ar, Lstar, Ustar, v)
-
-	cubes := make([]Cube, 0, len(c0)+len(c1)+len(cs))
-	for _, c := range c0 {
-		cubes = append(cubes, c.WithLit(v, false))
-	}
-	for _, c := range c1 {
-		cubes = append(cubes, c.WithLit(v, true))
-	}
-	cubes = append(cubes, cs...)
-
-	// cover = cov0&!v | cov1&v | covs
-	vt := ar.vars[v]
-	cover := cov0.AndNot(cov0, vt) // reuse cov0 as the result
-	tmp2 := cov1.And(cov1, vt)
-	cover.Or(cover, tmp2)
-	cover.Or(cover, covs)
-	ar.put(L0, L1, U0, U1, t0, t1, cov1, covs)
-	return cubes, cover
+	cubes, ops := isopCount(onset.NVars, onset.Words, dc.Words, false)
+	return SOP{NVars: onset.NVars, Cubes: cubes}, ops
 }
 
 // MinPhaseISOP computes ISOPs of both the function and its complement and
@@ -257,11 +130,240 @@ func MinPhaseISOP(onset TT) (SOP, bool) {
 
 // MinPhaseISOPCount is MinPhaseISOP with an operation estimate.
 func MinPhaseISOPCount(onset TT) (SOP, bool, int64) {
-	pos, opsP := ISOPCount(onset, TT{})
-	neg, opsN := ISOPCount(New(onset.NVars).Not(onset), TT{})
-	if len(neg.Cubes) < len(pos.Cubes) ||
-		(len(neg.Cubes) == len(pos.Cubes) && neg.NumLits() < pos.NumLits()) {
-		return neg, true, opsP + opsN
+	n := onset.NVars
+	pos, opsP := isopCount(n, onset.Words, nil, false)
+	neg, opsN := isopCount(n, onset.Words, nil, true)
+	if len(neg) < len(pos) ||
+		(len(neg) == len(pos) && SOP{Cubes: neg}.NumLits() < SOP{Cubes: pos}.NumLits()) {
+		return SOP{NVars: n, Cubes: neg}, true, opsP + opsN
 	}
-	return pos, false, opsP + opsN
+	return SOP{NVars: n, Cubes: pos}, false, opsP + opsN
+}
+
+// isopRun is the state of one ISOP computation. The recursion works on
+// tables only as wide as the function under it: a table that depends on no
+// variable >= 6+k is fully described by its first 2^k words, so splitting on
+// the top support variable v >= 6 makes the two halves of that prefix the
+// cofactors (views, no copy) and every sub-call runs on half the words. At
+// one word the recursion continues on plain uint64 values.
+type isopRun struct {
+	cubes []Cube
+	calls int    // recursion count, for work estimation
+	mask  uint64 // meaningful bits of a table of fewer than 6 variables
+	// buf is the stack of temporaries of the wide recursion, carved by
+	// alloc and released by resetting sp; isopCount sizes it for the whole
+	// recursion.
+	buf []uint64
+	sp  int
+}
+
+func (r *isopRun) alloc(w int) []uint64 {
+	s := r.buf[r.sp : r.sp+w : r.sp+w]
+	r.sp += w
+	return s
+}
+
+// isopCount computes the ISOP of [onset, onset|dc] (of the complement of
+// onset when neg) over n variables and the operation estimate. The estimate
+// charges every recursive call the full table width, 12 word operations per
+// word: it models the device kernel, whose threads run each level at full
+// width, not this host implementation.
+func isopCount(n int, onset, dc []uint64, neg bool) ([]Cube, int64) {
+	r := isopRun{cubes: make([]Cube, 0, 16), mask: usedMask(n)}
+	if n <= 6 {
+		lower := onset[0]
+		if neg {
+			lower = ^lower
+		}
+		upper := lower
+		if dc != nil {
+			upper |= dc[0]
+		}
+		r.word(lower, upper, n)
+	} else {
+		// The top-level cover plus three half-width temporaries per level,
+		// 3*(1/2+1/4+...) < 3 tables, plus the bounds that need a copy.
+		w := WordCount(n)
+		need := 4 * w
+		if neg {
+			need += w
+		}
+		if dc != nil {
+			need += w
+		}
+		r.buf = make([]uint64, need)
+		lower := onset
+		if neg {
+			lower = r.alloc(w)
+			for i := range lower {
+				lower[i] = ^onset[i]
+			}
+		}
+		upper := lower
+		if dc != nil {
+			upper = r.alloc(w)
+			for i := range upper {
+				upper[i] = lower[i] | dc[i]
+			}
+		}
+		r.wide(lower, upper, r.alloc(w))
+	}
+	return r.cubes, int64(r.calls) * int64(12*WordCount(n))
+}
+
+func isZero(t []uint64) bool {
+	for _, w := range t {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func isOnes(t []uint64) bool {
+	for _, w := range t {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	return true
+}
+
+func halvesEqual(t []uint64) bool {
+	h := len(t) / 2
+	for i, w := range t[:h] {
+		if w != t[h+i] {
+			return false
+		}
+	}
+	return true
+}
+
+// wide appends the cubes of an ISOP of [L, U] to r.cubes and writes the
+// truth table of that cover to cov. L, U and cov have the same power-of-two
+// length of at least one word, and L and U are read-only views that depend
+// on no variable beyond that width.
+func (r *isopRun) wide(L, U, cov []uint64) {
+	r.calls++
+	if isZero(L) {
+		for i := range cov {
+			cov[i] = 0
+		}
+		return
+	}
+	if isOnes(U) {
+		r.cubes = append(r.cubes, Cube{})
+		for i := range cov {
+			cov[i] = ^uint64(0)
+		}
+		return
+	}
+	// Find the top variable either bound depends on: drop the upper half of
+	// the prefix while it repeats the lower one.
+	w := len(L)
+	for w > 1 && halvesEqual(L[:w]) && halvesEqual(U[:w]) {
+		w >>= 1
+	}
+	if w == 1 {
+		c := r.splitWord(L[0], U[0], 6)
+		for i := range cov {
+			cov[i] = c
+		}
+		return
+	}
+	v := 5 + bits.TrailingZeros(uint(w)) // w = 2^(v+1-6) words
+	h := w / 2
+	L0, L1, U0, U1 := L[:h], L[h:w], U[:h], U[h:w]
+	cov0, cov1 := cov[:h], cov[h:w]
+	sp := r.sp
+	t := r.alloc(h)
+
+	// Cubes that must contain !v: needed where the function must be 1 with
+	// v=0 but may not be 1 with v=1.
+	for i := range t {
+		t[i] = L0[i] &^ U1[i]
+	}
+	start := len(r.cubes)
+	r.wide(t, U0, cov0)
+	// Cubes that must contain v.
+	for i := range t {
+		t[i] = L1[i] &^ U0[i]
+	}
+	mid := len(r.cubes)
+	r.wide(t, U1, cov1)
+	end := len(r.cubes)
+	// Remaining onset, coverable without v.
+	ustar, covs := r.alloc(h), r.alloc(h)
+	for i := range t {
+		t[i] = L0[i]&^cov0[i] | L1[i]&^cov1[i]
+		ustar[i] = U0[i] & U1[i]
+	}
+	r.wide(t, ustar, covs)
+
+	for i := start; i < mid; i++ {
+		r.cubes[i].Neg |= 1 << uint(v)
+	}
+	for i := mid; i < end; i++ {
+		r.cubes[i].Pos |= 1 << uint(v)
+	}
+	// cover = cov0&!v | cov1&v | covs: cov0 and cov1 already sit in the two
+	// halves; the result repeats over the width the caller asked for.
+	for i, c := range covs {
+		cov0[i] |= c
+		cov1[i] |= c
+	}
+	for i := w; i < len(cov); i += w {
+		copy(cov[i:i+w], cov[:w])
+	}
+	r.sp = sp
+}
+
+// word is wide on single-word tables, returning the cover. Only variables
+// below topVar are considered. The constant tests look at the meaningful
+// bits only; everything else runs on the whole word, so tables of fewer than
+// 6 variables may carry anything above bit 2^n.
+func (r *isopRun) word(L, U uint64, topVar int) uint64 {
+	r.calls++
+	if L&r.mask == 0 {
+		return 0
+	}
+	if U&r.mask == r.mask {
+		r.cubes = append(r.cubes, Cube{})
+		return ^uint64(0)
+	}
+	return r.splitWord(L, U, topVar)
+}
+
+// splitWord is word past the constant tests: [L, U] is known not to be
+// trivially coverable.
+func (r *isopRun) splitWord(L, U uint64, topVar int) uint64 {
+	v := topVar - 1
+	for v >= 0 && !wordDependsOn(L, v) && !wordDependsOn(U, v) {
+		v--
+	}
+	if v < 0 {
+		// L nonzero and U not tautology with no support left cannot happen
+		// for consistent bounds (L <= U).
+		panic("truth: ISOP invariant violated (is onset <= upperset?)")
+	}
+	hi, shift := varMasks[v], uint(1)<<uint(v)
+	L0, L1 := L&^hi, L&hi
+	L0, L1 = L0|L0<<shift, L1|L1>>shift
+	U0, U1 := U&^hi, U&hi
+	U0, U1 = U0|U0<<shift, U1|U1>>shift
+
+	start := len(r.cubes)
+	cov0 := r.word(L0&^U1, U0, v)
+	mid := len(r.cubes)
+	cov1 := r.word(L1&^U0, U1, v)
+	end := len(r.cubes)
+	covs := r.word(L0&^cov0|L1&^cov1, U0&U1, v)
+
+	for i := start; i < mid; i++ {
+		r.cubes[i].Neg |= 1 << uint(v)
+	}
+	for i := mid; i < end; i++ {
+		r.cubes[i].Pos |= 1 << uint(v)
+	}
+	return cov0&^hi | cov1&hi | covs
 }

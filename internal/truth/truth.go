@@ -61,7 +61,6 @@ func Const(n int, value bool) TT {
 		for i := range t.Words {
 			t.Words[i] = ^uint64(0)
 		}
-		t.Words[0] |= 0 // keep full words; Normalize trims on comparison
 	}
 	return t
 }
@@ -208,7 +207,7 @@ func (t TT) Equal(o TT) bool {
 // IsConst0 reports whether the table is constant false.
 func (t TT) IsConst0() bool {
 	m := usedMask(t.NVars)
-	for i, w := range t.Words {
+	for _, w := range t.Words {
 		mask := uint64(^uint64(0))
 		if t.NVars < 6 {
 			mask = m
@@ -216,7 +215,6 @@ func (t TT) IsConst0() bool {
 		if w&mask != 0 {
 			return false
 		}
-		_ = i
 	}
 	return true
 }
@@ -304,16 +302,40 @@ func (t TT) Cofactor1(x TT, v int) TT {
 	return t
 }
 
+// wordDependsOn reports whether the single-word table w depends on variable
+// v < 6, comparing the two cofactors over the whole word.
+func wordDependsOn(w uint64, v int) bool {
+	return (w&varMasks[v])>>(uint(1)<<uint(v)) != w&^varMasks[v]
+}
+
+// dependsOn checks variable dependence without allocating.
+func dependsOn(t TT, v int) bool {
+	if v < 6 {
+		for _, w := range t.Words {
+			if wordDependsOn(w, v) {
+				return true
+			}
+		}
+		return false
+	}
+	step := 1 << (v - 6)
+	for i := 0; i < len(t.Words); i += 2 * step {
+		for j := 0; j < step; j++ {
+			if t.Words[i+j] != t.Words[i+j+step] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // DependsOn reports whether the function depends on variable v. It compares
 // the two cofactors in place without allocating.
 func (t TT) DependsOn(v int) bool {
 	if t.NVars < 6 {
 		// Single word with garbage above the meaningful bits: mask first so
 		// tables built through different op sequences agree.
-		m := usedMask(t.NVars)
-		w := t.Words[0] & m
-		shift := uint(1) << v
-		return (w&varMasks[v])>>shift != w&^varMasks[v]
+		return wordDependsOn(t.Words[0]&usedMask(t.NVars), v)
 	}
 	return dependsOn(t, v)
 }

@@ -1,6 +1,7 @@
 package truth
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -254,5 +255,59 @@ func TestNpn4ClassCount(t *testing.T) {
 	// The number of NPN classes of 4-variable functions is 222.
 	if len(classes) != 222 {
 		t.Errorf("NPN class count = %d, want 222", len(classes))
+	}
+}
+
+// seededCones returns count pseudo-random n-variable functions shaped like
+// refactoring cones: the AND/OR of a few random tables restricted to a
+// random subset of the variables, so the support and density vary.
+func seededCones(n, count int) []TT {
+	rng := rand.New(rand.NewSource(int64(n)))
+	fs := make([]TT, count)
+	for i := range fs {
+		a, b, c := randomTT(rng, n), randomTT(rng, n), randomTT(rng, n)
+		f := New(n).Or(New(n).And(a, b), New(n).AndNot(c, a))
+		for v := 0; v < n; v++ {
+			if rng.Intn(4) == 0 {
+				f.Cofactor0(f, v)
+			}
+		}
+		fs[i] = f
+	}
+	return fs
+}
+
+var sinkCubes int
+
+func BenchmarkISOP(b *testing.B) {
+	for _, n := range []int{6, 8, 10, 12} {
+		fs := seededCones(n, 64)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkCubes += len(ISOP(fs[i%len(fs)], TT{}).Cubes)
+			}
+		})
+	}
+}
+
+func BenchmarkMinPhaseISOP(b *testing.B) {
+	fs := seededCones(12, 64)
+	b.Run("n=12", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, _ := MinPhaseISOP(fs[i%len(fs)])
+			sinkCubes += len(s.Cubes)
+		}
+	})
+}
+
+// TestISOPSingleWordAllocs pins the single-word path: nothing is allocated
+// beyond the returned cube slice.
+func TestISOPSingleWordAllocs(t *testing.T) {
+	f := New(6)
+	f.Words[0] = 0x8000_0000_0000_0001 | 0x0000_00ff_ff00_0000 // 4 cubes: fits the initial slice
+	if got := testing.AllocsPerRun(100, func() { ISOP(f, TT{}) }); got > 1 {
+		t.Errorf("single-word ISOP: %v allocs/op, want at most the result slice", got)
 	}
 }

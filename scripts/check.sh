@@ -3,8 +3,8 @@
 # full test suite under the race detector — which includes the
 # fault-injection and rollback tests of internal/gpu and internal/flow —
 # the million-node partition smoke, the partition seam-conflict stress, and
-# a short fuzz smoke of the AIGER parser. Run from anywhere; `make check` is
-# an alias.
+# short fuzz smokes of the AIGER parser and the ISOP. Run from anywhere;
+# `make check` is an alias.
 set -eu
 cd "$(dirname "$0")/.."
 # gofmt gate: fail on any unformatted file.
@@ -21,8 +21,11 @@ go test -race ./...
 # Fault-injection / recovery paths, explicitly, under -race.
 go test -race -run 'Fault|Guard|TableFull' ./internal/gpu/ ./internal/flow/ ./internal/hashtable/
 # Resynthesis cache: concurrent mixed NPN/program traffic on one cache and
-# the 8-job shared-cache batch stress, explicitly, under -race.
-go test -race -run 'TestConcurrentMixedTraffic|TestSharedCacheBatchStress|TestCachedRunsMatchUncached' ./internal/rcache/ .
+# the 8-job shared-cache batch stress, explicitly, under -race; with them the
+# rewrite kernels' shared state: batched NPN counters stay exact at every
+# worker count and through a shared-cache batch, and 8 goroutines racing a
+# fresh library all get the one published entry per class.
+go test -race -run 'TestConcurrentMixedTraffic|TestNpn4UncountedBatchedCounters|TestSharedCacheBatchStress|TestCachedRunsMatchUncached|TestNpnCountersExact|TestNpnCountsMatchEvaluatedCuts|TestLibraryPublishOnce' ./internal/rcache/ ./internal/rewrite/ .
 # Batch scheduler: shared-budget stress and cancellation, explicitly, under
 # -race (concurrent jobs over a tiny pool must respect the worker budget and
 # stop promptly on cancel, with no goroutine leaks).
@@ -79,5 +82,7 @@ go test -race -count=1 -run 'TestSSEResume|TestResultEndpoint|TestListFilters|Te
 # new submissions with the typed draining error, leaves the backlog durably
 # pending, and exits 0.
 go test -race -count=1 -run 'TestDaemonCrashRecovery|TestDaemonDrainSmoke' ./cmd/aigred/
-# Fuzz smoke: the AIGER parser must never panic on arbitrary input.
+# Fuzz smoke: the AIGER parser must never panic on arbitrary input, and the
+# width-halving ISOP must match the full-width oracle cube for cube.
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/aiger/
+go test -run='^$' -fuzz=FuzzISOP -fuzztime=10s ./internal/truth/
