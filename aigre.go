@@ -36,15 +36,12 @@ import (
 
 	"aigre/internal/aig"
 	"aigre/internal/aiger"
-	"aigre/internal/balance"
 	"aigre/internal/cec"
 	"aigre/internal/dedup"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
+	"aigre/internal/partition"
 	"aigre/internal/rcache"
-	"aigre/internal/refactor"
-	"aigre/internal/resub"
-	"aigre/internal/rewrite"
 )
 
 // Cache is a resynthesis cache: it memoizes NPN canonization for rewriting
@@ -70,37 +67,14 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	return cacheStatsOf(c.c.Snapshot())
+	return c.c.Snapshot()
 }
 
 // CacheStats reports resynthesis-cache traffic. Hits/Misses/Evictions count
 // the program compartment (refactoring cones); NpnHits/NpnMisses count the
 // NPN-canonization compartment (rewriting cuts); Entries is the current
-// number of cached programs.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	NpnHits   int64 `json:"npn_hits"`
-	NpnMisses int64 `json:"npn_misses"`
-	Entries   int   `json:"entries"`
-}
-
-// HitRate is Hits / (Hits + Misses) for the program compartment; 0 with no
-// lookups.
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-func cacheStatsOf(st rcache.Stats) CacheStats {
-	return CacheStats{
-		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-		NpnHits: st.NpnHits, NpnMisses: st.NpnMisses, Entries: st.Entries,
-	}
-}
+// number of cached programs. HitRate is Hits / (Hits + Misses).
+type CacheStats = rcache.Stats
 
 // Network is a combinational And-Inverter Graph.
 type Network struct {
@@ -141,8 +115,9 @@ type Options struct {
 	// parallel refactoring passes per rf/rfz command. Default 1.
 	Passes int
 	// RwzPasses is the number of parallel rewriting passes per rwz command
-	// inside sequences (the paper's GPU resyn2 uses 2). Default 2 for
-	// Resyn2, 1 elsewhere.
+	// inside sequences. Default 1, except for a script that parses to the
+	// resyn2 command list — however spelled, through Run, Resyn2 or a batch
+	// — where it is 2, the paper's GPU resyn2 setting.
 	RwzPasses int
 	// Verify upgrades the per-command functional gate of script runs from
 	// random-simulation sampling to a full combinational equivalence check
@@ -173,33 +148,32 @@ type Options struct {
 	Partition PartitionOptions
 }
 
-// Result reports an optimization run.
+// Result reports an optimization run: the run record — Wall (measured host
+// time), Modeled (simulated-device time; equals the commands' wall for
+// sequential runs), Timings (the per-command breakdown of sequence runs),
+// Incidents (contained failures of a script run and how the guarded runner
+// degraded them; empty on a clean run), Profile (per-kernel device profile of
+// a parallel run, nil otherwise; see gpu.FormatProfile) and CacheStats (the
+// resynthesis-cache traffic observed during the run) — wrapped with the
+// optimized Network. See flow.Result for the field documentation.
 type Result struct {
-	AIG *Network
-	// Wall is the measured host time.
-	Wall time.Duration
-	// Modeled is the simulated-device time (parallel mode; equals Wall for
-	// sequential runs).
-	Modeled time.Duration
-	// Timings is the per-command breakdown for sequence runs.
-	Timings []flow.CommandTiming
-	// Profile is the per-kernel device profile of a parallel run (nil for
-	// sequential runs). The modeled times of its rows sum to Modeled
-	// exactly; see gpu.FormatProfile for a printable table.
-	Profile []gpu.KernelProfile
-	// Incidents lists contained failures of a script run: commands that
-	// aborted (kernel panic, full hash table) or failed validation, and how
-	// the guarded runner degraded them (sequential retry or skip). Empty on
-	// a clean run.
-	Incidents []flow.Incident
-	// CacheStats is the resynthesis-cache traffic observed during this run
-	// (a before/after delta of the configured cache; when the cache is shared
-	// with concurrent runs the delta includes their traffic too).
-	CacheStats CacheStats
+	// AIG is the optimized network (it shadows the record's internal one).
+	AIG *Network `json:"-"`
+	flow.Result
 	// Partition is the partition-parallel report of a run with
 	// Options.Partition enabled (nil otherwise): partitioning mode, seam
 	// conflicts found and broken, rollbacks, and one row per partition.
-	Partition *PartitionReport
+	Partition *PartitionReport `json:"partition,omitempty"`
+}
+
+// resultOf wraps a run record (and the partition report, if any) in the
+// public shape.
+func resultOf(r flow.Result, pr *PartitionReport) Result {
+	out := Result{Result: r, Partition: pr}
+	if r.AIG != nil {
+		out.AIG = &Network{aig: r.AIG}
+	}
+	return out
 }
 
 // New returns an empty network with the given number of primary inputs.
@@ -337,20 +311,12 @@ func (o Options) passes() int {
 	return o.Passes
 }
 
-// rcache resolves the internal cache behind Options.Cache (nil = the
-// process-wide default).
-func (o Options) rcache() *rcache.Cache {
-	if o.Cache != nil {
-		return o.Cache.c
-	}
-	return rcache.Default
-}
-
-// flowConfig maps the engine parameters onto a flow.Config (no device: Run
-// attaches one for whole-network parallel scripts, partition jobs lease
-// device capacity from their pool).
+// flowConfig maps the engine parameters onto a flow.Config: Options.Cache
+// resolved to its internal cache (nil = the process-wide default), and no
+// device — Run attaches one for whole-network parallel scripts, partition
+// jobs lease device capacity from their pool.
 func (o Options) flowConfig() flow.Config {
-	return flow.Config{
+	cfg := flow.Config{
 		Parallel:   o.Parallel,
 		MaxCut:     o.MaxCut,
 		RwzPasses:  o.RwzPasses,
@@ -358,24 +324,19 @@ func (o Options) flowConfig() flow.Config {
 		ZeroGain:   o.ZeroGain,
 		Verify:     o.Verify,
 		GateRounds: o.GateRounds,
-		Cache:      o.rcache(),
+		Cache:      rcache.Default,
 	}
-}
-
-// algo describes one single-algorithm entry point for runAlgo: the two
-// engines, the pass count, and whether parallel mode appends the Section
-// III-F cleanup pass. A nil sequential engine means the algorithm always
-// runs on the device (Dedup).
-type algo struct {
-	parallel   func(d *gpu.Device, a *aig.AIG) *aig.AIG
-	sequential func(a *aig.AIG) *aig.AIG
-	passes     int
-	cleanup    bool
+	if o.Cache != nil {
+		cfg.Cache = o.Cache.c
+	}
+	return cfg
 }
 
 // runAlgo is the shared body of Balance, Refactor, Rewrite, Resub, and
-// Dedup: device wiring, pass repetition, the parallel cleanup pass, and
-// wall/modeled/profile result assembly live here once.
+// Dedup: it runs passes repetitions of one script-vocabulary command outside
+// a script — device wiring, pass repetition, the parallel cleanup pass, and
+// wall/modeled/profile result assembly live here once. A command with no
+// sequential engine always runs on the device (Dedup).
 //
 // Engine failures are propagated, not swallowed: a kernel abort (surfacing
 // as a *gpu.LaunchError panic from the unguarded engines) is returned as an
@@ -384,28 +345,29 @@ type algo struct {
 // returns ctx.Err() wrapped in the partial Result. Unlike Run, these
 // single-algorithm entry points have no checkpoint/rollback/retry layer;
 // use Run for guarded execution.
-func (n *Network) runAlgo(ctx context.Context, opts Options, al algo) (res Result, err error) {
+func (n *Network) runAlgo(ctx context.Context, opts Options, cmd flow.Command, passes int) (res Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	parallel := opts.Parallel || al.sequential == nil
+	cfg := opts.flowConfig()
+	parallel := opts.Parallel || cmd.Seq == nil
 	var d *gpu.Device
 	if parallel {
 		d = opts.device()
 		d.Bind(ctx)
 	}
 	cur := n.aig
-	cacheBefore := opts.rcache().Snapshot()
+	cacheBefore := cfg.Cache.Snapshot()
 	finish := func(e error) (Result, error) {
-		wall := time.Since(start)
-		r := Result{AIG: &Network{aig: cur}, Wall: wall, Modeled: wall}
+		r := flow.Result{AIG: cur, Wall: time.Since(start)}
+		r.Modeled = r.Wall
 		if parallel {
 			r.Modeled = d.Stats().ModeledTime
 			r.Profile = d.Profile()
 		}
-		r.CacheStats = cacheStatsOf(opts.rcache().Snapshot().Sub(cacheBefore))
-		return r, e
+		r.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
+		return resultOf(r, nil), e
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -416,21 +378,17 @@ func (n *Network) runAlgo(ctx context.Context, opts Options, al algo) (res Resul
 			res, err = finish(e)
 		}
 	}()
-	passes := al.passes
-	if passes <= 0 {
-		passes = 1
-	}
 	for p := 0; p < passes; p++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return finish(fmt.Errorf("aigre: cancelled after %d of %d passes: %w", p, passes, cerr))
 		}
 		if parallel {
-			cur = al.parallel(d, cur)
+			cur = cmd.Par(d, cur, cfg)
 		} else {
-			cur = al.sequential(cur)
+			cur = cmd.Seq(cur, cfg)
 		}
 	}
-	if parallel && al.cleanup {
+	if parallel && cmd.Cleanup {
 		cur, _ = dedup.Run(d, cur)
 	}
 	return finish(nil)
@@ -452,72 +410,49 @@ func engineError(r any) error {
 	return nil
 }
 
+// runCommand runs the named script command as a single algorithm.
+func (n *Network) runCommand(ctx context.Context, opts Options, name string, passes int) (Result, error) {
+	cmd, err := flow.Lookup(name)
+	if err != nil {
+		return Result{}, err
+	}
+	return n.runAlgo(ctx, opts, cmd, passes)
+}
+
 // Balance runs AND-balancing (delay optimization, Section IV).
 func (n *Network) Balance(ctx context.Context, opts Options) (Result, error) {
-	return n.runAlgo(ctx, opts, algo{
-		parallel:   func(d *gpu.Device, a *aig.AIG) *aig.AIG { out, _ := balance.Parallel(d, a); return out },
-		sequential: func(a *aig.AIG) *aig.AIG { out, _ := balance.Sequential(a); return out },
-	})
+	return n.runCommand(ctx, opts, "b", 1)
 }
 
 // Refactor runs refactoring (Section III). In parallel mode the cleanup
 // pass (Section III-F) is included.
 func (n *Network) Refactor(ctx context.Context, opts Options) (Result, error) {
-	return n.runAlgo(ctx, opts, algo{
-		parallel: func(d *gpu.Device, a *aig.AIG) *aig.AIG {
-			out, _ := refactor.Parallel(d, a, refactor.Options{MaxCut: opts.MaxCut, Cache: opts.rcache()})
-			return out
-		},
-		sequential: func(a *aig.AIG) *aig.AIG {
-			out, _ := refactor.Sequential(a, refactor.Options{MaxCut: opts.MaxCut, ZeroGain: opts.ZeroGain, Cache: opts.rcache()})
-			return out
-		},
-		passes:  opts.passes(),
-		cleanup: true,
-	})
+	return n.runCommand(ctx, opts, "rf", opts.passes())
 }
 
 // Rewrite runs rewriting. In parallel mode this follows [9] (parallel
 // evaluation, sequential replacement) plus the cleanup pass.
 func (n *Network) Rewrite(ctx context.Context, opts Options) (Result, error) {
-	return n.runAlgo(ctx, opts, algo{
-		parallel: func(d *gpu.Device, a *aig.AIG) *aig.AIG {
-			out, _ := rewrite.Parallel(d, a, rewrite.Options{ZeroGain: opts.ZeroGain, Cache: opts.rcache()})
-			return out
-		},
-		sequential: func(a *aig.AIG) *aig.AIG {
-			out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: opts.ZeroGain, Cache: opts.rcache()})
-			return out
-		},
-		passes:  opts.passes(),
-		cleanup: true,
-	})
+	name := "rw"
+	if opts.ZeroGain {
+		name = "rwz"
+	}
+	return n.runCommand(ctx, opts, name, opts.passes())
 }
 
 // Resub runs resubstitution (the paper's future-work algorithm): nodes are
 // re-expressed as functions of existing divisors. In parallel mode the
 // divisor search for all nodes runs on the device.
 func (n *Network) Resub(ctx context.Context, opts Options) (Result, error) {
-	return n.runAlgo(ctx, opts, algo{
-		parallel: func(d *gpu.Device, a *aig.AIG) *aig.AIG {
-			out, _ := resub.Parallel(d, a, resub.Options{})
-			return out
-		},
-		sequential: func(a *aig.AIG) *aig.AIG {
-			out, _ := resub.Sequential(a, resub.Options{})
-			return out
-		},
-		passes:  opts.passes(),
-		cleanup: true,
-	})
+	return n.runCommand(ctx, opts, "rs", opts.passes())
 }
 
 // Dedup runs the de-duplication and dangling-node cleanup pass alone. It
 // always executes on the device (the pass has no sequential variant).
 func (n *Network) Dedup(ctx context.Context, opts Options) (Result, error) {
-	return n.runAlgo(ctx, opts, algo{
-		parallel: func(d *gpu.Device, a *aig.AIG) *aig.AIG { out, _ := dedup.Run(d, a); return out },
-	})
+	return n.runAlgo(ctx, opts, flow.Command{
+		Par: func(d *gpu.Device, a *aig.AIG, _ flow.Config) *aig.AIG { out, _ := dedup.Run(d, a); return out },
+	}, 1)
 }
 
 // Run executes a command script such as "b; rw; rfz" (see package flow for
@@ -528,40 +463,25 @@ func (n *Network) Dedup(ctx context.Context, opts Options) (Result, error) {
 // the partial Result (network and timings after the last completed command)
 // is returned together with an error wrapping ctx.Err().
 func (n *Network) Run(ctx context.Context, script string, opts Options) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Partition.Mode != PartitionOff {
-		return n.runPartitioned(ctx, script, opts)
-	}
 	cfg := opts.flowConfig()
+	if opts.Partition.Mode != PartitionOff {
+		// Split, optimize every partition as a prioritized job over a bounded
+		// worker pool, stitch with seam conflict breaking.
+		pres, err := partition.Run(ctx, n.aig, script,
+			partition.Options{Split: opts.Partition, Workers: opts.Workers, Flow: cfg})
+		return resultOf(pres.Result, reportOf(&pres)), err
+	}
 	if opts.Parallel {
 		cfg.Device = opts.device()
 	}
-	start := time.Now()
 	res, err := flow.Run(ctx, n.aig, script, cfg)
-	out := Result{
-		Wall:       time.Since(start),
-		Modeled:    res.TotalModeled,
-		Timings:    res.Timings,
-		Incidents:  res.Incidents,
-		CacheStats: cacheStatsOf(res.CacheStats),
-	}
-	if res.AIG != nil {
-		out.AIG = &Network{aig: res.AIG}
-	}
-	if cfg.Device != nil {
-		out.Profile = cfg.Device.Profile()
-	}
-	return out, err
+	return resultOf(res, nil), err
 }
 
 // Resyn2 runs the resyn2 sequence (b; rw; rf; b; rw; rwz; b; rfz; rwz; b).
-// In parallel mode rwz runs two rewriting passes, matching the paper.
+// In parallel mode rwz runs two rewriting passes, matching the paper (see
+// Options.RwzPasses).
 func (n *Network) Resyn2(ctx context.Context, opts Options) (Result, error) {
-	if opts.RwzPasses == 0 {
-		opts.RwzPasses = 2
-	}
 	return n.Run(ctx, flow.Resyn2, opts)
 }
 

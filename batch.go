@@ -3,10 +3,9 @@ package aigre
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"aigre/internal/flow"
-	"aigre/internal/gpu"
+	"aigre/internal/journal"
 	"aigre/internal/sched"
 )
 
@@ -52,67 +51,18 @@ type Batch struct {
 // classified retry with exponential backoff, watchdog preemption of stuck
 // jobs, and quarantine of jobs that exhaust their retry budget. The zero
 // Policy supervises nothing: one attempt per job, no deadline, no watchdog.
-type Policy struct {
-	// JobTimeout is the per-attempt deadline of one job (0 = none). It is
-	// distinct from cancelling RunBatch's ctx: a timed-out attempt may be
-	// retried, and other jobs keep running.
-	JobTimeout time.Duration
-	// Retries is each job's retry budget: how many extra attempts its
-	// transient failures (aborted kernel launches, full hash tables,
-	// seam-gate rollbacks, deadline kills, watchdog preemptions) may
-	// consume. A job that exhausts the budget is quarantined. For a
-	// partitioned job the budget is shared with its per-partition jobs.
-	Retries int
-	// RetryDegraded also retries attempts that completed but recorded
-	// transient-class incidents, discarding the degraded result in the
-	// hope of a clean pass; the last degraded result stands when the
-	// budget runs dry.
-	RetryDegraded bool
-	// Backoff is the delay before a job's first retry, doubling each
-	// further retry with ±50% jitter (default 5ms); MaxBackoff caps the
-	// doubling (default 500ms).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-	// StuckTimeout arms the watchdog: a job whose kernel-launch heartbeat
-	// advances nothing for this long is preempted and, with no budget
-	// left, quarantined (0 = no watchdog).
-	StuckTimeout time.Duration
-	// Seed makes retry jitter deterministic; 0 is a valid seed.
-	Seed int64
-}
+// See sched.Policy for the fields; its Budget field is the engine's own
+// plumbing for partitioned jobs, not an option — leave it nil.
+type Policy = sched.Policy
 
 // JobEvent is one live supervision event, delivered via
-// BatchOptions.OnEvent: an attempt starting, a contained incident, a retry
-// with its backoff, a watchdog preemption, a deadline timeout, a
-// quarantine, or the final outcome.
-type JobEvent struct {
-	// Job is the Batch.Name of the job the event belongs to.
-	Job string
-	// Attempt is the 1-based attempt ordinal, when the event is tied to one.
-	Attempt int
-	// Event is the supervision event name: "attempt", "incident", "retry",
-	// "preempt", "timeout", "quarantine", "done", "fail", or "cancel".
-	Event string
-	// Class is the failure classification for incident/retry events.
-	Class string
-	// Detail is the human-readable note (error text, preemption cause).
-	Detail string
-	// Backoff is the delay before the retry, for retry events.
-	Backoff time.Duration
-	Time    time.Time
-}
-
-func (p Policy) internal() sched.Policy {
-	return sched.Policy{
-		JobTimeout:    p.JobTimeout,
-		Retries:       p.Retries,
-		RetryDegraded: p.RetryDegraded,
-		Backoff:       p.Backoff,
-		MaxBackoff:    p.MaxBackoff,
-		StuckTimeout:  p.StuckTimeout,
-		Seed:          p.Seed,
-	}
-}
+// BatchOptions.OnEvent — the journal's own entry type: an attempt starting,
+// a contained incident (with the full flow.Incident attached), a retry with
+// its backoff, a watchdog preemption, a deadline timeout, a quarantine, or
+// the final outcome. Job is the Batch.Name of the job the event belongs to;
+// Event is "attempt", "incident", "retry", "preempt", "timeout",
+// "quarantine", "done", "fail", or "cancel".
+type JobEvent = journal.Entry
 
 // BatchOptions configures RunBatch.
 type BatchOptions struct {
@@ -147,78 +97,31 @@ type BatchOptions struct {
 	OnEvent func(JobEvent)
 }
 
-// BatchResult reports one job of a batch.
+// BatchResult reports one job of a batch: the scheduler's job report —
+// Name, Script, Err (nil on success, wraps ctx.Err() on cancellation, or
+// reports a script error; contained engine failures appear in Incidents, not
+// Err), the Cancelled / TimedOut / Quarantined verdicts, Attempts and
+// Preemptions, Queued / Wall / Modeled times, node and level counts before
+// and after, Timings, Incidents, Profile and CacheStats — wrapped with the
+// optimized Network. See sched.Result for the field documentation. Its JSON
+// form is a cmd/aigre -report job row.
 type BatchResult struct {
-	Name   string
-	Script string
-	// AIG is the optimized network; on a cancelled job the partial result
-	// (after the last completed command), nil only if the script failed to
-	// parse.
-	AIG *Network
-	// Err is nil on success, wraps ctx.Err() on cancellation, or reports a
-	// script error. Contained engine failures appear in Incidents, not Err.
-	Err error
-	// Cancelled reports that Err traces back to external cancellation (the
-	// batch ctx); deadline kills report TimedOut instead.
-	Cancelled bool
-	// TimedOut reports that Err traces back to an expired deadline — the
-	// job's Policy.JobTimeout or the batch ctx's own deadline.
-	TimedOut bool
-	// Quarantined reports the job was withdrawn as poison: a retryable
-	// failure class exhausted its retry budget, or the watchdog caught it
-	// stuck with no budget left.
-	Quarantined bool
-	// Attempts is how many supervised attempts ran (1 when unsupervised);
-	// Preemptions how many of them the watchdog preempted as stuck.
-	Attempts    int
-	Preemptions int
-
-	Queued  time.Duration // submission -> start
-	Wall    time.Duration // start -> finish, host time
-	Modeled time.Duration // modeled device time (parallel jobs)
-
-	NodesBefore, LevelsBefore int
-	NodesAfter, LevelsAfter   int
-
-	Timings   []flow.CommandTiming
-	Incidents []flow.Incident
-	// Profile is the per-kernel device profile of a parallel job (nil for
-	// sequential and partitioned jobs); see gpu.FormatProfile for a printable
-	// table.
-	Profile []gpu.KernelProfile
-	// CacheStats is the resynthesis-cache traffic observed while the job ran.
-	// The counters are cache-global: under a shared cache the delta includes
-	// concurrently running jobs' traffic.
-	CacheStats CacheStats
+	sched.Result
+	// AIG is the optimized network (it shadows the report's internal one);
+	// on a cancelled job the partial result (after the last completed
+	// command), nil only if the script failed to parse.
+	AIG *Network `json:"-"`
 	// Partition is the partition-parallel report of a job whose
 	// Options.Partition was enabled (nil otherwise).
-	Partition *PartitionReport
+	Partition *PartitionReport `json:"partition,omitempty"`
 }
 
-// BatchMetrics aggregates fleet statistics of one RunBatch call.
-type BatchMetrics struct {
-	// Workers is the shared pool budget W.
-	Workers int
-	// Finished, Failed, Cancelled, TimedOut, and Quarantined partition the
-	// jobs by final outcome; Retries counts extra attempts fleet-wide.
-	Finished, Failed, Cancelled    int
-	TimedOut, Quarantined, Retries int
-	// PeakWorkers is the observed host-concurrency high-water mark; the
-	// shared-budget invariant keeps it at or below Workers.
-	PeakWorkers int
-	// PeakQueueDepth is the deepest the admission queue got.
-	PeakQueueDepth int
-	// Wall spans first submission to last completion; JobWall sums per-job
-	// host time (their ratio is the job-level concurrency); Modeled sums the
-	// jobs' modeled device time.
-	Wall, JobWall, Modeled time.Duration
-	// Utilization is the fraction of the worker budget kept busy executing
-	// kernel bodies: busy-time / (Wall * Workers).
-	Utilization float64
-	// CacheStats is the batch-wide resynthesis-cache traffic delta when
-	// BatchOptions.SharedCache was set (zero otherwise).
-	CacheStats CacheStats
-}
+// BatchMetrics aggregates fleet statistics of one RunBatch call or Engine:
+// the worker budget, jobs by final outcome, retries, concurrency and queue
+// high-water marks, wall / summed job wall / summed modeled time, worker
+// utilization, and — when BatchOptions.SharedCache was set — the batch-wide
+// resynthesis-cache traffic delta. See sched.Metrics for the fields.
+type BatchMetrics = sched.Metrics
 
 // RunBatch optimizes many networks concurrently over one shared, bounded
 // worker budget: opts.Workers host goroutines serve the kernel launches of
@@ -239,9 +142,6 @@ func RunBatch(ctx context.Context, jobs []Batch, opts BatchOptions) ([]BatchResu
 	// Validate the whole batch before admitting anything, so a malformed job
 	// fails the call without running its siblings.
 	for i, b := range jobs {
-		if b.AIG == nil {
-			return nil, BatchMetrics{}, fmt.Errorf("aigre: batch job %d (%s) has no network", i, b.Name)
-		}
 		if err := b.check(); err != nil {
 			return nil, BatchMetrics{}, fmt.Errorf("aigre: batch job %d (%s): %w", i, b.Name, err)
 		}

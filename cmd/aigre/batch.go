@@ -87,7 +87,10 @@ func parseManifest(path string, opts aigre.Options) ([]aigre.Batch, error) {
 	return jobs, nil
 }
 
-// batchReport is the JSON schema of -report.
+// batchReport is the JSON schema of -report: the fleet metrics under the
+// report's own snake_case keys (aigre.BatchMetrics marshals under its Go
+// field names, the shape aigred's /v1/stats already serves), then one row
+// per job.
 type batchReport struct {
 	Workers        int           `json:"workers"`
 	Finished       int           `json:"finished"`
@@ -108,25 +111,12 @@ type batchReport struct {
 	Jobs  []batchJobReport  `json:"jobs"`
 }
 
+// batchJobReport is one -report row: the job's BatchResult (whose JSON form
+// is the row) plus what only the CLI knows.
 type batchJobReport struct {
-	Name        string          `json:"name"`
-	Script      string          `json:"script"`
-	Error       string          `json:"error,omitempty"`
-	Cancelled   bool            `json:"cancelled,omitempty"`
-	TimedOut    bool            `json:"timed_out,omitempty"`
-	Quarantined bool            `json:"quarantined,omitempty"`
-	Attempts    int             `json:"attempts,omitempty"`
-	Preemptions int             `json:"preemptions,omitempty"`
-	QueuedNS    time.Duration   `json:"queued_ns"`
-	WallNS      time.Duration   `json:"wall_ns"`
-	ModeledNS   time.Duration   `json:"modeled_ns"`
-	NodesBefore int             `json:"nodes_before"`
-	NodesAfter  int             `json:"nodes_after"`
-	LevelsAfter int             `json:"levels_after"`
-	Output      string          `json:"output,omitempty"`
-	Incidents   []flow.Incident `json:"incidents,omitempty"`
-	// Partition is the job's partition-parallel report (runs with -partition).
-	Partition *aigre.PartitionReport `json:"partition,omitempty"`
+	aigre.BatchResult
+	Error  string `json:"error,omitempty"`
+	Output string `json:"output,omitempty"`
 }
 
 // runBatch is the -batch entry point; it returns the process exit code:
@@ -177,14 +167,7 @@ func runBatch(ctx context.Context, manifest, outdir, reportPath string, bopts ai
 	}
 	var infra, casualty, degraded bool
 	for _, r := range results {
-		jr := batchJobReport{
-			Name: r.Name, Script: r.Script, Cancelled: r.Cancelled,
-			TimedOut: r.TimedOut, Quarantined: r.Quarantined,
-			Attempts: r.Attempts, Preemptions: r.Preemptions,
-			QueuedNS: r.Queued, WallNS: r.Wall, ModeledNS: r.Modeled,
-			NodesBefore: r.NodesBefore, NodesAfter: r.NodesAfter, LevelsAfter: r.LevelsAfter,
-			Incidents: r.Incidents, Partition: r.Partition,
-		}
+		jr := batchJobReport{BatchResult: r}
 		switch {
 		case r.Err != nil:
 			jr.Error = r.Err.Error()

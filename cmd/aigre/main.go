@@ -35,8 +35,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -95,7 +93,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	popts := aigre.PartitionOptions{Mode: pmode, TargetSize: *partSize, MaxConflictRounds: *partRnds}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if *timeout > 0 {
@@ -123,19 +120,22 @@ func main() {
 	// Profiles must be written on every exit path, and main exits through
 	// os.Exit (which skips defers) — route all exits through finishProfiles.
 	fatal(startProfiles(*cpuProf, *memProf))
+	// Options.Workers sizes a single run's device; batch jobs ignore it (they
+	// share the BatchOptions.Workers pool).
+	opts := aigre.Options{
+		Parallel:  *parallel,
+		Workers:   *workers,
+		MaxCut:    *maxCut,
+		Passes:    *passes,
+		ZeroGain:  *zeroGain,
+		Verify:    *verify,
+		Partition: aigre.PartitionOptions{Mode: pmode, TargetSize: *partSize, MaxConflictRounds: *partRnds},
+	}
 	if *batch != "" {
-		opts := aigre.Options{
-			Parallel:  *parallel,
-			MaxCut:    *maxCut,
-			Passes:    *passes,
-			ZeroGain:  *zeroGain,
-			Verify:    *verify,
-			Partition: popts,
-		}
 		if *inject != "" {
 			// Every job of the batch gets its own copy of the plan, so a
 			// chaos run injects the fault fleet-wide, one firing per job.
-			plan, err := parseInject(*inject)
+			plan, err := gpu.ParseFaultPlan(*inject)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "aigre:", err)
 				os.Exit(2)
@@ -203,17 +203,8 @@ func main() {
 	cur := n
 	degraded := false
 	if s != "" {
-		opts := aigre.Options{
-			Parallel:  *parallel,
-			Workers:   *workers,
-			MaxCut:    *maxCut,
-			Passes:    *passes,
-			ZeroGain:  *zeroGain,
-			Verify:    *verify,
-			Partition: popts,
-		}
 		if *inject != "" {
-			plan, err := parseInject(*inject)
+			plan, err := gpu.ParseFaultPlan(*inject)
 			fatal(err)
 			opts.FaultPlans = []gpu.FaultPlan{plan}
 		}
@@ -323,24 +314,19 @@ func journalSingleRun(path, name, script string, res aigre.Result, runErr error)
 	return j.Append(journal.Entry{Job: name, Attempt: 1, Event: journal.EventDone})
 }
 
-// profileReport is the JSON schema of -profile-json.
+// profileReport is the JSON schema of -profile-json: the run's Result (wall
+// and modeled time, contained incidents, the partition report of a
+// -partition run) beside the sections this document names itself.
 type profileReport struct {
-	Script    string              `json:"script"`
-	Mode      string              `json:"mode"`
-	WallNS    time.Duration       `json:"wall_ns"`
-	ModeledNS time.Duration       `json:"modeled_ns"`
-	Kernels   []gpu.KernelProfile `json:"kernels"`
-	Commands  []commandReport     `json:"commands"`
+	Script string `json:"script"`
+	Mode   string `json:"mode"`
+	aigre.Result
+	Kernels  []gpu.KernelProfile `json:"kernels"`
+	Commands []commandReport     `json:"commands"`
 	// Cache is the resynthesis-cache traffic of this run (hit/miss/eviction
 	// counters for the program compartment, npn_hits/npn_misses for NPN
 	// canonization).
 	Cache aigre.CacheStats `json:"cache"`
-	// Incidents are the contained failures of the guarded run (omitted when
-	// the run was clean).
-	Incidents []flow.Incident `json:"incidents,omitempty"`
-	// Partition is the partition-parallel report with its per-partition rows
-	// (only for runs with -partition).
-	Partition *aigre.PartitionReport `json:"partition,omitempty"`
 }
 
 type commandReport struct {
@@ -354,16 +340,7 @@ type commandReport struct {
 }
 
 func writeProfileJSON(path, script, mode string, res aigre.Result) error {
-	rep := profileReport{
-		Script:    script,
-		Mode:      mode,
-		WallNS:    res.Wall,
-		ModeledNS: res.Modeled,
-		Kernels:   res.Profile,
-		Cache:     res.CacheStats,
-		Incidents: res.Incidents,
-		Partition: res.Partition,
-	}
+	rep := profileReport{Script: script, Mode: mode, Result: res, Kernels: res.Profile, Cache: res.CacheStats}
 	for _, t := range res.Timings {
 		rep.Commands = append(rep.Commands, commandReport{
 			Command:   t.Command,
@@ -385,30 +362,6 @@ func writeProfileJSON(path, script, mode string, res aigre.Result) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// parseInject parses the -inject spec "kernel-pattern:N:kind".
-func parseInject(s string) (gpu.FaultPlan, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return gpu.FaultPlan{}, fmt.Errorf("bad -inject %q, want \"kernel-pattern:N:panic|corrupt|stall\"", s)
-	}
-	n, err := strconv.Atoi(parts[1])
-	if err != nil || n < 1 {
-		return gpu.FaultPlan{}, fmt.Errorf("bad -inject launch ordinal %q (want >= 1)", parts[1])
-	}
-	var kind gpu.FaultKind
-	switch parts[2] {
-	case "panic":
-		kind = gpu.FaultPanic
-	case "corrupt":
-		kind = gpu.FaultCorrupt
-	case "stall":
-		kind = gpu.FaultStall
-	default:
-		return gpu.FaultPlan{}, fmt.Errorf("bad -inject kind %q (want panic, corrupt, or stall)", parts[2])
-	}
-	return gpu.FaultPlan{Kernel: parts[0], Nth: n, Kind: kind}, nil
 }
 
 func fatal(err error) {

@@ -20,7 +20,7 @@
 //	       -parallel -workers 8 -retries 2 -stuck-timeout 2s \
 //	       -client-weight batch=1 -client-weight interactive=4
 //
-// Endpoints (v1; the flat pre-v1 routes remain as deprecated aliases):
+// Endpoints (v1):
 //
 //	POST /v1/jobs              submit a job; 202 {"id": "..."} once durable
 //	GET  /v1/jobs              list jobs; ?state= ?client= ?limit= filters
@@ -69,6 +69,7 @@ import (
 	"time"
 
 	"aigre"
+	"aigre/internal/queue"
 )
 
 func main() {
@@ -136,20 +137,22 @@ func run(args []string) int {
 		bopts.SharedCache = aigre.NewCache()
 	}
 	srv, err := newServer(ctx, serverConfig{
-		queuePath:    *queueF,
-		storePath:    *storeF,
-		maxDepth:     *maxDepth,
-		maxJobs:      *maxJobs,
-		rate:         *rate,
-		burst:        *burst,
-		weights:      weights,
-		maxInflight:  maxInfl,
-		defWeight:    defWeight,
-		defMaxInfl:   defMaxInfl,
-		compactBytes: *compactB,
-		parallel:     *parallel,
-		verbose:      *verbose,
-		batch:        bopts,
+		queuePath: *queueF,
+		storePath: *storeF,
+		maxJobs:   *maxJobs,
+		rate:      *rate,
+		burst:     *burst,
+		parallel:  *parallel,
+		verbose:   *verbose,
+		queue: queue.Options{
+			MaxDepth:           *maxDepth,
+			Weights:            weights,
+			DefaultWeight:      defWeight,
+			MaxInflight:        maxInfl,
+			DefaultMaxInflight: defMaxInfl,
+			CompactBytes:       *compactB,
+		},
+		batch: bopts,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aigred:", err)

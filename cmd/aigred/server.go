@@ -23,7 +23,6 @@ import (
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/queue"
-	"aigre/internal/rcache"
 	"aigre/internal/store"
 )
 
@@ -33,20 +32,16 @@ const maxBody = 64 << 20
 type serverConfig struct {
 	queuePath string
 	storePath string // result blob store root ("" = queuePath + ".store")
-	maxDepth  int
 	maxJobs   int
 	rate      float64
 	burst     int
-	// weights/maxInflight are the per-client fair-share weights and lease
-	// caps; defWeight/defMaxInflight apply to unlisted clients.
-	weights      map[string]int
-	maxInflight  map[string]int
-	defWeight    int
-	defMaxInfl   int
-	compactBytes int64
-	parallel     bool
-	verbose      bool
-	batch        aigre.BatchOptions
+	parallel  bool
+	verbose   bool
+	// queue and batch configure the durable queue (depth bound, per-client
+	// fair-share weights and lease caps, compaction threshold) and the
+	// engine; newServer installs queue.Observer and batch.OnEvent itself.
+	queue queue.Options
+	batch aigre.BatchOptions
 }
 
 // server wires the durable queue to the batch engine: an HTTP front end
@@ -87,19 +82,10 @@ func newServer(ctx context.Context, cfg serverConfig) (*server, error) {
 	// job's event history: an SSE client reconnecting after a restart
 	// replays the job's (possibly compacted) durable lifecycle.
 	b := bus.New(bootToken())
-	q, err := queue.Open(cfg.queuePath, queue.Options{
-		MaxDepth:           cfg.maxDepth,
-		Weights:            cfg.weights,
-		DefaultWeight:      cfg.defWeight,
-		MaxInflight:        cfg.maxInflight,
-		DefaultMaxInflight: cfg.defMaxInfl,
-		CompactBytes:       cfg.compactBytes,
-		Observer: func(rec queue.Record) {
-			b.Publish(rec.ID, bus.Event{
-				Type: string(rec.State), Detail: rec.Detail, Time: rec.Time,
-			})
-		},
-	})
+	cfg.queue.Observer = func(rec queue.Record) {
+		b.Publish(rec.ID, bus.Event{Type: string(rec.State), Detail: rec.Detail, Time: rec.Time})
+	}
+	q, err := queue.Open(cfg.queuePath, cfg.queue)
 	if err != nil {
 		return nil, err
 	}
@@ -174,23 +160,7 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	// Pre-v1 flat routes, kept as deprecated aliases: same handlers, plus
-	// RFC 8594-style headers pointing clients at the successor.
-	mux.HandleFunc("POST /jobs", deprecated("/v1/jobs", s.handleSubmit))
-	mux.HandleFunc("GET /jobs", deprecated("/v1/jobs", s.handleList))
-	mux.HandleFunc("GET /jobs/{id}", deprecated("/v1/jobs/{id}", s.handleGet))
-	mux.HandleFunc("GET /stats", deprecated("/v1/stats", s.handleStats))
 	return mux
-}
-
-// deprecated wraps a v1 handler for its legacy flat route, stamping the
-// response with deprecation headers so clients can find the successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }
 
 // bootToken names one daemon incarnation; it prefixes every SSE event id so
@@ -458,7 +428,7 @@ func (s *server) close() {
 	}
 }
 
-// submitRequest is the POST /jobs body.
+// submitRequest is the POST /v1/jobs body.
 type submitRequest struct {
 	Name     string `json:"name,omitempty"`
 	Script   string `json:"script"`
@@ -530,7 +500,7 @@ func validateSubmit(req *submitRequest, cfg serverConfig) (*queue.Spec, error) {
 		return nil, fmt.Errorf("bad aiger payload: %w", err)
 	}
 	for _, inj := range req.Inject {
-		if _, err := parseInject(inj); err != nil {
+		if _, err := gpu.ParseFaultPlan(inj); err != nil {
 			return nil, err
 		}
 	}
@@ -563,7 +533,7 @@ func specBatch(spec *queue.Spec, cfg serverConfig) (aigre.Batch, error) {
 	}
 	opts := aigre.Options{Parallel: spec.Parallel}
 	for _, inj := range spec.Inject {
-		plan, err := parseInject(inj)
+		plan, err := gpu.ParseFaultPlan(inj)
 		if err != nil {
 			return aigre.Batch{}, err
 		}
@@ -597,11 +567,7 @@ func sessionOf(r aigre.BatchResult) *queue.Session {
 		ModeledNS:    r.Modeled,
 		Incidents:    r.Incidents,
 		Profile:      r.Profile,
-		Cache: rcache.Stats{
-			Hits: r.CacheStats.Hits, Misses: r.CacheStats.Misses,
-			Evictions: r.CacheStats.Evictions, NpnHits: r.CacheStats.NpnHits,
-			NpnMisses: r.CacheStats.NpnMisses, Entries: r.CacheStats.Entries,
-		},
+		Cache:        r.CacheStats,
 	}
 }
 
@@ -612,7 +578,7 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// jobView is the JSON shape of GET /jobs responses: the queue job without
+// jobView is the JSON shape of GET /v1/jobs responses: the queue job without
 // its AIGER payload (which can be megabytes and is never needed back).
 type jobView struct {
 	ID        string         `json:"id"`
@@ -841,29 +807,4 @@ func (l *limiter) allow(client string, now time.Time) (retryAfter int, ok bool) 
 	}
 	wait := (1 - b.tokens) / l.rate
 	return int(wait) + 1, false
-}
-
-// parseInject parses the "kernel-pattern:N:kind" fault spec — the same
-// syntax as cmd/aigre's -inject flag.
-func parseInject(s string) (gpu.FaultPlan, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return gpu.FaultPlan{}, fmt.Errorf("bad inject %q, want \"kernel-pattern:N:panic|corrupt|stall\"", s)
-	}
-	n, err := strconv.Atoi(parts[1])
-	if err != nil || n < 1 {
-		return gpu.FaultPlan{}, fmt.Errorf("bad inject launch ordinal %q (want >= 1)", parts[1])
-	}
-	var kind gpu.FaultKind
-	switch parts[2] {
-	case "panic":
-		kind = gpu.FaultPanic
-	case "corrupt":
-		kind = gpu.FaultCorrupt
-	case "stall":
-		kind = gpu.FaultStall
-	default:
-		return gpu.FaultPlan{}, fmt.Errorf("bad inject kind %q (want panic, corrupt, or stall)", parts[2])
-	}
-	return gpu.FaultPlan{Kernel: parts[0], Nth: n, Kind: kind}, nil
 }

@@ -94,7 +94,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Script: "b; rw", AIGER: aig, Inject: []string{"rewrite:bad"}}, // bad inject
 	}
 	for i, req := range cases {
-		code, body, _ := postJSON(t, ts.URL+"/jobs", req)
+		code, body, _ := postJSON(t, ts.URL+"/v1/jobs", req)
 		if code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d (%s), want 400", i, code, body)
 		}
@@ -131,7 +131,7 @@ func TestDebugPprofEndpoints(t *testing.T) {
 // queryable (without the AIGER payload echoed back).
 func TestSubmitRunsJob(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})
-	code, body, _ := postJSON(t, ts.URL+"/jobs", submitRequest{
+	code, body, _ := postJSON(t, ts.URL+"/v1/jobs", submitRequest{
 		Name: "adder", Script: "b; rw; rf", AIGER: aigerBytes(t)})
 	if code != http.StatusAccepted {
 		t.Fatalf("status %d (%s), want 202", code, body)
@@ -147,8 +147,8 @@ func TestSubmitRunsJob(t *testing.T) {
 	var jv jobView
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if code := getJSON(t, ts.URL+"/jobs/"+id, &jv); code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s: %d", id, code)
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+id, &jv); code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs/%s: %d", id, code)
 		}
 		if queue.State(jv.State).Terminal() {
 			break
@@ -170,7 +170,7 @@ func TestSubmitRunsJob(t *testing.T) {
 	if jv.Name != "adder" {
 		t.Errorf("name %q", jv.Name)
 	}
-	if getJSON(t, ts.URL+"/jobs/j-nonexistent00", nil) != http.StatusNotFound {
+	if getJSON(t, ts.URL+"/v1/jobs/j-nonexistent00", nil) != http.StatusNotFound {
 		t.Error("missing job did not 404")
 	}
 }
@@ -179,13 +179,13 @@ func TestSubmitRunsJob(t *testing.T) {
 // and a slow job holding the queue, the next submission gets 503 with a
 // Retry-After.
 func TestSubmitSaturation(t *testing.T) {
-	_, ts := testServer(t, serverConfig{maxDepth: 1})
+	_, ts := testServer(t, serverConfig{queue: queue.Options{MaxDepth: 1}})
 	slow := submitRequest{Script: "b; rw; rf; b", AIGER: aigerBytes(t),
 		Parallel: ptr(true), Inject: []string{"rewrite/evaluate:1:stall"}}
-	if code, body, _ := postJSON(t, ts.URL+"/jobs", slow); code != http.StatusAccepted {
+	if code, body, _ := postJSON(t, ts.URL+"/v1/jobs", slow); code != http.StatusAccepted {
 		t.Fatalf("first submit: %d (%s)", code, body)
 	}
-	code, _, hdr := postJSON(t, ts.URL+"/jobs", submitRequest{Script: "b", AIGER: aigerBytes(t)})
+	code, _, hdr := postJSON(t, ts.URL+"/v1/jobs", submitRequest{Script: "b", AIGER: aigerBytes(t)})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("second submit: %d, want 503", code)
 	}
@@ -199,18 +199,18 @@ func TestSubmitSaturation(t *testing.T) {
 func TestSubmitRateLimited(t *testing.T) {
 	_, ts := testServer(t, serverConfig{rate: 0.0001, burst: 1})
 	aig := aigerBytes(t)
-	if code, body, _ := postJSON(t, ts.URL+"/jobs",
+	if code, body, _ := postJSON(t, ts.URL+"/v1/jobs",
 		submitRequest{Script: "b", AIGER: aig, Client: "alice"}); code != http.StatusAccepted {
 		t.Fatalf("first submit: %d (%s)", code, body)
 	}
-	code, _, hdr := postJSON(t, ts.URL+"/jobs", submitRequest{Script: "b", AIGER: aig, Client: "alice"})
+	code, _, hdr := postJSON(t, ts.URL+"/v1/jobs", submitRequest{Script: "b", AIGER: aig, Client: "alice"})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("second submit: %d, want 429", code)
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if code, _, _ := postJSON(t, ts.URL+"/jobs",
+	if code, _, _ := postJSON(t, ts.URL+"/v1/jobs",
 		submitRequest{Script: "b", AIGER: aig, Client: "bob"}); code != http.StatusAccepted {
 		t.Errorf("other client's submit: %d, want 202", code)
 	}
@@ -223,7 +223,7 @@ func TestSubmitWhileDraining(t *testing.T) {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	code, _, hdr := postJSON(t, ts.URL+"/jobs", submitRequest{Script: "b", AIGER: aigerBytes(t)})
+	code, _, hdr := postJSON(t, ts.URL+"/v1/jobs", submitRequest{Script: "b", AIGER: aigerBytes(t)})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d, want 503", code)
 	}

@@ -32,42 +32,28 @@ func submitAndWait(t *testing.T, c *client.Client, req client.SubmitRequest) cli
 	return j
 }
 
-// TestV1RoutesAndDeprecation checks that the flat pre-v1 routes still work
-// but carry deprecation headers pointing at their successors, while the v1
-// routes answer clean.
+// TestV1RoutesAndDeprecation checks that the v1 routes answer clean, with no
+// deprecation header, and that the pre-v1 flat routes are gone.
 func TestV1RoutesAndDeprecation(t *testing.T) {
 	_, ts := testServer(t, serverConfig{})
-	for _, tc := range []struct{ path, successor string }{
-		{"/jobs", "/v1/jobs"},
-		{"/stats", "/v1/stats"},
+	for path, want := range map[string]int{
+		"/v1/jobs": http.StatusOK, "/v1/stats": http.StatusOK,
+		"/jobs": http.StatusNotFound, "/jobs/j-0": http.StatusNotFound, "/stats": http.StatusNotFound,
 	} {
-		resp, err := http.Get(ts.URL + tc.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: %d", tc.path, resp.StatusCode)
-		}
-		if d := resp.Header.Get("Deprecation"); d != "true" {
-			t.Errorf("GET %s: Deprecation header %q, want true", tc.path, d)
-		}
-		if link := resp.Header.Get("Link"); link != `<`+tc.successor+`>; rel="successor-version"` {
-			t.Errorf("GET %s: Link header %q", tc.path, link)
-		}
-	}
-	for _, path := range []string{"/v1/jobs", "/v1/stats"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: %d", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: %d, want %d", path, resp.StatusCode, want)
 		}
 		if resp.Header.Get("Deprecation") != "" {
 			t.Errorf("GET %s carries a Deprecation header", path)
 		}
+	}
+	if code, _, _ := postJSON(t, ts.URL+"/jobs", submitRequest{Script: "b", AIGER: aigerBytes(t)}); code != http.StatusNotFound {
+		t.Errorf("POST /jobs: %d, want 404", code)
 	}
 }
 

@@ -3,7 +3,6 @@ package aigre
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"aigre/internal/flow"
@@ -40,8 +39,11 @@ type JobTicket struct {
 
 // Wait blocks until the job finishes and returns its result.
 func (t *JobTicket) Wait() BatchResult {
-	r := t.st.Wait()
-	return batchResultOf(r, t.partition)
+	br := BatchResult{Result: t.st.Wait(), Partition: t.partition}
+	if br.Result.AIG != nil {
+		br.AIG = &Network{aig: br.Result.AIG}
+	}
+	return br
 }
 
 // Done is closed when the job has finished.
@@ -59,17 +61,11 @@ func NewEngine(ctx context.Context, opts BatchOptions) (*Engine, error) {
 			return nil, fmt.Errorf("aigre: %w", err)
 		}
 	} else if opts.OnEvent != nil {
-		// No journal file wanted, but the live stream still needs the
-		// supervisor to emit entries somewhere observable.
-		jour = journal.New(io.Discard)
+		// No journal file wanted: a writer-less journal still stamps every
+		// entry and feeds the live stream.
+		jour = journal.New(nil)
 	}
-	if opts.OnEvent != nil {
-		fn := opts.OnEvent
-		jour.Observe(func(e journal.Entry) {
-			fn(JobEvent{Job: e.Job, Attempt: e.Attempt, Event: e.Event,
-				Class: e.Class, Detail: e.Detail, Backoff: e.Backoff, Time: e.Time})
-		})
-	}
+	jour.Observe(opts.OnEvent)
 	e := &Engine{opts: opts, jour: jour}
 	if opts.SharedCache != nil {
 		e.sharedBefore = opts.SharedCache.Stats()
@@ -77,7 +73,7 @@ func NewEngine(ctx context.Context, opts BatchOptions) (*Engine, error) {
 	e.pool = sched.NewPool(opts.Workers)
 	e.eng = sched.NewEngine(ctx, e.pool, sched.Options{
 		MaxConcurrentJobs: opts.MaxConcurrentJobs,
-		Policy:            opts.Policy.internal(),
+		Policy:            opts.Policy,
 		Journal:           jour,
 	})
 	return e, nil
@@ -92,12 +88,12 @@ func (b Batch) check() error {
 	if _, err := flow.Parse(b.Script); err != nil {
 		return err
 	}
-	if b.Options.Partition.Mode != PartitionOff {
-		if _, err := b.Options.Partition.Mode.internal(); err != nil {
-			return err
-		}
+	switch m := b.Options.Partition.Mode; m {
+	case PartitionOff, PartitionCones, PartitionLevels:
+		return nil
+	default:
+		return fmt.Errorf("aigre: partition mode %v is not a partitioning strategy", m)
 	}
-	return nil
 }
 
 // Submit admits one job to the engine. ctx, when non-nil, cancels this job
@@ -147,33 +143,10 @@ func (e *Engine) Close() {
 // was set.
 func (e *Engine) Metrics() BatchMetrics {
 	m := e.eng.Metrics()
-	bm := BatchMetrics{
-		Workers:        m.Workers,
-		Finished:       m.Finished,
-		Failed:         m.Failed,
-		Cancelled:      m.Cancelled,
-		TimedOut:       m.TimedOut,
-		Quarantined:    m.Quarantined,
-		Retries:        m.Retries,
-		PeakWorkers:    m.PeakWorkers,
-		PeakQueueDepth: m.PeakQueueDepth,
-		Wall:           m.Wall,
-		JobWall:        m.JobWall,
-		Modeled:        m.Modeled,
-		Utilization:    m.Utilization(),
-	}
 	if e.opts.SharedCache != nil {
-		after := e.opts.SharedCache.Stats()
-		bm.CacheStats = CacheStats{
-			Hits:      after.Hits - e.sharedBefore.Hits,
-			Misses:    after.Misses - e.sharedBefore.Misses,
-			Evictions: after.Evictions - e.sharedBefore.Evictions,
-			NpnHits:   after.NpnHits - e.sharedBefore.NpnHits,
-			NpnMisses: after.NpnMisses - e.sharedBefore.NpnMisses,
-			Entries:   after.Entries,
-		}
+		m.CacheStats = e.opts.SharedCache.Stats().Sub(e.sharedBefore)
 	}
-	return bm
+	return m
 }
 
 // convert builds the sched job for b: engine options merged with the batch's
@@ -181,12 +154,8 @@ func (e *Engine) Metrics() BatchMetrics {
 // partitions onto the engine's shared pool under a retry budget shared with
 // the job's own supervised attempts. seq offsets the retry-jitter seed;
 // *prp receives the partition report before the job's ticket resolves.
-// The caller has already validated b, so the partition mode parses.
 func (e *Engine) convert(b Batch, seq int64, prp **PartitionReport) sched.Job {
 	o := b.Options
-	if o.RwzPasses == 0 && b.Script == flow.Resyn2 {
-		o.RwzPasses = 2 // match Resyn2's paper default
-	}
 	if e.opts.SharedCache != nil {
 		o.Cache = e.opts.SharedCache
 	}
@@ -205,11 +174,9 @@ func (e *Engine) convert(b Batch, seq int64, prp **PartitionReport) sched.Job {
 	// A partitioned job fans its partitions onto the engine's shared pool
 	// via the custom-runner hook, so the whole fleet still respects one
 	// worker budget.
-	mode, _ := o.Partition.Mode.internal()
-	pol := e.opts.Policy.internal()
-	in, script, popts := b.AIG.aig, b.Script, o.partitionOptions(mode)
-	popts.Workers = b.Workers
-	popts.Journal = e.jour
+	pol := e.opts.Policy
+	in, script := b.AIG.aig, b.Script
+	popts := partition.Options{Split: o.Partition, Workers: b.Workers, Flow: o.flowConfig(), Journal: e.jour}
 	if pol.Retries > 0 {
 		// One budget shared between the job's outer attempts and its
 		// per-partition jobs: however the faults land, the job's total
@@ -229,38 +196,10 @@ func (e *Engine) convert(b Batch, seq int64, prp **PartitionReport) sched.Job {
 	sj.Custom = func(ctx context.Context, pool *sched.Pool) (flow.Result, error) {
 		popts.Pool = pool
 		pres, err := partition.Run(ctx, in, script, popts)
-		*prp = partitionReportOf(&pres)
-		return flow.Result{
-			AIG:          pres.AIG,
-			TotalWall:    pres.Wall,
-			TotalModeled: pres.Modeled,
-			Incidents:    pres.Incidents,
-			CacheStats:   pres.CacheStats,
-		}, err
+		*prp = reportOf(&pres)
+		return pres.Result, err
 	}
 	return sj
-}
-
-// batchResultOf converts a sched result (plus the job's partition report,
-// if any) to the public shape.
-func batchResultOf(r sched.Result, pr *PartitionReport) BatchResult {
-	br := BatchResult{
-		Name: r.Name, Script: r.Script,
-		Err: r.Err, Cancelled: r.Cancelled,
-		TimedOut: r.TimedOut, Quarantined: r.Quarantined,
-		Attempts: r.Attempts, Preemptions: r.Preemptions,
-		Queued: r.Queued, Wall: r.Wall, Modeled: r.Modeled,
-		NodesBefore: r.NodesBefore, LevelsBefore: r.LevelsBefore,
-		NodesAfter: r.NodesAfter, LevelsAfter: r.LevelsAfter,
-		Timings: r.Timings, Incidents: r.Incidents,
-		Profile:    r.Profile,
-		CacheStats: cacheStatsOf(r.CacheStats),
-		Partition:  pr,
-	}
-	if r.AIG != nil {
-		br.AIG = &Network{aig: r.AIG}
-	}
-	return br
 }
 
 // Queued reports the current admission-queue depth (jobs submitted but not

@@ -27,11 +27,7 @@ func main() {
 		fmt.Printf("\n--- %s (%q) ---\n", seq.name, seq.script)
 		var results []*aigre.Network
 		for _, parallel := range []bool{false, true} {
-			opts := aigre.Options{Parallel: parallel}
-			if parallel && seq.name == "resyn2" {
-				opts.RwzPasses = 2 // the paper's GPU resyn2 setting
-			}
-			res, err := n.Run(context.Background(), seq.script, opts)
+			res, err := n.Run(context.Background(), seq.script, aigre.Options{Parallel: parallel})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -131,3 +131,35 @@ func TestNpnCountersExact(t *testing.T) {
 		t.Errorf("shared cache lifetime: %d NPN probes, want %d", got, want)
 	}
 }
+
+// TestResyn2DecidedOnce checks that "resyn2 runs rwz twice in parallel mode"
+// is decided on the parsed command list, once: Resyn2, Run and a one-job
+// RunBatch, of the canonical script and of the same commands spelled without
+// spaces, all return the same bytes.
+func TestResyn2DecidedOnce(t *testing.T) {
+	ctx := context.Background()
+	n := suiteCase(t, "ac97_ctrl") // one and two rwz passes give different networks here
+	opts := func() aigre.Options { return aigre.Options{Parallel: true, Workers: 2, Cache: aigre.NewCache()} }
+	res, err := n.Resyn2(ctx, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := outputDigest(t, res.AIG)
+	for _, script := range []string{aigre.ScriptResyn2, "b;rw;rf;b;rw;rwz;b;rfz;rwz;b"} {
+		res, err := n.Run(ctx, script, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outputDigest(t, res.AIG); got != want {
+			t.Errorf("Run(%q): output digest %s, Resyn2() gives %s", script, got, want)
+		}
+		batch, _, err := aigre.RunBatch(ctx, []aigre.Batch{{AIG: n, Script: script, Options: opts()}},
+			aigre.BatchOptions{Workers: 2})
+		if err != nil || batch[0].Err != nil {
+			t.Fatal(err, batch[0].Err)
+		}
+		if got := outputDigest(t, batch[0].AIG); got != want {
+			t.Errorf("RunBatch(%q): output digest %s, Resyn2() gives %s", script, got, want)
+		}
+	}
+}

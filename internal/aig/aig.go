@@ -189,11 +189,6 @@ func Key(f0, f1 Lit) uint64 {
 	return uint64(f0)<<32 | uint64(f1)
 }
 
-// KeyUnpack splits a structural-hashing key back into its fanin literals.
-func KeyUnpack(k uint64) (f0, f1 Lit) {
-	return Lit(k >> 32), Lit(k & 0xffffffff)
-}
-
 // HashKey mixes a structural key into a table slot hash. Exported so that the
 // concurrent hash table and the sequential strash map can agree on hashing
 // behaviour in tests.
@@ -213,9 +208,6 @@ func HashKey(k uint64) uint64 {
 // identical fanin pairs. If duplicate pairs already exist, the first
 // occurrence wins.
 func (a *AIG) EnableStrash() { a.enableStrash() }
-
-// HasStrash reports whether structural hashing is enabled.
-func (a *AIG) HasStrash() bool { return a.strash != nil }
 
 // Lookup returns the existing node literal for an AND of f0 and f1 after
 // constant propagation, without creating a node. The boolean result reports

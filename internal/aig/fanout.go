@@ -51,9 +51,6 @@ func (a *AIG) EnableFanouts() {
 	}
 }
 
-// HasFanouts reports whether fanout tracking is enabled.
-func (a *AIG) HasFanouts() bool { return a.fanouts != nil }
-
 func (a *AIG) addFanout(v, fanout int32) {
 	a.fanouts[v] = append(a.fanouts[v], fanout)
 }
@@ -80,9 +77,6 @@ func (a *AIG) FanoutCount(id int32) int {
 // Fanouts returns the AND fanout node ids of id (PO references excluded).
 // The returned slice is owned by the AIG and must not be modified.
 func (a *AIG) Fanouts(id int32) []int32 { return a.fanouts[id] }
-
-// PORefs returns the number of primary outputs referencing node id.
-func (a *AIG) PORefs(id int32) int { return int(a.nPORefs[id]) }
 
 // FanoutCounts returns a freshly computed reference count per node (AND
 // fanout edges plus PO references) without requiring fanout tracking. The

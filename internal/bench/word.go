@@ -232,15 +232,6 @@ func (b *Builder) Ult(x, y Word) aig.Lit {
 	return geq.Not()
 }
 
-// ReduceOr ORs all bits.
-func (b *Builder) ReduceOr(w Word) aig.Lit {
-	res := aig.ConstFalse
-	for _, l := range w {
-		res = b.A.Or(res, l)
-	}
-	return res
-}
-
 // ReduceXor XORs all bits.
 func (b *Builder) ReduceXor(w Word) aig.Lit {
 	res := aig.ConstFalse

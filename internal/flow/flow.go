@@ -13,6 +13,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,8 +49,10 @@ type Config struct {
 	Device *gpu.Device
 	// MaxCut is the refactoring cut-size limit (paper: 12; 11 for log2).
 	MaxCut int
-	// RwzPasses is the number of parallel rewriting passes per rwz command
-	// (the paper uses 2 in GPU resyn2). Default 1.
+	// RwzPasses is the number of parallel rewriting passes per rwz command.
+	// Default 1, except for a script that parses to the resyn2 command list,
+	// where it is 2 (the paper's GPU resyn2 setting) however the script was
+	// spelled or invoked.
 	RwzPasses int
 	// RfPasses is the number of parallel refactoring passes per rf/rfz
 	// command (the paper uses 2 in the single-algorithm Table II
@@ -111,23 +114,117 @@ type CommandTiming struct {
 	Kernels []gpu.KernelProfile
 }
 
-// Result is the outcome of running a script.
+// Result is the run record of one script: the one definition of what a run
+// reports. The layers above embed it beside the fields they add — sched.Result
+// (supervision), partition.Result (the partition report) and the public
+// aigre.Result / aigre.BatchResult (the Network wrapper) — and its JSON form
+// is the part of a cmd/aigre -report job row that comes from the run.
 type Result struct {
-	AIG          *aig.AIG
-	Timings      []CommandTiming
-	TotalWall    time.Duration
-	TotalModeled time.Duration
+	// AIG is the optimized network; on a cancelled run the network after the
+	// last completed command, nil only when the script failed to parse.
+	AIG *aig.AIG `json:"-"`
+	// Wall is the measured host time of the run; Modeled the simulated-device
+	// time (parallel mode; sequential commands model their wall time).
+	Wall    time.Duration `json:"wall_ns"`
+	Modeled time.Duration `json:"modeled_ns"`
+	// Timings is the per-command breakdown.
+	Timings []CommandTiming `json:"-"`
 	// Incidents lists every contained failure: commands whose attempt
 	// aborted (kernel panic, full hash table), or whose output failed the
 	// structural invariant check or the equivalence gate, and what the
 	// guarded runner did about it. Empty on a clean run.
-	Incidents []Incident
+	Incidents []Incident `json:"incidents,omitempty"`
+	// Profile is the per-kernel device profile of a parallel run (nil for
+	// sequential and partitioned runs). The modeled times of its rows sum to
+	// the device's modeled time exactly; see gpu.FormatProfile.
+	Profile []gpu.KernelProfile `json:"-"`
 	// CacheStats is the resynthesis-cache traffic observed during this run
 	// (a before/after delta of the configured cache). When the cache is
 	// shared with concurrently running jobs the delta includes their traffic
 	// too — the counters are cache-global.
-	CacheStats rcache.Stats
+	CacheStats rcache.Stats `json:"-"`
 }
+
+// Command is one entry of the script vocabulary: the engines behind a command
+// name and how the runners drive them. Parse, the sequential and parallel
+// runners, Breakdown, and the public single-algorithm entry points all
+// consult the one table through Lookup.
+type Command struct {
+	// Kind is the Breakdown series the command's time is filed under
+	// (zero-gain variants fold into their base command).
+	Kind string
+	// Seq and Par run one pass on the sequential engine and on device d.
+	Seq func(a *aig.AIG, cfg Config) *aig.AIG
+	Par func(d *gpu.Device, a *aig.AIG, cfg Config) *aig.AIG
+	// Passes is the parallel pass count of one script command (nil = 1).
+	Passes func(cfg Config) int
+	// Cleanup makes parallel mode follow the command with the
+	// de-duplication and dangling-node pass (Section III-F).
+	Cleanup bool
+}
+
+var commands = map[string]Command{
+	"b": {Kind: "b",
+		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := balance.Sequential(a); return out },
+		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := balance.Parallel(d, a); return out }},
+	"rw":  rewriteCommand(false),
+	"rwz": rewriteCommand(true),
+	"rf":  refactorCommand(false),
+	"rfz": refactorCommand(true),
+	"rs": {Kind: "rs", Cleanup: true,
+		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Sequential(a, resub.Options{}); return out },
+		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG {
+			out, _ := resub.Parallel(d, a, resub.Options{})
+			return out
+		}},
+}
+
+// rewriteCommand builds rw (zero = false) and rwz. Config.ZeroGain turns the
+// sequential rw into rwz; only rwz repeats, Config.RwzPasses times.
+func rewriteCommand(zero bool) Command {
+	c := Command{Kind: "rw", Cleanup: true,
+		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
+			out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: zero || cfg.ZeroGain, Cache: cfg.Cache})
+			return out
+		},
+		Par: func(d *gpu.Device, a *aig.AIG, cfg Config) *aig.AIG {
+			out, _ := rewrite.Parallel(d, a, rewrite.Options{ZeroGain: zero, Cache: cfg.Cache})
+			return out
+		}}
+	if zero {
+		c.Passes = func(cfg Config) int { return cfg.RwzPasses }
+	}
+	return c
+}
+
+// refactorCommand builds rf (zero = false) and rfz. The parallel engine
+// always accepts zero gain (Section III-D), so the two differ only on the
+// sequential engine.
+func refactorCommand(zero bool) Command {
+	return Command{Kind: "rf", Cleanup: true,
+		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
+			out, _ := refactor.Sequential(a, refactor.Options{MaxCut: cfg.MaxCut, ZeroGain: zero || cfg.ZeroGain, Cache: cfg.Cache})
+			return out
+		},
+		Par: func(d *gpu.Device, a *aig.AIG, cfg Config) *aig.AIG {
+			out, _ := refactor.Parallel(d, a, refactor.Options{MaxCut: cfg.MaxCut, Cache: cfg.Cache})
+			return out
+		},
+		Passes: func(cfg Config) int { return cfg.RfPasses }}
+}
+
+// Lookup returns the vocabulary entry for a command name.
+func Lookup(name string) (Command, error) {
+	c, ok := commands[name]
+	if !ok {
+		return c, fmt.Errorf("flow: unknown command %q", name)
+	}
+	return c, nil
+}
+
+// resyn2Cmds is the parsed Resyn2 script, what Run compares a command list
+// against to apply the paper's two rwz passes.
+var resyn2Cmds, _ = Parse(Resyn2)
 
 // Parse splits a script like "b; rw; rfz" into commands, validating names.
 func Parse(script string) ([]string, error) {
@@ -137,12 +234,10 @@ func Parse(script string) ([]string, error) {
 		if tok == "" {
 			continue
 		}
-		switch tok {
-		case "b", "rw", "rwz", "rf", "rfz", "rs":
-			cmds = append(cmds, tok)
-		default:
-			return nil, fmt.Errorf("flow: unknown command %q", tok)
+		if _, err := Lookup(tok); err != nil {
+			return nil, err
 		}
+		cmds = append(cmds, tok)
 	}
 	if len(cmds) == 0 {
 		return nil, fmt.Errorf("flow: empty script")
@@ -174,99 +269,74 @@ func Run(ctx context.Context, a *aig.AIG, script string, cfg Config) (Result, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if cfg.RwzPasses == 0 && slices.Equal(cmds, resyn2Cmds) {
+		cfg.RwzPasses = 2
+	}
 	cfg = cfg.normalized()
 	if cfg.Device != nil {
 		cfg.Device.Bind(ctx)
 	}
+	start := time.Now()
 	cacheBefore := cfg.Cache.Snapshot()
-	cur := a
-	var res Result
+	res := Result{AIG: a}
+	finish := func(err error) (Result, error) {
+		res.Wall = time.Since(start)
+		res.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
+		if cfg.Device != nil {
+			res.Profile = cfg.Device.Profile()
+		}
+		return res, err
+	}
 	for i, cmd := range cmds {
 		if cerr := ctx.Err(); cerr != nil {
-			res.AIG = cur
-			res.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
-			return res, fmt.Errorf("flow: script cancelled before command %d (%s): %w", i, cmd, cerr)
+			return finish(fmt.Errorf("flow: script cancelled before command %d (%s): %w", i, cmd, cerr))
 		}
-		next, t, incs, err := runGuarded(ctx, cur, cmd, i, cfg)
+		next, t, incs, err := runGuarded(ctx, res.AIG, cmd, i, cfg)
 		if err != nil {
-			res.AIG = cur
-			res.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
-			return res, err
+			return finish(err)
 		}
 		res.Incidents = append(res.Incidents, incs...)
 		t.NodesAfter = next.NumAnds()
 		t.LevelsAfter = next.Levels()
 		res.Timings = append(res.Timings, t)
-		res.TotalWall += t.Wall + t.DedupWall
-		res.TotalModeled += t.Modeled + t.DedupModeled
-		cur = next
+		res.Modeled += t.Modeled + t.DedupModeled
+		res.AIG = next
 	}
-	res.AIG = cur
-	res.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
-	return res, nil
+	return finish(nil)
 }
 
 // runSequential executes one command on the sequential engines. Unknown
 // commands are rejected by Parse, so the error return is defense in depth —
 // never a panic, since flow input is user input.
 func runSequential(a *aig.AIG, cmd string, cfg Config) (*aig.AIG, error) {
-	switch cmd {
-	case "b":
-		out, _ := balance.Sequential(a)
-		return out, nil
-	case "rw":
-		out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: cfg.ZeroGain, Cache: cfg.Cache})
-		return out, nil
-	case "rwz":
-		out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: true, Cache: cfg.Cache})
-		return out, nil
-	case "rf":
-		out, _ := refactor.Sequential(a, refactor.Options{MaxCut: cfg.MaxCut, ZeroGain: cfg.ZeroGain, Cache: cfg.Cache})
-		return out, nil
-	case "rfz":
-		out, _ := refactor.Sequential(a, refactor.Options{MaxCut: cfg.MaxCut, ZeroGain: true, Cache: cfg.Cache})
-		return out, nil
-	case "rs":
-		out, _ := resub.Sequential(a, resub.Options{})
-		return out, nil
+	c, err := Lookup(cmd)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("flow: unknown command %q", cmd)
+	return c.Seq(a, cfg), nil
 }
 
 func runParallel(a *aig.AIG, cmd string, cfg Config) (*aig.AIG, CommandTiming, error) {
 	d := cfg.Device
 	t := CommandTiming{Command: cmd}
+	c, err := Lookup(cmd)
+	if err != nil {
+		return nil, t, err
+	}
 	snap := d.Stats()
 	profSnap := d.Profile()
 	start := time.Now()
-	needDedup := false
-	switch cmd {
-	case "b":
-		a, _ = balance.Parallel(d, a)
-	case "rw", "rwz":
-		passes := 1
-		if cmd == "rwz" {
-			passes = cfg.RwzPasses
-		}
-		for p := 0; p < passes; p++ {
-			a, _ = rewrite.Parallel(d, a, rewrite.Options{ZeroGain: cmd == "rwz", Cache: cfg.Cache})
-		}
-		needDedup = true
-	case "rf", "rfz":
-		for p := 0; p < cfg.RfPasses; p++ {
-			a, _ = refactor.Parallel(d, a, refactor.Options{MaxCut: cfg.MaxCut, Cache: cfg.Cache})
-		}
-		needDedup = true
-	case "rs":
-		a, _ = resub.Parallel(d, a, resub.Options{})
-		needDedup = true
-	default:
-		return nil, t, fmt.Errorf("flow: unknown command %q", cmd)
+	passes := 1
+	if c.Passes != nil {
+		passes = c.Passes(cfg)
+	}
+	for p := 0; p < passes; p++ {
+		a = c.Par(d, a, cfg)
 	}
 	t.Wall = time.Since(start)
 	afterCmd := d.Stats()
 	t.Modeled = afterCmd.Sub(snap).ModeledTime
-	if needDedup && !cfg.SkipDedup {
+	if c.Cleanup && !cfg.SkipDedup {
 		dstart := time.Now()
 		a, _ = dedup.Run(d, a)
 		t.DedupWall = time.Since(dstart)
@@ -281,8 +351,7 @@ func runParallel(a *aig.AIG, cmd string, cfg Config) (*aig.AIG, CommandTiming, e
 func Breakdown(timings []CommandTiming) map[string]time.Duration {
 	out := map[string]time.Duration{}
 	for _, t := range timings {
-		kind := canonicalKind(t.Command)
-		out[kind] += t.Modeled
+		out[commands[t.Command].Kind] += t.Modeled
 		out["dedup"] += t.DedupModeled
 	}
 	return out
@@ -292,21 +361,8 @@ func Breakdown(timings []CommandTiming) map[string]time.Duration {
 func BreakdownWall(timings []CommandTiming) map[string]time.Duration {
 	out := map[string]time.Duration{}
 	for _, t := range timings {
-		kind := canonicalKind(t.Command)
-		out[kind] += t.Wall
+		out[commands[t.Command].Kind] += t.Wall
 		out["dedup"] += t.DedupWall
 	}
 	return out
-}
-
-// canonicalKind folds zero-gain variants into their base command for
-// breakdown aggregation.
-func canonicalKind(cmd string) string {
-	switch cmd {
-	case "rwz":
-		return "rw"
-	case "rfz":
-		return "rf"
-	}
-	return cmd
 }

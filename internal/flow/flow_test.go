@@ -71,7 +71,7 @@ func TestParallelResyn2PreservesFunction(t *testing.T) {
 	if res.AIG.NumAnds() > a.NumAnds() {
 		t.Errorf("parallel resyn2 grew the AIG: %d -> %d", a.NumAnds(), res.AIG.NumAnds())
 	}
-	if res.TotalModeled <= 0 {
+	if res.Modeled <= 0 {
 		t.Errorf("no modeled time recorded")
 	}
 }

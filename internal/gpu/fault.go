@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -77,6 +78,25 @@ type FaultPlan struct {
 	Stall time.Duration
 
 	seen int // launches matched so far (internal)
+}
+
+// ParseFaultPlan parses the "kernel-pattern:N:kind" fault spec of cmd/aigre's
+// -inject flag and aigred's submission "inject" field: fire kind (panic,
+// corrupt, or stall) on the Nth (>= 1) launch whose name contains the pattern.
+func ParseFaultPlan(s string) (FaultPlan, error) {
+	parts := strings.Split(s, ":")
+	if len(parts) != 3 {
+		return FaultPlan{}, fmt.Errorf("bad inject %q, want \"kernel-pattern:N:panic|corrupt|stall\"", s)
+	}
+	n, err := strconv.Atoi(parts[1])
+	if err != nil || n < 1 {
+		return FaultPlan{}, fmt.Errorf("bad inject launch ordinal %q (want >= 1)", parts[1])
+	}
+	kind, ok := map[string]FaultKind{"panic": FaultPanic, "corrupt": FaultCorrupt, "stall": FaultStall}[parts[2]]
+	if !ok {
+		return FaultPlan{}, fmt.Errorf("bad inject kind %q (want panic, corrupt, or stall)", parts[2])
+	}
+	return FaultPlan{Kernel: parts[0], Nth: n, Kind: kind}, nil
 }
 
 // InjectFaults installs fault plans on the device, replacing any previous

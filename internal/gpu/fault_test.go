@@ -252,3 +252,27 @@ func TestHeartbeatBeats(t *testing.T) {
 		t.Errorf("Last still zero after beating")
 	}
 }
+
+// TestParseFaultPlan covers the fault-spec syntax shared by cmd/aigre's
+// -inject flag and aigred's submission field.
+func TestParseFaultPlan(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want FaultPlan
+		bad  bool
+	}{
+		{spec: "refactor/resynth:1:panic", want: FaultPlan{Kernel: "refactor/resynth", Nth: 1, Kind: FaultPanic}},
+		{spec: "rewrite:3:corrupt", want: FaultPlan{Kernel: "rewrite", Nth: 3, Kind: FaultCorrupt}},
+		{spec: ":2:stall", want: FaultPlan{Nth: 2, Kind: FaultStall}},
+		{spec: "rewrite:0:panic", bad: true},   // ordinal below 1
+		{spec: "rewrite:one:panic", bad: true}, // ordinal not a number
+		{spec: "rewrite:1:melt", bad: true},    // unknown kind
+		{spec: "rewrite:bad", bad: true},       // two fields
+		{spec: "a:1:panic:x", bad: true},       // four fields
+	} {
+		got, err := ParseFaultPlan(c.spec)
+		if c.bad != (err != nil) || got != c.want {
+			t.Errorf("ParseFaultPlan(%q) = %+v, %v; want %+v, bad=%v", c.spec, got, err, c.want, c.bad)
+		}
+	}
+}

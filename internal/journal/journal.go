@@ -44,9 +44,14 @@ const (
 	EventCancel     = "cancel"     // the job was cancelled from outside (batch/engine shutdown)
 )
 
-// Entry is one supervision-journal line. Seq orders entries within a single
-// journal even when wall clocks of concurrent jobs collide; Time orders
-// entries across journals and survives into post-mortem tooling.
+// Entry is one supervision event: a supervision-journal line and, as the
+// public aigre.JobEvent, what BatchOptions.OnEvent delivers. Seq orders
+// entries within a single journal even when wall clocks of concurrent jobs
+// collide; Time orders entries across journals and survives into post-mortem
+// tooling. Job names the job; Attempt is the 1-based attempt ordinal when the
+// event is tied to one; Event is one of the Event* names; Class is the
+// failure classification of incident/retry events; Detail the human-readable
+// note (error text, preemption cause); Backoff the delay before a retry.
 type Entry struct {
 	Seq     int64         `json:"seq"`
 	Time    time.Time     `json:"time"`
@@ -103,14 +108,16 @@ func CreateSync(path string) (*Journal, error) {
 	return j, nil
 }
 
-// New wraps an arbitrary writer (a buffer in tests, a pipe in a daemon).
+// New wraps an arbitrary writer (a buffer in tests, a pipe in a daemon). With
+// a nil writer the journal persists nothing — Append marshals nothing — but
+// still stamps entries and feeds the observer: the live stream without a file.
 func New(w io.Writer) *Journal {
 	return &Journal{w: w}
 }
 
 // Observe registers fn to be called with every Entry the journal appends
-// (after it is stamped and durably written, honoring the journal's sync
-// mode). The callback runs under the journal's lock, so entries are observed
+// (after it is stamped and, when the journal has a writer, durably written,
+// honoring the journal's sync mode). The callback runs under the journal's lock, so entries are observed
 // in append order exactly once; it must not call back into the journal.
 // This is the live half of the supervision stream: the file is the durable
 // record, the observer feeds in-process subscribers such as the daemon's
@@ -154,7 +161,7 @@ func (j *Journal) AppendSync(e Entry) error {
 }
 
 func (j *Journal) append(e Entry, sync bool) error {
-	if j == nil || j.w == nil {
+	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
@@ -164,8 +171,10 @@ func (j *Journal) append(e Entry, sync bool) error {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	if err := j.appendLocked(e, sync); err != nil {
-		return err
+	if j.w != nil {
+		if err := j.appendLocked(e, sync); err != nil {
+			return err
+		}
 	}
 	if j.obs != nil {
 		j.obs(e)

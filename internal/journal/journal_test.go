@@ -343,3 +343,25 @@ func TestObserveAndSize(t *testing.T) {
 		t.Fatal("nil journal has nonzero size")
 	}
 }
+
+// TestObserveWithoutWriter checks the live stream on its own: a journal with
+// no writer persists (and marshals) nothing, yet its observer still sees
+// every entry exactly once, in order, stamped with sequence and time.
+func TestObserveWithoutWriter(t *testing.T) {
+	j := New(nil)
+	var seen []Entry
+	j.Observe(func(e Entry) { seen = append(seen, e) })
+	for i := 0; i < 3; i++ {
+		if err := j.Append(Entry{Job: "a", Attempt: i + 1, Event: EventAttempt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != 3 || j.Size() != 0 {
+		t.Fatalf("observer saw %d entries (want 3), Size = %d (want 0)", len(seen), j.Size())
+	}
+	for i, e := range seen {
+		if e.Seq != int64(i+1) || e.Time.IsZero() || e.Attempt != i+1 {
+			t.Errorf("observed entry %d not stamped in order: %+v", i, e)
+		}
+	}
+}

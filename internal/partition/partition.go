@@ -32,24 +32,32 @@ import (
 	"aigre/internal/sched"
 )
 
-// Mode selects how the network is split.
+// Mode selects how the network is split (the public aigre.PartitionMode is
+// this type). The zero value Off runs the script whole-network.
 type Mode int
 
 const (
+	// Off disables partitioning (the default); Run rejects it.
+	Off Mode = iota
 	// Cones clusters primary outputs greedily: each partition is the union
 	// of consecutive PO fanin cones, closed under fanin (its only inputs are
 	// PIs). Logic shared between clusters is duplicated into each — the
-	// stitcher's re-strashing merges the copies back.
-	Cones Mode = iota
-	// Levels slices the network into contiguous level windows: each
-	// partition holds every AND node whose level falls in its range, its
-	// inputs are PIs and lower-window nodes, and it exports the nodes that
-	// higher windows or POs read.
+	// stitcher's re-strashing merges the copies back. Best for wide
+	// many-output designs and for deep, narrow designs that starve
+	// kernel-level parallelism.
+	Cones
+	// Levels slices the network into contiguous level windows with no
+	// duplication: each partition holds every AND node whose level falls in
+	// its range, its inputs are PIs and lower-window nodes, and it exports
+	// the nodes that higher windows or POs read. Works on single-output
+	// designs where cone clustering cannot split.
 	Levels
 )
 
 func (m Mode) String() string {
 	switch m {
+	case Off:
+		return "off"
 	case Cones:
 		return "cones"
 	case Levels:
@@ -58,18 +66,26 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Options configures a partition-parallel run.
-type Options struct {
-	// Mode selects the partitioning strategy.
+// Split says how to partition: the strategy and its two bounds (the public
+// aigre.PartitionOptions is this type).
+type Split struct {
+	// Mode selects the partitioning strategy; Off (the zero value) runs the
+	// script whole-network.
 	Mode Mode
-	// TargetSize is the partition size bound in AND nodes (default 100000).
-	// A single PO cone larger than the bound still becomes one partition.
+	// TargetSize is the partition size bound in AND nodes (0 = 100000). A
+	// single output cone larger than the bound still becomes one partition.
 	TargetSize int
 	// MaxConflictRounds bounds the stitch/rollback loop: each round that the
-	// merged network fails the seam gate rolls back at least one refuted
-	// partition and re-stitches; past the bound every remaining optimized
-	// partition is rolled back at once (default 2).
+	// merged network fails the seam equivalence gate rolls back at least one
+	// refuted partition and re-stitches; past the bound every remaining
+	// optimized partition is rolled back at once (0 = 2).
 	MaxConflictRounds int
+}
+
+// Options configures a partition-parallel run: the split plus how the
+// partition jobs execute.
+type Options struct {
+	Split
 	// Workers is the host worker budget: the pool size backing the
 	// partition jobs and the bound on concurrently running jobs
 	// (0 = GOMAXPROCS, or the shared pool's size when Pool is set).
@@ -124,8 +140,9 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// PartStat reports one partition of a run.
-type PartStat struct {
+// Stat reports one partition of a run (the public aigre.PartitionStat is
+// this type).
+type Stat struct {
 	Index int `json:"index"`
 	// POs is the number of primary outputs the partition drives (cones
 	// mode); LevelLo/LevelHi is the level range (levels mode).
@@ -136,50 +153,54 @@ type PartStat struct {
 	// optimization and as finally stitched (after any rollback).
 	NodesIn  int `json:"nodes_in"`
 	NodesOut int `json:"nodes_out"`
-	// Conflicts is the number of seam conflicts broken while replaying this
+	// ConflictsBroken counts seam conflicts broken while replaying this
 	// partition into the merged network in the final stitch round: nodes
-	// merged with already-present duplicates or simplified away.
-	Conflicts int `json:"conflicts_broken"`
+	// merged with duplicates another partition already created, or
+	// simplified away at the boundary.
+	ConflictsBroken int `json:"conflicts_broken"`
 	// RolledBack reports that the partition's optimized cone was discarded
 	// (job failure, local gate refutation, or seam-round refutation) and the
 	// pre-optimization cone stitched instead; Note carries the reason.
 	RolledBack bool   `json:"rolled_back,omitempty"`
 	Note       string `json:"note,omitempty"`
-	// Queued and Wall are the partition job's scheduling delay and host run
-	// time; Incidents counts contained failures inside the job; Attempts is
-	// how many supervised attempts the job took (1 with no retries).
-	Queued    time.Duration `json:"queued_ns"`
-	Wall      time.Duration `json:"wall_ns"`
+	// QueuedNS and WallNS are the partition job's scheduling delay and host
+	// run time; Incidents counts contained failures inside the job.
+	QueuedNS  time.Duration `json:"queued_ns"`
+	WallNS    time.Duration `json:"wall_ns"`
 	Incidents int           `json:"incidents,omitempty"`
-	Attempts  int           `json:"attempts,omitempty"`
 }
 
-// Result is the outcome of a partition-parallel run.
-type Result struct {
-	// AIG is the stitched optimized network (the original input when the
-	// run was cancelled).
-	AIG   *aig.AIG
-	Mode  Mode
-	Parts []PartStat
+// Report summarizes a partition-parallel run (the public
+// aigre.PartitionReport is this type).
+type Report struct {
+	// Mode is the partitioning strategy that ran ("cones" or "levels").
+	Mode string `json:"mode"`
+	// Parts holds one row per partition.
+	Parts []Stat `json:"partitions"`
 	// NodesIn/NodesOut are whole-network AND counts before and after.
-	NodesIn, NodesOut int
+	NodesIn  int `json:"nodes_in"`
+	NodesOut int `json:"nodes_out"`
 	// SharedNodes is the duplication cost of the split: the sum of
 	// partition sizes minus the live network size (cones mode duplicates
 	// logic shared between clusters; levels mode never duplicates).
-	SharedNodes int
+	SharedNodes int `json:"shared_nodes"`
 	// ConflictsFound counts seam conflicts detected across every stitch
 	// round; ConflictsBroken those resolved in the final accepted stitch.
-	ConflictsFound, ConflictsBroken int
+	ConflictsFound  int `json:"conflicts_found"`
+	ConflictsBroken int `json:"conflicts_broken"`
 	// Rollbacks counts partitions whose optimized cone was discarded.
-	Rollbacks int
+	Rollbacks int `json:"rollbacks"`
 	// StitchRounds is the number of stitch attempts (1 = no seam refutation).
-	StitchRounds int
-	Wall         time.Duration
-	Modeled      time.Duration
-	// Incidents aggregates the contained failures of every partition job.
-	Incidents []flow.Incident
-	// CacheStats is the shared resynthesis-cache traffic during the run.
-	CacheStats rcache.Stats
+	StitchRounds int `json:"stitch_rounds"`
+}
+
+// Result is the outcome of a partition-parallel run: the run record — AIG
+// is the stitched optimized network (the original input when the run was
+// cancelled), Incidents aggregates the contained failures of every partition
+// job, CacheStats is the shared cache's traffic — plus the partition report.
+type Result struct {
+	flow.Result
+	Report
 }
 
 // Run optimizes a with the script, partition-parallel. The input is never
@@ -205,7 +226,7 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 		base, _ = a.Compact()
 	}
 
-	res := Result{Mode: opts.Mode, NodesIn: base.NumAnds()}
+	res := Result{Report: Report{Mode: opts.Mode.String(), NodesIn: base.NumAnds()}}
 	finish := func() {
 		res.Wall = time.Since(start)
 		res.CacheStats = opts.Flow.Cache.Snapshot().Sub(cacheBefore)
@@ -259,7 +280,7 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 		gateRounds = 4
 	}
 	chosen := make([]*aig.AIG, len(parts))
-	res.Parts = make([]PartStat, len(parts))
+	res.Parts = make([]Stat, len(parts))
 	for i, r := range results {
 		if r.Cancelled || ctx.Err() != nil {
 			res.AIG = a
@@ -275,9 +296,8 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 		st.POs = len(parts[i].poIdx)
 		st.LevelLo, st.LevelHi = parts[i].levelLo, parts[i].levelHi
 		st.NodesIn = pres[i].NumAnds()
-		st.Queued, st.Wall = r.Queued, r.Wall
+		st.QueuedNS, st.WallNS = r.Queued, r.Wall
 		st.Incidents = len(r.Incidents)
-		st.Attempts = r.Attempts
 		res.Incidents = append(res.Incidents, r.Incidents...)
 		res.Modeled += r.Modeled
 		if r.Err != nil {

@@ -41,9 +41,8 @@ func TestPartitionModesEquivalence(t *testing.T) {
 					t.Fatalf("unknown circuit %q", name)
 				}
 				res, err := Run(context.Background(), a, "b; rw", Options{
-					Mode:       mode,
-					TargetSize: a.NumAnds()/6 + 1,
-					Workers:    4,
+					Split:   Split{Mode: mode, TargetSize: a.NumAnds()/6 + 1},
+					Workers: 4,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -128,7 +127,7 @@ func TestResolveRollsBackCorruptPartition(t *testing.T) {
 	bad.SetPO(0, bad.PO(0).Not())
 	chosen[1] = bad
 
-	res := Result{Parts: make([]PartStat, len(parts))}
+	res := Result{Report: Report{Parts: make([]Stat, len(parts))}}
 	merged, err := resolve(a, parts, pres, chosen, resolveConfig{rounds: 4, maxRounds: 2, seed: 5}, &res)
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +150,9 @@ func TestPartitionStressRace(t *testing.T) {
 		t.Fatal("ac97_ctrl missing from suite")
 	}
 	res, err := Run(context.Background(), a, "b; rw; rwz", Options{
-		Mode:       Cones,
-		TargetSize: a.NumAnds()/8 + 1,
-		Workers:    2,
-		Flow:       flow.Config{Parallel: true},
+		Split:   Split{Mode: Cones, TargetSize: a.NumAnds()/8 + 1},
+		Workers: 2,
+		Flow:    flow.Config{Parallel: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +170,7 @@ func TestPartitionCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, a, "b; rw", Options{Mode: Cones, TargetSize: 500, Workers: 2})
+	res, err := Run(ctx, a, "b; rw", Options{Split: Split{Mode: Cones, TargetSize: 500}, Workers: 2})
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
@@ -198,7 +196,7 @@ func TestPartitionEditedInput(t *testing.T) {
 		id := live[rng.Intn(len(live))]
 		a.ReplaceNode(id, a.Fanin0(id))
 	}
-	res, err := Run(context.Background(), a, "b", Options{Mode: Levels, TargetSize: 60, Workers: 2})
+	res, err := Run(context.Background(), a, "b", Options{Split: Split{Mode: Levels, TargetSize: 60}, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

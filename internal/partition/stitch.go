@@ -165,7 +165,7 @@ func resolve(base *aig.AIG, parts []*part, pres, chosen []*aig.AIG, cfg resolveC
 		if gerr == nil {
 			res.ConflictsBroken = total
 			for i := range parts {
-				res.Parts[i].Conflicts = conflicts[i]
+				res.Parts[i].ConflictsBroken = conflicts[i]
 			}
 			return merged, nil
 		}

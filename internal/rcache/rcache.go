@@ -76,7 +76,9 @@ type Entry struct {
 	Ops int64
 }
 
-// Stats is a snapshot of the cache effectiveness counters.
+// Stats is a snapshot of the cache effectiveness counters: the one
+// cache-counter struct, under the JSON tags its wire and disk forms use (the
+// public aigre.CacheStats is this type).
 type Stats struct {
 	// Hits/Misses/Evictions count program-cache (refactor cone) traffic.
 	Hits      int64 `json:"hits"`
@@ -87,18 +89,6 @@ type Stats struct {
 	NpnMisses int64 `json:"npn_misses"`
 	// Entries is the number of resident program entries at snapshot time.
 	Entries int `json:"entries"`
-}
-
-// Add returns s with o's counters added (Entries from o, the later snapshot).
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Hits:      s.Hits + o.Hits,
-		Misses:    s.Misses + o.Misses,
-		Evictions: s.Evictions + o.Evictions,
-		NpnHits:   s.NpnHits + o.NpnHits,
-		NpnMisses: s.NpnMisses + o.NpnMisses,
-		Entries:   o.Entries,
-	}
 }
 
 // Sub returns the counter deltas s - o (Entries from s, the later snapshot).

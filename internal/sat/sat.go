@@ -96,9 +96,6 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-// NumVars returns the number of variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
-
 func (s *Solver) valueLit(l Lit) lbool {
 	v := s.assign[l.Var()]
 	if v == lUndef {
@@ -432,12 +429,3 @@ func (s *Solver) SolveAssuming(assumptions []Lit) Status {
 
 // Value returns the model value of variable v after Sat.
 func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
-
-// NumConflicts returns the number of conflicts encountered so far.
-func (s *Solver) NumConflicts() int64 { return s.conflicts }
-
-// NumClauses returns the number of problem clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
-
-// NumLearned returns the number of learned clauses.
-func (s *Solver) NumLearned() int { return len(s.learned) }

@@ -53,87 +53,82 @@ type Job struct {
 	FaultPlans []gpu.FaultPlan
 }
 
-// Result reports one finished job.
+// Result reports one finished job: the run record (flow.Result) plus what
+// supervision adds. It is the one job-report struct — the public
+// aigre.BatchResult embeds it — and its JSON form is a cmd/aigre -report job
+// row (which is why LevelsBefore, not part of that schema, is untagged out).
 type Result struct {
-	Name   string
-	Script string
-	// AIG is the optimized network; on a cancelled job it is the partial
-	// result (the network after the last completed command), and nil only
-	// when the script failed to parse.
-	AIG *aig.AIG
+	Name   string `json:"name"`
+	Script string `json:"script"`
+	// Result is the run record. AIG is the optimized network; on a cancelled
+	// job the partial result (the network after the last completed command),
+	// nil only when the script failed to parse. Wall is start -> finish host
+	// time over every attempt; Modeled and Incidents accumulate over
+	// attempts; Timings, Profile and CacheStats are the last attempt's.
+	flow.Result
 	// Err is nil on success, the (wrapped) context error when the job was
 	// cancelled, or the script error. Contained engine failures do not set
 	// Err — they are listed in Incidents.
-	Err error
+	Err error `json:"-"`
 	// Cancelled reports that Err traces back to external cancellation (the
 	// batch or engine shut down). Deadline expiries set TimedOut instead.
-	Cancelled bool
+	Cancelled bool `json:"cancelled,omitempty"`
 	// TimedOut reports that Err traces back to an expired deadline — the
 	// job's own Policy.JobTimeout or the batch-wide one.
-	TimedOut bool
+	TimedOut bool `json:"timed_out,omitempty"`
 	// Quarantined reports that the job was poison: a retryable failure
 	// class exhausted its retry budget (or the watchdog caught it stuck),
 	// and the supervisor withdrew it rather than let it starve the pool.
-	Quarantined bool
-	// Attempts is how many supervised attempts ran (1 with no retries).
-	Attempts int
-	// Preemptions is how many attempts the watchdog preempted as stuck.
-	Preemptions int
+	Quarantined bool `json:"quarantined,omitempty"`
+	// Attempts is how many supervised attempts ran (1 with no retries);
+	// Preemptions how many of them the watchdog preempted as stuck.
+	Attempts    int `json:"attempts,omitempty"`
+	Preemptions int `json:"preemptions,omitempty"`
+	// Queued is submission -> start.
+	Queued time.Duration `json:"queued_ns"`
 
-	Queued  time.Duration // submission -> start
-	Wall    time.Duration // start -> finish, host time
-	Modeled time.Duration // modeled device time (parallel jobs)
-
-	NodesBefore, LevelsBefore int
-	NodesAfter, LevelsAfter   int
-
-	Timings   []flow.CommandTiming
-	Incidents []flow.Incident
-	Profile   []gpu.KernelProfile
-	// CacheStats is the resynthesis-cache traffic observed during the job
-	// (cache-global delta: with a shared cache it includes concurrent jobs').
-	CacheStats rcache.Stats
+	NodesBefore  int `json:"nodes_before"`
+	LevelsBefore int `json:"-"`
+	NodesAfter   int `json:"nodes_after"`
+	LevelsAfter  int `json:"levels_after"`
 }
 
-// Metrics aggregates an engine's fleet statistics.
+// Metrics aggregates an engine's fleet statistics. It is the one fleet-
+// metrics struct (the public aigre.BatchMetrics is this type) and, marshalled
+// as is, the "engine" block of aigred's GET /v1/stats — whose keys are the Go
+// field names, so the fields that block never carried are tagged out.
 type Metrics struct {
-	Workers   int // pool size W backing the engine
-	Submitted int
-	Started   int
-	Finished  int // completed without error
-	Failed    int
-	Cancelled int
-	// TimedOut counts jobs killed by a deadline (their own or the batch's);
-	// Quarantined counts poison jobs withdrawn by the supervisor. Both are
-	// disjoint from Failed and Cancelled.
-	TimedOut    int
-	Quarantined int
+	Workers int // pool size W backing the engine
+	// Finished (completed without error), Failed, Cancelled, TimedOut (killed
+	// by a deadline, their own or the batch's) and Quarantined (poison jobs
+	// withdrawn by the supervisor) partition the jobs by final outcome.
+	Finished, Failed, Cancelled int
+	TimedOut, Quarantined       int
 	// Retries counts extra attempts beyond the first, fleet-wide.
 	Retries int
-	// QueueDepth is the number of jobs still waiting at the time of the
-	// Metrics call; PeakQueueDepth the high-water mark.
-	QueueDepth     int
+	// PeakWorkers is the pool's observed concurrency high-water mark (never
+	// above Workers: the shared-budget invariant); PeakQueueDepth the deepest
+	// the admission queue got.
+	PeakWorkers    int
 	PeakQueueDepth int
-	// PeakWorkers is the pool's observed concurrency high-water mark
-	// (never above Workers: the shared-budget invariant).
-	PeakWorkers int
 	// Wall spans the first submission to the last job completion. JobWall
 	// sums per-job host time — their ratio is the job-level concurrency.
-	Wall    time.Duration
-	JobWall time.Duration
 	// Modeled sums the modeled device time of all jobs.
-	Modeled time.Duration
-	// WorkerBusy sums the time pool workers spent executing kernel bodies.
-	WorkerBusy time.Duration
-}
+	Wall, JobWall, Modeled time.Duration
+	// Utilization is the fraction of the worker budget kept busy executing
+	// kernel bodies: busy-time / (Wall * Workers). Zero before any job
+	// finishes.
+	Utilization float64
+	// CacheStats is the fleet-wide resynthesis-cache traffic delta. The
+	// engine does not know the cache; the public aigre.Engine fills it when
+	// BatchOptions.SharedCache is set (zero otherwise).
+	CacheStats rcache.Stats
 
-// Utilization is the fraction of the worker budget kept busy:
-// WorkerBusy / (Wall * Workers). Zero before any job finishes.
-func (m Metrics) Utilization() float64 {
-	if m.Wall <= 0 || m.Workers == 0 {
-		return 0
-	}
-	return m.WorkerBusy.Seconds() / (m.Wall.Seconds() * float64(m.Workers))
+	Submitted int `json:"-"`
+	Started   int `json:"-"`
+	// QueueDepth is the number of jobs still waiting at the time of the
+	// Metrics call.
+	QueueDepth int `json:"-"`
 }
 
 // Options configures an Engine.
@@ -171,7 +166,6 @@ type queuedJob struct {
 	ticket    *Ticket
 	submitted time.Time
 	seq       int // FIFO tie-break within a priority
-	index     int // heap bookkeeping
 }
 
 // Engine admits jobs by priority onto a bounded set of job runners, leasing
@@ -324,7 +318,9 @@ func (e *Engine) Metrics() Metrics {
 		m.Wall = e.last.Sub(e.first)
 	}
 	m.PeakWorkers = e.pool.PeakWorkers()
-	m.WorkerBusy = e.pool.BusyTime()
+	if m.Wall > 0 && m.Workers > 0 {
+		m.Utilization = e.pool.BusyTime().Seconds() / (m.Wall.Seconds() * float64(m.Workers))
+	}
 	return m
 }
 
@@ -454,16 +450,8 @@ func (h jobHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h jobHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *jobHeap) Push(x any) {
-	q := x.(*queuedJob)
-	q.index = len(*h)
-	*h = append(*h, q)
-}
+func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*queuedJob)) }
 func (h *jobHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -89,45 +89,46 @@ func Classify(err error) Class {
 	return ClassPermanent
 }
 
-// Policy governs one supervised job: deadline, retry budget, backoff shape,
-// and watchdog threshold. The zero Policy supervises nothing — one attempt,
-// no deadline, no watchdog — so unsupervised callers pay nothing.
+// Policy governs supervision of a job — or, as BatchOptions.Policy (the
+// public aigre.Policy is this type), of every job in a batch: per-attempt
+// deadlines, classified retry with exponential backoff, watchdog preemption
+// of stuck jobs, and quarantine of jobs that exhaust their retry budget. The
+// zero Policy supervises nothing — one attempt, no deadline, no watchdog — so
+// unsupervised callers pay nothing.
 type Policy struct {
-	// JobTimeout is the per-attempt deadline (0 = none). Distinct from
-	// whole-batch cancellation: an expired attempt may be retried.
+	// JobTimeout is the per-attempt deadline of one job (0 = none). It is
+	// distinct from cancelling the batch's ctx: a timed-out attempt may be
+	// retried, and other jobs keep running.
 	JobTimeout time.Duration
-	// Retries is the job's retry budget: how many extra attempts retryable
-	// failures may consume (0 = fail/quarantine on the first failure).
+	// Retries is each job's retry budget: how many extra attempts its
+	// transient failures (aborted kernel launches, full hash tables,
+	// seam-gate rollbacks, deadline kills, watchdog preemptions) may
+	// consume. A job that exhausts the budget is quarantined. For a
+	// partitioned job the budget is shared with its per-partition jobs.
 	Retries int
-	// RetryDegraded treats an attempt that completed but recorded
+	// RetryDegraded also retries attempts that completed but recorded
 	// transient-class incidents (a contained kernel fault degraded a
-	// command) as retryable: the degraded result is discarded and the job
-	// re-runs, hoping for a clean pass. When the budget runs out the last
-	// degraded result stands.
+	// command), discarding the degraded result in the hope of a clean pass;
+	// the last degraded result stands when the budget runs dry.
 	RetryDegraded bool
-	// Backoff is the delay before the first retry; each further retry
-	// doubles it (default 5ms when retries are enabled).
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 500ms).
+	// Backoff is the delay before a job's first retry, doubling each
+	// further retry with ±50% jitter (default 5ms); MaxBackoff caps the
+	// doubling (default 500ms).
+	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// StuckTimeout arms the watchdog: an attempt whose device heartbeat
-	// advances nothing for this long is preempted (0 = no watchdog). Only
-	// parallel and custom jobs are watched — sequential jobs never beat.
+	// StuckTimeout arms the watchdog: an attempt whose kernel-launch
+	// heartbeat advances nothing for this long is preempted and, with no
+	// budget left, quarantined (0 = no watchdog). Only parallel and custom
+	// jobs are watched — sequential jobs never beat.
 	StuckTimeout time.Duration
-	// Seed makes retry jitter deterministic (tests); 0 is a valid seed.
+	// Seed makes retry jitter deterministic; 0 is a valid seed.
 	Seed int64
-	// Budget, when non-nil, replaces the per-job budget minted from
-	// Retries. A partitioned job shares one budget between its outer
-	// attempts and its per-partition inner attempts, so partition retries
-	// draw down the same allowance.
+	// Budget is internal plumbing, not an option: when non-nil it replaces
+	// the per-job budget minted from Retries. The engine sets it on the
+	// per-job copy of a partitioned job's policy so the job's outer attempts
+	// and its per-partition inner attempts draw down one allowance; callers
+	// leave it nil.
 	Budget *RetryBudget
-}
-
-// enabled reports whether the policy asks for any supervision beyond a bare
-// single attempt.
-func (p Policy) enabled() bool {
-	return p.JobTimeout > 0 || p.Retries > 0 || p.StuckTimeout > 0 ||
-		p.RetryDegraded || p.Budget != nil
 }
 
 // retriesEnabled reports whether the policy carries a nonzero retry

@@ -42,30 +42,32 @@ func (e *Engine) supervise(outer context.Context, q *queuedJob, pol Policy, res 
 
 		fres, dev, err, cls := e.attempt(outer, q, pol, watched, faults)
 
-		for i := range fres.Incidents {
-			fres.Incidents[i].Attempt = attempt
-			if fres.Incidents[i].Time.IsZero() {
-				fres.Incidents[i].Time = time.Now()
+		incs := fres.Incidents
+		for i := range incs {
+			incs[i].Attempt = attempt
+			if incs[i].Time.IsZero() {
+				incs[i].Time = time.Now()
 			}
-			inc := fres.Incidents[i]
+			inc := incs[i]
 			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
 				Event: journal.EventIncident, Class: inc.Class, Detail: inc.Detail, Incident: &inc})
 		}
-		res.Incidents = append(res.Incidents, fres.Incidents...)
-		res.Modeled += fres.TotalModeled
-		res.Timings = fres.Timings
-		res.CacheStats = fres.CacheStats
-		if dev != nil {
-			res.Profile = dev.Profile()
-			faults = dev.Faults()
+		// The job's record is the latest attempt's run record with the history
+		// carried forward: incidents and modeled time accumulate, and an
+		// attempt that produced no network keeps the previous one.
+		fres.Incidents = append(res.Incidents, incs...)
+		fres.Modeled += res.Modeled
+		if fres.AIG == nil {
+			fres.AIG = res.AIG
 		}
-		if fres.AIG != nil || res.AIG == nil {
-			res.AIG = fres.AIG
+		res.Result = fres
+		if dev != nil {
+			faults = dev.Faults()
 		}
 
 		if err == nil {
 			transient := 0
-			for _, inc := range fres.Incidents {
+			for _, inc := range incs {
 				if inc.Class == flow.ClassTransient {
 					transient++
 				}

@@ -1,43 +1,29 @@
 package aigre
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"aigre/internal/partition"
 )
 
 // PartitionMode selects how Run splits a network for partition-parallel
 // optimization. The zero value PartitionOff runs the script whole-network.
-type PartitionMode int
+type PartitionMode = partition.Mode
 
 const (
 	// PartitionOff disables partitioning (the default).
-	PartitionOff PartitionMode = iota
+	PartitionOff = partition.Off
 	// PartitionCones clusters primary-output fanin cones into size-bounded
 	// partitions, closed under fanin (their only inputs are PIs). Logic
 	// shared between clusters is duplicated into each; the stitcher merges
 	// the copies back by re-strashing. Best for wide many-output designs and
 	// for deep, narrow designs that starve kernel-level parallelism.
-	PartitionCones
+	PartitionCones = partition.Cones
 	// PartitionLevels slices the network into contiguous level windows with
 	// no duplication; a window's inputs are PIs and lower-window nodes. Works
 	// on single-output designs where cone clustering cannot split.
-	PartitionLevels
+	PartitionLevels = partition.Levels
 )
-
-func (m PartitionMode) String() string {
-	switch m {
-	case PartitionOff:
-		return "off"
-	case PartitionCones:
-		return "cones"
-	case PartitionLevels:
-		return "levels"
-	}
-	return fmt.Sprintf("PartitionMode(%d)", int(m))
-}
 
 // ParsePartitionMode parses "off", "cones", or "levels".
 func ParsePartitionMode(s string) (PartitionMode, error) {
@@ -52,144 +38,31 @@ func ParsePartitionMode(s string) (PartitionMode, error) {
 	return PartitionOff, fmt.Errorf("aigre: unknown partition mode %q (want off, cones, or levels)", s)
 }
 
-// internal maps the public mode onto the partition package's enum.
-func (m PartitionMode) internal() (partition.Mode, error) {
-	switch m {
-	case PartitionCones:
-		return partition.Cones, nil
-	case PartitionLevels:
-		return partition.Levels, nil
-	}
-	return 0, fmt.Errorf("aigre: partition mode %v is not a partitioning strategy", m)
-}
-
 // PartitionOptions configures partition-parallel script runs (see
-// Options.Partition).
-type PartitionOptions struct {
-	// Mode selects the partitioning strategy; PartitionOff (the zero value)
-	// runs the script whole-network.
-	Mode PartitionMode
-	// TargetSize is the partition size bound in AND nodes (0 = 100000). A
-	// single output cone larger than the bound still becomes one partition.
-	TargetSize int
-	// MaxConflictRounds bounds the stitch/rollback loop: each round that the
-	// merged network fails the seam equivalence gate rolls back at least one
-	// refuted partition and re-stitches; past the bound every remaining
-	// optimized partition is rolled back at once (0 = 2).
-	MaxConflictRounds int
-}
+// Options.Partition): the Mode (PartitionOff, the zero value, runs the script
+// whole-network), the partition size bound TargetSize in AND nodes
+// (0 = 100000), and MaxConflictRounds, the bound on the stitch/rollback loop
+// (0 = 2). See partition.Split for the field documentation.
+type PartitionOptions = partition.Split
 
-// PartitionStat reports one partition of a partition-parallel run.
-type PartitionStat struct {
-	Index int `json:"index"`
-	// POs is the number of primary outputs the partition drives (cones
-	// mode); LevelLo/LevelHi is the level range (levels mode).
-	POs     int `json:"pos,omitempty"`
-	LevelLo int `json:"level_lo,omitempty"`
-	LevelHi int `json:"level_hi,omitempty"`
-	// NodesIn and NodesOut count the partition's AND nodes before
-	// optimization and as finally stitched (after any rollback).
-	NodesIn  int `json:"nodes_in"`
-	NodesOut int `json:"nodes_out"`
-	// ConflictsBroken counts seam conflicts broken while replaying this
-	// partition into the merged network: nodes merged with duplicates another
-	// partition already created, or simplified away at the boundary.
-	ConflictsBroken int `json:"conflicts_broken"`
-	// RolledBack reports that the optimized cone was discarded and the
-	// pre-optimization cone stitched instead; Note carries the reason.
-	RolledBack bool   `json:"rolled_back,omitempty"`
-	Note       string `json:"note,omitempty"`
-	// QueuedNS and WallNS are the partition job's scheduling delay and host
-	// run time; Incidents counts contained failures inside the job.
-	QueuedNS  time.Duration `json:"queued_ns"`
-	WallNS    time.Duration `json:"wall_ns"`
-	Incidents int           `json:"incidents,omitempty"`
-}
+// PartitionStat reports one partition of a partition-parallel run, and
+// PartitionReport summarizes the run (Result.Partition): the partitioning
+// strategy, one PartitionStat row per partition, whole-network node counts,
+// the duplication cost of the split, seam conflicts found and broken,
+// rollbacks and stitch rounds. See the partition package types for the field
+// documentation.
+type (
+	PartitionStat   = partition.Stat
+	PartitionReport = partition.Report
+)
 
-// PartitionReport summarizes a partition-parallel run (Result.Partition).
-type PartitionReport struct {
-	// Mode is the partitioning strategy that ran ("cones" or "levels").
-	Mode string `json:"mode"`
-	// Parts holds one row per partition.
-	Parts []PartitionStat `json:"partitions"`
-	// NodesIn/NodesOut are whole-network AND counts before and after.
-	NodesIn  int `json:"nodes_in"`
-	NodesOut int `json:"nodes_out"`
-	// SharedNodes is the duplication cost of the split: the sum of partition
-	// sizes minus the live network size (cones mode duplicates logic shared
-	// between clusters; levels mode never duplicates).
-	SharedNodes int `json:"shared_nodes"`
-	// ConflictsFound counts seam conflicts detected across every stitch
-	// round; ConflictsBroken those resolved in the final accepted stitch.
-	ConflictsFound  int `json:"conflicts_found"`
-	ConflictsBroken int `json:"conflicts_broken"`
-	// Rollbacks counts partitions whose optimized cone was discarded.
-	Rollbacks int `json:"rollbacks"`
-	// StitchRounds is the number of stitch attempts (1 = no seam refutation).
-	StitchRounds int `json:"stitch_rounds"`
-}
-
-func partitionReportOf(r *partition.Result) *PartitionReport {
-	rep := &PartitionReport{
-		Mode:            r.Mode.String(),
-		NodesIn:         r.NodesIn,
-		NodesOut:        r.NodesOut,
-		SharedNodes:     r.SharedNodes,
-		ConflictsFound:  r.ConflictsFound,
-		ConflictsBroken: r.ConflictsBroken,
-		Rollbacks:       r.Rollbacks,
-		StitchRounds:    r.StitchRounds,
+// reportOf returns the report of a partition run that got as far as
+// producing a network (nil for a run rejected up front). It is a copy: a
+// pointer into pres would keep the run's network alive as long as the report.
+func reportOf(pres *partition.Result) *PartitionReport {
+	if pres.AIG == nil {
+		return nil
 	}
-	rep.Parts = make([]PartitionStat, len(r.Parts))
-	for i, p := range r.Parts {
-		rep.Parts[i] = PartitionStat{
-			Index:           p.Index,
-			POs:             p.POs,
-			LevelLo:         p.LevelLo,
-			LevelHi:         p.LevelHi,
-			NodesIn:         p.NodesIn,
-			NodesOut:        p.NodesOut,
-			ConflictsBroken: p.Conflicts,
-			RolledBack:      p.RolledBack,
-			Note:            p.Note,
-			QueuedNS:        p.Queued,
-			WallNS:          p.Wall,
-			Incidents:       p.Incidents,
-		}
-	}
-	return rep
-}
-
-// partitionOptions maps Options onto the partition engine's configuration.
-func (o Options) partitionOptions(mode partition.Mode) partition.Options {
-	return partition.Options{
-		Mode:              mode,
-		TargetSize:        o.Partition.TargetSize,
-		MaxConflictRounds: o.Partition.MaxConflictRounds,
-		Workers:           o.Workers,
-		Flow:              o.flowConfig(),
-	}
-}
-
-// runPartitioned is the Options.Partition path of Network.Run: split,
-// optimize every partition as a prioritized job over a bounded worker pool,
-// stitch with seam conflict breaking, and report per-partition statistics.
-func (n *Network) runPartitioned(ctx context.Context, script string, opts Options) (Result, error) {
-	mode, err := opts.Partition.Mode.internal()
-	if err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-	pres, perr := partition.Run(ctx, n.aig, script, opts.partitionOptions(mode))
-	out := Result{
-		Wall:       time.Since(start),
-		Modeled:    pres.Modeled,
-		Incidents:  pres.Incidents,
-		CacheStats: cacheStatsOf(pres.CacheStats),
-	}
-	if pres.AIG != nil {
-		out.AIG = &Network{aig: pres.AIG}
-		out.Partition = partitionReportOf(&pres)
-	}
-	return out, perr
+	rep := pres.Report
+	return &rep
 }
