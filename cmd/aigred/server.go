@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"aigre"
+	"aigre/internal/aiger"
 	"aigre/internal/bus"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
@@ -496,7 +497,9 @@ func validateSubmit(req *submitRequest, cfg serverConfig) (*queue.Spec, error) {
 	if len(req.AIGER) == 0 {
 		return nil, errors.New("missing aiger payload")
 	}
-	if _, err := aigre.Read(bytes.NewReader(req.AIGER)); err != nil {
+	// The parser alone decides validity; strashing the network (aigre.Read)
+	// only to throw it away was a fifth of what a submission allocated.
+	if _, err := aiger.Read(bytes.NewReader(req.AIGER)); err != nil {
 		return nil, fmt.Errorf("bad aiger payload: %w", err)
 	}
 	for _, inj := range req.Inject {

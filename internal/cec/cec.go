@@ -124,13 +124,13 @@ func randomRefute(a, b *aig.AIG, opts Options) (Result, bool) {
 	rng := rand.New(rand.NewSource(opts.Seed + 0x5eed))
 	nPIs := a.NumPIs()
 	w := opts.RandomRounds
+	pats := make([]uint64, nPIs*w) // drawn PI by PI, one row of w words each
+	for j := range pats {
+		pats[j] = rng.Uint64()
+	}
 	ins := make([][]uint64, nPIs)
 	for i := range ins {
-		v := make([]uint64, w)
-		for j := range v {
-			v[j] = rng.Uint64()
-		}
-		ins[i] = v
+		ins[i] = pats[i*w : (i+1)*w : (i+1)*w]
 	}
 	sa := a.Simulate(ins)
 	sb := b.Simulate(ins)

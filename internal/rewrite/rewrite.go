@@ -54,11 +54,9 @@ type evalScratch struct {
 	cs cut.Scratch
 	es core.EvalScratch
 
-	seen   [][4]int32 // leaf sets dequeued for the current node (a dozen at most)
-	qbuf   []int32    // flat queue storage; item i is qbuf[qoff[i]:qoff[i+1]]
-	qoff   []int32
-	cutBuf []int32   // flat storage of accepted cuts
-	cuts   [][]int32 // headers into cutBuf, reused across nodes
+	queue []leafSet // leaf sets reached from the current node, in order
+	seen  []leafSet // the distinct ones dequeued so far (a dozen at most)
+	cuts  []leafSet // the accepted ones, reused across nodes
 
 	// NPN cache outcomes not yet added to the cache's shared counters.
 	npnHits, npnMisses int64
@@ -77,85 +75,86 @@ var scratchPool = sync.Pool{
 	New: func() any { return new(evalScratch) },
 }
 
-// enumLocalCuts enumerates 4-feasible cuts of n on the current graph by
-// breadth-first leaf expansion (the trivial cut excluded). Results are leaf
-// id sets, sorted, deduplicated, capped at maxCuts; the returned slices are
-// owned by the scratch and valid until its next call.
-func enumLocalCuts(a *aig.AIG, n int32, maxCuts int, s *evalScratch) [][]int32 {
-	s.seen = s.seen[:0]
-	s.qbuf = append(s.qbuf[:0], a.Fanin0(n).Var(), a.Fanin1(n).Var())
-	s.qoff = append(s.qoff[:0], 0, 2)
-	s.cutBuf = s.cutBuf[:0]
-	s.cuts = s.cuts[:0]
-	head := 0
-	for head < len(s.qoff)-1 && len(s.cuts) < maxCuts {
-		cur := s.qbuf[s.qoff[head]:s.qoff[head+1]]
-		head++
-		sortInt32(cur)
-		// Remove duplicates within the leaf set.
-		ls := cur[:0]
-		for i, v := range cur {
-			if i == 0 || v != cur[i-1] {
-				ls = append(ls, v)
-			}
+// leafSet is a cut's leaf ids, ascending and distinct, padded with -1: two
+// sets are equal exactly when the arrays are.
+type leafSet [4]int32
+
+var noLeaves = leafSet{-1, -1, -1, -1}
+
+// leaves returns the set's ids as a slice into c.
+func (c *leafSet) leaves() []int32 {
+	n := 4
+	for n > 0 && c[n-1] < 0 {
+		n--
+	}
+	return c[:n]
+}
+
+// expand returns the set with the leaf at index i replaced by f0 and f1 (the
+// fanins of that leaf), by a sorted merge that drops duplicates; ok is false
+// when the result would have more than four leaves.
+func (c *leafSet) expand(i int, f0, f1 int32) (out leafSet, ok bool) {
+	if f0 > f1 {
+		f0, f1 = f1, f0
+	}
+	pair, np := [2]int32{f0, f1}, 2
+	if f0 == f1 {
+		np = 1
+	}
+	out = noLeaves
+	for j, k, n := 0, 0, 0; ; n++ {
+		if j == i {
+			j++
 		}
-		var k [4]int32
-		copy(k[:], ls)
-		if slices.Contains(s.seen, k) {
+		var x int32
+		switch {
+		case j < 4 && c[j] >= 0 && (k == np || c[j] <= pair[k]):
+			x = c[j]
+			if k < np && pair[k] == x {
+				k++
+			}
+			j++
+		case k < np:
+			x = pair[k]
+			k++
+		default:
+			return out, true
+		}
+		if n == 4 {
+			return out, false
+		}
+		out[n] = x
+	}
+}
+
+// enumLocalCuts enumerates 4-feasible cuts of n on the current graph by
+// breadth-first leaf expansion (the trivial cut excluded), capped at maxCuts.
+// The returned sets are owned by the scratch and valid until its next call.
+func enumLocalCuts(a *aig.AIG, n int32, maxCuts int, s *evalScratch) []leafSet {
+	first, _ := noLeaves.expand(-1, a.Fanin0(n).Var(), a.Fanin1(n).Var())
+	s.queue = append(s.queue[:0], first)
+	s.seen = s.seen[:0]
+	s.cuts = s.cuts[:0]
+	for head := 0; head < len(s.queue) && len(s.cuts) < maxCuts; head++ {
+		cur := s.queue[head]
+		if slices.Contains(s.seen, cur) {
 			continue
 		}
-		s.seen = append(s.seen, k)
-		hasConst := len(ls) > 0 && ls[0] == 0
-		if !hasConst && len(ls) >= 2 {
-			off := len(s.cutBuf)
-			s.cutBuf = append(s.cutBuf, ls...)
-			s.cuts = append(s.cuts, s.cutBuf[off:len(s.cutBuf):len(s.cutBuf)])
+		s.seen = append(s.seen, cur)
+		if cur[0] != 0 && cur[1] >= 0 { // no constant leaf, at least two leaves
+			s.cuts = append(s.cuts, cur)
 		}
 		// Expand each AND leaf.
-		for i, v := range ls {
+		for i, v := range cur.leaves() {
 			if !a.IsAnd(v) {
 				continue
 			}
-			off := len(s.qbuf)
-			s.qbuf = append(s.qbuf, ls[:i]...)
-			s.qbuf = append(s.qbuf, ls[i+1:]...)
-			s.qbuf = append(s.qbuf, a.Fanin0(v).Var(), a.Fanin1(v).Var())
-			// Bound before dedup: the union can shrink back under 4.
-			if uniqueCount(s.qbuf[off:]) <= 4 {
-				s.qoff = append(s.qoff, int32(len(s.qbuf)))
-			} else {
-				s.qbuf = s.qbuf[:off]
+			if next, ok := cur.expand(i, a.Fanin0(v).Var(), a.Fanin1(v).Var()); ok {
+				s.queue = append(s.queue, next)
 			}
 		}
 	}
 	return s.cuts
-}
-
-// sortInt32 sorts tiny leaf sets (at most five entries) by insertion.
-func sortInt32(v []int32) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-// uniqueCount counts distinct values in a tiny slice.
-func uniqueCount(v []int32) int {
-	n := 0
-	for i, x := range v {
-		dup := false
-		for _, y := range v[:i] {
-			if x == y {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			n++
-		}
-	}
-	return n
 }
 
 // candidate is the best rewriting found for a node.
@@ -178,7 +177,8 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 	cuts := enumLocalCuts(a, n, opts.MaxCutsPerNode, s)
 	// Cut enumeration explores roughly a handful of expansions per kept cut.
 	ops := int64(1 + 20*len(cuts))
-	for _, leaves := range cuts {
+	for i := range cuts {
+		leaves := cuts[i].leaves()
 		tt16, ok := s.cs.ConeTruth16(a, aig.MakeLit(n, false), leaves)
 		if !ok {
 			continue

@@ -113,7 +113,7 @@ func TestEnumLocalCuts(t *testing.T) {
 		t.Errorf("cuts = %v, want 4", cuts)
 	}
 	for _, c := range cuts {
-		if len(c) > 4 || len(c) < 2 {
+		if len(c.leaves()) < 2 {
 			t.Errorf("bad cut size: %v", c)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aigre"
+	"aigre/internal/alloctest"
 	"aigre/internal/bench"
 )
 
@@ -75,7 +76,7 @@ func TestPartitionMillionNodeSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-node smoke skipped in -short mode")
 	}
-	if raceEnabled {
+	if alloctest.RaceEnabled {
 		t.Skip("million-node smoke skipped under -race; check.sh runs it without")
 	}
 	a := bench.DeepNarrow(64, 4000)
@@ -118,7 +119,7 @@ func TestPartitionScalingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling smoke skipped in -short mode")
 	}
-	if raceEnabled {
+	if alloctest.RaceEnabled {
 		t.Skip("scaling smoke skipped under -race; timings are not meaningful")
 	}
 	if runtime.NumCPU() < 4 {

@@ -3,7 +3,8 @@
 # nested benchmark module too), the full test suite under the race detector,
 # and then only the rows that add a flag to it: the non-race million-node and
 # scaling smokes, the seeded chaos gate, uncached (-count=1) runs of the
-# I/O-bound packages, and short fuzz smokes of the AIGER parser and the ISOP.
+# I/O-bound packages, the byte budgets, and short fuzz smokes of the AIGER
+# parser, the ISOP and the simulator.
 # Run from anywhere; `make check` is an alias.
 set -eu
 cd "$(dirname "$0")/.."
@@ -47,7 +48,12 @@ go test -race -count=1 -run 'TestChaosBatchSupervision' -chaos-seed="$CHAOS_SEED
 # daemon (v1 API e2e with SSE resume; crash-recovery and drain smokes that
 # re-exec the daemon) — so a cached pass never hides a flake.
 go test -race -count=1 ./internal/sched/ ./internal/journal/ ./internal/queue/ ./internal/bus/ ./internal/store/ ./client/ ./cmd/aigred/
-# Fuzz smoke: the AIGER parser must never panic on arbitrary input, and the
-# width-halving ISOP must match the full-width oracle cube for cube.
+# Byte budgets of the gate, the AIGER streams and a daemon submission: they
+# skip themselves under -race, whose allocation padding makes them meaningless.
+go test -count=1 -run 'AllocBudget' ./internal/aig ./internal/cec ./internal/aiger ./cmd/aigred
+# Fuzz smoke: the AIGER parser must never panic on arbitrary input, the
+# width-halving ISOP must match the full-width oracle cube for cube, and
+# Simulate must match its reference on randomly edited networks.
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/aiger/
 go test -run='^$' -fuzz=FuzzISOP -fuzztime=10s ./internal/truth/
+go test -run='^$' -fuzz=FuzzSimulate -fuzztime=10s ./internal/aig/
