@@ -29,7 +29,6 @@ import (
 	"aigre/internal/dedup"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/hashtable"
 	"aigre/internal/refactor"
 	"aigre/internal/rewrite"
 )
@@ -207,42 +206,6 @@ func BenchmarkFig8Breakdown(b *testing.B) {
 	b.ReportMetric(rwTime/n*1e9, "rw-ns/op")
 	b.ReportMetric(rfTime/n*1e9, "rf-ns/op")
 	b.ReportMetric(ddTime/n*1e9, "dedup-ns/op")
-}
-
-// BenchmarkHashTableLinearVsChained compares the paper's linear-probing
-// table against the chained design of [9] (DESIGN.md ablation 5).
-func BenchmarkHashTableLinearVsChained(b *testing.B) {
-	// Implemented in internal/hashtable benchmarks; this target exists so a
-	// single `go test -bench=.` run at the repository root covers it too.
-	a := benchCase(b)
-	keys := make([]uint64, 0, a.NumAnds())
-	a.ForEachAnd(func(id int32) {
-		keys = append(keys, aig.Key(a.Fanin0(id), a.Fanin1(id)))
-	})
-	b.Run("linear", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ht := hashtable.New(len(keys))
-			for j, k := range keys {
-				ht.InsertUnique(k, uint32(j))
-			}
-			for _, k := range keys {
-				ht.Query(k)
-			}
-		}
-	})
-	b.Run("chained", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ct := hashtable.NewChained(2 * len(keys))
-			for j, k := range keys {
-				ct.InsertUnique(k, uint32(j))
-			}
-			for _, k := range keys {
-				ct.Query(k)
-			}
-		}
-	})
 }
 
 // BenchmarkPublicAPIResyn2 exercises the exported entry point end to end.

@@ -2,13 +2,10 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	"aigre/internal/aig"
 	"aigre/internal/bench"
 	"aigre/internal/dedup"
 	"aigre/internal/flow"
-	"aigre/internal/hashtable"
 	"aigre/internal/refactor"
 	"aigre/internal/resub"
 )
@@ -17,7 +14,8 @@ import (
 //
 //  1. cut-size limit of the FFC collapse (quality/time trade-off),
 //  2. the de-duplication pass of Section III-F (what it removes),
-//  3. linear-probing vs chained hash table ([9]'s design),
+//  3. linear-probing vs chained hash table ([9]'s design): a pointer to the
+//     internal/hashtable benchmarks that measure it,
 //  4. the resubstitution extension (the paper's future work) inside a
 //     compress2rs-style sequence.
 func ablations() {
@@ -39,29 +37,7 @@ func ablations() {
 		raw.NumAnds(), cleaned.NumAnds(), st.DuplicatesMerged, st.TriviallyReduced, st.DanglingRemoved)
 
 	fmt.Println("\n--- Ablation 3: linear probing vs chaining (hash table of [9]) ---")
-	keys := make([]uint64, 0, a.NumAnds())
-	a.ForEachAnd(func(id int32) {
-		keys = append(keys, aig.Key(a.Fanin0(id), a.Fanin1(id)))
-	})
-	lin := timeIt(func() {
-		ht := hashtable.New(len(keys))
-		for j, k := range keys {
-			ht.InsertUnique(k, uint32(j))
-		}
-		for _, k := range keys {
-			ht.Query(k)
-		}
-	})
-	cha := timeIt(func() {
-		ct := hashtable.NewChained(2 * len(keys))
-		for j, k := range keys {
-			ct.InsertUnique(k, uint32(j))
-		}
-		for _, k := range keys {
-			ct.Query(k)
-		}
-	})
-	fmt.Printf("%d keys: linear %v, chained %v (%.2fx)\n", len(keys), lin, cha, float64(cha)/float64(lin))
+	fmt.Println("measured by the package's own benchmarks: go test -run '^$' -bench InsertQuery ./internal/hashtable")
 
 	fmt.Println("\n--- Ablation 4: resubstitution extension (paper future work) ---")
 	dRS := device()
@@ -76,10 +52,4 @@ func ablations() {
 	pcrs, _, _, _ := runParScript(a, flow.CompressRS, 1, 1)
 	fmt.Printf("parallel resyn2:        %d nodes / %d levels\n", pr2.NumAnds(), pr2.Levels())
 	fmt.Printf("parallel compress-rs:   %d nodes / %d levels\n", pcrs.NumAnds(), pcrs.Levels())
-}
-
-func timeIt(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
 }

@@ -52,16 +52,36 @@ func TestOutputIdentity(t *testing.T) {
 		}
 	}
 
-	deep := aigre.FromInternal(bench.DeepNarrow(8, 500))
-	for _, workers := range []int{1, 2} {
-		res, err := deep.Run(ctx, "b; rw", aigre.Options{Workers: workers, Cache: aigre.NewCache(),
-			Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 2000}})
+	// Sequential compress2rs, recorded before resubstitution moved onto the
+	// scratch-based cone kit.
+	for _, c := range []struct{ name, want string }{
+		{"sixteen", "6d5cc5753594730fb31b67aa2a9636b0d5fe8a4b8a6e9f5cee94b2984e277681"},
+		{"mem_ctrl", "ec43e0793dca51accace846cd95a9e33504f25120a70221c3f45de2338420c1c"},
+	} {
+		res, err := suiteCase(t, c.name).CompressRS(ctx, aigre.Options{Cache: aigre.NewCache()})
 		if err != nil {
-			t.Fatalf("deep-narrow at %d workers: %v", workers, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		const want = "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8"
-		if got := outputDigest(t, res.AIG); got != want {
-			t.Errorf("partitioned b; rw of DeepNarrow(8, 500) at %d workers: output digest %s, want %s", workers, got, want)
+		if got := outputDigest(t, res.AIG); got != c.want {
+			t.Errorf("sequential compress2rs of %s: output digest %s, want %s", c.name, got, c.want)
+		}
+	}
+
+	// Both partition modes go through the one stitcher; on this input they
+	// produce the same bytes (the levels-mode pin was recorded when the
+	// in-order strash replay became the test oracle).
+	deep := aigre.FromInternal(bench.DeepNarrow(8, 500))
+	for _, mode := range []aigre.PartitionMode{aigre.PartitionCones, aigre.PartitionLevels} {
+		for _, workers := range []int{1, 2} {
+			res, err := deep.Run(ctx, "b; rw", aigre.Options{Workers: workers, Cache: aigre.NewCache(),
+				Partition: aigre.PartitionOptions{Mode: mode, TargetSize: 2000}})
+			if err != nil {
+				t.Fatalf("deep-narrow, %v at %d workers: %v", mode, workers, err)
+			}
+			const want = "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8"
+			if got := outputDigest(t, res.AIG); got != want {
+				t.Errorf("%v-partitioned b; rw of DeepNarrow(8, 500) at %d workers: output digest %s, want %s", mode, workers, got, want)
+			}
 		}
 	}
 }

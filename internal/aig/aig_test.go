@@ -174,10 +174,9 @@ func TestRehashMergesDuplicates(t *testing.T) {
 	}
 }
 
-func TestFanoutCountsAndMffc(t *testing.T) {
-	// Reproduce the paper's Figure 2 structure in spirit:
-	// node 3 drives both node 7's cone and an external node, so it is not
-	// in the MFFC of 7.
+func TestFanoutCounts(t *testing.T) {
+	// The paper's Figure 2 structure in spirit: node 3 drives both node 7's
+	// cone and an external node.
 	a := New(4)
 	a.EnableStrash()
 	n3 := a.NewAnd(a.PI(0), a.PI(1))
@@ -188,26 +187,12 @@ func TestFanoutCountsAndMffc(t *testing.T) {
 	a.AddPO(n7)
 	a.AddPO(n6)
 	counts := a.FanoutCounts()
-	size := MffcSize(a, n7.Var(), counts)
-	// MFFC of n7 = {n7, n5, n4}: n3 has an external fanout (n6).
-	if size != 3 {
-		t.Errorf("MffcSize = %d, want 3", size)
-	}
-	nodes := MffcCollect(a, n7.Var(), counts)
-	if len(nodes) != 3 {
-		t.Errorf("MffcCollect = %v", nodes)
-	}
-	seen := map[int32]bool{}
-	for _, id := range nodes {
-		seen[id] = true
-	}
-	if !seen[n7.Var()] || !seen[n5.Var()] || !seen[n4.Var()] || seen[n3.Var()] {
-		t.Errorf("MFFC members wrong: %v", nodes)
-	}
-	// counts must be restored.
-	for i, c := range a.FanoutCounts() {
-		if counts[i] != c {
-			t.Fatalf("counts not restored at %d: %d vs %d", i, counts[i], c)
+	for _, c := range []struct {
+		lit  Lit
+		want int32
+	}{{n3, 2}, {n4, 1}, {n5, 1}, {n7, 1}, {n6, 1}, {a.PI(1), 2}, {a.PI(3), 2}} {
+		if got := counts[c.lit.Var()]; got != c.want {
+			t.Errorf("FanoutCounts[%v] = %d, want %d", c.lit, got, c.want)
 		}
 	}
 }

@@ -79,8 +79,7 @@ func (a *AIG) FanoutCount(id int32) int {
 func (a *AIG) Fanouts(id int32) []int32 { return a.fanouts[id] }
 
 // FanoutCounts returns a freshly computed reference count per node (AND
-// fanout edges plus PO references) without requiring fanout tracking. The
-// result is suitable as the counts argument of MffcSize / MffcCollect.
+// fanout edges plus PO references) without requiring fanout tracking.
 func (a *AIG) FanoutCounts() []int32 {
 	counts := make([]int32, len(a.fanin0))
 	for id := a.numPIs + 1; int(id) < len(a.fanin0); id++ {
@@ -94,59 +93,4 @@ func (a *AIG) FanoutCounts() []int32 {
 		counts[p.Var()]++
 	}
 	return counts
-}
-
-// MffcSize returns the size (number of AND nodes, including the root) of the
-// maximum fanout-free cone of root. counts must hold the current reference
-// counts (see FanoutCounts); it is modified during the computation and fully
-// restored before returning.
-func MffcSize(a *AIG, root int32, counts []int32) int {
-	size, touched := mffcDeref(a, root, counts, nil)
-	for _, v := range touched {
-		counts[v]++
-	}
-	return size
-}
-
-// MffcCollect returns the node ids of the MFFC of root (root included),
-// restoring counts before returning.
-func MffcCollect(a *AIG, root int32, counts []int32) []int32 {
-	nodes := []int32{root}
-	_, touched := mffcDeref(a, root, counts, func(v int32) {
-		nodes = append(nodes, v)
-	})
-	for _, v := range touched {
-		counts[v]++
-	}
-	return nodes
-}
-
-// mffcDeref dereferences the cone below root, counting nodes whose reference
-// count drops to zero (they belong to the MFFC). It returns the MFFC size
-// and the list of nodes whose count was decremented (for restoration).
-// onMember, when non-nil, is called for every MFFC member except the root.
-func mffcDeref(a *AIG, root int32, counts []int32, onMember func(int32)) (int, []int32) {
-	size := 1
-	touched := make([]int32, 0, 16)
-	stack := []int32{root}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range [2]Lit{a.fanin0[cur], a.fanin1[cur]} {
-			v := f.Var()
-			if !a.IsAnd(v) {
-				continue
-			}
-			counts[v]--
-			touched = append(touched, v)
-			if counts[v] == 0 {
-				size++
-				if onMember != nil {
-					onMember(v)
-				}
-				stack = append(stack, v)
-			}
-		}
-	}
-	return size, touched
 }

@@ -166,7 +166,8 @@ func TestNormalizeInputs(t *testing.T) {
 }
 
 func TestHeapOrdering(t *testing.T) {
-	h := heapOf([]item{{5, 10}, {1, 20}, {3, 30}, {1, 8}})
+	h := &itemHeap{s: []item{{5, 10}, {1, 20}, {3, 30}, {1, 8}}}
+	h.heapify()
 	prev := h.pop()
 	for h.len() > 0 {
 		cur := h.pop()

@@ -12,13 +12,6 @@ func itemLess(a, b item) bool {
 	return a.lit < b.lit
 }
 
-// heapOf heapifies items in place.
-func heapOf(items []item) *itemHeap {
-	h := &itemHeap{s: items}
-	h.heapify()
-	return h
-}
-
 // heapify re-establishes the heap invariant over the current slice in place,
 // so a preallocated itemHeap value can be rebound to a new item set without
 // allocating.

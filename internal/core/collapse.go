@@ -13,8 +13,6 @@
 package core
 
 import (
-	"fmt"
-
 	"aigre/internal/aig"
 	"aigre/internal/gpu"
 )
@@ -109,7 +107,7 @@ func NewFFCCollapser(a *aig.AIG, maxCut int) *FFCCollapser {
 
 // Collapse partitions the AIG into disjoint FFCs and returns them grouped
 // by frontier level. Every AND node reachable from a PO belongs to exactly
-// one cone (Theorem 1 guarantees disjointness; VerifyDisjoint checks it).
+// one cone (Theorem 1 guarantees disjointness; the tests check it).
 func (fc *FFCCollapser) Collapse(d *gpu.Device) [][]Cone {
 	// Each kernel thread writes only its own root's slot: race-free.
 	coneAt := make([]*Cone, fc.a.NumObjs())
@@ -206,73 +204,4 @@ func (fc *FFCCollapser) traverse(root int32) (Cone, int64) {
 	}
 	cone.Leaves = final
 	return cone, ops
-}
-
-// VerifyDisjoint checks Theorem 1 on a collapse result: no AND node may
-// belong to two cones, and together the cones must cover every AND node
-// reachable from the POs.
-func VerifyDisjoint(a *aig.AIG, batches [][]Cone) error {
-	owner := make([]int32, a.NumObjs())
-	for i := range owner {
-		owner[i] = -1
-	}
-	for _, batch := range batches {
-		for _, cone := range batch {
-			for _, n := range cone.Nodes {
-				if owner[n] >= 0 {
-					return fmt.Errorf("core: node %d in cones rooted at %d and %d", n, owner[n], cone.Root)
-				}
-				owner[n] = cone.Root
-			}
-		}
-	}
-	for _, id := range a.TopoOrder(true) {
-		if owner[id] < 0 {
-			return fmt.Errorf("core: reachable node %d not covered by any cone", id)
-		}
-	}
-	return nil
-}
-
-// VerifyFFC checks the fanout-free property: every interior (non-root) node
-// of each cone has all of its fanouts inside the same cone.
-func VerifyFFC(a *aig.AIG, batches [][]Cone) error {
-	owner := make([]int32, a.NumObjs())
-	for i := range owner {
-		owner[i] = -1
-	}
-	for _, batch := range batches {
-		for _, cone := range batch {
-			for _, n := range cone.Nodes {
-				owner[n] = cone.Root
-			}
-		}
-	}
-	refs := make([][]int32, a.NumObjs())
-	a.ForEachAnd(func(id int32) {
-		refs[a.Fanin0(id).Var()] = append(refs[a.Fanin0(id).Var()], id)
-		refs[a.Fanin1(id).Var()] = append(refs[a.Fanin1(id).Var()], id)
-	})
-	poRef := make([]bool, a.NumObjs())
-	for _, p := range a.POs() {
-		poRef[p.Var()] = true
-	}
-	for _, batch := range batches {
-		for _, cone := range batch {
-			for _, n := range cone.Nodes {
-				if n == cone.Root {
-					continue
-				}
-				if poRef[n] {
-					return fmt.Errorf("core: interior node %d of cone %d drives a PO", n, cone.Root)
-				}
-				for _, fo := range refs[n] {
-					if owner[fo] != cone.Root {
-						return fmt.Errorf("core: interior node %d of cone %d has external fanout %d", n, cone.Root, fo)
-					}
-				}
-			}
-		}
-	}
-	return nil
 }

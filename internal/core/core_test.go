@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -50,11 +51,11 @@ func TestFFCCollapseTheorem1(t *testing.T) {
 		d := gpu.New(1 + rng.Intn(4))
 		fc := NewFFCCollapser(a, 2+rng.Intn(11))
 		batches := fc.Collapse(d)
-		if err := VerifyDisjoint(a, batches); err != nil {
+		if err := verifyDisjoint(a, batches); err != nil {
 			t.Log(err)
 			return false
 		}
-		if err := VerifyFFC(a, batches); err != nil {
+		if err := verifyFFC(a, batches); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -271,4 +272,73 @@ func simEqual(a, b *aig.AIG) bool {
 		}
 	}
 	return true
+}
+
+// verifyDisjoint checks Theorem 1 on a collapse result: no AND node may
+// belong to two cones, and together the cones must cover every AND node
+// reachable from the POs.
+func verifyDisjoint(a *aig.AIG, batches [][]Cone) error {
+	owner := make([]int32, a.NumObjs())
+	for i := range owner {
+		owner[i] = -1
+	}
+	for _, batch := range batches {
+		for _, cone := range batch {
+			for _, n := range cone.Nodes {
+				if owner[n] >= 0 {
+					return fmt.Errorf("core: node %d in cones rooted at %d and %d", n, owner[n], cone.Root)
+				}
+				owner[n] = cone.Root
+			}
+		}
+	}
+	for _, id := range a.TopoOrder(true) {
+		if owner[id] < 0 {
+			return fmt.Errorf("core: reachable node %d not covered by any cone", id)
+		}
+	}
+	return nil
+}
+
+// verifyFFC checks the fanout-free property: every interior (non-root) node
+// of each cone has all of its fanouts inside the same cone.
+func verifyFFC(a *aig.AIG, batches [][]Cone) error {
+	owner := make([]int32, a.NumObjs())
+	for i := range owner {
+		owner[i] = -1
+	}
+	for _, batch := range batches {
+		for _, cone := range batch {
+			for _, n := range cone.Nodes {
+				owner[n] = cone.Root
+			}
+		}
+	}
+	refs := make([][]int32, a.NumObjs())
+	a.ForEachAnd(func(id int32) {
+		refs[a.Fanin0(id).Var()] = append(refs[a.Fanin0(id).Var()], id)
+		refs[a.Fanin1(id).Var()] = append(refs[a.Fanin1(id).Var()], id)
+	})
+	poRef := make([]bool, a.NumObjs())
+	for _, p := range a.POs() {
+		poRef[p.Var()] = true
+	}
+	for _, batch := range batches {
+		for _, cone := range batch {
+			for _, n := range cone.Nodes {
+				if n == cone.Root {
+					continue
+				}
+				if poRef[n] {
+					return fmt.Errorf("core: interior node %d of cone %d drives a PO", n, cone.Root)
+				}
+				for _, fo := range refs[n] {
+					if owner[fo] != cone.Root {
+						return fmt.Errorf("core: interior node %d of cone %d has external fanout %d", n, cone.Root, fo)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }

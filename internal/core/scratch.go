@@ -2,13 +2,15 @@ package core
 
 import "aigre/internal/aig"
 
-// EvalScratch amortizes the per-cone working memory of gain evaluation:
-// MFFC membership, dry-run costing, and program building. The map-based
-// MffcMembers/DryRunCost/BuildProgramAvoiding allocate per call; the methods
-// here reuse traversal-stamped arrays so the per-node evaluation loops of
-// rewriting and refactoring allocate nothing in steady state. A scratch
-// value is not safe for concurrent use; parallel kernels draw one per
-// worker from a sync.Pool.
+// virtualLit marks a dry-run result that does not exist in the AIG yet.
+const virtualLit = aig.Lit(0xFFFFFFFE)
+
+// EvalScratch is the per-cone working memory of gain evaluation: MFFC
+// membership, dry-run costing, and program building. Its methods reuse
+// traversal-stamped arrays, so the per-node evaluation loops of rewriting,
+// refactoring and resubstitution allocate nothing in steady state. A
+// scratch value is not safe for concurrent use; parallel kernels draw one
+// per worker from a sync.Pool.
 //
 // The marking protocol: each MffcMembers call claims a fresh traversal base
 // b (trav advances by 4, so bases never collide with earlier cones or with
@@ -40,10 +42,12 @@ func (s *EvalScratch) ensure(n int) {
 	s.trav = 0
 }
 
-// MffcMembers computes the MFFC members of root bounded by the cut leaves,
-// exactly as the package-level MffcMembers, but into reused storage: the
-// returned slice (root first) is valid until the next call. The member set
-// stays recorded in the scratch for a following DryRunCost call.
+// MffcMembers returns the MFFC members of root (root first), bounded below
+// by the cut leaves: the dereference never crosses a leaf, so the set holds
+// exactly the nodes that replacing the cone over those leaves would delete.
+// With nil leaves the full MFFC is computed. Uses live fanout counts. The
+// returned slice is valid until the next call; the member set stays recorded
+// in the scratch for following InMffc and DryRunCost calls.
 func (s *EvalScratch) MffcMembers(a *aig.AIG, root int32, leaves []int32) []int32 {
 	s.ensure(a.NumObjs())
 	s.trav += 4
@@ -78,10 +82,24 @@ func (s *EvalScratch) MffcMembers(a *aig.AIG, root int32, leaves []int32) []int3
 	return s.members
 }
 
-// DryRunCost mirrors the package-level DryRunCost against the member set
-// recorded by the preceding MffcMembers call on this scratch. It consumes
-// the recorded set (members revived here stay revived), matching the
-// one-shot evaluate-then-decide usage of the callers.
+// InMffc reports whether v belongs to the member set recorded by the last
+// MffcMembers call (v must be a node of the network that call saw).
+func (s *EvalScratch) InMffc(v int32) bool { return s.mark[v] == s.trav+1 }
+
+// DryRunCost estimates how many new nodes building prog would create,
+// counting structural-hash hits on existing nodes as free (DAG-aware
+// evaluation, as in ABC's rewriting/refactoring gain). Ops whose operands do
+// not exist yet always cost one node.
+//
+// The MFFC of the root being replaced is the member set recorded by the
+// preceding MffcMembers call on this scratch: a structural hit on an MFFC
+// node still resolves to the real literal (the node survives if reused), but
+// it and every not-yet-revived MFFC node in its transitive fanin are charged
+// one node each, because they would otherwise have been deleted. This
+// mirrors ABC's dereference-before-counting and keeps gain = mffcSize - cost
+// an exact lower bound on the area improvement. The call consumes the
+// recorded set (members revived here stay revived), matching the one-shot
+// evaluate-then-decide usage of the callers.
 func (s *EvalScratch) DryRunCost(a *aig.AIG, prog Program, leaves []aig.Lit) int {
 	base := s.trav
 	results := s.resultsFor(len(prog.Ops))
@@ -123,8 +141,11 @@ func (s *EvalScratch) DryRunCost(a *aig.AIG, prog Program, leaves []aig.Lit) int
 	return cost
 }
 
-// BuildProgramAvoiding mirrors the package-level BuildProgramAvoiding with
-// reused result/undo storage.
+// BuildProgramAvoiding materializes prog in the AIG with structural hashing
+// and returns the root literal. If a structural-hash hit reconstructs the
+// node avoid itself (the node about to be replaced — substituting it would
+// create a cycle), construction is abandoned: speculatively created nodes
+// are removed (requires fanout tracking) and ok is false.
 func (s *EvalScratch) BuildProgramAvoiding(a *aig.AIG, prog Program, leaves []aig.Lit, avoid int32) (lit aig.Lit, ok bool) {
 	results := s.resultsFor(len(prog.Ops))
 	created := s.created[:0]

@@ -31,45 +31,48 @@ func andTree(cs ...*factor.Tree) *factor.Tree {
 
 func TestMffcMembersBounded(t *testing.T) {
 	a, _, nodes := buildChain(t)
-	n1, n3 := nodes[0], nodes[2]
-	// Full MFFC of n3 is the whole chain.
-	full := MffcMembers(a, n3.Var(), nil)
-	if len(full) != 3 {
-		t.Fatalf("full MFFC size = %d, want 3", len(full))
+	n1, n2, n3 := nodes[0], nodes[1], nodes[2]
+	var s EvalScratch
+	// Full MFFC of n3 is the whole chain, root first.
+	if full := s.MffcMembers(a, n3.Var(), nil); len(full) != 3 || full[0] != n3.Var() {
+		t.Fatalf("full MFFC = %v, want the 3-node chain from n3", full)
 	}
 	// Bounded by leaf n1: the dereference must stop there.
-	bounded := MffcMembers(a, n3.Var(), []int32{n1.Var(), 3, 4})
-	if len(bounded) != 2 || bounded[n1.Var()] {
+	bounded := s.MffcMembers(a, n3.Var(), []int32{n1.Var(), 3, 4})
+	if len(bounded) != 2 || !s.InMffc(n2.Var()) || !s.InMffc(n3.Var()) || s.InMffc(n1.Var()) {
 		t.Fatalf("bounded MFFC = %v, want {n2,n3}", bounded)
 	}
 }
 
 func TestDryRunCostCountsMisses(t *testing.T) {
-	a, pis, _ := buildChain(t)
+	a, pis, nodes := buildChain(t)
 	// A tree the network does not contain: (x0&x3)&(x1&x2).
 	tree := andTree(andTree(litTree(0, false), litTree(3, false)),
 		andTree(litTree(1, false), litTree(2, false)))
 	prog := Linearize(tree, false)
-	cost := DryRunCost(a, prog, pis, nil)
-	if cost != 3 {
+	var s EvalScratch
+	s.MffcMembers(a, nodes[2].Var(), nil)
+	if cost := s.DryRunCost(a, prog, pis); cost != 3 {
 		t.Errorf("cost = %d, want 3 fresh nodes", cost)
 	}
 }
 
 func TestDryRunCostFreeHitsOutsideMffc(t *testing.T) {
 	a, pis, nodes := buildChain(t)
-	n3 := nodes[2]
-	// Rebuild exactly the existing chain: hits at every level are free when
-	// no MFFC is given.
+	n2, n3 := nodes[1], nodes[2]
+	// Rebuild exactly the existing chain. With the MFFC of n3 cut off at n2
+	// the hits on n1 and n2 are free; only reusing n3 itself is charged.
 	tree := andTree(andTree(andTree(litTree(0, false), litTree(1, false)), litTree(2, false)), litTree(3, false))
 	prog := Linearize(tree, false)
-	if cost := DryRunCost(a, prog, pis, nil); cost != 0 {
-		t.Errorf("cost = %d, want 0 (all strash hits)", cost)
+	var s EvalScratch
+	s.MffcMembers(a, n3.Var(), []int32{n2.Var(), 4})
+	if cost := s.DryRunCost(a, prog, pis); cost != 1 {
+		t.Errorf("cost = %d, want 1 (strash hits below the MFFC are free)", cost)
 	}
-	// With the MFFC of n3 declared, reusing its members must be charged:
-	// hitting n3 (the deepest hit) revives its whole chain.
-	mffc := MffcMembers(a, n3.Var(), nil)
-	if cost := DryRunCost(a, prog, pis, mffc); cost != 3 {
+	// With the full MFFC of n3 declared, hitting n3 (the deepest hit)
+	// revives its whole chain.
+	s.MffcMembers(a, n3.Var(), nil)
+	if cost := s.DryRunCost(a, prog, pis); cost != 3 {
 		t.Errorf("cost = %d, want 3 (full revival through the chain)", cost)
 	}
 }
@@ -83,11 +86,11 @@ func TestDryRunCostRevivalCountedOnce(t *testing.T) {
 	sub := andTree(litTree(0, false), litTree(1, false))
 	tree := andTree(sub, andTree(andTree(litTree(0, false), litTree(1, false)), litTree(2, false)))
 	prog := Linearize(tree, false)
-	mffc := MffcMembers(a, n3.Var(), nil)
-	cost := DryRunCost(a, prog, pis, mffc)
+	var s EvalScratch
+	s.MffcMembers(a, n3.Var(), nil)
 	// Hits: n1 (revive: 1), n2 = (n1&x2) (revive: 1); the top (n1 & n2) is
 	// not in the network -> 1 miss. Total 3.
-	if cost != 3 {
+	if cost := s.DryRunCost(a, prog, pis); cost != 3 {
 		t.Errorf("cost = %d, want 3 (n1+n2 revived once, one miss)", cost)
 	}
 }
@@ -100,8 +103,8 @@ func TestBuildProgramAvoidingAbortsOnSelf(t *testing.T) {
 	tree := andTree(andTree(litTree(0, false), litTree(1, false)), litTree(2, false))
 	prog := Linearize(tree, false)
 	before := a.NumAnds()
-	_, ok := BuildProgramAvoiding(a, prog, pis, n2.Var())
-	if ok {
+	var s EvalScratch
+	if _, ok := s.BuildProgramAvoiding(a, prog, pis, n2.Var()); ok {
 		t.Fatalf("reconstruction of the avoided node must fail")
 	}
 	if a.NumAnds() != before {
@@ -113,19 +116,12 @@ func TestBuildProgramAvoidingBuilds(t *testing.T) {
 	a, pis, _ := buildChain(t)
 	tree := andTree(litTree(0, false), litTree(3, false))
 	prog := Linearize(tree, false)
-	lit, ok := BuildProgramAvoiding(a, prog, pis, 9999)
+	var s EvalScratch
+	lit, ok := s.BuildProgramAvoiding(a, prog, pis, 9999)
 	if !ok {
 		t.Fatal("build failed")
 	}
 	if !a.IsAnd(lit.Var()) {
 		t.Errorf("result %v is not an AND node", lit)
-	}
-}
-
-func TestMffcSizeLiveMatchesMembers(t *testing.T) {
-	a, _, nodes := buildChain(t)
-	n3 := nodes[2]
-	if got, want := MffcSizeLive(a, n3.Var()), len(MffcMembers(a, n3.Var(), nil)); got != want {
-		t.Errorf("MffcSizeLive = %d, members = %d", got, want)
 	}
 }

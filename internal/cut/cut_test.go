@@ -114,7 +114,7 @@ func evalAll(a *aig.AIG, in []bool) []bool {
 func TestConeNodesTopological(t *testing.T) {
 	a, n3 := buildDiamond()
 	leaves := []int32{a.PI(0).Var(), a.PI(1).Var(), a.PI(2).Var()}
-	nodes := ConeNodes(a, n3.Var(), leaves)
+	nodes := coneNodes(a, n3.Var(), leaves)
 	if len(nodes) != 3 {
 		t.Fatalf("cone = %v, want 3 nodes", nodes)
 	}

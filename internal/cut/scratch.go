@@ -1,16 +1,18 @@
 package cut
 
 import (
+	"sync"
+
 	"aigre/internal/aig"
 	"aigre/internal/truth"
 )
 
-// Scratch amortizes cone-evaluation working memory: traversal-stamped node
-// arrays replace the per-call maps of ConeTruth16/ConeTruth, and wide truth
-// tables come from a per-leaf-count arena instead of truth.New. Results
-// returned by ConeTruth are owned by the scratch and valid only until its
-// next call. A Scratch is not safe for concurrent use; parallel kernels
-// draw one per worker from a sync.Pool.
+// Scratch is the working memory of cone evaluation: traversal-stamped node
+// arrays instead of per-call maps, and wide truth tables from a
+// per-leaf-count arena instead of truth.New. Results returned by ConeTruth
+// are owned by the scratch and valid only until its next call. A Scratch is
+// not safe for concurrent use; parallel kernels draw one per worker from a
+// sync.Pool.
 type Scratch struct {
 	stamp  []int32 // node id -> trav when the node has a value this cone
 	trav   int32
@@ -63,8 +65,10 @@ func (s *Scratch) allocTT(n int) truth.TT {
 	return truth.TT{NVars: n, Words: w}
 }
 
-// ConeTruth16 is ConeTruth16 with scratch reuse: identical semantics,
-// no allocation.
+// ConeTruth16 evaluates the function of rootLit over at most four leaves as
+// a 16-bit truth table (leaf i is variable i), the fast path for rewriting.
+// ok is false when the cone escapes the leaf boundary (the leaves do not
+// form a cut). No allocation in steady state.
 func (s *Scratch) ConeTruth16(a *aig.AIG, rootLit aig.Lit, leaves []int32) (uint16, bool) {
 	var leafTT = [4]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
 	s.ensure(a.NumObjs())
@@ -132,9 +136,12 @@ func (s *Scratch) ConeTruth16(a *aig.AIG, rootLit aig.Lit, leaves []int32) (uint
 	return res, true
 }
 
-// ConeTruth is ConeTruth with scratch reuse: identical semantics and bit
-// patterns, no allocation in steady state. The returned table is owned by
-// the scratch — callers must copy anything they keep past the next call.
+// ConeTruth evaluates the function of rootLit over the given leaves: leaf i
+// is variable i. Every path from root to a PI must pass through a leaf
+// (otherwise the function would depend on signals outside the leaf set, and
+// ConeTruth panics; the constant node is permitted and evaluates to false).
+// No allocation in steady state: the returned table is owned by the scratch
+// — callers must copy anything they keep past the next call.
 func (s *Scratch) ConeTruth(a *aig.AIG, rootLit aig.Lit, leaves []int32) truth.TT {
 	n := len(leaves)
 	s.ensure(a.NumObjs())
@@ -186,6 +193,16 @@ func (s *Scratch) ConeTruth(a *aig.AIG, rootLit aig.Lit, leaves []int32) truth.T
 		return s.allocTT(n).Not(res)
 	}
 	return res
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// ConeTruth is Scratch.ConeTruth for callers without a scratch of their own:
+// it borrows a pooled one and returns a copy the caller owns.
+func ConeTruth(a *aig.AIG, rootLit aig.Lit, leaves []int32) truth.TT {
+	s := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(s)
+	return s.ConeTruth(a, rootLit, leaves).Clone()
 }
 
 // ValidCut reports whether every path from root toward the PIs crosses the

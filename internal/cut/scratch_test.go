@@ -28,7 +28,7 @@ func TestScratchConeTruthMatchesMapVersion(t *testing.T) {
 			}
 			for _, neg := range []bool{false, true} {
 				lit := aig.MakeLit(id, neg)
-				want := ConeTruth(a, lit, leaves)
+				want := refConeTruth(a, lit, leaves)
 				got := s.ConeTruth(a, lit, leaves)
 				if got.NVars != want.NVars || len(got.Words) != len(want.Words) {
 					t.Fatalf("shape mismatch: %d/%d vars", got.NVars, want.NVars)
@@ -40,7 +40,7 @@ func TestScratchConeTruthMatchesMapVersion(t *testing.T) {
 				}
 			}
 			if len(leaves) <= 4 {
-				want16, wantOK := ConeTruth16(a, aig.MakeLit(id, false), leaves)
+				want16, wantOK := refConeTruth16(a, aig.MakeLit(id, false), leaves)
 				got16, gotOK := s.ConeTruth16(a, aig.MakeLit(id, false), leaves)
 				if want16 != got16 || wantOK != gotOK {
 					t.Fatalf("node %d: ConeTruth16 scratch (%04x,%v) vs reference (%04x,%v)",

@@ -58,9 +58,6 @@ type Config struct {
 	// command (the paper uses 2 in the single-algorithm Table II
 	// comparison, 1 inside sequences). Default 1.
 	RfPasses int
-	// SkipDedup disables the cleanup pass after parallel rw/rf (for
-	// ablation only).
-	SkipDedup bool
 	// ZeroGain makes the sequential rw and rf commands accept zero-gain
 	// replacements, as rwz/rfz do. Parallel engines always accept zero gain
 	// (Section III-D), so it has no effect in parallel mode.
@@ -336,7 +333,7 @@ func runParallel(a *aig.AIG, cmd string, cfg Config) (*aig.AIG, CommandTiming, e
 	t.Wall = time.Since(start)
 	afterCmd := d.Stats()
 	t.Modeled = afterCmd.Sub(snap).ModeledTime
-	if c.Cleanup && !cfg.SkipDedup {
+	if c.Cleanup {
 		dstart := time.Now()
 		a, _ = dedup.Run(d, a)
 		t.DedupWall = time.Since(dstart)

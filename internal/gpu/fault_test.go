@@ -120,7 +120,7 @@ func TestFaultPlanCorrupt(t *testing.T) {
 	d.InjectFaults(FaultPlan{Kernel: "fill", Kind: FaultCorrupt})
 	const n = 1000
 	out := make([]int32, n)
-	if err := d.TryLaunch1("fill", n, func(tid int) { out[tid] = 1 }); err != nil {
+	if err := d.TryLaunch("fill", n, func(tid int) int64 { out[tid] = 1; return 1 }); err != nil {
 		t.Fatalf("corrupted launch errored: %v", err)
 	}
 	for i := 0; i < n-1; i++ {
@@ -132,7 +132,7 @@ func TestFaultPlanCorrupt(t *testing.T) {
 		t.Errorf("last thread's write survived; corruption not injected")
 	}
 	// Second matching launch runs clean.
-	if err := d.TryLaunch1("fill", n, func(tid int) { out[tid] = 2 }); err != nil {
+	if err := d.TryLaunch("fill", n, func(tid int) int64 { out[tid] = 2; return 1 }); err != nil {
 		t.Fatal(err)
 	}
 	if out[n-1] != 2 {

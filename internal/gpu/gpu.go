@@ -5,8 +5,8 @@
 // the structure of the paper's GPU refactoring and balancing — and run on a
 // goroutine worker pool.
 //
-// Because the reproduction host may have few cores (the reference machine
-// has one), the device additionally records the work and span of every
+// Because the reproduction host may have few cores (the benchmark recorder
+// has two), the device additionally records the work and span of every
 // kernel launch and derives a modeled device time from a calibrated cost
 // model. The modeled time is what the experiment harness reports as "GPU"
 // time; wall-clock time is always reported alongside it. See EXPERIMENTS.md
@@ -16,7 +16,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -216,12 +215,6 @@ func (d *Device) Workers() int { return d.workers }
 // Stats returns the accumulated execution profile.
 func (d *Device) Stats() Stats { return d.stats }
 
-// ResetStats clears the accumulated aggregate and per-kernel profiles.
-func (d *Device) ResetStats() {
-	d.stats = Stats{}
-	d.profile = nil
-}
-
 // AddOverhead accounts an explicit host-side sequential phase into the
 // modeled time (e.g. the sequential replacement step of rewriting),
 // attributed to name in the per-kernel profile (Launches stays 0: this is
@@ -389,17 +382,8 @@ func (d *Device) Launch1(name string, n int, kernel func(tid int)) {
 	})
 }
 
-// TryLaunch1 is Launch1 returning a *LaunchError (as error) instead of
-// panicking when a kernel thread panics.
-func (d *Device) TryLaunch1(name string, n int, kernel func(tid int)) error {
-	return d.TryLaunch(name, n, func(tid int) int64 {
-		kernel(tid)
-		return 1
-	})
-}
-
 // ---------------------------------------------------------------------------
-// Device primitives: scan, compact, reduce. These are the standard GPU
+// Device primitives: scan, compact, sort. These are the standard GPU
 // building blocks the paper's algorithms rely on (gathering per-thread cut
 // lists into a new frontier array is a scan+scatter).
 // ---------------------------------------------------------------------------
@@ -459,30 +443,6 @@ func Compact[T any](d *Device, name string, src []T, keep []bool) []T {
 		}
 	})
 	return out
-}
-
-// ReduceMax returns the maximum of values, accounted as a log-depth device
-// reduction. The reduction identity is math.MinInt32, which is returned for
-// an empty slice — all-negative inputs reduce correctly.
-func (d *Device) ReduceMax(name string, values []int32) int32 {
-	m := int32(math.MinInt32)
-	for _, v := range values {
-		if v > m {
-			m = v
-		}
-	}
-	d.accountScan(name, len(values))
-	return m
-}
-
-// ReduceSum returns the sum of values, accounted as a device reduction.
-func (d *Device) ReduceSum(name string, values []int32) int64 {
-	var s int64
-	for _, v := range values {
-		s += int64(v)
-	}
-	d.accountScan(name, len(values))
-	return s
 }
 
 // SortUniqueInt32 returns a freshly allocated sorted slice of the distinct

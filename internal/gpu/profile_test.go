@@ -13,8 +13,6 @@ func exercise(d *Device) {
 	d.Launch1("test/kernel-b", 50, func(tid int) {})
 	d.Launch("test/kernel-a", 10, func(tid int) int64 { return 2 })
 	d.ExclusiveScan("test/scan", []int32{1, 2, 3, 4})
-	d.ReduceMax("test/reduce", []int32{5, -2, 9})
-	d.ReduceSum("test/reduce", []int32{1, 1, 1})
 	d.SortUniqueInt32("test/sort", []int32{3, 1, 3, 2})
 	Compact(d, "test/compact", []int{1, 2, 3}, []bool{true, false, true})
 	d.AddOverhead("test/seq", 1234)
@@ -159,23 +157,6 @@ func TestDiffProfile(t *testing.T) {
 	// Unchanged snapshot diffs to nothing.
 	if again := DiffProfile(d.Profile(), d.Profile()); len(again) != 0 {
 		t.Errorf("self-diff not empty: %v", again)
-	}
-}
-
-func TestResetStatsClearsProfile(t *testing.T) {
-	d := New(1)
-	exercise(d)
-	d.ResetStats()
-	if len(d.Profile()) != 0 {
-		t.Errorf("profile survived ResetStats: %v", d.Profile())
-	}
-	if d.Stats() != (Stats{}) {
-		t.Errorf("stats survived ResetStats: %+v", d.Stats())
-	}
-	// The device keeps working after a reset.
-	d.Launch("post-reset", 4, func(int) int64 { return 1 })
-	if len(d.Profile()) != 1 {
-		t.Errorf("profile broken after reset: %v", d.Profile())
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 )
 
 // ChainedTable is a lock-free chained hash table in the style of the
-// primitive hashing used by the earlier GPU rewriting work [9]. It exists
-// for the head-to-head benchmark against the linear-probing Table (the paper
-// argues linear probing benefits more from memory locality); algorithms in
-// this repository use Table.
+// primitive hashing used by the earlier GPU rewriting work [9]. It is test
+// code: the baseline of the one hash-table ablation,
+// BenchmarkChainedInsertQuery against BenchmarkLinearInsertQuery (the paper
+// argues linear probing benefits more from memory locality).
 type ChainedTable struct {
 	heads []int32 // bucket -> first entry index, -1 when empty
 	next  []int32 // entry -> next entry index

@@ -7,8 +7,8 @@
 //
 // Compared to the chained design used by the earlier GPU rewriting work [9],
 // linear probing keeps probes within consecutive memory, benefiting from
-// locality; the package also provides a chained variant so the two designs
-// can be benchmarked head-to-head (see DESIGN.md).
+// locality; go test -bench InsertQuery measures the two head-to-head
+// against a test-only chained table.
 package hashtable
 
 import (
@@ -226,27 +226,6 @@ func (t *Table) Query(key uint64) (uint32, bool) {
 	return invalidVal, false
 }
 
-// Update stores val for key, which must already be present. Used by the
-// de-duplication pass to repoint an entry at the surviving node.
-func (t *Table) Update(key uint64, val uint32) {
-	if key == emptyKey {
-		panic("hashtable: zero key is reserved")
-	}
-	i := aig.HashKey(key) & t.mask
-	for probes := 0; probes <= len(t.keys); probes++ {
-		k := atomic.LoadUint64(&t.keys[i])
-		if k == emptyKey {
-			panic("hashtable: Update of absent key")
-		}
-		if k == key {
-			atomic.StoreUint32(&t.vals[i], val)
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-	panic("hashtable: Update probed full table")
-}
-
 // KV is one key-value pair.
 type KV struct {
 	Key uint64
@@ -292,9 +271,4 @@ func (t *Table) Rehash(capacityHint int) {
 	for _, kv := range old {
 		t.InsertUnique(kv.Key, kv.Val)
 	}
-}
-
-// LoadFactor returns the current occupancy fraction.
-func (t *Table) LoadFactor() float64 {
-	return float64(t.Len()) / float64(len(t.keys))
 }

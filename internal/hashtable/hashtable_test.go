@@ -35,15 +35,6 @@ func TestInsertQueryBasic(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	ht := New(8)
-	ht.InsertUnique(5, 1)
-	ht.Update(5, 2)
-	if v, _ := ht.Query(5); v != 2 {
-		t.Errorf("after update Query = %d", v)
-	}
-}
-
 func TestZeroKeyPanics(t *testing.T) {
 	ht := New(8)
 	defer func() {
@@ -64,8 +55,8 @@ func TestCollisionHeavyFill(t *testing.T) {
 			t.Fatalf("key %d -> (%d,%v)", i, v, ok)
 		}
 	}
-	if ht.LoadFactor() > 0.51 {
-		t.Errorf("load factor %f too high", ht.LoadFactor())
+	if lf := float64(ht.Len()) / float64(ht.Cap()); lf > 0.51 {
+		t.Errorf("load factor %f too high", lf)
 	}
 }
 

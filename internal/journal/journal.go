@@ -6,9 +6,8 @@
 // footprints of a crashed process: a torn final line (killed mid-append) and
 // torn mid-file records (partially persisted pages followed by later
 // successful appends) are skipped with a count rather than failing the read.
-// With CreateSync (or AppendSync) every append is fsynced before it returns,
-// which is what lets the daemon acknowledge a submission only once it is
-// durable.
+// With CreateSync every append is fsynced before it returns, which is what
+// lets the daemon acknowledge a submission only once it is durable.
 //
 // The Entry layer on top is the supervision journal: every supervision
 // event — an attempt starting, a contained flow.Incident, a retry with its
@@ -149,18 +148,6 @@ func (j *Journal) Size() int64 {
 // journal discards the entry. The line is written with a single Write call so
 // concurrent appenders through an os.File never interleave bytes.
 func (j *Journal) Append(e Entry) error {
-	return j.append(e, false)
-}
-
-// AppendSync is Append followed by an fsync of the journal file, regardless
-// of whether the journal was opened with CreateSync: the entry is durably on
-// disk when AppendSync returns. On a journal without an underlying file
-// (New) it is identical to Append.
-func (j *Journal) AppendSync(e Entry) error {
-	return j.append(e, true)
-}
-
-func (j *Journal) append(e Entry, sync bool) error {
 	if j == nil {
 		return nil
 	}
@@ -172,7 +159,7 @@ func (j *Journal) append(e Entry, sync bool) error {
 		e.Time = time.Now()
 	}
 	if j.w != nil {
-		if err := j.appendLocked(e, sync); err != nil {
+		if err := j.appendLocked(e); err != nil {
 			return err
 		}
 	}
@@ -192,12 +179,12 @@ func (j *Journal) AppendRecord(v any) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appendLocked(v, false)
+	return j.appendLocked(v)
 }
 
 // appendLocked marshals v, writes it as one line, and honors the journal's
-// sync mode (or the per-call sync override). Callers hold j.mu.
-func (j *Journal) appendLocked(v any, sync bool) error {
+// sync mode. Callers hold j.mu.
+func (j *Journal) appendLocked(v any) error {
 	line, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -207,7 +194,7 @@ func (j *Journal) appendLocked(v any, sync bool) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	j.size += int64(len(line))
-	if (sync || j.sync) && j.f != nil {
+	if j.sync && j.f != nil {
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("journal: fsync: %w", err)
 		}

@@ -76,9 +76,6 @@ func TestNilJournalIsNoOp(t *testing.T) {
 	if err := j.Append(Entry{Job: "x", Event: EventDone}); err != nil {
 		t.Fatalf("nil journal Append: %v", err)
 	}
-	if err := j.AppendSync(Entry{Job: "x", Event: EventDone}); err != nil {
-		t.Fatalf("nil journal AppendSync: %v", err)
-	}
 	if err := j.AppendRecord(struct{ X int }{1}); err != nil {
 		t.Fatalf("nil journal AppendRecord: %v", err)
 	}
@@ -150,9 +147,9 @@ func TestCorruptMiddleSkippedWithCount(t *testing.T) {
 	}
 }
 
-// TestAppendSyncDurable checks the fsync-on-append paths: both the AppendSync
-// call and a CreateSync journal produce files whose every line is already
-// visible (and whole) without Close.
+// TestAppendSyncDurable checks the fsync-on-append path: a CreateSync journal
+// produces a file whose every line is already visible (and whole) without
+// Close.
 func TestAppendSyncDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sync.jsonl")
 	j, err := CreateSync(path)
@@ -162,7 +159,7 @@ func TestAppendSyncDurable(t *testing.T) {
 	if err := j.Append(Entry{Job: "a", Event: EventAttempt}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendSync(Entry{Job: "a", Event: EventDone}); err != nil {
+	if err := j.Append(Entry{Job: "a", Event: EventDone}); err != nil {
 		t.Fatal(err)
 	}
 	// Read back while the journal is still open: the appends must already be

@@ -31,7 +31,7 @@ type part struct {
 // cluster, and the cluster is closed when adding the next cone would push it
 // past target (an oversize single cone still becomes one partition). Logic
 // shared between clusters is duplicated into each; the stitcher merges the
-// copies back by re-strashing.
+// copies back.
 func buildCones(a *aig.AIG, target int) []*part {
 	nobj := a.NumObjs()
 	mark := make([]int32, nobj)  // node -> cluster number (1-based; 0 = none)
@@ -212,8 +212,7 @@ func buildWindows(a *aig.AIG, target int) []*part {
 //
 // Extraction is a pure read of the base network, so the partitions fan out
 // over the pool; each task's translation scratch comes from the shared
-// free-lists (one dirty literal array gated by a zeroed seen array, the same
-// epoch discipline the sequential version used).
+// free-lists (one dirty literal array gated by a zeroed seen array).
 func extractAll(base *aig.AIG, parts []*part, pool *sched.Pool) []*aig.AIG {
 	nobj := base.NumObjs()
 	cones := make([]*aig.AIG, len(parts))

@@ -4,9 +4,9 @@
 // independent prioritized job on the batch engine (internal/sched, largest
 // partition first, sharing one resynthesis cache), and the optimized
 // partitions are stitched back together with conflict breaking at the
-// seams: duplicate structure created by independent jobs is merged by
-// re-strashing the whole network during the replay, and the stitched result
-// must pass the structural invariant check plus the sampling-equivalence
+// seams: duplicate structure created by independent jobs is merged level by
+// level under a fixed winner priority (stitchParallel), and the stitched
+// result must pass the structural invariant check plus the sampling-equivalence
 // gate of the guarded flow runner. A partition that refutes is rolled back
 // to its pre-optimization cone.
 //
@@ -42,7 +42,7 @@ const (
 	// Cones clusters primary outputs greedily: each partition is the union
 	// of consecutive PO fanin cones, closed under fanin (its only inputs are
 	// PIs). Logic shared between clusters is duplicated into each — the
-	// stitcher's re-strashing merges the copies back. Best for wide
+	// stitcher merges the copies back. Best for wide
 	// many-output designs and for deep, narrow designs that starve
 	// kernel-level parallelism.
 	Cones
@@ -332,7 +332,6 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 			rounds:    gateRounds,
 			maxRounds: opts.MaxConflictRounds,
 			seed:      opts.Seed,
-			mode:      opts.Mode,
 			pool:      pool,
 		}, &res)
 	})

@@ -85,8 +85,7 @@ func TestStitchCheckpointIdentity(t *testing.T) {
 		} else {
 			parts = buildWindows(a, 120)
 		}
-		pres := extractAll(a, parts, pool)
-		merged, _, err := stitch(a, parts, pres)
+		merged, _, err := stitchParallel(a, parts, extractAll(a, parts, pool), pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,16 +93,6 @@ func TestStitchCheckpointIdentity(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		fullCEC(t, a, merged)
-		if mode == Cones {
-			pmerged, _, err := stitchParallel(a, parts, pres, pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := aig.Check(pmerged); err != nil {
-				t.Fatalf("%v parallel: %v", mode, err)
-			}
-			fullCEC(t, a, pmerged)
-		}
 	}
 }
 
@@ -128,7 +117,7 @@ func TestResolveRollsBackCorruptPartition(t *testing.T) {
 	chosen[1] = bad
 
 	res := Result{Report: Report{Parts: make([]Stat, len(parts))}}
-	merged, err := resolve(a, parts, pres, chosen, resolveConfig{rounds: 4, maxRounds: 2, seed: 5}, &res)
+	merged, err := resolve(a, parts, pres, chosen, resolveConfig{rounds: 4, maxRounds: 2, seed: 5, pool: pool}, &res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -18,7 +19,6 @@ import (
 var (
 	pLitPool mempool.SlicePool[aig.Lit]
 	pI32Pool mempool.SlicePool[int32]
-	pU64Pool mempool.SlicePool[uint64]
 )
 
 // stitchTablePool recycles the merge table between stitch rounds, reused
@@ -59,36 +59,63 @@ func chunked(pool *sched.Pool, n int, fn func(lo, hi int)) {
 	pool.Execute(tasks)
 }
 
-// stitchParallel is the cones-mode two-phase parallel replacement for
-// stitch: it produces a network with the same merged structure and the same
-// total conflict count, with the per-partition replay and the strash merge
-// running on the pool instead of one goroutine.
+// unresolved marks a literal slot still to be filled: a boundary-map entry
+// no partition (and no PI) has driven, a node awaiting its class winner.
+const unresolved = ^aig.Lit(0)
+
+// coneMap places one partition's compacted cone in the gid space: its AND
+// nodes fill the range starting at lo in id order, its nIn inputs resolve
+// through the boundary map.
+type coneMap struct {
+	lo, nIn  int32
+	inputs   []int32
+	boundary []aig.Lit
+}
+
+// lit maps a literal of the cone into the gid space.
+func (m coneMap) lit(l aig.Lit) aig.Lit {
+	g := aig.ConstFalse
+	if v := l.Var(); v > m.nIn {
+		g = aig.MakeLit(m.lo+v-m.nIn-1, false)
+	} else if v > 0 {
+		g = m.boundary[m.inputs[v-1]]
+	}
+	return g.NotCond(l.IsCompl())
+}
+
+// stitchParallel builds the merged network from the chosen cone of every
+// partition, in both modes, and reports per partition how many replayed
+// nodes were broken at the seam: merged with a structural duplicate another
+// partition also created, or simplified away against boundary constants.
 //
-// Cones-mode partitions read only primary inputs (buildCones closes every
-// cluster under fanin), so the concatenation phase is embarrassingly
-// parallel: each partition's cone is replayed into a reserved range of a
-// shared node space with no cross-partition edges. The merge phase then
-// plays the role the global strash table played in the sequential stitcher:
-// nodes are processed level-synchronously (a node's fanins are strictly
-// below it in its own cone, so by its batch they are final), each batch
-// resolves structural duplicates through hashtable.InsertMin — the minimum
-// node id in a batch of duplicates wins, and a class that first appeared at
-// an earlier level keeps its established winner — and trivial nodes are
-// simplified against their finalized fanins exactly as NewAnd would have.
-// The winner policy is deterministic and independent of the worker count;
-// the merged quotient graph (and therefore the compacted result, up to node
-// renumbering) matches what the sequential replay builds, because both merge
-// every class of structurally identical nodes completely and apply the same
-// trivial-node simplification.
+// Every chosen cone is compacted, so its k-th AND node has a fixed place in
+// a shared gid space before anything is replayed: gid 0 is const-false,
+// 1..nPI the base PIs, then one contiguous range per partition in index
+// order. A sequential pre-pass over the exported outputs fills the boundary
+// map (base node id -> gid-space literal) by that arithmetic; a partition's
+// inputs must already be driven by a PI or a lower-indexed partition when
+// its turn comes. With the map complete, phase 1 replays every cone into
+// its own range concurrently: cross-partition edges are plain reads of the
+// map.
+//
+// Phase 2 plays the role of a global strash table: nodes are processed
+// level-synchronously, each batch resolves structural duplicates through
+// hashtable.InsertMin — the minimum gid in a batch of duplicates wins, and a
+// class that first appeared at an earlier level keeps its established
+// winner — and trivial nodes are simplified against their finalized fanins
+// exactly as NewAnd would have. A batch only needs every fanin to be final,
+// so any labeling that grows along every edge will do: a node's level is
+// its depth inside its own cone, plus a per-partition lift that puts the
+// partition above every lower partition it reads. The winner policy is
+// deterministic and independent of the worker count; the merged quotient
+// graph (and therefore the compacted result, up to node renumbering) is
+// what an in-order strash replay builds, because both merge every class of
+// structurally identical nodes completely and apply the same trivial-node
+// simplification.
 func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched.Pool) (*aig.AIG, []int, error) {
 	nPI := base.NumPIs()
 	nParts := len(parts)
 
-	// Reserve each partition a contiguous gid range after the shared PI
-	// prefix: gid 0 is const-false, 1..nPI the base PIs, then the live AND
-	// nodes of every chosen cone in partition index order (topological
-	// within a cone), mirroring the sequential replay's first-encounter
-	// order.
 	offs := make([]int, nParts+1)
 	offs[0] = 1 + nPI
 	for i, c := range chosen {
@@ -96,71 +123,98 @@ func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched
 	}
 	totalLen := offs[nParts]
 
+	boundary := pLitPool.Get(base.NumObjs())
+	defer pLitPool.Put(boundary)
+	for v := range boundary {
+		boundary[v] = unresolved
+	}
+	for v := 0; v <= nPI; v++ {
+		boundary[v] = aig.MakeLit(int32(v), false)
+	}
+	poGlobal := make([]aig.Lit, base.NumPOs())
+	for i := range poGlobal {
+		poGlobal[i] = unresolved
+	}
+	maps := make([]coneMap, nParts)
+	for pi, p := range parts {
+		c := chosen[pi]
+		if c.NumPIs() != len(p.inputs) {
+			return nil, nil, fmt.Errorf("partition: part %d cone has %d PIs, want %d", pi, c.NumPIs(), len(p.inputs))
+		}
+		if c.NumPOs() != len(p.outputs)+len(p.poIdx) {
+			return nil, nil, fmt.Errorf("partition: part %d cone has %d POs, want %d",
+				pi, c.NumPOs(), len(p.outputs)+len(p.poIdx))
+		}
+		if c.NumObjs() != c.NumPIs()+1+c.NumAnds() {
+			return nil, nil, fmt.Errorf("partition: part %d cone is not compacted", pi)
+		}
+		for _, in := range p.inputs {
+			if boundary[in] == unresolved {
+				return nil, nil, fmt.Errorf("partition: part %d input node %d not yet stitched", pi, in)
+			}
+		}
+		m := coneMap{int32(offs[pi]), int32(c.NumPIs()), p.inputs, boundary}
+		maps[pi] = m
+		for j, l := range c.POs() {
+			if int(l.Var()) >= c.NumObjs() {
+				return nil, nil, fmt.Errorf("partition: part %d output %d reads node %d outside its cone", pi, j, l.Var())
+			}
+			if j < len(p.outputs) {
+				boundary[p.outputs[j]] = m.lit(l)
+			} else {
+				poGlobal[p.poIdx[j-len(p.outputs)]] = m.lit(l)
+			}
+		}
+	}
+	// POs no partition owns (const- or PI-driven in cones mode, every PO in
+	// levels mode) resolve through the boundary map.
+	for i, g := range poGlobal {
+		if g != unresolved {
+			continue
+		}
+		p := base.PO(i)
+		if boundary[p.Var()] == unresolved {
+			return nil, nil, fmt.Errorf("partition: PO %d driver node %d not stitched", i, p.Var())
+		}
+		poGlobal[i] = boundary[p.Var()].NotCond(p.IsCompl())
+	}
+
 	f0s := pLitPool.Get(totalLen)
 	f1s := pLitPool.Get(totalLen)
 	remap := pLitPool.Get(totalLen)
 	level := pI32Pool.GetZeroed(totalLen)
-	partOf := pI32Pool.Get(totalLen)
-	keys := pU64Pool.Get(totalLen)
 	defer func() {
 		pLitPool.Put(f0s)
 		pLitPool.Put(f1s)
 		pLitPool.Put(remap)
 		pI32Pool.Put(level)
-		pI32Pool.Put(partOf)
-		pU64Pool.Put(keys)
 	}()
 	for v := 0; v <= nPI; v++ {
 		remap[v] = aig.MakeLit(int32(v), false)
 	}
 
-	poGlobal := make([]aig.Lit, base.NumPOs())
-	poSet := make([]bool, base.NumPOs())
-	errs := make([]error, nParts)
-	partMaxLev := make([]int32, nParts)
-
 	// Phase 1: parallel concatenation. Each partition translates its cone
-	// into the shared gid space; inputs are base PIs, so partitions touch
-	// only their reserved range (plus their own PO slots).
+	// into its reserved gid range and labels it with cone-local levels; gids
+	// below the range (PIs, lower partitions) count as level 0 and are never
+	// read here, since their owners are writing them.
+	partMaxLev := make([]int32, nParts)
 	tasks := make([]func(), nParts)
 	for pi := range parts {
-		pi, p, c := pi, parts[pi], chosen[pi]
+		pi, c, m := pi, chosen[pi], maps[pi]
 		tasks[pi] = func() {
-			if c.NumPIs() != len(p.inputs) {
-				errs[pi] = fmt.Errorf("partition: part %d cone has %d PIs, want %d", pi, c.NumPIs(), len(p.inputs))
-				return
-			}
-			if c.NumPOs() != len(p.outputs)+len(p.poIdx) {
-				errs[pi] = fmt.Errorf("partition: part %d cone has %d POs, want %d",
-					pi, c.NumPOs(), len(p.outputs)+len(p.poIdx))
-				return
-			}
-			if len(p.outputs) != 0 {
-				errs[pi] = fmt.Errorf("partition: part %d exports boundary outputs in cones mode", pi)
-				return
-			}
-			local := pLitPool.Get(c.NumObjs())
-			defer pLitPool.Put(local)
-			local[0] = aig.ConstFalse
-			for j, in := range p.inputs {
-				if int(in) > nPI {
-					errs[pi] = fmt.Errorf("partition: part %d input node %d is not a PI", pi, in)
-					return
+			lo := m.lo
+			localLev := func(g aig.Lit) int32 {
+				if v := g.Var(); v >= lo {
+					return level[v]
 				}
-				local[j+1] = aig.MakeLit(in, false)
+				return 0
 			}
-			gid := int32(offs[pi])
-			maxLev := int32(0)
+			gid, maxLev := lo, int32(0)
 			for id := int32(c.NumPIs() + 1); int(id) < c.NumObjs(); id++ {
-				if c.IsDeleted(id) {
-					continue
-				}
-				cf0, cf1 := c.Fanin0(id), c.Fanin1(id)
-				g0 := local[cf0.Var()].NotCond(cf0.IsCompl())
-				g1 := local[cf1.Var()].NotCond(cf1.IsCompl())
+				g0, g1 := m.lit(c.Fanin0(id)), m.lit(c.Fanin1(id))
 				f0s[gid], f1s[gid] = g0, g1
-				lev := level[g0.Var()]
-				if l1 := level[g1.Var()]; l1 > lev {
+				lev := localLev(g0)
+				if l1 := localLev(g1); l1 > lev {
 					lev = l1
 				}
 				lev++
@@ -168,32 +222,38 @@ func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched
 				if lev > maxLev {
 					maxLev = lev
 				}
-				partOf[gid] = int32(pi)
-				local[id] = aig.MakeLit(gid, false)
 				gid++
 			}
 			partMaxLev[pi] = maxLev
-			for j, po := range p.poIdx {
-				l := c.PO(len(p.outputs) + j)
-				if epv := l.Var(); int(epv) < c.NumObjs() {
-					poGlobal[po] = local[epv].NotCond(l.IsCompl())
-					poSet[po] = true
-				}
-			}
 		}
 	}
 	pool.Execute(tasks)
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
+
+	// Lift each partition above the lower partitions it reads.
+	lift := make([]int32, nParts)
 	maxLev := int32(0)
-	for _, l := range partMaxLev {
-		if l > maxLev {
-			maxLev = l
+	tasks = tasks[:0]
+	for pi, p := range parts {
+		for _, in := range p.inputs {
+			if v := int(boundary[in].Var()); v > nPI {
+				q := sort.SearchInts(offs, v+1) - 1 // the partition whose range holds v
+				if lift[q]+partMaxLev[q] > lift[pi] {
+					lift[pi] = lift[q] + partMaxLev[q]
+				}
+			}
+		}
+		if top := lift[pi] + partMaxLev[pi]; top > maxLev {
+			maxLev = top
+		}
+		if by, own := lift[pi], level[offs[pi]:offs[pi+1]]; by > 0 {
+			tasks = append(tasks, func() {
+				for i := range own {
+					own[i] += by
+				}
+			})
 		}
 	}
+	pool.Execute(tasks)
 
 	// Bucket gids by level (counting sort keeps gid order within a level, so
 	// batches are deterministic).
@@ -217,45 +277,39 @@ func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched
 
 	ht := acquireStitchTable(nNodes + 16)
 	defer stitchTablePool.Put(ht)
-	conflicts32 := make([]int32, nParts)
 
 	// Phase 2: level-synchronous merge. Pass A finalizes each node's fanins
 	// against the remap of the levels below, simplifies trivial nodes, and
-	// registers survivors in the merge table; pass B resolves every node to
-	// its class winner. Pass A is idempotent (InsertMin is monotone), so a
-	// full table retries the batch after a rehash, like the dedup pass.
+	// registers survivors in the merge table under their rank in order; pass
+	// B resolves every node to its class winner. The minimum rank is the
+	// minimum gid of the earliest level the class appeared at, so a later
+	// duplicate never displaces a winner that nodes have already resolved
+	// to. Pass A is idempotent (InsertMin is monotone), so a full table
+	// retries the batch after a rehash, like the dedup pass.
 	for lev := int32(1); lev <= maxLev; lev++ {
-		batch := order[start[lev]:start[lev+1]]
+		first := start[lev]
+		batch := order[first:start[lev+1]]
 		if len(batch) == 0 {
 			continue
 		}
 		for {
 			var full atomic.Bool
 			chunked(pool, len(batch), func(lo, hi int) {
-				for _, gid := range batch[lo:hi] {
+				for i, gid := range batch[lo:hi] {
 					l0 := f0s[gid]
 					l1 := f1s[gid]
 					g0 := remap[l0.Var()].NotCond(l0.IsCompl())
 					g1 := remap[l1.Var()].NotCond(l1.IsCompl())
 					if lit, ok := aig.SimplifyAnd(g0, g1); ok {
-						remap[gid] = lit
-						keys[gid] = 0 // trivial: no table entry
+						remap[gid] = lit // trivial: no table entry
 						continue
 					}
 					if g0 > g1 {
 						g0, g1 = g1, g0
 					}
 					f0s[gid], f1s[gid] = g0, g1
-					k := aig.Key(g0, g1)
-					keys[gid] = k
-					// A class that first appeared at an earlier level keeps
-					// its established winner: later duplicates must not
-					// lower the stored id, or nodes that already resolved
-					// would silently split from their class.
-					if w, ok := ht.Query(k); ok && level[w] < lev {
-						continue
-					}
-					if err := ht.InsertMin(k, uint32(gid)); err != nil {
+					remap[gid] = unresolved
+					if err := ht.InsertMin(aig.Key(g0, g1), uint32(first+lo+i)); err != nil {
 						full.Store(true)
 						return
 					}
@@ -268,21 +322,14 @@ func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched
 		}
 		chunked(pool, len(batch), func(lo, hi int) {
 			for _, gid := range batch[lo:hi] {
-				k := keys[gid]
-				if k == 0 {
-					atomic.AddInt32(&conflicts32[partOf[gid]], 1)
+				if remap[gid] != unresolved {
 					continue // trivial, remapped in pass A
 				}
-				w, ok := ht.Query(k)
+				r, ok := ht.Query(aig.Key(f0s[gid], f1s[gid]))
 				if !ok {
 					panic("partition: merge table lost a key")
 				}
-				if int32(w) == gid {
-					remap[gid] = aig.MakeLit(gid, false)
-					continue
-				}
-				remap[gid] = aig.MakeLit(int32(w), false)
-				atomic.AddInt32(&conflicts32[partOf[gid]], 1)
+				remap[gid] = aig.MakeLit(order[r], false)
 			}
 		})
 	}
@@ -305,27 +352,21 @@ func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched
 		o1 := gmap[f1s[gid].Var()].NotCond(f1s[gid].IsCompl())
 		gmap[gid] = out.AddAndUnchecked(o0, o1)
 	}
-	for i := 0; i < base.NumPOs(); i++ {
-		var l aig.Lit
-		if poSet[i] {
-			g := poGlobal[i]
-			r := remap[g.Var()].NotCond(g.IsCompl())
-			l = gmap[r.Var()].NotCond(r.IsCompl())
-		} else {
-			p := base.PO(i)
-			if int(p.Var()) > nPI {
-				return nil, nil, fmt.Errorf("partition: PO %d driver node %d not stitched", i, p.Var())
-			}
-			l = p
-		}
-		out.AddPO(l)
+	for _, g := range poGlobal {
+		r := remap[g.Var()].NotCond(g.IsCompl())
+		out.AddPO(gmap[r.Var()].NotCond(r.IsCompl()))
 	}
 	final, _ := out.Compact()
 	final.Name = base.Name
 
+	// A node that did not survive as itself was broken at the seam.
 	conflicts := make([]int, nParts)
-	for i, c := range conflicts32 {
-		conflicts[i] = int(c)
+	for pi := range parts {
+		for gid := offs[pi]; gid < offs[pi+1]; gid++ {
+			if remap[gid] != aig.MakeLit(int32(gid), false) {
+				conflicts[pi]++
+			}
+		}
 	}
 	return final, conflicts, nil
 }

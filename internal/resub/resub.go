@@ -18,6 +18,8 @@
 package resub
 
 import (
+	"sync"
+
 	"aigre/internal/aig"
 	"aigre/internal/core"
 	"aigre/internal/cut"
@@ -69,6 +71,14 @@ type candidate struct {
 	gain   int
 }
 
+// scratch is one worker's reusable evaluation memory: the cut computer and
+// the stamped cone-truth and MFFC arrays rewriting and refactoring use.
+type scratch struct {
+	rc *cut.Reconv
+	cs cut.Scratch
+	es core.EvalScratch
+}
+
 // divisorSet is the cut closure with truth tables over the cut leaves.
 type divisorSet struct {
 	ids    []int32
@@ -77,15 +87,15 @@ type divisorSet struct {
 
 // collectDivisors builds the closure of nodes computable from the leaves:
 // every node whose two fanins are already in the closure. fanouts is a
-// fanout index accessor (node -> fanout node ids). Nodes in exclude (the
-// target's MFFC, which the substitution deletes) are not offered as
-// divisors, but still belong to the closure so truths above them resolve —
-// with the crucial exception of the target itself: admitting it would let
+// fanout index accessor (node -> fanout node ids). Nodes of the target's
+// MFFC (the set mffc recorded last; the substitution deletes them) are not
+// offered as divisors, but still belong to the closure so truths above them
+// resolve — with the crucial exception of the target itself: admitting it would let
 // the closure climb into the target's transitive fanout and offer divisors
 // whose substitution creates a cycle. Blocking the target keeps the
 // invariant "no closure member contains the target in its fanin cone" by
 // induction from the leaves.
-func collectDivisors(a *aig.AIG, target int32, leaves []int32, fanouts func(int32) []int32, exclude map[int32]bool, maxDiv int) divisorSet {
+func collectDivisors(a *aig.AIG, target int32, leaves []int32, fanouts func(int32) []int32, mffc *core.EvalScratch, maxDiv int) divisorSet {
 	n := len(leaves)
 	inSet := make(map[int32]truth.TT, 2*maxDiv)
 	var ds divisorSet
@@ -122,7 +132,7 @@ func collectDivisors(a *aig.AIG, target int32, leaves []int32, fanouts func(int3
 			tt := truth.New(n).And(t0, t1)
 			inSet[f] = tt
 			queue = append(queue, f)
-			if !exclude[f] {
+			if !mffc.InMffc(f) {
 				ds.ids = append(ds.ids, f)
 				ds.truths = append(ds.truths, tt)
 				if len(ds.ids) >= maxDiv {
@@ -136,15 +146,15 @@ func collectDivisors(a *aig.AIG, target int32, leaves []int32, fanouts func(int3
 
 // evaluateNode searches for the best substitution of node id. fanouts is a
 // static fanout index of the current graph.
-func evaluateNode(a *aig.AIG, rc *cut.Reconv, fanouts func(int32) []int32, id int32, opts Options) (candidate, bool, int64) {
-	leaves := rc.Cut(id, opts.MaxCut)
+func evaluateNode(a *aig.AIG, s *scratch, fanouts func(int32) []int32, id int32, opts Options) (candidate, bool, int64) {
+	leaves := s.rc.Cut(id, opts.MaxCut)
 	if len(leaves) < 2 {
 		return candidate{}, false, 1
 	}
 	leaves = append([]int32(nil), leaves...) // rc reuses its buffer
-	mffc := core.MffcMembers(a, id, leaves)
-	ttN := cut.ConeTruth(a, aig.MakeLit(id, false), leaves)
-	ds := collectDivisors(a, id, leaves, fanouts, mffc, opts.MaxDivisors)
+	mffc := len(s.es.MffcMembers(a, id, leaves))
+	ttN := s.cs.ConeTruth(a, aig.MakeLit(id, false), leaves) // valid until the next s.cs call
+	ds := collectDivisors(a, id, leaves, fanouts, &s.es, opts.MaxDivisors)
 	ops := int64(len(ds.ids)) * int64(len(ttN.Words)+2)
 
 	notN := truth.New(ttN.NVars).Not(ttN)
@@ -154,14 +164,14 @@ func evaluateNode(a *aig.AIG, rc *cut.Reconv, fanouts func(int32) []int32, id in
 			continue
 		}
 		if ds.truths[i].Equal(ttN) {
-			return candidate{leaves: leaves, kind: 0, d0: aig.MakeLit(d, false), gain: len(mffc)}, true, ops
+			return candidate{leaves: leaves, kind: 0, d0: aig.MakeLit(d, false), gain: mffc}, true, ops
 		}
 		if ds.truths[i].Equal(notN) {
-			return candidate{leaves: leaves, kind: 0, d0: aig.MakeLit(d, true), gain: len(mffc)}, true, ops
+			return candidate{leaves: leaves, kind: 0, d0: aig.MakeLit(d, true), gain: mffc}, true, ops
 		}
 	}
 	// 1-resub: target = ±(±di & ±dj); needs |MFFC| >= 2 for positive gain.
-	if len(mffc) < 2 {
+	if mffc < 2 {
 		return candidate{}, false, ops
 	}
 	n := ttN.NVars
@@ -202,7 +212,7 @@ func evaluateNode(a *aig.AIG, rc *cut.Reconv, fanouts func(int32) []int32, id in
 						d0:     aig.MakeLit(ds.ids[i], phase&1 != 0),
 						d1:     aig.MakeLit(ds.ids[j], phase&2 != 0),
 						outNeg: and.Equal(notN),
-						gain:   len(mffc) - 1,
+						gain:   mffc - 1,
 					}, true, ops
 				}
 			}
@@ -233,7 +243,7 @@ func andOf(n int, ti, tj truth.TT, negJ bool) truth.TT {
 // apply performs the substitution in place, revalidating against the
 // current graph (leaves must still form a cut, the divisors must be live,
 // and the identity must still hold).
-func apply(work *aig.AIG, id int32, cand candidate, revalidate bool) bool {
+func apply(work *aig.AIG, s *scratch, id int32, cand candidate, revalidate bool) bool {
 	if work.IsDeleted(id) {
 		return false
 	}
@@ -252,10 +262,11 @@ func apply(work *aig.AIG, id int32, cand candidate, revalidate bool) bool {
 		}
 	}
 	if revalidate {
-		ttN, ok := coneTruthSafe(work, aig.MakeLit(id, false), cand.leaves)
+		ttN, ok := coneTruthSafe(work, s, aig.MakeLit(id, false), cand.leaves)
 		if !ok {
 			return false
 		}
+		ttN = ttN.Clone() // the divisor truths below reuse the scratch
 		// Earlier substitutions may have rerouted a divisor's cone through
 		// the target itself; substituting would then create a cycle.
 		for _, dl := range divs {
@@ -263,19 +274,17 @@ func apply(work *aig.AIG, id int32, cand candidate, revalidate bool) bool {
 				return false
 			}
 		}
-		t0, ok := coneTruthSafe(work, cand.d0, cand.leaves)
+		expr, ok := coneTruthSafe(work, s, cand.d0, cand.leaves)
 		if !ok {
 			return false
 		}
-		var expr truth.TT
-		if cand.kind == 0 {
-			expr = t0
-		} else {
-			t1, ok := coneTruthSafe(work, cand.d1, cand.leaves)
+		if cand.kind == 1 {
+			t0 := expr.Clone()
+			t1, ok := coneTruthSafe(work, s, cand.d1, cand.leaves)
 			if !ok {
 				return false
 			}
-			expr = truth.New(ttN.NVars).And(t0, t1)
+			expr = t0.And(t0, t1)
 		}
 		if cand.outNeg {
 			expr = truth.New(ttN.NVars).Not(expr)
@@ -327,13 +336,13 @@ func coneContains(a *aig.AIG, root int32, leaves []int32, banned int32) bool {
 
 // coneTruthSafe evaluates a cone function, returning ok=false when the
 // leaves no longer bound the cone.
-func coneTruthSafe(a *aig.AIG, rootLit aig.Lit, leaves []int32) (t truth.TT, ok bool) {
+func coneTruthSafe(a *aig.AIG, s *scratch, rootLit aig.Lit, leaves []int32) (t truth.TT, ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
 		}
 	}()
-	return cut.ConeTruth(a, rootLit, leaves), true
+	return s.cs.ConeTruth(a, rootLit, leaves), true
 }
 
 // Sequential runs one ABC-style resubstitution pass (rs): nodes are visited
@@ -344,7 +353,7 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	work := a.Rehash()
 	work.EnableStrash()
 	work.EnableFanouts()
-	rc := cut.NewReconv(work)
+	s := &scratch{rc: cut.NewReconv(work)}
 	lastOriginal := int32(work.NumObjs())
 	for id := int32(work.NumPIs() + 1); id < lastOriginal; id++ {
 		if work.IsDeleted(id) {
@@ -353,11 +362,11 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 		st.NodesConsidered++
 		// The managed mode keeps live fanout lists; use them directly so
 		// evaluation always sees the current graph.
-		cand, ok, _ := evaluateNode(work, rc, work.Fanouts, id, opts)
+		cand, ok, _ := evaluateNode(work, s, work.Fanouts, id, opts)
 		if !ok {
 			continue
 		}
-		if apply(work, id, cand, false) {
+		if apply(work, s, id, cand, false) {
 			if cand.kind == 0 {
 				st.ZeroResubs++
 			} else {
@@ -388,18 +397,20 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
 	cands := make([]candidate, len(nodes))
 	oks := make([]bool, len(nodes))
-	// Reconvergence-driven cut computers are stateful; give each worker its
-	// own through a pool indexed by a bounded worker count is not exposed,
-	// so allocate per-thread (cheap relative to evaluation).
+	// One scratch per worker; the cut computer is bound to work, so the pool
+	// lives as long as this pass.
+	pool := sync.Pool{New: func() any { return &scratch{rc: cut.NewReconv(work)} }}
 	d.Launch("resub/evaluate", len(nodes), func(tid int) int64 {
-		rc := cut.NewReconv(work)
-		cand, ok, ops := evaluateNode(work, rc, work.Fanouts, nodes[tid], opts)
+		s := pool.Get().(*scratch)
+		cand, ok, ops := evaluateNode(work, s, work.Fanouts, nodes[tid], opts)
+		pool.Put(s)
 		cands[tid] = cand
 		oks[tid] = ok
 		return ops
 	})
 	st.NodesConsidered = len(nodes)
 
+	s := pool.Get().(*scratch)
 	var seqOps int64
 	for i, id := range nodes {
 		seqOps++
@@ -407,7 +418,7 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 			continue
 		}
 		seqOps += int64(8 + 4*len(cands[i].leaves))
-		if apply(work, id, cands[i], true) {
+		if apply(work, s, id, cands[i], true) {
 			if cands[i].kind == 0 {
 				st.ZeroResubs++
 			} else {

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"aigre/internal/aig"
+	"aigre/internal/bench"
 	"aigre/internal/cec"
+	"aigre/internal/core"
 	"aigre/internal/gpu"
 )
 
@@ -120,6 +122,34 @@ func TestResubPassesCEC(t *testing.T) {
 	}
 }
 
+// TestResubGoldens pins both engines' substitution counts on two suite
+// circuits to the values the map-based cone kit produced (recorded before
+// the engines moved onto core.EvalScratch and cut.Scratch).
+func TestResubGoldens(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		seq, par Stats
+	}{
+		{"mem_ctrl",
+			Stats{NodesConsidered: 2071, ZeroResubs: 7, OneResubs: 26, NodesBefore: 2071, NodesAfter: 2020},
+			Stats{NodesConsidered: 2071, ZeroResubs: 7, OneResubs: 26, NodesBefore: 2071, NodesAfter: 2020}},
+		{"voter",
+			Stats{NodesConsidered: 5043, ZeroResubs: 300, OneResubs: 582, NodesBefore: 5143, NodesAfter: 3870},
+			Stats{NodesConsidered: 5143, ZeroResubs: 350, OneResubs: 250, NodesBefore: 5143, NodesAfter: 4318}},
+	} {
+		a, ok := bench.ByName(c.name, 1)
+		if !ok {
+			t.Fatalf("unknown circuit %q", c.name)
+		}
+		if _, st := Sequential(a, Options{}); st != c.seq {
+			t.Errorf("%s sequential: %+v, want %+v", c.name, st, c.seq)
+		}
+		if _, st := Parallel(gpu.New(1), a, Options{}); st != c.par {
+			t.Errorf("%s parallel at 1 worker: %+v, want %+v", c.name, st, c.par)
+		}
+	}
+}
+
 func TestDivisorClosureExcludesTFO(t *testing.T) {
 	// The closure construction must never offer a divisor whose fanin cone
 	// contains the target (cycle safety).
@@ -128,6 +158,7 @@ func TestDivisorClosureExcludesTFO(t *testing.T) {
 	a.EnableStrash()
 	a.EnableFanouts()
 	fanouts := a.Fanouts
+	var es core.EvalScratch
 	counts := 0
 	a.ForEachAnd(func(id int32) {
 		if counts > 40 {
@@ -135,7 +166,8 @@ func TestDivisorClosureExcludesTFO(t *testing.T) {
 		}
 		counts++
 		leaves := []int32{a.Fanin0(id).Var(), a.Fanin1(id).Var()}
-		ds := collectDivisors(a, id, leaves, fanouts, map[int32]bool{id: true}, 32)
+		es.MffcMembers(a, id, leaves) // the target's fanins are the leaves: the MFFC is the target
+		ds := collectDivisors(a, id, leaves, fanouts, &es, 32)
 		for _, d := range ds.ids {
 			if d == id {
 				continue

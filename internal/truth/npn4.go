@@ -117,20 +117,3 @@ func Npn4Canon(tt uint16) (uint16, Npn4Transform) {
 	}
 	return best, bestTr
 }
-
-// Npn4Apply applies a transform to tt, mapping the original function to the
-// canonical domain. Npn4Apply(tt, tr) == canonical when tr was returned by
-// Npn4Canon(tt).
-func Npn4Apply(tt uint16, tr Npn4Transform) uint16 {
-	cur := tt
-	for v := 0; v < 4; v++ {
-		if tr.InputNeg>>uint(v)&1 != 0 {
-			cur = npn4FlipVar(cur, v)
-		}
-	}
-	cur = npn4Permute(cur, tr.Perm)
-	if tr.OutputNeg {
-		cur = ^cur
-	}
-	return cur
-}

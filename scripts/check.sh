@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-1 verification: gofmt gate, build, vet (findings fail the run; the
-# nested benchmark module too), the full test suite under the race detector,
-# and then only the rows that add a flag to it: the non-race million-node and
-# scaling smokes, the seeded chaos gate, uncached (-count=1) runs of the
-# I/O-bound packages, the byte budgets, and short fuzz smokes of the AIGER
-# parser, the ISOP and the simulator.
+# nested benchmark module too, with its smoke test), the full test suite
+# under the race detector, and then only the rows that add a flag to it: the
+# non-race million-node and scaling smokes, the seeded chaos gate, uncached
+# (-count=1) runs of the I/O-bound packages, the byte budgets, and short fuzz
+# smokes of the AIGER parser, the ISOP and the simulator.
 # Run from anywhere; `make check` is an alias.
 set -eu
 cd "$(dirname "$0")/.."
@@ -22,8 +22,9 @@ go test -race ./...
 # The benchmark harness is a nested module that tier-1 never compiles, yet
 # it pins ~70 identifiers of this module (sched.Job.Custom, queue.Session,
 # aigre.PartitionStat.WallNS, ...): vet it, so a rename surfaces here and not
-# as a failed benchmark run.
-(cd benchmark && go vet ./...)
+# as a failed benchmark run, and run its smoke test, so a deleted or changed
+# function the probes call fails here too.
+(cd benchmark && go vet ./... && go test ./...)
 # Partition-parallel optimization: the million-node deep/narrow smoke (cone
 # partitioning of an AIG the kernel-level parallelism cannot touch), without
 # the race detector (the -race pass above skips it as too slow).
