@@ -27,17 +27,14 @@ package aigre
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"aigre/internal/aig"
 	"aigre/internal/aiger"
 	"aigre/internal/cec"
-	"aigre/internal/dedup"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/partition"
@@ -298,17 +295,8 @@ func (n *Network) WriteFile(path string) error {
 
 func (o Options) device() *gpu.Device {
 	d := gpu.New(o.Workers)
-	if len(o.FaultPlans) > 0 {
-		d.InjectFaults(o.FaultPlans...)
-	}
+	d.InjectFaults(o.FaultPlans...)
 	return d
-}
-
-func (o Options) passes() int {
-	if o.Passes <= 0 {
-		return 1
-	}
-	return o.Passes
 }
 
 // flowConfig maps the engine parameters onto a flow.Config: Options.Cache
@@ -332,94 +320,27 @@ func (o Options) flowConfig() flow.Config {
 	return cfg
 }
 
-// runAlgo is the shared body of Balance, Refactor, Rewrite, Resub, and
-// Dedup: it runs passes repetitions of one script-vocabulary command outside
-// a script — device wiring, pass repetition, the parallel cleanup pass, and
-// wall/modeled/profile result assembly live here once. A command with no
-// sequential engine always runs on the device (Dedup).
-//
-// Engine failures are propagated, not swallowed: a kernel abort (surfacing
-// as a *gpu.LaunchError panic from the unguarded engines) is returned as an
-// error alongside the partial Result, and ctx cancellation — checked
-// between passes and, on the device, at every kernel-launch boundary —
-// returns ctx.Err() wrapped in the partial Result. Unlike Run, these
-// single-algorithm entry points have no checkpoint/rollback/retry layer;
-// use Run for guarded execution.
-func (n *Network) runAlgo(ctx context.Context, opts Options, cmd flow.Command, passes int) (res Result, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	cfg := opts.flowConfig()
-	parallel := opts.Parallel || cmd.Seq == nil
-	var d *gpu.Device
-	if parallel {
-		d = opts.device()
-		d.Bind(ctx)
-	}
-	cur := n.aig
-	cacheBefore := cfg.Cache.Snapshot()
-	finish := func(e error) (Result, error) {
-		r := flow.Result{AIG: cur, Wall: time.Since(start)}
-		r.Modeled = r.Wall
-		if parallel {
-			r.Modeled = d.Stats().ModeledTime
-			r.Profile = d.Profile()
-		}
-		r.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
-		return resultOf(r, nil), e
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			e := engineError(r)
-			if e == nil {
-				panic(r) // not an engine failure: a bug, don't mask it
-			}
-			res, err = finish(e)
-		}
-	}()
-	for p := 0; p < passes; p++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return finish(fmt.Errorf("aigre: cancelled after %d of %d passes: %w", p, passes, cerr))
-		}
-		if parallel {
-			cur = cmd.Par(d, cur, cfg)
-		} else {
-			cur = cmd.Seq(cur, cfg)
-		}
-	}
-	if parallel && cmd.Cleanup {
-		cur, _ = dedup.Run(d, cur)
-	}
-	return finish(nil)
-}
-
-// engineError classifies a panic recovered from an engine call: typed
-// kernel failures and launch cancellations become error returns; anything
-// else yields nil so the caller re-panics.
-func engineError(r any) error {
-	e, ok := r.(error)
-	if !ok {
-		return nil
-	}
-	var le *gpu.LaunchError
-	var ce *gpu.CancelledError
-	if errors.As(e, &le) || errors.As(e, &ce) {
-		return e
-	}
-	return nil
-}
-
-// runCommand runs the named script command as a single algorithm.
+// runCommand runs the named vocabulary command as a single algorithm through
+// flow.RunCommand: passes repetitions on the selected engine, then (parallel
+// mode, rewriting/refactoring/resubstitution) the cleanup pass, unguarded — a
+// kernel abort or a cancellation comes back as an error beside the partial
+// Result. Use Run for checkpointed, gated execution.
 func (n *Network) runCommand(ctx context.Context, opts Options, name string, passes int) (Result, error) {
 	cmd, err := flow.Lookup(name)
 	if err != nil {
 		return Result{}, err
 	}
-	return n.runAlgo(ctx, opts, cmd, passes)
+	cfg := opts.flowConfig()
+	if opts.Parallel {
+		cfg.Device = opts.device()
+	}
+	res, err := flow.RunCommand(ctx, n.aig, cmd, passes, cfg)
+	return resultOf(res, nil), err
 }
 
-// Balance runs AND-balancing (delay optimization, Section IV).
+// Balance runs AND-balancing (delay optimization, Section IV). Like
+// Refactor, Rewrite, Resub and Dedup it is one unguarded command run; see
+// flow.RunCommand for the execution and error contract.
 func (n *Network) Balance(ctx context.Context, opts Options) (Result, error) {
 	return n.runCommand(ctx, opts, "b", 1)
 }
@@ -427,7 +348,7 @@ func (n *Network) Balance(ctx context.Context, opts Options) (Result, error) {
 // Refactor runs refactoring (Section III). In parallel mode the cleanup
 // pass (Section III-F) is included.
 func (n *Network) Refactor(ctx context.Context, opts Options) (Result, error) {
-	return n.runCommand(ctx, opts, "rf", opts.passes())
+	return n.runCommand(ctx, opts, "rf", opts.Passes)
 }
 
 // Rewrite runs rewriting. In parallel mode this follows [9] (parallel
@@ -437,22 +358,21 @@ func (n *Network) Rewrite(ctx context.Context, opts Options) (Result, error) {
 	if opts.ZeroGain {
 		name = "rwz"
 	}
-	return n.runCommand(ctx, opts, name, opts.passes())
+	return n.runCommand(ctx, opts, name, opts.Passes)
 }
 
 // Resub runs resubstitution (the paper's future-work algorithm): nodes are
 // re-expressed as functions of existing divisors. In parallel mode the
 // divisor search for all nodes runs on the device.
 func (n *Network) Resub(ctx context.Context, opts Options) (Result, error) {
-	return n.runCommand(ctx, opts, "rs", opts.passes())
+	return n.runCommand(ctx, opts, "rs", opts.Passes)
 }
 
 // Dedup runs the de-duplication and dangling-node cleanup pass alone. It
 // always executes on the device (the pass has no sequential variant).
 func (n *Network) Dedup(ctx context.Context, opts Options) (Result, error) {
-	return n.runAlgo(ctx, opts, flow.Command{
-		Par: func(d *gpu.Device, a *aig.AIG, _ flow.Config) *aig.AIG { out, _ := dedup.Run(d, a); return out },
-	}, 1)
+	opts.Parallel = true
+	return n.runCommand(ctx, opts, "dedup", 1)
 }
 
 // Run executes a command script such as "b; rw; rfz" (see package flow for

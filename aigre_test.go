@@ -3,12 +3,14 @@ package aigre_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"aigre"
 	"aigre/internal/bench"
+	"aigre/internal/gpu"
 )
 
 func buildAPICircuit(t testing.TB) *aigre.Network {
@@ -158,5 +160,75 @@ func TestPublicAPIClone(t *testing.T) {
 	c.AddPO(aigre.Const1)
 	if n.Stats().POs == c.Stats().POs {
 		t.Error("clone not independent")
+	}
+}
+
+// TestSingleAlgorithmKernelAbort drives the unguarded single-algorithm path
+// into a kernel panic: the failure comes back as a *gpu.LaunchError beside a
+// partial result that is still the input's function (the network after the
+// last completed pass — here the input itself or one refactoring pass).
+func TestSingleAlgorithmKernelAbort(t *testing.T) {
+	n := aigre.FromInternal(bench.Multiplier(8))
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		spec string
+		run  func(aigre.Options) (aigre.Result, error)
+	}{
+		{"balance", "balance/insert-pass:1:panic", func(o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
+		{"rewrite", "rewrite/evaluate:1:panic", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
+		{"rewrite-cleanup", "dedup/level:1:panic", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
+		{"refactor", "refactor/resynth:1:panic", func(o aigre.Options) (aigre.Result, error) { return n.Refactor(ctx, o) }},
+		{"refactor-pass-2", "refactor/resynth:2:panic", func(o aigre.Options) (aigre.Result, error) { o.Passes = 2; return n.Refactor(ctx, o) }},
+	} {
+		plan, err := gpu.ParseFaultPlan(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.run(aigre.Options{Parallel: true, Workers: 1, FaultPlans: []gpu.FaultPlan{plan}})
+		var le *gpu.LaunchError
+		if !errors.As(err, &le) {
+			t.Errorf("%s: err = %v, want a *gpu.LaunchError", c.name, err)
+			continue
+		}
+		if res.AIG == nil {
+			t.Errorf("%s: kernel abort lost the partial result", c.name)
+			continue
+		}
+		if eq, err := res.AIG.EquivalentTo(n); err != nil || !eq {
+			t.Errorf("%s: partial result not equivalent to the input (%v)", c.name, err)
+		}
+		if len(res.Profile) == 0 {
+			t.Errorf("%s: partial result carries no device profile", c.name)
+		}
+	}
+}
+
+// TestSequentialPassesRepeat checks that Options.Passes repeats the sequential
+// engine: two passes give the network of two chained one-pass calls.
+func TestSequentialPassesRepeat(t *testing.T) {
+	ctx := context.Background()
+	n := suiteCase(t, "mem_ctrl") // a second drf pass still finds replacements here
+	one, err := n.Refactor(ctx, aigre.Options{Cache: aigre.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained, err := one.AIG.Refactor(ctx, aigre.Options{Cache: aigre.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := n.Refactor(ctx, aigre.Options{Passes: 2, Cache: aigre.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := outputDigest(t, two.AIG), outputDigest(t, chained.AIG); got != want {
+		t.Errorf("Refactor{Passes: 2} differs from two chained passes: %d vs %d nodes", two.AIG.Stats().Nodes, chained.AIG.Stats().Nodes)
+	}
+	if two.AIG.Stats().Nodes >= one.AIG.Stats().Nodes {
+		t.Errorf("second pass changed nothing (%d -> %d nodes): the case cannot tell one pass from two",
+			one.AIG.Stats().Nodes, two.AIG.Stats().Nodes)
+	}
+	if len(two.Timings) != 1 || two.Timings[0].NodesAfter != two.AIG.Stats().Nodes {
+		t.Errorf("run record timings = %+v, want one entry for the command", two.Timings)
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"math/rand"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"aigre"
 	"aigre/internal/bench"
+	"aigre/internal/gpu"
+	"aigre/internal/hashtable"
 	"aigre/internal/journal"
 	"aigre/internal/sched"
 )
@@ -65,9 +68,9 @@ func TestChaosBatchSupervision(t *testing.T) {
 	for i := range jobs {
 		o := opts
 		if i == stuckIdx {
-			o.FaultPlans = sched.StallSchedule("rewrite/evaluate", 8, 400*time.Millisecond)
+			o.FaultPlans = stallSchedule("rewrite/evaluate", 8, 400*time.Millisecond)
 		} else {
-			o.FaultPlans = sched.ChaosSchedule(*chaosSeed*8191+int64(i), 2)
+			o.FaultPlans = chaosSchedule(*chaosSeed*8191+int64(i), 2)
 		}
 		jobs[i].Options = o
 	}
@@ -185,4 +188,61 @@ func TestChaosBatchSupervision(t *testing.T) {
 	if retries != m.Retries {
 		t.Errorf("journal: %d retry events, metrics counted %d", retries, m.Retries)
 	}
+}
+
+// chaosKernels is the fault-injection vocabulary: kernel-name substrings that
+// every script built from the standard commands launches, so a plan aimed at
+// any of them is guaranteed a target. Panic-kind plans may hit all of them;
+// corrupt-kind plans are pinned to "balance/gather" because that is the
+// launch whose lost writes the per-command equivalence gate provably catches
+// (silent corruption elsewhere could slip past sampling and poison a run in
+// a way no supervisor can classify).
+var chaosKernels = []string{
+	"rewrite/evaluate",
+	"refactor/resynth",
+	"balance/insert-pass",
+	"balance/gather",
+	"dedup/level",
+}
+
+// chaosSchedule builds a deterministic pseudo-random fault schedule of n
+// plans for chaos tests: each plan targets a random kernel from the standard
+// vocabulary and either panics with the generic injected-fault error, panics
+// with hashtable.ErrTableFull (modeling a typed device-side failure), or
+// silently corrupts a balance/gather launch. The same seed always yields the
+// same schedule, so a chaos run is exactly reproducible.
+func chaosSchedule(seed int64, n int) []gpu.FaultPlan {
+	rng := rand.New(rand.NewSource(seed))
+	plans := make([]gpu.FaultPlan, 0, n)
+	for i := 0; i < n; i++ {
+		p := gpu.FaultPlan{
+			Kernel: chaosKernels[rng.Intn(len(chaosKernels))],
+			Nth:    1 + rng.Intn(3),
+			Kind:   gpu.FaultPanic,
+		}
+		switch rng.Intn(3) {
+		case 1:
+			p.Panic = hashtable.ErrTableFull
+		case 2:
+			p.Kernel = "balance/gather"
+			p.Kind = gpu.FaultCorrupt
+		}
+		plans = append(plans, p)
+	}
+	return plans
+}
+
+// stallSchedule builds a poison-job schedule: hits launches of the kernel
+// each stall for the given duration, so every supervised attempt of the job
+// goes quiet again and the watchdog must preempt it anew. Every plan is
+// armed at Nth 1: a launch fires the first unspent plan and leaves the rest
+// untouched (injection stops at the firing plan), so the schedule burns one
+// plan per stalled launch no matter how attempts slice the launch sequence.
+// Sizing hits above the retry budget guarantees the job ends up quarantined.
+func stallSchedule(kernel string, hits int, stall time.Duration) []gpu.FaultPlan {
+	plans := make([]gpu.FaultPlan, hits)
+	for i := range plans {
+		plans[i] = gpu.FaultPlan{Kernel: kernel, Nth: 1, Kind: gpu.FaultStall, Stall: stall}
+	}
+	return plans
 }

@@ -123,6 +123,21 @@ func runParScript(a *aig.AIG, script string, rwzPasses, rfPasses int) (*aig.AIG,
 	return r.AIG, r.Wall, r.Modeled, r.Timings
 }
 
+// runParCommand runs passes of one vocabulary command as a single algorithm
+// on a freshly leased device, the cleanup pass included when the command has
+// one (flow.RunCommand: unguarded, so an engine failure ends the experiment).
+func runParCommand(a *aig.AIG, name string, passes int) flow.Result {
+	cmd, err := flow.Lookup(name)
+	if err != nil {
+		panic(err)
+	}
+	res, err := flow.RunCommand(context.Background(), a, cmd, passes, flow.Config{Parallel: true, Device: device()})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // geo accumulates a geometric mean.
 type geo struct {
 	logSum float64

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"aigre/internal/dedup"
+	"aigre/internal/gpu"
 	"aigre/internal/refactor"
 	"aigre/internal/rewrite"
 )
@@ -30,13 +30,11 @@ func table1() {
 		refactor.Parallel(dSR, a, refactor.Options{SequentialReplacement: true})
 		rfSeqRepl += dSR.Stats().SeqTime
 
-		dP := device()
-		out, _ := refactor.Parallel(dP, a, refactor.Options{})
-		dedup.Run(dP, out)
-		rfProposed += dP.Stats().SeqTime
+		proposed := gpu.TotalProfile(runParCommand(a, "rf", 1).Profile).Seq
+		rfProposed += proposed
 		n++
 		fmt.Printf("  %-14s rw-seq-part=%-12v rf-seqrepl-part=%-12v rf-proposed-part=%v\n",
-			c.Name, dRW.Stats().SeqTime.Round(time.Microsecond), dSR.Stats().SeqTime.Round(time.Microsecond), dP.Stats().SeqTime.Round(time.Microsecond))
+			c.Name, dRW.Stats().SeqTime.Round(time.Microsecond), dSR.Stats().SeqTime.Round(time.Microsecond), proposed.Round(time.Microsecond))
 	}
 	base := rwSeq.Seconds() / float64(n)
 	fmt.Println()

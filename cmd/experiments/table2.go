@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"aigre/internal/balance"
-	"aigre/internal/dedup"
 	"aigre/internal/refactor"
 )
 
@@ -29,22 +28,16 @@ func table2() {
 		startSeqB := time.Now()
 		outSeqB, _ := balance.Sequential(a)
 		seqBWall := time.Since(startSeqB)
-		dB := device()
-		outParB, _ := balance.Parallel(dB, a)
-		parBModel := dB.Stats().ModeledTime
+		parB := runParCommand(a, "b", 1)
+		outParB, parBModel := parB.AIG, parB.Modeled
 		verify(c.Name+"/b", a, outParB)
 
 		// Refactoring: sequential drf (1 pass) vs GPU rf (2 passes + cleanup).
 		startRF := time.Now()
 		outSeqRF, _ := refactor.Sequential(a, refactor.Options{})
 		seqRFWall := time.Since(startRF)
-		dRF := device()
-		cur := a
-		for p := 0; p < 2; p++ {
-			cur, _ = refactor.Parallel(dRF, cur, refactor.Options{})
-		}
-		outParRF, _ := dedup.Run(dRF, cur)
-		parRFModel := dRF.Stats().ModeledTime
+		parRF := runParCommand(a, "rf", 2)
+		outParRF, parRFModel := parRF.AIG, parRF.Modeled
 		verify(c.Name+"/rf", a, outParRF)
 
 		accelB := seqBWall.Seconds() / parBModel.Seconds()

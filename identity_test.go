@@ -5,10 +5,16 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"aigre"
 	"aigre/internal/bench"
+	"aigre/internal/gpu"
+	"aigre/internal/rcache"
+	"aigre/internal/refactor"
 )
 
 func outputDigest(t *testing.T, n *aigre.Network) string {
@@ -182,4 +188,126 @@ func TestResyn2DecidedOnce(t *testing.T) {
 			t.Errorf("RunBatch(%q): output digest %s, Resyn2() gives %s", script, got, want)
 		}
 	}
+}
+
+// profileDigest hashes the accounting columns of a device profile (kernel,
+// launches, threads, work, span) in kernel-name order.
+func profileDigest(rows []gpu.KernelProfile) string {
+	rows = slices.Clone(rows)
+	slices.SortFunc(rows, func(a, b gpu.KernelProfile) int { return strings.Compare(a.Kernel, b.Kernel) })
+	h := sha256.New()
+	for _, p := range rows {
+		fmt.Fprintf(h, "%s %d %d %d %d\n", p.Kernel, p.Launches, p.Threads, p.Work, p.Span)
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestCommandGoldens pins what the command executor and the engines' shared
+// edit scaffold own: output bytes of every single-algorithm entry point, and
+// for the device runs the modeled time to the nanosecond and the per-kernel
+// accounting rows. Recorded at the commit before the executor existed
+// (0854ff4); nothing here may move in a change that only restructures.
+func TestCommandGoldens(t *testing.T) {
+	ctx := context.Background()
+	type algo struct {
+		name string
+		run  func(n *aigre.Network, o aigre.Options) (aigre.Result, error)
+	}
+	algos := []algo{
+		{"b", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
+		{"rf2", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { o.Passes = 2; return n.Refactor(ctx, o) }},
+		{"rw", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
+		{"rwz", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) {
+			o.ZeroGain = true
+			return n.Rewrite(ctx, o)
+		}},
+		{"rs", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Resub(ctx, o) }},
+		{"dedup", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Dedup(ctx, o) }},
+		{"resyn2", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Resyn2(ctx, o) }},
+	}
+	for _, name := range []string{"sixteen", "mem_ctrl", "multiplier"} {
+		n := suiteCase(t, name)
+		for _, al := range algos {
+			for _, parallel := range []bool{false, true} {
+				if al.name == "resyn2" && !parallel {
+					continue // TestOutputIdentity has the sequential digests
+				}
+				key := fmt.Sprintf("%s/%s/seq", name, al.name)
+				if parallel {
+					key = fmt.Sprintf("%s/%s/par", name, al.name)
+				}
+				res, err := al.run(n, aigre.Options{Parallel: parallel, Workers: 1, Cache: aigre.NewCache()})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				got := outputDigest(t, res.AIG)
+				if res.Profile != nil { // ran on the device (Dedup always does)
+					got += fmt.Sprintf(" %d %s", res.Modeled.Nanoseconds(), profileDigest(res.Profile))
+				}
+				if al.name == "resyn2" {
+					got += fmt.Sprintf(" %d", len(res.Timings))
+				}
+				if want := commandGoldens[key]; got != want {
+					t.Errorf("%q: %q, want %q", key, got, want)
+					if res.Profile != nil {
+						t.Logf("%s profile:\n%s", key, gpu.FormatProfile(res.Profile))
+					}
+				}
+			}
+		}
+
+		// The Table I row: parallel refactoring with host-sequential replacement.
+		d := gpu.New(1)
+		out, _ := refactor.Parallel(d, n.Internal(), refactor.Options{SequentialReplacement: true, Cache: rcache.New()})
+		key := name + "/rf-seqreplace"
+		got := fmt.Sprintf("%s %d", outputDigest(t, aigre.FromInternal(out)), d.Stats().SeqTime.Nanoseconds())
+		if want := commandGoldens[key]; got != want {
+			t.Errorf("%q: %q, want %q", key, got, want)
+		}
+	}
+}
+
+var commandGoldens = map[string]string{
+	"sixteen/b/seq":            "bf8470c60b5c28f98fd2f5c9807df4e0915b967ac80cb394a3ee98a86af84f68",
+	"sixteen/b/par":            "f9354383cf2831ac604a04bf6268b9453f173640b1086f2bc631254f3378a561 9849270 e54d5f122a577c01",
+	"sixteen/rf2/seq":          "10cae196dc4d49abe104c6d1485c0cd040dfac02c0d562f7cef8e3cf9aa54c3c",
+	"sixteen/rf2/par":          "fe6b7cc2cd60c68604c461f23d0860ea769c99db2fcf85d877df245513c75a62 14437190 36ca7b1f1035c596",
+	"sixteen/rw/seq":           "cb8e697f943124c353f61fa25c36e8d135ec070a09cc915f8eb60f0c755cee63",
+	"sixteen/rw/par":           "586d33521c0b1f5a4df1d88a6970875d121e8f10741fa1d30f701db1f5b0ce08 2037108 c35a58ac6b62839a",
+	"sixteen/rwz/seq":          "cb8e697f943124c353f61fa25c36e8d135ec070a09cc915f8eb60f0c755cee63",
+	"sixteen/rwz/par":          "586d33521c0b1f5a4df1d88a6970875d121e8f10741fa1d30f701db1f5b0ce08 2307664 3d8cb4b9215c7cdc",
+	"sixteen/rs/seq":           "171c8ca7097b8d54a91ea8c946e173b728dfc12a7dd69e9ef93a5aa1606162da",
+	"sixteen/rs/par":           "09bc2b8d0438765c941630baa2324565dc55322ec697acacdd40cbc21a39b966 2033434 9fb405cd1e9581df",
+	"sixteen/dedup/seq":        "5d0f70bf9d8f9d2664810a051efd4e630bc4a32309a50bd43d92faa76e236e61 2252230 67a1ed7affcfebfb",
+	"sixteen/dedup/par":        "5d0f70bf9d8f9d2664810a051efd4e630bc4a32309a50bd43d92faa76e236e61 2252230 67a1ed7affcfebfb",
+	"sixteen/resyn2/par":       "a8ba8d773c0eadd485211c8c234b2d6f95285140e469c0af9d400e36adf72d2c 59631980 7794fbe14d7faacc 10",
+	"sixteen/rf-seqreplace":    "7959f6cff23f2f3e4504da33af8d73e806c7c8578aa5e1ca9c0858cbad3b319c 23020",
+	"mem_ctrl/b/seq":           "11881b99dff1ebcb33ad775186cb1b45eb768884054492c7c57a1044501f428f",
+	"mem_ctrl/b/par":           "ad57faf60fcb605d69e396194f7c64cd5fbc9be683ba81ff281a14a8891816aa 6997030 5c713dbd9fc87e83",
+	"mem_ctrl/rf2/seq":         "ed2e5bb5b80648293e86016b199c4beecd30233aa0c1e81ce2ae51a8f4d08c56",
+	"mem_ctrl/rf2/par":         "0487633400f54cae28e568bcb6a1e944ade23b86d8d8393a40f7a22725b67d9d 16602520 7e6c7b8bfa538898",
+	"mem_ctrl/rw/seq":          "084ba5f5595265e29327c1d91dbe5544ccdde07e49aec806132a3e82d9520f4f",
+	"mem_ctrl/rw/par":          "b578d42097af86f8792233c81041c3fc2f383b9a694618cabf530faec935b9bf 1293664 a23c7eaa39af899e",
+	"mem_ctrl/rwz/seq":         "084ba5f5595265e29327c1d91dbe5544ccdde07e49aec806132a3e82d9520f4f",
+	"mem_ctrl/rwz/par":         "4a3aa88934b5225802b5375cefca20d2be92213ac10ba5257ebe8bf3ffaaa27e 1571244 e35b91e56dfbb02a",
+	"mem_ctrl/rs/seq":          "06b0d6e963fef50ac7272dca7bd53b9a1a6a98345084ef7a4829125144b6e0c8",
+	"mem_ctrl/rs/par":          "06b0d6e963fef50ac7272dca7bd53b9a1a6a98345084ef7a4829125144b6e0c8 1634272 849a080e504d2926",
+	"mem_ctrl/dedup/seq":       "a643178a755d297fe35fb317979b94882cf01ac2316f1830fdf9f0f6a6ab9bf8 1591570 6be77970523c1e2d",
+	"mem_ctrl/dedup/par":       "a643178a755d297fe35fb317979b94882cf01ac2316f1830fdf9f0f6a6ab9bf8 1591570 6be77970523c1e2d",
+	"mem_ctrl/resyn2/par":      "8092faea071090a2127b06328622f724009020004861fa041d9b7108a27dd6e6 51539406 50f23bd48204c044 10",
+	"mem_ctrl/rf-seqreplace":   "db16291d43fe3300a041e3dcd63a3288507ef1b6a547395c89f6df2587c2703f 33188",
+	"multiplier/b/seq":         "2d5aa107346e7edb17507641685cce377cb95530ae3abb93078f5cd9a73c06dc",
+	"multiplier/b/par":         "2d5aa107346e7edb17507641685cce377cb95530ae3abb93078f5cd9a73c06dc 27263930 3dbee1da39e58f57",
+	"multiplier/rf2/seq":       "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324",
+	"multiplier/rf2/par":       "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 66449320 7c8cfdf1fc9c34ce",
+	"multiplier/rw/seq":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5",
+	"multiplier/rw/par":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 7707260 8cef52fafc6cee07",
+	"multiplier/rwz/seq":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5",
+	"multiplier/rwz/par":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 9385980 7c55af20e09c3340",
+	"multiplier/rs/seq":        "f5f7887817409f2ffb5e6f623f5a50ab75046054476ef835e55f584688f2bb1f",
+	"multiplier/rs/par":        "5e34010ba8841dc34fc673520a5f7dbbccd2bccd6fa20cf5a8b0f52cc3cb23a5 8902686 b06b766f998a33bc",
+	"multiplier/dedup/seq":     "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324 9129110 3d76932a5254b486",
+	"multiplier/dedup/par":     "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324 9129110 3d76932a5254b486",
+	"multiplier/resyn2/par":    "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 210126720 dbe90956a6af55da 10",
+	"multiplier/rf-seqreplace": "395edfe2af14a46d8113b9a4873dda578c847e0fa462f0ddf5393150d7be4a3f 97308",
 }

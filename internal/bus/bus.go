@@ -114,13 +114,6 @@ func (b *Bus) Publish(job string, e Event) Event {
 	return e
 }
 
-// History returns a copy of the job's event history.
-func (b *Bus) History(job string) []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]Event(nil), b.hist[job]...)
-}
-
 // Subscribe returns a subscription to job's events that first replays
 // history after lastID, then continues live with no gap or duplicate.
 // lastID semantics: "" replays the full history; an id minted by this bus

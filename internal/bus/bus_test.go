@@ -78,7 +78,7 @@ func TestResumeForeignBoot(t *testing.T) {
 		if last == "boot2-99" {
 			want = 0 // ahead of us: nothing to replay
 			s.Close()
-			if len(b.History("j")) != 3 {
+			if len(b.hist["j"]) != 3 {
 				t.Fatal("history corrupted")
 			}
 			continue
@@ -155,7 +155,7 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	}
 	wg.Wait()
 	subWG.Wait()
-	if h := b.History("j"); len(h) != events {
-		t.Fatalf("history %d, want %d", len(h), events)
+	if h := len(b.hist["j"]); h != events { // every publisher and subscriber has returned
+		t.Fatalf("history %d, want %d", h, events)
 	}
 }

@@ -15,28 +15,13 @@ type Replacement struct {
 	Prog Program
 }
 
-// ReplaceStats reports what a replacement pass did.
-type ReplaceStats struct {
-	ConesReplaced   int
-	NodesDeleted    int // nodes of the replaced cones
-	NodesCreated    int // new nodes physically created
-	SharedHits      int // ops satisfied by an existing node in the hash table
-	InsertionPasses int
-}
-
 // ApplyReplacements performs the paper's parallel replacement stage: the
 // cones of all replacements are deleted and their programs inserted through
 // the shared hash table, one op per cone per insertion pass, with no data
 // race (the cones are disjoint by Theorem 1, so deletions cannot conflict,
 // and concurrent creations are resolved by the lock-free table). It returns
 // a fresh compacted AIG.
-//
-// When sequential is true the same algorithm runs as a single host thread
-// and its cost is accounted as sequential time on the device — this is the
-// "refactoring with sequential replacement" ablation of Table I.
-func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential bool) (*aig.AIG, ReplaceStats) {
-	var st ReplaceStats
-	st.ConesReplaced = len(reps)
+func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement) *aig.AIG {
 	work := a.Clone()
 
 	// Phase 1: mark deleted nodes and boundary (cut) nodes of the replaced
@@ -44,7 +29,7 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 	// marked with atomic stores.
 	deleted := make([]bool, work.NumObjs())
 	boundary := make([]uint32, work.NumObjs())
-	launch(d, sequential, "replace/mark", len(reps), func(tid int) int64 {
+	d.Launch("replace/mark", len(reps), func(tid int) int64 {
 		r := &reps[tid]
 		for _, n := range r.Cone.Nodes {
 			deleted[n] = true // cones are disjoint: one writer per node
@@ -54,9 +39,6 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 		}
 		return int64(len(r.Cone.Nodes) + len(r.Cone.Leaves))
 	})
-	for _, r := range reps {
-		st.NodesDeleted += len(r.Cone.Nodes)
-	}
 
 	// Phase 2: allocate new-node slots (scan over program sizes).
 	counts := make([]int32, len(reps))
@@ -69,8 +51,7 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 	// Phase 3: initialize the hash table with the kept nodes and the cut
 	// nodes of the replaced cones (Figure 1c).
 	ht := hashtable.New(work.NumObjs() + int(total))
-	nPIs := int32(work.NumPIs())
-	launch(d, sequential, "replace/ht-init", a.NumObjs(), func(tid int) int64 {
+	d.Launch("replace/ht-init", a.NumObjs(), func(tid int) int64 {
 		id := int32(tid)
 		if !work.IsAnd(id) || work.IsDeleted(id) {
 			return 1
@@ -85,7 +66,6 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 		}
 		return 2
 	})
-	_ = nPIs
 
 	// Phase 4: insertion passes — one new node per cone per pass
 	// (Figure 1d-1e), sharing-aware through the table. Per-cone result and
@@ -100,7 +80,7 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 	}
 	resultsFlat := make([]aig.Lit, int(total))
 	leafFlat := make([]aig.Lit, int(leafOff[len(reps)]))
-	launch(d, sequential, "replace/prep", len(reps), func(tid int) int64 {
+	d.Launch("replace/prep", len(reps), func(tid int) int64 {
 		r := &reps[tid]
 		results[tid] = resultsFlat[offsets[tid] : int(offsets[tid])+len(r.Prog.Ops) : int(offsets[tid])+len(r.Prog.Ops)]
 		lits := leafFlat[leafOff[tid]:leafOff[tid+1]:leafOff[tid+1]]
@@ -116,11 +96,8 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 			maxOps = n
 		}
 	}
-	var created, shared int64
-	createdPer := make([]int32, len(reps))
-	sharedPer := make([]int32, len(reps))
 	for pass := 0; pass < maxOps; pass++ {
-		launch(d, sequential, "replace/insert", len(reps), func(tid int) int64 {
+		d.Launch("replace/insert", len(reps), func(tid int) int64 {
 			r := &reps[tid]
 			if pass >= len(r.Prog.Ops) {
 				return 1
@@ -140,27 +117,18 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 			if inserted {
 				work.SetFanins(provisional, f0, f1)
 				results[tid][pass] = aig.MakeLit(provisional, false)
-				createdPer[tid]++
 			} else {
 				results[tid][pass] = aig.MakeLit(int32(got), false)
-				sharedPer[tid]++
 			}
 			return 4
 		})
-		st.InsertionPasses++
 	}
-	for i := range reps {
-		created += int64(createdPer[i])
-		shared += int64(sharedPer[i])
-	}
-	st.NodesCreated = int(created)
-	st.SharedHits = int(shared)
 
 	// Phase 5: build the root map and chase alias chains (a new root that
 	// structurally aliases another replaced root).
 	rootMap := make([]aig.Lit, work.NumObjs())
 	hasMap := make([]bool, work.NumObjs())
-	launch(d, sequential, "replace/rootmap", len(reps), func(tid int) int64 {
+	d.Launch("replace/rootmap", len(reps), func(tid int) int64 {
 		r := &reps[tid]
 		newRoot := Resolve(r.Prog.Root, leafLits[tid], results[tid])
 		if newRoot.Var() == r.Cone.Root && !newRoot.IsCompl() {
@@ -174,7 +142,7 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 
 	// Phase 6: redirect every fanin and PO through the root map
 	// (Figure 1f: "the old roots are replaced by the new roots").
-	launch(d, sequential, "replace/redirect", work.NumObjs(), func(tid int) int64 {
+	d.Launch("replace/redirect", work.NumObjs(), func(tid int) int64 {
 		id := int32(tid)
 		if !work.IsAnd(id) {
 			return 1
@@ -202,21 +170,7 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement, sequential
 
 	// Phase 7: drop the old cones and unused provisional slots.
 	out, _ := work.Compact()
-	return out, st
-}
-
-// launch dispatches a kernel either on the device or as an accounted
-// host-sequential loop (the Table I ablation).
-func launch(d *gpu.Device, sequential bool, name string, n int, kernel func(tid int) int64) {
-	if !sequential {
-		d.Launch(name, n, kernel)
-		return
-	}
-	var ops int64
-	for tid := 0; tid < n; tid++ {
-		ops += kernel(tid)
-	}
-	d.AddOverhead(name+"/seq", ops)
+	return out
 }
 
 // chaseRootMap resolves chains r -> lit(r') where r' is itself a replaced

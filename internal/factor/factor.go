@@ -1,7 +1,7 @@
 // Package factor implements algebraic factoring of sum-of-products
 // expressions in the style of MIS [12] (the "standard factoring procedure"
-// the paper's refactoring uses to resynthesize cone functions), and the
-// construction of AIG subgraphs from factored forms.
+// the paper's refactoring uses to resynthesize cone functions). core.Linearize
+// turns a factored form into the program the engines build in an AIG.
 package factor
 
 import (
@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"aigre/internal/aig"
 	"aigre/internal/truth"
 )
 
@@ -411,76 +410,4 @@ func addTrees(a, b *Tree) *Tree {
 		cs = append(cs, b)
 	}
 	return nary(KindOr, cs)
-}
-
-// BuildAIG constructs the tree in the AIG, mapping tree variable v to
-// leaves[v], and returns the root literal. n-ary operators are built as
-// balanced binary trees; structural hashing in the target AIG provides
-// sharing.
-func BuildAIG(a *aig.AIG, t *Tree, leaves []aig.Lit) aig.Lit {
-	switch t.Kind {
-	case KindConst0:
-		return aig.ConstFalse
-	case KindConst1:
-		return aig.ConstTrue
-	case KindLit:
-		return leaves[t.Var].NotCond(t.Neg)
-	case KindAnd, KindOr:
-		lits := make([]aig.Lit, len(t.Children))
-		for i, c := range t.Children {
-			lits[i] = BuildAIG(a, c, leaves)
-		}
-		return buildBalanced(a, lits, t.Kind == KindOr)
-	}
-	panic("factor: bad tree kind")
-}
-
-// buildBalanced combines lits with AND (or OR when isOr) as a balanced
-// binary tree.
-func buildBalanced(a *aig.AIG, lits []aig.Lit, isOr bool) aig.Lit {
-	for len(lits) > 1 {
-		next := lits[:0]
-		for i := 0; i+1 < len(lits); i += 2 {
-			if isOr {
-				next = append(next, a.Or(lits[i], lits[i+1]))
-			} else {
-				next = append(next, a.NewAnd(lits[i], lits[i+1]))
-			}
-		}
-		if len(lits)%2 == 1 {
-			next = append(next, lits[len(lits)-1])
-		}
-		lits = next
-	}
-	return lits[0]
-}
-
-// Eval computes the truth table of the tree over n variables, for
-// verification in tests.
-func (t *Tree) Eval(n int) truth.TT {
-	switch t.Kind {
-	case KindConst0:
-		return truth.Const(n, false)
-	case KindConst1:
-		return truth.Const(n, true)
-	case KindLit:
-		v := truth.Var(n, t.Var)
-		if t.Neg {
-			return truth.New(n).Not(v)
-		}
-		return v
-	case KindAnd:
-		res := truth.Const(n, true)
-		for _, c := range t.Children {
-			res.And(res, c.Eval(n))
-		}
-		return res
-	case KindOr:
-		res := truth.Const(n, false)
-		for _, c := range t.Children {
-			res.Or(res, c.Eval(n))
-		}
-		return res
-	}
-	panic("factor: bad tree kind")
 }

@@ -32,7 +32,7 @@ func TestFactorSingleCube(t *testing.T) {
 		truth.Cube{}.WithLit(0, true).WithLit(2, false).WithLit(3, true),
 	}}
 	tr := Factor(s)
-	if !tr.Eval(4).Equal(s.TT()) {
+	if !tr.eval(4).Equal(s.TT()) {
 		t.Fatalf("cube factoring wrong: %v", tr)
 	}
 	if tr.NumAnds() != 2 {
@@ -49,7 +49,7 @@ func TestFactorSharesDivisor(t *testing.T) {
 	}
 	s := truth.SOP{NVars: n, Cubes: []truth.Cube{mk(0, 2), mk(0, 3), mk(1, 2), mk(1, 3)}}
 	tr := Factor(s)
-	if !tr.Eval(n).Equal(s.TT()) {
+	if !tr.eval(n).Equal(s.TT()) {
 		t.Fatalf("factored function differs: %v", tr)
 	}
 	if got := tr.NumAnds(); got != 3 {
@@ -64,7 +64,7 @@ func TestFactorCommonCube(t *testing.T) {
 	c2 := truth.Cube{}.WithLit(0, true).WithLit(1, true).WithLit(3, true)
 	s := truth.SOP{NVars: n, Cubes: []truth.Cube{c1, c2}}
 	tr := Factor(s)
-	if !tr.Eval(n).Equal(s.TT()) {
+	if !tr.eval(n).Equal(s.TT()) {
 		t.Fatalf("factored function differs")
 	}
 	if got := tr.NumAnds(); got != 3 {
@@ -79,7 +79,7 @@ func TestQuickFactorPreservesFunction(t *testing.T) {
 		tt := randomTT(rng, n)
 		sop := truth.ISOP(tt, truth.TT{})
 		tr := Factor(sop)
-		return tr.Eval(n).Equal(tt)
+		return tr.eval(n).Equal(tt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -138,7 +138,7 @@ func TestBuildAIGMatchesTree(t *testing.T) {
 		for i := range leaves {
 			leaves[i] = a.PI(i)
 		}
-		root := BuildAIG(a, tr, leaves).NotCond(compl)
+		root := buildAIG(a, tr, leaves).NotCond(compl)
 		a.AddPO(root)
 		// Check against the truth table by exhaustive simulation.
 		for m := 0; m < 1<<n; m++ {
@@ -170,7 +170,7 @@ func TestBuildAIGNodeBudget(t *testing.T) {
 		for i := range leaves {
 			leaves[i] = a.PI(i)
 		}
-		BuildAIG(a, tr, leaves)
+		buildAIG(a, tr, leaves)
 		return a.NumAnds() <= tr.NumAnds()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -188,10 +188,81 @@ func TestFactorXorQuality(t *testing.T) {
 	if compl {
 		want = truth.New(n).Not(tt)
 	}
-	if !tr.Eval(n).Equal(want) {
+	if !tr.eval(n).Equal(want) {
 		t.Fatalf("xor factored wrong")
 	}
 	if tr.NumAnds() > 3 {
 		t.Errorf("xor NumAnds = %d, want <= 3", tr.NumAnds())
 	}
+}
+
+// buildAIG constructs the tree in the AIG, mapping tree variable v to
+// leaves[v], and returns the root literal. n-ary operators are built as
+// balanced binary trees; structural hashing in the target AIG provides
+// sharing.
+func buildAIG(a *aig.AIG, t *Tree, leaves []aig.Lit) aig.Lit {
+	switch t.Kind {
+	case KindConst0:
+		return aig.ConstFalse
+	case KindConst1:
+		return aig.ConstTrue
+	case KindLit:
+		return leaves[t.Var].NotCond(t.Neg)
+	case KindAnd, KindOr:
+		lits := make([]aig.Lit, len(t.Children))
+		for i, c := range t.Children {
+			lits[i] = buildAIG(a, c, leaves)
+		}
+		return buildBalanced(a, lits, t.Kind == KindOr)
+	}
+	panic("factor: bad tree kind")
+}
+
+// buildBalanced combines lits with AND (or OR when isOr) as a balanced
+// binary tree.
+func buildBalanced(a *aig.AIG, lits []aig.Lit, isOr bool) aig.Lit {
+	for len(lits) > 1 {
+		next := lits[:0]
+		for i := 0; i+1 < len(lits); i += 2 {
+			if isOr {
+				next = append(next, a.Or(lits[i], lits[i+1]))
+			} else {
+				next = append(next, a.NewAnd(lits[i], lits[i+1]))
+			}
+		}
+		if len(lits)%2 == 1 {
+			next = append(next, lits[len(lits)-1])
+		}
+		lits = next
+	}
+	return lits[0]
+}
+
+// eval computes the truth table of the tree over n variables.
+func (t *Tree) eval(n int) truth.TT {
+	switch t.Kind {
+	case KindConst0:
+		return truth.Const(n, false)
+	case KindConst1:
+		return truth.Const(n, true)
+	case KindLit:
+		v := truth.Var(n, t.Var)
+		if t.Neg {
+			return truth.New(n).Not(v)
+		}
+		return v
+	case KindAnd:
+		res := truth.Const(n, true)
+		for _, c := range t.Children {
+			res.And(res, c.eval(n))
+		}
+		return res
+	case KindOr:
+		res := truth.Const(n, false)
+		for _, c := range t.Children {
+			res.Or(res, c.eval(n))
+		}
+		return res
+	}
+	panic("factor: bad tree kind")
 }

@@ -12,6 +12,7 @@ package flow
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -143,9 +144,9 @@ type Result struct {
 }
 
 // Command is one entry of the script vocabulary: the engines behind a command
-// name and how the runners drive them. Parse, the sequential and parallel
-// runners, Breakdown, and the public single-algorithm entry points all
-// consult the one table through Lookup.
+// name and how execute, the one function that calls them, drives them. Parse,
+// the guarded runner, Breakdown and the public single-algorithm entry points
+// all consult the one table through Lookup.
 type Command struct {
 	// Kind is the Breakdown series the command's time is filed under
 	// (zero-gain variants fold into their base command).
@@ -174,6 +175,10 @@ var commands = map[string]Command{
 			out, _ := resub.Parallel(d, a, resub.Options{})
 			return out
 		}},
+	// The cleanup pass as a command of its own, for RunCommand. It has no
+	// sequential engine, so Parse does not admit it to scripts.
+	"dedup": {Kind: "dedup",
+		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := dedup.Run(d, a); return out }},
 }
 
 // rewriteCommand builds rw (zero = false) and rwz. Config.ZeroGain turns the
@@ -231,8 +236,10 @@ func Parse(script string) ([]string, error) {
 		if tok == "" {
 			continue
 		}
-		if _, err := Lookup(tok); err != nil {
-			return nil, err
+		// A script command has both engines; the device-only cleanup pass
+		// ("dedup") is part of the vocabulary but not of scripts.
+		if c, err := Lookup(tok); err != nil || c.Seq == nil {
+			return nil, fmt.Errorf("flow: unknown command %q", tok)
 		}
 		cmds = append(cmds, tok)
 	}
@@ -240,6 +247,44 @@ func Parse(script string) ([]string, error) {
 		return nil, fmt.Errorf("flow: empty script")
 	}
 	return cmds, nil
+}
+
+// drive is the run loop under Run and RunCommand. It opens the run record
+// (defaults filled in, ctx bound to the device, clock and cache counters
+// snapshotted), calls step once per command and files what it returns, and
+// closes the record. An error from step ends the run; the network step hands
+// back beside it is the run's partial result.
+func drive(ctx context.Context, a *aig.AIG, cmds []string, cfg Config,
+	step func(ctx context.Context, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error)) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cfg = cfg.normalized()
+	if cfg.Device != nil {
+		cfg.Device.Bind(ctx)
+	}
+	start := time.Now()
+	cacheBefore := cfg.Cache.Snapshot()
+	res := Result{AIG: a}
+	var err error
+	for i := range cmds {
+		var t CommandTiming
+		var incs []Incident
+		if res.AIG, t, incs, err = step(ctx, res.AIG, i, cfg); err != nil {
+			break
+		}
+		res.Incidents = append(res.Incidents, incs...)
+		t.NodesAfter = res.AIG.NumAnds()
+		t.LevelsAfter = res.AIG.Levels()
+		res.Timings = append(res.Timings, t)
+		res.Modeled += t.Modeled + t.DedupModeled
+	}
+	res.Wall = time.Since(start)
+	res.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
+	if cfg.Device != nil {
+		res.Profile = cfg.Device.Profile()
+	}
+	return res, err
 }
 
 // Run executes the script on a copy of the input and returns the optimized
@@ -263,84 +308,110 @@ func Run(ctx context.Context, a *aig.AIG, script string, cfg Config) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if cfg.RwzPasses == 0 && slices.Equal(cmds, resyn2Cmds) {
 		cfg.RwzPasses = 2
 	}
-	cfg = cfg.normalized()
-	if cfg.Device != nil {
-		cfg.Device.Bind(ctx)
-	}
-	start := time.Now()
-	cacheBefore := cfg.Cache.Snapshot()
-	res := Result{AIG: a}
-	finish := func(err error) (Result, error) {
-		res.Wall = time.Since(start)
-		res.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
-		if cfg.Device != nil {
-			res.Profile = cfg.Device.Profile()
-		}
-		return res, err
-	}
-	for i, cmd := range cmds {
+	return drive(ctx, a, cmds, cfg, func(ctx context.Context, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
 		if cerr := ctx.Err(); cerr != nil {
-			return finish(fmt.Errorf("flow: script cancelled before command %d (%s): %w", i, cmd, cerr))
+			return cur, CommandTiming{}, nil, fmt.Errorf("flow: script cancelled before command %d (%s): %w", i, cmds[i], cerr)
 		}
-		next, t, incs, err := runGuarded(ctx, res.AIG, cmd, i, cfg)
-		if err != nil {
-			return finish(err)
-		}
-		res.Incidents = append(res.Incidents, incs...)
-		t.NodesAfter = next.NumAnds()
-		t.LevelsAfter = next.Levels()
-		res.Timings = append(res.Timings, t)
-		res.Modeled += t.Modeled + t.DedupModeled
-		res.AIG = next
-	}
-	return finish(nil)
+		return runGuarded(ctx, cur, cmds[i], i, cfg)
+	})
 }
 
-// runSequential executes one command on the sequential engines. Unknown
-// commands are rejected by Parse, so the error return is defense in depth —
-// never a panic, since flow input is user input.
-func runSequential(a *aig.AIG, cmd string, cfg Config) (*aig.AIG, error) {
-	c, err := Lookup(cmd)
-	if err != nil {
-		return nil, err
-	}
-	return c.Seq(a, cfg), nil
+// RunCommand runs passes (at least one) repetitions of one vocabulary command
+// outside a script and returns the run record Run does, with one timing
+// (filed under cmd.Kind). It is the body of the public single-algorithm entry
+// points and unguarded: no checkpoint, no gate, no retry on the other engine —
+// use Run for those. cfg.Parallel selects the engine; either one repeats.
+//
+// Engine failures are propagated, not swallowed: a kernel abort
+// (*gpu.LaunchError), a launch refused after ctx was cancelled
+// (*gpu.CancelledError) or a cancellation noticed between passes ("cancelled
+// after p of n passes", wrapping ctx.Err()) is returned beside the partial
+// Result, the network after the last completed pass. Any other engine panic
+// is a bug and is re-raised.
+func RunCommand(ctx context.Context, a *aig.AIG, cmd Command, passes int, cfg Config) (Result, error) {
+	return drive(ctx, a, []string{cmd.Kind}, cfg, func(ctx context.Context, cur *aig.AIG, _ int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
+		out, t, err := execute(ctx, cur, cmd.Kind, cmd, passes, cfg.Parallel, cfg)
+		var bug *enginePanic
+		if errors.As(err, &bug) {
+			panic(bug.value)
+		}
+		return out, t, nil, err
+	})
 }
 
-func runParallel(a *aig.AIG, cmd string, cfg Config) (*aig.AIG, CommandTiming, error) {
+// execute is the one place a Command turns into engine calls: passes runs of
+// its sequential engine or of its device engine on cfg.Device, ctx checked
+// between them, the cleanup pass after a device run of a command that asks
+// for one, and the timing record (for a device run the modeled times and the
+// per-kernel profile are deltas of the device's accounting). An engine panic
+// comes back as an error — a *gpu.LaunchError (kernel panic, full hash table
+// surfaced through a kernel) or *gpu.CancelledError as itself, anything else
+// as an *enginePanic — with an empty timing and the network after the last
+// completed pass.
+func execute(ctx context.Context, a *aig.AIG, name string, c Command, passes int, parallel bool, cfg Config) (out *aig.AIG, t CommandTiming, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			t = CommandTiming{Command: name}
+			switch e := r.(type) {
+			case *gpu.LaunchError:
+				err = e
+			case *gpu.CancelledError:
+				err = e
+			default:
+				err = &enginePanic{value: r}
+			}
+		}
+	}()
+	out, t.Command = a, name
+	passes = max(passes, 1)
 	d := cfg.Device
-	t := CommandTiming{Command: cmd}
-	c, err := Lookup(cmd)
-	if err != nil {
-		return nil, t, err
+	var snap gpu.Stats
+	var profSnap []gpu.KernelProfile
+	if parallel {
+		snap, profSnap = d.Stats(), d.Profile()
 	}
-	snap := d.Stats()
-	profSnap := d.Profile()
 	start := time.Now()
-	passes := 1
-	if c.Passes != nil {
-		passes = c.Passes(cfg)
-	}
 	for p := 0; p < passes; p++ {
-		a = c.Par(d, a, cfg)
+		if cerr := ctx.Err(); cerr != nil {
+			return out, t, fmt.Errorf("aigre: cancelled after %d of %d passes: %w", p, passes, cerr)
+		}
+		if parallel {
+			out = c.Par(d, out, cfg)
+		} else {
+			out = c.Seq(out, cfg)
+		}
 	}
 	t.Wall = time.Since(start)
+	if !parallel {
+		t.Modeled = t.Wall
+		return out, t, nil
+	}
 	afterCmd := d.Stats()
 	t.Modeled = afterCmd.Sub(snap).ModeledTime
 	if c.Cleanup {
 		dstart := time.Now()
-		a, _ = dedup.Run(d, a)
+		out, _ = dedup.Run(d, out)
 		t.DedupWall = time.Since(dstart)
 		t.DedupModeled = d.Stats().Sub(afterCmd).ModeledTime
 	}
 	t.Kernels = gpu.DiffProfile(d.Profile(), profSnap)
-	return a, t, nil
+	return out, t, nil
+}
+
+// enginePanic is an engine panic that is neither a kernel failure nor a
+// cancelled launch: a bug in an engine, contained by the guarded runner and
+// re-raised by RunCommand.
+type enginePanic struct{ value any }
+
+func (e *enginePanic) Error() string { return fmt.Sprintf("flow: engine panic: %v", e.value) }
+
+// Unwrap exposes a panic value that is itself an error.
+func (e *enginePanic) Unwrap() error {
+	err, _ := e.value.(error)
+	return err
 }
 
 // Breakdown aggregates timings by command kind (b, rw, rf, dedup), the

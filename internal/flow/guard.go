@@ -83,106 +83,50 @@ func (e *gateError) Unwrap() error { return e.err }
 // returns the resulting AIG (the checkpoint itself when the command was
 // skipped), the command timing, and any incidents recorded.
 //
-// Cancellation is not a fault: when an attempt fails because ctx was
-// cancelled (the device refuses further kernel launches), the runner does
-// not degrade to the sequential engine — it returns the checkpoint and an
-// error wrapping ctx.Err() so the caller can stop the script.
+// It walks the degrade ladder: in parallel mode the device engines, then (and
+// in sequential mode only) the sequential engine, then skip. Each rung is one
+// attempt against the checkpoint whose output must pass the gate; a failure is
+// recorded as an incident naming the next rung.
+//
+// Cancellation is not a fault: when an attempt fails and ctx is cancelled
+// (the device refuses further kernel launches), the runner does not degrade —
+// it returns the checkpoint and an error wrapping ctx.Err() so the caller can
+// stop the script.
 func runGuarded(ctx context.Context, checkpoint *aig.AIG, cmd string, idx int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
 	// Deterministic per-command gate seed, so failures reproduce.
 	seed := int64(idx)*7919 + 1
-
-	if cfg.Parallel {
-		out, t, err := attempt(checkpoint, cmd, cfg, true)
+	// Parse validated the name; the zero Command of an unknown one fails every
+	// rung (its nil engines panic into incidents).
+	c := commands[cmd]
+	var failed CommandTiming // of the first failed attempt
+	var incs []Incident
+	for parallel := cfg.Parallel; ; parallel = false {
+		passes := 1
+		if parallel && c.Passes != nil {
+			passes = c.Passes(cfg)
+		}
+		out, t, err := execute(ctx, checkpoint, cmd, c, passes, parallel, cfg)
 		if err == nil {
-			err = gate(checkpoint, out, cfg, seed)
+			err = EquivGate(checkpoint, out, cfg.Verify, cfg.GateRounds, seed)
 		}
 		if err == nil {
-			return out, t, nil, nil
+			// A failed attempt's wall time is part of this command's cost; its
+			// modeled time is not (the launch was aborted, not completed).
+			t.Wall += failed.Wall
+			t.DedupWall += failed.DedupWall
+			return out, t, incs, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return checkpoint, t, nil, cancelErr(idx, cmd, cerr)
+			return checkpoint, t, nil, fmt.Errorf("flow: command %d (%s) cancelled: %w", idx, cmd, cerr)
 		}
-		// Roll back and retry on the sequential engine.
-		first := newIncident(idx, cmd, err)
-		first.Action = "retried-sequential"
-		out2, t2, err2 := attempt(checkpoint, cmd, cfg, false)
-		if err2 == nil {
-			err2 = gate(checkpoint, out2, cfg, seed)
+		if incs == nil {
+			failed = t
 		}
-		if err2 == nil {
-			// The failed parallel attempt's wall time is part of this
-			// command's cost; its modeled time stays zero (the launch was
-			// aborted, not completed).
-			t2.Wall += t.Wall
-			t2.DedupWall += t.DedupWall
-			return out2, t2, []Incident{first}, nil
+		if !parallel {
+			return checkpoint, failed, append(incs, newIncident(idx, cmd, err, "skipped")), nil
 		}
-		second := newIncident(idx, cmd, err2)
-		second.Action = "skipped"
-		t.Command = cmd
-		return checkpoint, t, []Incident{first, second}, nil
+		incs = append(incs, newIncident(idx, cmd, err, "retried-sequential"))
 	}
-
-	out, t, err := attempt(checkpoint, cmd, cfg, false)
-	if err == nil {
-		err = gate(checkpoint, out, cfg, seed)
-	}
-	if err == nil {
-		return out, t, nil, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return checkpoint, t, nil, cancelErr(idx, cmd, cerr)
-	}
-	inc := newIncident(idx, cmd, err)
-	inc.Action = "skipped"
-	t.Command = cmd
-	return checkpoint, t, []Incident{inc}, nil
-}
-
-// cancelErr wraps a context error with the command position it interrupted.
-func cancelErr(idx int, cmd string, cerr error) error {
-	return fmt.Errorf("flow: command %d (%s) cancelled: %w", idx, cmd, cerr)
-}
-
-// attempt runs one engine attempt, containing panics: a *gpu.LaunchError
-// (kernel panic, full hash table surfaced through a kernel) or any other
-// engine panic becomes an error return instead of killing the process.
-func attempt(a *aig.AIG, cmd string, cfg Config, parallel bool) (out *aig.AIG, t CommandTiming, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = nil
-			t.Command = cmd
-			if le, ok := r.(*gpu.LaunchError); ok {
-				err = le
-				return
-			}
-			if ce, ok := r.(*gpu.CancelledError); ok {
-				err = ce
-				return
-			}
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("flow: engine panic: %w", e)
-				return
-			}
-			err = fmt.Errorf("flow: engine panic: %v", r)
-		}
-	}()
-	if parallel {
-		return runParallel(a, cmd, cfg)
-	}
-	start := time.Now()
-	out, err = runSequential(a, cmd, cfg)
-	t = CommandTiming{Command: cmd, Wall: time.Since(start)}
-	t.Modeled = t.Wall
-	return out, t, err
-}
-
-// gate validates a pass output against its input: structural invariants
-// first (always), then the functional equivalence gate — sampling by
-// default, a full equivalence check when cfg.Verify is set, nothing when
-// GateRounds is negative.
-func gate(before, after *aig.AIG, cfg Config, seed int64) error {
-	return EquivGate(before, after, cfg.Verify, cfg.GateRounds, seed)
 }
 
 // EquivGate is the guarded runner's validation gate, exported for the
@@ -215,10 +159,9 @@ func EquivGate(before, after *aig.AIG, verify bool, rounds int, seed int64) erro
 	return nil
 }
 
-// newIncident classifies an attempt or gate error into an incident record
-// (without an Action, which the caller decides).
-func newIncident(idx int, cmd string, err error) Incident {
-	inc := Incident{Index: idx, Command: cmd, Detail: err.Error(), Time: time.Now()}
+// newIncident classifies an attempt or gate error into an incident record.
+func newIncident(idx int, cmd string, err error, action string) Incident {
+	inc := Incident{Index: idx, Command: cmd, Action: action, Detail: err.Error(), Time: time.Now()}
 	var le *gpu.LaunchError
 	var ge *gateError
 	switch {

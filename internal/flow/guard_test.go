@@ -2,7 +2,10 @@ package flow
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
+	"time"
 
 	"aigre/internal/aig"
 	"aigre/internal/cec"
@@ -106,13 +109,15 @@ func TestGuardSkipsWhenBothEnginesFail(t *testing.T) {
 }
 
 // TestRunSequentialUnknownCommandNoPanic pins the former
-// panic("flow: unreachable command") as a plain error return.
+// panic("flow: unreachable command") as a plain error return: the zero
+// Command of an unknown name fails in the executor on either engine.
 func TestRunSequentialUnknownCommandNoPanic(t *testing.T) {
-	if _, err := runSequential(testAIG(), "frobnicate", Config{}.normalized()); err == nil {
+	ctx := context.Background()
+	if _, _, err := execute(ctx, testAIG(), "frobnicate", commands["frobnicate"], 1, false, Config{}.normalized()); err == nil {
 		t.Error("unknown command did not error")
 	}
 	cfg := Config{Parallel: true}.normalized()
-	if _, _, err := runParallel(testAIG(), "frobnicate", cfg); err == nil {
+	if _, _, err := execute(ctx, testAIG(), "frobnicate", commands["frobnicate"], 1, true, cfg); err == nil {
 		t.Error("unknown parallel command did not error")
 	}
 }
@@ -149,5 +154,94 @@ func TestCheckPassesAfterEveryCommand(t *testing.T) {
 				t.Errorf("script %q parallel=%v: incidents %+v", script, parallel, res.Incidents)
 			}
 		}
+	}
+}
+
+// TestDegradeLadder walks runGuarded's ladder (device engines, sequential
+// engine, skip) with engines that fail on purpose, and pins the incident
+// sequence, what network comes back, and whose time the command is charged.
+func TestDegradeLadder(t *testing.T) {
+	const nap = 5 * time.Millisecond
+	ok := func(a *aig.AIG) *aig.AIG { return a.Clone() }
+	wrong := func(a *aig.AIG) *aig.AIG { // structurally sound, functionally off: only the gate sees it
+		time.Sleep(nap)
+		out := a.Clone()
+		out.SetPO(0, out.PO(0).Not())
+		return out
+	}
+	bug := func(*aig.AIG) *aig.AIG { panic("boom") }
+	type engine = func(*aig.AIG) *aig.AIG
+	type want struct{ stage, kernel, action, class string }
+	for _, c := range []struct {
+		name     string
+		parallel bool
+		par, seq engine
+		abort    bool // the device engine launches a kernel that panics
+		cancel   bool // the device engine cancels the run, then launches
+		incs     []want
+		kept     bool          // the command's output is returned, not the checkpoint
+		minWall  time.Duration // lower bound on the wall charged to the command
+	}{
+		{name: "clean-parallel", parallel: true, par: ok, seq: bug, kept: true},
+		{name: "clean-sequential", seq: ok, kept: true},
+		{name: "launch-fails", parallel: true, abort: true, seq: ok, kept: true,
+			incs: []want{{"launch", "test/kernel", "retried-sequential", ClassTransient}}},
+		{name: "gate-refutes", parallel: true, par: wrong, seq: ok, kept: true, minWall: nap,
+			incs: []want{{"equivalence", "", "retried-sequential", ClassPermanent}}},
+		{name: "both-fail", parallel: true, par: wrong, seq: bug, minWall: nap,
+			incs: []want{{"equivalence", "", "retried-sequential", ClassPermanent}, {"panic", "", "skipped", ClassPermanent}}},
+		{name: "sequential-fails", seq: wrong, minWall: nap,
+			incs: []want{{"equivalence", "", "skipped", ClassPermanent}}},
+		{name: "cancelled", parallel: true, cancel: true, seq: ok},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := Config{Parallel: c.parallel}.normalized()
+			if cfg.Device != nil {
+				cfg.Device.Bind(ctx)
+			}
+			commands["test"] = Command{Kind: "test",
+				Seq: func(a *aig.AIG, _ Config) *aig.AIG { return c.seq(a) },
+				Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG {
+					switch {
+					case c.abort:
+						d.Launch("test/kernel", 1, func(int) int64 { panic("kernel bug") })
+					case c.cancel:
+						cancel()
+						d.Launch("test/kernel", 1, func(int) int64 { return 1 })
+					}
+					return c.par(a)
+				}}
+			defer delete(commands, "test")
+
+			checkpoint := testAIG()
+			out, tm, incs, err := runGuarded(ctx, checkpoint, "test", 4, cfg)
+			if c.cancel {
+				if !errors.Is(err, context.Canceled) || len(incs) != 0 || out != checkpoint {
+					t.Fatalf("cancelled command: err %v, incidents %+v, checkpoint returned %v", err, incs, out == checkpoint)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("a contained failure surfaced as an error: %v", err)
+			}
+			if (out != checkpoint) != c.kept {
+				t.Errorf("returned the command's output = %v, want %v", out != checkpoint, c.kept)
+			}
+			if tm.Command != "test" || tm.Wall < c.minWall {
+				t.Errorf("timing %+v: want command \"test\" charged at least %v (the failed attempt's wall)", tm, c.minWall)
+			}
+			var got []want
+			for _, inc := range incs {
+				if inc.Index != 4 || inc.Command != "test" || inc.Detail == "" || inc.Time.IsZero() {
+					t.Errorf("incident %+v: want index 4, command \"test\", a detail and a time", inc)
+				}
+				got = append(got, want{inc.Stage, inc.Kernel, inc.Action, inc.Class})
+			}
+			if !slices.Equal(got, c.incs) {
+				t.Errorf("incidents = %+v, want %+v", got, c.incs)
+			}
+		})
 	}
 }

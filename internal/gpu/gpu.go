@@ -103,12 +103,7 @@ func (s Stats) String() string {
 // concurrent Launch calls on one Device are not supported, matching a CUDA
 // stream).
 type Device struct {
-	Model CostModel
-	// Trace, when non-nil, is invoked synchronously for every accounted
-	// device operation (kernel launch, synthetic primitive, sequential
-	// overhead) with its full accounting record. A nil Trace costs a single
-	// predictable branch per launch (see BenchmarkLaunchOverhead).
-	Trace   func(TraceEvent)
+	Model   CostModel
 	workers int
 	exec    Executor        // nil = spawn goroutines per launch; else a shared pool
 	ctx     context.Context // nil = never cancelled; checked at launch boundaries
@@ -122,20 +117,13 @@ type Device struct {
 // boundary. A watchdog on another goroutine polls Last(): a job whose
 // device heartbeat goes quiet is stuck inside a kernel (or between
 // launches) and can be preempted. All methods are safe for concurrent use;
-// the beat path is two atomic stores, cheap enough for every launch.
+// the beat path is one atomic store, cheap enough for every launch.
 type Heartbeat struct {
-	beats atomic.Int64
-	last  atomic.Int64 // unix nanoseconds of the latest beat
+	last atomic.Int64 // unix nanoseconds of the latest beat
 }
 
 // Beat records a liveness tick now.
-func (h *Heartbeat) Beat() {
-	h.last.Store(time.Now().UnixNano())
-	h.beats.Add(1)
-}
-
-// Beats returns the number of ticks recorded so far.
-func (h *Heartbeat) Beats() int64 { return h.beats.Load() }
+func (h *Heartbeat) Beat() { h.last.Store(time.Now().UnixNano()) }
 
 // Last returns the wall-clock time of the latest tick (the zero time before
 // the first beat).

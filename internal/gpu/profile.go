@@ -51,23 +51,8 @@ func (p KernelProfile) isZero() bool {
 		p.Modeled == 0 && p.Seq == 0 && p.Wall == 0
 }
 
-// TraceEvent describes one accounted device operation, delivered to the
-// Device.Trace hook as it happens: a kernel launch, a synthetic primitive
-// (scan, reduce, sort — which model several launches), or an accounted
-// host-sequential phase (Launches == 0).
-type TraceEvent struct {
-	Kernel   string
-	Launches int
-	Threads  int64
-	Work     int64
-	Span     int64
-	Modeled  time.Duration
-	Seq      time.Duration
-	Wall     time.Duration
-}
-
 // account is the single funnel for all device-time accounting: it updates the
-// aggregate Stats, the per-kernel profile, and fires the trace hook. Every
+// aggregate Stats and the per-kernel profile. Every
 // path that adds to Stats must go through it so that the per-kernel rows
 // reconcile with Stats exactly.
 func (d *Device) account(name string, launches int, threads, work, span int64, modeled, seq, wall time.Duration) {
@@ -91,10 +76,6 @@ func (d *Device) account(name string, launches int, threads, work, span int64, m
 	}
 	p.add(KernelProfile{Launches: launches, Threads: threads, Work: work, Span: span,
 		Modeled: modeled, Seq: seq, Wall: wall})
-	if d.Trace != nil {
-		d.Trace(TraceEvent{Kernel: name, Launches: launches, Threads: threads, Work: work,
-			Span: span, Modeled: modeled, Seq: seq, Wall: wall})
-	}
 }
 
 // Profile returns a copy of the accumulated per-kernel profile, sorted by

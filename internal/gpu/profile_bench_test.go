@@ -3,24 +3,11 @@ package gpu
 import "testing"
 
 // BenchmarkLaunchOverhead measures the host-side cost of Launch bookkeeping
-// with tracing disabled (the nil-Trace fast path: one branch) versus a
-// no-op trace hook installed, over a trivially small kernel so the
-// accounting dominates.
+// over a trivially small kernel, so the accounting dominates.
 func BenchmarkLaunchOverhead(b *testing.B) {
-	kernel := func(tid int) int64 { return 1 }
-	b.Run("trace-nil", func(b *testing.B) {
-		d := New(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d.Launch("bench/kernel", 16, kernel)
-		}
-	})
-	b.Run("trace-noop", func(b *testing.B) {
-		d := New(1)
-		d.Trace = func(TraceEvent) {}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			d.Launch("bench/kernel", 16, kernel)
-		}
-	})
+	d := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Launch("bench/kernel", 16, func(tid int) int64 { return 1 })
+	}
 }

@@ -3,7 +3,6 @@ package gpu
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // exercise runs a representative mix of device operations: plain launches,
@@ -65,55 +64,6 @@ func TestProfileMergesLaunchesByName(t *testing.T) {
 	}
 	if rows[0].Kernel != "same" || rows[0].Launches != 2 || rows[0].Threads != 12 {
 		t.Errorf("merged row wrong: %+v", rows[0])
-	}
-}
-
-func TestTraceHookSeesEveryAccounting(t *testing.T) {
-	d := New(2)
-	var events []TraceEvent
-	d.Trace = func(ev TraceEvent) { events = append(events, ev) }
-	exercise(d)
-	if len(events) == 0 {
-		t.Fatal("trace hook never fired")
-	}
-	var modeled, seq time.Duration
-	var launches int
-	names := map[string]bool{}
-	for _, ev := range events {
-		modeled += ev.Modeled
-		seq += ev.Seq
-		launches += ev.Launches
-		names[ev.Kernel] = true
-	}
-	s := d.Stats()
-	if modeled != s.ModeledTime || seq != s.SeqTime || launches != s.Launches {
-		t.Errorf("trace sums (modeled=%v seq=%v launches=%d) != stats %+v",
-			modeled, seq, launches, s)
-	}
-	for _, want := range []string{"test/kernel-a", "test/scan", "test/sort", "test/seq", "test/compact/scan"} {
-		if !names[want] {
-			t.Errorf("trace never saw kernel %q (saw %v)", want, names)
-		}
-	}
-	// The sequential-overhead event is not a kernel launch.
-	for _, ev := range events {
-		if ev.Kernel == "test/seq" && ev.Launches != 0 {
-			t.Errorf("seq overhead event reported %d launches", ev.Launches)
-		}
-	}
-}
-
-func TestNilTraceDoesNotFire(t *testing.T) {
-	// The nil-trace fast path must behave identically to the traced path in
-	// every accounted number.
-	a, b := New(1), New(1)
-	b.Trace = func(TraceEvent) {}
-	exercise(a)
-	exercise(b)
-	sa, sb := a.Stats(), b.Stats()
-	sa.WallTime, sb.WallTime = 0, 0 // wall time is measured, not modeled
-	if sa != sb {
-		t.Errorf("trace hook changed accounting: %+v vs %+v", sa, sb)
 	}
 }
 

@@ -12,6 +12,7 @@
 package refactor
 
 import (
+	"slices"
 	"sync"
 
 	"aigre/internal/aig"
@@ -165,12 +166,12 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 		}
 	}
 	st.ConesReplaced = len(reps)
+	var out *aig.AIG
 	if opts.SequentialReplacement {
-		out := applySequentially(d, a, reps)
-		st.NodesAfter = out.NumAnds()
-		return out, st
+		out = applySequentially(d, a, reps)
+	} else {
+		out = core.ApplyReplacements(d, a, reps)
 	}
-	out, _ := core.ApplyReplacements(d, a, reps, false)
 	st.NodesAfter = out.NumAnds()
 	return out, st
 }
@@ -182,49 +183,52 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 // cones are much larger than rewriting's 4-input cones, this sequential part
 // is correspondingly more expensive — the effect Table I quantifies.
 func applySequentially(d *gpu.Device, a *aig.AIG, reps []core.Replacement) *aig.AIG {
-	work := a.Rehash()
-	work.EnableStrash()
-	work.EnableFanouts()
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	var ops int64
-	for _, r := range reps {
-		ops += int64(2*len(r.Cone.Nodes) + len(r.Cone.Leaves) + 8)
-		if work.IsDeleted(r.Cone.Root) || !work.IsAnd(r.Cone.Root) {
-			continue
-		}
-		live := true
-		for _, l := range r.Cone.Leaves {
-			if work.IsDeleted(l) {
-				live = false
-				break
+	return core.EditInPlace(a, func(work *aig.AIG) func(int32) {
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		var ops int64
+		for _, r := range reps {
+			ops += int64(2*len(r.Cone.Nodes) + len(r.Cone.Leaves) + 8)
+			if work.IsDeleted(r.Cone.Root) || !work.IsAnd(r.Cone.Root) {
+				continue
 			}
+			if slices.ContainsFunc(r.Cone.Leaves, work.IsDeleted) {
+				continue
+			}
+			// Earlier replacements may have restructured the region: the leaves
+			// must still form a cut of the root (which also guarantees no cycle
+			// can arise from structural-hash reuse, since leaf-above-root and
+			// root-above-leaf cannot hold simultaneously in a DAG).
+			if !s.cs.ValidCut(work, r.Cone.Root, r.Cone.Leaves, 4*len(r.Cone.Nodes)+16) {
+				continue
+			}
+			ops += int64(3 * len(r.Prog.Ops))
+			replaceCone(work, s, r.Cone.Root, s.leafLitsOf(r.Cone.Leaves), r.Prog)
 		}
-		if !live {
-			continue
-		}
-		// Earlier replacements may have restructured the region: the leaves
-		// must still form a cut of the root (which also guarantees no cycle
-		// can arise from structural-hash reuse, since leaf-above-root and
-		// root-above-leaf cannot hold simultaneously in a DAG).
-		if !s.cs.ValidCut(work, r.Cone.Root, r.Cone.Leaves, 4*len(r.Cone.Nodes)+16) {
-			continue
-		}
-		s.leafLits = s.leafLits[:0]
-		for _, l := range r.Cone.Leaves {
-			s.leafLits = append(s.leafLits, aig.MakeLit(l, false))
-		}
-		ops += int64(3 * len(r.Prog.Ops))
-		newRoot, ok := s.es.BuildProgramAvoiding(work, r.Prog, s.leafLits, r.Cone.Root)
-		if !ok || newRoot.Var() == r.Cone.Root {
-			continue
-		}
-		work.ReplaceNode(r.Cone.Root, newRoot)
+		d.AddOverhead("refactor/seq-replace", ops)
+		return nil
+	})
+}
+
+// replaceCone builds prog over the leaf literals with structural hashing and
+// substitutes it for root, unless resynthesis reproduced the node being
+// replaced. It reports whether the network changed.
+func replaceCone(work *aig.AIG, s *scratch, root int32, leafLits []aig.Lit, prog core.Program) bool {
+	newRoot, ok := s.es.BuildProgramAvoiding(work, prog, leafLits, root)
+	if !ok || newRoot.Var() == root {
+		return false
 	}
-	d.AddOverhead("refactor/seq-replace", ops)
-	out, _ := work.Compact()
-	work.ReleaseStrash()
-	return out
+	work.ReplaceNode(root, newRoot)
+	return true
+}
+
+// leafLitsOf returns the positive literals of leaves in the scratch's buffer.
+func (s *scratch) leafLitsOf(leaves []int32) []aig.Lit {
+	s.leafLits = s.leafLits[:0]
+	for _, l := range leaves {
+		s.leafLits = append(s.leafLits, aig.MakeLit(l, false))
+	}
+	return s.leafLits
 }
 
 // Sequential runs one pass of ABC-style refactoring (drf; drf -z when
@@ -233,45 +237,31 @@ func applySequentially(d *gpu.Device, a *aig.AIG, reps []core.Replacement) *aig.
 func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
-	work := a.Rehash()
-	work.EnableStrash()
-	work.EnableFanouts()
-	rc := cut.NewReconv(work)
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	lastOriginal := int32(work.NumObjs())
-	for id := int32(work.NumPIs() + 1); id < lastOriginal; id++ {
-		if work.IsDeleted(id) {
-			continue
+	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
+		rc := cut.NewReconv(work)
+		return func(id int32) {
+			leaves := rc.Cut(id, opts.MaxCut)
+			if len(leaves) < 2 {
+				return
+			}
+			st.ConesConsidered++
+			mffc := len(s.es.MffcMembers(work, id, leaves))
+			if mffc < 2 {
+				return
+			}
+			prog, _ := resynthesize(work, aig.MakeLit(id, false), leaves, opts.Cache, s)
+			leafLits := s.leafLitsOf(leaves)
+			gain := mffc - s.es.DryRunCost(work, prog, leafLits)
+			if gain < 0 || (gain == 0 && !opts.ZeroGain) {
+				return
+			}
+			if replaceCone(work, s, id, leafLits, prog) {
+				st.ConesReplaced++
+			}
 		}
-		leaves := rc.Cut(id, opts.MaxCut)
-		if len(leaves) < 2 {
-			continue
-		}
-		st.ConesConsidered++
-		members := s.es.MffcMembers(work, id, leaves)
-		mffc := len(members)
-		if mffc < 2 {
-			continue
-		}
-		prog, _ := resynthesize(work, aig.MakeLit(id, false), leaves, opts.Cache, s)
-		s.leafLits = s.leafLits[:0]
-		for _, l := range leaves {
-			s.leafLits = append(s.leafLits, aig.MakeLit(l, false))
-		}
-		gain := mffc - s.es.DryRunCost(work, prog, s.leafLits)
-		if gain < 0 || (gain == 0 && !opts.ZeroGain) {
-			continue
-		}
-		newRoot, ok := s.es.BuildProgramAvoiding(work, prog, s.leafLits, id)
-		if !ok || newRoot.Var() == id {
-			continue // resynthesis reproduced the node being replaced
-		}
-		work.ReplaceNode(id, newRoot)
-		st.ConesReplaced++
-	}
-	out, _ := work.Compact()
-	work.ReleaseStrash()
+	})
 	st.NodesAfter = out.NumAnds()
 	return out, st
 }

@@ -350,34 +350,29 @@ func coneTruthSafe(a *aig.AIG, s *scratch, rootLit aig.Lit, leaves []int32) (t t
 func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
-	work := a.Rehash()
-	work.EnableStrash()
-	work.EnableFanouts()
-	s := &scratch{rc: cut.NewReconv(work)}
-	lastOriginal := int32(work.NumObjs())
-	for id := int32(work.NumPIs() + 1); id < lastOriginal; id++ {
-		if work.IsDeleted(id) {
-			continue
-		}
-		st.NodesConsidered++
-		// The managed mode keeps live fanout lists; use them directly so
-		// evaluation always sees the current graph.
-		cand, ok, _ := evaluateNode(work, s, work.Fanouts, id, opts)
-		if !ok {
-			continue
-		}
-		if apply(work, s, id, cand, false) {
-			if cand.kind == 0 {
-				st.ZeroResubs++
-			} else {
-				st.OneResubs++
+	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
+		s := &scratch{rc: cut.NewReconv(work)}
+		return func(id int32) {
+			st.NodesConsidered++
+			// The managed mode keeps live fanout lists; use them directly so
+			// evaluation always sees the current graph.
+			cand, ok, _ := evaluateNode(work, s, work.Fanouts, id, opts)
+			if ok && apply(work, s, id, cand, false) {
+				st.count(cand)
 			}
 		}
-	}
-	out, _ := work.Compact()
-	work.ReleaseStrash()
+	})
 	st.NodesAfter = out.NumAnds()
 	return out, st
+}
+
+// count files an applied substitution under its kind.
+func (st *Stats) count(cand candidate) {
+	if cand.kind == 0 {
+		st.ZeroResubs++
+	} else {
+		st.OneResubs++
+	}
 }
 
 // Parallel runs resubstitution with the paper's evaluation/replacement
@@ -390,45 +385,39 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
-	work := a.Rehash()
-	work.EnableStrash()
-	work.EnableFanouts()
-	nodes := make([]int32, 0, work.NumAnds())
-	work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
-	cands := make([]candidate, len(nodes))
-	oks := make([]bool, len(nodes))
-	// One scratch per worker; the cut computer is bound to work, so the pool
-	// lives as long as this pass.
-	pool := sync.Pool{New: func() any { return &scratch{rc: cut.NewReconv(work)} }}
-	d.Launch("resub/evaluate", len(nodes), func(tid int) int64 {
-		s := pool.Get().(*scratch)
-		cand, ok, ops := evaluateNode(work, s, work.Fanouts, nodes[tid], opts)
-		pool.Put(s)
-		cands[tid] = cand
-		oks[tid] = ok
-		return ops
-	})
-	st.NodesConsidered = len(nodes)
+	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
+		nodes := make([]int32, 0, work.NumAnds())
+		work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
+		cands := make([]candidate, len(nodes))
+		oks := make([]bool, len(nodes))
+		// One scratch per worker; the cut computer is bound to work, so the pool
+		// lives as long as this pass.
+		pool := sync.Pool{New: func() any { return &scratch{rc: cut.NewReconv(work)} }}
+		d.Launch("resub/evaluate", len(nodes), func(tid int) int64 {
+			s := pool.Get().(*scratch)
+			cand, ok, ops := evaluateNode(work, s, work.Fanouts, nodes[tid], opts)
+			pool.Put(s)
+			cands[tid] = cand
+			oks[tid] = ok
+			return ops
+		})
+		st.NodesConsidered = len(nodes)
 
-	s := pool.Get().(*scratch)
-	var seqOps int64
-	for i, id := range nodes {
-		seqOps++
-		if !oks[i] {
-			continue
-		}
-		seqOps += int64(8 + 4*len(cands[i].leaves))
-		if apply(work, s, id, cands[i], true) {
-			if cands[i].kind == 0 {
-				st.ZeroResubs++
-			} else {
-				st.OneResubs++
+		s := pool.Get().(*scratch)
+		var seqOps int64
+		for i, id := range nodes {
+			seqOps++
+			if !oks[i] {
+				continue
+			}
+			seqOps += int64(8 + 4*len(cands[i].leaves))
+			if apply(work, s, id, cands[i], true) {
+				st.count(cands[i])
 			}
 		}
-	}
-	d.AddOverhead("resub/seq-replace", seqOps)
-	out, _ := work.Compact()
-	work.ReleaseStrash()
+		d.AddOverhead("resub/seq-replace", seqOps)
+		return nil
+	})
 	st.NodesAfter = out.NumAnds()
 	return out, st
 }

@@ -289,30 +289,18 @@ func applyCandidate(work *aig.AIG, n int32, cand candidate, opts Options, revali
 func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
-	work := a.Rehash()
-	work.EnableStrash()
-	work.EnableFanouts()
 	s := scratchPool.Get().(*evalScratch)
-	defer func() {
-		s.flushNpn(opts.Cache)
-		scratchPool.Put(s)
-	}()
-	lastOriginal := int32(work.NumObjs())
-	for id := int32(work.NumPIs() + 1); id < lastOriginal; id++ {
-		if work.IsDeleted(id) {
-			continue
+	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
+		return func(id int32) {
+			st.NodesConsidered++
+			cand, ok, _ := evaluateNode(work, id, opts, s)
+			if ok && applyCandidate(work, id, cand, opts, false, s) {
+				st.NodesRewritten++
+			}
 		}
-		st.NodesConsidered++
-		cand, ok, _ := evaluateNode(work, id, opts, s)
-		if !ok {
-			continue
-		}
-		if applyCandidate(work, id, cand, opts, false, s) {
-			st.NodesRewritten++
-		}
-	}
-	out, _ := work.Compact()
-	work.ReleaseStrash()
+	})
+	s.flushNpn(opts.Cache)
+	scratchPool.Put(s)
 	st.NodesAfter = out.NumAnds()
 	return out, st
 }
@@ -325,48 +313,44 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
-	work := a.Rehash()
-	work.EnableStrash()
-	work.EnableFanouts()
+	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
+		// Parallel evaluation kernel: one thread per AND node.
+		nodes := make([]int32, 0, work.NumAnds())
+		work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
+		cands := make([]candidate, len(nodes))
+		oks := make([]bool, len(nodes))
+		d.Launch("rewrite/evaluate", len(nodes), func(tid int) int64 {
+			s := scratchPool.Get().(*evalScratch)
+			cand, ok, ops := evaluateNode(work, nodes[tid], opts, s)
+			s.flushNpn(opts.Cache)
+			scratchPool.Put(s)
+			cands[tid] = cand
+			oks[tid] = ok
+			return ops
+		})
+		st.NodesConsidered = len(nodes)
 
-	// Parallel evaluation kernel: one thread per AND node.
-	nodes := make([]int32, 0, work.NumAnds())
-	work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
-	cands := make([]candidate, len(nodes))
-	oks := make([]bool, len(nodes))
-	d.Launch("rewrite/evaluate", len(nodes), func(tid int) int64 {
+		// Sequential replacement with re-evaluation (the data-race-avoiding
+		// step of [9]); accounted as host-sequential time.
 		s := scratchPool.Get().(*evalScratch)
-		cand, ok, ops := evaluateNode(work, nodes[tid], opts, s)
-		s.flushNpn(opts.Cache)
-		scratchPool.Put(s)
-		cands[tid] = cand
-		oks[tid] = ok
-		return ops
+		defer scratchPool.Put(s)
+		var seqOps int64
+		for i, id := range nodes {
+			seqOps += 2
+			if !oks[i] {
+				continue
+			}
+			// Re-evaluation (cone truth, MFFC, dry run) plus the replacement
+			// itself are host-sequential work in [9].
+			seqOps += int64(40 + 3*len(cands[i].prog.Ops))
+			if applyCandidate(work, id, cands[i], opts, true, s) {
+				st.NodesRewritten++
+				seqOps += int64(2*len(cands[i].prog.Ops) + 16)
+			}
+		}
+		d.AddOverhead("rewrite/seq-replace", seqOps)
+		return nil
 	})
-	st.NodesConsidered = len(nodes)
-
-	// Sequential replacement with re-evaluation (the data-race-avoiding
-	// step of [9]); accounted as host-sequential time.
-	s := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(s)
-	var seqOps int64
-	for i, id := range nodes {
-		seqOps += 2
-		if !oks[i] {
-			continue
-		}
-		// Re-evaluation (cone truth, MFFC, dry run) plus the replacement
-		// itself are host-sequential work in [9].
-		seqOps += int64(40 + 3*len(cands[i].prog.Ops))
-		if applyCandidate(work, id, cands[i], opts, true, s) {
-			st.NodesRewritten++
-			seqOps += int64(2*len(cands[i].prog.Ops) + 16)
-		}
-	}
-	d.AddOverhead("rewrite/seq-replace", seqOps)
-
-	out, _ := work.Compact()
-	work.ReleaseStrash()
 	st.NodesAfter = out.NumAnds()
 	return out, st
 }

@@ -118,15 +118,6 @@ func (s *Store) Get(digest string) ([]byte, error) {
 	return data, nil
 }
 
-// Has reports whether the blob exists.
-func (s *Store) Has(digest string) bool {
-	if !validDigest(digest) {
-		return false
-	}
-	_, err := os.Stat(s.path(digest))
-	return err == nil
-}
-
 // GC removes every blob whose digest live does not report as referenced,
 // together with temp files abandoned by a crashed Put. It returns how many
 // blobs were removed. GC is safe against concurrent Puts of referenced

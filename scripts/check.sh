@@ -1,6 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: gofmt gate, build, vet (findings fail the run; the
-# nested benchmark module too, with its smoke test), the full test suite
+# Tier-1 verification: gofmt gate, structural gate, build, vet (findings fail
+# the run; the nested benchmark module too, with its smoke test), the full suite
 # under the race detector, and then only the rows that add a flag to it: the
 # non-race million-node and scaling smokes, the seeded chaos gate, uncached
 # (-count=1) runs of the I/O-bound packages, the byte budgets, and short fuzz
@@ -13,6 +13,13 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt: unformatted files:" >&2
     echo "$unformatted" >&2
+    exit 1
+fi
+# Structural gate: flow.execute is the only caller of a Command's engines, and
+# core.EditInPlace the only in-place edit scaffold of the three engines.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-dir=benchmark '\.(Par|Seq)\(' . ||
+    grep -rnE --include='*.go' --exclude='*_test.go' 'EnableFanouts\(\)|\.Rehash\(\)|ReleaseStrash\(\)' internal/rewrite internal/resub internal/refactor; then
+    echo "check: a copy of the command executor or of the edit scaffold grew back (see above)" >&2
     exit 1
 fi
 set -x
