@@ -12,8 +12,8 @@ test:
 race:
 	go test -race ./...
 
-bench: ## paper-table + partition benchmarks + regression gate vs scripts/bench_baseline.txt -> BENCH_<scripts/pr_sequence>.json
-	./scripts/bench.sh
+bench: ## the repo's benchmark (BENCHMARK.json, benchmark/README.md): all four workloads, or ARGS="--workload suite_par --seconds 15 --trace 0"
+	bash benchmark/run.sh $(ARGS)
 
 bench-all:
 	go test -bench=. -benchmem ./...

@@ -37,7 +37,6 @@ import (
 	"aigre/internal/cec"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/partition"
 	"aigre/internal/rcache"
 )
 
@@ -97,8 +96,9 @@ type Options struct {
 	// Parallel runs the paper's GPU-parallel algorithms; false runs the
 	// ABC-style sequential baselines.
 	Parallel bool
-	// Workers is the number of host worker goroutines backing the simulated
-	// device (0 = GOMAXPROCS).
+	// Workers sizes the pool behind this Network's methods (0 = GOMAXPROCS):
+	// the pool of Run's one-job engine (BatchOptions.Workers) and the device of
+	// the single-algorithm entry points. Ignored in a Batch.
 	Workers int
 	// MaxCut is the refactoring cut-size limit (default 12, the paper's
 	// setting).
@@ -121,27 +121,24 @@ type Options struct {
 	// (the CLI -verify flag). Complete but potentially much slower.
 	Verify bool
 	// GateRounds is the number of 64-pattern sampling rounds of the default
-	// per-command equivalence gate in script runs (0 = 4; negative disables
-	// the gate).
+	// per-command equivalence gate in script runs (zero or negative = 4).
 	GateRounds int
-	// FaultPlans installs deterministic fault injections on the simulated
-	// device backing this run (a chaos-testing facility: each plan panics or
-	// corrupts the Nth kernel launch matching a name pattern, exercising the
-	// guarded rollback path). See gpu.FaultPlan.
+	// FaultPlans is a chaos-testing facility: each plan panics, corrupts or
+	// stalls the Nth kernel launch matching a name pattern (gpu.FaultPlan).
+	// The plans go into each attempt's device lease, fire-progress carried
+	// across retries; a partitioned run, whose partition jobs hold the leases,
+	// ignores them.
 	FaultPlans []gpu.FaultPlan
 	// Cache is the resynthesis cache consulted by the rewriting and
 	// refactoring engines (nil = a process-wide default cache). Results are
 	// bit-identical with or without it. See Cache.
 	Cache *Cache
-	// Partition, when its Mode is not PartitionOff, makes Run (and the
-	// sequence entry points built on it) optimize partition-parallel: the
-	// network is split into size-bounded partitions, each partition runs the
-	// script as an independent prioritized job over a bounded worker pool
-	// sharing one resynthesis cache, and the results are stitched back with
-	// seam conflict breaking, equivalence gating, and per-partition rollback.
-	// Result.Partition carries the per-partition report. FaultPlans are
-	// ignored in partitioned runs (partition jobs lease device capacity from
-	// a shared pool). See PartitionOptions.
+	// Partition, when its Mode is not PartitionOff, makes a script run
+	// partition-parallel: the network is split into size-bounded partitions,
+	// each runs the script as a prioritized job on the engine's pool, sharing
+	// one resynthesis cache, and the results are stitched back with seam
+	// conflict breaking, equivalence gating and per-partition rollback
+	// (Result.Partition reports them). See PartitionOptions.
 	Partition PartitionOptions
 }
 
@@ -293,16 +290,8 @@ func (n *Network) WriteFile(path string) error {
 	return n.Write(f)
 }
 
-func (o Options) device() *gpu.Device {
-	d := gpu.New(o.Workers)
-	d.InjectFaults(o.FaultPlans...)
-	return d
-}
-
-// flowConfig maps the engine parameters onto a flow.Config: Options.Cache
-// resolved to its internal cache (nil = the process-wide default), and no
-// device — Run attaches one for whole-network parallel scripts, partition
-// jobs lease device capacity from their pool.
+// flowConfig maps the engine parameters onto a flow.Config, without a device:
+// jobs lease theirs from the engine's pool.
 func (o Options) flowConfig() flow.Config {
 	cfg := flow.Config{
 		Parallel:   o.Parallel,
@@ -332,7 +321,8 @@ func (n *Network) runCommand(ctx context.Context, opts Options, name string, pas
 	}
 	cfg := opts.flowConfig()
 	if opts.Parallel {
-		cfg.Device = opts.device()
+		cfg.Device = gpu.New(opts.Workers)
+		cfg.Device.InjectFaults(opts.FaultPlans...)
 	}
 	res, err := flow.RunCommand(ctx, n.aig, cmd, passes, cfg)
 	return resultOf(res, nil), err
@@ -378,24 +368,23 @@ func (n *Network) Dedup(ctx context.Context, opts Options) (Result, error) {
 // Run executes a command script such as "b; rw; rfz" (see package flow for
 // the vocabulary) under the guarded runner: every command is checkpointed,
 // validated, and degraded on failure (Result.Incidents lists containments).
+// It is Engine.Run of this one job on an engine of its own — a pool of
+// opts.Workers, no journal, zero policy.
 //
 // Cancelling ctx aborts the script between kernel launches and commands;
 // the partial Result (network and timings after the last completed command)
 // is returned together with an error wrapping ctx.Err().
 func (n *Network) Run(ctx context.Context, script string, opts Options) (Result, error) {
-	cfg := opts.flowConfig()
-	if opts.Partition.Mode != PartitionOff {
-		// Split, optimize every partition as a prioritized job over a bounded
-		// worker pool, stitch with seam conflict breaking.
-		pres, err := partition.Run(ctx, n.aig, script,
-			partition.Options{Split: opts.Partition, Workers: opts.Workers, Flow: cfg})
-		return resultOf(pres.Result, reportOf(&pres)), err
+	e, err := NewEngine(context.Background(), BatchOptions{Workers: opts.Workers})
+	if err != nil {
+		return Result{}, err
 	}
-	if opts.Parallel {
-		cfg.Device = opts.device()
+	defer e.Close()
+	br, err := e.Run(ctx, Batch{Name: n.Name(), AIG: n, Script: script, Options: opts})
+	if err != nil {
+		return Result{}, err
 	}
-	res, err := flow.Run(ctx, n.aig, script, cfg)
-	return resultOf(res, nil), err
+	return resultOf(br.Result.Result, br.Partition), br.Err
 }
 
 // Resyn2 runs the resyn2 sequence (b; rw; rf; b; rw; rwz; b; rfz; rwz; b).

@@ -36,14 +36,10 @@ type Batch struct {
 	// may occupy (0 = the whole pool). The shared budget bounds total
 	// concurrency regardless.
 	Workers int
-	// Options selects engine parameters for this job. Options.Workers is
-	// ignored (the pool is shared; use Batch.Workers for the lease cap).
-	// Options.FaultPlans is a chaos/test facility: the plans are injected
-	// into each attempt's leased device, with fire-progress carried across
-	// supervised retries (ignored for partitioned jobs, which manage their
-	// own leases). Options.Partition is honored: the job then optimizes
-	// partition-parallel, fanning its partitions onto the batch's shared
-	// pool, and BatchResult.Partition carries the report.
+	// Options selects engine parameters for this job, as documented there.
+	// Options.Workers is ignored: the job leases from the engine's pool
+	// (BatchOptions.Workers), capped by Batch.Workers. A partitioned job fans
+	// its partitions onto that pool; BatchResult.Partition carries the report.
 	Options Options
 }
 
@@ -66,9 +62,9 @@ type JobEvent = journal.Entry
 
 // BatchOptions configures RunBatch.
 type BatchOptions struct {
-	// Workers is the shared pool budget: the total number of host worker
-	// goroutines serving every job's kernel launches (0 = GOMAXPROCS). At no
-	// point do the jobs together occupy more than this many workers.
+	// Workers sizes the engine's pool: the host worker goroutines serving
+	// every job's kernel launches (0 = GOMAXPROCS); the jobs together never
+	// occupy more. For Network.Run, a one-job engine, it is Options.Workers.
 	Workers int
 	// MaxConcurrentJobs bounds how many jobs are in flight at once
 	// (0 = Workers). The pool already bounds host parallelism; this knob

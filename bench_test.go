@@ -9,7 +9,10 @@
 //	BenchmarkTable3Resyn2*    — Table III, the resyn2 sequence
 //	BenchmarkFig7Scaling/N    — Figure 7, GPU rf_resyn across sizes
 //	BenchmarkFig8Breakdown    — Figure 8, per-command modeled breakdown
-//	BenchmarkPartitionMillion — partition-parallel million-node AIG, W1 vs W8
+//
+// This file is the paper's Table/Fig index, not the perf instrument: claims
+// are measured with benchmark/ (BENCHMARK.json), whose deep_part workload and
+// partition.w1_wall_s / partition.speedup probes cover partition scaling.
 //
 // GPU-side benchmarks report the modeled device time as "modeled-ns/op"
 // next to the host wall time (see DESIGN.md for the substitution).
@@ -18,9 +21,7 @@ package aigre_test
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 
 	"aigre"
 	"aigre/internal/aig"
@@ -219,58 +220,3 @@ func BenchmarkPublicAPIResyn2(b *testing.B) {
 		}
 	}
 }
-
-// deepNarrowMillion builds (once per process) the million-node deep/narrow
-// AIG of the partition benchmarks: 64 independent 16000-node output chains,
-// the adversarial shape for kernel-level parallelism.
-var deepNarrowMillion = struct {
-	once sync.Once
-	a    *aig.AIG
-}{}
-
-func deepNarrowCase(b *testing.B) *aig.AIG {
-	b.Helper()
-	deepNarrowMillion.once.Do(func() { deepNarrowMillion.a = bench.DeepNarrow(64, 4000) })
-	return deepNarrowMillion.a
-}
-
-// BenchmarkPartitionMillionW1/W2/W4/W8 measure partition-parallel
-// optimization of a million-node AIG across worker budgets (the BENCH_N.json
-// scaling artifact): same split into eight ~128k-node cone partitions, the
-// worker budget alone varies. ns/op shows the wall speedup on multicore
-// hosts — bench.sh derives speedup and parallel-efficiency columns from the
-// W-row ratios — and the queued-ns/op metric (total time partitions sat
-// waiting for a worker) captures the same scaling even on hosts with fewer
-// cores than workers, where wall time cannot improve.
-func benchPartitionMillion(b *testing.B, workers int) {
-	n := aigre.FromInternal(deepNarrowCase(b))
-	var queued, jobWall time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := n.Run(context.Background(), "b; rw", aigre.Options{
-			Workers: workers,
-			Partition: aigre.PartitionOptions{
-				Mode:       aigre.PartitionCones,
-				TargetSize: 1 << 17,
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Partition == nil || len(res.Partition.Parts) < 2 {
-			b.Fatalf("expected a multi-partition run, got %+v", res.Partition)
-		}
-		for _, p := range res.Partition.Parts {
-			queued += p.QueuedNS
-			jobWall += p.WallNS
-		}
-	}
-	b.ReportMetric(float64(queued.Nanoseconds())/float64(b.N), "queued-ns/op")
-	b.ReportMetric(float64(jobWall.Nanoseconds())/float64(b.N), "jobwall-ns/op")
-}
-
-func BenchmarkPartitionMillionW1(b *testing.B) { benchPartitionMillion(b, 1) }
-func BenchmarkPartitionMillionW2(b *testing.B) { benchPartitionMillion(b, 2) }
-func BenchmarkPartitionMillionW4(b *testing.B) { benchPartitionMillion(b, 4) }
-func BenchmarkPartitionMillionW8(b *testing.B) { benchPartitionMillion(b, 8) }

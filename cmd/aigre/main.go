@@ -11,6 +11,10 @@
 //	aigre -batch jobs.txt -parallel -workers 8 -outdir opt/ -report report.json
 //	aigre -batch jobs.txt -parallel -job-timeout 1m -retries 2 -journal run.jsonl
 //
+// Both modes run their jobs on one engine under one supervision policy:
+// -job-timeout, -retries, -stuck-timeout and -journal mean the same thing for
+// the single -in run as for every job of a -batch manifest.
+//
 // Exit codes (for automation):
 //
 //	0  clean: every run/job completed without incidents
@@ -18,7 +22,8 @@
 //	2  usage error
 //	3  degraded: all jobs completed, but contained incidents were recorded
 //	4  job casualty: at least one batch job failed, timed out, was
-//	   cancelled, or was quarantined by the supervisor
+//	   cancelled, or was quarantined by the supervisor (a single -in run
+//	   that ends that way is a hard error, 1)
 //
 // Signals: the first SIGINT/SIGTERM cancels the run gracefully — in-flight
 // work stops at the next kernel-launch boundary, batch jobs report
@@ -41,7 +46,6 @@ import (
 	"aigre"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/journal"
 )
 
 func main() {
@@ -53,9 +57,9 @@ func main() {
 		maxJobs  = flag.Int("max-jobs", 0, "max concurrently running batch jobs (0 = workers)")
 		shCache  = flag.Bool("shared-cache", false, "share one resynthesis cache across all batch jobs (batch mode)")
 		timeout  = flag.Duration("timeout", 0, "overall run deadline, e.g. 30s (0 = none)")
-		jobTmo   = flag.Duration("job-timeout", 0, "per-job attempt deadline, e.g. 10s (batch mode; 0 = none)")
-		retries  = flag.Int("retries", 0, "retry budget per job for transient faults, timeouts, and stuck preemptions (batch mode)")
-		stuckTmo = flag.Duration("stuck-timeout", 0, "watchdog threshold: preempt a job whose kernel heartbeat stalls this long (batch mode; 0 = off)")
+		jobTmo   = flag.Duration("job-timeout", 0, "per-job attempt deadline, e.g. 10s (0 = none)")
+		retries  = flag.Int("retries", 0, "retry budget per job for transient faults, timeouts, and stuck preemptions")
+		stuckTmo = flag.Duration("stuck-timeout", 0, "watchdog threshold: preempt a job whose kernel heartbeat stalls this long (0 = off)")
 		journalF = flag.String("journal", "", "append every supervision event (attempts, incidents, retries, quarantines) to this JSONL file")
 		out      = flag.String("out", "", "output AIGER file (optional; .aag = ASCII)")
 		script   = flag.String("script", "", "optimization script, e.g. \"b; rw; rfz\"")
@@ -120,16 +124,29 @@ func main() {
 	// Profiles must be written on every exit path, and main exits through
 	// os.Exit (which skips defers) — route all exits through finishProfiles.
 	fatal(startProfiles(*cpuProf, *memProf))
-	// Options.Workers sizes a single run's device; batch jobs ignore it (they
-	// share the BatchOptions.Workers pool).
+	// -workers sizes the engine's pool (BatchOptions.Workers), which every job
+	// of either mode leases from.
 	opts := aigre.Options{
 		Parallel:  *parallel,
-		Workers:   *workers,
 		MaxCut:    *maxCut,
 		Passes:    *passes,
 		ZeroGain:  *zeroGain,
 		Verify:    *verify,
 		Partition: aigre.PartitionOptions{Mode: pmode, TargetSize: *partSize, MaxConflictRounds: *partRnds},
+	}
+	bopts := aigre.BatchOptions{
+		Workers:           *workers,
+		MaxConcurrentJobs: *maxJobs,
+		JournalPath:       *journalF,
+		Policy: aigre.Policy{
+			JobTimeout:   *jobTmo,
+			Retries:      *retries,
+			StuckTimeout: *stuckTmo,
+			// Degraded completions are worth a fresh attempt whenever a
+			// budget exists: the CLI's goal is the cleanest result the
+			// budget can buy.
+			RetryDegraded: *retries > 0,
+		},
 	}
 	if *batch != "" {
 		if *inject != "" {
@@ -141,20 +158,6 @@ func main() {
 				os.Exit(2)
 			}
 			opts.FaultPlans = []gpu.FaultPlan{plan}
-		}
-		bopts := aigre.BatchOptions{
-			Workers:           *workers,
-			MaxConcurrentJobs: *maxJobs,
-			JournalPath:       *journalF,
-			Policy: aigre.Policy{
-				JobTimeout:   *jobTmo,
-				Retries:      *retries,
-				StuckTimeout: *stuckTmo,
-				// Degraded completions are worth a fresh attempt whenever a
-				// budget exists: the CLI's goal is the cleanest batch the
-				// budget can buy.
-				RetryDegraded: *retries > 0,
-			},
 		}
 		if *shCache {
 			bopts.SharedCache = aigre.NewCache()
@@ -203,25 +206,17 @@ func main() {
 	cur := n
 	degraded := false
 	if s != "" {
+		_, err := flow.Parse(s) // here, for a diagnostic without the engine's job prefix
+		fatal(err)
 		if *inject != "" {
 			plan, err := gpu.ParseFaultPlan(*inject)
 			fatal(err)
 			opts.FaultPlans = []gpu.FaultPlan{plan}
 		}
-		if *resyn2 {
-			opts.RwzPasses = 2
-		}
-		res, err := cur.Run(ctx, s, opts)
-		if *journalF != "" {
-			if jerr := journalSingleRun(*journalF, n.Name(), s, res, err); jerr != nil {
-				fmt.Fprintln(os.Stderr, "aigre:", jerr)
-			}
-		}
+		res, err := runSingle(ctx, n, s, bopts, opts)
 		fatal(err)
 		cur = res.AIG
-		if len(res.Incidents) > 0 {
-			degraded = true
-		}
+		degraded = len(res.Incidents) > 0
 		if *verbose {
 			for _, t := range res.Timings {
 				fmt.Fprintf(msg, "  %-4s wall=%-12v modeled=%-12v dedup=%-12v and=%d lev=%d\n",
@@ -289,29 +284,27 @@ func main() {
 	}
 }
 
-// journalSingleRun appends a single (non-batch) run's history to the durable
-// journal: one attempt entry, every contained incident, and the outcome, in
-// the same schema batch supervision writes.
-func journalSingleRun(path, name, script string, res aigre.Result, runErr error) error {
-	j, err := journal.Create(path)
+// runSingle runs the -in network as the one job of an engine configured like
+// a batch's — same pool, supervision policy and journal — and reports it in
+// the single-run shape. An outcome a batch would count a casualty (failed,
+// timed out, cancelled, quarantined) comes back as the error.
+func runSingle(ctx context.Context, n *aigre.Network, script string, bopts aigre.BatchOptions, opts aigre.Options) (aigre.Result, error) {
+	e, err := aigre.NewEngine(ctx, bopts)
 	if err != nil {
-		return err
+		return aigre.Result{}, err
 	}
-	defer j.Close()
-	if name == "" {
-		name = "run"
+	defer e.Close()
+	br, err := e.Run(ctx, aigre.Batch{AIG: n, Script: script, Options: opts})
+	if err != nil {
+		return aigre.Result{}, err
 	}
-	j.Append(journal.Entry{Job: name, Attempt: 1, Event: journal.EventAttempt, Detail: script})
+	res := aigre.Result{AIG: br.AIG, Result: br.Result.Result, Partition: br.Partition}
+	// The single-run documents (-profile-json) have no attempt column; which
+	// attempt recorded an incident is in the journal.
 	for i := range res.Incidents {
-		inc := res.Incidents[i]
-		inc.Attempt = 1
-		j.Append(journal.Entry{Job: name, Attempt: 1, Event: journal.EventIncident,
-			Class: inc.Class, Detail: inc.Detail, Incident: &inc})
+		res.Incidents[i].Attempt = 0
 	}
-	if runErr != nil {
-		return j.Append(journal.Entry{Job: name, Attempt: 1, Event: journal.EventFail, Detail: runErr.Error()})
-	}
-	return j.Append(journal.Entry{Job: name, Attempt: 1, Event: journal.EventDone})
+	return res, br.Err
 }
 
 // profileReport is the JSON schema of -profile-json: the run's Result (wall

@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"aigre"
+	"aigre/internal/bench"
 )
 
 // TestMain doubles as the CLI's entry point: the tests re-exec this binary
@@ -103,4 +108,74 @@ func TestReportSchemas(t *testing.T) {
 	checkKeyPaths(t, "profile.keys",
 		runCLI(t, "-in", in, "-script", "b; rf", "-parallel", "-inject", fault, "-profile-json", "-"),
 		runCLI(t, "-in", in, "-script", "b; rw", "-partition", "cones", "-partition-size", "16", "-profile-json", "-"))
+}
+
+// TestSingleRunIsSupervised checks that the single -in run goes through the
+// engine: -retries and -journal mean what they mean for a batch job. One
+// injected kernel panic degrades the first attempt, the retry budget buys a
+// clean second one (the fired plan is carried over), and the supervisor — not
+// the command — writes the journal.
+func TestSingleRunIsSupervised(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	runCLI(t, "-in", filepath.Join("testdata", "adder8.aag"), "-script", "b; rf", "-parallel",
+		"-journal", journal, "-retries", "1", "-inject", "refactor/resynth:1:panic")
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var e struct {
+			Event   string `json:"event"`
+			Attempt int    `json:"attempt"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("%v in %s", err, line)
+		}
+		events = append(events, fmt.Sprintf("%s/%d", e.Event, e.Attempt))
+	}
+	const want = "attempt/1 incident/1 retry/1 attempt/2 done/2"
+	if got := strings.Join(events, " "); got != want {
+		t.Errorf("journal of a retried single run: %s, want %s", got, want)
+	}
+}
+
+// TestResyn2DecidedOnce is the command's row of the library test of the same
+// name: -resyn2 and the same commands spelled out in -script give the bytes
+// Resyn2() gives (two rwz passes in parallel mode), with no decision of the
+// command's own.
+func TestResyn2DecidedOnce(t *testing.T) {
+	a, ok := bench.ByName("ac97_ctrl", 1) // one and two rwz passes give different networks here
+	if !ok {
+		t.Fatal("ac97_ctrl missing from suite")
+	}
+	n := aigre.FromInternal(a)
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.aig")
+	if err := n.WriteFile(in); err != nil {
+		t.Fatal(err)
+	}
+	n, err := aigre.ReadFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := n.Resyn2(context.Background(), aigre.Options{Parallel: true, Workers: 2, Cache: aigre.NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := res.AIG.Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, script := range [][]string{{"-resyn2"}, {"-script", "b;rw;rf;b;rw;rwz;b;rfz;rwz;b"}} {
+		out := filepath.Join(dir, "out.aig")
+		runCLI(t, append([]string{"-in", in, "-parallel", "-workers", "2", "-out", out}, script...)...)
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("aigre %v: output differs from Resyn2()", script)
+		}
+	}
 }

@@ -23,7 +23,7 @@ import (
 func TestSubmitAllocBudget(t *testing.T) {
 	alloctest.SkipIfRace(t)
 	s, _ := testServer(t, serverConfig{})
-	s.cancel() // stop the pump: nothing may lease and run the job meanwhile
+	s.cancel() // stop the workers: nothing may lease and run the job meanwhile
 	var buf bytes.Buffer
 	if err := aigre.FromInternal(bench.Sqrt(48)).Write(&buf); err != nil {
 		t.Fatal(err)

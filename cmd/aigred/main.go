@@ -124,8 +124,7 @@ func run(args []string) int {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	bopts := aigre.BatchOptions{
-		Workers:           *workers,
-		MaxConcurrentJobs: *maxJobs,
+		Workers: *workers,
 		Policy: aigre.Policy{
 			JobTimeout:    *jobTmo,
 			Retries:       *retries,

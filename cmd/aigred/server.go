@@ -46,11 +46,11 @@ type serverConfig struct {
 }
 
 // server wires the durable queue to the batch engine: an HTTP front end
-// admits jobs into the queue, the pump leases them into the engine one
-// in-flight slot at a time, and runners resolve each lease to a durable
-// terminal record. The engine's own admission queue stays empty by
-// construction — everything waiting lives in the durable queue, where a
-// drain or crash can checkpoint it.
+// admits jobs into the queue, and -max-jobs workers each loop "lease the next
+// pending job, run it on the engine (the blocking Engine.Run), resolve the
+// lease to a durable terminal record". Everything waiting lives in the
+// durable queue, where a drain or crash can checkpoint it; the engine's own
+// admission queue is never used.
 type server struct {
 	cfg  serverConfig
 	q    *queue.Queue
@@ -64,12 +64,11 @@ type server struct {
 	cancel context.CancelFunc
 
 	mu       sync.Mutex
+	idle     *sync.Cond // on mu: new work, a drain or a shutdown, for idle workers
 	draining bool
 	leases   int // leases this incarnation (crash-hook bookkeeping)
 
-	slots    chan struct{} // in-flight capacity
-	wake     chan struct{} // new work / freed slot
-	inflight sync.WaitGroup
+	workers sync.WaitGroup // the worker goroutines
 
 	casualties atomic.Int64 // failed + quarantined this incarnation
 	degraded   atomic.Int64 // done, but with contained incidents
@@ -136,10 +135,13 @@ func newServer(ctx context.Context, cfg serverConfig) (*server, error) {
 		lim:    newLimiter(cfg.rate, cfg.burst),
 		ctx:    ctx,
 		cancel: cancel,
-		slots:  make(chan struct{}, cfg.maxJobs),
-		wake:   make(chan struct{}, 1),
 	}
-	go s.pump()
+	s.idle = sync.NewCond(&s.mu)
+	context.AfterFunc(ctx, s.wakeUp)
+	s.workers.Add(cfg.maxJobs)
+	for i := 0; i < cfg.maxJobs; i++ {
+		go s.worker()
+	}
 	return s, nil
 }
 
@@ -221,34 +223,23 @@ func (s *server) serveHTTP(ln net.Listener) error {
 	return err
 }
 
-// pump is the dispatcher: one loop that acquires an in-flight slot, leases
-// the next pending job, and hands it to a runner. It stops at drain or
-// shutdown; slots free as runners finish.
-func (s *server) pump() {
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case s.slots <- struct{}{}:
-		}
-		if !s.leaseOne() {
-			<-s.slots
-			return
-		}
+// worker is one in-flight slot: it leases and runs jobs one after another
+// until the daemon drains or shuts down.
+func (s *server) worker() {
+	defer s.workers.Done()
+	for spec := s.lease(); spec != nil; spec = s.lease() {
+		s.runJob(spec)
 	}
 }
 
-// leaseOne blocks until a job is leased and its runner launched (true), or
-// the daemon starts draining or shuts down (false). The draining check,
-// the durable lease, and the in-flight registration happen under one lock,
-// so drain's inflight.Wait can never miss a runner that was just launched.
-func (s *server) leaseOne() bool {
-	for {
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return false
-		}
+// lease blocks until a job is leased (returned), or the daemon starts
+// draining or shuts down (nil). The draining check and the durable lease
+// happen under one lock, so once drain has set the flag no further job is
+// leased.
+func (s *server) lease() *queue.Spec {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.draining && s.ctx.Err() == nil {
 		spec, err := s.q.Lease()
 		if spec != nil {
 			s.leases++
@@ -257,36 +248,24 @@ func (s *server) leaseOne() bool {
 				// disk, the job never runs, no checkpoint is written.
 				os.Exit(2)
 			}
-			s.inflight.Add(1)
-			s.mu.Unlock()
-			if s.cfg.verbose {
-				fmt.Fprintf(os.Stderr, "aigred: job %s: leased (%s)\n", spec.ID, spec.Script)
-			}
-			go s.runJob(spec)
-			return true
+			return spec
 		}
-		s.mu.Unlock()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "aigred: lease:", err)
 		}
-		select {
-		case <-s.ctx.Done():
-			return false
-		case <-s.wake:
-		}
+		s.idle.Wait()
 	}
+	return nil
 }
 
-// runJob executes one leased job through the engine and durably resolves the
+// runJob executes one leased job on the engine and durably resolves the
 // lease: success and permanent failures become terminal records carrying the
 // queryable session; a forced-drain cancellation checkpoints the job back to
 // pending for the next incarnation.
 func (s *server) runJob(spec *queue.Spec) {
-	defer func() {
-		s.inflight.Done()
-		<-s.slots
-		s.wakeUp()
-	}()
+	if s.cfg.verbose {
+		fmt.Fprintf(os.Stderr, "aigred: job %s: leased (%s)\n", spec.ID, spec.Script)
+	}
 	b, err := specBatch(spec, s.cfg)
 	if err != nil {
 		// The spec was validated at submission, so this is a payload rotted
@@ -294,13 +273,12 @@ func (s *server) runJob(spec *queue.Spec) {
 		s.resolve(spec.ID, queue.Failed, fmt.Sprintf("unrunnable spec: %v", err), nil)
 		return
 	}
-	tk, err := s.eng.Submit(s.ctx, b)
+	r, err := s.eng.Run(s.ctx, b)
 	if err != nil {
 		// Engine already closed under us (forced drain): checkpoint.
 		s.requeue(spec.ID, "drain: engine closed before the job started")
 		return
 	}
-	r := tk.Wait()
 	sess := sessionOf(r)
 	switch {
 	case r.Quarantined:
@@ -365,11 +343,12 @@ func (s *server) requeue(id, detail string) {
 	}
 }
 
+// wakeUp sends the idle workers back to look: there is new work, or the
+// daemon is draining or shutting down.
 func (s *server) wakeUp() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.mu.Lock()
+	s.idle.Broadcast()
+	s.mu.Unlock()
 }
 
 func (s *server) isDraining() bool {
@@ -384,12 +363,12 @@ func (s *server) isDraining() bool {
 func (s *server) drain(timeout time.Duration) int {
 	s.mu.Lock()
 	s.draining = true
+	s.idle.Broadcast() // idle workers exit now, busy ones after their job
 	s.mu.Unlock()
-	s.wakeUp() // unblock the pump so it observes the drain
 
 	done := make(chan struct{})
 	go func() {
-		s.inflight.Wait()
+		s.workers.Wait()
 		close(done)
 	}()
 	forced := false
@@ -546,12 +525,11 @@ func specBatch(spec *queue.Spec, cfg serverConfig) (aigre.Batch, error) {
 		// The engine job is named by the queue id, not the user-chosen
 		// name: supervision events key by Batch.Name, and the id is what
 		// the event bus and SSE streams address jobs by.
-		Name:     spec.ID,
-		AIG:      n,
-		Script:   spec.Script,
-		Priority: spec.Priority,
-		Workers:  spec.Workers,
-		Options:  opts,
+		Name:    spec.ID,
+		AIG:     n,
+		Script:  spec.Script,
+		Workers: spec.Workers,
+		Options: opts,
 	}, nil
 }
 

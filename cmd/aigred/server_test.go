@@ -36,7 +36,6 @@ func testServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
 		cfg.maxJobs = 1
 	}
 	cfg.batch.Workers = 2
-	cfg.batch.MaxConcurrentJobs = cfg.maxJobs
 	s, err := newServer(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func ablations() {
 
 	fmt.Println("\n--- Ablation 4: resubstitution extension (paper future work) ---")
 	dRS := device()
-	rsOut, rsSt := resub.Parallel(dRS, a, resub.Options{})
+	rsOut, rsSt := resub.Parallel(dRS, a)
 	fmt.Printf("parallel rs: %d -> %d nodes (%d zero-resubs, %d one-resubs), model %s\n",
 		a.NumAnds(), rsOut.NumAnds(), rsSt.ZeroResubs, rsSt.OneResubs, fmtDur(dRS.Stats().ModeledTime))
 	r2, _ := runSeqScript(a, flow.Resyn2)

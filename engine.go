@@ -2,8 +2,9 @@ package aigre
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"aigre/internal/flow"
 	"aigre/internal/journal"
@@ -11,20 +12,17 @@ import (
 	"aigre/internal/sched"
 )
 
-// Engine is the serve-mode counterpart of RunBatch: a long-lived fleet that
-// accepts jobs one at a time instead of as a fixed slice. Jobs share one
-// bounded worker budget, one supervision policy, and (optionally) one
-// resynthesis cache and journal, exactly as a batch would. RunBatch itself
-// runs on an Engine; daemons such as cmd/aigred keep one open across many
-// submissions.
+// Engine is what every job runs on: a fleet sharing one bounded worker pool,
+// one supervision policy, and (optionally) one resynthesis cache and journal.
+// Network.Run opens one for its one job, RunBatch for its slice, and daemons
+// such as cmd/aigred keep one open across many jobs.
 type Engine struct {
 	opts BatchOptions
 	pool *sched.Pool
 	eng  *sched.Engine
 	jour *journal.Journal
 
-	mu           sync.Mutex
-	n            int // submissions, offsets per-job retry-jitter seeds
+	n            atomic.Int64 // jobs converted, offsets per-job retry-jitter seeds
 	sharedBefore CacheStats
 }
 
@@ -37,14 +35,18 @@ type JobTicket struct {
 	partition *PartitionReport
 }
 
-// Wait blocks until the job finishes and returns its result.
-func (t *JobTicket) Wait() BatchResult {
-	br := BatchResult{Result: t.st.Wait(), Partition: t.partition}
-	if br.Result.AIG != nil {
-		br.AIG = &Network{aig: br.Result.AIG}
+// batchResultOf wraps a scheduler report (and the partition report, if any)
+// in the public shape.
+func batchResultOf(r sched.Result, pr *PartitionReport) BatchResult {
+	br := BatchResult{Result: r, Partition: pr}
+	if r.AIG != nil {
+		br.AIG = &Network{aig: r.AIG}
 	}
 	return br
 }
+
+// Wait blocks until the job finishes and returns its result.
+func (t *JobTicket) Wait() BatchResult { return batchResultOf(t.st.Wait(), t.partition) }
 
 // Done is closed when the job has finished.
 func (t *JobTicket) Done() <-chan struct{} { return t.st.Done() }
@@ -96,26 +98,38 @@ func (b Batch) check() error {
 	}
 }
 
-// Submit admits one job to the engine. ctx, when non-nil, cancels this job
-// alone. The call validates the job (nil network, unparsable script,
-// unknown partition mode) before admitting it; after Shutdown or Close it
-// returns sched.ErrClosed.
+// Submit admits one job to the engine's priority queue. ctx, when non-nil,
+// cancels this job alone. The call validates the job (nil network, unparsable
+// script, unknown partition mode) before admitting it; after Shutdown or
+// Close it returns sched.ErrClosed.
 func (e *Engine) Submit(ctx context.Context, b Batch) (*JobTicket, error) {
 	if err := b.check(); err != nil {
 		return nil, fmt.Errorf("aigre: job %q: %w", b.Name, err)
 	}
-	e.mu.Lock()
-	seq := e.n
-	e.n++
-	e.mu.Unlock()
 	t := &JobTicket{}
-	sj := e.convert(b, int64(seq), &t.partition)
-	st, err := e.eng.Submit(ctx, sj)
+	st, err := e.eng.Submit(ctx, e.convert(b, &t.partition))
 	if err != nil {
 		return nil, err
 	}
 	t.st = st
 	return t, nil
+}
+
+// Run is the blocking form of Submit: one job, run to completion on the
+// calling goroutine — same validation, supervision, journal, metrics and
+// result — past the priority queue and MaxConcurrentJobs. A failing or
+// cancelled job reports through BatchResult.Err; the call errors only where
+// Submit would.
+func (e *Engine) Run(ctx context.Context, b Batch) (BatchResult, error) {
+	if err := b.check(); err != nil {
+		return BatchResult{}, fmt.Errorf("aigre: job %q: %w", b.Name, err)
+	}
+	var pr *PartitionReport
+	r := e.eng.Do(ctx, e.convert(b, &pr))
+	if errors.Is(r.Err, sched.ErrClosed) {
+		return BatchResult{}, r.Err
+	}
+	return batchResultOf(r, pr), nil
 }
 
 // Shutdown is the graceful drain: it stops admission, withdraws jobs still
@@ -149,12 +163,12 @@ func (e *Engine) Metrics() BatchMetrics {
 	return m
 }
 
-// convert builds the sched job for b: engine options merged with the batch's
-// shared cache, and — for partitioned jobs — a custom runner that fans the
-// partitions onto the engine's shared pool under a retry budget shared with
-// the job's own supervised attempts. seq offsets the retry-jitter seed;
-// *prp receives the partition report before the job's ticket resolves.
-func (e *Engine) convert(b Batch, seq int64, prp **PartitionReport) sched.Job {
+// convert builds the sched job for b: engine options merged with the shared
+// cache and, for a partitioned job, a custom runner that fans the partitions
+// onto the engine's pool under a retry budget shared with the job's own
+// attempts. *prp receives the partition report before the job finishes.
+func (e *Engine) convert(b Batch, prp **PartitionReport) sched.Job {
+	seq := e.n.Add(1) - 1
 	o := b.Options
 	if e.opts.SharedCache != nil {
 		o.Cache = e.opts.SharedCache
@@ -171,9 +185,6 @@ func (e *Engine) convert(b Batch, seq int64, prp **PartitionReport) sched.Job {
 	if o.Partition.Mode == PartitionOff {
 		return sj
 	}
-	// A partitioned job fans its partitions onto the engine's shared pool
-	// via the custom-runner hook, so the whole fleet still respects one
-	// worker budget.
 	pol := e.opts.Policy
 	in, script := b.AIG.aig, b.Script
 	popts := partition.Options{Split: o.Partition, Workers: b.Workers, Flow: o.flowConfig(), Journal: e.jour}

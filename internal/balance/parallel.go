@@ -190,17 +190,11 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 				x := h.pop()
 				y := h.pop()
 				res := combineStep(x, y, func(f0, f1 aig.Lit) aig.Lit {
-					provisional := base + offsets[ri] + used[ri]
-					got, inserted, err := ht.InsertUnique(aig.Key(f0, f1), uint32(provisional))
-					if err != nil {
-						panic(err)
-					}
-					if inserted {
-						out.SetFanins(provisional, f0, f1)
+					lit, created := ht.ShareOrCreate(out, f0, f1, base+offsets[ri]+used[ri])
+					if created {
 						used[ri]++
-						return aig.MakeLit(provisional, false)
 					}
-					return aig.MakeLit(int32(got), false)
+					return lit
 				})
 				h.push(res)
 				return 4

@@ -110,16 +110,7 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement) *aig.AIG {
 				return 2
 			}
 			provisional := firstNew + offsets[tid] + int32(pass)
-			got, inserted, err := ht.InsertUnique(aig.Key(f0, f1), uint32(provisional))
-			if err != nil {
-				panic(err)
-			}
-			if inserted {
-				work.SetFanins(provisional, f0, f1)
-				results[tid][pass] = aig.MakeLit(provisional, false)
-			} else {
-				results[tid][pass] = aig.MakeLit(int32(got), false)
-			}
+			results[tid][pass], _ = ht.ShareOrCreate(work, f0, f1, provisional)
 			return 4
 		})
 	}

@@ -10,27 +10,12 @@
 package dedup
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"aigre/internal/aig"
 	"aigre/internal/gpu"
 	"aigre/internal/hashtable"
 )
-
-// tablePool recycles the pass-scoped hash table between runs. A pooled table
-// is reused only when its slot count equals what New would pick for the
-// requested capacity, so pooled and unpooled runs behave identically
-// (including the deliberate undersized-table rehash path used in tests).
-var tablePool sync.Pool
-
-func acquireTable(capacityHint int) *hashtable.Table {
-	if t, _ := tablePool.Get().(*hashtable.Table); t != nil && t.Cap() == hashtable.SizeFor(capacityHint) {
-		t.Reset()
-		return t
-	}
-	return hashtable.New(capacityHint)
-}
 
 // Stats reports one cleanup pass.
 type Stats struct {
@@ -69,8 +54,8 @@ func run(d *gpu.Device, a *aig.AIG, tableCap int) (*aig.AIG, Stats) {
 	for i := range remap {
 		remap[i] = aig.MakeLit(int32(i), false)
 	}
-	ht := acquireTable(tableCap)
-	defer tablePool.Put(ht)
+	ht := hashtable.Acquire(tableCap)
+	defer hashtable.Release(ht)
 	merged := make([]int32, len(byLevel))
 	trivial := make([]int32, len(byLevel))
 	maxBatch := 0

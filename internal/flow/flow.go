@@ -64,8 +64,7 @@ type Config struct {
 	// (Section III-D), so it has no effect in parallel mode.
 	ZeroGain bool
 	// GateRounds is the number of 64-pattern random-simulation rounds used
-	// by the per-command equivalence gate (default 4). Negative disables the
-	// gate (ablation only); the structural invariant check always runs.
+	// by the per-command equivalence gate (zero or negative = 4).
 	GateRounds int
 	// Verify upgrades the per-command equivalence gate from sampling to a
 	// full combinational equivalence check (exhaustive simulation or SAT via
@@ -88,7 +87,7 @@ func (c Config) normalized() Config {
 	if c.RfPasses == 0 {
 		c.RfPasses = 1
 	}
-	if c.GateRounds == 0 {
+	if c.GateRounds <= 0 {
 		c.GateRounds = 4
 	}
 	if c.Cache == nil {
@@ -170,11 +169,8 @@ var commands = map[string]Command{
 	"rf":  refactorCommand(false),
 	"rfz": refactorCommand(true),
 	"rs": {Kind: "rs", Cleanup: true,
-		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Sequential(a, resub.Options{}); return out },
-		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG {
-			out, _ := resub.Parallel(d, a, resub.Options{})
-			return out
-		}},
+		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Sequential(a); return out },
+		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Parallel(d, a); return out }},
 	// The cleanup pass as a command of its own, for RunCommand. It has no
 	// sequential engine, so Parse does not admit it to scripts.
 	"dedup": {Kind: "dedup",

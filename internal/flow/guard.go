@@ -47,8 +47,8 @@ type Incident struct {
 	// that will reproduce on retry (invariant violations, equivalence
 	// refutations, non-kernel engine panics).
 	Class string `json:"class,omitempty"`
-	// Attempt is the 1-based supervised attempt of the job that recorded
-	// the incident; 0 when the run was not supervised.
+	// Attempt is the 1-based attempt of the job that recorded the incident;
+	// 0 for a run outside the engine (RunCommand, a direct flow.Run).
 	Attempt int `json:"attempt,omitempty"`
 	// Time is the wall-clock moment the incident was recorded, so journal
 	// entries from concurrent jobs order correctly.
@@ -133,7 +133,7 @@ func runGuarded(ctx context.Context, checkpoint *aig.AIG, cmd string, idx int, c
 // partition stitcher, which re-runs the same gate across partition seams:
 // structural invariants first (always), then the functional equivalence gate
 // — sampling with the given number of rounds by default, a full equivalence
-// check when verify is set, nothing when rounds is negative.
+// check when verify is set.
 func EquivGate(before, after *aig.AIG, verify bool, rounds int, seed int64) error {
 	if err := aig.Check(after); err != nil {
 		return &gateError{stage: "invariant", err: err}
@@ -147,9 +147,6 @@ func EquivGate(before, after *aig.AIG, verify bool, rounds int, seed int64) erro
 			return &gateError{stage: "equivalence",
 				err: fmt.Errorf("output differs from input on PO %d (%s)", res.FailingOutput, res.Method)}
 		}
-		return nil
-	}
-	if rounds < 0 {
 		return nil
 	}
 	if res, refuted := cec.SampleRefute(before, after, rounds, seed); refuted {

@@ -13,6 +13,7 @@ package hashtable
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 
 	"aigre/internal/aig"
@@ -84,6 +85,23 @@ func SizeFor(capacityHint int) int {
 	return size
 }
 
+// pool recycles pass-scoped tables (de-duplication, the seam stitcher's merge).
+var pool sync.Pool
+
+// Acquire returns an empty table sized as New(capacityHint) would size it. A
+// pooled table is reused only at exactly that slot count, so pooled and
+// unpooled passes behave identically (undersized test tables included).
+func Acquire(capacityHint int) *Table {
+	if t, _ := pool.Get().(*Table); t != nil && t.Cap() == SizeFor(capacityHint) {
+		t.Reset()
+		return t
+	}
+	return New(capacityHint)
+}
+
+// Release hands a table back for a later Acquire.
+func Release(t *Table) { pool.Put(t) }
+
 // Reset empties the table in place, reusing the existing arrays — the
 // allocation-free alternative to New for per-pass tables. Not safe for
 // concurrent use; call between kernel launches.
@@ -142,6 +160,24 @@ func (t *Table) InsertUnique(key uint64, val uint32) (uint32, bool, error) {
 		i = (i + 1) & t.mask
 	}
 	return invalidVal, false, ErrTableFull
+}
+
+// ShareOrCreate is the sharing-aware node creation step of parallel
+// replacement (Section III-E): a kernel thread wanting the AND of f0 and f1 in
+// a claims the structure with InsertUnique and either wins — the provisional
+// node gets the fanins, created is true — or takes the node that owns it,
+// leaving the provisional id unused. Between racing threads the first insert
+// wins. A full table panics with ErrTableFull, as kernels do (the gpu layer
+// makes it a *gpu.LaunchError, the guarded flow rolls the pass back).
+func (t *Table) ShareOrCreate(a *aig.AIG, f0, f1 aig.Lit, provisional int32) (lit aig.Lit, created bool) {
+	got, inserted, err := t.InsertUnique(aig.Key(f0, f1), uint32(provisional))
+	if err != nil {
+		panic(err)
+	}
+	if inserted {
+		a.SetFanins(provisional, f0, f1)
+	}
+	return aig.MakeLit(int32(got), false), inserted
 }
 
 // InsertMin inserts (key, val) if key is absent; when key is present it

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 
 	"aigre/internal/aig"
@@ -212,14 +213,18 @@ func buildWindows(a *aig.AIG, target int) []*part {
 //
 // Extraction is a pure read of the base network, so the partitions fan out
 // over the pool; each task's translation scratch comes from the shared
-// free-lists (one dirty literal array gated by a zeroed seen array).
-func extractAll(base *aig.AIG, parts []*part, pool *sched.Pool) []*aig.AIG {
+// free-lists (one dirty literal array gated by a zeroed seen array). A task
+// starting after ctx was cancelled leaves its cone nil; the caller checks ctx.
+func extractAll(ctx context.Context, base *aig.AIG, parts []*part, pool *sched.Pool) []*aig.AIG {
 	nobj := base.NumObjs()
 	cones := make([]*aig.AIG, len(parts))
 	tasks := make([]func(), len(parts))
 	for pi := range parts {
 		pi, p := pi, parts[pi]
 		tasks[pi] = func() {
+			if alive(ctx) != nil {
+				return
+			}
 			local := pLitPool.Get(nobj)
 			seen := pI32Pool.GetZeroed(nobj)
 			defer func() {

@@ -21,7 +21,6 @@ package partition
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"time"
 
@@ -86,21 +85,18 @@ type Split struct {
 // partition jobs execute.
 type Options struct {
 	Split
-	// Workers is the host worker budget: the pool size backing the
-	// partition jobs and the bound on concurrently running jobs
-	// (0 = GOMAXPROCS, or the shared pool's size when Pool is set).
+	// Workers bounds how many partition jobs run at once (0 = the pool's
+	// size).
 	Workers int
-	// Pool, when non-nil, is a shared worker pool to draw from instead of a
-	// private one (the batch engine passes its own so a partitioned job
-	// cannot oversubscribe the host). The pool is not closed by Run.
+	// Pool is the engine's worker pool (required, not closed by Run): the
+	// partition jobs lease from it and extraction and stitch fan out on it,
+	// so a partitioned job cannot oversubscribe the host.
 	Pool *sched.Pool
 	// Flow is the per-partition execution config (mode, cut limits, gate
 	// settings, cache). Flow.Device is ignored: parallel partitions lease
 	// device capacity from the pool. Flow.Cache is shared across every
 	// partition job (nil = rcache.Default).
 	Flow flow.Config
-	// Seed makes the gate sampling deterministic (0 = 1).
-	Seed int64
 	// Supervise is the supervision policy for the per-partition jobs
 	// (deadline, retry budget, watchdog). A partitioned batch job passes a
 	// policy whose Budget is shared with its own outer attempts, so
@@ -113,6 +109,9 @@ type Options struct {
 	Journal *journal.Journal
 }
 
+// gateSeed is the fixed base of every gate's sampling seed.
+const gateSeed = 1
+
 func (o Options) normalized() Options {
 	if o.TargetSize <= 0 {
 		o.TargetSize = 100_000
@@ -123,15 +122,8 @@ func (o Options) normalized() Options {
 	if o.MaxConflictRounds <= 0 {
 		o.MaxConflictRounds = 2
 	}
-	if o.Workers <= 0 {
-		if o.Pool != nil {
-			o.Workers = o.Pool.Workers()
-		} else {
-			o.Workers = runtime.GOMAXPROCS(0)
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	if o.Flow.GateRounds <= 0 {
+		o.Flow.GateRounds = 4
 	}
 	if o.Flow.Cache == nil {
 		o.Flow.Cache = rcache.Default
@@ -208,13 +200,7 @@ type Result struct {
 // screened by the same gates the guarded flow runner uses (sampling by
 // default, full CEC when Flow.Verify is set); any partition that fails its
 // gate is stitched from its pre-optimization cone instead.
-func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, error) {
-	if _, err := flow.Parse(script); err != nil {
-		return Result{}, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Result, err error) {
 	opts = opts.normalized()
 	start := time.Now()
 	cacheBefore := opts.Flow.Cache.Snapshot()
@@ -226,12 +212,6 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 		base, _ = a.Compact()
 	}
 
-	res := Result{Report: Report{Mode: opts.Mode.String(), NodesIn: base.NumAnds()}}
-	finish := func() {
-		res.Wall = time.Since(start)
-		res.CacheStats = opts.Flow.Cache.Snapshot().Sub(cacheBefore)
-	}
-
 	var parts []*part
 	switch opts.Mode {
 	case Cones:
@@ -241,24 +221,29 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 	default:
 		return Result{}, fmt.Errorf("partition: unknown mode %v", opts.Mode)
 	}
+	res = Result{Report: Report{Mode: opts.Mode.String(), NodesIn: base.NumAnds()}}
+	defer func() {
+		res.Wall = time.Since(start)
+		res.CacheStats = opts.Flow.Cache.Snapshot().Sub(cacheBefore)
+		if err != nil {
+			res.AIG = a // a failed or cancelled run hands back the input
+		}
+	}()
 	for _, p := range parts {
 		res.SharedNodes += len(p.members)
 	}
 	res.SharedNodes -= base.NumAnds()
-
-	pool := opts.Pool
-	if pool == nil {
-		pool = sched.NewPool(opts.Workers)
-		defer pool.Close()
-	}
 
 	// Profiler labels mark the orchestration phases (the per-partition jobs
 	// themselves are labeled by the engine): a CPU profile of a partitioned
 	// run separates extraction, optimization, and seam stitching.
 	var pres []*aig.AIG
 	pprof.Do(ctx, pprof.Labels("partition_phase", "extract"), func(context.Context) {
-		pres = extractAll(base, parts, pool)
+		pres = extractAll(ctx, base, parts, opts.Pool)
 	})
+	if err := alive(ctx); err != nil {
+		return res, cancelled(err)
+	}
 	jobs := make([]sched.Job, len(parts))
 	for i, p := range parts {
 		jobs[i] = sched.Job{
@@ -269,27 +254,20 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 			Config:   opts.Flow,
 		}
 	}
-	results, _ := sched.RunSupervised(ctx, pool, jobs, sched.Options{
+	results, _ := sched.RunSupervised(ctx, opts.Pool, jobs, sched.Options{
 		MaxConcurrentJobs: opts.Workers,
 		Policy:            opts.Supervise,
 		Journal:           opts.Journal,
 	})
 
-	gateRounds := opts.Flow.GateRounds
-	if gateRounds == 0 {
-		gateRounds = 4
-	}
 	chosen := make([]*aig.AIG, len(parts))
 	res.Parts = make([]Stat, len(parts))
 	for i, r := range results {
-		if r.Cancelled || ctx.Err() != nil {
-			res.AIG = a
-			finish()
-			err := r.Err
-			if err == nil {
-				err = ctx.Err()
+		if err := alive(ctx); r.Cancelled || err != nil {
+			if r.Cancelled {
+				err = r.Err
 			}
-			return res, fmt.Errorf("partition: cancelled: %w", err)
+			return res, cancelled(err)
 		}
 		st := &res.Parts[i]
 		st.Index = i
@@ -311,8 +289,8 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 		}
 		// Local gate: the partition alone must already be equivalent to its
 		// pre-optimization cone before it is allowed near the seams.
-		seed := opts.Seed + int64(i)*7919 + 101
-		if err := flow.EquivGate(pres[i], r.AIG, opts.Flow.Verify, gateRounds, seed); err != nil {
+		seed := gateSeed + int64(i)*7919 + 101
+		if err := flow.EquivGate(pres[i], r.AIG, opts.Flow.Verify, opts.Flow.GateRounds, seed); err != nil {
 			chosen[i] = pres[i]
 			st.RolledBack = true
 			st.Note = err.Error()
@@ -324,29 +302,34 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, 
 		chosen[i] = r.AIG
 	}
 
-	var merged *aig.AIG
-	var err error
 	pprof.Do(ctx, pprof.Labels("partition_phase", "stitch"), func(context.Context) {
-		merged, err = resolve(base, parts, pres, chosen, resolveConfig{
-			verify:    opts.Flow.Verify,
-			rounds:    gateRounds,
-			maxRounds: opts.MaxConflictRounds,
-			seed:      opts.Seed,
-			pool:      pool,
-		}, &res)
+		res.AIG, err = resolve(ctx, base, parts, pres, chosen, opts, &res)
 	})
+	if cerr := ctx.Err(); cerr != nil {
+		return res, cancelled(cerr)
+	}
 	if err != nil {
-		res.AIG = a
-		finish()
 		return res, err
 	}
 	for i := range res.Parts {
 		res.Parts[i].NodesOut = chosen[i].NumAnds()
 	}
-	res.AIG = merged
-	res.NodesOut = merged.NumAnds()
-	finish()
+	res.NodesOut = res.AIG.NumAnds()
 	return res, nil
+}
+
+// cancelled wraps the context error that ended a run, as a cancelled
+// partition job's error is wrapped.
+func cancelled(err error) error { return fmt.Errorf("partition: cancelled: %w", err) }
+
+// alive is the orchestration's liveness point — between phases, per partition
+// gate, per stitch round and every levelBatch merge levels: it beats the
+// watchdog's heartbeat (these phases launch no kernel) and returns ctx.Err().
+func alive(ctx context.Context) error {
+	if hb := sched.HeartbeatFrom(ctx); hb != nil {
+		hb.Beat()
+	}
+	return ctx.Err()
 }
 
 // canonicalOrder reports whether the network has no deleted nodes and every

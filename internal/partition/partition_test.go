@@ -12,6 +12,14 @@ import (
 	"aigre/internal/sched"
 )
 
+// testPool returns a pool of n workers that closes with the test.
+func testPool(t *testing.T, n int) *sched.Pool {
+	t.Helper()
+	p := sched.NewPool(n)
+	t.Cleanup(p.Close)
+	return p
+}
+
 // fullCEC asserts functional equivalence with the complete checker (random
 // refutation, exhaustive simulation, SAT sweeping) — no sampling shortcuts.
 func fullCEC(t *testing.T, a, b *aig.AIG) {
@@ -41,8 +49,8 @@ func TestPartitionModesEquivalence(t *testing.T) {
 					t.Fatalf("unknown circuit %q", name)
 				}
 				res, err := Run(context.Background(), a, "b; rw", Options{
-					Split:   Split{Mode: mode, TargetSize: a.NumAnds()/6 + 1},
-					Workers: 4,
+					Split: Split{Mode: mode, TargetSize: a.NumAnds()/6 + 1},
+					Pool:  testPool(t, 4),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -76,8 +84,8 @@ func TestPartitionModesEquivalence(t *testing.T) {
 func TestStitchCheckpointIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := aig.Random(rng, 12, 600, 9)
-	pool := sched.NewPool(2)
-	defer pool.Close()
+	pool := testPool(t, 2)
+	ctx := context.Background()
 	for _, mode := range []Mode{Cones, Levels} {
 		var parts []*part
 		if mode == Cones {
@@ -85,7 +93,7 @@ func TestStitchCheckpointIdentity(t *testing.T) {
 		} else {
 			parts = buildWindows(a, 120)
 		}
-		merged, _, err := stitchParallel(a, parts, extractAll(a, parts, pool), pool)
+		merged, _, err := stitchParallel(ctx, a, parts, extractAll(ctx, a, parts, pool), pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +115,9 @@ func TestResolveRollsBackCorruptPartition(t *testing.T) {
 	if len(parts) < 2 {
 		t.Fatalf("expected multiple partitions, got %d", len(parts))
 	}
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	pres := extractAll(a, parts, pool)
+	pool := testPool(t, 2)
+	ctx := context.Background()
+	pres := extractAll(ctx, a, parts, pool)
 	chosen := make([]*aig.AIG, len(parts))
 	copy(chosen, pres)
 	bad := chosen[1].Clone()
@@ -117,7 +125,7 @@ func TestResolveRollsBackCorruptPartition(t *testing.T) {
 	chosen[1] = bad
 
 	res := Result{Report: Report{Parts: make([]Stat, len(parts))}}
-	merged, err := resolve(a, parts, pres, chosen, resolveConfig{rounds: 4, maxRounds: 2, seed: 5, pool: pool}, &res)
+	merged, err := resolve(ctx, a, parts, pres, chosen, Options{Split: Split{MaxConflictRounds: 2}, Pool: pool}.normalized(), &res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +147,9 @@ func TestPartitionStressRace(t *testing.T) {
 		t.Fatal("ac97_ctrl missing from suite")
 	}
 	res, err := Run(context.Background(), a, "b; rw; rwz", Options{
-		Split:   Split{Mode: Cones, TargetSize: a.NumAnds()/8 + 1},
-		Workers: 2,
-		Flow:    flow.Config{Parallel: true},
+		Split: Split{Mode: Cones, TargetSize: a.NumAnds()/8 + 1},
+		Pool:  testPool(t, 2),
+		Flow:  flow.Config{Parallel: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +167,7 @@ func TestPartitionCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, a, "b; rw", Options{Split: Split{Mode: Cones, TargetSize: 500}, Workers: 2})
+	res, err := Run(ctx, a, "b; rw", Options{Split: Split{Mode: Cones, TargetSize: 500}, Pool: testPool(t, 2)})
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
@@ -185,7 +193,7 @@ func TestPartitionEditedInput(t *testing.T) {
 		id := live[rng.Intn(len(live))]
 		a.ReplaceNode(id, a.Fanin0(id))
 	}
-	res, err := Run(context.Background(), a, "b", Options{Split: Split{Mode: Levels, TargetSize: 60}, Workers: 2})
+	res, err := Run(context.Background(), a, "b", Options{Split: Split{Mode: Levels, TargetSize: 60}, Pool: testPool(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

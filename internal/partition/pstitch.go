@@ -1,9 +1,9 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"aigre/internal/aig"
@@ -20,19 +20,6 @@ var (
 	pLitPool mempool.SlicePool[aig.Lit]
 	pI32Pool mempool.SlicePool[int32]
 )
-
-// stitchTablePool recycles the merge table between stitch rounds, reused
-// only at the exact size a fresh table would have (the dedup pass uses the
-// same discipline) so pooled and unpooled stitches behave identically.
-var stitchTablePool sync.Pool
-
-func acquireStitchTable(capacityHint int) *hashtable.Table {
-	if t, _ := stitchTablePool.Get().(*hashtable.Table); t != nil && t.Cap() == hashtable.SizeFor(capacityHint) {
-		t.Reset()
-		return t
-	}
-	return hashtable.New(capacityHint)
-}
 
 // chunked fans fn over [0,n) in contiguous chunks on the pool, inline when
 // the range is too small to be worth a goroutine handoff.
@@ -58,6 +45,9 @@ func chunked(pool *sched.Pool, n int, fn func(lo, hi int)) {
 	}
 	pool.Execute(tasks)
 }
+
+// levelBatch is how many merge levels run between two liveness points.
+const levelBatch = 256
 
 // unresolved marks a literal slot still to be filled: a boundary-map entry
 // no partition (and no PI) has driven, a node awaiting its class winner.
@@ -112,7 +102,8 @@ func (m coneMap) lit(l aig.Lit) aig.Lit {
 // what an in-order strash replay builds, because both merge every class of
 // structurally identical nodes completely and apply the same trivial-node
 // simplification.
-func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched.Pool) (*aig.AIG, []int, error) {
+// A cancelled ctx stops the merge, with ctx.Err(), within levelBatch levels.
+func stitchParallel(ctx context.Context, base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched.Pool) (*aig.AIG, []int, error) {
 	nPI := base.NumPIs()
 	nParts := len(parts)
 
@@ -275,8 +266,8 @@ func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched
 		fill[l]++
 	}
 
-	ht := acquireStitchTable(nNodes + 16)
-	defer stitchTablePool.Put(ht)
+	ht := hashtable.Acquire(nNodes + 16)
+	defer hashtable.Release(ht)
 
 	// Phase 2: level-synchronous merge. Pass A finalizes each node's fanins
 	// against the remap of the levels below, simplifies trivial nodes, and
@@ -287,6 +278,11 @@ func stitchParallel(base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched
 	// to. Pass A is idempotent (InsertMin is monotone), so a full table
 	// retries the batch after a rehash, like the dedup pass.
 	for lev := int32(1); lev <= maxLev; lev++ {
+		if lev%levelBatch == 0 {
+			if err := alive(ctx); err != nil {
+				return nil, nil, err
+			}
+		}
 		first := start[lev]
 		batch := order[first:start[lev+1]]
 		if len(batch) == 0 {

@@ -135,7 +135,7 @@ func matchesOracle(t *testing.T, base *aig.AIG, parts []*part, cones []*aig.AIG,
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parConf, err := stitchParallel(base, parts, cones, pool)
+	par, parConf, err := stitchParallel(context.Background(), base, parts, cones, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestParallelStitchMatchesSequential(t *testing.T) {
 					continue // a single-output circuit does not split into cones
 				}
 				t.Log(mode, len(parts), "partitions")
-				cones := extractAll(base, parts, pool)
+				cones := extractAll(context.Background(), base, parts, pool)
 				matchesOracle(t, base, parts, cones, pool)
 				for i, c := range cones {
 					res, err := flow.Run(context.Background(), c, "b; rw", flow.Config{Cache: rcache.New()})
@@ -208,7 +208,7 @@ func TestStitchBoundaryOutputKinds(t *testing.T) {
 	}
 	pool := sched.NewPool(2)
 	defer pool.Close()
-	pres := extractAll(base, parts, pool)
+	pres := extractAll(context.Background(), base, parts, pool)
 
 	// Stand-ins for optimized cones, over the same inputs and outputs: part
 	// 0 exports an AND and a complemented AND, part 1 an input passthrough
@@ -230,16 +230,16 @@ func TestStitchBoundaryOutputKinds(t *testing.T) {
 	// The typed errors of the pre-pass: an input no lower partition drives,
 	// interface count mismatches, and a PO whose driver was never stitched.
 	swapped := []*part{parts[1], parts[0], parts[2]}
-	if _, _, err := stitchParallel(base, swapped, []*aig.AIG{pres[1], pres[0], pres[2]}, pool); err == nil {
+	if _, _, err := stitchParallel(context.Background(), base, swapped, []*aig.AIG{pres[1], pres[0], pres[2]}, pool); err == nil {
 		t.Error("input read before its partition is stitched: no error")
 	}
-	if _, _, err := stitchParallel(base, parts, []*aig.AIG{pres[0], pres[0], pres[2]}, pool); err == nil {
+	if _, _, err := stitchParallel(context.Background(), base, parts, []*aig.AIG{pres[0], pres[0], pres[2]}, pool); err == nil {
 		t.Error("PI count mismatch: no error")
 	}
-	if _, _, err := stitchParallel(base, parts, []*aig.AIG{pres[0], pres[1], c0}, pool); err == nil {
+	if _, _, err := stitchParallel(context.Background(), base, parts, []*aig.AIG{pres[0], pres[1], c0}, pool); err == nil {
 		t.Error("PO count mismatch: no error")
 	}
-	if _, _, err := stitchParallel(base, parts[:2], pres[:2], pool); err == nil {
+	if _, _, err := stitchParallel(context.Background(), base, parts[:2], pres[:2], pool); err == nil {
 		t.Error("PO driver not stitched: no error")
 	}
 }
@@ -254,15 +254,15 @@ func TestParallelStitchWorkerIndependence(t *testing.T) {
 	pool1 := sched.NewPool(1)
 	defer pool1.Close()
 	for mode, parts := range map[Mode][]*part{Cones: buildCones(base, target), Levels: buildWindows(base, target)} {
-		pres := extractAll(base, parts, pool1)
-		want, _, err := stitchParallel(base, parts, pres, pool1)
+		pres := extractAll(context.Background(), base, parts, pool1)
+		want, _, err := stitchParallel(context.Background(), base, parts, pres, pool1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 4, 8} {
 			pool := sched.NewPool(w)
 			for round := 0; round < 2; round++ {
-				got, _, err := stitchParallel(base, parts, pres, pool)
+				got, _, err := stitchParallel(context.Background(), base, parts, pres, pool)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,12 +1,12 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"aigre/internal/aig"
 	"aigre/internal/flow"
-	"aigre/internal/sched"
 )
 
 // rollbackIncident records a partition rollback as a classified incident, so
@@ -27,27 +27,24 @@ func rollbackIncident(idx int, stage, class, detail string) flow.Incident {
 	}
 }
 
-type resolveConfig struct {
-	verify    bool
-	rounds    int
-	maxRounds int
-	seed      int64
-	pool      *sched.Pool
-}
-
 // resolve runs the stitch / seam-gate / rollback loop. Each round stitches
 // the currently chosen cones and gates the merged network against the base
 // with the guarded runner's gate (aig.Check plus sampling equivalence, or
 // full CEC under verify). On refutation it hunts the culprit with a deeper
 // per-partition gate under a fresh seed, rolls it back to its
-// pre-optimization cone, and re-stitches; past maxRounds (or when no culprit
-// is found) every remaining optimized partition is rolled back at once,
-// which makes the loop terminate: a stitch of nothing but pre-optimization
-// cones reproduces the base network function exactly.
-func resolve(base *aig.AIG, parts []*part, pres, chosen []*aig.AIG, cfg resolveConfig, res *Result) (*aig.AIG, error) {
+// pre-optimization cone, and re-stitches; past MaxConflictRounds (or when no
+// culprit is found) every remaining optimized partition is rolled back at
+// once, which makes the loop terminate: a stitch of nothing but
+// pre-optimization cones reproduces the base network function exactly. A
+// cancelled ctx ends the loop with ctx.Err() at the next liveness point.
+func resolve(ctx context.Context, base *aig.AIG, parts []*part, pres, chosen []*aig.AIG, opts Options, res *Result) (*aig.AIG, error) {
+	verify, rounds := opts.Flow.Verify, opts.Flow.GateRounds
 	for round := 1; ; round++ {
-		merged, conflicts, err := stitchParallel(base, parts, chosen, cfg.pool)
+		merged, conflicts, err := stitchParallel(ctx, base, parts, chosen, opts.Pool)
 		if err != nil {
+			return nil, err
+		}
+		if err := alive(ctx); err != nil {
 			return nil, err
 		}
 		res.StitchRounds = round
@@ -56,7 +53,7 @@ func resolve(base *aig.AIG, parts []*part, pres, chosen []*aig.AIG, cfg resolveC
 			total += c
 		}
 		res.ConflictsFound += total
-		gerr := flow.EquivGate(base, merged, cfg.verify, cfg.rounds, cfg.seed+int64(round)*1009)
+		gerr := flow.EquivGate(base, merged, verify, rounds, gateSeed+int64(round)*1009)
 		if gerr == nil {
 			res.ConflictsBroken = total
 			for i := range parts {
@@ -77,13 +74,16 @@ func resolve(base *aig.AIG, parts []*part, pres, chosen []*aig.AIG, cfg resolveC
 			return nil, fmt.Errorf("partition: stitched checkpoint network refuted: %w", gerr)
 		}
 		rolled := false
-		if round <= cfg.maxRounds {
+		if round <= opts.MaxConflictRounds {
 			for i := range parts {
 				if chosen[i] == pres[i] {
 					continue
 				}
-				seed := cfg.seed + int64(round)*6151 + int64(i)*7919
-				if flow.EquivGate(pres[i], chosen[i], cfg.verify, 4*cfg.rounds, seed) != nil {
+				if err := alive(ctx); err != nil {
+					return nil, err
+				}
+				seed := gateSeed + int64(round)*6151 + int64(i)*7919
+				if flow.EquivGate(pres[i], chosen[i], verify, 4*rounds, seed) != nil {
 					chosen[i] = pres[i]
 					res.Parts[i].RolledBack = true
 					res.Parts[i].Note = "refuted during seam conflict round"

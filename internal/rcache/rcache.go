@@ -31,6 +31,7 @@ package rcache
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,10 +55,10 @@ var numShards = func() int {
 }()
 
 const (
-	// DefaultMaxEntries bounds the resident program entries of New.
-	// 12-leaf cones key at ~520 bytes plus the program; 32k entries keep
-	// the worst case around tens of megabytes.
-	DefaultMaxEntries = 32 << 10
+	// DefaultMaxEntries bounds the resident program entries of New. A 12-leaf
+	// cone keys at 513 bytes, its program is ~340 more: measured 1.1 KB of
+	// live heap per entry on the benchmark suite, so ~14 MB when full.
+	DefaultMaxEntries = 12 << 10
 
 	npnPermShift  = 16
 	npnInNegShift = 21
@@ -168,8 +169,8 @@ func NewWithCapacity(maxEntries int) *Cache {
 func Disabled() *Cache { return &Cache{disabled: true} }
 
 // Default is the process-wide cache used by engines that are handed no
-// explicit cache (direct refactor/rewrite calls, flow.Run with a zero
-// Config). Runs through the aigre public API get per-run caches instead.
+// explicit cache: direct refactor/rewrite calls, flow.Run with a zero Config,
+// and runs through the aigre public API whose Options.Cache is nil.
 var Default = New()
 
 // keyPool recycles the key-building buffers; the longest key is one byte of
@@ -205,6 +206,13 @@ func hashKey(b []byte) uint64 {
 	return h
 }
 
+// shardFor selects key's shard from the high half of its hash: FNV-1a's low
+// nibble depends only on the key bytes' low nibbles, and truth-table bytes are
+// 0x00/0xFF/0xAA/0xCC/0xF0-like, so the low bits filled two of sixteen shards.
+func (c *Cache) shardFor(key []byte) *shard {
+	return &c.shards[hashKey(key)>>32&uint64(len(c.shards)-1)]
+}
+
 // Lookup probes the program compartment for the cone function (tt, nLeaves).
 // The hit path performs no allocation.
 func (c *Cache) Lookup(tt truth.TT, nLeaves int) (Entry, bool) {
@@ -216,7 +224,7 @@ func (c *Cache) Lookup(tt truth.TT, nLeaves int) (Entry, bool) {
 	}
 	bp := keyPool.Get().(*[]byte)
 	key := appendKey((*bp)[:0], tt, nLeaves)
-	s := &c.shards[hashKey(key)&uint64(len(c.shards)-1)]
+	s := c.shardFor(key)
 	s.mu.Lock()
 	e, ok := s.m[string(key)] // no-alloc map probe form
 	s.mu.Unlock()
@@ -236,9 +244,12 @@ func (c *Cache) Store(tt truth.TT, nLeaves int, e Entry) {
 	if c == nil || c.disabled {
 		return
 	}
+	// An entry lives as long as the process: keep the program at its exact
+	// size, without the slack its builder's appends left (30 % of it).
+	e.Prog.Ops = slices.Clone(e.Prog.Ops)
 	bp := keyPool.Get().(*[]byte)
 	key := appendKey((*bp)[:0], tt, nLeaves)
-	s := &c.shards[hashKey(key)&uint64(len(c.shards)-1)]
+	s := c.shardFor(key)
 	s.mu.Lock()
 	if _, exists := s.m[string(key)]; !exists && len(s.m) >= c.maxPerShard {
 		for k := range s.m {

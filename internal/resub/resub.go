@@ -27,29 +27,12 @@ import (
 	"aigre/internal/truth"
 )
 
-// Options controls both engines.
-type Options struct {
-	// MaxCut bounds the cut size (default 8; ABC's rs uses K=8).
-	MaxCut int
-	// MaxDivisors bounds the divisor set per node (default 64; ABC uses 150).
-	MaxDivisors int
-}
+// maxCut bounds the cut size (ABC's rs uses K=8, within truth.MaxVars). A
+// variable only so that the function-preservation fuzz test can vary it.
+var maxCut = 8
 
-func (o Options) normalized() Options {
-	if o.MaxCut == 0 {
-		o.MaxCut = 8
-	}
-	if o.MaxCut < 2 {
-		o.MaxCut = 2
-	}
-	if o.MaxCut > truth.MaxVars {
-		o.MaxCut = truth.MaxVars
-	}
-	if o.MaxDivisors == 0 {
-		o.MaxDivisors = 64
-	}
-	return o
-}
+// maxDivisors bounds the divisor set per node (ABC uses 150).
+const maxDivisors = 64
 
 // Stats reports one resubstitution pass.
 type Stats struct {
@@ -146,15 +129,15 @@ func collectDivisors(a *aig.AIG, target int32, leaves []int32, fanouts func(int3
 
 // evaluateNode searches for the best substitution of node id. fanouts is a
 // static fanout index of the current graph.
-func evaluateNode(a *aig.AIG, s *scratch, fanouts func(int32) []int32, id int32, opts Options) (candidate, bool, int64) {
-	leaves := s.rc.Cut(id, opts.MaxCut)
+func evaluateNode(a *aig.AIG, s *scratch, fanouts func(int32) []int32, id int32) (candidate, bool, int64) {
+	leaves := s.rc.Cut(id, maxCut)
 	if len(leaves) < 2 {
 		return candidate{}, false, 1
 	}
 	leaves = append([]int32(nil), leaves...) // rc reuses its buffer
 	mffc := len(s.es.MffcMembers(a, id, leaves))
 	ttN := s.cs.ConeTruth(a, aig.MakeLit(id, false), leaves) // valid until the next s.cs call
-	ds := collectDivisors(a, id, leaves, fanouts, &s.es, opts.MaxDivisors)
+	ds := collectDivisors(a, id, leaves, fanouts, &s.es, maxDivisors)
 	ops := int64(len(ds.ids)) * int64(len(ttN.Words)+2)
 
 	notN := truth.New(ttN.NVars).Not(ttN)
@@ -347,8 +330,7 @@ func coneTruthSafe(a *aig.AIG, s *scratch, rootLit aig.Lit, leaves []int32) (t t
 
 // Sequential runs one ABC-style resubstitution pass (rs): nodes are visited
 // in topological order and substitutions applied immediately.
-func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
-	opts = opts.normalized()
+func Sequential(a *aig.AIG) (*aig.AIG, Stats) {
 	st := Stats{NodesBefore: a.NumAnds()}
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
 		s := &scratch{rc: cut.NewReconv(work)}
@@ -356,7 +338,7 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 			st.NodesConsidered++
 			// The managed mode keeps live fanout lists; use them directly so
 			// evaluation always sees the current graph.
-			cand, ok, _ := evaluateNode(work, s, work.Fanouts, id, opts)
+			cand, ok, _ := evaluateNode(work, s, work.Fanouts, id)
 			if ok && apply(work, s, id, cand, false) {
 				st.count(cand)
 			}
@@ -382,8 +364,7 @@ func (st *Stats) count(cand candidate) {
 // require substitutions whose divisor regions are disjoint; the paper
 // leaves this as future work, and this engine is the natural [9]-style
 // baseline for it.)
-func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
-	opts = opts.normalized()
+func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 	st := Stats{NodesBefore: a.NumAnds()}
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
 		nodes := make([]int32, 0, work.NumAnds())
@@ -395,7 +376,7 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 		pool := sync.Pool{New: func() any { return &scratch{rc: cut.NewReconv(work)} }}
 		d.Launch("resub/evaluate", len(nodes), func(tid int) int64 {
 			s := pool.Get().(*scratch)
-			cand, ok, ops := evaluateNode(work, s, work.Fanouts, nodes[tid], opts)
+			cand, ok, ops := evaluateNode(work, s, work.Fanouts, nodes[tid])
 			pool.Put(s)
 			cands[tid] = cand
 			oks[tid] = ok

@@ -54,7 +54,7 @@ func dividendAIG() *aig.AIG {
 
 func TestSequentialFindsResubs(t *testing.T) {
 	a := dividendAIG()
-	out, st := Sequential(a, Options{})
+	out, st := Sequential(a)
 	if st.ZeroResubs+st.OneResubs == 0 {
 		t.Errorf("no substitutions found: %+v", st)
 	}
@@ -68,7 +68,7 @@ func TestSequentialFindsResubs(t *testing.T) {
 
 func TestParallelFindsResubs(t *testing.T) {
 	a := dividendAIG()
-	out, st := Parallel(gpu.New(1), a, Options{})
+	out, st := Parallel(gpu.New(1), a)
 	if st.ZeroResubs+st.OneResubs == 0 {
 		t.Errorf("no substitutions found: %+v", st)
 	}
@@ -81,7 +81,9 @@ func TestQuickSequentialPreservesFunction(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := aig.Random(rng, 6+rng.Intn(4), 120+rng.Intn(200), 4).Rehash()
-		out, _ := Sequential(a, Options{MaxCut: 4 + rng.Intn(5)})
+		defer func(k int) { maxCut = k }(maxCut)
+		maxCut = 4 + rng.Intn(5)
+		out, _ := Sequential(a)
 		if err := out.Check(); err != nil {
 			t.Log(err)
 			return false
@@ -97,7 +99,7 @@ func TestQuickParallelPreservesFunction(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := aig.Random(rng, 6+rng.Intn(4), 120+rng.Intn(200), 4).Rehash()
-		out, _ := Parallel(gpu.New(1+rng.Intn(4)), a, Options{})
+		out, _ := Parallel(gpu.New(1+rng.Intn(4)), a)
 		if err := out.Check(); err != nil {
 			t.Log(err)
 			return false
@@ -112,8 +114,8 @@ func TestQuickParallelPreservesFunction(t *testing.T) {
 func TestResubPassesCEC(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := aig.Random(rng, 12, 400, 6).Rehash()
-	seqOut, _ := Sequential(a, Options{})
-	parOut, _ := Parallel(gpu.New(2), a, Options{})
+	seqOut, _ := Sequential(a)
+	parOut, _ := Parallel(gpu.New(2), a)
 	for name, out := range map[string]*aig.AIG{"seq": seqOut, "par": parOut} {
 		res, err := cec.Check(a, out, cec.Options{})
 		if err != nil || !res.Equivalent {
@@ -141,10 +143,10 @@ func TestResubGoldens(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown circuit %q", c.name)
 		}
-		if _, st := Sequential(a, Options{}); st != c.seq {
+		if _, st := Sequential(a); st != c.seq {
 			t.Errorf("%s sequential: %+v, want %+v", c.name, st, c.seq)
 		}
-		if _, st := Parallel(gpu.New(1), a, Options{}); st != c.par {
+		if _, st := Parallel(gpu.New(1), a); st != c.par {
 			t.Errorf("%s parallel at 1 worker: %+v, want %+v", c.name, st, c.par)
 		}
 	}
@@ -196,11 +198,4 @@ func coneContainsAny(a *aig.AIG, root, target int32) bool {
 		stack = append(stack, a.Fanin0(cur).Var(), a.Fanin1(cur).Var())
 	}
 	return false
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.normalized()
-	if o.MaxCut != 8 || o.MaxDivisors != 64 {
-		t.Errorf("defaults = %+v", o)
-	}
 }

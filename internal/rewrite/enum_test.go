@@ -111,7 +111,7 @@ func TestEnumLocalCutsMatchesReference(t *testing.T) {
 		nets = append(nets, c.Build())
 	}
 	for _, zeroGain := range []bool{false, true} {
-		opts := Options{ZeroGain: zeroGain, Cache: rcache.New(), Library: NewLibrary()}.normalized()
+		opts := Options{ZeroGain: zeroGain, Cache: rcache.New()}.normalized()
 		for _, a := range nets {
 			work := a.Rehash()
 			work.EnableStrash()
@@ -123,8 +123,8 @@ func TestEnumLocalCutsMatchesReference(t *testing.T) {
 				if work.IsDeleted(id) {
 					continue
 				}
-				want := enumLocalCutsRef(work, id, opts.MaxCutsPerNode, ref)
-				got := enumLocalCuts(work, id, opts.MaxCutsPerNode, s)
+				want := enumLocalCutsRef(work, id, maxCutsPerNode, ref)
+				got := enumLocalCuts(work, id, maxCutsPerNode, s)
 				same := len(got) == len(want)
 				for i := 0; same && i < len(got); i++ {
 					same = slices.Equal(got[i].leaves(), want[i])

@@ -107,7 +107,7 @@ func TestNpnCountsMatchEvaluatedCuts(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		cache := rcache.New()
-		Parallel(gpu.New(workers), a, Options{Cache: cache, Library: NewLibrary()})
+		Parallel(gpu.New(workers), a, Options{Cache: cache})
 		st := cache.Snapshot()
 		if got := st.NpnHits + st.NpnMisses; got != want {
 			t.Errorf("%d workers: %d NPN probes counted, %d cuts evaluated", workers, got, want)
@@ -126,7 +126,7 @@ func BenchmarkEvaluateNode(b *testing.B) {
 	work.EnableFanouts()
 	var nodes []int32
 	work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
-	opts := Options{Cache: rcache.New(), Library: NewLibrary()}.normalized()
+	opts := Options{Cache: rcache.New()}.normalized()
 	s := new(evalScratch)
 	for _, id := range nodes {
 		evaluateNode(work, id, opts, s)

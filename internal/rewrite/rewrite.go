@@ -16,22 +16,15 @@ type Options struct {
 	// ZeroGain accepts replacements that do not reduce the node count
 	// (ABC's rwz / the paper's modified [9]).
 	ZeroGain bool
-	// MaxCutsPerNode bounds the local cut enumeration. Default 8.
-	MaxCutsPerNode int
-	// Library overrides the NPN subgraph library (nil = DefaultLibrary).
-	Library *Library
 	// Cache memoizes NPN canonization (768 transforms per miss) across
 	// passes and runs (nil = the process-wide rcache.Default).
 	Cache *rcache.Cache
 }
 
+// maxCutsPerNode bounds the local cut enumeration.
+const maxCutsPerNode = 8
+
 func (o Options) normalized() Options {
-	if o.MaxCutsPerNode == 0 {
-		o.MaxCutsPerNode = 8
-	}
-	if o.Library == nil {
-		o.Library = DefaultLibrary
-	}
 	if o.Cache == nil {
 		o.Cache = rcache.Default
 	}
@@ -174,7 +167,7 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 	var best candidate
 	var bestLeaves []int32
 	found := false
-	cuts := enumLocalCuts(a, n, opts.MaxCutsPerNode, s)
+	cuts := enumLocalCuts(a, n, maxCutsPerNode, s)
 	// Cut enumeration explores roughly a handful of expansions per kept cut.
 	ops := int64(1 + 20*len(cuts))
 	for i := range cuts {
@@ -191,7 +184,7 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 		} else {
 			s.npnMisses++
 		}
-		prog, _ := opts.Library.Best(canon)
+		prog, _ := DefaultLibrary.Best(canon)
 		mapped, outNeg := mapLeaves(leaves, tr)
 		members := s.es.MffcMembers(a, n, leaves)
 		gain := len(members) - s.es.DryRunCost(a, progWithOutput(prog, outNeg), mapped[:])

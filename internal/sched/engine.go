@@ -51,6 +51,21 @@ type Job struct {
 	// attempt's leased device, with fire-progress carried across attempts.
 	// Ignored for Custom jobs, which manage their own leases.
 	FaultPlans []gpu.FaultPlan
+
+	// admitted is when Submit admitted the job (zero until Do admits a job of
+	// its own); Queued runs from then.
+	admitted time.Time
+}
+
+// prepare rejects a job with no input and fills in the default name.
+func (j *Job) prepare() error {
+	if j.AIG == nil {
+		return fmt.Errorf("sched: job %q has no input AIG", j.Name)
+	}
+	if j.Name == "" {
+		j.Name = j.AIG.Name
+	}
+	return nil
 }
 
 // Result reports one finished job: the run record (flow.Result) plus what
@@ -108,7 +123,7 @@ type Metrics struct {
 	Retries int
 	// PeakWorkers is the pool's observed concurrency high-water mark (never
 	// above Workers: the shared-budget invariant); PeakQueueDepth the deepest
-	// the admission queue got.
+	// the admission queue got (jobs handed to Do never wait in it).
 	PeakWorkers    int
 	PeakQueueDepth int
 	// Wall spans the first submission to the last job completion. JobWall
@@ -133,10 +148,9 @@ type Metrics struct {
 
 // Options configures an Engine.
 type Options struct {
-	// MaxConcurrentJobs bounds how many jobs run at once (0 = the pool's
-	// worker count). The pool already bounds host parallelism; this knob
-	// bounds memory held by in-flight jobs and keeps the priority queue
-	// meaningful.
+	// MaxConcurrentJobs bounds how many submitted jobs run at once (0 = the
+	// pool's worker count; Do calls are their callers' to bound): the memory
+	// held by in-flight jobs, and what keeps the priority queue meaningful.
 	MaxConcurrentJobs int
 	// Policy is the engine-wide supervision policy (zero = one attempt, no
 	// deadline, no watchdog). Job.Policy overrides it per job.
@@ -161,15 +175,14 @@ func (t *Ticket) Wait() Result {
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
 type queuedJob struct {
-	job       Job
-	ctx       context.Context
-	ticket    *Ticket
-	submitted time.Time
-	seq       int // FIFO tie-break within a priority
+	job    Job
+	ctx    context.Context
+	ticket *Ticket
+	seq    int // FIFO tie-break within a priority
 }
 
-// Engine admits jobs by priority onto a bounded set of job runners, leasing
-// device capacity for each from the shared pool.
+// Engine runs jobs on device capacity leased from the shared pool: Do on the
+// caller's goroutine, Submit by priority on a bounded set of runners.
 type Engine struct {
 	pool   *Pool
 	ctx    context.Context // engine-wide cancellation
@@ -185,48 +198,50 @@ type Engine struct {
 	first   time.Time // first submission
 	last    time.Time // latest completion
 
-	runners sync.WaitGroup
+	runners int            // runner goroutines, started by the first Submit
+	running sync.WaitGroup // started runners and in-flight Do calls
 }
 
-// ErrClosed is returned by Submit after Close.
+// ErrClosed is what Submit returns, and Do reports, after Close or Shutdown.
 var ErrClosed = errors.New("sched: engine closed")
 
 // ErrDrained resolves the tickets of jobs that were still queued when
 // Shutdown drained the engine: they never started and were not run.
 var ErrDrained = errors.New("sched: engine drained before the job started")
 
-// NewEngine starts an engine over pool. ctx, when non-nil, cancels every
-// job (queued and running) engine-wide when it is done.
+// NewEngine returns an engine over pool. ctx, when non-nil, cancels every
+// job (queued and running) engine-wide when it is done. The runners start
+// with the first Submit.
 func NewEngine(ctx context.Context, pool *Pool, opts Options) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := &Engine{pool: pool, ctx: ctx, policy: opts.Policy, jour: opts.Journal}
+	e := &Engine{pool: pool, ctx: ctx, policy: opts.Policy, jour: opts.Journal,
+		runners: opts.MaxConcurrentJobs}
 	e.cond = sync.NewCond(&e.mu)
 	e.metrics.Workers = pool.Workers()
-	n := opts.MaxConcurrentJobs
-	if n <= 0 {
-		n = pool.Workers()
-	}
-	e.runners.Add(n)
-	for i := 0; i < n; i++ {
-		go e.runner()
+	if e.runners <= 0 {
+		e.runners = pool.Workers()
 	}
 	return e
+}
+
+// admit counts one accepted job and stamps its admission time. Callers hold
+// e.mu and have checked e.closed.
+func (e *Engine) admit(job *Job) {
+	job.admitted = time.Now()
+	if e.metrics.Submitted == 0 {
+		e.first = job.admitted
+	}
+	e.metrics.Submitted++
 }
 
 // Submit enqueues a job. ctx, when non-nil, cancels this job alone; the
 // engine-wide context still applies. The returned Ticket resolves when the
 // job finishes (or is cancelled while queued).
 func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
-	if job.AIG == nil {
-		return nil, fmt.Errorf("sched: job %q has no input AIG", job.Name)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if job.Name == "" {
-		job.Name = job.AIG.Name
+	if err := job.prepare(); err != nil {
+		return nil, err
 	}
 	t := &Ticket{done: make(chan struct{})}
 	e.mu.Lock()
@@ -234,14 +249,15 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
 	if e.closed {
 		return nil, ErrClosed
 	}
-	now := time.Now()
-	if e.metrics.Submitted == 0 {
-		e.first = now
+	if e.seq == 0 {
+		e.running.Add(e.runners)
+		for i := 0; i < e.runners; i++ {
+			go e.runner()
+		}
 	}
-	e.metrics.Submitted++
-	q := &queuedJob{job: job, ctx: ctx, ticket: t, submitted: now, seq: e.seq}
+	e.admit(&job)
+	heap.Push(&e.queue, &queuedJob{job: job, ctx: ctx, ticket: t, seq: e.seq})
 	e.seq++
-	heap.Push(&e.queue, q)
 	if d := len(e.queue); d > e.metrics.PeakQueueDepth {
 		e.metrics.PeakQueueDepth = d
 	}
@@ -249,14 +265,14 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
 	return t, nil
 }
 
-// Close stops admission, drains the queue, and waits for every job to
-// finish. Safe to call once; Submit afterwards returns ErrClosed.
+// Close stops admission, drains the queue, and waits for every job (Do calls
+// included) to finish. Safe to call once; Submit and Do then report ErrClosed.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	e.runners.Wait()
+	e.running.Wait()
 }
 
 // Shutdown is the serve-mode drain: it stops admission, withdraws every job
@@ -279,7 +295,7 @@ func (e *Engine) Shutdown(ctx context.Context) (dropped int, ok bool) {
 			Script:    q.job.Script,
 			Err:       fmt.Errorf("sched: job %q: %w", q.job.Name, ErrDrained),
 			Cancelled: true,
-			Queued:    time.Since(q.submitted),
+			Queued:    time.Since(q.job.admitted),
 		}
 		res.NodesBefore = q.job.AIG.NumAnds()
 		res.LevelsBefore = q.job.AIG.Levels()
@@ -294,7 +310,7 @@ func (e *Engine) Shutdown(ctx context.Context) (dropped int, ok bool) {
 	e.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
-		e.runners.Wait()
+		e.running.Wait()
 		close(done)
 	}()
 	if ctx == nil {
@@ -325,7 +341,7 @@ func (e *Engine) Metrics() Metrics {
 }
 
 func (e *Engine) runner() {
-	defer e.runners.Done()
+	defer e.running.Done()
 	for {
 		e.mu.Lock()
 		for len(e.queue) == 0 && !e.closed {
@@ -336,45 +352,50 @@ func (e *Engine) runner() {
 			return
 		}
 		q := heap.Pop(&e.queue).(*queuedJob)
-		e.metrics.Started++
 		e.mu.Unlock()
-		res := e.run(q)
-		e.mu.Lock()
-		switch {
-		case res.Quarantined:
-			e.metrics.Quarantined++
-		case res.TimedOut:
-			e.metrics.TimedOut++
-		case res.Cancelled:
-			e.metrics.Cancelled++
-		case res.Err != nil:
-			e.metrics.Failed++
-		default:
-			e.metrics.Finished++
-		}
-		if res.Attempts > 1 {
-			e.metrics.Retries += res.Attempts - 1
-		}
-		e.metrics.JobWall += res.Wall
-		e.metrics.Modeled += res.Modeled
-		e.last = time.Now()
-		e.mu.Unlock()
-		q.ticket.res = res
+		q.ticket.res = e.Do(q.ctx, q.job)
 		close(q.ticket.done)
 	}
 }
 
-// run executes one job under the merged per-job + engine-wide context,
-// delegating the attempt loop to the supervisor (a zero policy runs exactly
-// one attempt with no deadline or watchdog).
-func (e *Engine) run(q *queuedJob) Result {
-	res := Result{Name: q.job.Name, Script: q.job.Script}
-	res.NodesBefore = q.job.AIG.NumAnds()
-	res.LevelsBefore = q.job.AIG.Levels()
-	start := time.Now()
-	res.Queued = start.Sub(q.submitted)
+// Do runs one job to completion on the calling goroutine: the one function
+// that executes a job. The runners call it for submitted jobs; the public
+// Engine.Run (and through it Network.Run and the aigred workers) calls it
+// directly, past the admission queue and MaxConcurrentJobs.
+//
+// The job runs under ctx (nil = none) merged with the engine-wide context,
+// under its own or the engine's policy, and counts in Metrics as a submitted
+// job does. After Close or Shutdown, which wait for calls in flight, nothing
+// runs and the result carries ErrClosed.
+func (e *Engine) Do(ctx context.Context, job Job) Result {
+	err := job.prepare()
+	res := Result{Name: job.Name, Script: job.Script, Err: err}
+	if err != nil {
+		return res
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	e.mu.Lock()
+	if job.admitted.IsZero() {
+		if e.closed {
+			e.mu.Unlock()
+			res.Err = ErrClosed
+			return res
+		}
+		e.admit(&job)
+	}
+	e.metrics.Started++
+	e.running.Add(1)
+	e.mu.Unlock()
+	defer e.running.Done()
 
-	outer, cancel := context.WithCancel(q.ctx)
+	res.NodesBefore = job.AIG.NumAnds()
+	res.LevelsBefore = job.AIG.Levels()
+	start := time.Now()
+	res.Queued = start.Sub(job.admitted)
+
+	outer, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := context.AfterFunc(e.ctx, cancel)
 	defer stop()
@@ -386,20 +407,41 @@ func (e *Engine) run(q *queuedJob) Result {
 	}
 
 	pol := e.policy
-	if q.job.Policy != nil {
-		pol = *q.job.Policy
+	if job.Policy != nil {
+		pol = *job.Policy
 	}
 	// Profiler labels: every sample taken inside this job's attempts — and in
 	// any goroutine they spawn, worker bodies included — carries the job name,
 	// so a CPU profile of a batch run breaks down by job out of the box.
-	pprof.Do(outer, pprof.Labels("sched_job", q.job.Name), func(outer context.Context) {
-		e.supervise(outer, q, pol, &res)
+	pprof.Do(outer, pprof.Labels("sched_job", job.Name), func(outer context.Context) {
+		e.supervise(outer, &job, pol, &res)
 	})
 	res.Wall = time.Since(start)
 	if res.AIG != nil {
 		res.NodesAfter = res.AIG.NumAnds()
 		res.LevelsAfter = res.AIG.Levels()
 	}
+
+	e.mu.Lock()
+	switch {
+	case res.Quarantined:
+		e.metrics.Quarantined++
+	case res.TimedOut:
+		e.metrics.TimedOut++
+	case res.Cancelled:
+		e.metrics.Cancelled++
+	case res.Err != nil:
+		e.metrics.Failed++
+	default:
+		e.metrics.Finished++
+	}
+	if res.Attempts > 1 {
+		e.metrics.Retries += res.Attempts - 1
+	}
+	e.metrics.JobWall += res.Wall
+	e.metrics.Modeled += res.Modeled
+	e.last = time.Now()
+	e.mu.Unlock()
 	return res
 }
 
@@ -417,27 +459,20 @@ func RunJobs(ctx context.Context, pool *Pool, jobs []Job, maxConcurrent int) ([]
 func RunSupervised(ctx context.Context, pool *Pool, jobs []Job, opts Options) ([]Result, Metrics) {
 	e := NewEngine(ctx, pool, opts)
 	tickets := make([]*Ticket, len(jobs))
+	out := make([]Result, len(jobs))
 	for i, j := range jobs {
-		t, err := e.Submit(ctx, j)
-		if err != nil {
-			tickets[i] = &Ticket{done: closedChan, res: Result{Name: j.Name, Script: j.Script, Err: err}}
-			continue
+		if tickets[i], out[i].Err = e.Submit(ctx, j); out[i].Err != nil {
+			out[i].Name, out[i].Script = j.Name, j.Script
 		}
-		tickets[i] = t
 	}
 	e.Close()
-	out := make([]Result, len(jobs))
 	for i, t := range tickets {
-		out[i] = t.Wait()
+		if t != nil {
+			out[i] = t.Wait()
+		}
 	}
 	return out, e.Metrics()
 }
-
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
 
 // jobHeap is a max-heap on (Priority, -seq): highest priority first,
 // submission order within a priority.

@@ -209,8 +209,9 @@ func TestEnginePriorityOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	probe := testAIG(2) // built up front: the four submissions must take microseconds
 	submit := func(name string, prio int) *Ticket {
-		tk, err := e.Submit(context.Background(), Job{Name: name, AIG: testAIG(2), Script: "b; rw; b", Priority: prio})
+		tk, err := e.Submit(context.Background(), Job{Name: name, AIG: probe, Script: "b; rw; b", Priority: prio})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,10 +20,10 @@ import (
 	"aigre/internal/journal"
 )
 
-// supervise runs q's job under pol until an attempt succeeds, the retry
+// supervise runs job under pol until an attempt succeeds, the retry
 // budget runs dry, or a non-retryable failure lands, filling res with the
 // final outcome and the accumulated attempt history.
-func (e *Engine) supervise(outer context.Context, q *queuedJob, pol Policy, res *Result) {
+func (e *Engine) supervise(outer context.Context, job *Job, pol Policy, res *Result) {
 	budget := pol.Budget
 	if budget == nil && pol.Retries > 0 {
 		budget = NewRetryBudget(pol.Retries)
@@ -31,16 +31,16 @@ func (e *Engine) supervise(outer context.Context, q *queuedJob, pol Policy, res 
 	// Fault plans carry across attempts with their fire-progress, so a plan
 	// armed for the Nth matching launch counts launches cumulatively over
 	// the job, not per attempt.
-	faults := append([]gpu.FaultPlan(nil), q.job.FaultPlans...)
+	faults := append([]gpu.FaultPlan(nil), job.FaultPlans...)
 	// Sequential non-custom jobs never reach a launch boundary, so they
 	// produce no heartbeat; watching them would always preempt.
-	watched := pol.StuckTimeout > 0 && (q.job.Config.Parallel || q.job.Custom != nil)
+	watched := pol.StuckTimeout > 0 && (job.Config.Parallel || job.Custom != nil)
 
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
-		e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt, Event: journal.EventAttempt})
+		e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt, Event: journal.EventAttempt})
 
-		fres, dev, err, cls := e.attempt(outer, q, pol, watched, faults)
+		fres, dev, err, cls := e.attempt(outer, job, pol, watched, faults)
 
 		incs := fres.Incidents
 		for i := range incs {
@@ -49,7 +49,7 @@ func (e *Engine) supervise(outer context.Context, q *queuedJob, pol Policy, res 
 				incs[i].Time = time.Now()
 			}
 			inc := incs[i]
-			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventIncident, Class: inc.Class, Detail: inc.Detail, Incident: &inc})
 		}
 		// The job's record is the latest attempt's run record with the history
@@ -74,17 +74,17 @@ func (e *Engine) supervise(outer context.Context, q *queuedJob, pol Policy, res 
 			}
 			if pol.RetryDegraded && transient > 0 && outer.Err() == nil && budget.Take() {
 				d := pol.backoffFor(attempt)
-				e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+				e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 					Event: journal.EventRetry, Class: flow.ClassTransient, Backoff: d,
 					Detail: fmt.Sprintf("discarding result degraded by %d transient incident(s)", transient)})
 				if !sleepInterruptible(outer, d) {
-					e.finish(q, res, ClassCancelled, cancelErrFor(outer, q.job.Name), attempt, pol)
+					e.finish(job, res, ClassCancelled, cancelErrFor(outer, job.Name), attempt, pol)
 					return
 				}
 				continue
 			}
 			res.Err = nil
-			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt, Event: journal.EventDone})
+			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt, Event: journal.EventDone})
 			return
 		}
 
@@ -94,12 +94,12 @@ func (e *Engine) supervise(outer context.Context, q *queuedJob, pol Policy, res 
 			if errors.Is(oerr, context.DeadlineExceeded) {
 				res.TimedOut = true
 				res.Err = err
-				e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+				e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 					Event: journal.EventTimeout, Class: cls.String(), Detail: err.Error()})
 			} else {
 				res.Cancelled = true
 				res.Err = err
-				e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+				e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 					Event: journal.EventCancel, Detail: err.Error()})
 			}
 			return
@@ -108,25 +108,25 @@ func (e *Engine) supervise(outer context.Context, q *queuedJob, pol Policy, res 
 		switch cls {
 		case ClassStuck:
 			res.Preemptions++
-			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventPreempt, Class: cls.String(), Detail: err.Error()})
 		case ClassTimeout:
-			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventTimeout, Class: cls.String(), Detail: err.Error()})
 		}
 
 		if cls.Retryable() && budget.Take() {
 			d := pol.backoffFor(attempt)
-			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventRetry, Class: cls.String(), Detail: err.Error(), Backoff: d})
 			if !sleepInterruptible(outer, d) {
-				e.finish(q, res, ClassCancelled, cancelErrFor(outer, q.job.Name), attempt, pol)
+				e.finish(job, res, ClassCancelled, cancelErrFor(outer, job.Name), attempt, pol)
 				return
 			}
 			continue
 		}
 
-		e.finish(q, res, cls, err, attempt, pol)
+		e.finish(job, res, cls, err, attempt, pol)
 		return
 	}
 }
@@ -134,16 +134,16 @@ func (e *Engine) supervise(outer context.Context, q *queuedJob, pol Policy, res 
 // finish records a terminal failure outcome: cancelled, timed out, failed,
 // or — when a retryable class ran the budget dry (or the watchdog caught the
 // job) — quarantined.
-func (e *Engine) finish(q *queuedJob, res *Result, cls Class, err error, attempt int, pol Policy) {
+func (e *Engine) finish(job *Job, res *Result, cls Class, err error, attempt int, pol Policy) {
 	switch cls {
 	case ClassCancelled:
 		if errors.Is(err, context.DeadlineExceeded) {
 			res.TimedOut = true
-			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventTimeout, Detail: err.Error()})
 		} else {
 			res.Cancelled = true
-			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventCancel, Detail: err.Error()})
 		}
 	case ClassStuck:
@@ -156,16 +156,16 @@ func (e *Engine) finish(q *queuedJob, res *Result, cls Class, err error, attempt
 	case ClassTransient:
 		res.Quarantined = pol.retriesEnabled()
 		if !res.Quarantined {
-			e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventFail, Class: cls.String(), Detail: err.Error()})
 		}
 	default:
-		e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+		e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 			Event: journal.EventFail, Class: cls.String(), Detail: err.Error()})
 	}
 	if res.Quarantined {
-		err = fmt.Errorf("sched: job %q quarantined after %d attempt(s): %w", q.job.Name, attempt, err)
-		e.jour.Append(journal.Entry{Job: q.job.Name, Attempt: attempt,
+		err = fmt.Errorf("sched: job %q quarantined after %d attempt(s): %w", job.Name, attempt, err)
+		e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 			Event: journal.EventQuarantine, Class: cls.String(), Detail: err.Error()})
 	}
 	res.Err = err
@@ -174,7 +174,7 @@ func (e *Engine) finish(q *queuedJob, res *Result, cls Class, err error, attempt
 // attempt executes one supervised attempt under its own deadline and
 // watchdog, returning the flow result, the leased device (nil for custom or
 // sequential jobs), the attempt error, and its supervision class.
-func (e *Engine) attempt(outer context.Context, q *queuedJob, pol Policy, watched bool, faults []gpu.FaultPlan) (flow.Result, *gpu.Device, error, Class) {
+func (e *Engine) attempt(outer context.Context, job *Job, pol Policy, watched bool, faults []gpu.FaultPlan) (flow.Result, *gpu.Device, error, Class) {
 	start := time.Now()
 	base, preempt := context.WithCancelCause(outer)
 	defer preempt(nil)
@@ -199,16 +199,16 @@ func (e *Engine) attempt(outer context.Context, q *queuedJob, pol Policy, watche
 		go watch(ctx, watchDone, hb, start, pol.StuckTimeout, preempt)
 	}
 
-	cfg := q.job.Config
+	cfg := job.Config
 	cfg.Device = nil
 	var dev *gpu.Device
 	var fres flow.Result
 	var err error
-	if q.job.Custom != nil {
-		fres, err = q.job.Custom(ctx, e.pool)
+	if job.Custom != nil {
+		fres, err = job.Custom(ctx, e.pool)
 	} else {
 		if cfg.Parallel {
-			dev = e.pool.Lease(q.job.Workers)
+			dev = e.pool.Lease(job.Workers)
 			if hb := HeartbeatFrom(ctx); hb != nil {
 				dev.SetHeartbeat(hb)
 			}
@@ -217,7 +217,7 @@ func (e *Engine) attempt(outer context.Context, q *queuedJob, pol Policy, watche
 			}
 			cfg.Device = dev
 		}
-		fres, err = flow.Run(ctx, q.job.AIG, q.job.Script, cfg)
+		fres, err = flow.Run(ctx, job.AIG, job.Script, cfg)
 	}
 
 	cls := Classify(err)

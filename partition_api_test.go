@@ -113,8 +113,8 @@ func TestPartitionMillionNodeSmoke(t *testing.T) {
 // network (~100k nodes, same shape as the million-node benchmark) is optimized
 // partition-parallel at one worker and at four, and the four-worker run must
 // finish faster. Runners with fewer than four CPUs cannot show a wall-time
-// speedup, so the test skips there; the full scaling picture lives in the
-// BenchmarkPartitionMillionW* rows.
+// speedup, so the test skips there; the benchmark's deep_part workload and
+// its partition.speedup probe carry the full scaling picture.
 func TestPartitionScalingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling smoke skipped in -short mode")

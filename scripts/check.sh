@@ -22,6 +22,16 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude
     echo "check: a copy of the command executor or of the edit scaffold grew back (see above)" >&2
     exit 1
 fi
+# One function runs a job: flow.Run is reached through sched.(*Engine).Do only
+# (its attempt; cmd/experiments times the bare runner), partition.Run from the
+# one place a job is converted (engine.go), and pass-scoped tables are pooled
+# by hashtable.Acquire alone.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-dir=sched --exclude-dir=experiments --exclude-dir=benchmark 'flow\.Run(' . ||
+    [ "$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'partition\.Run(' . | wc -l)" -gt 1 ] ||
+    grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=hashtable --exclude-dir=benchmark '\.\(\*hashtable\.Table\)' .; then
+    echo "check: a second route into the engine, a second partition.Run call site or a second table pool grew back" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
@@ -38,7 +48,7 @@ go test -race ./...
 go test -timeout 20m -run 'TestPartitionMillionNodeSmoke' .
 # Multicore scaling smoke: a reduced deep/narrow run at 1 vs 4 workers must
 # get faster with workers (skips itself on <4-CPU runners, where wall time
-# cannot improve; the BenchmarkPartitionMillionW* rows carry the full story).
+# cannot improve; the benchmark's deep_part workload carries the full story).
 go test -timeout 10m -run 'TestPartitionScalingSmoke' .
 # Supervision chaos gate: a randomized (but seeded and printed, hence
 # reproducible) fault schedule over an 8-job batch under -race — kernel
