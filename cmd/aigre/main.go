@@ -229,6 +229,7 @@ func main() {
 		}
 		fmt.Fprintf(msg, "script: %q (%s)  wall=%v modeled=%v\n", s, mode, res.Wall, res.Modeled)
 		if p := res.Partition; p != nil {
+			// shared= counts nodes held by more than one partition: 0 in both modes.
 			fmt.Fprintf(msg, "partition: mode=%s parts=%d shared=%d conflicts=%d/%d rollbacks=%d rounds=%d\n",
 				p.Mode, len(p.Parts), p.SharedNodes, p.ConflictsBroken, p.ConflictsFound, p.Rollbacks, p.StitchRounds)
 			if *verbose {

@@ -90,6 +90,27 @@ func TestOutputIdentity(t *testing.T) {
 			}
 		}
 	}
+
+	// The deep_part shape at a sixteenth of its size: strashed, chains c and
+	// c+32 coincide, so every node is reached from two POs. Recorded when the
+	// cone partitioner still copied such nodes into both clusters (8
+	// partitions, 31,992 shared nodes); one-owner partitions (4) stitch to
+	// the same bytes.
+	shared := readBack(t, aigre.FromInternal(bench.DeepNarrow(64, 250)))
+	for _, workers := range []int{1, 2} {
+		res, err := shared.Run(ctx, "b; rw", aigre.Options{Workers: workers, Cache: aigre.NewCache(),
+			Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 1 << 13}})
+		if err != nil {
+			t.Fatalf("strashed deep-narrow at %d workers: %v", workers, err)
+		}
+		const want = "675602e61d3d914bfb950b56ccd23fdf4ccc4810b5875ae669f88929c01e75a6"
+		if got := outputDigest(t, res.AIG); got != want {
+			t.Errorf("cone-partitioned b; rw of strashed DeepNarrow(64, 250) at %d workers: output digest %s, want %s", workers, got, want)
+		}
+		if rep := res.Partition; len(rep.Parts) != 4 || rep.SharedNodes != 0 || rep.ConflictsFound != 0 {
+			t.Errorf("strashed DeepNarrow(64, 250) at %d workers: %d partitions, %+v", workers, len(rep.Parts), rep)
+		}
+	}
 }
 
 // TestNpnCountersExact checks that batching the NPN hit/miss counters in the

@@ -7,16 +7,20 @@ import (
 )
 
 // DeepNarrow builds the adversarial deep-and-narrow circuit used by the
-// partition-parallel benchmarks: chains independent primary-output cones,
-// each a chain of steps XOR-accumulator stages over a small rotating window
-// of 32 shared primary inputs. Each stage spends 4 AND nodes (one gating AND
-// plus a 3-AND XOR), so the network has about 4*chains*steps AND nodes and
-// about 2*steps levels — 64 chains of 4000 steps is a million-node AIG.
+// partition-parallel benchmarks: chains primary-output cones, each a chain
+// of steps XOR-accumulator stages over a small rotating window of 32 shared
+// primary inputs. Each stage spends 4 AND nodes (one gating AND plus a 3-AND
+// XOR), so the network is built with exactly 4*chains*steps AND nodes and
+// about 2*steps levels — 64 chains of 4000 steps is a million-node AIG. The
+// nodes are added unhashed and every PI index is taken modulo 32, so chains
+// c and c+32 are the same structure twice: past 32 chains a strashing reader
+// (aigre.Read) merges them, and DeepNarrow(64, 4000) arrives as 511,992 ANDs
+// in 32 distinct cones with POs 32..63 on the roots of POs 0..31.
 //
 // The shape is the worst case for kernel-level parallelism (a level holds at
 // most a few nodes per chain, so a parallel command launches thousands of
-// nearly-empty kernels) and the best case for cone partitioning (the chains
-// are functionally independent, so every partition seam is conflict-free).
+// nearly-empty kernels) and the best case for cone partitioning (distinct
+// chains share no AND node, so every partition seam is conflict-free).
 // XOR accumulation keeps the chains incompressible: optimization cannot
 // collapse the depth, only tidy locally.
 func DeepNarrow(chains, steps int) *aig.AIG {

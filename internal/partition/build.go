@@ -9,126 +9,128 @@ import (
 )
 
 // part is one partition of the base network, described in base node ids.
+// Every AND node a PO reaches is a member of exactly one partition, in both
+// modes.
 type part struct {
 	index int
 	// inputs are the boundary driver nodes feeding the partition, in the
-	// order the extracted cone's PIs are laid out: original PIs in cones
-	// mode, PIs and lower-window AND nodes in levels mode.
+	// order the extracted cone's PIs are laid out: PIs and AND nodes owned by
+	// lower-indexed partitions.
 	inputs []int32
 	// members are the partition's AND nodes in topological order.
 	members []int32
-	// outputs are the member nodes whose functions the partition exports to
-	// higher windows or POs (levels mode; empty in cones mode).
+	// outputs are the members whose functions the partition exports through
+	// the stitcher's boundary map: those read by higher partitions, and those
+	// driving a PO that poIdx does not list.
 	outputs []int32
-	// poIdx are the original PO indices the partition drives (cones mode;
-	// empty in levels mode, where POs resolve through the boundary map).
+	// poIdx are the original PO indices whose root the partition was first
+	// to claim (cones mode; empty in levels mode, where every PO resolves
+	// through the boundary map).
 	poIdx []int
 	// levelLo/levelHi is the level range (levels mode).
 	levelLo, levelHi int
 }
 
-// buildCones clusters primary outputs greedily into size-bounded partitions:
-// POs are taken in order, each PO's fanin cone is added to the current
-// cluster, and the cluster is closed when adding the next cone would push it
-// past target (an oversize single cone still becomes one partition). Logic
-// shared between clusters is duplicated into each; the stitcher merges the
-// copies back.
+// buildCones clusters primary outputs greedily into size-bounded partitions
+// that own every node once: POs are taken in order, the part of a PO's fanin
+// cone that no partition owns yet is added to the current cluster, and the
+// cluster is closed first when that would push it past target (an oversize
+// single cone still becomes one partition). A node belongs to the first
+// cluster whose PO cone reaches it; a later cluster reads it as an input, and
+// a PO whose root is already owned resolves through the boundary map. A
+// single-fanout node is reachable only through its fanout and so shares its
+// owner: every partition is a union of whole fanout-free cones, cut at
+// multi-fanout nodes — the cover the paper's Theorem 1 proves disjoint.
 func buildCones(a *aig.AIG, target int) []*part {
-	nobj := a.NumObjs()
-	mark := make([]int32, nobj)  // node -> cluster number (1-based; 0 = none)
-	probe := make([]int32, nobj) // probe epoch, one per measured PO
-	var stack []int32
+	owner := make([]int32, a.NumObjs()) // AND node -> owning part index + 1 (0 = unowned)
+	isOut := make([]bool, a.NumObjs())
 	var parts []*part
-	var cur *part
-	cluster := int32(0)
-	probeID := int32(0)
-
-	flush := func() {
-		if cur != nil && len(cur.members) > 0 {
-			parts = append(parts, cur)
-		}
-		cur = nil
-	}
-	open := func() {
-		cluster++
+	var stack, cone []int32
+	cur := &part{}
+	closeCluster := func() {
+		parts = append(parts, cur)
 		cur = &part{index: len(parts)}
 	}
+	unowned := func(id int32) bool { return a.IsAnd(id) && owner[id] == 0 }
 
 	for i := 0; i < a.NumPOs(); i++ {
 		root := a.PO(i).Var()
-		if !a.IsAnd(root) {
-			continue // const/PI-driven POs map directly at stitch time
+		if !unowned(root) {
+			// An owned root is exported by its owner; const- and PI-driven
+			// POs map directly at stitch time.
+			isOut[root] = a.IsAnd(root)
+			continue
 		}
-		if cur == nil {
-			open()
-		}
-		// Probe: how many AND nodes would this cone add to the cluster?
-		probeID++
-		added := 0
+		// The unowned part of the cone, in postorder (topological). The
+		// provisional stamp keeps a node from being collected twice; the
+		// cluster that takes the cone restamps it.
+		cone = cone[:0]
 		stack = append(stack[:0], root)
 		for len(stack) > 0 {
 			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if !a.IsAnd(id) || mark[id] == cluster || probe[id] == probeID {
-				continue
+			if v := a.Fanin0(id).Var(); unowned(v) {
+				stack = append(stack, v)
+			} else if v := a.Fanin1(id).Var(); unowned(v) {
+				stack = append(stack, v)
+			} else {
+				owner[id] = -1
+				cone = append(cone, id)
+				stack = stack[:len(stack)-1]
 			}
-			probe[id] = probeID
-			added++
-			stack = append(stack, a.Fanin0(id).Var(), a.Fanin1(id).Var())
 		}
-		if len(cur.members) > 0 && len(cur.members)+added > target {
-			flush()
-			open()
+		if len(cur.members) > 0 && len(cur.members)+len(cone) > target {
+			closeCluster()
 		}
-		commitCone(a, root, cluster, mark, cur, &stack)
+		for _, id := range cone {
+			owner[id] = int32(cur.index) + 1
+		}
+		cur.members = append(cur.members, cone...)
 		cur.poIdx = append(cur.poIdx, i)
 		if len(cur.members) >= target {
-			flush()
+			closeCluster()
 		}
 	}
-	flush()
+	if len(cur.members) > 0 {
+		parts = append(parts, cur)
+	}
+	wire(a, parts, owner, isOut)
 	return parts
 }
 
-// commitCone adds the fanin cone of root to the cluster: a postorder DFS
-// appends unassigned AND nodes to cur.members (topological within the
-// cluster) and records first-seen support PIs as cluster inputs.
-func commitCone(a *aig.AIG, root, cluster int32, mark []int32, cur *part, stackp *[]int32) {
-	stack := append((*stackp)[:0], root)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		if mark[id] == cluster {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		if !a.IsAnd(id) {
-			mark[id] = cluster
-			if a.IsPI(id) {
-				cur.inputs = append(cur.inputs, id)
+// wire derives every partition's interface from the ownership map (AND node
+// -> part index + 1): its inputs are the PIs and the AND nodes of other
+// partitions its members read, in order of first use, and its outputs are
+// the members marked in isOut on entry (PO drivers that resolve through the
+// boundary map) or read by another partition. Readers sit in higher
+// partitions, so walking the partitions downwards sees every read of a
+// member before listing it.
+func wire(a *aig.AIG, parts []*part, owner []int32, isOut []bool) {
+	seen := make([]int32, a.NumObjs()) // part index + 1 that last listed the node as an input
+	for k := len(parts) - 1; k >= 0; k-- {
+		p, w := parts[k], int32(k)+1
+		for _, id := range p.members {
+			for _, f := range [2]aig.Lit{a.Fanin0(id), a.Fanin1(id)} {
+				v := f.Var()
+				if v == 0 || owner[v] == w {
+					continue // constant, or a fanin inside the partition
+				}
+				isOut[v] = a.IsAnd(v)
+				if seen[v] != w {
+					seen[v] = w
+					p.inputs = append(p.inputs, v)
+				}
 			}
-			stack = stack[:len(stack)-1]
-			continue
+			if isOut[id] {
+				p.outputs = append(p.outputs, id)
+			}
 		}
-		if v0 := a.Fanin0(id).Var(); mark[v0] != cluster {
-			stack = append(stack, v0)
-			continue
-		}
-		if v1 := a.Fanin1(id).Var(); mark[v1] != cluster {
-			stack = append(stack, v1)
-			continue
-		}
-		mark[id] = cluster
-		cur.members = append(cur.members, id)
-		stack = stack[:len(stack)-1]
 	}
-	*stackp = stack
 }
 
 // buildWindows slices the network into contiguous level windows of about
-// target AND nodes each. Every live AND node lands in exactly one window
-// (no duplication); a window's inputs are the PIs and lower-window nodes its
-// members read, and its outputs are the members read by higher windows or
-// POs.
+// target AND nodes each. Every live AND node lands in exactly one window; a
+// window's inputs are the PIs and lower-window nodes its members read, and
+// its outputs are the members read by higher windows or POs.
 func buildWindows(a *aig.AIG, target int) []*part {
 	levels := a.NodeLevels()
 	maxLev := int32(0)
@@ -159,49 +161,17 @@ func buildWindows(a *aig.AIG, target int) []*part {
 
 	// Membership in id order: the base network is in canonical topological
 	// id order, so members sorted by id are topological within the window.
-	a.ForEachAnd(func(id int32) {
-		p := parts[winOf[levels[id]]]
-		p.members = append(p.members, id)
-	})
-
-	// Outputs: members referenced from a different (necessarily higher)
-	// window, or driving a PO.
-	isOut := make([]bool, a.NumObjs())
+	owner := make([]int32, a.NumObjs())
 	a.ForEachAnd(func(id int32) {
 		w := winOf[levels[id]]
-		for _, f := range [2]aig.Lit{a.Fanin0(id), a.Fanin1(id)} {
-			if v := f.Var(); a.IsAnd(v) && winOf[levels[v]] != w {
-				isOut[v] = true
-			}
-		}
+		owner[id] = w + 1
+		parts[w].members = append(parts[w].members, id)
 	})
+	isOut := make([]bool, a.NumObjs())
 	for _, p := range a.POs() {
-		if v := p.Var(); a.IsAnd(v) {
-			isOut[v] = true
-		}
+		isOut[p.Var()] = a.IsAnd(p.Var())
 	}
-
-	// Inputs (deduplicated per window) and the window's own output list.
-	seen := make([]int32, a.NumObjs()) // window number + 1
-	for _, p := range parts {
-		w := int32(p.index)
-		for _, id := range p.members {
-			for _, f := range [2]aig.Lit{a.Fanin0(id), a.Fanin1(id)} {
-				v := f.Var()
-				if v == 0 || (a.IsAnd(v) && winOf[levels[v]] == w) {
-					continue // constant, or an in-window fanin
-				}
-				if seen[v] == w+1 {
-					continue
-				}
-				seen[v] = w + 1
-				p.inputs = append(p.inputs, v)
-			}
-			if isOut[id] {
-				p.outputs = append(p.outputs, id)
-			}
-		}
-	}
+	wire(a, parts, owner, isOut)
 	return parts
 }
 

@@ -1,14 +1,15 @@
 // Package partition implements partition-parallel optimization of large
 // AIGs. The network is split into size-bounded partitions — output-cone
-// clusters or level-window slices — each partition is optimized as an
-// independent prioritized job on the batch engine (internal/sched, largest
-// partition first, sharing one resynthesis cache), and the optimized
-// partitions are stitched back together with conflict breaking at the
-// seams: duplicate structure created by independent jobs is merged level by
-// level under a fixed winner priority (stitchParallel), and the stitched
-// result must pass the structural invariant check plus the sampling-equivalence
-// gate of the guarded flow runner. A partition that refutes is rolled back
-// to its pre-optimization cone.
+// clusters or level-window slices, every node owned by exactly one — each
+// partition is optimized as an independent prioritized job on the batch
+// engine (internal/sched, largest partition first, sharing one resynthesis
+// cache), and the optimized partitions are stitched back together with
+// conflict breaking at the seams: duplicate structure created by independent
+// jobs is merged level by level under a fixed winner priority
+// (stitchParallel), and the stitched result must pass the structural
+// invariant check plus the sampling-equivalence gate of the guarded flow
+// runner. A partition that refutes is rolled back to its pre-optimization
+// cone.
 //
 // This is the layer that turns the batch engine's many-small-jobs
 // parallelism into one-huge-job parallelism ("Parallel AIG Refactoring via
@@ -38,18 +39,22 @@ type Mode int
 const (
 	// Off disables partitioning (the default); Run rejects it.
 	Off Mode = iota
-	// Cones clusters primary outputs greedily: each partition is the union
-	// of consecutive PO fanin cones, closed under fanin (its only inputs are
-	// PIs). Logic shared between clusters is duplicated into each — the
-	// stitcher merges the copies back. Best for wide
-	// many-output designs and for deep, narrow designs that starve
-	// kernel-level parallelism.
+	// Cones clusters primary outputs greedily: each partition is what
+	// consecutive PO fanin cones add to the nodes earlier partitions own. A
+	// node belongs to the first partition whose cone reaches it; later
+	// partitions read it as an input, so a partition is a union of whole
+	// fanout-free cones and no logic is optimized twice. Those inputs reach
+	// the partition's job as level-0 PIs, so balancing there does not see
+	// their real arrival times: depth can end a few levels above the
+	// whole-network run's (up to 3 levels, 7.7 %, over the scale-2 suite;
+	// never above the input's). Best for wide many-output designs and for
+	// deep, narrow designs that starve kernel-level parallelism.
 	Cones
-	// Levels slices the network into contiguous level windows with no
-	// duplication: each partition holds every AND node whose level falls in
-	// its range, its inputs are PIs and lower-window nodes, and it exports
-	// the nodes that higher windows or POs read. Works on single-output
-	// designs where cone clustering cannot split.
+	// Levels slices the network into contiguous level windows: each
+	// partition holds every AND node whose level falls in its range, its
+	// inputs are PIs and lower-window nodes, and it exports the nodes that
+	// higher windows or POs read. Works on single-output designs where cone
+	// clustering cannot split.
 	Levels
 )
 
@@ -136,8 +141,10 @@ func (o Options) normalized() Options {
 // this type).
 type Stat struct {
 	Index int `json:"index"`
-	// POs is the number of primary outputs the partition drives (cones
-	// mode); LevelLo/LevelHi is the level range (levels mode).
+	// POs is the number of primary outputs whose root the partition was
+	// first to claim (cones mode; a PO on a root an earlier PO claimed reads
+	// that partition's export and is not counted); LevelLo/LevelHi is the
+	// level range (levels mode).
 	POs     int `json:"pos,omitempty"`
 	LevelLo int `json:"level_lo,omitempty"`
 	LevelHi int `json:"level_hi,omitempty"`
@@ -172,9 +179,9 @@ type Report struct {
 	// NodesIn/NodesOut are whole-network AND counts before and after.
 	NodesIn  int `json:"nodes_in"`
 	NodesOut int `json:"nodes_out"`
-	// SharedNodes is the duplication cost of the split: the sum of
-	// partition sizes minus the live network size (cones mode duplicates
-	// logic shared between clusters; levels mode never duplicates).
+	// SharedNodes counts the nodes more than one partition holds. Both
+	// builders give every node one owner (TestEveryNodeOwnedOnce), so Run
+	// never sets it; the field stays for the report schema.
 	SharedNodes int `json:"shared_nodes"`
 	// ConflictsFound counts seam conflicts detected across every stitch
 	// round; ConflictsBroken those resolved in the final accepted stitch.
@@ -229,10 +236,6 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Resu
 			res.AIG = a // a failed or cancelled run hands back the input
 		}
 	}()
-	for _, p := range parts {
-		res.SharedNodes += len(p.members)
-	}
-	res.SharedNodes -= base.NumAnds()
 
 	// Profiler labels mark the orchestration phases (the per-partition jobs
 	// themselves are labeled by the engine): a CPU profile of a partitioned

@@ -157,8 +157,9 @@ func stitchParallel(ctx context.Context, base *aig.AIG, parts []*part, chosen []
 			}
 		}
 	}
-	// POs no partition owns (const- or PI-driven in cones mode, every PO in
-	// levels mode) resolve through the boundary map.
+	// POs no partition lists in poIdx (const- or PI-driven, or on a root an
+	// earlier PO claimed, in cones mode; every PO in levels mode) resolve
+	// through the boundary map.
 	for i, g := range poGlobal {
 		if g != unresolved {
 			continue

@@ -77,8 +77,9 @@ func stitch(base *aig.AIG, parts []*part, chosen []*aig.AIG) (*aig.AIG, []int, e
 			poSet[po] = true
 		}
 	}
-	// POs not owned by any partition (const/PI-driven in cones mode, every
-	// PO in levels mode) resolve through the boundary map.
+	// POs no partition lists in poIdx (const/PI-driven or on an already
+	// claimed root in cones mode, every PO in levels mode) resolve through
+	// the boundary map.
 	for i := 0; i < base.NumPOs(); i++ {
 		if poSet[i] {
 			continue

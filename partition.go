@@ -14,14 +14,16 @@ const (
 	// PartitionOff disables partitioning (the default).
 	PartitionOff = partition.Off
 	// PartitionCones clusters primary-output fanin cones into size-bounded
-	// partitions, closed under fanin (their only inputs are PIs). Logic
-	// shared between clusters is duplicated into each; the stitcher merges
-	// the copies back by re-strashing. Best for wide many-output designs and
-	// for deep, narrow designs that starve kernel-level parallelism.
+	// partitions. A node belongs to the first partition whose cone reaches
+	// it and later partitions read it as an input, so no logic is optimized
+	// twice; balancing sees those inputs at level 0, which can cost a few
+	// levels of depth against the whole-network run. Best for wide
+	// many-output designs and for deep, narrow designs that starve
+	// kernel-level parallelism.
 	PartitionCones = partition.Cones
-	// PartitionLevels slices the network into contiguous level windows with
-	// no duplication; a window's inputs are PIs and lower-window nodes. Works
-	// on single-output designs where cone clustering cannot split.
+	// PartitionLevels slices the network into contiguous level windows; a
+	// window's inputs are PIs and lower-window nodes. Works on single-output
+	// designs where cone clustering cannot split.
 	PartitionLevels = partition.Levels
 )
 
@@ -48,7 +50,7 @@ type PartitionOptions = partition.Split
 // PartitionStat reports one partition of a partition-parallel run, and
 // PartitionReport summarizes the run (Result.Partition): the partitioning
 // strategy, one PartitionStat row per partition, whole-network node counts,
-// the duplication cost of the split, seam conflicts found and broken,
+// nodes held by more than one partition (0), seam conflicts found and broken,
 // rollbacks and stitch rounds. See the partition package types for the field
 // documentation.
 type (

@@ -1,6 +1,7 @@
 package aigre_test
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
@@ -98,8 +99,8 @@ func TestPartitionMillionNodeSmoke(t *testing.T) {
 	if rep == nil || len(rep.Parts) < 2 {
 		t.Fatalf("expected a multi-partition run, got %+v", rep)
 	}
-	if rep.Rollbacks != 0 {
-		t.Errorf("unexpected rollbacks: %+v", rep)
+	if rep.Rollbacks != 0 || rep.SharedNodes != 0 {
+		t.Errorf("unexpected rollbacks or shared nodes: %+v", rep)
 	}
 	if err := res.AIG.Check(); err != nil {
 		t.Fatal(err)
@@ -107,6 +108,44 @@ func TestPartitionMillionNodeSmoke(t *testing.T) {
 	if got := res.AIG.Stats().Nodes; got == 0 || got > a.NumAnds() {
 		t.Fatalf("suspicious node count after balance: %d (in %d)", got, a.NumAnds())
 	}
+
+	// The benchmark's deep_part workload: the same network as aigre.Read
+	// hands it over (strashed, so chains c and c+32 are one chain and POs
+	// 32..63 drive roots that POs 0..31 already claimed) through "b; rw" at
+	// 2^17 nodes per partition. Four partitions own the 32 distinct chains,
+	// nothing is shared and the stitch has no conflict to break; the bytes
+	// are the ones the duplicating partitioner (8 partitions, 511,992 shared
+	// nodes) wrote.
+	n = readBack(t, n)
+	for _, workers := range []int{1, 2, 4} {
+		res, err := n.Run(context.Background(), "b; rw", aigre.Options{Workers: workers, Cache: aigre.NewCache(),
+			Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 1 << 17}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := res.Partition
+		if len(rep.Parts) != 4 || rep.SharedNodes != 0 || rep.ConflictsFound != 0 || rep.Rollbacks != 0 || rep.StitchRounds != 1 {
+			t.Errorf("deep_part at %d workers: %d partitions, %+v", workers, len(rep.Parts), rep)
+		}
+		const want = "0c5618b8333165c5085578fa18d38be51fc86ef36704613fc39df4d32c0754d6"
+		if got := outputDigest(t, res.AIG); got != want {
+			t.Errorf("deep_part at %d workers: output digest %s, want %s", workers, got, want)
+		}
+	}
+}
+
+// readBack returns n as aigre.Read returns its AIGER encoding: strashed.
+func readBack(t *testing.T, n *aigre.Network) *aigre.Network {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := n.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := aigre.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
 }
 
 // TestPartitionScalingSmoke is the fast multicore gate: a reduced deep/narrow
@@ -218,5 +257,59 @@ func TestParsePartitionMode(t *testing.T) {
 	}
 	if _, err := aigre.ParsePartitionMode("diag"); err == nil {
 		t.Error("ParsePartitionMode accepted an unknown mode")
+	}
+}
+
+// TestConePartitionQuality pins what one-owner cone partitions buy on ordinary
+// circuits: over the suite at scale 2, cone-partitioned "b; rw" and resyn2 at
+// an eighth of the network per partition end within 2 % of the whole-network
+// run's AND count (partitions that each optimized their own copy of shared
+// logic ended at 2.7x on twentythree and 2.1-3.1x on square), with full CEC
+// on the families the benchmark also checks in full. Depth is what ownership
+// costs: a later partition balances with the nodes it reads from earlier ones
+// arriving at level 0, so the result is up to 3 levels (7.7 % on ac97_ctrl)
+// deeper than the whole-network run's; the table bounds that at 10 % and at
+// the input's own depth.
+func TestConePartitionQuality(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite-wide quality table skipped in -short mode")
+	}
+	if alloctest.RaceEnabled {
+		t.Skip("suite-wide quality table skipped under -race; check.sh runs it without")
+	}
+	fullCEC := map[string]bool{"twentythree": true, "twenty": true, "sixteen": true,
+		"mem_ctrl": true, "sin": true, "ac97_ctrl": true, "vga_lcd": true}
+	ctx := context.Background()
+	for _, c := range bench.Suite(2) {
+		n := aigre.FromInternal(c.Build())
+		for _, script := range []string{"b; rw", aigre.ScriptResyn2} {
+			whole, err := n.Run(ctx, script, aigre.Options{Cache: aigre.NewCache()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			part, err := n.Run(ctx, script, aigre.Options{Workers: 2, Cache: aigre.NewCache(),
+				Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: n.Stats().Nodes/8 + 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, p := whole.AIG.Stats().Nodes, part.AIG.Stats().Nodes
+			wl, pl := whole.AIG.Stats().Levels, part.AIG.Stats().Levels
+			t.Logf("%s %q: %d ANDs / %d levels whole, %d / %d in %d partitions (input %d levels)",
+				c.Name, script, w, wl, p, pl, len(part.Partition.Parts), n.Stats().Levels)
+			if float64(p) > 1.02*float64(w) {
+				t.Errorf("%s %q: %d ANDs cone-partitioned, %d whole-network (%.2fx)", c.Name, script, p, w, float64(p)/float64(w))
+			}
+			if float64(pl) > 1.10*float64(wl) || pl > n.Stats().Levels {
+				t.Errorf("%s %q: %d levels cone-partitioned, %d whole-network, %d in the input", c.Name, script, pl, wl, n.Stats().Levels)
+			}
+			if part.Partition.SharedNodes != 0 || part.Partition.Rollbacks != 0 {
+				t.Errorf("%s %q: %+v", c.Name, script, part.Partition)
+			}
+			if fullCEC[c.Name] {
+				if eq, err := part.AIG.EquivalentTo(n); err != nil || !eq {
+					t.Errorf("%s %q: cone-partitioned result not equivalent to the input (%v)", c.Name, script, err)
+				}
+			}
+		}
 	}
 }

@@ -32,6 +32,15 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-
     echo "check: a second route into the engine, a second partition.Run call site or a second table pool grew back" >&2
     exit 1
 fi
+# One cone builder, one part shape: every node has one owner because buildCones
+# and buildWindows are the only builders; a per-cluster duplicating builder, its
+# commit helper or a fourth Mode must not grow back.
+builders=$(grep -hoE --exclude='*_test.go' '^func (build|commit)[A-Za-z]*' internal/partition/*.go | sort | tr '\n' ' ')
+modes=$(awk '/Off Mode = iota/{on=1} on&&/^\)/{exit} on&&!/\/\//{printf "%s ", $1}' internal/partition/partition.go)
+if [ "$builders" != "func buildCones func buildWindows " ] || [ "$modes" != "Off Cones Levels " ]; then
+    echo "check: internal/partition has builders \"$builders\" and modes \"$modes\": want buildCones, buildWindows and Off/Cones/Levels only" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
@@ -43,9 +52,10 @@ go test -race ./...
 # function the probes call fails here too.
 (cd benchmark && go vet ./... && go test ./...)
 # Partition-parallel optimization: the million-node deep/narrow smoke (cone
-# partitioning of an AIG the kernel-level parallelism cannot touch), without
-# the race detector (the -race pass above skips it as too slow).
-go test -timeout 20m -run 'TestPartitionMillionNodeSmoke' .
+# partitioning of an AIG the kernel-level parallelism cannot touch, and the
+# pinned deep_part digest) and the suite-wide cone-partition quality table,
+# without the race detector (the -race pass above skips them as too slow).
+go test -timeout 20m -run 'TestPartitionMillionNodeSmoke|TestConePartitionQuality' .
 # Multicore scaling smoke: a reduced deep/narrow run at 1 vs 4 workers must
 # get faster with workers (skips itself on <4-CPU runners, where wall time
 # cannot improve; the benchmark's deep_part workload carries the full story).
