@@ -41,10 +41,11 @@ import (
 )
 
 // Cache is a resynthesis cache: it memoizes NPN canonization for rewriting
-// cuts and factored programs for refactoring cones, keyed by the exact cone
-// function. Optimization results are bit-identical with or without a cache —
-// it only cuts host wall-clock — and a Cache is safe for concurrent use, so
-// one may be shared across passes, runs, and jobs.
+// cuts, keyed by the cut function, and factored programs for refactoring
+// cones, keyed by the exact cone structure. Optimization results are
+// bit-identical with or without a cache — it only cuts host wall-clock — and
+// a Cache is safe for concurrent use, so one may be shared across passes,
+// runs, and jobs.
 //
 // A nil Cache in Options selects a process-wide default cache. Use NewCache
 // to isolate a run (for reproducible per-run statistics) and

@@ -8,6 +8,7 @@ import (
 	"aigre"
 	"aigre/internal/aig"
 	"aigre/internal/bench"
+	"aigre/internal/flow"
 )
 
 // cacheCases are arithmetic circuits — the workloads where a resynthesis
@@ -18,67 +19,96 @@ func cacheCases() map[string]*aig.AIG {
 	return map[string]*aig.AIG{
 		"adder32": bench.Adder(32),
 		"mult8":   bench.Multiplier(8),
+		"sqrt16":  bench.Sqrt(16),
 	}
 }
 
 // TestCachedRunsMatchUncached is the correctness contract of the
-// resynthesis cache: a cached run must produce an AIG with statistics
-// bit-identical to the uncached run and remain equivalent to the input —
-// the cache is a pure memoization, never a behavioral knob.
+// resynthesis cache: a cached run must write the same bytes as the uncached
+// run, charge the same modeled device time, and remain equivalent to the
+// input — the cache is a pure memoization, never a behavioral knob. The
+// contract holds for a fresh cache, a warm one, and a 64-entry one that
+// evicts wherever a run meets more distinct cones than that (one parallel rf
+// pass over these circuits does not). Modeled time is compared for the
+// parallel engines only: the sequential engines report their wall time there.
 func TestCachedRunsMatchUncached(t *testing.T) {
+	ctx := context.Background()
+	var evictions int64
 	for name, raw := range cacheCases() {
 		for _, parallel := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/parallel=%v", name, parallel), func(t *testing.T) {
-				n := aigre.FromInternal(raw)
-
-				cold, err := n.Resyn2(context.Background(), aigre.Options{
-					Parallel: parallel, Cache: aigre.DisabledCache(),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cache := aigre.NewCache()
-				warm, err := n.Resyn2(context.Background(), aigre.Options{
-					Parallel: parallel, Cache: cache,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				cs, ws := cold.AIG.Stats(), warm.AIG.Stats()
-				if cs.Nodes != ws.Nodes || cs.Levels != ws.Levels || cs.POs != ws.POs {
-					t.Fatalf("cached stats %+v != uncached %+v", ws, cs)
-				}
-				if eq, err := warm.AIG.EquivalentTo(n); err != nil || !eq {
-					t.Fatalf("cached result not equivalent (err=%v)", err)
-				}
-				if cold.CacheStats.Hits != 0 || cold.CacheStats.NpnHits != 0 {
-					t.Errorf("disabled cache reported hits: %+v", cold.CacheStats)
-				}
-				if warm.CacheStats.Misses == 0 {
-					t.Errorf("fresh cache saw no program traffic: %+v", warm.CacheStats)
-				}
-				if warm.CacheStats.Hits == 0 {
-					t.Errorf("arithmetic circuit produced no within-run hits: %+v", warm.CacheStats)
-				}
-
-				// A second run over the same network hits the now-warm cache
-				// and still produces the identical result.
-				again, err := n.Resyn2(context.Background(), aigre.Options{
-					Parallel: parallel, Cache: cache,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if as := again.AIG.Stats(); as.Nodes != cs.Nodes || as.Levels != cs.Levels {
-					t.Fatalf("warm rerun stats %+v != cold %+v", as, cs)
-				}
-				if again.CacheStats.Hits <= warm.CacheStats.Hits {
-					t.Errorf("warm rerun hits %d not above cold-run hits %d",
-						again.CacheStats.Hits, warm.CacheStats.Hits)
+				for _, sc := range []struct{ name, script string }{{"resyn2", flow.Resyn2}, {"rf", "rf"}} {
+					t.Run(sc.name, func(t *testing.T) {
+						n := aigre.FromInternal(raw)
+						run := func(c *aigre.Cache) aigre.Result {
+							t.Helper()
+							res, err := n.Run(ctx, sc.script, aigre.Options{Parallel: parallel, Workers: 1, Cache: c})
+							if err != nil {
+								t.Fatal(err)
+							}
+							return res
+						}
+						cold := run(aigre.DisabledCache())
+						want := outputDigest(t, cold.AIG)
+						cache := aigre.NewCache()
+						warm := run(cache)
+						evicting := run(aigre.NewCacheWithCapacity(64))
+						// A second run over the same network hits the now-warm
+						// cache and still produces the identical result.
+						again := run(cache)
+						for row, res := range map[string]aigre.Result{"fresh": warm, "evicting": evicting, "warm": again} {
+							if got := outputDigest(t, res.AIG); got != want {
+								t.Errorf("%s cache: output digest %s, uncached %s", row, got, want)
+							}
+							if parallel && res.Modeled != cold.Modeled {
+								t.Errorf("%s cache: modeled %v, uncached %v", row, res.Modeled, cold.Modeled)
+							}
+						}
+						if eq, err := warm.AIG.EquivalentTo(n); err != nil || !eq {
+							t.Fatalf("cached result not equivalent (err=%v)", err)
+						}
+						if cold.CacheStats.Hits != 0 || cold.CacheStats.NpnHits != 0 {
+							t.Errorf("disabled cache reported hits: %+v", cold.CacheStats)
+						}
+						if warm.CacheStats.Misses == 0 {
+							t.Errorf("fresh cache saw no program traffic: %+v", warm.CacheStats)
+						}
+						if sc.name == "resyn2" && warm.CacheStats.Hits == 0 {
+							t.Errorf("arithmetic circuit produced no within-run hits: %+v", warm.CacheStats)
+						}
+						evictions += evicting.CacheStats.Evictions
+						if again.CacheStats.Hits <= warm.CacheStats.Hits {
+							t.Errorf("warm rerun hits %d not above cold-run hits %d",
+								again.CacheStats.Hits, warm.CacheStats.Hits)
+						}
+					})
 				}
 			})
 		}
+	}
+	if evictions == 0 {
+		t.Error("no run evicted from the 64-entry cache: the evicting rows test nothing")
+	}
+}
+
+// TestEvictionIsDeterministic: a shard evicts in insertion order, so two
+// identical sequential runs, each into its own fresh evicting cache, see the
+// same hits, misses and evictions.
+func TestEvictionIsDeterministic(t *testing.T) {
+	n := aigre.FromInternal(bench.Multiplier(8))
+	var stats []aigre.CacheStats
+	for range 2 {
+		res, err := n.Resyn2(context.Background(), aigre.Options{Cache: aigre.NewCacheWithCapacity(64)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats = append(stats, res.CacheStats)
+	}
+	if stats[0].Evictions == 0 {
+		t.Fatalf("64-entry cache evicted nothing: %+v", stats[0])
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("identical runs into fresh caches: %+v, then %+v", stats[0], stats[1])
 	}
 }
 

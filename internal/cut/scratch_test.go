@@ -1,10 +1,14 @@
 package cut
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aigre/internal/aig"
+	"aigre/internal/bench"
 )
 
 // TestScratchConeTruthMatchesMapVersion checks the scratch-based cone
@@ -84,5 +88,96 @@ func TestScratchValidCut(t *testing.T) {
 	}
 	if s.ValidCut(a, n3.Var(), []int32{n1.Var(), n2.Var()}, 0) {
 		t.Error("budget 0 must reject a cut with internal nodes")
+	}
+}
+
+// TestConeKeyImpliesConeTruth is the exactness contract of the structural
+// cache key: over random networks and every suite family, for the
+// reconvergence cut of every AND node in both phases, equal ConeKeys must
+// mean equal ConeTruths. KeyedTruth, which evaluates the walk ConeKey
+// recorded, is checked against the map-based oracle on every eighth cone.
+// One map spans all networks, so a key seen in two circuits is checked
+// across them.
+func TestConeKeyImpliesConeTruth(t *testing.T) {
+	nets := map[string]*aig.AIG{}
+	rng := rand.New(rand.NewSource(3))
+	for seed := 0; seed < 10; seed++ {
+		nets[fmt.Sprintf("random%d", seed)] = aig.Random(rng, 8+seed, 300, 4).Rehash()
+	}
+	for _, c := range bench.Suite(1) {
+		nets[c.Name] = c.Build()
+	}
+	s := NewScratch()
+	truths := map[string]string{} // key -> truth-table bytes
+	var key, words []byte
+	cones := 0
+	for name, a := range nets {
+		a.EnableFanouts()
+		rc := NewReconv(a)
+		a.ForEachAnd(func(id int32) {
+			leaves := rc.Cut(id, 12)
+			if len(leaves) < 2 {
+				return
+			}
+			for _, neg := range []bool{false, true} {
+				lit := aig.MakeLit(id, neg)
+				key = s.ConeKey(a, lit, leaves, key[:0])
+				if key == nil || key[0] != coneKeyMarker || int(key[1]) != len(leaves) {
+					t.Fatalf("%s node %d: malformed key %x", name, id, key)
+				}
+				tt := s.KeyedTruth(a, lit, leaves)
+				if cones++; cones%8 == 0 && !slices.Equal(tt.Words, refConeTruth(a, lit, leaves).Words) {
+					t.Fatalf("%s node %d: KeyedTruth differs from the reference", name, id)
+				}
+				words = words[:0]
+				for _, w := range tt.Words {
+					words = binary.LittleEndian.AppendUint64(words, w)
+				}
+				if prev, ok := truths[string(key)]; ok && prev != string(words) {
+					t.Fatalf("%s node %d: key %x maps to two functions", name, id, key)
+				}
+				truths[string(key)] = string(words)
+			}
+		})
+	}
+	if len(truths) < 1000 {
+		t.Errorf("only %d distinct keys over %d cones", len(truths), cones)
+	}
+}
+
+// TestConeKeyRootOnBoundary: a root that is a leaf or the constant emits
+// no AND node, so its own code must tell the leaves apart.
+func TestConeKeyRootOnBoundary(t *testing.T) {
+	a, _ := buildDiamond()
+	s := NewScratch()
+	leaves := []int32{a.PI(0).Var(), a.PI(1).Var()}
+	k0 := string(s.ConeKey(a, a.PI(0), leaves, nil))
+	k1 := string(s.ConeKey(a, a.PI(1), leaves, nil))
+	kc := string(s.ConeKey(a, aig.ConstFalse, leaves, nil))
+	if k0 == k1 || k0 == kc || k1 == kc {
+		t.Errorf("boundary roots share keys: %x %x %x", k0, k1, kc)
+	}
+	if tt := s.ConeTruth(a, a.PI(1).Not(), leaves); tt.Words[0] != ^uint64(0xCCCCCCCCCCCCCCCC) {
+		t.Errorf("NOT leaf 1 = %016x", tt.Words[0])
+	}
+}
+
+// TestConeKeyUnencodable: a cone with more leaves plus AND nodes than 16-bit
+// operand codes index gets no key, and its walk still evaluates exactly —
+// node numbers past the codes' range must not alias the constant.
+func TestConeKeyUnencodable(t *testing.T) {
+	a := aig.New(3)
+	a.EnableStrash()
+	x := a.PI(0)
+	for i := 0; a.NumAnds() <= constIndex; i++ {
+		x = a.Xor(x, a.PI(1+i%2))
+	}
+	leaves := []int32{a.PI(0).Var(), a.PI(1).Var(), a.PI(2).Var()}
+	s := NewScratch()
+	if key := s.ConeKey(a, x, leaves, nil); key != nil {
+		t.Fatalf("%d-node cone encoded to a %d-byte key", a.NumAnds(), len(key))
+	}
+	if got, want := s.KeyedTruth(a, x, leaves).Words[0], refConeTruth(a, x, leaves).Words[0]; got != want {
+		t.Errorf("KeyedTruth %016x, reference %016x", got, want)
 	}
 }

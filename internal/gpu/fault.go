@@ -54,9 +54,10 @@ const (
 	// FaultStall makes thread 0 of the target launch sleep for the plan's
 	// Stall duration (default 250ms) before running, modeling a stuck
 	// kernel: the launch eventually completes and the worker is released,
-	// but no launch boundary is reached while the stall lasts, so a
-	// watchdog polling the device Heartbeat sees the job go quiet and can
-	// preempt it (the next launch then refuses with a *CancelledError).
+	// but once the other threads' chunks drain no launch boundary or chunk
+	// is reached while the stall lasts, so a watchdog polling the device
+	// Heartbeat sees the job go quiet and can preempt it (the next launch
+	// then refuses with a *CancelledError).
 	FaultStall
 )
 

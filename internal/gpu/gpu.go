@@ -114,9 +114,9 @@ type Device struct {
 }
 
 // Heartbeat is a liveness signal a device bumps at every kernel-launch
-// boundary. A watchdog on another goroutine polls Last(): a job whose
-// device heartbeat goes quiet is stuck inside a kernel (or between
-// launches) and can be preempted. All methods are safe for concurrent use;
+// boundary and after every launchChunk threads inside a launch. A watchdog
+// on another goroutine polls Last(): a job whose device heartbeat goes quiet
+// is stuck inside a kernel (or between launches) and can be preempted. All methods are safe for concurrent use;
 // the beat path is one atomic store, cheap enough for every launch.
 type Heartbeat struct {
 	last atomic.Int64 // unix nanoseconds of the latest beat
@@ -244,9 +244,7 @@ func (d *Device) TryLaunch(name string, n int, kernel func(tid int) int64) error
 			return &CancelledError{Kernel: name, Err: err}
 		}
 	}
-	if d.hb != nil {
-		d.hb.Beat() // launch boundary reached: the job is alive
-	}
+	d.beat() // launch boundary reached: the job is alive
 	kernel = d.applyFault(name, n, kernel)
 	start := time.Now()
 	var work, maxOps int64
@@ -265,6 +263,9 @@ func (d *Device) TryLaunch(name string, n int, kernel func(tid int) int64) error
 				work += ops
 				if ops > maxOps {
 					maxOps = ops
+				}
+				if tid%launchChunk == launchChunk-1 {
+					d.beat()
 				}
 			}
 		} else {
@@ -291,24 +292,36 @@ func runThread(name string, tid int, kernel func(tid int) int64) (ops int64, ler
 	return kernel(tid), nil
 }
 
+// launchChunk is the number of consecutive threads a launch hands a worker at
+// a time; the device beats its heartbeat as each chunk completes, so a long
+// kernel that is making progress — or one whose pool is busy with a sibling
+// job's kernel under the same heartbeat — never looks stuck.
+const launchChunk = 256
+
+// beat bumps the heartbeat, if any.
+func (d *Device) beat() {
+	if d.hb != nil {
+		d.hb.Beat()
+	}
+}
+
 func (d *Device) launchParallel(name string, n int, kernel func(tid int) int64) (work, maxOps int64, lerr *LaunchError) {
-	const chunk = 256
 	var next int64
 	var totalWork, globalMax int64
 	var stop int32          // set when a thread panics; cancels remaining threads
 	var firstErr sync.Mutex // guards lerr (failure path only)
 	workers := d.workers
-	if w := (n + chunk - 1) / chunk; w < workers {
+	if w := (n + launchChunk - 1) / launchChunk; w < workers {
 		workers = w
 	}
 	body := func() {
 		var localWork, localMax int64
 		for atomic.LoadInt32(&stop) == 0 {
-			base := atomic.AddInt64(&next, chunk) - chunk
+			base := atomic.AddInt64(&next, launchChunk) - launchChunk
 			if base >= int64(n) {
 				break
 			}
-			end := base + chunk
+			end := base + launchChunk
 			if end > int64(n) {
 				end = int64(n)
 			}
@@ -331,6 +344,7 @@ func (d *Device) launchParallel(name string, n int, kernel func(tid int) int64) 
 			if atomic.LoadInt32(&stop) != 0 {
 				break
 			}
+			d.beat()
 		}
 		atomic.AddInt64(&totalWork, localWork)
 		for {

@@ -56,9 +56,7 @@ func (p KernelProfile) isZero() bool {
 // path that adds to Stats must go through it so that the per-kernel rows
 // reconcile with Stats exactly.
 func (d *Device) account(name string, launches int, threads, work, span int64, modeled, seq, wall time.Duration) {
-	if d.hb != nil {
-		d.hb.Beat() // accounted operation completed: the job is alive
-	}
+	d.beat() // accounted operation completed: the job is alive
 	d.stats.Launches += launches
 	d.stats.Threads += threads
 	d.stats.Work += work

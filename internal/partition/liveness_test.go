@@ -38,7 +38,10 @@ func (c *probeCtx) Err() error {
 // point is stretched to 30 ms, some twenty-five of them follow the last
 // partition job — but longer than any gap between two beats. The job must
 // finish unpreempted: extraction, the per-partition gates and the stitch
-// launch no kernel, so only their own beats keep the watchdog quiet.
+// launch no kernel, so only their own beats keep the watchdog quiet. Inside
+// the partition jobs every 256-thread chunk of a launch beats: a kernel over a
+// whole partition outlasts the timeout under the race detector, and so does a
+// short launch queued in the shared pool behind it.
 func TestOrchestrationBeatsWatchdog(t *testing.T) {
 	a := bench.DeepNarrow(8, 500)
 	pool := testPool(t, 2)

@@ -1,5 +1,5 @@
 // Package rcache provides the cross-pass resynthesis cache: a memoized
-// mapping from canonical cone functions to their factored implementations.
+// mapping from cones to their factored implementations.
 //
 // Arithmetic circuits are built from repeated bit slices, so the same cone
 // functions recur thousands of times — within one pass, across the repeated
@@ -14,19 +14,26 @@
 //     store identical values). Lookups are wait-free and allocation-free.
 //
 //   - Large refactor cones (up to truth.MaxVars leaves): the key is the
-//     exact truth-table bit string plus the leaf count, the value the
-//     factored core.Program and its operation estimate. Entries live in
-//     mutex-protected shards selected by a 64-bit hash of the key; the map
-//     lookup itself uses the compiler's no-allocation string(buf) form, so
-//     hits allocate nothing. Keying on the full bit string (not the hash)
-//     makes collisions impossible: a hit is always the same function, which
-//     is what keeps cached and uncached runs bit-identical.
+//     cone's exact structural encoding (cut.Scratch.ConeKey: the leaf count,
+//     the root's phase and every AND node's operands in post-order), the
+//     value the factored core.Program and its operation estimate. A hit
+//     costs one walk of the cone and skips its truth table altogether.
+//     Entries live in mutex-protected shards selected by a 64-bit hash of
+//     the key; the map lookup itself uses the compiler's no-allocation
+//     string(buf) form, so hits allocate nothing. Keying on the full
+//     encoding (not the hash) makes collisions impossible: equal keys are
+//     the same DAG over the same leaves, hence the same function, and the
+//     program is a deterministic function of that and the leaf count, which
+//     is what keeps cached and uncached runs bit-identical. Lookup and Store
+//     encode a truth table instead, under a first byte no structural key
+//     uses, into the same maps.
 //
 // Programs are immutable once built and Npn4Canon is deterministic, so the
 // cache never needs invalidation: a cached entry is valid for the lifetime
 // of the process, for any AIG, on any goroutine. Capacity is bounded per
-// shard; insertion over the bound evicts an arbitrary resident entry
-// (counted in Stats.Evictions), which affects only speed, never results.
+// shard; insertion over the bound evicts the shard's oldest entry (counted
+// in Stats.Evictions), which affects only speed, never results, and depends
+// only on the order of stores, so a sequential run's counters repeat.
 package rcache
 
 import (
@@ -55,10 +62,13 @@ var numShards = func() int {
 }()
 
 const (
-	// DefaultMaxEntries bounds the resident program entries of New. A 12-leaf
-	// cone keys at 513 bytes, its program is ~340 more: measured 1.1 KB of
-	// live heap per entry on the benchmark suite, so ~14 MB when full.
-	DefaultMaxEntries = 12 << 10
+	// DefaultMaxEntries bounds the resident program entries of New. On the
+	// benchmark suite (scale 4) a structural key averages 76 bytes and a
+	// program 41 ops: measured 574 bytes of live heap per entry, map and
+	// FIFO included, so ~19 MB when full. The 18,341 distinct cones that
+	// sequential resyn2 passes over the suite visit fit with room to spare,
+	// in 10.5 MB.
+	DefaultMaxEntries = 32 << 10
 
 	npnPermShift  = 16
 	npnInNegShift = 21
@@ -120,9 +130,13 @@ func (s Stats) HitRate() float64 {
 type shard struct {
 	mu sync.Mutex
 	m  map[string]Entry
+	// fifo holds the resident keys in insertion order, as a ring starting at
+	// next once the shard is full: the next eviction's victim is fifo[next].
+	fifo []string
+	next int
 	// Pad to a cache line: neighboring shards' locks are taken by different
 	// workers concurrently, and sharing a line would serialize them anyway.
-	_ [48]byte
+	_ [16]byte
 }
 
 // Cache is a sharded, concurrency-safe resynthesis cache. The zero value is
@@ -173,18 +187,10 @@ func Disabled() *Cache { return &Cache{disabled: true} }
 // and runs through the aigre public API whose Options.Cache is nil.
 var Default = New()
 
-// keyPool recycles the key-building buffers; the longest key is one byte of
-// leaf count plus truth.MaxVars worth of table words.
-var keyPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 1+8*truth.WordCount(truth.MaxVars))
-		return &b
-	},
-}
-
-// appendKey serializes (tt, nLeaves) into dst. Only the first WordCount
-// words matter; tables arrive normalized from cut.ConeTruth so the bits
-// above 2^n for n < 6 are part of the deterministic representation.
+// appendKey serializes the cone function (tt, nLeaves) into dst: the leaf
+// count, below any structural key's first byte, then the table words. Tables
+// arrive normalized from cut.ConeTruth, so the bits above 2^n for n < 6 are
+// part of the deterministic representation.
 func appendKey(dst []byte, tt truth.TT, nLeaves int) []byte {
 	dst = append(dst, byte(nLeaves))
 	for _, w := range tt.Words {
@@ -213,23 +219,19 @@ func (c *Cache) shardFor(key []byte) *shard {
 	return &c.shards[hashKey(key)>>32&uint64(len(c.shards)-1)]
 }
 
-// Lookup probes the program compartment for the cone function (tt, nLeaves).
-// The hit path performs no allocation.
-func (c *Cache) Lookup(tt truth.TT, nLeaves int) (Entry, bool) {
+// LookupKey probes the program compartment for key, a cut.Scratch.ConeKey
+// encoding. The hit path performs no allocation.
+func (c *Cache) LookupKey(key []byte) (Entry, bool) {
 	if c == nil || c.disabled {
 		if c != nil {
 			c.misses.Add(1)
 		}
 		return Entry{}, false
 	}
-	bp := keyPool.Get().(*[]byte)
-	key := appendKey((*bp)[:0], tt, nLeaves)
 	s := c.shardFor(key)
 	s.mu.Lock()
 	e, ok := s.m[string(key)] // no-alloc map probe form
 	s.mu.Unlock()
-	*bp = key[:0]
-	keyPool.Put(bp)
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -238,30 +240,45 @@ func (c *Cache) Lookup(tt truth.TT, nLeaves int) (Entry, bool) {
 	return e, ok
 }
 
-// Store records the resynthesis result for (tt, nLeaves). When the shard is
-// full an arbitrary resident entry is evicted first.
-func (c *Cache) Store(tt truth.TT, nLeaves int, e Entry) {
+// StoreKey records the resynthesis result for key unless it is resident.
+// When the shard is full its oldest entry is evicted first.
+func (c *Cache) StoreKey(key []byte, e Entry) {
 	if c == nil || c.disabled {
 		return
 	}
 	// An entry lives as long as the process: keep the program at its exact
 	// size, without the slack its builder's appends left (30 % of it).
 	e.Prog.Ops = slices.Clone(e.Prog.Ops)
-	bp := keyPool.Get().(*[]byte)
-	key := appendKey((*bp)[:0], tt, nLeaves)
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if _, exists := s.m[string(key)]; !exists && len(s.m) >= c.maxPerShard {
-		for k := range s.m {
-			delete(s.m, k)
-			c.evictions.Add(1)
-			break
-		}
+	defer s.mu.Unlock()
+	if _, ok := s.m[string(key)]; ok {
+		return // a racing miss stored it; programs are deterministic
 	}
-	s.m[string(key)] = e
-	s.mu.Unlock()
-	*bp = key[:0]
-	keyPool.Put(bp)
+	k := string(key)
+	if len(s.fifo) < c.maxPerShard {
+		s.fifo = append(s.fifo, k)
+	} else {
+		delete(s.m, s.fifo[s.next])
+		c.evictions.Add(1)
+		s.fifo[s.next] = k
+		s.next = (s.next + 1) % c.maxPerShard
+	}
+	s.m[k] = e
+}
+
+// Lookup probes for the cone function (tt, nLeaves) through LookupKey. The
+// engines probe by structure; the benchmark harness's rcache probe uses this.
+func (c *Cache) Lookup(tt truth.TT, nLeaves int) (Entry, bool) {
+	var buf [1 + 8<<(truth.MaxVars-6)]byte
+	return c.LookupKey(appendKey(buf[:0], tt, nLeaves))
+}
+
+// Store records the result for the cone function (tt, nLeaves) through
+// StoreKey.
+func (c *Cache) Store(tt truth.TT, nLeaves int, e Entry) {
+	var buf [1 + 8<<(truth.MaxVars-6)]byte
+	c.StoreKey(appendKey(buf[:0], tt, nLeaves), e)
 }
 
 // Npn4 returns the NPN-canonical representative of tt and the transform

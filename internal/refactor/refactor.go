@@ -37,7 +37,7 @@ type Options struct {
 	// SequentialReplacement runs the parallel engine's replacement stage as
 	// a single host thread: the Table I ablation ("rf w/ seq. replace").
 	SequentialReplacement bool
-	// Cache memoizes resynthesis by cone function (nil = the process-wide
+	// Cache memoizes resynthesis by cone structure (nil = the process-wide
 	// rcache.Default). Programs are immutable once built, so sharing a cache
 	// across passes, runs and concurrent jobs is safe; results are identical
 	// with or without it.
@@ -75,46 +75,55 @@ type scratch struct {
 	es       core.EvalScratch
 	leafLits []aig.Lit
 	supp     []int
+	key      []byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // resynthesize computes a factored-form program for the function of rootLit
 // over leaves, together with an operation estimate for device accounting.
-// Results are memoized in c keyed by the exact cone function, so repeated
-// functions — ubiquitous in arithmetic circuits — factor once.
+// Results are memoized in c keyed by the exact structure of the cone, so a
+// repeated cone — ubiquitous in arithmetic circuits — factors once, and a
+// hit skips even its truth table. A cone too large to encode bypasses c.
 func resynthesize(a *aig.AIG, rootLit aig.Lit, leaves []int32, c *rcache.Cache, s *scratch) (core.Program, int64) {
-	tt := s.cs.ConeTruth(a, rootLit, leaves)
 	// Truth-table computation over the cone: roughly 4 nodes per leaf, one
 	// word-vector AND each.
-	coneOps := int64(4*(len(leaves)+1)) * int64(len(tt.Words))
-	if e, ok := c.Lookup(tt, len(leaves)); ok {
-		// The device estimate still charges the full resynthesis: the
-		// paper's GPU threads do not share a factoring cache; the host-side
-		// cache only speeds up this reproduction's wall-clock.
-		return e.Prog, coneOps + e.Ops
+	coneOps := int64(4*(len(leaves)+1)) * int64(truth.WordCount(len(leaves)))
+	key := s.cs.ConeKey(a, rootLit, leaves, s.key[:0])
+	if key != nil {
+		s.key = key
+		if e, ok := c.LookupKey(key); ok {
+			// The device estimate still charges the full resynthesis: the
+			// paper's GPU threads do not share a factoring cache; the
+			// host-side cache only speeds up this reproduction's wall-clock.
+			return e.Prog, coneOps + e.Ops
+		}
 	}
+	prog, ops := synthesize(s.cs.KeyedTruth(a, rootLit, leaves), s)
+	if key != nil {
+		c.StoreKey(key, rcache.Entry{Prog: prog, Ops: ops})
+	}
+	return prog, coneOps + ops
+}
+
+// synthesize runs ISOP and factoring on the cone function tt and returns
+// the linearized program with its operation estimate.
+func synthesize(tt truth.TT, s *scratch) (core.Program, int64) {
 	// Degenerate cone functions shortcut ISOP+factoring entirely; the
 	// programs are exactly what the full path would linearize.
 	s.supp = tt.SupportInto(s.supp)
 	if len(s.supp) == 0 {
-		prog := core.Program{Root: core.ConstRef(tt.Bit(0))}
-		c.Store(tt, len(leaves), rcache.Entry{Prog: prog, Ops: 1})
-		return prog, coneOps + 1
+		return core.Program{Root: core.ConstRef(tt.Bit(0))}, 1
 	}
 	if len(s.supp) == 1 {
 		// f depends on one variable v: f = v or NOT v, decided by the
 		// cofactor at v=0 (minterm 0 has every variable at 0).
-		prog := core.Program{Root: core.LeafRef(s.supp[0], tt.Bit(0))}
-		c.Store(tt, len(leaves), rcache.Entry{Prog: prog, Ops: 1})
-		return prog, coneOps + 1
+		return core.Program{Root: core.LeafRef(s.supp[0], tt.Bit(0))}, 1
 	}
 	sop, compl, isopOps := truth.MinPhaseISOPCount(tt)
 	tree := factor.Factor(sop)
 	prog := core.Linearize(tree, compl)
-	ops := isopOps + int64(len(sop.Cubes)*len(sop.Cubes)) + int64(len(prog.Ops))
-	c.Store(tt, len(leaves), rcache.Entry{Prog: prog, Ops: ops})
-	return prog, coneOps + ops
+	return prog, isopOps + int64(len(sop.Cubes)*len(sop.Cubes)) + int64(len(prog.Ops))
 }
 
 // Parallel runs one pass of the paper's GPU refactoring and returns the

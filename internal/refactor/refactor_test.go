@@ -2,11 +2,14 @@ package refactor
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"aigre/internal/aig"
+	"aigre/internal/cut"
 	"aigre/internal/gpu"
+	"aigre/internal/rcache"
 )
 
 func simEqual(a, b *aig.AIG) bool {
@@ -185,5 +188,70 @@ func TestOptionsNormalization(t *testing.T) {
 	o = Options{MaxCut: 99}.normalized()
 	if o.MaxCut != 16 {
 		t.Errorf("MaxCut must clamp to truth.MaxVars, got %d", o.MaxCut)
+	}
+}
+
+// xorChain builds a cone over three PIs too large for ConeKey's 16-bit
+// operand codes: a parity chain of ~33k AND nodes.
+func xorChain() (*aig.AIG, aig.Lit, []int32) {
+	a := aig.New(3)
+	a.EnableStrash()
+	x := a.PI(0)
+	for i := 0; a.NumAnds() <= 1<<15; i++ {
+		x = a.Xor(x, a.PI(1+i%2))
+	}
+	a.AddPO(x)
+	return a, x, []int32{a.PI(0).Var(), a.PI(1).Var(), a.PI(2).Var()}
+}
+
+// TestUnencodableConeBypassesCache: a cone ConeKey cannot encode must neither
+// probe nor fill the cache — a nil key would otherwise alias every such cone
+// — and must still be resynthesized correctly, every time.
+func TestUnencodableConeBypassesCache(t *testing.T) {
+	a, root, leaves := xorChain()
+	s := new(scratch)
+	if key := s.cs.ConeKey(a, root, leaves, nil); key != nil {
+		t.Fatalf("%d-node cone encoded to a %d-byte key", a.NumAnds(), len(key))
+	}
+	wantProg, wantOps := resynthesize(a, root, leaves, rcache.Disabled(), s)
+	c := rcache.New()
+	for i := 0; i < 2; i++ {
+		prog, ops := resynthesize(a, root, leaves, c, s)
+		if !reflect.DeepEqual(prog, wantProg) || ops != wantOps {
+			t.Fatalf("call %d: program %+v (%d ops), want %+v (%d ops)", i, prog, ops, wantProg, wantOps)
+		}
+	}
+	if st := c.Snapshot(); st != (rcache.Stats{}) {
+		t.Errorf("unencodable cone touched the cache: %+v", st)
+	}
+}
+
+// TestStructuralAndFunctionalKeysDisjoint: the same cone stored under its
+// structural key and under its truth table occupies two entries, and each
+// probe finds its own.
+func TestStructuralAndFunctionalKeysDisjoint(t *testing.T) {
+	a := redundantAIG(rand.New(rand.NewSource(5)), 6, 1)
+	root := a.PO(0)
+	leaves := []int32{}
+	for i := 0; i < a.NumPIs(); i++ {
+		leaves = append(leaves, a.PI(i).Var())
+	}
+	var cs cut.Scratch
+	key := cs.ConeKey(a, root, leaves, nil)
+	tt := cs.KeyedTruth(a, root, leaves).Clone()
+	c := rcache.New()
+	c.Store(tt, len(leaves), rcache.Entry{Ops: 1})
+	if _, ok := c.LookupKey(key); ok {
+		t.Fatal("structural probe hit the functional entry")
+	}
+	c.StoreKey(key, rcache.Entry{Ops: 2})
+	if e, ok := c.Lookup(tt, len(leaves)); !ok || e.Ops != 1 {
+		t.Errorf("functional probe = (%+v, %v), want its own entry", e, ok)
+	}
+	if e, ok := c.LookupKey(key); !ok || e.Ops != 2 {
+		t.Errorf("structural probe = (%+v, %v), want its own entry", e, ok)
+	}
+	if n := c.Entries(); n != 2 {
+		t.Errorf("%d entries, want 2", n)
 	}
 }
