@@ -112,11 +112,6 @@ type Options struct {
 	// refactoring with 2 passes in Table II). In script runs it sets the
 	// parallel refactoring passes per rf/rfz command. Default 1.
 	Passes int
-	// RwzPasses is the number of parallel rewriting passes per rwz command
-	// inside sequences. Default 1, except for a script that parses to the
-	// resyn2 command list — however spelled, through Run, Resyn2 or a batch
-	// — where it is 2, the paper's GPU resyn2 setting.
-	RwzPasses int
 	// Verify upgrades the per-command functional gate of script runs from
 	// random-simulation sampling to a full combinational equivalence check
 	// (the CLI -verify flag). Complete but potentially much slower.
@@ -297,7 +292,6 @@ func (o Options) flowConfig() flow.Config {
 	cfg := flow.Config{
 		Parallel:   o.Parallel,
 		MaxCut:     o.MaxCut,
-		RwzPasses:  o.RwzPasses,
 		RfPasses:   o.Passes,
 		ZeroGain:   o.ZeroGain,
 		Verify:     o.Verify,
@@ -389,8 +383,7 @@ func (n *Network) Run(ctx context.Context, script string, opts Options) (Result,
 }
 
 // Resyn2 runs the resyn2 sequence (b; rw; rf; b; rw; rwz; b; rfz; rwz; b).
-// In parallel mode rwz runs two rewriting passes, matching the paper (see
-// Options.RwzPasses).
+// In parallel mode rwz runs two rewriting passes, matching the paper.
 func (n *Network) Resyn2(ctx context.Context, opts Options) (Result, error) {
 	return n.Run(ctx, flow.Resyn2, opts)
 }

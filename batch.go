@@ -29,8 +29,8 @@ type Batch struct {
 	AIG *Network
 	// Script is the command script, e.g. ScriptResyn2 or "b; rw; rfz".
 	Script string
-	// Priority orders admission when more jobs are queued than may run at
-	// once: higher starts first, ties in submission order.
+	// Priority orders the start of a batch's jobs: higher starts first, ties
+	// in slice order.
 	Priority int
 	// Workers caps how many pool workers a single kernel launch of this job
 	// may occupy (0 = the whole pool). The shared budget bounds total
@@ -66,9 +66,10 @@ type BatchOptions struct {
 	// every job's kernel launches (0 = GOMAXPROCS); the jobs together never
 	// occupy more. For Network.Run, a one-job engine, it is Options.Workers.
 	Workers int
-	// MaxConcurrentJobs bounds how many jobs are in flight at once
-	// (0 = Workers). The pool already bounds host parallelism; this knob
-	// bounds memory held by in-flight networks.
+	// MaxConcurrentJobs bounds how many jobs of a RunBatch call run at once
+	// (0 = Workers); Engine.Run calls are their callers' to bound. The pool
+	// already bounds host parallelism; this knob bounds memory held by
+	// in-flight networks.
 	MaxConcurrentJobs int
 	// SharedCache, when set, is the resynthesis cache every job of this batch
 	// uses, overriding each job's Options.Cache — an opt-in way to let jobs
@@ -147,17 +148,14 @@ func RunBatch(ctx context.Context, jobs []Batch, opts BatchOptions) ([]BatchResu
 		return nil, BatchMetrics{}, err
 	}
 	defer e.Close()
-	tickets := make([]*JobTicket, len(jobs))
+	sjobs := make([]sched.Job, len(jobs))
+	prs := make([]*PartitionReport, len(jobs))
 	for i, b := range jobs {
-		t, err := e.Submit(ctx, b)
-		if err != nil {
-			return nil, BatchMetrics{}, fmt.Errorf("aigre: batch job %d (%s): %w", i, b.Name, err)
-		}
-		tickets[i] = t
+		sjobs[i] = e.convert(b, &prs[i])
 	}
 	out := make([]BatchResult, len(jobs))
-	for i, t := range tickets {
-		out[i] = t.Wait()
+	for i, r := range e.eng.Batch(ctx, sjobs) {
+		out[i] = batchResultOf(r, prs[i])
 	}
 	return out, e.Metrics(), nil
 }

@@ -136,13 +136,13 @@ func BenchmarkTable2RefactorGPUx2(b *testing.B) {
 	reportModeled(b, total)
 }
 
-func benchSequence(b *testing.B, script string, parallel bool, rwzPasses int) {
+func benchSequence(b *testing.B, script string, parallel bool) {
 	a := benchCase(b)
 	var total gpu.Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := flow.Config{Parallel: parallel, RwzPasses: rwzPasses}
+		cfg := flow.Config{Parallel: parallel}
 		if parallel {
 			cfg.Device = gpu.New(0)
 		}
@@ -158,10 +158,10 @@ func benchSequence(b *testing.B, script string, parallel bool, rwzPasses int) {
 	}
 }
 
-func BenchmarkTable3RfResynABC(b *testing.B) { benchSequence(b, flow.RfResyn, false, 1) }
-func BenchmarkTable3RfResynGPU(b *testing.B) { benchSequence(b, flow.RfResyn, true, 1) }
-func BenchmarkTable3Resyn2ABC(b *testing.B)  { benchSequence(b, flow.Resyn2, false, 1) }
-func BenchmarkTable3Resyn2GPU(b *testing.B)  { benchSequence(b, flow.Resyn2, true, 2) }
+func BenchmarkTable3RfResynABC(b *testing.B) { benchSequence(b, flow.RfResyn, false) }
+func BenchmarkTable3RfResynGPU(b *testing.B) { benchSequence(b, flow.RfResyn, true) }
+func BenchmarkTable3Resyn2ABC(b *testing.B)  { benchSequence(b, flow.Resyn2, false) }
+func BenchmarkTable3Resyn2GPU(b *testing.B)  { benchSequence(b, flow.Resyn2, true) }
 
 func BenchmarkFig7Scaling(b *testing.B) {
 	base := bench.Multiplier(12)
@@ -191,7 +191,7 @@ func BenchmarkFig8Breakdown(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := flow.Config{Parallel: true, Device: gpu.New(0), RwzPasses: 2}
+		cfg := flow.Config{Parallel: true, Device: gpu.New(0)}
 		res, err := flow.Run(context.Background(), a, flow.Resyn2, cfg)
 		if err != nil {
 			b.Fatal(err)

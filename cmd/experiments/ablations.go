@@ -48,8 +48,8 @@ func ablations() {
 	crs, _ := runSeqScript(a, flow.CompressRS)
 	fmt.Printf("sequential resyn2:      %d nodes / %d levels\n", r2.NumAnds(), r2.Levels())
 	fmt.Printf("sequential compress-rs: %d nodes / %d levels\n", crs.NumAnds(), crs.Levels())
-	pr2, _, _, _ := runParScript(a, flow.Resyn2, 2, 1)
-	pcrs, _, _, _ := runParScript(a, flow.CompressRS, 1, 1)
+	pr2, _, _, _ := runParScript(a, flow.Resyn2)
+	pcrs, _, _, _ := runParScript(a, flow.CompressRS)
 	fmt.Printf("parallel resyn2:        %d nodes / %d levels\n", pr2.NumAnds(), pr2.Levels())
 	fmt.Printf("parallel compress-rs:   %d nodes / %d levels\n", pcrs.NumAnds(), pcrs.Levels())
 }

@@ -79,9 +79,8 @@ func runSeqScript(a *aig.AIG, script string) (*aig.AIG, time.Duration) {
 
 // parJob describes one parallel script run for the batch engine.
 type parJob struct {
-	a                   *aig.AIG
-	script              string
-	rwzPasses, rfPasses int
+	a      *aig.AIG
+	script string
 }
 
 // runParJobs runs parallel scripts through the scheduling engine over the
@@ -95,7 +94,7 @@ func runParJobs(jobs []parJob, concurrent bool) []sched.Result {
 			Name:   j.a.Name,
 			AIG:    j.a,
 			Script: j.script,
-			Config: flow.Config{Parallel: true, RwzPasses: j.rwzPasses, RfPasses: j.rfPasses},
+			Config: flow.Config{Parallel: true},
 		}
 	}
 	maxConcurrent := 0
@@ -118,8 +117,8 @@ func runParJobs(jobs []parJob, concurrent bool) []sched.Result {
 
 // runParScript runs one parallel script on a leased device, returning the
 // result, host wall time, modeled device time and the timings.
-func runParScript(a *aig.AIG, script string, rwzPasses, rfPasses int) (*aig.AIG, time.Duration, time.Duration, []flow.CommandTiming) {
-	r := runParJobs([]parJob{{a, script, rwzPasses, rfPasses}}, false)[0]
+func runParScript(a *aig.AIG, script string) (*aig.AIG, time.Duration, time.Duration, []flow.CommandTiming) {
+	r := runParJobs([]parJob{{a, script}}, false)[0]
 	return r.AIG, r.Wall, r.Modeled, r.Timings
 }
 

@@ -39,7 +39,7 @@ func fig7() {
 			a = bench.Double(a)
 		}
 		seqOut, seqWall := runSeqScript(a, flow.RfResyn)
-		parOut, _, parModel, _ := runParScript(a, flow.RfResyn, 1, 1)
+		parOut, _, parModel, _ := runParScript(a, flow.RfResyn)
 		_ = seqOut
 		_ = parOut
 		accel := seqWall.Seconds() / parModel.Seconds()

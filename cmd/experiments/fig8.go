@@ -21,11 +21,7 @@ func fig8() {
 		fmt.Printf("%-14s %8s %8s %8s %8s   %s\n", "Benchmark", "b%", "rw%", "rf%", "dedup%", "total model (s)")
 		for _, c := range suiteCases() {
 			a := c.Build()
-			rwz := 1
-			if script.cmds == flow.Resyn2 {
-				rwz = 2
-			}
-			_, _, _, timings := runParScript(a, script.cmds, rwz, 1)
+			_, _, _, timings := runParScript(a, script.cmds)
 			bd := flow.Breakdown(timings)
 			total := time.Duration(0)
 			for _, v := range bd {

@@ -29,8 +29,8 @@ func table3() {
 	for i, c := range cases {
 		inputs[i] = c.Build()
 		jobs = append(jobs,
-			parJob{inputs[i], flow.RfResyn, 1, 1},
-			parJob{inputs[i], flow.Resyn2, 2, 1})
+			parJob{inputs[i], flow.RfResyn},
+			parJob{inputs[i], flow.Resyn2})
 	}
 	par := runParJobs(jobs, true)
 

@@ -15,7 +15,8 @@ import (
 // Engine is what every job runs on: a fleet sharing one bounded worker pool,
 // one supervision policy, and (optionally) one resynthesis cache and journal.
 // Network.Run opens one for its one job, RunBatch for its slice, and daemons
-// such as cmd/aigred keep one open across many jobs.
+// such as cmd/aigred keep one open across many jobs, each handed to Run by a
+// worker of their own.
 type Engine struct {
 	opts BatchOptions
 	pool *sched.Pool
@@ -24,15 +25,6 @@ type Engine struct {
 
 	n            atomic.Int64 // jobs converted, offsets per-job retry-jitter seeds
 	sharedBefore CacheStats
-}
-
-// JobTicket is the handle Engine.Submit returns; Wait blocks for the job's
-// BatchResult.
-type JobTicket struct {
-	st *sched.Ticket
-	// partition is written by the job's partition runner before the ticket
-	// resolves (nil for unpartitioned jobs).
-	partition *PartitionReport
 }
 
 // batchResultOf wraps a scheduler report (and the partition report, if any)
@@ -45,15 +37,9 @@ func batchResultOf(r sched.Result, pr *PartitionReport) BatchResult {
 	return br
 }
 
-// Wait blocks until the job finishes and returns its result.
-func (t *JobTicket) Wait() BatchResult { return batchResultOf(t.st.Wait(), t.partition) }
-
-// Done is closed when the job has finished.
-func (t *JobTicket) Done() <-chan struct{} { return t.st.Done() }
-
-// NewEngine starts a serve-mode engine configured like a RunBatch call.
-// ctx, when non-nil, cancels every job (queued and running) engine-wide when
-// it is done. The engine holds opts.Workers pool workers until Close.
+// NewEngine starts an engine configured like a RunBatch call. ctx, when
+// non-nil, cancels every job engine-wide when it is done. The engine holds
+// opts.Workers pool workers until Close.
 func NewEngine(ctx context.Context, opts BatchOptions) (*Engine, error) {
 	var jour *journal.Journal
 	if opts.JournalPath != "" {
@@ -94,32 +80,16 @@ func (b Batch) check() error {
 	case PartitionOff, PartitionCones, PartitionLevels:
 		return nil
 	default:
-		return fmt.Errorf("aigre: partition mode %v is not a partitioning strategy", m)
+		return fmt.Errorf("partition mode %v is not a partitioning strategy", m)
 	}
 }
 
-// Submit admits one job to the engine's priority queue. ctx, when non-nil,
-// cancels this job alone. The call validates the job (nil network, unparsable
-// script, unknown partition mode) before admitting it; after Shutdown or
-// Close it returns sched.ErrClosed.
-func (e *Engine) Submit(ctx context.Context, b Batch) (*JobTicket, error) {
-	if err := b.check(); err != nil {
-		return nil, fmt.Errorf("aigre: job %q: %w", b.Name, err)
-	}
-	t := &JobTicket{}
-	st, err := e.eng.Submit(ctx, e.convert(b, &t.partition))
-	if err != nil {
-		return nil, err
-	}
-	t.st = st
-	return t, nil
-}
-
-// Run is the blocking form of Submit: one job, run to completion on the
-// calling goroutine — same validation, supervision, journal, metrics and
-// result — past the priority queue and MaxConcurrentJobs. A failing or
-// cancelled job reports through BatchResult.Err; the call errors only where
-// Submit would.
+// Run runs one job to completion on the calling goroutine, outside
+// MaxConcurrentJobs, with the supervision, journal, metrics and result a
+// RunBatch job gets. ctx, when non-nil, cancels this job alone. A failing or
+// cancelled job reports through BatchResult.Err; the call itself errors only
+// on a malformed job (nil network, unparsable script, unknown partition mode)
+// and, after Close, with sched.ErrClosed.
 func (e *Engine) Run(ctx context.Context, b Batch) (BatchResult, error) {
 	if err := b.check(); err != nil {
 		return BatchResult{}, fmt.Errorf("aigre: job %q: %w", b.Name, err)
@@ -132,20 +102,9 @@ func (e *Engine) Run(ctx context.Context, b Batch) (BatchResult, error) {
 	return batchResultOf(r, pr), nil
 }
 
-// Shutdown is the graceful drain: it stops admission, withdraws jobs still
-// waiting in the queue without running them — their tickets resolve
-// Cancelled with sched.ErrDrained, so a durable queue can checkpoint them —
-// and waits until ctx is done for the in-flight jobs to finish. It returns
-// how many queued jobs were dropped and whether every in-flight job beat the
-// deadline; on ok == false cancel the engine-wide context and Close to reap
-// the stragglers.
-func (e *Engine) Shutdown(ctx context.Context) (dropped int, ok bool) {
-	return e.eng.Shutdown(ctx)
-}
-
-// Close stops admission, runs the remaining queue to completion, waits for
-// every job, and releases the pool and journal. Use Shutdown first for a
-// drain that does not run the backlog.
+// Close refuses new work, waits for the jobs in flight, and releases the
+// pool and journal. To stop the jobs in flight sooner, cancel the engine-wide
+// context first.
 func (e *Engine) Close() {
 	e.eng.Close()
 	e.pool.Close()
@@ -212,7 +171,3 @@ func (e *Engine) convert(b Batch, prp **PartitionReport) sched.Job {
 	}
 	return sj
 }
-
-// Queued reports the current admission-queue depth (jobs submitted but not
-// yet started).
-func (e *Engine) Queued() int { return e.eng.Metrics().QueueDepth }

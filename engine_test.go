@@ -3,18 +3,18 @@ package aigre_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"aigre"
 	"aigre/internal/bench"
 	"aigre/internal/sched"
 )
 
-// TestEngineSubmitMatchesRunBatch checks the serve-mode path: jobs submitted
-// one at a time to an open Engine produce the same networks as the same jobs
-// run through RunBatch.
+// TestEngineSubmitMatchesRunBatch checks the serve-mode path: jobs handed one
+// at a time to Run on an open Engine produce the same networks as the same
+// jobs run through RunBatch.
 func TestEngineSubmitMatchesRunBatch(t *testing.T) {
 	nets := []*aigre.Network{
 		aigre.FromInternal(bench.Multiplier(6)),
@@ -36,16 +36,11 @@ func TestEngineSubmitMatchesRunBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	tickets := make([]*aigre.JobTicket, len(jobs))
 	for i, b := range jobs {
-		tk, err := e.Submit(context.Background(), b)
+		r, err := e.Run(context.Background(), b)
 		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatalf("run %d: %v", i, err)
 		}
-		tickets[i] = tk
-	}
-	for i, tk := range tickets {
-		r := tk.Wait()
 		if r.Err != nil {
 			t.Fatalf("job %d (%s): %v", i, r.Name, r.Err)
 		}
@@ -63,83 +58,46 @@ func TestEngineSubmitMatchesRunBatch(t *testing.T) {
 	}
 }
 
-// TestEngineSubmitValidates checks that malformed jobs are rejected at
-// submission, before anything runs.
+// TestEngineSubmitValidates checks that malformed jobs are rejected by Run and
+// RunBatch before anything runs, each error carrying the "aigre:" prefix once,
+// and that Run refuses work after Close.
 func TestEngineSubmitValidates(t *testing.T) {
 	e, err := aigre.NewEngine(context.Background(), aigre.BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	if _, err := e.Submit(context.Background(), aigre.Batch{Name: "n", Script: "b"}); err == nil {
-		t.Error("nil network accepted")
-	}
 	n := aigre.FromInternal(bench.Adder(8))
-	if _, err := e.Submit(context.Background(), aigre.Batch{AIG: n, Script: "b; zz"}); err == nil {
-		t.Error("unparsable script accepted")
-	}
-	if _, err := e.Submit(context.Background(), aigre.Batch{AIG: n, Script: "b",
-		Options: aigre.Options{Partition: aigre.PartitionOptions{Mode: aigre.PartitionMode(99)}}}); err == nil {
-		t.Error("unknown partition mode accepted")
+	for _, c := range []struct {
+		what string
+		job  aigre.Batch
+	}{
+		{"nil network", aigre.Batch{Name: "n", Script: "b"}},
+		{"unparsable script", aigre.Batch{AIG: n, Script: "b; zz"}},
+		{"unknown partition mode", aigre.Batch{AIG: n, Script: "b",
+			Options: aigre.Options{Partition: aigre.PartitionOptions{Mode: aigre.PartitionMode(99)}}}},
+	} {
+		_, runErr := e.Run(context.Background(), c.job)
+		_, _, batchErr := aigre.RunBatch(context.Background(), []aigre.Batch{c.job}, aigre.BatchOptions{Workers: 1})
+		for route, err := range map[string]error{"Run": runErr, "RunBatch": batchErr} {
+			if err == nil {
+				t.Errorf("%s accepted a job with an %s", route, c.what)
+			} else if k := strings.Count(err.Error(), "aigre:"); k != 1 {
+				t.Errorf("%s, %s: %q carries \"aigre:\" %d times, want once", route, c.what, err, k)
+			}
+		}
 	}
 	if m := e.Metrics(); m.Finished+m.Failed+m.Cancelled != 0 {
-		t.Errorf("rejected submissions ran something: %+v", m)
+		t.Errorf("rejected jobs ran something: %+v", m)
 	}
-}
-
-// TestEngineShutdownDrains checks the public drain contract: queued jobs
-// resolve with sched.ErrDrained and are never run, and Submit afterwards
-// fails with sched.ErrClosed.
-func TestEngineShutdownDrains(t *testing.T) {
-	e, err := aigre.NewEngine(context.Background(), aigre.BatchOptions{
-		Workers: 1, MaxConcurrentJobs: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	// A moderately-sized resyn2 keeps the single job slot busy long enough
-	// for the queued job to still be waiting when Shutdown fires.
-	busy := aigre.Batch{Name: "busy", AIG: aigre.FromInternal(bench.Multiplier(8)),
-		Script: aigre.ScriptResyn2, Options: aigre.Options{Parallel: true}}
-	queued := aigre.Batch{Name: "waiting", AIG: aigre.FromInternal(bench.Adder(8)), Script: "b"}
-	bt, err := e.Submit(context.Background(), busy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qt, err := e.Submit(context.Background(), queued)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the busy job to leave the queue (start running) so exactly
-	// one job is still waiting when the drain fires.
-	for deadline := time.Now().Add(10 * time.Second); e.Queued() > 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("busy job never started")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	dropped, ok := e.Shutdown(ctx)
-	if dropped != 1 || !ok {
-		t.Fatalf("Shutdown = (%d, %v), want (1, true)", dropped, ok)
-	}
-	if r := bt.Wait(); r.Err != nil {
-		t.Fatalf("in-flight job: %v", r.Err)
-	}
-	r := qt.Wait()
-	if !errors.Is(r.Err, sched.ErrDrained) || !r.Cancelled {
-		t.Fatalf("queued job: err=%v cancelled=%v, want ErrDrained", r.Err, r.Cancelled)
-	}
-	if _, err := e.Submit(context.Background(), queued); !errors.Is(err, sched.ErrClosed) {
-		t.Fatalf("Submit after Shutdown: %v, want ErrClosed", err)
+	e.Close()
+	if _, err := e.Run(context.Background(), aigre.Batch{AIG: n, Script: "b"}); !errors.Is(err, sched.ErrClosed) {
+		t.Errorf("Run after Close: %v, want sched.ErrClosed", err)
 	}
 }
 
 // TestEngineOnEvent checks the live supervision stream: with no journal
 // file configured, BatchOptions.OnEvent still receives the attempt and
-// outcome events of every submitted job, in order, keyed by Batch.Name.
+// outcome events of every job, in order, keyed by Batch.Name.
 func TestEngineOnEvent(t *testing.T) {
 	var mu sync.Mutex
 	var events []aigre.JobEvent
@@ -154,13 +112,13 @@ func TestEngineOnEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := e.Submit(context.Background(), aigre.Batch{
+	r, err := e.Run(context.Background(), aigre.Batch{
 		Name: "evjob", AIG: aigre.FromInternal(bench.Adder(8)), Script: "b; rw",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := tk.Wait(); r.Err != nil {
+	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
 	e.Close()

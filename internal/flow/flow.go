@@ -50,11 +50,6 @@ type Config struct {
 	Device *gpu.Device
 	// MaxCut is the refactoring cut-size limit (paper: 12; 11 for log2).
 	MaxCut int
-	// RwzPasses is the number of parallel rewriting passes per rwz command.
-	// Default 1, except for a script that parses to the resyn2 command list,
-	// where it is 2 (the paper's GPU resyn2 setting) however the script was
-	// spelled or invoked.
-	RwzPasses int
 	// RfPasses is the number of parallel refactoring passes per rf/rfz
 	// command (the paper uses 2 in the single-algorithm Table II
 	// comparison, 1 inside sequences). Default 1.
@@ -75,14 +70,17 @@ type Config struct {
 	// commands (nil = the process-wide rcache.Default). Optimization results
 	// are identical with or without it; it only cuts host wall-clock.
 	Cache *rcache.Cache
+
+	// rwzPasses is the number of parallel rewriting passes per rwz command:
+	// Run sets 2 for a script that parses to the resyn2 command list (the
+	// paper's GPU resyn2 setting, however the script was spelled); zero runs
+	// one pass.
+	rwzPasses int
 }
 
 func (c Config) normalized() Config {
 	if c.Device == nil && c.Parallel {
 		c.Device = gpu.New(0)
-	}
-	if c.RwzPasses == 0 {
-		c.RwzPasses = 1
 	}
 	if c.RfPasses == 0 {
 		c.RfPasses = 1
@@ -178,7 +176,7 @@ var commands = map[string]Command{
 }
 
 // rewriteCommand builds rw (zero = false) and rwz. Config.ZeroGain turns the
-// sequential rw into rwz; only rwz repeats, Config.RwzPasses times.
+// sequential rw into rwz; only rwz repeats, Config.rwzPasses times.
 func rewriteCommand(zero bool) Command {
 	c := Command{Kind: "rw", Cleanup: true,
 		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
@@ -190,7 +188,7 @@ func rewriteCommand(zero bool) Command {
 			return out
 		}}
 	if zero {
-		c.Passes = func(cfg Config) int { return cfg.RwzPasses }
+		c.Passes = func(cfg Config) int { return cfg.rwzPasses }
 	}
 	return c
 }
@@ -304,8 +302,8 @@ func Run(ctx context.Context, a *aig.AIG, script string, cfg Config) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.RwzPasses == 0 && slices.Equal(cmds, resyn2Cmds) {
-		cfg.RwzPasses = 2
+	if slices.Equal(cmds, resyn2Cmds) {
+		cfg.rwzPasses = 2
 	}
 	return drive(ctx, a, cmds, cfg, func(ctx context.Context, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
 		if cerr := ctx.Err(); cerr != nil {

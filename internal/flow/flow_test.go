@@ -60,7 +60,7 @@ func TestSequentialResyn2PreservesFunctionAndImproves(t *testing.T) {
 
 func TestParallelResyn2PreservesFunction(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), a, Resyn2, Config{Parallel: true, RwzPasses: 2})
+	res, err := Run(context.Background(), a, Resyn2, Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

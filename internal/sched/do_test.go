@@ -4,21 +4,43 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"aigre/internal/flow"
 )
 
-// TestDoAfterClose checks the blocking entry's admission rule: once the
-// engine is closed, Do runs nothing and reports ErrClosed in Result.Err.
+// TestDoAfterClose checks the admission rule: Close waits for the work in
+// flight, and once the engine is closed Do runs nothing and reports ErrClosed
+// in Result.Err.
 func TestDoAfterClose(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
 	e := NewEngine(context.Background(), pool, Options{})
-	e.Close()
-	ran := false
 	a := testAIG(1)
+	started := make(chan struct{})
+	var finished atomic.Bool
+	batch := make(chan []Result, 1)
+	go func() {
+		batch <- e.Batch(context.Background(), []Job{{Name: "slow", AIG: a, Script: "b",
+			Custom: func(context.Context, *Pool) (flow.Result, error) {
+				close(started)
+				time.Sleep(20 * time.Millisecond) // a Close that does not wait returns meanwhile
+				finished.Store(true)
+				return flow.Result{AIG: a}, nil
+			}}})
+	}()
+	<-started
+	e.Close()
+	if !finished.Load() {
+		t.Error("Close returned before the Batch in flight finished")
+	}
+	if rs := <-batch; rs[0].Err != nil {
+		t.Errorf("in-flight Batch job: %v", rs[0].Err)
+	}
+
+	ran := false
 	res := e.Do(context.Background(), Job{Name: "late", AIG: a, Script: "b",
 		Custom: func(context.Context, *Pool) (flow.Result, error) {
 			ran = true
@@ -30,56 +52,17 @@ func TestDoAfterClose(t *testing.T) {
 	if res.Name != "late" || res.Script != "b" {
 		t.Errorf("refused result lost its labels: %+v", res)
 	}
-	if m := e.Metrics(); m.Submitted != 0 || m.Started != 0 {
+	if m := e.Metrics(); m.Submitted != 1 || m.Started != 1 {
 		t.Errorf("a refused job was counted: %+v", m)
 	}
 }
 
-// TestShutdownWaitsForDo checks that a Do call in flight is drained like a
-// running submitted job: Shutdown reports ok == false past its deadline while
-// the call is still running, the call then finishes normally, and a second
-// Shutdown — and Close — return once it has.
-func TestShutdownWaitsForDo(t *testing.T) {
-	pool := NewPool(1)
-	defer pool.Close()
-	e := NewEngine(context.Background(), pool, Options{})
-	a := testAIG(2)
-	started, release := make(chan struct{}), make(chan struct{})
-	done := make(chan Result, 1)
-	go func() {
-		done <- e.Do(context.Background(), Job{Name: "slow", AIG: a, Script: "b",
-			Custom: func(context.Context, *Pool) (flow.Result, error) {
-				close(started)
-				<-release
-				return flow.Result{AIG: a}, nil
-			}})
-	}()
-	<-started
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if dropped, ok := e.Shutdown(ctx); dropped != 0 || ok {
-		t.Fatalf("Shutdown with a Do in flight = (%d, %v), want (0, false)", dropped, ok)
-	}
-	close(release)
-	if res := <-done; res.Err != nil {
-		t.Fatalf("in-flight Do after Shutdown: %v", res.Err)
-	}
-	if _, ok := e.Shutdown(context.Background()); !ok {
-		t.Fatal("Shutdown of an idle engine not ok")
-	}
-	e.Close()
-	if m := e.Metrics(); m.Finished != 1 {
-		t.Fatalf("metrics = %+v, want 1 finished", m)
-	}
-}
-
-// TestDoCountsLikeSubmit runs the same jobs once through Submit and once
-// through Do and compares the fleet metrics: everything but the admission
-// queue's depth (a Do job never waits in it) and the wall clocks must match,
-// modeled device time included (the jobs run on the device, at one worker).
-// An engine used only through Do starts no runner goroutines.
-func TestDoCountsLikeSubmit(t *testing.T) {
+// TestDoCountsLikeRunJobs runs the same jobs once through RunJobs and once
+// through Do and compares the fleet metrics: everything but the peak queue
+// depth (a Do job starts at once) and the wall clocks must match, modeled
+// device time included (the jobs run on the device, at one worker). An engine
+// used only through Do starts no goroutines.
+func TestDoCountsLikeRunJobs(t *testing.T) {
 	a := testAIG(3)
 	boom := errors.New("boom")
 	jobs := []Job{
@@ -94,9 +77,9 @@ func TestDoCountsLikeSubmit(t *testing.T) {
 		return m
 	}
 
-	subPool := NewPool(1)
-	defer subPool.Close()
-	_, viaSubmit := RunJobs(context.Background(), subPool, jobs, 1)
+	batchPool := NewPool(1)
+	defer batchPool.Close()
+	_, viaBatch := RunJobs(context.Background(), batchPool, jobs, 1)
 
 	doPool := NewPool(1)
 	defer doPool.Close()
@@ -112,12 +95,15 @@ func TestDoCountsLikeSubmit(t *testing.T) {
 	viaDo := e.Metrics()
 
 	if viaDo.PeakQueueDepth != 0 {
-		t.Errorf("Do jobs deepened the admission queue to %d", viaDo.PeakQueueDepth)
+		t.Errorf("Do jobs left %d admitted but not started", viaDo.PeakQueueDepth)
 	}
 	if viaDo.Finished != 2 || viaDo.Failed != 1 || viaDo.Submitted != 3 || viaDo.Started != 3 {
 		t.Errorf("Do metrics = %+v, want 2 finished, 1 failed, 3 submitted and started", viaDo)
 	}
-	if got, want := counts(viaDo), counts(viaSubmit); got != want {
-		t.Errorf("metrics differ:\n via Do     %+v\n via Submit %+v", got, want)
+	if viaBatch.PeakQueueDepth != len(jobs) {
+		t.Errorf("RunJobs peak queue depth %d, want %d", viaBatch.PeakQueueDepth, len(jobs))
+	}
+	if got, want := counts(viaDo), counts(viaBatch); got != want {
+		t.Errorf("metrics differ:\n via Do      %+v\n via RunJobs %+v", got, want)
 	}
 }

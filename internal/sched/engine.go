@@ -1,12 +1,14 @@
 package sched
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aigre/internal/aig"
@@ -25,8 +27,8 @@ type Job struct {
 	AIG *aig.AIG
 	// Script is the flow command script, e.g. flow.Resyn2.
 	Script string
-	// Priority orders admission: higher-priority jobs start first.
-	// Ties run in submission order.
+	// Priority orders a Batch: higher-priority jobs start first, ties in
+	// slice order.
 	Priority int
 	// Workers caps the job's device lease: how many pool workers one kernel
 	// launch of this job may occupy (0 = the whole pool). The cap shapes
@@ -38,7 +40,7 @@ type Job struct {
 	// engine's pool.
 	Config flow.Config
 	// Custom, when non-nil, replaces the flow.Run invocation for this job.
-	// It runs on the job's runner goroutine under the merged per-job and
+	// It runs on the goroutine that called Do, under the merged per-job and
 	// engine-wide context and draws any device capacity from its own leases
 	// of the given pool. AIG is still required (it sizes the before-stats),
 	// and Script still labels the job. The partition-parallel batch path
@@ -52,7 +54,7 @@ type Job struct {
 	// Ignored for Custom jobs, which manage their own leases.
 	FaultPlans []gpu.FaultPlan
 
-	// admitted is when Submit admitted the job (zero until Do admits a job of
+	// admitted is when Batch admitted the job (zero until Do admits a job of
 	// its own); Queued runs from then.
 	admitted time.Time
 }
@@ -99,7 +101,7 @@ type Result struct {
 	// Preemptions how many of them the watchdog preempted as stuck.
 	Attempts    int `json:"attempts,omitempty"`
 	Preemptions int `json:"preemptions,omitempty"`
-	// Queued is submission -> start.
+	// Queued is admission -> start.
 	Queued time.Duration `json:"queued_ns"`
 
 	NodesBefore  int `json:"nodes_before"`
@@ -122,11 +124,12 @@ type Metrics struct {
 	// Retries counts extra attempts beyond the first, fleet-wide.
 	Retries int
 	// PeakWorkers is the pool's observed concurrency high-water mark (never
-	// above Workers: the shared-budget invariant); PeakQueueDepth the deepest
-	// the admission queue got (jobs handed to Do never wait in it).
+	// above Workers: the shared-budget invariant); PeakQueueDepth the most
+	// jobs admitted but not yet started (a Batch admits its whole slice; a job
+	// handed to Do starts at once).
 	PeakWorkers    int
 	PeakQueueDepth int
-	// Wall spans the first submission to the last job completion. JobWall
+	// Wall spans the first admission to the last job completion. JobWall
 	// sums per-job host time — their ratio is the job-level concurrency.
 	// Modeled sums the modeled device time of all jobs.
 	Wall, JobWall, Modeled time.Duration
@@ -141,16 +144,13 @@ type Metrics struct {
 
 	Submitted int `json:"-"`
 	Started   int `json:"-"`
-	// QueueDepth is the number of jobs still waiting at the time of the
-	// Metrics call.
-	QueueDepth int `json:"-"`
 }
 
 // Options configures an Engine.
 type Options struct {
-	// MaxConcurrentJobs bounds how many submitted jobs run at once (0 = the
-	// pool's worker count; Do calls are their callers' to bound): the memory
-	// held by in-flight jobs, and what keeps the priority queue meaningful.
+	// MaxConcurrentJobs bounds how many jobs of one Batch call run at once
+	// (0 = the pool's worker count): the memory held by in-flight jobs. Do
+	// calls are their callers' to bound.
 	MaxConcurrentJobs int
 	// Policy is the engine-wide supervision policy (zero = one attempt, no
 	// deadline, no watchdog). Job.Policy overrides it per job.
@@ -159,69 +159,38 @@ type Options struct {
 	Journal *journal.Journal
 }
 
-// Ticket is the handle Submit returns; Wait blocks for the job's Result.
-type Ticket struct {
-	done chan struct{}
-	res  Result
-}
-
-// Wait blocks until the job finishes and returns its result.
-func (t *Ticket) Wait() Result {
-	<-t.done
-	return t.res
-}
-
-// Done is closed when the job has finished.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
-
-type queuedJob struct {
-	job    Job
-	ctx    context.Context
-	ticket *Ticket
-	seq    int // FIFO tie-break within a priority
-}
-
-// Engine runs jobs on device capacity leased from the shared pool: Do on the
-// caller's goroutine, Submit by priority on a bounded set of runners.
+// Engine runs jobs on device capacity leased from the shared pool, each
+// through Do: one on the caller's goroutine, or a slice of them by Batch.
 type Engine struct {
-	pool   *Pool
-	ctx    context.Context // engine-wide cancellation
-	policy Policy
-	jour   *journal.Journal
+	pool    *Pool
+	ctx     context.Context // engine-wide cancellation
+	policy  Policy
+	jour    *journal.Journal
+	maxJobs int // goroutines of one Batch call
 
 	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   jobHeap
 	closed  bool
-	seq     int
 	metrics Metrics
-	first   time.Time // first submission
+	first   time.Time // first admission
 	last    time.Time // latest completion
 
-	runners int            // runner goroutines, started by the first Submit
-	running sync.WaitGroup // started runners and in-flight Do calls
+	running sync.WaitGroup // Batch and Do calls in flight
 }
 
-// ErrClosed is what Submit returns, and Do reports, after Close or Shutdown.
+// ErrClosed is what Do and Batch report after Close.
 var ErrClosed = errors.New("sched: engine closed")
 
-// ErrDrained resolves the tickets of jobs that were still queued when
-// Shutdown drained the engine: they never started and were not run.
-var ErrDrained = errors.New("sched: engine drained before the job started")
-
 // NewEngine returns an engine over pool. ctx, when non-nil, cancels every
-// job (queued and running) engine-wide when it is done. The runners start
-// with the first Submit.
+// job (waiting and running) engine-wide when it is done.
 func NewEngine(ctx context.Context, pool *Pool, opts Options) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e := &Engine{pool: pool, ctx: ctx, policy: opts.Policy, jour: opts.Journal,
-		runners: opts.MaxConcurrentJobs}
-	e.cond = sync.NewCond(&e.mu)
+		maxJobs: opts.MaxConcurrentJobs}
 	e.metrics.Workers = pool.Workers()
-	if e.runners <= 0 {
-		e.runners = pool.Workers()
+	if e.maxJobs <= 0 {
+		e.maxJobs = pool.Workers()
 	}
 	return e
 }
@@ -236,92 +205,13 @@ func (e *Engine) admit(job *Job) {
 	e.metrics.Submitted++
 }
 
-// Submit enqueues a job. ctx, when non-nil, cancels this job alone; the
-// engine-wide context still applies. The returned Ticket resolves when the
-// job finishes (or is cancelled while queued).
-func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
-	if err := job.prepare(); err != nil {
-		return nil, err
-	}
-	t := &Ticket{done: make(chan struct{})}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrClosed
-	}
-	if e.seq == 0 {
-		e.running.Add(e.runners)
-		for i := 0; i < e.runners; i++ {
-			go e.runner()
-		}
-	}
-	e.admit(&job)
-	heap.Push(&e.queue, &queuedJob{job: job, ctx: ctx, ticket: t, seq: e.seq})
-	e.seq++
-	if d := len(e.queue); d > e.metrics.PeakQueueDepth {
-		e.metrics.PeakQueueDepth = d
-	}
-	e.cond.Signal()
-	return t, nil
-}
-
-// Close stops admission, drains the queue, and waits for every job (Do calls
-// included) to finish. Safe to call once; Submit and Do then report ErrClosed.
+// Close refuses new work and waits for the Batch and Do calls in flight.
+// Do and Batch then report ErrClosed.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true
-	e.cond.Broadcast()
 	e.mu.Unlock()
 	e.running.Wait()
-}
-
-// Shutdown is the serve-mode drain: it stops admission, withdraws every job
-// still waiting in the queue *without running it* — their tickets resolve
-// Cancelled with an error wrapping ErrDrained, so a durable queue feeding
-// the engine can checkpoint them — and waits for the in-flight jobs to
-// finish until ctx is done.
-//
-// It returns how many queued jobs were dropped and whether every in-flight
-// job finished before the deadline. On ok == false the stragglers are still
-// running: cancel the engine-wide context to force them to stop at the next
-// kernel-launch boundary, then Close (which waits) to reap them.
-func (e *Engine) Shutdown(ctx context.Context) (dropped int, ok bool) {
-	e.mu.Lock()
-	e.closed = true
-	for len(e.queue) > 0 {
-		q := heap.Pop(&e.queue).(*queuedJob)
-		res := Result{
-			Name:      q.job.Name,
-			Script:    q.job.Script,
-			Err:       fmt.Errorf("sched: job %q: %w", q.job.Name, ErrDrained),
-			Cancelled: true,
-			Queued:    time.Since(q.job.admitted),
-		}
-		res.NodesBefore = q.job.AIG.NumAnds()
-		res.LevelsBefore = q.job.AIG.Levels()
-		e.metrics.Cancelled++
-		e.jour.Append(journal.Entry{Job: q.job.Name, Event: journal.EventCancel,
-			Detail: ErrDrained.Error()})
-		q.ticket.res = res
-		close(q.ticket.done)
-		dropped++
-	}
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		e.running.Wait()
-		close(done)
-	}()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-done:
-		return dropped, true
-	case <-ctx.Done():
-		return dropped, false
-	}
 }
 
 // Metrics returns a snapshot of the fleet statistics.
@@ -329,7 +219,6 @@ func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	m := e.metrics
-	m.QueueDepth = len(e.queue)
 	if !e.first.IsZero() && e.last.After(e.first) {
 		m.Wall = e.last.Sub(e.first)
 	}
@@ -340,33 +229,63 @@ func (e *Engine) Metrics() Metrics {
 	return m
 }
 
-func (e *Engine) runner() {
-	defer e.running.Done()
-	for {
-		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
+// Batch runs jobs to completion and returns their results in slice order. It
+// admits every job up front, so each one's Queued runs from the call, then
+// min(MaxConcurrentJobs, len(jobs)) goroutines take the jobs in (Priority
+// descending, slice index ascending) order and run each through Do under ctx
+// (nil = none). A job with no input, or every job after Close, comes back
+// with the error in Result.Err and is not run.
+func (e *Engine) Batch(ctx context.Context, jobs []Job) []Result {
+	jobs = slices.Clone(jobs)
+	out := make([]Result, len(jobs))
+	order := make([]int, 0, len(jobs))
+	e.mu.Lock()
+	for i := range jobs {
+		err := jobs[i].prepare()
+		if err == nil && e.closed {
+			err = ErrClosed
 		}
-		if len(e.queue) == 0 {
-			e.mu.Unlock()
-			return
+		if err != nil {
+			out[i] = Result{Name: jobs[i].Name, Script: jobs[i].Script, Err: err}
+			continue
 		}
-		q := heap.Pop(&e.queue).(*queuedJob)
-		e.mu.Unlock()
-		q.ticket.res = e.Do(q.ctx, q.job)
-		close(q.ticket.done)
+		e.admit(&jobs[i])
+		order = append(order, i)
 	}
+	if len(order) == 0 {
+		e.mu.Unlock()
+		return out
+	}
+	e.metrics.PeakQueueDepth = max(e.metrics.PeakQueueDepth, e.metrics.Submitted-e.metrics.Started)
+	e.running.Add(1)
+	e.mu.Unlock()
+	defer e.running.Done()
+
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(jobs[b].Priority, jobs[a].Priority) })
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(e.maxJobs, len(order)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
+				out[order[k]] = e.Do(ctx, jobs[order[k]])
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // Do runs one job to completion on the calling goroutine: the one function
-// that executes a job. The runners call it for submitted jobs; the public
+// that executes a job. Batch calls it for each job of its slice; the public
 // Engine.Run (and through it Network.Run and the aigred workers) calls it
-// directly, past the admission queue and MaxConcurrentJobs.
+// directly, outside MaxConcurrentJobs.
 //
 // The job runs under ctx (nil = none) merged with the engine-wide context,
-// under its own or the engine's policy, and counts in Metrics as a submitted
-// job does. After Close or Shutdown, which wait for calls in flight, nothing
-// runs and the result carries ErrClosed.
+// under its own or the engine's policy, and counts in Metrics as a batch job
+// does. After Close, which waits for calls in flight, nothing runs and the
+// result carries ErrClosed.
 func (e *Engine) Do(ctx context.Context, job Job) Result {
 	err := job.prepare()
 	res := Result{Name: job.Name, Script: job.Script, Err: err}
@@ -400,7 +319,7 @@ func (e *Engine) Do(ctx context.Context, job Job) Result {
 	stop := context.AfterFunc(e.ctx, cancel)
 	defer stop()
 	// AfterFunc fires asynchronously; if the engine-wide context is already
-	// done, cancel synchronously so a queued job cannot slip through and run
+	// done, cancel synchronously so a waiting job cannot slip through and run
 	// to completion before the callback goroutine is scheduled.
 	if e.ctx.Err() != nil {
 		cancel()
@@ -446,9 +365,9 @@ func (e *Engine) Do(ctx context.Context, job Job) Result {
 }
 
 // RunJobs is the one-shot convenience: it runs jobs over a fresh engine on
-// pool (engine-wide cancellation from ctx) and returns the results in
-// submission order together with the fleet metrics. maxConcurrent bounds
-// simultaneous jobs (0 = pool workers).
+// pool (engine-wide cancellation from ctx) and returns the results in slice
+// order together with the fleet metrics. maxConcurrent bounds simultaneous
+// jobs (0 = pool workers).
 func RunJobs(ctx context.Context, pool *Pool, jobs []Job, maxConcurrent int) ([]Result, Metrics) {
 	return RunSupervised(ctx, pool, jobs, Options{MaxConcurrentJobs: maxConcurrent})
 }
@@ -458,40 +377,7 @@ func RunJobs(ctx context.Context, pool *Pool, jobs []Job, maxConcurrent int) ([]
 // durable journal receiving the fleet's lifecycle events.
 func RunSupervised(ctx context.Context, pool *Pool, jobs []Job, opts Options) ([]Result, Metrics) {
 	e := NewEngine(ctx, pool, opts)
-	tickets := make([]*Ticket, len(jobs))
-	out := make([]Result, len(jobs))
-	for i, j := range jobs {
-		if tickets[i], out[i].Err = e.Submit(ctx, j); out[i].Err != nil {
-			out[i].Name, out[i].Script = j.Name, j.Script
-		}
-	}
+	out := e.Batch(ctx, jobs)
 	e.Close()
-	for i, t := range tickets {
-		if t != nil {
-			out[i] = t.Wait()
-		}
-	}
 	return out, e.Metrics()
-}
-
-// jobHeap is a max-heap on (Priority, -seq): highest priority first,
-// submission order within a priority.
-type jobHeap []*queuedJob
-
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
-	if h[i].job.Priority != h[j].job.Priority {
-		return h[i].job.Priority > h[j].job.Priority
-	}
-	return h[i].seq < h[j].seq
-}
-func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*queuedJob)) }
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	q := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return q
 }

@@ -5,9 +5,10 @@
 // pool to the whole machine; a service optimizing N designs at once would
 // oversubscribe the host N-fold. Here a Pool owns the host worker
 // budget once, jobs lease capped sub-devices from it (gpu.NewLeased),
-// and an Engine admits jobs by priority, runs each through the guarded
-// flow.Run with per-job and engine-wide context cancellation, and
-// aggregates per-job Results plus fleet Metrics.
+// and an Engine runs each job through Do — alone, or a slice of them in
+// priority order by Batch — under the guarded flow.Run with per-job and
+// engine-wide context cancellation, and aggregates per-job Results plus
+// fleet Metrics.
 package sched
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -106,10 +107,10 @@ func mustPool(t *testing.T, w int) *Pool {
 	return p
 }
 
-// TestEngineCancellation cancels jobs mid-run and checks the contract: the
+// TestEngineCancellation cancels a job mid-run and checks the contract: the
 // job stops promptly, Err wraps context.Canceled, the result is marked
-// Cancelled in the metrics, the input network is untouched, and no
-// goroutines are left behind.
+// Cancelled in the metrics, the input network is untouched, Do refuses work
+// after Close, and no goroutines are left behind.
 func TestEngineCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -120,14 +121,12 @@ func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// A long job: many repetitions of the full sequence.
 	script := strings.Repeat(flow.Resyn2+"; ", 50) + "b"
-	tk, err := e.Submit(ctx, Job{AIG: a, Script: script, Config: flow.Config{Parallel: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	done := make(chan Result, 1)
+	go func() { done <- e.Do(ctx, Job{AIG: a, Script: script, Config: flow.Config{Parallel: true}}) }()
 	time.Sleep(10 * time.Millisecond) // let it start
 	cancel()
 	start := time.Now()
-	res := tk.Wait()
+	res := <-done
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Errorf("cancelled job took %v to return", waited)
 	}
@@ -147,8 +146,11 @@ func TestEngineCancellation(t *testing.T) {
 	if m.Cancelled != 1 {
 		t.Errorf("metrics cancelled = %d, want 1", m.Cancelled)
 	}
-	if _, err := e.Submit(context.Background(), Job{AIG: a, Script: "b"}); !errors.Is(err, ErrClosed) {
-		t.Errorf("submit after close = %v, want ErrClosed", err)
+	if r := e.Do(context.Background(), Job{AIG: a, Script: "b"}); !errors.Is(r.Err, ErrClosed) {
+		t.Errorf("Do after close = %v, want ErrClosed", r.Err)
+	}
+	if rs := e.Batch(context.Background(), []Job{{AIG: a, Script: "b"}}); !errors.Is(rs[0].Err, ErrClosed) {
+		t.Errorf("Batch after close = %v, want ErrClosed", rs[0].Err)
 	}
 
 	// Goroutine-leak check: everything the engine and pool started must be
@@ -164,85 +166,59 @@ func TestEngineCancellation(t *testing.T) {
 }
 
 // TestEngineWideCancellation checks that cancelling the engine context
-// cancels queued jobs too.
+// cancels the jobs of a batch that are still waiting too.
 func TestEngineWideCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	pool := NewPool(1)
 	defer pool.Close()
 	e := NewEngine(ctx, pool, Options{MaxConcurrentJobs: 1})
 	script := strings.Repeat(flow.Resyn2+"; ", 50) + "b"
-	var tickets []*Ticket
-	for i := 0; i < 4; i++ {
-		tk, err := e.Submit(context.Background(), Job{AIG: testAIG(9), Script: script, Config: flow.Config{Parallel: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
+	jobs := make([]Job, 4)
+	for i := range jobs {
+		jobs[i] = Job{AIG: testAIG(9), Script: script, Config: flow.Config{Parallel: true}}
 	}
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	e.Close()
+	time.AfterFunc(10*time.Millisecond, cancel)
 	cancelled := 0
-	for _, tk := range tickets {
-		if r := tk.Wait(); r.Cancelled {
+	for _, r := range e.Batch(context.Background(), jobs) {
+		if r.Cancelled {
 			cancelled++
 		}
 	}
+	e.Close()
 	if cancelled != 4 {
 		t.Errorf("cancelled %d of 4 jobs", cancelled)
 	}
 }
 
-// TestEnginePriorityOrder checks admission order on a single runner:
-// priority first, submission order within a priority. The queue is built up
-// while the runner is still blocked on the first job, and start order is
-// read off the heap-pop sequence through per-job wall timestamps.
-func TestEnginePriorityOrder(t *testing.T) {
+// TestBatchStartsInPriorityOrder checks the batch loop's order on one
+// goroutine: priority descending, slice order within a priority — the first
+// job of the slice has the lowest priority, so it must not start first — with
+// the whole slice admitted before anything starts.
+func TestBatchStartsInPriorityOrder(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
-	e := NewEngine(context.Background(), pool, Options{MaxConcurrentJobs: 1})
-
-	// A blocker occupies the single runner long enough for the four probe
-	// jobs to all be queued before any of them can start.
-	blocker, err := e.Submit(context.Background(),
-		Job{Name: "blocker", AIG: testAIG(1), Script: flow.Resyn2, Config: flow.Config{Parallel: true}})
-	if err != nil {
-		t.Fatal(err)
+	var started []string // one goroutine runs the jobs: no lock needed
+	job := func(name string, prio int) Job {
+		j := customJob(name, func(context.Context, *Pool) (flow.Result, error) {
+			started = append(started, name)
+			return flow.Result{}, nil
+		})
+		j.Priority = prio
+		return j
 	}
-	probe := testAIG(2) // built up front: the four submissions must take microseconds
-	submit := func(name string, prio int) *Ticket {
-		tk, err := e.Submit(context.Background(), Job{Name: name, AIG: probe, Script: "b; rw; b", Priority: prio})
-		if err != nil {
-			t.Fatal(err)
+	jobs := []Job{job("low-1", 0), job("high", 5), job("low-2", 0), job("mid", 3), job("high-2", 5), job("neg", -1)}
+	res, m := RunJobs(context.Background(), pool, jobs, 1)
+	want := []string{"high", "high-2", "mid", "low-1", "low-2", "neg"}
+	if !slices.Equal(started, want) {
+		t.Errorf("start order %v, want %v", started, want)
+	}
+	for i, r := range res {
+		if r.Name != jobs[i].Name || r.Err != nil {
+			t.Errorf("result %d = %s (%v), want %s in slice order", i, r.Name, r.Err, jobs[i].Name)
 		}
-		return tk
 	}
-	low1 := submit("low-1", 0)
-	high := submit("high", 5)
-	low2 := submit("low-2", 0)
-	mid := submit("mid", 3)
-	e.Close()
-	if r := blocker.Wait(); r.Err != nil {
-		t.Fatal(r.Err)
-	}
-
-	// With one runner the jobs execute strictly one after another, so the
-	// queue delay orders them: first started = shortest wait. All four were
-	// submitted within microseconds, while each run takes far longer.
-	waits := map[string]time.Duration{}
-	for _, tk := range []*Ticket{low1, high, low2, mid} {
-		r := tk.Wait()
-		if r.Err != nil {
-			t.Fatalf("%s: %v", r.Name, r.Err)
-		}
-		waits[r.Name] = r.Queued
-	}
-	if !(waits["high"] < waits["mid"] && waits["mid"] < waits["low-1"] && waits["low-1"] < waits["low-2"]) {
-		t.Errorf("admission order by queue delay: high=%v mid=%v low-1=%v low-2=%v",
-			waits["high"], waits["mid"], waits["low-1"], waits["low-2"])
-	}
-	if m := e.Metrics(); m.PeakQueueDepth < 4 {
-		t.Errorf("peak queue depth %d, want >= 4", m.PeakQueueDepth)
+	if m.PeakQueueDepth != len(jobs) {
+		t.Errorf("peak queue depth %d, want %d", m.PeakQueueDepth, len(jobs))
 	}
 }
 

@@ -6,7 +6,7 @@
 // panic degrades a command, it does not kill the job. The supervisor is the
 // fleet-level complement: it decides what a whole job's attempt outcome means
 // (retry it, quarantine it, report it timed out) and leaves a replayable
-// record. The planned aigred daemon fronts exactly this loop.
+// record. Every job runs under it, the aigred daemon's included.
 package sched
 
 import (

@@ -47,18 +47,6 @@ var jobRoutes = []jobRoute{
 		}
 		return batchReport(rs[0])
 	}},
-	{name: "Engine.Submit", observe: true, run: func(ctx context.Context, job aigre.Batch, bopts aigre.BatchOptions) (routeReport, error) {
-		e, err := aigre.NewEngine(ctx, bopts)
-		if err != nil {
-			return routeReport{}, err
-		}
-		defer e.Close()
-		tk, err := e.Submit(ctx, job)
-		if err != nil {
-			return routeReport{}, err
-		}
-		return batchReport(tk.Wait())
-	}},
 	{name: "Engine.Run", observe: true, run: func(ctx context.Context, job aigre.Batch, bopts aigre.BatchOptions) (routeReport, error) {
 		e, err := aigre.NewEngine(ctx, bopts)
 		if err != nil {
@@ -119,7 +107,7 @@ func through(t *testing.T, rt jobRoute, job aigre.Batch, pol aigre.Policy) strin
 }
 
 // TestJobRoutes drives one job through every entry point that reaches the
-// engine — Network.Run, a one-job RunBatch, Engine.Submit and Engine.Run — and
+// engine — Network.Run, a one-job RunBatch and Engine.Run — and
 // pins what each returns. The goldens were recorded at the commit before the
 // routes were joined under sched.(*Engine).Do (1564810, where Engine.Run did
 // not exist yet): every column must agree with every other and with them.

@@ -22,14 +22,18 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude
     echo "check: a copy of the command executor or of the edit scaffold grew back (see above)" >&2
     exit 1
 fi
-# One function runs a job: flow.Run is reached through sched.(*Engine).Do only
-# (its attempt; cmd/experiments times the bare runner), partition.Run from the
-# one place a job is converted (engine.go), and pass-scoped tables are pooled
-# by hashtable.Acquire alone.
+# One function runs a job, reached one way: flow.Run is called from
+# sched.(*Engine).Do only (its attempt; cmd/experiments times the bare runner),
+# a job reaches Do directly or from the batch loop (sched.(*Engine).Batch, a
+# slice, not a queue: no heap, no Submit or Shutdown, no ticket type),
+# partition.Run from the one place a job is converted (engine.go), and
+# pass-scoped tables are pooled by hashtable.Acquire alone.
 if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-dir=sched --exclude-dir=experiments --exclude-dir=benchmark 'flow\.Run(' . ||
+    grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '"container/heap"' internal/sched ||
+    grep -nE --exclude='*_test.go' --exclude-dir=benchmark '^func \([^)]*\) (Submit|Shutdown)\(|^type (Job)?Ticket ' ./*.go internal/sched/*.go ||
     [ "$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'partition\.Run(' . | wc -l)" -gt 1 ] ||
     grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=hashtable --exclude-dir=benchmark '\.\(\*hashtable\.Table\)' .; then
-    echo "check: a second route into the engine, a second partition.Run call site or a second table pool grew back" >&2
+    echo "check: a second route into the engine, an admission queue, a second partition.Run call site or a second table pool grew back" >&2
     exit 1
 fi
 # One cone builder, one part shape: every node has one owner because buildCones
