@@ -367,7 +367,8 @@ func (e *Engine) Do(ctx context.Context, job Job) Result {
 // RunJobs is the one-shot convenience: it runs jobs over a fresh engine on
 // pool (engine-wide cancellation from ctx) and returns the results in slice
 // order together with the fleet metrics. maxConcurrent bounds simultaneous
-// jobs (0 = pool workers).
+// jobs (0 = pool workers). Its only caller is benchmark/probes.go; it stays
+// while that module is frozen.
 func RunJobs(ctx context.Context, pool *Pool, jobs []Job, maxConcurrent int) ([]Result, Metrics) {
 	return RunSupervised(ctx, pool, jobs, Options{MaxConcurrentJobs: maxConcurrent})
 }

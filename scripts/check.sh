@@ -23,17 +23,23 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude
     exit 1
 fi
 # One function runs a job, reached one way: flow.Run is called from
-# sched.(*Engine).Do only (its attempt; cmd/experiments times the bare runner),
-# a job reaches Do directly or from the batch loop (sched.(*Engine).Batch, a
-# slice, not a queue: no heap, no Submit or Shutdown, no ticket type),
-# partition.Run from the one place a job is converted (engine.go), and
-# pass-scoped tables are pooled by hashtable.Acquire alone.
-if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-dir=sched --exclude-dir=experiments --exclude-dir=benchmark 'flow\.Run(' . ||
+# sched.(*Engine).Do only (its attempt), a job reaches Do directly or from the
+# batch loop (sched.(*Engine).Batch, a slice, not a queue: no heap, no Submit or
+# Shutdown, no ticket type), partition.Run from the one place a job is converted
+# (engine.go), and pass-scoped tables are pooled by hashtable.Acquire alone.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-dir=sched --exclude-dir=benchmark 'flow\.Run(' . ||
     grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '"container/heap"' internal/sched ||
     grep -nE --exclude='*_test.go' --exclude-dir=benchmark '^func \([^)]*\) (Submit|Shutdown)\(|^type (Job)?Ticket ' ./*.go internal/sched/*.go ||
     [ "$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'partition\.Run(' . | wc -l)" -gt 1 ] ||
     grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=hashtable --exclude-dir=benchmark '\.\(\*hashtable\.Table\)' .; then
     echo "check: a second route into the engine, an admission queue, a second partition.Run call site or a second table pool grew back" >&2
+    exit 1
+fi
+# One way to regenerate a paper table: TestPaperClaims (paper_test.go) asserts
+# and prints them all; a regenerator command or testing.B table rows must not
+# grow back beside it.
+if [ -e cmd/experiments ] || grep -rnE --include='*.go' --exclude-dir=benchmark '^func Benchmark(Table|Fig)' .; then
+    echo "check: cmd/experiments or a BenchmarkTable/BenchmarkFig row grew back; extend TestPaperClaims instead" >&2
     exit 1
 fi
 # One cone builder, one part shape: every node has one owner because buildCones
@@ -57,9 +63,10 @@ go test -race ./...
 (cd benchmark && go vet ./... && go test ./...)
 # Partition-parallel optimization: the million-node deep/narrow smoke (cone
 # partitioning of an AIG the kernel-level parallelism cannot touch, and the
-# pinned deep_part digest) and the suite-wide cone-partition quality table,
-# without the race detector (the -race pass above skips them as too slow).
-go test -timeout 20m -run 'TestPartitionMillionNodeSmoke|TestConePartitionQuality' .
+# pinned deep_part digest), the suite-wide cone-partition quality table and
+# the paper's claims, without the race detector (the -race pass above skips
+# them as too slow).
+go test -timeout 20m -run 'TestPartitionMillionNodeSmoke|TestConePartitionQuality|TestPaperClaims' .
 # Multicore scaling smoke: a reduced deep/narrow run at 1 vs 4 workers must
 # get faster with workers (skips itself on <4-CPU runners, where wall time
 # cannot improve; the benchmark's deep_part workload carries the full story).
