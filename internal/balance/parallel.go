@@ -6,17 +6,12 @@ import (
 	"aigre/internal/aig"
 	"aigre/internal/gpu"
 	"aigre/internal/hashtable"
-	"aigre/internal/mempool"
 )
 
-// Reusable per-subtree working memory: gathered input literals, traversal
-// stacks, and reconstruction-table item slices. Pooling these removes the
-// dominant per-subtree allocations of the parallel engine.
-var (
-	litPool  mempool.SlicePool[aig.Lit]
-	i32Pool  mempool.SlicePool[int32]
-	itemPool mempool.SlicePool[item]
-)
+// chunkSlack is the free room below which a worker slot's gather arena
+// starts a new chunk instead of letting a subtree's inputs grow (and copy)
+// the current one; most subtrees have two or three inputs.
+const chunkSlack = 16
 
 // combineStep ANDs two reconstruction items, creating a node through mk
 // only when no trivial simplification applies, and propagating delays.
@@ -78,12 +73,25 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 	})
 	roots := gpu.Compact(d, "balance/roots", reach, boolsOf(isRoot, reach))
 
-	// Collapse step 3: gather the n-ary AND inputs of every subtree.
+	// Collapse step 3: gather the n-ary AND inputs of every subtree. Each
+	// worker slot appends them to its own literal arena, in chunks: a full
+	// chunk is left behind, never moved, so the inputs recorded in it stay
+	// valid. The inputs of all subtrees number len(reach)+len(roots) (every
+	// AND node has two fanins, and every non-root node is absorbed by exactly
+	// one of them), so four chunks per slot hold the pass with little waste.
+	chunk := max(1024, (len(reach)+len(roots))/(4*d.Workers()))
+	arenas := make([][]aig.Lit, d.Workers())
+	stacks := make([][]int32, d.Workers())
 	inputs := make([][]aig.Lit, len(roots))
-	d.Launch("balance/gather", len(roots), func(tid int) int64 {
-		stk := i32Pool.Get(0)
-		inputs[tid], stk = gatherSubtree(a, refs, roots[tid], litPool.Get(0), stk)
-		i32Pool.Put(stk)
+	d.LaunchSlots("balance/gather", len(roots), func(slot, tid int) int64 {
+		arena := arenas[slot]
+		if cap(arena)-len(arena) < chunkSlack {
+			arena = make([]aig.Lit, 0, chunk)
+		}
+		off := len(arena)
+		arena, stacks[slot] = gatherSubtree(a, refs, roots[tid], arena, stacks[slot])
+		arenas[slot] = arena
+		inputs[tid] = arena[off:len(arena):len(arena)]
 		return int64(len(inputs[tid]))
 	})
 	st.Subtrees = len(roots)
@@ -124,10 +132,13 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 	// Reconstruction: allocate the output network and the shared hash
 	// table. Each subtree with k inputs needs at most k-1 nodes.
 	counts := make([]int32, len(roots))
+	itemOff := make([]int32, len(roots)+1) // prefix sum of input counts
 	for i := range roots {
-		if k := len(inputs[i]); k > 1 {
-			counts[i] = int32(k - 1)
+		k := int32(len(inputs[i]))
+		if k > 1 {
+			counts[i] = k - 1
 		}
+		itemOff[i+1] = itemOff[i] + k
 	}
 	offsets, totalSlots := d.ExclusiveScan("balance/slot-scan", counts)
 	out := aig.NewCap(a.NumPIs(), a.NumPIs()+1+int(totalSlots))
@@ -140,8 +151,13 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 		newItem[i] = item{lit: aig.MakeLit(int32(i), false)}
 	}
 	used := make([]int32, len(roots))
-	heaps := make([]*itemHeap, len(roots))
-	heapStore := make([]itemHeap, len(roots)) // heap headers preallocated once
+	// Reconstruction tables: subtree ri's heap is its window of one flat item
+	// array, itemStore[itemOff[ri]:itemOff[ri+1]], cut to heapLen[ri] items
+	// (0 until its batch initializes it, or when its inputs collapsed). An
+	// insertion pass pops two items before it pushes one, so a heap never
+	// outgrows its window.
+	itemStore := make([]item, itemOff[len(roots)])
+	heapLen := make([]int32, len(roots))
 
 	for lv := int32(1); lv <= maxLevel; lv++ {
 		batch := byLevel[lv]
@@ -149,7 +165,7 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 		d.Launch("balance/recon-init", len(batch), func(tid int) int64 {
 			ri := batch[tid]
 			ins := inputs[ri]
-			items := itemPool.Get(len(ins))
+			items := itemStore[itemOff[ri]:itemOff[ri+1]:itemOff[ri+1]]
 			for j, f := range ins {
 				m := newItem[f.Var()]
 				items[j] = item{delay: m.delay, lit: m.lit.NotCond(f.IsCompl())}
@@ -157,16 +173,11 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 			reduced, single, collapsed := normalizeInputs(items)
 			if collapsed {
 				newItem[roots[ri]] = single
-				heaps[ri] = nil
-				itemPool.Put(items)
 				return int64(len(ins))
 			}
-			// reduced aliases items' backing array; the heap owns it until the
-			// batch publishes, when it is returned to the pool.
-			h := &heapStore[ri]
-			h.s = reduced
+			h := itemHeap{s: reduced} // a prefix of the window
 			h.heapify()
-			heaps[ri] = h
+			heapLen[ri] = int32(h.len())
 			return int64(len(ins))
 		})
 		// Insertion passes: one new node per subtree per pass (Figure 6b-c)
@@ -174,7 +185,7 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 		for {
 			active := 0
 			for _, ri := range batch {
-				if heaps[ri] != nil && heaps[ri].len() > 1 {
+				if heapLen[ri] > 1 {
 					active++
 				}
 			}
@@ -183,10 +194,10 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 			}
 			d.Launch("balance/insert-pass", len(batch), func(tid int) int64 {
 				ri := batch[tid]
-				h := heaps[ri]
-				if h == nil || h.len() < 2 {
+				if heapLen[ri] < 2 {
 					return 1
 				}
+				h := itemHeap{s: itemStore[itemOff[ri] : itemOff[ri]+heapLen[ri] : itemOff[ri+1]]}
 				x := h.pop()
 				y := h.pop()
 				res := combineStep(x, y, func(f0, f1 aig.Lit) aig.Lit {
@@ -197,17 +208,14 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 					return lit
 				})
 				h.push(res)
+				heapLen[ri] = int32(h.len())
 				return 4
 			})
 		}
-		// Publish batch results and recycle the item backing arrays.
+		// Publish batch results.
 		d.Launch1("balance/publish", len(batch), func(tid int) {
-			ri := batch[tid]
-			if heaps[ri] != nil {
-				newItem[roots[ri]] = heaps[ri].pop()
-				itemPool.Put(heaps[ri].s)
-				heaps[ri].s = nil
-				heaps[ri] = nil
+			if ri := batch[tid]; heapLen[ri] == 1 {
+				newItem[roots[ri]] = itemStore[itemOff[ri]]
 			}
 		})
 	}
@@ -215,10 +223,6 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 	for _, p := range a.POs() {
 		m := newItem[p.Var()]
 		out.AddPO(m.lit.NotCond(p.IsCompl()))
-	}
-	for i := range inputs {
-		litPool.Put(inputs[i])
-		inputs[i] = nil
 	}
 	final, _ := out.Compact()
 	st.NodesAfter = final.NumAnds()

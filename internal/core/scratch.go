@@ -9,8 +9,8 @@ const virtualLit = aig.Lit(0xFFFFFFFE)
 // membership, dry-run costing, and program building. Its methods reuse
 // traversal-stamped arrays, so the per-node evaluation loops of rewriting,
 // refactoring and resubstitution allocate nothing in steady state. A
-// scratch value is not safe for concurrent use; parallel kernels draw one
-// per worker from a sync.Pool.
+// scratch value is not safe for concurrent use; a parallel kernel holds one
+// per worker slot of its launch (gpu.Device.LaunchSlots).
 //
 // The marking protocol: each MffcMembers call claims a fresh traversal base
 // b (trav advances by 4, so bases never collide with earlier cones or with

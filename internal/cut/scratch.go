@@ -12,7 +12,8 @@ import (
 // per-leaf-count arena instead of truth.New. Tables returned by ConeTruth and
 // KeyedTruth, and the walk ConeKey records, are owned by the scratch and
 // valid only until its next call. A Scratch is not safe for concurrent use;
-// parallel kernels draw one per worker from a sync.Pool.
+// a parallel kernel holds one per worker slot of its launch
+// (gpu.Device.LaunchSlots).
 type Scratch struct {
 	stamp []int32 // node id -> trav when the node has a value this cone
 	trav  int32

@@ -133,7 +133,7 @@ func (d *Device) FaultsArmed() int {
 // applyFault checks the installed plans against a launch about to run and,
 // when one fires, wraps the kernel accordingly. Called on the orchestration
 // goroutine only.
-func (d *Device) applyFault(name string, n int, kernel func(tid int) int64) func(tid int) int64 {
+func (d *Device) applyFault(name string, n int, kernel func(slot, tid int) int64) func(slot, tid int) int64 {
 	for i := range d.faults {
 		p := &d.faults[i]
 		if p.Kind == 0 || !strings.Contains(name, p.Kernel) {
@@ -154,33 +154,33 @@ func (d *Device) applyFault(name string, n int, kernel func(tid int) int64) func
 		switch p.Kind {
 		case FaultPanic:
 			val := p.Panic
-			return func(tid int) int64 {
+			return func(slot, tid int) int64 {
 				if tid == 0 {
 					if val != nil {
 						panic(val)
 					}
 					panic(fmt.Errorf("%w: kernel %q", ErrInjectedFault, name))
 				}
-				return inner(tid)
+				return inner(slot, tid)
 			}
 		case FaultStall:
 			stall := p.Stall
 			if stall <= 0 {
 				stall = 250 * time.Millisecond
 			}
-			return func(tid int) int64 {
+			return func(slot, tid int) int64 {
 				if tid == 0 {
 					time.Sleep(stall)
 				}
-				return inner(tid)
+				return inner(slot, tid)
 			}
 		case FaultCorrupt:
 			last := n - 1
-			return func(tid int) int64 {
+			return func(slot, tid int) int64 {
 				if tid == last {
 					return 1 // the thread's writes are lost
 				}
-				return inner(tid)
+				return inner(slot, tid)
 			}
 		}
 	}

@@ -212,10 +212,19 @@ func (d *Device) AddOverhead(name string, ops int64) {
 	d.account(name, 0, 0, ops, ops, dur, dur, 0)
 }
 
-// Launch runs n logical threads of kernel and blocks until all complete (a
-// kernel launch followed by a device barrier). The kernel receives the
-// thread id in [0,n) and returns its elementary operation count, which feeds
-// the cost model; return 1 when per-thread accounting is not meaningful.
+// LaunchSlots runs n logical threads of kernel and blocks until all complete
+// (a kernel launch followed by a device barrier). It is the device's one
+// launch primitive; Launch, Launch1 and TryLaunch are adapters over it.
+//
+// The kernel receives its worker slot and the thread id in [0,n), and returns
+// the thread's elementary operation count, which feeds the cost model; return
+// 1 when per-thread accounting is not meaningful. The slot is in [0, bodies)
+// where bodies <= Workers() is the number of worker bodies this launch runs
+// (the single-worker fast path runs every thread in slot 0). One goroutine
+// runs all threads of a slot, one after another, so a kernel may keep
+// per-slot working memory in a slice indexed by slot without locking — the
+// thread-local memory of a GPU kernel, sized once per launch instead of
+// borrowed per thread.
 //
 // Threads must not communicate except through the data-race-free structures
 // provided by this repository (disjoint output slots, the concurrent hash
@@ -223,19 +232,38 @@ func (d *Device) AddOverhead(name string, ops int64) {
 //
 // A panicking kernel thread does not kill the process outright: the panic is
 // recovered on its worker goroutine, the rest of the launch is cancelled,
-// and Launch re-panics with a typed *LaunchError on the orchestration
+// and LaunchSlots re-panics with a typed *LaunchError on the orchestration
 // goroutine so a guarded caller (see package flow) can contain the failure.
 // Use TryLaunch to receive the error as a return value instead.
-func (d *Device) Launch(name string, n int, kernel func(tid int) int64) {
-	if err := d.TryLaunch(name, n, kernel); err != nil {
+func (d *Device) LaunchSlots(name string, n int, kernel func(slot, tid int) int64) {
+	if err := d.launch(name, n, kernel); err != nil {
 		panic(err)
 	}
 }
 
+// Launch is LaunchSlots for a kernel that does not need its worker slot.
+func (d *Device) Launch(name string, n int, kernel func(tid int) int64) {
+	d.LaunchSlots(name, n, func(_, tid int) int64 { return kernel(tid) })
+}
+
+// Launch1 is Launch with unit per-thread cost.
+func (d *Device) Launch1(name string, n int, kernel func(tid int)) {
+	d.LaunchSlots(name, n, func(_, tid int) int64 {
+		kernel(tid)
+		return 1
+	})
+}
+
 // TryLaunch is Launch returning a *LaunchError (as error) instead of
-// panicking when a kernel thread panics. Partial work executed before the
-// abort is still accounted to the profile.
+// panicking when a kernel thread panics, or a *CancelledError when the bound
+// context is done. Partial work executed before the abort is still accounted
+// to the profile.
 func (d *Device) TryLaunch(name string, n int, kernel func(tid int) int64) error {
+	return d.launch(name, n, func(_, tid int) int64 { return kernel(tid) })
+}
+
+// launch is the launch primitive behind every exported form.
+func (d *Device) launch(name string, n int, kernel func(slot, tid int) int64) error {
 	if n < 0 {
 		panic("gpu: negative thread count")
 	}
@@ -255,7 +283,7 @@ func (d *Device) TryLaunch(name string, n int, kernel func(tid int) int64) error
 			// Leased devices skip it so their work always runs on (and is
 			// bounded by) the shared pool.
 			for tid := 0; tid < n; tid++ {
-				ops, err := runThread(name, tid, kernel)
+				ops, err := runThread(name, 0, tid, kernel)
 				if err != nil {
 					lerr = err
 					break
@@ -283,13 +311,13 @@ func (d *Device) TryLaunch(name string, n int, kernel func(tid int) int64) error
 
 // runThread executes one logical thread, converting a kernel panic into a
 // *LaunchError with the thread's stack.
-func runThread(name string, tid int, kernel func(tid int) int64) (ops int64, lerr *LaunchError) {
+func runThread(name string, slot, tid int, kernel func(slot, tid int) int64) (ops int64, lerr *LaunchError) {
 	defer func() {
 		if r := recover(); r != nil {
 			lerr = &LaunchError{Kernel: name, Tid: tid, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return kernel(tid), nil
+	return kernel(slot, tid), nil
 }
 
 // launchChunk is the number of consecutive threads a launch hands a worker at
@@ -305,83 +333,87 @@ func (d *Device) beat() {
 	}
 }
 
-func (d *Device) launchParallel(name string, n int, kernel func(tid int) int64) (work, maxOps int64, lerr *LaunchError) {
-	var next int64
-	var totalWork, globalMax int64
-	var stop int32          // set when a thread panics; cancels remaining threads
-	var firstErr sync.Mutex // guards lerr (failure path only)
+// parallelLaunch is the state the worker bodies of one launch share, in one
+// allocation per launch.
+type parallelLaunch struct {
+	d      *Device
+	name   string
+	n      int64
+	kernel func(slot, tid int) int64
+	next   atomic.Int64 // next unclaimed thread id
+	work   atomic.Int64
+	maxOps atomic.Int64
+	stop   atomic.Bool // set when a thread panics; cancels remaining threads
+	mu     sync.Mutex  // guards lerr (failure path only)
+	lerr   *LaunchError
+	wg     sync.WaitGroup
+}
+
+func (d *Device) launchParallel(name string, n int, kernel func(slot, tid int) int64) (work, maxOps int64, lerr *LaunchError) {
 	workers := d.workers
 	if w := (n + launchChunk - 1) / launchChunk; w < workers {
 		workers = w
 	}
-	body := func() {
-		var localWork, localMax int64
-		for atomic.LoadInt32(&stop) == 0 {
-			base := atomic.AddInt64(&next, launchChunk) - launchChunk
-			if base >= int64(n) {
-				break
-			}
-			end := base + launchChunk
-			if end > int64(n) {
-				end = int64(n)
-			}
-			for tid := base; tid < end; tid++ {
-				ops, err := runThread(name, int(tid), kernel)
-				if err != nil {
-					atomic.StoreInt32(&stop, 1)
-					firstErr.Lock()
-					if lerr == nil {
-						lerr = err
-					}
-					firstErr.Unlock()
-					break
-				}
-				localWork += ops
-				if ops > localMax {
-					localMax = ops
-				}
-			}
-			if atomic.LoadInt32(&stop) != 0 {
-				break
-			}
-			d.beat()
-		}
-		atomic.AddInt64(&totalWork, localWork)
-		for {
-			cur := atomic.LoadInt64(&globalMax)
-			if localMax <= cur || atomic.CompareAndSwapInt64(&globalMax, cur, localMax) {
-				break
-			}
-		}
-	}
+	l := &parallelLaunch{d: d, name: name, n: int64(n), kernel: kernel}
 	if d.exec != nil {
 		// Leased device: the worker bodies run on the shared pool, which
 		// bounds host concurrency across all devices leased from it.
 		tasks := make([]func(), workers)
 		for i := range tasks {
-			tasks[i] = body
+			tasks[i] = func() { l.body(i) }
 		}
 		d.exec.Execute(tasks)
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
+		l.wg.Add(workers)
 		for w := 0; w < workers; w++ {
 			go func() {
-				defer wg.Done()
-				body()
+				defer l.wg.Done()
+				l.body(w)
 			}()
 		}
-		wg.Wait()
+		l.wg.Wait()
 	}
-	return totalWork, globalMax, lerr
+	return l.work.Load(), l.maxOps.Load(), l.lerr
 }
 
-// Launch1 is Launch with unit per-thread cost.
-func (d *Device) Launch1(name string, n int, kernel func(tid int)) {
-	d.Launch(name, n, func(tid int) int64 {
-		kernel(tid)
-		return 1
-	})
+// body is the worker body of slot: it claims chunks of consecutive threads
+// until none is left or a thread has panicked.
+func (l *parallelLaunch) body(slot int) {
+	var localWork, localMax int64
+	for !l.stop.Load() {
+		base := l.next.Add(launchChunk) - launchChunk
+		if base >= l.n {
+			break
+		}
+		end := min(base+launchChunk, l.n)
+		for tid := base; tid < end; tid++ {
+			ops, err := runThread(l.name, slot, int(tid), l.kernel)
+			if err != nil {
+				l.stop.Store(true)
+				l.mu.Lock()
+				if l.lerr == nil {
+					l.lerr = err
+				}
+				l.mu.Unlock()
+				break
+			}
+			localWork += ops
+			if ops > localMax {
+				localMax = ops
+			}
+		}
+		if l.stop.Load() {
+			break
+		}
+		l.d.beat()
+	}
+	l.work.Add(localWork)
+	for {
+		cur := l.maxOps.Load()
+		if localMax <= cur || l.maxOps.CompareAndSwap(cur, localMax) {
+			break
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -151,14 +151,16 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	// zero-gain cones are accepted.
 	progs := make([]core.Program, len(cones))
 	accept := make([]bool, len(cones))
-	d.Launch("refactor/resynth", len(cones), func(tid int) int64 {
+	slots := make([]*scratch, d.Workers()) // one per worker slot for the launch
+	for i := range slots {
+		slots[i] = scratchPool.Get().(*scratch)
+	}
+	d.LaunchSlots("refactor/resynth", len(cones), func(slot, tid int) int64 {
 		cone := cones[tid]
 		if len(cone.Nodes) < 2 {
 			return 1 // nothing to gain from a single-node cone
 		}
-		s := scratchPool.Get().(*scratch)
-		prog, ops := resynthesize(a, aig.MakeLit(cone.Root, false), cone.Leaves, opts.Cache, s)
-		scratchPool.Put(s)
+		prog, ops := resynthesize(a, aig.MakeLit(cone.Root, false), cone.Leaves, opts.Cache, slots[slot])
 		gain := len(cone.Nodes) - prog.NumAnds()
 		if gain >= 0 {
 			progs[tid] = prog
@@ -166,6 +168,9 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 		}
 		return ops
 	})
+	for _, s := range slots {
+		scratchPool.Put(s)
+	}
 
 	// Stage 3: parallel replacement (Section III-B b, Figures 1c-1f).
 	var reps []core.Replacement

@@ -18,8 +18,6 @@
 package resub
 
 import (
-	"sync"
-
 	"aigre/internal/aig"
 	"aigre/internal/core"
 	"aigre/internal/cut"
@@ -371,20 +369,21 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 		work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
 		cands := make([]candidate, len(nodes))
 		oks := make([]bool, len(nodes))
-		// One scratch per worker; the cut computer is bound to work, so the pool
-		// lives as long as this pass.
-		pool := sync.Pool{New: func() any { return &scratch{rc: cut.NewReconv(work)} }}
-		d.Launch("resub/evaluate", len(nodes), func(tid int) int64 {
-			s := pool.Get().(*scratch)
-			cand, ok, ops := evaluateNode(work, s, work.Fanouts, nodes[tid])
-			pool.Put(s)
+		// One scratch per worker slot; the cut computer is bound to work, so
+		// the scratches live for this pass, and slot 0's serves the host step.
+		slots := make([]*scratch, d.Workers())
+		for i := range slots {
+			slots[i] = &scratch{rc: cut.NewReconv(work)}
+		}
+		d.LaunchSlots("resub/evaluate", len(nodes), func(slot, tid int) int64 {
+			cand, ok, ops := evaluateNode(work, slots[slot], work.Fanouts, nodes[tid])
 			cands[tid] = cand
 			oks[tid] = ok
 			return ops
 		})
 		st.NodesConsidered = len(nodes)
 
-		s := pool.Get().(*scratch)
+		s := slots[0]
 		var seqOps int64
 		for i, id := range nodes {
 			seqOps++

@@ -135,7 +135,7 @@ func TestEnumLocalCutsMatchesReference(t *testing.T) {
 				}
 				cuts += len(want)
 				if cand, ok, _ := evaluateNode(work, id, opts, s); ok {
-					applyCandidate(work, id, cand, opts, false, s)
+					applyCandidate(work, id, &cand, opts, false, s)
 				}
 			}
 			if cuts == 0 {

@@ -135,7 +135,7 @@ func BenchmarkEvaluateNode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cand, _, _ := evaluateNode(work, nodes[i%len(nodes)], opts, s)
-		sinkGain += cand.gain
+		sinkGain += int(cand.gain)
 	}
 }
 

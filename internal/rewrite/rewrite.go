@@ -41,8 +41,8 @@ type Stats struct {
 
 // evalScratch bundles the reusable working memory of one evaluation worker:
 // cut enumeration storage, cone-truth stamps, and MFFC/dry-run stamps.
-// In steady state a node evaluation allocates only the winning candidate's
-// leaf copy.
+// In steady state a node evaluation allocates nothing. The parallel kernel
+// holds one per worker slot for the whole launch.
 type evalScratch struct {
 	cs cut.Scratch
 	es core.EvalScratch
@@ -55,9 +55,9 @@ type evalScratch struct {
 	npnHits, npnMisses int64
 }
 
-// flushNpn adds the pending NPN outcomes to c's counters. Workers call it
-// once per node (parallel kernel) or once per pass (sequential) instead of
-// once per cut, so the counters' cache line stays out of the cut loop; a
+// flushNpn adds the pending NPN outcomes to c's counters. The host calls it
+// once per slot after the evaluation launch, and the sequential engine once
+// per pass, so no evaluation thread writes the shared counters at all; a
 // scratch goes back to the pool flushed.
 func (s *evalScratch) flushNpn(c *rcache.Cache) {
 	c.AddNpn(s.npnHits, s.npnMisses)
@@ -150,14 +150,22 @@ func enumLocalCuts(a *aig.AIG, n int32, maxCuts int, s *evalScratch) []leafSet {
 	return s.cuts
 }
 
-// candidate is the best rewriting found for a node.
+// candidate is the best rewriting found for a node. It holds no pointer:
+// the program is looked up again by canon when the candidate is applied, so
+// the kernel's per-node candidate array is plain memory the collector skips.
 type candidate struct {
-	leaves []int32
-	tt     uint16 // cut function (padded to 4 vars), for revalidation
-	prog   core.Program
+	leaves leafSet
 	mapped [4]aig.Lit
+	tt     uint16 // cut function (padded to 4 vars), for revalidation
+	canon  uint16 // its NPN class: DefaultLibrary key of the program
 	outNeg bool
-	gain   int
+	gain   int32
+}
+
+// prog returns the candidate's program with the output complement folded in.
+func (c *candidate) prog() core.Program {
+	p, _ := DefaultLibrary.Best(c.canon)
+	return progWithOutput(p, c.outNeg)
 }
 
 // evaluateNode finds the best library-based rewriting of node n on the
@@ -165,7 +173,6 @@ type candidate struct {
 // cut yields acceptable gain.
 func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate, bool, int64) {
 	var best candidate
-	var bestLeaves []int32
 	found := false
 	cuts := enumLocalCuts(a, n, maxCutsPerNode, s)
 	// Cut enumeration explores roughly a handful of expansions per kept cut.
@@ -187,17 +194,17 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 		prog, _ := DefaultLibrary.Best(canon)
 		mapped, outNeg := mapLeaves(leaves, tr)
 		members := s.es.MffcMembers(a, n, leaves)
-		gain := len(members) - s.es.DryRunCost(a, progWithOutput(prog, outNeg), mapped[:])
+		gain := int32(len(members) - s.es.DryRunCost(a, progWithOutput(prog, outNeg), mapped[:]))
 		ops += int64(2*len(prog.Ops) + len(members))
 		if !found || gain > best.gain {
 			best = candidate{
-				tt:     padded,
-				prog:   progWithOutput(prog, outNeg),
+				leaves: cuts[i],
 				mapped: mapped,
+				tt:     padded,
+				canon:  canon,
 				outNeg: outNeg,
 				gain:   gain,
 			}
-			bestLeaves = leaves
 			found = true
 		}
 	}
@@ -207,9 +214,6 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 	if best.gain < 0 || (best.gain == 0 && !opts.ZeroGain) {
 		return candidate{}, false, ops
 	}
-	// The winning cut escapes the scratch (candidates outlive the evaluation
-	// kernel); copy it once here instead of copying every enumerated cut.
-	best.leaves = append([]int32(nil), bestLeaves...)
 	return best, true, ops
 }
 
@@ -246,30 +250,32 @@ func pad16(w uint16, k int) uint16 {
 
 // applyCandidate validates cand against the current graph and applies it in
 // place. Returns whether the node was rewritten.
-func applyCandidate(work *aig.AIG, n int32, cand candidate, opts Options, revalidate bool, s *evalScratch) bool {
+func applyCandidate(work *aig.AIG, n int32, cand *candidate, opts Options, revalidate bool, s *evalScratch) bool {
 	if work.IsDeleted(n) {
 		return false
 	}
-	for _, l := range cand.leaves {
+	leaves := cand.leaves.leaves()
+	for _, l := range leaves {
 		if work.IsDeleted(l) {
 			return false
 		}
 	}
+	prog := cand.prog()
 	if revalidate {
 		// The graph may have changed since evaluation: check the cut still
 		// bounds the cone and computes the same function, and recompute the
 		// gain (the on-the-fly re-evaluation of [9]).
-		tt16, ok := s.cs.ConeTruth16(work, aig.MakeLit(n, false), cand.leaves)
-		if !ok || pad16(tt16, len(cand.leaves)) != cand.tt {
+		tt16, ok := s.cs.ConeTruth16(work, aig.MakeLit(n, false), leaves)
+		if !ok || pad16(tt16, len(leaves)) != cand.tt {
 			return false
 		}
-		members := s.es.MffcMembers(work, n, cand.leaves)
-		gain := len(members) - s.es.DryRunCost(work, cand.prog, cand.mapped[:])
+		members := s.es.MffcMembers(work, n, leaves)
+		gain := len(members) - s.es.DryRunCost(work, prog, cand.mapped[:])
 		if gain < 0 || (gain == 0 && !opts.ZeroGain) {
 			return false
 		}
 	}
-	newRoot, ok := s.es.BuildProgramAvoiding(work, cand.prog, cand.mapped[:], n)
+	newRoot, ok := s.es.BuildProgramAvoiding(work, prog, cand.mapped[:], n)
 	if !ok || newRoot.Var() == n {
 		return false
 	}
@@ -287,7 +293,7 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 		return func(id int32) {
 			st.NodesConsidered++
 			cand, ok, _ := evaluateNode(work, id, opts, s)
-			if ok && applyCandidate(work, id, cand, opts, false, s) {
+			if ok && applyCandidate(work, id, &cand, opts, false, s) {
 				st.NodesRewritten++
 			}
 		}
@@ -312,20 +318,27 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 		work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
 		cands := make([]candidate, len(nodes))
 		oks := make([]bool, len(nodes))
-		d.Launch("rewrite/evaluate", len(nodes), func(tid int) int64 {
-			s := scratchPool.Get().(*evalScratch)
-			cand, ok, ops := evaluateNode(work, nodes[tid], opts, s)
-			s.flushNpn(opts.Cache)
-			scratchPool.Put(s)
+		// One scratch per worker slot, taken from the pool once per launch.
+		slots := make([]*evalScratch, d.Workers())
+		for i := range slots {
+			slots[i] = scratchPool.Get().(*evalScratch)
+		}
+		d.LaunchSlots("rewrite/evaluate", len(nodes), func(slot, tid int) int64 {
+			cand, ok, ops := evaluateNode(work, nodes[tid], opts, slots[slot])
 			cands[tid] = cand
 			oks[tid] = ok
 			return ops
 		})
+		for _, s := range slots[1:] {
+			s.flushNpn(opts.Cache)
+			scratchPool.Put(s)
+		}
 		st.NodesConsidered = len(nodes)
 
 		// Sequential replacement with re-evaluation (the data-race-avoiding
-		// step of [9]); accounted as host-sequential time.
-		s := scratchPool.Get().(*evalScratch)
+		// step of [9]), on slot 0's scratch; accounted as host-sequential time.
+		s := slots[0]
+		s.flushNpn(opts.Cache)
 		defer scratchPool.Put(s)
 		var seqOps int64
 		for i, id := range nodes {
@@ -335,10 +348,11 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 			}
 			// Re-evaluation (cone truth, MFFC, dry run) plus the replacement
 			// itself are host-sequential work in [9].
-			seqOps += int64(40 + 3*len(cands[i].prog.Ops))
-			if applyCandidate(work, id, cands[i], opts, true, s) {
+			nops := int64(len(cands[i].prog().Ops))
+			seqOps += 40 + 3*nops
+			if applyCandidate(work, id, &cands[i], opts, true, s) {
 				st.NodesRewritten++
-				seqOps += int64(2*len(cands[i].prog.Ops) + 16)
+				seqOps += 2*nops + 16
 			}
 		}
 		d.AddOverhead("rewrite/seq-replace", seqOps)

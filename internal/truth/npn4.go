@@ -4,6 +4,8 @@ package truth
 // tables. Rewriting classifies every 4-feasible cut function into one of the
 // 222 NPN classes so that one optimized subgraph per class can be reused.
 
+import "math/bits"
+
 // Npn4Transform describes how a function was mapped to its canonical
 // representative: apply the permutation, complement the inputs in InputNeg,
 // and complement the output if OutputNeg. Perm[i] gives, for canonical
@@ -50,7 +52,19 @@ func init() {
 		}
 	}
 	rec(nil, []uint8{0, 1, 2, 3})
+	for p, perm := range perms4 {
+		for b := 0; b < 256; b++ {
+			npn4PermTab[p][0][b] = npn4Permute(uint16(b), perm)
+			npn4PermTab[p][1][b] = npn4Permute(uint16(b)<<8, perm)
+		}
+	}
 }
+
+// npn4PermTab[p][h][b] is permutation p applied to the table whose byte h is
+// b and whose other byte is zero. A permutation moves each minterm to exactly
+// one place, so it distributes over OR: permuting tt is one lookup per byte
+// (24 KB for all 24 permutations, instead of 64 bit moves per transform).
+var npn4PermTab [Npn4NumPerms][2][256]uint16
 
 // npn4FlipVar complements variable v of a 16-bit truth table.
 func npn4FlipVar(tt uint16, v int) uint16 {
@@ -88,32 +102,31 @@ func npn4Permute(tt uint16, perm [4]uint8) uint16 {
 
 // Npn4Canon returns the canonical NPN representative of tt (the numerically
 // smallest table over all 768 NPN transforms) and the transform that maps
-// the original function onto the canonical one.
+// the original function onto the canonical one. Transforms are tried
+// permutation-major, then input negation, then output negation, and the first
+// smallest table wins, so the transform returned for a tie is always the same.
 func Npn4Canon(tt uint16) (uint16, Npn4Transform) {
+	// The 16 input-negated tables, each one flip from a smaller mask.
+	var negated [16]uint16
+	negated[0] = tt
+	for neg := 1; neg < 16; neg++ {
+		negated[neg] = npn4FlipVar(negated[neg&(neg-1)], bits.TrailingZeros(uint(neg)))
+	}
 	best := uint16(0xFFFF)
-	var bestTr Npn4Transform
+	bestPerm, bestNeg, bestOneg := 0, 0, false
 	first := true
-	for _, perm := range perms4 {
-		for neg := 0; neg < 16; neg++ {
-			cur := tt
-			for v := 0; v < 4; v++ {
-				if neg>>uint(v)&1 != 0 {
-					cur = npn4FlipVar(cur, v)
-				}
+	for p := range npn4PermTab {
+		tab := &npn4PermTab[p]
+		for neg, f := range negated {
+			cur := tab[0][uint8(f)] | tab[1][f>>8]
+			if first || cur < best {
+				best, bestPerm, bestNeg, bestOneg = cur, p, neg, false
+				first = false
 			}
-			cur = npn4Permute(cur, perm)
-			for _, oneg := range [2]bool{false, true} {
-				cand := cur
-				if oneg {
-					cand = ^cur
-				}
-				if first || cand < best {
-					best = cand
-					bestTr = Npn4Transform{Perm: perm, InputNeg: uint8(neg), OutputNeg: oneg}
-					first = false
-				}
+			if ^cur < best {
+				best, bestPerm, bestNeg, bestOneg = ^cur, p, neg, true
 			}
 		}
 	}
-	return best, bestTr
+	return best, Npn4Transform{Perm: perms4[bestPerm], InputNeg: uint8(bestNeg), OutputNeg: bestOneg}
 }

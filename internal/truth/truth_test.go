@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"aigre/internal/alloctest"
 )
 
 func randomTT(rng *rand.Rand, n int) TT {
@@ -256,6 +258,55 @@ func TestNpn4ApplyMatchesCanon(t *testing.T) {
 		canon, tr := Npn4Canon(tt)
 		if got := npn4Apply(tt, tr); got != canon {
 			t.Fatalf("npn4Apply = %04x, want %04x", got, canon)
+		}
+	}
+}
+
+// npn4CanonLoop is the direct enumeration Npn4Canon replaces: every one of
+// the 768 transforms applied bit by bit, in the same order. It is the oracle
+// of TestNpn4CanonMatchesLoop.
+func npn4CanonLoop(tt uint16) (uint16, Npn4Transform) {
+	best := uint16(0xFFFF)
+	var bestTr Npn4Transform
+	first := true
+	for _, perm := range perms4 {
+		for neg := 0; neg < 16; neg++ {
+			cur := tt
+			for v := 0; v < 4; v++ {
+				if neg>>uint(v)&1 != 0 {
+					cur = npn4FlipVar(cur, v)
+				}
+			}
+			cur = npn4Permute(cur, perm)
+			for _, oneg := range [2]bool{false, true} {
+				cand := cur
+				if oneg {
+					cand = ^cur
+				}
+				if first || cand < best {
+					best = cand
+					bestTr = Npn4Transform{Perm: perm, InputNeg: uint8(neg), OutputNeg: oneg}
+					first = false
+				}
+			}
+		}
+	}
+	return best, bestTr
+}
+
+// TestNpn4CanonMatchesLoop checks the table-driven canonization against the
+// direct enumeration on all 65,536 functions: the same canonical table and,
+// because ties must break the same way, the same transform.
+func TestNpn4CanonMatchesLoop(t *testing.T) {
+	step := 1
+	if alloctest.RaceEnabled || testing.Short() {
+		step = 61 // the oracle is slow; a coprime stride still visits every class
+	}
+	for f := 0; f < 1<<16; f += step {
+		canon, tr := Npn4Canon(uint16(f))
+		wantCanon, wantTr := npn4CanonLoop(uint16(f))
+		if canon != wantCanon || tr != wantTr {
+			t.Fatalf("Npn4Canon(%04x) = %04x %+v, loop gives %04x %+v", f, canon, tr, wantCanon, wantTr)
 		}
 	}
 }

@@ -51,6 +51,22 @@ if [ "$builders" != "func buildCones func buildWindows " ] || [ "$modes" != "Off
     echo "check: internal/partition has builders \"$builders\" and modes \"$modes\": want buildCones, buildWindows and Off/Cones/Levels only" >&2
     exit 1
 fi
+# Kernel threads own their scratch by worker slot (gpu.Device.LaunchSlots): no
+# kernel closure of the four engines borrows from a pool per thread, and
+# balancing keeps its gather arenas per slot, without the slice pools.
+if grep -rn --include='*.go' '"aigre/internal/mempool"' internal/balance ||
+    awk '
+        FNR == 1 { inside = 0; depth = 0 }
+        /\.(Launch|LaunchSlots|Launch1|TryLaunch)\(/ && !inside { inside = 1; depth = 0 }
+        inside {
+            if ($0 ~ /[Pp]ool\.(Get|Put)\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            if (depth <= 0) inside = 0
+        }
+        END { exit !bad }' $(find internal/rewrite internal/refactor internal/resub internal/balance -name '*.go' ! -name '*_test.go'); then
+    echo "check: internal/balance imports mempool, or a kernel closure takes scratch from a pool per thread (see above); index per-slot scratch by the LaunchSlots slot instead" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
@@ -87,9 +103,10 @@ go test -race -count=1 -run 'TestChaosBatchSupervision' -chaos-seed="$CHAOS_SEED
 # daemon (v1 API e2e with SSE resume; crash-recovery and drain smokes that
 # re-exec the daemon) — so a cached pass never hides a flake.
 go test -race -count=1 ./internal/sched/ ./internal/journal/ ./internal/queue/ ./internal/bus/ ./internal/store/ ./client/ ./cmd/aigred/
-# Byte budgets of the gate, the AIGER streams and a daemon submission: they
-# skip themselves under -race, whose allocation padding makes them meaningless.
-go test -count=1 -run 'AllocBudget' ./internal/aig ./internal/cec ./internal/aiger ./cmd/aigred
+# Byte budgets of the gate, the AIGER streams, a daemon submission and the
+# parallel rw, rwz and balancing passes: they skip themselves under -race,
+# whose allocation padding makes them meaningless.
+go test -count=1 -run 'AllocBudget' ./internal/aig ./internal/cec ./internal/aiger ./internal/rewrite ./internal/balance ./cmd/aigred
 # Fuzz smoke: the AIGER parser must never panic on arbitrary input, the
 # width-halving ISOP must match the full-width oracle cube for cube, and
 # Simulate must match its reference on randomly edited networks.
