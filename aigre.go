@@ -116,9 +116,6 @@ type Options struct {
 	// random-simulation sampling to a full combinational equivalence check
 	// (the CLI -verify flag). Complete but potentially much slower.
 	Verify bool
-	// GateRounds is the number of 64-pattern sampling rounds of the default
-	// per-command equivalence gate in script runs (zero or negative = 4).
-	GateRounds int
 	// FaultPlans is a chaos-testing facility: each plan panics, corrupts or
 	// stalls the Nth kernel launch matching a name pattern (gpu.FaultPlan).
 	// The plans go into each attempt's device lease, fire-progress carried
@@ -290,13 +287,12 @@ func (n *Network) WriteFile(path string) error {
 // jobs lease theirs from the engine's pool.
 func (o Options) flowConfig() flow.Config {
 	cfg := flow.Config{
-		Parallel:   o.Parallel,
-		MaxCut:     o.MaxCut,
-		RfPasses:   o.Passes,
-		ZeroGain:   o.ZeroGain,
-		Verify:     o.Verify,
-		GateRounds: o.GateRounds,
-		Cache:      rcache.Default,
+		Parallel: o.Parallel,
+		MaxCut:   o.MaxCut,
+		RfPasses: o.Passes,
+		ZeroGain: o.ZeroGain,
+		Verify:   o.Verify,
+		Cache:    rcache.Default,
 	}
 	if o.Cache != nil {
 		cfg.Cache = o.Cache.c

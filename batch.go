@@ -47,8 +47,8 @@ type Batch struct {
 // classified retry with exponential backoff, watchdog preemption of stuck
 // jobs, and quarantine of jobs that exhaust their retry budget. The zero
 // Policy supervises nothing: one attempt per job, no deadline, no watchdog.
-// See sched.Policy for the fields; its Budget field is the engine's own
-// plumbing for partitioned jobs, not an option — leave it nil.
+// See sched.Policy for the fields. A partitioned job is supervised as one
+// unit: its attempt's deadline, watchdog and retries cover its partitions.
 type Policy = sched.Policy
 
 // JobEvent is one live supervision event, delivered via

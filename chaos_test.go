@@ -79,12 +79,8 @@ func TestChaosBatchSupervision(t *testing.T) {
 		Workers:     4,
 		JournalPath: jpath,
 		Policy: aigre.Policy{
-			Retries:       2,
-			RetryDegraded: true,
-			StuckTimeout:  120 * time.Millisecond,
-			Backoff:       time.Millisecond,
-			MaxBackoff:    8 * time.Millisecond,
-			Seed:          *chaosSeed,
+			Retries:      2,
+			StuckTimeout: 120 * time.Millisecond,
 		},
 	})
 	if err != nil {

@@ -79,6 +79,40 @@ func TestEventsParsesSSE(t *testing.T) {
 	}
 }
 
+// TestEventStreamCloseWithoutReading checks that Close returns when the
+// caller stopped receiving: the server writes more events than C buffers,
+// and the reader blocked on a full channel must still see the cancellation.
+func TestEventStreamCloseWithoutReading(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		for i := 1; i <= 64; i++ {
+			fmt.Fprintf(w, "id: e-%d\ndata: {\"id\":\"e-%d\",\"seq\":%d,\"job\":\"j-1\",\"type\":\"attempt\"}\n\n", i, i, i)
+		}
+		w.(http.Flusher).Flush()
+		<-r.Context().Done() // hold the stream open, as a live job's is
+	}))
+	defer ts.Close()
+
+	s, err := New(ts.URL).Events(context.Background(), "j-1", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-s.C // one event read, then the caller walks away
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close did not return within 3s of the caller's last receive")
+	}
+	if s.Err() != nil {
+		t.Errorf("Err after Close = %v, want nil", s.Err())
+	}
+}
+
 // TestWaitFallsBackToPolling checks that Wait still resolves when the events
 // endpoint is unavailable (an older daemon or an SSE-stripping proxy).
 func TestWaitFallsBackToPolling(t *testing.T) {

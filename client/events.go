@@ -91,7 +91,7 @@ func (c *Client) Events(ctx context.Context, id, lastID string) (*EventStream, e
 		defer close(s.done)
 		defer close(ch)
 		defer resp.Body.Close()
-		s.err = readSSE(resp.Body, ch)
+		s.err = readSSE(ctx, resp.Body, ch)
 		if ctx.Err() != nil {
 			s.err = nil // deliberate Close/cancel, not a transport failure
 		}
@@ -101,8 +101,9 @@ func (c *Client) Events(ctx context.Context, id, lastID string) (*EventStream, e
 
 // readSSE parses the text/event-stream wire format: "id:"/"event:"/"data:"
 // fields accumulated until a blank line dispatches the event. Only the data
-// payload is decoded — it carries the full Event as JSON.
-func readSSE(body interface{ Read([]byte) (int, error) }, ch chan<- Event) error {
+// payload is decoded — it carries the full Event as JSON. A cancelled ctx
+// ends it even while the caller has stopped receiving from ch.
+func readSSE(ctx context.Context, body interface{ Read([]byte) (int, error) }, ch chan<- Event) error {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	var data strings.Builder
@@ -113,7 +114,11 @@ func readSSE(body interface{ Read([]byte) (int, error) }, ch chan<- Event) error
 			if data.Len() > 0 {
 				var ev Event
 				if json.Unmarshal([]byte(data.String()), &ev) == nil {
-					ch <- ev
+					select {
+					case ch <- ev:
+					case <-ctx.Done():
+						return ctx.Err()
+					}
 				}
 				data.Reset()
 			}

@@ -74,7 +74,6 @@ func main() {
 		profJSON = flag.String("profile-json", "", "write the profile report as JSON to this file (\"-\" = stdout)")
 		partMode = flag.String("partition", "off", "partition-parallel optimization: off, cones, or levels")
 		partSize = flag.Int("partition-size", 0, "partition size target in AND nodes (0 = 100000)")
-		partRnds = flag.Int("partition-rounds", 0, "max seam-conflict rollback rounds before full rollback (0 = 2)")
 		verify   = flag.Bool("verify", false, "full per-command equivalence gate during script runs (default: sampling gate)")
 		inject   = flag.String("inject", "", "inject a deterministic fault: \"kernel-pattern:N:panic\", \"...:corrupt\", or \"...:stall\" (chaos testing, parallel mode)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
@@ -132,7 +131,7 @@ func main() {
 		Passes:    *passes,
 		ZeroGain:  *zeroGain,
 		Verify:    *verify,
-		Partition: aigre.PartitionOptions{Mode: pmode, TargetSize: *partSize, MaxConflictRounds: *partRnds},
+		Partition: aigre.PartitionOptions{Mode: pmode, TargetSize: *partSize},
 	}
 	bopts := aigre.BatchOptions{
 		Workers:           *workers,
@@ -142,10 +141,6 @@ func main() {
 			JobTimeout:   *jobTmo,
 			Retries:      *retries,
 			StuckTimeout: *stuckTmo,
-			// Degraded completions are worth a fresh attempt whenever a
-			// budget exists: the CLI's goal is the cleanest result the
-			// budget can buy.
-			RetryDegraded: *retries > 0,
 		},
 	}
 	if *batch != "" {

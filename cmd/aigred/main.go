@@ -101,13 +101,11 @@ func run(args []string) int {
 		verbose  = fs.Bool("v", false, "log every job transition")
 	)
 	weights := map[string]int{}
-	defWeight := 0
 	fs.Func("client-weight", "fair-share weight, name=N (repeatable; name '*' sets the default)",
-		clientFlag(weights, &defWeight, 1))
+		clientFlag(weights))
 	maxInfl := map[string]int{}
-	defMaxInfl := 0
 	fs.Func("client-max", "max concurrently leased jobs, name=N (repeatable; name '*' sets the default)",
-		clientFlag(maxInfl, &defMaxInfl, 1))
+		clientFlag(maxInfl))
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -126,10 +124,9 @@ func run(args []string) int {
 	bopts := aigre.BatchOptions{
 		Workers: *workers,
 		Policy: aigre.Policy{
-			JobTimeout:    *jobTmo,
-			Retries:       *retries,
-			StuckTimeout:  *stuckTmo,
-			RetryDegraded: *retries > 0,
+			JobTimeout:   *jobTmo,
+			Retries:      *retries,
+			StuckTimeout: *stuckTmo,
 		},
 	}
 	if *shCache {
@@ -144,12 +141,10 @@ func run(args []string) int {
 		parallel:  *parallel,
 		verbose:   *verbose,
 		queue: queue.Options{
-			MaxDepth:           *maxDepth,
-			Weights:            weights,
-			DefaultWeight:      defWeight,
-			MaxInflight:        maxInfl,
-			DefaultMaxInflight: defMaxInfl,
-			CompactBytes:       *compactB,
+			MaxDepth:     *maxDepth,
+			Weights:      weights,
+			MaxInflight:  maxInfl,
+			CompactBytes: *compactB,
 		},
 		batch: bopts,
 	})
@@ -200,22 +195,19 @@ func run(args []string) int {
 }
 
 // clientFlag parses one "name=N" occurrence of a repeatable per-client
-// flag into m, routing the '*' pseudo-client to *def. N must be >= min.
-func clientFlag(m map[string]int, def *int, min int) func(string) error {
+// flag into m; the '*' pseudo-client is the table's default entry. N must be
+// >= 1.
+func clientFlag(m map[string]int) func(string) error {
 	return func(v string) error {
 		name, nstr, ok := strings.Cut(v, "=")
 		if !ok || name == "" {
 			return fmt.Errorf("want name=N, got %q", v)
 		}
 		n, err := strconv.Atoi(nstr)
-		if err != nil || n < min {
-			return fmt.Errorf("bad value %q (want an integer >= %d)", nstr, min)
+		if err != nil || n < 1 {
+			return fmt.Errorf("bad value %q (want an integer >= 1)", nstr)
 		}
-		if name == "*" {
-			*def = n
-		} else {
-			m[name] = n
-		}
+		m[name] = n
 		return nil
 	}
 }

@@ -435,7 +435,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	client := req.Client
 	if client == "" {
-		client, _, _ = strings.Cut(r.RemoteAddr, ":")
+		// The peer's host, without the port: an IPv6 host is bracketed and
+		// full of colons, so only SplitHostPort cuts it right.
+		client = r.RemoteAddr
+		if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
+			client = host
+		}
 	}
 	if wait, ok := s.lim.allow(client, time.Now()); !ok {
 		writeErr(w, http.StatusTooManyRequests, codeRateLimited,

@@ -215,6 +215,38 @@ func TestSubmitRateLimited(t *testing.T) {
 	}
 }
 
+// TestSubmitClientKeyIsPeerHost checks how a submission that names no client
+// is keyed: by its peer's host without the port, so two IPv6 peers are two
+// clients (each with its own burst-1 bucket), while a second connection from
+// the same host shares the first one's bucket.
+func TestSubmitClientKeyIsPeerHost(t *testing.T) {
+	s, _ := testServer(t, serverConfig{rate: 0.0001, burst: 1})
+	body, err := json.Marshal(submitRequest{Script: "b", AIGER: aigerBytes(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := s.mux()
+	submitFrom := func(peer string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
+		req.RemoteAddr = peer
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, peer := range []string{"[2001:db8::1]:40000", "[2001:db8::2]:40000", "192.0.2.7:40000"} {
+		if rec := submitFrom(peer); rec.Code != http.StatusAccepted {
+			t.Errorf("first submit from %s: %d (%s), want 202", peer, rec.Code, rec.Body)
+		}
+	}
+	rec := submitFrom("[2001:db8::1]:40001")
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("second submit from host 2001:db8::1: %d, want 429", rec.Code)
+	}
+	if want := "rate limit exceeded for client 2001:db8::1"; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("429 body %s, want it to name the client (%q)", rec.Body, want)
+	}
+}
+
 // TestSubmitWhileDraining checks that a draining daemon refuses new work
 // with 503 but still answers queries.
 func TestSubmitWhileDraining(t *testing.T) {

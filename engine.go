@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"aigre/internal/flow"
 	"aigre/internal/journal"
@@ -23,7 +22,6 @@ type Engine struct {
 	eng  *sched.Engine
 	jour *journal.Journal
 
-	n            atomic.Int64 // jobs converted, offsets per-job retry-jitter seeds
 	sharedBefore CacheStats
 }
 
@@ -124,10 +122,9 @@ func (e *Engine) Metrics() BatchMetrics {
 
 // convert builds the sched job for b: engine options merged with the shared
 // cache and, for a partitioned job, a custom runner that fans the partitions
-// onto the engine's pool under a retry budget shared with the job's own
-// attempts. *prp receives the partition report before the job finishes.
+// onto the engine's pool within the job's supervised attempt. *prp receives
+// the partition report before the job finishes.
 func (e *Engine) convert(b Batch, prp **PartitionReport) sched.Job {
-	seq := e.n.Add(1) - 1
 	o := b.Options
 	if e.opts.SharedCache != nil {
 		o.Cache = e.opts.SharedCache
@@ -144,25 +141,8 @@ func (e *Engine) convert(b Batch, prp **PartitionReport) sched.Job {
 	if o.Partition.Mode == PartitionOff {
 		return sj
 	}
-	pol := e.opts.Policy
 	in, script := b.AIG.aig, b.Script
 	popts := partition.Options{Split: o.Partition, Workers: b.Workers, Flow: o.flowConfig(), Journal: e.jour}
-	if pol.Retries > 0 {
-		// One budget shared between the job's outer attempts and its
-		// per-partition jobs: however the faults land, the job's total
-		// retry allowance stays bounded at Policy.Retries.
-		budget := sched.NewRetryBudget(pol.Retries)
-		jobPol := pol
-		jobPol.Budget = budget
-		sj.Policy = &jobPol
-		popts.Supervise = sched.Policy{
-			Retries:    pol.Retries,
-			Budget:     budget,
-			Backoff:    pol.Backoff,
-			MaxBackoff: pol.MaxBackoff,
-			Seed:       pol.Seed + seq,
-		}
-	}
 	sj.Custom = func(ctx context.Context, pool *sched.Pool) (flow.Result, error) {
 		popts.Pool = pool
 		pres, err := partition.Run(ctx, in, script, popts)

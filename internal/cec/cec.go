@@ -13,31 +13,20 @@ import (
 	"aigre/internal/aig"
 )
 
-// Options controls the checking effort.
+// The checking effort: simulation rounds of the random-refutation stage, the
+// widest network simulated exhaustively (2^12 patterns), and the conflict
+// bound of each per-output SAT call (an Unknown result makes Check return
+// an error).
+const (
+	randomRounds      = 16
+	exhaustiveLimit   = 12
+	satConflictBudget = 200000
+)
+
+// Options controls a check.
 type Options struct {
-	// RandomRounds is the number of 64-pattern simulation rounds (default 16).
-	RandomRounds int
-	// ExhaustiveLimit is the maximum PI count for exhaustive simulation
-	// (default 12; 2^12 patterns).
-	ExhaustiveLimit int
-	// SATConflictBudget bounds each per-output SAT call (default 200000
-	// conflicts; Unknown results make Check return an error).
-	SATConflictBudget int64
 	// Seed for random simulation.
 	Seed int64
-}
-
-func (o Options) normalized() Options {
-	if o.RandomRounds == 0 {
-		o.RandomRounds = 16
-	}
-	if o.ExhaustiveLimit == 0 {
-		o.ExhaustiveLimit = 12
-	}
-	if o.SATConflictBudget == 0 {
-		o.SATConflictBudget = 200000
-	}
-	return o
 }
 
 // Result reports the outcome of an equivalence check.
@@ -55,7 +44,6 @@ type Result struct {
 
 // Check decides whether the two AIGs implement the same functions.
 func Check(a, b *aig.AIG, opts Options) (Result, error) {
-	opts = opts.normalized()
 	if a.NumPIs() != b.NumPIs() || a.NumPOs() != b.NumPOs() {
 		return Result{Equivalent: false, Method: "interface", FailingOutput: -1}, nil
 	}
@@ -72,11 +60,11 @@ func Check(a, b *aig.AIG, opts Options) (Result, error) {
 	}
 
 	// Stage 1: random simulation.
-	if res, refuted := randomRefute(a, b, opts); refuted {
+	if res, refuted := randomRefute(a, b, randomRounds, opts.Seed); refuted {
 		return res, nil
 	}
 	// Stage 2: exhaustive simulation for small PI counts.
-	if a.NumPIs() <= opts.ExhaustiveLimit {
+	if a.NumPIs() <= exhaustiveLimit {
 		return exhaustive(a, b)
 	}
 	// Stage 3: SAT miter with sweeping.
@@ -115,15 +103,14 @@ func SampleRefute(a, b *aig.AIG, rounds int, seed int64) (Result, bool) {
 	if rounds <= 0 {
 		rounds = 4
 	}
-	return randomRefute(a, b, Options{RandomRounds: rounds, Seed: seed})
+	return randomRefute(a, b, rounds, seed)
 }
 
-// randomRefute simulates both networks on the same random patterns and
-// extracts a counterexample on mismatch.
-func randomRefute(a, b *aig.AIG, opts Options) (Result, bool) {
-	rng := rand.New(rand.NewSource(opts.Seed + 0x5eed))
+// randomRefute simulates both networks on the same w words of random
+// patterns per PI and extracts a counterexample on mismatch.
+func randomRefute(a, b *aig.AIG, w int, seed int64) (Result, bool) {
+	rng := rand.New(rand.NewSource(seed + 0x5eed))
 	nPIs := a.NumPIs()
-	w := opts.RandomRounds
 	pats := make([]uint64, nPIs*w) // drawn PI by PI, one row of w words each
 	for j := range pats {
 		pats[j] = rng.Uint64()

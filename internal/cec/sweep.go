@@ -35,7 +35,7 @@ func satMiter(a, b *aig.AIG, opts Options) (Result, error) {
 			continue
 		}
 		// Residual miter on the swept network.
-		verdict, cex := sw.prove(la, lb, opts.SATConflictBudget)
+		verdict, cex := sw.prove(la, lb, satConflictBudget)
 		switch verdict {
 		case sat.Unsat:
 			continue

@@ -56,14 +56,14 @@ func TestSweepWidePIEquivalence(t *testing.T) {
 	}
 	d := gpu.New(1)
 	out, _ := refactor.Parallel(d, a, refactor.Options{})
-	res, err := cec.Check(a, out, cec.Options{ExhaustiveLimit: 8}) // force the SAT path
+	res, err := cec.Check(a, out, cec.Options{}) // 24 PIs: past exhaustive simulation, onto the SAT path
 	if err != nil || !res.Equivalent {
 		t.Fatalf("equivalent pair rejected: %+v %v", res, err)
 	}
 	// Inject a fault: complement one PO.
 	bad := out.Clone()
 	bad.SetPO(1, bad.PO(1).Not())
-	res, err = cec.Check(a, bad, cec.Options{ExhaustiveLimit: 8, RandomRounds: 1})
+	res, err = cec.Check(a, bad, cec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,10 @@ const (
 	CompressRS = "b; rs; rw; rs; rf; rs; b; rwz; rs; b"
 )
 
+// GateRounds is the number of 64-pattern random-simulation rounds of the
+// per-command sampling equivalence gate (EquivGate).
+const GateRounds = 4
+
 // Config selects the execution mode and engine options.
 type Config struct {
 	// Parallel selects the GPU-parallel algorithms; otherwise the
@@ -58,9 +62,6 @@ type Config struct {
 	// replacements, as rwz/rfz do. Parallel engines always accept zero gain
 	// (Section III-D), so it has no effect in parallel mode.
 	ZeroGain bool
-	// GateRounds is the number of 64-pattern random-simulation rounds used
-	// by the per-command equivalence gate (zero or negative = 4).
-	GateRounds int
 	// Verify upgrades the per-command equivalence gate from sampling to a
 	// full combinational equivalence check (exhaustive simulation or SAT via
 	// internal/cec). This is the CLI -verify flag; it is complete but can be
@@ -84,9 +85,6 @@ func (c Config) normalized() Config {
 	}
 	if c.RfPasses == 0 {
 		c.RfPasses = 1
-	}
-	if c.GateRounds <= 0 {
-		c.GateRounds = 4
 	}
 	if c.Cache == nil {
 		c.Cache = rcache.Default

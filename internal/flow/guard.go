@@ -107,7 +107,7 @@ func runGuarded(ctx context.Context, checkpoint *aig.AIG, cmd string, idx int, c
 		}
 		out, t, err := execute(ctx, checkpoint, cmd, c, passes, parallel, cfg)
 		if err == nil {
-			err = EquivGate(checkpoint, out, cfg.Verify, cfg.GateRounds, seed)
+			err = EquivGate(checkpoint, out, cfg.Verify, GateRounds, seed)
 		}
 		if err == nil {
 			// A failed attempt's wall time is part of this command's cost; its

@@ -70,7 +70,7 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Split says how to partition: the strategy and its two bounds (the public
+// Split says how to partition: the strategy and its size bound (the public
 // aigre.PartitionOptions is this type).
 type Split struct {
 	// Mode selects the partitioning strategy; Off (the zero value) runs the
@@ -79,11 +79,6 @@ type Split struct {
 	// TargetSize is the partition size bound in AND nodes (0 = 100000). A
 	// single output cone larger than the bound still becomes one partition.
 	TargetSize int
-	// MaxConflictRounds bounds the stitch/rollback loop: each round that the
-	// merged network fails the seam equivalence gate rolls back at least one
-	// refuted partition and re-stitches; past the bound every remaining
-	// optimized partition is rolled back at once (0 = 2).
-	MaxConflictRounds int
 }
 
 // Options configures a partition-parallel run: the split plus how the
@@ -102,12 +97,6 @@ type Options struct {
 	// device capacity from the pool. Flow.Cache is shared across every
 	// partition job (nil = rcache.Default).
 	Flow flow.Config
-	// Supervise is the supervision policy for the per-partition jobs
-	// (deadline, retry budget, watchdog). A partitioned batch job passes a
-	// policy whose Budget is shared with its own outer attempts, so
-	// per-partition retries draw down the job's allowance rather than
-	// multiplying it by the partition count.
-	Supervise sched.Policy
 	// Journal, when non-nil, receives the partition jobs' supervision
 	// events (and this layer's seam-gate rollback incidents go to the
 	// aggregated Result.Incidents regardless).
@@ -117,18 +106,18 @@ type Options struct {
 // gateSeed is the fixed base of every gate's sampling seed.
 const gateSeed = 1
 
+// maxConflictRounds bounds the stitch/rollback loop: each round that the
+// merged network fails the seam equivalence gate rolls back at least one
+// refuted partition and re-stitches; past the bound every remaining
+// optimized partition is rolled back at once.
+const maxConflictRounds = 2
+
 func (o Options) normalized() Options {
 	if o.TargetSize <= 0 {
 		o.TargetSize = 100_000
 	}
 	if o.TargetSize < 16 {
 		o.TargetSize = 16
-	}
-	if o.MaxConflictRounds <= 0 {
-		o.MaxConflictRounds = 2
-	}
-	if o.Flow.GateRounds <= 0 {
-		o.Flow.GateRounds = 4
 	}
 	if o.Flow.Cache == nil {
 		o.Flow.Cache = rcache.Default
@@ -257,9 +246,11 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Resu
 			Config:   opts.Flow,
 		}
 	}
+	// The partition jobs run unsupervised: the partitioned job's own attempt
+	// is the supervised unit, whose deadline, watchdog (the jobs' leases
+	// beat its heartbeat) and retries cover them.
 	results, _ := sched.RunSupervised(ctx, opts.Pool, jobs, sched.Options{
 		MaxConcurrentJobs: opts.Workers,
-		Policy:            opts.Supervise,
 		Journal:           opts.Journal,
 	})
 
@@ -293,7 +284,7 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Resu
 		// Local gate: the partition alone must already be equivalent to its
 		// pre-optimization cone before it is allowed near the seams.
 		seed := gateSeed + int64(i)*7919 + 101
-		if err := flow.EquivGate(pres[i], r.AIG, opts.Flow.Verify, opts.Flow.GateRounds, seed); err != nil {
+		if err := flow.EquivGate(pres[i], r.AIG, opts.Flow.Verify, flow.GateRounds, seed); err != nil {
 			chosen[i] = pres[i]
 			st.RolledBack = true
 			st.Note = err.Error()
@@ -319,6 +310,110 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Resu
 	}
 	res.NodesOut = res.AIG.NumAnds()
 	return res, nil
+}
+
+// rollbackIncident records a partition rollback as a classified incident, so
+// the supervision journal and batch reports see seam repairs the same way
+// they see contained kernel faults. Seam-gate rollbacks are transient — a
+// fresh attempt re-partitions and usually lands clean ("Parallel AIG
+// Refactoring via Conflict Breaking" treats conflicts as retryable) — while
+// a local equivalence refutation is permanent.
+func rollbackIncident(idx int, stage, class, detail string) flow.Incident {
+	return flow.Incident{
+		Index:   idx,
+		Command: "partition",
+		Stage:   stage,
+		Action:  "rolled-back",
+		Class:   class,
+		Detail:  detail,
+		Time:    time.Now(),
+	}
+}
+
+// resolve runs the stitch / seam-gate / rollback loop. Each round stitches
+// the currently chosen cones and gates the merged network against the base
+// with the guarded runner's gate (aig.Check plus sampling equivalence, or
+// full CEC under verify). On refutation it hunts the culprit with a deeper
+// per-partition gate under a fresh seed, rolls it back to its
+// pre-optimization cone, and re-stitches; past maxConflictRounds (or when no
+// culprit is found) every remaining optimized partition is rolled back at
+// once, which makes the loop terminate: a stitch of nothing but
+// pre-optimization cones reproduces the base network function exactly. A
+// cancelled ctx ends the loop with ctx.Err() at the next liveness point.
+func resolve(ctx context.Context, base *aig.AIG, parts []*part, pres, chosen []*aig.AIG, opts Options, res *Result) (*aig.AIG, error) {
+	verify, rounds := opts.Flow.Verify, flow.GateRounds
+	for round := 1; ; round++ {
+		merged, conflicts, err := stitchParallel(ctx, base, parts, chosen, opts.Pool)
+		if err != nil {
+			return nil, err
+		}
+		if err := alive(ctx); err != nil {
+			return nil, err
+		}
+		res.StitchRounds = round
+		total := 0
+		for _, c := range conflicts {
+			total += c
+		}
+		res.ConflictsFound += total
+		gerr := flow.EquivGate(base, merged, verify, rounds, gateSeed+int64(round)*1009)
+		if gerr == nil {
+			res.ConflictsBroken = total
+			for i := range parts {
+				res.Parts[i].ConflictsBroken = conflicts[i]
+			}
+			return merged, nil
+		}
+		allPre := true
+		for i := range parts {
+			if chosen[i] != pres[i] {
+				allPre = false
+				break
+			}
+		}
+		if allPre {
+			// Even the all-checkpoint stitch refuted: the failure is in the
+			// stitcher or the base network itself, not in any partition.
+			return nil, fmt.Errorf("partition: stitched checkpoint network refuted: %w", gerr)
+		}
+		rolled := false
+		if round <= maxConflictRounds {
+			for i := range parts {
+				if chosen[i] == pres[i] {
+					continue
+				}
+				if err := alive(ctx); err != nil {
+					return nil, err
+				}
+				seed := gateSeed + int64(round)*6151 + int64(i)*7919
+				if flow.EquivGate(pres[i], chosen[i], verify, 4*rounds, seed) != nil {
+					chosen[i] = pres[i]
+					res.Parts[i].RolledBack = true
+					res.Parts[i].Note = "refuted during seam conflict round"
+					res.Rollbacks++
+					res.Incidents = append(res.Incidents, rollbackIncident(i,
+						"seam-gate", flow.ClassTransient, "refuted during seam conflict round"))
+					rolled = true
+					break
+				}
+			}
+		}
+		if !rolled {
+			// No individual culprit (the failure emerges only at the seams)
+			// or the round budget is spent: drop every optimized cone.
+			for i := range parts {
+				if chosen[i] == pres[i] {
+					continue
+				}
+				chosen[i] = pres[i]
+				res.Parts[i].RolledBack = true
+				res.Parts[i].Note = "rolled back with all partitions after seam refutation"
+				res.Rollbacks++
+				res.Incidents = append(res.Incidents, rollbackIncident(i,
+					"seam-gate", flow.ClassTransient, "rolled back with all partitions after seam refutation"))
+			}
+		}
+	}
 }
 
 // cancelled wraps the context error that ended a run, as a cancelled

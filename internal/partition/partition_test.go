@@ -124,7 +124,7 @@ func TestResolveRollsBackCorruptPartition(t *testing.T) {
 	chosen[1] = bad
 
 	res := Result{Report: Report{Parts: make([]Stat, len(parts))}}
-	merged, err := resolve(ctx, a, parts, pres, chosen, Options{Split: Split{MaxConflictRounds: 2}, Pool: pool}.normalized(), &res)
+	merged, err := resolve(ctx, a, parts, pres, chosen, Options{Pool: pool}.normalized(), &res)
 	if err != nil {
 		t.Fatal(err)
 	}

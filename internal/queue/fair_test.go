@@ -89,6 +89,48 @@ func TestInflightCapMakesClientIneligible(t *testing.T) {
 	}
 }
 
+// TestStarEntryIsTheDefault checks the "*" entries of Weights and
+// MaxInflight: they apply to every client the table does not list, and a
+// listed client keeps its own entry.
+func TestStarEntryIsTheDefault(t *testing.T) {
+	q, err := Open(filepath.Join(t.TempDir(), "wal.jsonl"), Options{Weights: map[string]int{"*": 3, "bob": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	submitFor(t, q, "alice", 20)
+	submitFor(t, q, "bob", 20)
+	counts := map[string]int{}
+	for i := 0; i < 20; i++ {
+		spec := mustLease(t, q)
+		counts[spec.Client]++
+		if err := q.Resolve(spec.ID, Done, "", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if counts["alice"] < 14 || counts["alice"] > 16 {
+		t.Errorf("alice (unlisted, \"*\" weight 3) leased %d of 20, want ~15", counts["alice"])
+	}
+
+	q2, err := Open(filepath.Join(t.TempDir(), "wal.jsonl"), Options{MaxInflight: map[string]int{"*": 1, "free": 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	submitFor(t, q2, "capped", 3)
+	submitFor(t, q2, "free", 3)
+	counts = map[string]int{}
+	for spec, err := q2.Lease(); spec != nil; spec, err = q2.Lease() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts[spec.Client]++
+	}
+	if counts["capped"] != 1 || counts["free"] != 3 {
+		t.Errorf("leased %v without resolving, want capped (unlisted, \"*\" cap 1) 1 and free (listed 0 = unlimited) 3", counts)
+	}
+}
+
 // TestIdleClientDoesNotBankCredit checks the stride alignment rule: a
 // client that was idle while another worked joins at the current virtual
 // time — it does not get a catch-up burst for the leases it never asked

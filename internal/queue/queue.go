@@ -238,17 +238,15 @@ type Options struct {
 	// beyond it returns ErrSaturated (0 = unbounded).
 	MaxDepth int
 	// Weights are the per-client fair-share weights (see the package
-	// comment); DefaultWeight applies to clients not listed (0 = 1). A
+	// comment); the "*" entry applies to clients not listed (default 1). A
 	// weight-3 client leases three jobs for each job of a weight-1 client
 	// while both have work pending.
-	Weights       map[string]int
-	DefaultWeight int
-	// MaxInflight caps how many jobs a client may have leased at once;
-	// DefaultMaxInflight applies to clients not listed (0 = unlimited).
-	// A capped-out client is simply ineligible to lease, its jobs stay
+	Weights map[string]int
+	// MaxInflight caps how many jobs a client may have leased at once; the
+	// "*" entry applies to clients not listed (default unlimited). A
+	// capped-out client is simply ineligible to lease, its jobs stay
 	// durably pending, and other clients proceed.
-	MaxInflight        map[string]int
-	DefaultMaxInflight int
+	MaxInflight map[string]int
 	// CompactBytes arms MaybeCompact: once the WAL exceeds this many bytes
 	// and terminal jobs outnumber active ones, MaybeCompact snapshots and
 	// truncates it (0 = live compaction off; Open-time compaction still
@@ -440,21 +438,24 @@ func (q *Queue) pushPending(j *Job, seq int64) {
 
 // weightOf returns the fair-share weight of a client (>= 1).
 func (q *Queue) weightOf(name string) int {
-	if w, ok := q.opts.Weights[name]; ok && w > 0 {
+	if w := perClient(q.opts.Weights, name); w > 0 {
 		return w
-	}
-	if q.opts.DefaultWeight > 0 {
-		return q.opts.DefaultWeight
 	}
 	return 1
 }
 
 // maxInflightOf returns the client's lease cap (0 = unlimited).
 func (q *Queue) maxInflightOf(name string) int {
-	if m, ok := q.opts.MaxInflight[name]; ok {
-		return m
+	return perClient(q.opts.MaxInflight, name)
+}
+
+// perClient looks a client up in a per-client table, falling back to the
+// table's "*" entry (0 when neither is set).
+func perClient(m map[string]int, name string) int {
+	if v, ok := m[name]; ok {
+		return v
 	}
-	return q.opts.DefaultMaxInflight
+	return m["*"]
 }
 
 func (q *Queue) count(s State, d int) {

@@ -46,9 +46,6 @@ type Job struct {
 	// and Script still labels the job. The partition-parallel batch path
 	// uses this to fan a job's sub-partitions onto the engine's pool.
 	Custom func(ctx context.Context, pool *Pool) (flow.Result, error)
-	// Policy, when non-nil, overrides the engine-wide supervision policy
-	// for this job.
-	Policy *Policy
 	// FaultPlans is a chaos/test facility: the plans are injected into each
 	// attempt's leased device, with fire-progress carried across attempts.
 	// Ignored for Custom jobs, which manage their own leases.
@@ -152,8 +149,8 @@ type Options struct {
 	// (0 = the pool's worker count): the memory held by in-flight jobs. Do
 	// calls are their callers' to bound.
 	MaxConcurrentJobs int
-	// Policy is the engine-wide supervision policy (zero = one attempt, no
-	// deadline, no watchdog). Job.Policy overrides it per job.
+	// Policy is the supervision policy of every job (zero = one attempt, no
+	// deadline, no watchdog).
 	Policy Policy
 	// Journal, when non-nil, receives every supervision event durably.
 	Journal *journal.Journal
@@ -283,8 +280,8 @@ func (e *Engine) Batch(ctx context.Context, jobs []Job) []Result {
 // directly, outside MaxConcurrentJobs.
 //
 // The job runs under ctx (nil = none) merged with the engine-wide context,
-// under its own or the engine's policy, and counts in Metrics as a batch job
-// does. After Close, which waits for calls in flight, nothing runs and the
+// under the engine's policy, and counts in Metrics as a batch job does.
+// After Close, which waits for calls in flight, nothing runs and the
 // result carries ErrClosed.
 func (e *Engine) Do(ctx context.Context, job Job) Result {
 	err := job.prepare()
@@ -325,15 +322,11 @@ func (e *Engine) Do(ctx context.Context, job Job) Result {
 		cancel()
 	}
 
-	pol := e.policy
-	if job.Policy != nil {
-		pol = *job.Policy
-	}
 	// Profiler labels: every sample taken inside this job's attempts — and in
 	// any goroutine they spawn, worker bodies included — carries the job name,
 	// so a CPU profile of a batch run breaks down by job out of the box.
 	pprof.Do(outer, pprof.Labels("sched_job", job.Name), func(outer context.Context) {
-		e.supervise(outer, &job, pol, &res)
+		e.supervise(outer, &job, &res)
 	})
 	res.Wall = time.Since(start)
 	if res.AIG != nil {
@@ -374,8 +367,8 @@ func RunJobs(ctx context.Context, pool *Pool, jobs []Job, maxConcurrent int) ([]
 }
 
 // RunSupervised is RunJobs with full engine options: a supervision policy
-// governing every job (per-job overrides via Job.Policy) and an optional
-// durable journal receiving the fleet's lifecycle events.
+// governing every job and an optional durable journal receiving the fleet's
+// lifecycle events.
 func RunSupervised(ctx context.Context, pool *Pool, jobs []Job, opts Options) ([]Result, Metrics) {
 	e := NewEngine(ctx, pool, opts)
 	out := e.Batch(ctx, jobs)

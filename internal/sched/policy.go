@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"aigre/internal/flow"
@@ -103,105 +102,43 @@ type Policy struct {
 	// Retries is each job's retry budget: how many extra attempts its
 	// transient failures (aborted kernel launches, full hash tables,
 	// seam-gate rollbacks, deadline kills, watchdog preemptions) may
-	// consume. A job that exhausts the budget is quarantined. For a
-	// partitioned job the budget is shared with its per-partition jobs.
+	// consume. A job that exhausts the budget is quarantined. With a budget,
+	// an attempt that completed but recorded transient-class incidents (a
+	// contained kernel fault degraded a command) is also retried, its
+	// degraded result discarded in the hope of a clean pass; the last
+	// degraded result stands when the budget runs dry.
 	Retries int
-	// RetryDegraded also retries attempts that completed but recorded
-	// transient-class incidents (a contained kernel fault degraded a
-	// command), discarding the degraded result in the hope of a clean pass;
-	// the last degraded result stands when the budget runs dry.
-	RetryDegraded bool
-	// Backoff is the delay before a job's first retry, doubling each
-	// further retry with ±50% jitter (default 5ms); MaxBackoff caps the
-	// doubling (default 500ms).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// StuckTimeout arms the watchdog: an attempt whose kernel-launch
 	// heartbeat advances nothing for this long is preempted and, with no
 	// budget left, quarantined (0 = no watchdog). Only parallel and custom
 	// jobs are watched — sequential jobs never beat.
 	StuckTimeout time.Duration
-	// Seed makes retry jitter deterministic; 0 is a valid seed.
-	Seed int64
-	// Budget is internal plumbing, not an option: when non-nil it replaces
-	// the per-job budget minted from Retries. The engine sets it on the
-	// per-job copy of a partitioned job's policy so the job's outer attempts
-	// and its per-partition inner attempts draw down one allowance; callers
-	// leave it nil.
-	Budget *RetryBudget
 }
 
-// retriesEnabled reports whether the policy carries a nonzero retry
-// allowance (its own or a shared budget).
-func (p Policy) retriesEnabled() bool {
-	return p.Retries > 0 || p.Budget != nil
-}
+// The retry backoff: the pause before a job's first retry, doubling each
+// further retry up to the cap, with ±50% jitter.
+const (
+	backoffBase = 5 * time.Millisecond
+	backoffCap  = 500 * time.Millisecond
+)
 
 // backoffFor returns the pause before retrying after the given (1-based)
-// failed attempt: exponential doubling from Backoff, capped at MaxBackoff,
-// with deterministic ±50% jitter so synchronized retries de-correlate.
-func (p Policy) backoffFor(attempt int) time.Duration {
-	base := p.Backoff
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	cap := p.MaxBackoff
-	if cap <= 0 {
-		cap = 500 * time.Millisecond
-	}
-	d := base
-	for i := 1; i < attempt && d < cap; i++ {
+// failed attempt: exponential doubling from backoffBase, capped at
+// backoffCap, with deterministic ±50% jitter so synchronized retries
+// de-correlate.
+func backoffFor(attempt int) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
-	rng := rand.New(rand.NewSource(p.Seed*1000003 + int64(attempt)))
+	d = min(d, backoffCap)
+	rng := rand.New(rand.NewSource(int64(attempt)))
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }
 
-// RetryBudget is a shared pool of retry tokens. A partitioned job hands one
-// budget to both its outer supervisor and its per-partition jobs, so however
-// the faults land, the job's total retry allowance is bounded.
-type RetryBudget struct {
-	n atomic.Int64
-}
-
-// NewRetryBudget mints a budget of n tokens.
-func NewRetryBudget(n int) *RetryBudget {
-	b := &RetryBudget{}
-	b.n.Store(int64(n))
-	return b
-}
-
-// Take claims one token; it reports false when the budget is exhausted.
-// A nil budget has nothing to give.
-func (b *RetryBudget) Take() bool {
-	if b == nil {
-		return false
-	}
-	for {
-		cur := b.n.Load()
-		if cur <= 0 {
-			return false
-		}
-		if b.n.CompareAndSwap(cur, cur-1) {
-			return true
-		}
-	}
-}
-
-// Remaining reports the tokens left.
-func (b *RetryBudget) Remaining() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.n.Load())
-}
-
 // hbKey carries a *gpu.Heartbeat through a context so nested engines (a
-// partitioned job fanning sub-jobs onto the same pool) attach their device
-// leases to the supervising watchdog's heartbeat.
+// partitioned job fanning its partition jobs onto the same pool) attach their
+// device leases to the supervising watchdog's heartbeat.
 type hbKey struct{}
 
 // WithHeartbeat returns a context carrying hb.

@@ -20,27 +20,24 @@ import (
 	"aigre/internal/journal"
 )
 
-// supervise runs job under pol until an attempt succeeds, the retry
-// budget runs dry, or a non-retryable failure lands, filling res with the
-// final outcome and the accumulated attempt history.
-func (e *Engine) supervise(outer context.Context, job *Job, pol Policy, res *Result) {
-	budget := pol.Budget
-	if budget == nil && pol.Retries > 0 {
-		budget = NewRetryBudget(pol.Retries)
-	}
+// supervise runs job under the engine's policy until an attempt succeeds,
+// the retry budget runs dry, or a non-retryable failure lands, filling res
+// with the final outcome and the accumulated attempt history.
+func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
+	retries := e.policy.Retries
 	// Fault plans carry across attempts with their fire-progress, so a plan
 	// armed for the Nth matching launch counts launches cumulatively over
 	// the job, not per attempt.
 	faults := append([]gpu.FaultPlan(nil), job.FaultPlans...)
 	// Sequential non-custom jobs never reach a launch boundary, so they
 	// produce no heartbeat; watching them would always preempt.
-	watched := pol.StuckTimeout > 0 && (job.Config.Parallel || job.Custom != nil)
+	watched := e.policy.StuckTimeout > 0 && (job.Config.Parallel || job.Custom != nil)
 
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
 		e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt, Event: journal.EventAttempt})
 
-		fres, dev, err, cls := e.attempt(outer, job, pol, watched, faults)
+		fres, dev, err, cls := e.attempt(outer, job, watched, faults)
 
 		incs := fres.Incidents
 		for i := range incs {
@@ -72,13 +69,14 @@ func (e *Engine) supervise(outer context.Context, job *Job, pol Policy, res *Res
 					transient++
 				}
 			}
-			if pol.RetryDegraded && transient > 0 && outer.Err() == nil && budget.Take() {
-				d := pol.backoffFor(attempt)
+			if transient > 0 && retries > 0 && outer.Err() == nil {
+				retries--
+				d := backoffFor(attempt)
 				e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 					Event: journal.EventRetry, Class: flow.ClassTransient, Backoff: d,
 					Detail: fmt.Sprintf("discarding result degraded by %d transient incident(s)", transient)})
 				if !sleepInterruptible(outer, d) {
-					e.finish(job, res, ClassCancelled, cancelErrFor(outer, job.Name), attempt, pol)
+					e.finish(job, res, ClassCancelled, cancelErrFor(outer, job.Name), attempt)
 					return
 				}
 				continue
@@ -115,18 +113,19 @@ func (e *Engine) supervise(outer context.Context, job *Job, pol Policy, res *Res
 				Event: journal.EventTimeout, Class: cls.String(), Detail: err.Error()})
 		}
 
-		if cls.Retryable() && budget.Take() {
-			d := pol.backoffFor(attempt)
+		if cls.Retryable() && retries > 0 {
+			retries--
+			d := backoffFor(attempt)
 			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventRetry, Class: cls.String(), Detail: err.Error(), Backoff: d})
 			if !sleepInterruptible(outer, d) {
-				e.finish(job, res, ClassCancelled, cancelErrFor(outer, job.Name), attempt, pol)
+				e.finish(job, res, ClassCancelled, cancelErrFor(outer, job.Name), attempt)
 				return
 			}
 			continue
 		}
 
-		e.finish(job, res, cls, err, attempt, pol)
+		e.finish(job, res, cls, err, attempt)
 		return
 	}
 }
@@ -134,7 +133,7 @@ func (e *Engine) supervise(outer context.Context, job *Job, pol Policy, res *Res
 // finish records a terminal failure outcome: cancelled, timed out, failed,
 // or — when a retryable class ran the budget dry (or the watchdog caught the
 // job) — quarantined.
-func (e *Engine) finish(job *Job, res *Result, cls Class, err error, attempt int, pol Policy) {
+func (e *Engine) finish(job *Job, res *Result, cls Class, err error, attempt int) {
 	switch cls {
 	case ClassCancelled:
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -152,9 +151,9 @@ func (e *Engine) finish(job *Job, res *Result, cls Class, err error, attempt int
 		res.Quarantined = true
 	case ClassTimeout:
 		res.TimedOut = true
-		res.Quarantined = pol.retriesEnabled()
+		res.Quarantined = e.policy.Retries > 0
 	case ClassTransient:
-		res.Quarantined = pol.retriesEnabled()
+		res.Quarantined = e.policy.Retries > 0
 		if !res.Quarantined {
 			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventFail, Class: cls.String(), Detail: err.Error()})
@@ -174,7 +173,8 @@ func (e *Engine) finish(job *Job, res *Result, cls Class, err error, attempt int
 // attempt executes one supervised attempt under its own deadline and
 // watchdog, returning the flow result, the leased device (nil for custom or
 // sequential jobs), the attempt error, and its supervision class.
-func (e *Engine) attempt(outer context.Context, job *Job, pol Policy, watched bool, faults []gpu.FaultPlan) (flow.Result, *gpu.Device, error, Class) {
+func (e *Engine) attempt(outer context.Context, job *Job, watched bool, faults []gpu.FaultPlan) (flow.Result, *gpu.Device, error, Class) {
+	pol := e.policy
 	start := time.Now()
 	base, preempt := context.WithCancelCause(outer)
 	defer preempt(nil)
@@ -186,14 +186,10 @@ func (e *Engine) attempt(outer context.Context, job *Job, pol Policy, watched bo
 	}
 
 	if watched {
-		// Reuse a heartbeat installed by an outer supervisor (a partitioned
-		// job's sub-jobs run under the parent's watchdog); otherwise mint
-		// one and thread it through the context for nested engines.
-		hb := HeartbeatFrom(ctx)
-		if hb == nil {
-			hb = &gpu.Heartbeat{}
-			ctx = WithHeartbeat(ctx, hb)
-		}
+		// The attempt's own heartbeat, threaded through the context so the
+		// partition jobs of a partitioned job lease devices that beat it.
+		hb := &gpu.Heartbeat{}
+		ctx = WithHeartbeat(ctx, hb)
 		watchDone := make(chan struct{})
 		defer close(watchDone)
 		go watch(ctx, watchDone, hb, start, pol.StuckTimeout, preempt)

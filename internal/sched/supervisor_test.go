@@ -67,7 +67,7 @@ func TestRetryTransientToSuccess(t *testing.T) {
 		}
 		return flow.Result{AIG: testAIG(1)}, nil
 	})
-	pol := Policy{Retries: 3, Backoff: time.Millisecond, Seed: 42}
+	pol := Policy{Retries: 3}
 	res, m := RunSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol, Journal: jour})
 	if res[0].Err != nil {
 		t.Fatalf("retried job failed: %v", res[0].Err)
@@ -106,7 +106,7 @@ func TestQuarantineOnExhaustedBudget(t *testing.T) {
 	job := customJob("poison", func(ctx context.Context, _ *Pool) (flow.Result, error) {
 		return flow.Result{}, &gpu.LaunchError{Kernel: "k", Value: hashtable.ErrTableFull}
 	})
-	pol := Policy{Retries: 2, Backoff: time.Millisecond}
+	pol := Policy{Retries: 2}
 	res, m := RunSupervised(context.Background(), pool, []Job{job},
 		Options{Policy: pol, Journal: journal.New(&buf)})
 	if !res[0].Quarantined {
@@ -133,7 +133,7 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	job := customJob("broken", func(ctx context.Context, _ *Pool) (flow.Result, error) {
 		return flow.Result{}, errors.New("equivalence refuted")
 	})
-	pol := Policy{Retries: 3, Backoff: time.Millisecond}
+	pol := Policy{Retries: 3}
 	res, m := RunSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
 	if res[0].Attempts != 1 {
 		t.Errorf("permanent failure retried: %d attempts", res[0].Attempts)
@@ -185,7 +185,7 @@ func TestDeadlineRetriesThenQuarantine(t *testing.T) {
 		<-ctx.Done()
 		return flow.Result{}, ctx.Err()
 	}
-	pol := Policy{JobTimeout: 10 * time.Millisecond, Retries: 2, Backoff: time.Millisecond}
+	pol := Policy{JobTimeout: 10 * time.Millisecond, Retries: 2}
 	res, m := RunSupervised(context.Background(), pool, []Job{customJob("poison", hang)}, Options{Policy: pol})
 	if !res[0].Quarantined || !res[0].TimedOut {
 		t.Fatalf("repeated deadline kills not quarantined: %+v err=%v", res[0], res[0].Err)
@@ -209,7 +209,7 @@ func TestWatchdogPreemptsStuckJob(t *testing.T) {
 		<-ctx.Done()
 		return flow.Result{}, context.Cause(ctx)
 	})
-	pol := Policy{StuckTimeout: 25 * time.Millisecond, Retries: 1, Backoff: time.Millisecond}
+	pol := Policy{StuckTimeout: 25 * time.Millisecond, Retries: 1}
 	res, m := RunSupervised(context.Background(), pool, []Job{stuck},
 		Options{Policy: pol, Journal: journal.New(&buf)})
 	if !res[0].Quarantined {
@@ -266,7 +266,7 @@ func TestWatchdogSparesBeatingJob(t *testing.T) {
 }
 
 // TestRetryDegraded checks that a completed-but-degraded attempt (transient
-// incidents) is discarded and re-run when the policy asks for it.
+// incidents) is discarded and re-run while the retry budget lasts.
 func TestRetryDegraded(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
@@ -280,7 +280,7 @@ func TestRetryDegraded(t *testing.T) {
 		}
 		return flow.Result{AIG: testAIG(1)}, nil
 	})
-	pol := Policy{Retries: 2, RetryDegraded: true, Backoff: time.Millisecond}
+	pol := Policy{Retries: 2}
 	res, _ := RunSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
@@ -297,36 +297,6 @@ func TestRetryDegraded(t *testing.T) {
 	}
 }
 
-// TestSharedBudget checks that two jobs drawing from one RetryBudget cannot
-// exceed it jointly.
-func TestSharedBudget(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	budget := NewRetryBudget(2)
-	fail := func(ctx context.Context, _ *Pool) (flow.Result, error) {
-		return flow.Result{}, &gpu.LaunchError{Kernel: "k", Value: "boom"}
-	}
-	pol := Policy{Budget: budget, Backoff: time.Millisecond}
-	jobs := []Job{customJob("a", fail), customJob("b", fail)}
-	res, m := RunSupervised(context.Background(), pool, jobs, Options{Policy: pol})
-	total := 0
-	for _, r := range res {
-		total += r.Attempts
-		if !r.Quarantined {
-			t.Errorf("job %s not quarantined: %+v", r.Name, r.Err)
-		}
-	}
-	if total != 4 {
-		t.Errorf("total attempts = %d, want 4 (2 initial + 2 shared retries)", total)
-	}
-	if budget.Remaining() != 0 {
-		t.Errorf("budget remaining = %d, want 0", budget.Remaining())
-	}
-	if m.Retries != 2 {
-		t.Errorf("metrics retries = %d, want 2", m.Retries)
-	}
-}
-
 // TestFaultPlanCarryOver checks that a supervised flow job's fault plans
 // carry fire-progress across attempts: a plan that fired in attempt 1 does
 // not fire again in attempt 2, so the retry succeeds cleanly.
@@ -337,12 +307,12 @@ func TestFaultPlanCarryOver(t *testing.T) {
 		Name:   "faulted",
 		AIG:    testAIG(7),
 		Script: "rw",
-		Config: flow.Config{Parallel: true, GateRounds: 8},
+		Config: flow.Config{Parallel: true},
 		FaultPlans: []gpu.FaultPlan{
 			{Kernel: "rewrite/evaluate", Kind: gpu.FaultPanic},
 		},
 	}
-	pol := Policy{Retries: 2, RetryDegraded: true, Backoff: time.Millisecond}
+	pol := Policy{Retries: 2}
 	res, m := RunSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
 	if res[0].Err != nil {
 		t.Fatalf("supervised flow job failed: %v", res[0].Err)
@@ -363,27 +333,26 @@ func TestFaultPlanCarryOver(t *testing.T) {
 }
 
 // TestBackoffShape pins the exponential-with-jitter schedule: doubling from
-// Backoff, capped at MaxBackoff, jitter within ±50%, deterministic per seed.
+// backoffBase, capped at backoffCap, jitter within ±50%, deterministic.
 func TestBackoffShape(t *testing.T) {
-	pol := Policy{Backoff: 8 * time.Millisecond, MaxBackoff: 40 * time.Millisecond, Seed: 3}
-	prevCapped := false
-	for attempt := 1; attempt <= 5; attempt++ {
-		d := pol.backoffFor(attempt)
-		base := 8 * time.Millisecond << (attempt - 1)
-		if base > 40*time.Millisecond {
-			base = 40 * time.Millisecond
-			prevCapped = true
+	capped := false
+	for attempt := 1; attempt <= 8; attempt++ {
+		d := backoffFor(attempt)
+		base := backoffBase << (attempt - 1)
+		if base > backoffCap {
+			base = backoffCap
+			capped = true
 		}
 		lo, hi := base/2, base+base/2
 		if d < lo || d > hi {
 			t.Errorf("attempt %d: backoff %v outside [%v, %v]", attempt, d, lo, hi)
 		}
-		if d != pol.backoffFor(attempt) {
+		if d != backoffFor(attempt) {
 			t.Errorf("attempt %d: backoff not deterministic", attempt)
 		}
 	}
-	if !prevCapped {
-		t.Errorf("cap never reached in 5 attempts")
+	if !capped {
+		t.Errorf("cap never reached in 8 attempts")
 	}
 }
 
@@ -405,7 +374,7 @@ func TestConcurrentIncidentAppendStress(t *testing.T) {
 			Name:   fmt.Sprintf("stress%d", i),
 			AIG:    testAIG(int64(i + 1)),
 			Script: "rw",
-			Config: flow.Config{Parallel: true, GateRounds: 2},
+			Config: flow.Config{Parallel: true},
 			FaultPlans: []gpu.FaultPlan{
 				{Kernel: "rewrite/evaluate", Kind: gpu.FaultPanic},
 			},

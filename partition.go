@@ -42,9 +42,8 @@ func ParsePartitionMode(s string) (PartitionMode, error) {
 
 // PartitionOptions configures partition-parallel script runs (see
 // Options.Partition): the Mode (PartitionOff, the zero value, runs the script
-// whole-network), the partition size bound TargetSize in AND nodes
-// (0 = 100000), and MaxConflictRounds, the bound on the stitch/rollback loop
-// (0 = 2). See partition.Split for the field documentation.
+// whole-network) and the partition size bound TargetSize in AND nodes
+// (0 = 100000). See partition.Split for the field documentation.
 type PartitionOptions = partition.Split
 
 // PartitionStat reports one partition of a partition-parallel run, and

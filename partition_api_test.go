@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -242,6 +244,57 @@ func TestPartitionedBatchJob(t *testing.T) {
 	}
 	if !eq {
 		t.Fatal("partitioned batch job result not equivalent to input")
+	}
+}
+
+// TestPartitionedJobUnderFullPolicy runs a partitioned job under a deadline,
+// a retry budget and a watchdog: the job's attempt is the one supervised
+// unit, so it makes one clean attempt with the zero-policy run's output
+// bytes, and every partition job journals a bare attempt and done.
+func TestPartitionedJobUnderFullPolicy(t *testing.T) {
+	job := aigre.Batch{Name: "deep", AIG: aigre.FromInternal(bench.DeepNarrow(8, 500)), Script: "b; rw",
+		Options: aigre.Options{Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 2000}}}
+	run := func(pol aigre.Policy) (aigre.BatchResult, aigre.BatchMetrics, map[string][]string) {
+		t.Helper()
+		var mu sync.Mutex
+		events := map[string][]string{}
+		rs, m, err := aigre.RunBatch(context.Background(), []aigre.Batch{job}, aigre.BatchOptions{
+			Workers: 2, Policy: pol,
+			OnEvent: func(ev aigre.JobEvent) {
+				mu.Lock()
+				events[ev.Job] = append(events[ev.Job], ev.Event)
+				mu.Unlock()
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[0].Err != nil {
+			t.Fatal(rs[0].Err)
+		}
+		return rs[0], m, events
+	}
+	want, _, _ := run(aigre.Policy{})
+	r, m, events := run(aigre.Policy{Retries: 2, JobTimeout: time.Minute, StuckTimeout: 2 * time.Second})
+	if got, w := outputDigest(t, r.AIG), outputDigest(t, want.AIG); got != w {
+		t.Errorf("output %s under the policy, %s without", got, w)
+	}
+	if r.Attempts != 1 || m.Retries != 0 {
+		t.Errorf("Attempts = %d, Metrics.Retries = %d; want 1 and 0", r.Attempts, m.Retries)
+	}
+	if r.Partition == nil || len(r.Partition.Parts) < 2 {
+		t.Fatalf("job was not partitioned: %+v", r.Partition)
+	}
+	parts := 0
+	for name, evs := range events {
+		if got := strings.Join(evs, ","); got != "attempt,done" {
+			t.Errorf("job %s journaled %s, want attempt,done", name, got)
+		}
+		if strings.Contains(name, ".part") {
+			parts++
+		}
+	}
+	if parts != len(r.Partition.Parts) {
+		t.Errorf("%d partition jobs journaled, the report has %d partitions", parts, len(r.Partition.Parts))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"aigre"
 	"aigre/internal/bench"
@@ -149,7 +148,7 @@ func TestJobRoutes(t *testing.T) {
 		})
 	}
 
-	retry := aigre.Policy{Retries: 1, RetryDegraded: true, Backoff: time.Millisecond}
+	retry := aigre.Policy{Retries: 1}
 	for _, c := range cases {
 		for _, rt := range jobRoutes {
 			check := func(variant string, job aigre.Batch, pol aigre.Policy) {

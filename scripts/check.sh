@@ -35,6 +35,15 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-
     echo "check: a second route into the engine, an admission queue, a second partition.Run call site or a second table pool grew back" >&2
     exit 1
 fi
+# A job is supervised once: a partitioned job's own attempt (deadline,
+# watchdog, retries) covers its partition jobs, which internal/partition runs
+# under the zero policy; a retry budget shared across the two layers must not
+# grow back.
+if grep -rnE --include='*.go' --exclude-dir=benchmark '\bRetryBudget\b' . ||
+    grep -rnwE --include='*.go' --exclude='*_test.go' 'Policy' internal/partition; then
+    echo "check: a RetryBudget type, or a Policy handed to the engine by internal/partition, grew back; supervise the partitioned job's attempt instead" >&2
+    exit 1
+fi
 # One way to regenerate a paper table: TestPaperClaims (paper_test.go) asserts
 # and prints them all; a regenerator command or testing.B table rows must not
 # grow back beside it.
