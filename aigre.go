@@ -38,6 +38,7 @@ import (
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/rcache"
+	"aigre/internal/sched"
 )
 
 // Cache is a resynthesis cache: it memoizes NPN canonization for rewriting
@@ -135,27 +136,36 @@ type Options struct {
 	Partition PartitionOptions
 }
 
-// Result reports an optimization run: the run record — Wall (measured host
-// time), Modeled (simulated-device time; equals the commands' wall for
-// sequential runs), Timings (the per-command breakdown of sequence runs),
-// Incidents (contained failures of a script run and how the guarded runner
-// degraded them; empty on a clean run), Profile (per-kernel device profile of
-// a parallel run, nil otherwise; see gpu.FormatProfile) and CacheStats (the
-// resynthesis-cache traffic observed during the run) — wrapped with the
-// optimized Network. See flow.Result for the field documentation.
+// Result reports one job — a Network method's run, an Engine.Run or a
+// RunBatch job — as the engine's job report wrapped with the optimized
+// Network. The report's Record is what is stored and printed (with Partition,
+// its JSON form is a cmd/aigre -report row): Name and Script, the Cancelled /
+// TimedOut / Quarantined verdicts, Attempts and Preemptions, Queued, Wall
+// (measured host time) and Modeled (simulated-device time; equals the
+// commands' wall for sequential runs), node and level counts before and
+// after, Incidents (contained failures and how the guarded runner degraded
+// them), Profile (per-kernel device profile of a parallel run; see
+// gpu.FormatProfile) and CacheStats. Beside it sit Timings (the per-command
+// breakdown) and Err (nil on success, wraps ctx.Err() on cancellation, or
+// reports a script error; contained engine failures appear in Incidents, not
+// Err). See sched.Result for the field documentation. The single-algorithm
+// methods (Balance, Rewrite, ...) run outside the engine and fill in only
+// the run record, Timings and AIG.
 type Result struct {
-	// AIG is the optimized network (it shadows the record's internal one).
+	// AIG is the optimized network (it shadows the report's internal one);
+	// on a cancelled job the partial result (after the last completed
+	// command), nil only if the script failed to parse.
 	AIG *Network `json:"-"`
-	flow.Result
+	sched.Result
 	// Partition is the partition-parallel report of a run with
 	// Options.Partition enabled (nil otherwise): partitioning mode, seam
 	// conflicts found and broken, rollbacks, and one row per partition.
 	Partition *PartitionReport `json:"partition,omitempty"`
 }
 
-// resultOf wraps a run record (and the partition report, if any) in the
+// resultOf wraps a job report (and the partition report, if any) in the
 // public shape.
-func resultOf(r flow.Result, pr *PartitionReport) Result {
+func resultOf(r sched.Result, pr *PartitionReport) Result {
 	out := Result{Result: r, Partition: pr}
 	if r.AIG != nil {
 		out.AIG = &Network{aig: r.AIG}
@@ -316,7 +326,9 @@ func (n *Network) runCommand(ctx context.Context, opts Options, name string, pas
 		cfg.Device.InjectFaults(opts.FaultPlans...)
 	}
 	res, err := flow.RunCommand(ctx, n.aig, cmd, passes, cfg)
-	return resultOf(res, nil), err
+	r := sched.Result{AIG: res.AIG, Timings: res.Timings}
+	r.Record.Record = res.Record
+	return resultOf(r, nil), err
 }
 
 // Balance runs AND-balancing (delay optimization, Section IV). Like
@@ -371,11 +383,11 @@ func (n *Network) Run(ctx context.Context, script string, opts Options) (Result,
 		return Result{}, err
 	}
 	defer e.Close()
-	br, err := e.Run(ctx, Batch{Name: n.Name(), AIG: n, Script: script, Options: opts})
+	res, err := e.Run(ctx, Batch{Name: n.Name(), AIG: n, Script: script, Options: opts})
 	if err != nil {
 		return Result{}, err
 	}
-	return resultOf(br.Result.Result, br.Partition), br.Err
+	return res, res.Err
 }
 
 // Resyn2 runs the resyn2 sequence (b; rw; rf; b; rw; rwz; b; rfz; rwz; b).

@@ -39,7 +39,7 @@ type Batch struct {
 	// Options selects engine parameters for this job, as documented there.
 	// Options.Workers is ignored: the job leases from the engine's pool
 	// (BatchOptions.Workers), capped by Batch.Workers. A partitioned job fans
-	// its partitions onto that pool; BatchResult.Partition carries the report.
+	// its partitions onto that pool; Result.Partition carries the report.
 	Options Options
 }
 
@@ -75,7 +75,8 @@ type BatchOptions struct {
 	// uses, overriding each job's Options.Cache — an opt-in way to let jobs
 	// over similar designs reuse each other's factoring work. The cache is
 	// concurrency-safe and results remain bit-identical with or without it.
-	// BatchMetrics.CacheStats reports the batch-wide traffic delta.
+	// BatchMetrics.CacheStats reports the batch-wide traffic delta (nil
+	// without a shared cache).
 	SharedCache *Cache
 	// Policy supervises every job of the batch (zero = unsupervised).
 	Policy Policy
@@ -94,25 +95,6 @@ type BatchOptions struct {
 	OnEvent func(JobEvent)
 }
 
-// BatchResult reports one job of a batch: the scheduler's job report —
-// Name, Script, Err (nil on success, wraps ctx.Err() on cancellation, or
-// reports a script error; contained engine failures appear in Incidents, not
-// Err), the Cancelled / TimedOut / Quarantined verdicts, Attempts and
-// Preemptions, Queued / Wall / Modeled times, node and level counts before
-// and after, Timings, Incidents, Profile and CacheStats — wrapped with the
-// optimized Network. See sched.Result for the field documentation. Its JSON
-// form is a cmd/aigre -report job row.
-type BatchResult struct {
-	sched.Result
-	// AIG is the optimized network (it shadows the report's internal one);
-	// on a cancelled job the partial result (after the last completed
-	// command), nil only if the script failed to parse.
-	AIG *Network `json:"-"`
-	// Partition is the partition-parallel report of a job whose
-	// Options.Partition was enabled (nil otherwise).
-	Partition *PartitionReport `json:"partition,omitempty"`
-}
-
 // BatchMetrics aggregates fleet statistics of one RunBatch call or Engine:
 // the worker budget, jobs by final outcome, retries, concurrency and queue
 // high-water marks, wall / summed job wall / summed modeled time, worker
@@ -126,13 +108,13 @@ type BatchMetrics = sched.Metrics
 // that many workers would.
 //
 // Results come back in job order. A failing or cancelled job never fails
-// the batch — its BatchResult carries the error. Cancelling ctx cancels the
+// the batch — its Result carries the error. Cancelling ctx cancels the
 // whole batch: running jobs stop at the next kernel-launch boundary and
 // queued jobs return immediately, all marked Cancelled.
 //
 // The call errors only on a malformed batch: no jobs, a nil network, or a
 // script that does not parse.
-func RunBatch(ctx context.Context, jobs []Batch, opts BatchOptions) ([]BatchResult, BatchMetrics, error) {
+func RunBatch(ctx context.Context, jobs []Batch, opts BatchOptions) ([]Result, BatchMetrics, error) {
 	if len(jobs) == 0 {
 		return nil, BatchMetrics{}, fmt.Errorf("aigre: empty batch")
 	}
@@ -153,9 +135,9 @@ func RunBatch(ctx context.Context, jobs []Batch, opts BatchOptions) ([]BatchResu
 	for i, b := range jobs {
 		sjobs[i] = e.convert(b, &prs[i])
 	}
-	out := make([]BatchResult, len(jobs))
+	out := make([]Result, len(jobs))
 	for i, r := range e.eng.Batch(ctx, sjobs) {
-		out[i] = batchResultOf(r, prs[i])
+		out[i] = resultOf(r, prs[i])
 	}
 	return out, e.Metrics(), nil
 }

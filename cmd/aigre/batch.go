@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"aigre"
 	"aigre/internal/flow"
@@ -87,34 +86,18 @@ func parseManifest(path string, opts aigre.Options) ([]aigre.Batch, error) {
 	return jobs, nil
 }
 
-// batchReport is the JSON schema of -report: the fleet metrics under the
-// report's own snake_case keys (aigre.BatchMetrics marshals under its Go
-// field names, the shape aigred's /v1/stats already serves), then one row
-// per job.
+// batchReport is the JSON schema of -report: the fleet metrics as the engine
+// reports them (the object aigred serves as "engine" in /v1/stats), then one
+// row per job.
 type batchReport struct {
-	Workers        int           `json:"workers"`
-	Finished       int           `json:"finished"`
-	Failed         int           `json:"failed"`
-	Cancelled      int           `json:"cancelled"`
-	TimedOut       int           `json:"timed_out,omitempty"`
-	Quarantined    int           `json:"quarantined,omitempty"`
-	Retries        int           `json:"retries,omitempty"`
-	PeakWorkers    int           `json:"peak_workers"`
-	PeakQueueDepth int           `json:"peak_queue_depth"`
-	WallNS         time.Duration `json:"wall_ns"`
-	JobWallNS      time.Duration `json:"job_wall_ns"`
-	ModeledNS      time.Duration `json:"modeled_ns"`
-	Utilization    float64       `json:"utilization"`
-	// Cache is the batch-wide resynthesis-cache traffic (only populated with
-	// -shared-cache, where all jobs consult one cache).
-	Cache *aigre.CacheStats `json:"cache,omitempty"`
-	Jobs  []batchJobReport  `json:"jobs"`
+	aigre.BatchMetrics
+	Jobs []batchJobReport `json:"jobs"`
 }
 
-// batchJobReport is one -report row: the job's BatchResult (whose JSON form
-// is the row) plus what only the CLI knows.
+// batchJobReport is one -report row: the job's Result (whose JSON form is
+// the row) plus what only the CLI knows.
 type batchJobReport struct {
-	aigre.BatchResult
+	aigre.Result
 	Error  string `json:"error,omitempty"`
 	Output string `json:"output,omitempty"`
 }
@@ -138,36 +121,19 @@ func runBatch(ctx context.Context, manifest, outdir, reportPath string, bopts ai
 			return 1
 		}
 	}
-	sharedCache := bopts.SharedCache != nil
 	results, m, err := aigre.RunBatch(ctx, jobs, bopts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "aigre:", err)
 		return 1
 	}
-	rep := batchReport{
-		Workers:        m.Workers,
-		Finished:       m.Finished,
-		Failed:         m.Failed,
-		Cancelled:      m.Cancelled,
-		TimedOut:       m.TimedOut,
-		Quarantined:    m.Quarantined,
-		Retries:        m.Retries,
-		PeakWorkers:    m.PeakWorkers,
-		PeakQueueDepth: m.PeakQueueDepth,
-		WallNS:         m.Wall,
-		JobWallNS:      m.JobWall,
-		ModeledNS:      m.Modeled,
-		Utilization:    m.Utilization,
-	}
-	if sharedCache {
-		cs := m.CacheStats
-		rep.Cache = &cs
+	rep := batchReport{BatchMetrics: m}
+	if cs := m.CacheStats; cs != nil {
 		fmt.Fprintf(msg, "rcache:  hits=%d misses=%d (%.1f%%) npn-hits=%d npn-misses=%d entries=%d\n",
 			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.NpnHits, cs.NpnMisses, cs.Entries)
 	}
 	var infra, casualty, degraded bool
 	for _, r := range results {
-		jr := batchJobReport{BatchResult: r}
+		jr := batchJobReport{Result: r}
 		switch {
 		case r.Err != nil:
 			jr.Error = r.Err.Error()

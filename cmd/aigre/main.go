@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"syscall"
-	"time"
 
 	"aigre"
 	"aigre/internal/flow"
@@ -258,7 +257,7 @@ func main() {
 			}
 		}
 		if *profJSON != "" {
-			fatal(writeProfileJSON(*profJSON, s, mode, res))
+			fatal(writeProfileJSON(*profJSON, mode, res))
 		}
 	}
 	if *cecFlag && s != "" {
@@ -281,66 +280,35 @@ func main() {
 }
 
 // runSingle runs the -in network as the one job of an engine configured like
-// a batch's — same pool, supervision policy and journal — and reports it in
-// the single-run shape. An outcome a batch would count a casualty (failed,
-// timed out, cancelled, quarantined) comes back as the error.
+// a batch's — same pool, supervision policy and journal. An outcome a batch
+// would count a casualty (failed, timed out, cancelled, quarantined) comes
+// back as the error.
 func runSingle(ctx context.Context, n *aigre.Network, script string, bopts aigre.BatchOptions, opts aigre.Options) (aigre.Result, error) {
 	e, err := aigre.NewEngine(ctx, bopts)
 	if err != nil {
 		return aigre.Result{}, err
 	}
 	defer e.Close()
-	br, err := e.Run(ctx, aigre.Batch{AIG: n, Script: script, Options: opts})
+	res, err := e.Run(ctx, aigre.Batch{AIG: n, Script: script, Options: opts})
 	if err != nil {
-		return aigre.Result{}, err
+		return res, err
 	}
-	res := aigre.Result{AIG: br.AIG, Result: br.Result.Result, Partition: br.Partition}
-	// The single-run documents (-profile-json) have no attempt column; which
-	// attempt recorded an incident is in the journal.
-	for i := range res.Incidents {
-		res.Incidents[i].Attempt = 0
-	}
-	return res, br.Err
+	return res, res.Err
 }
 
-// profileReport is the JSON schema of -profile-json: the run's Result (wall
-// and modeled time, contained incidents, the partition report of a
-// -partition run) beside the sections this document names itself.
+// profileReport is the JSON schema of -profile-json: the run's job record
+// (as in a -report row: wall and modeled time, contained incidents, cache
+// traffic, the partition report of a -partition run) beside the mode and the
+// per-kernel and per-command rows.
 type profileReport struct {
-	Script string `json:"script"`
-	Mode   string `json:"mode"`
+	Mode string `json:"mode"`
 	aigre.Result
-	Kernels  []gpu.KernelProfile `json:"kernels"`
-	Commands []commandReport     `json:"commands"`
-	// Cache is the resynthesis-cache traffic of this run (hit/miss/eviction
-	// counters for the program compartment, npn_hits/npn_misses for NPN
-	// canonization).
-	Cache aigre.CacheStats `json:"cache"`
+	Kernels  []gpu.KernelProfile  `json:"kernels"`
+	Commands []flow.CommandTiming `json:"commands"`
 }
 
-type commandReport struct {
-	Command   string              `json:"command"`
-	WallNS    time.Duration       `json:"wall_ns"`
-	ModeledNS time.Duration       `json:"modeled_ns"`
-	DedupNS   time.Duration       `json:"dedup_modeled_ns"`
-	Nodes     int                 `json:"nodes_after"`
-	Levels    int                 `json:"levels_after"`
-	Kernels   []gpu.KernelProfile `json:"kernels,omitempty"`
-}
-
-func writeProfileJSON(path, script, mode string, res aigre.Result) error {
-	rep := profileReport{Script: script, Mode: mode, Result: res, Kernels: res.Profile, Cache: res.CacheStats}
-	for _, t := range res.Timings {
-		rep.Commands = append(rep.Commands, commandReport{
-			Command:   t.Command,
-			WallNS:    t.Wall + t.DedupWall,
-			ModeledNS: t.Modeled,
-			DedupNS:   t.DedupModeled,
-			Nodes:     t.NodesAfter,
-			Levels:    t.LevelsAfter,
-			Kernels:   t.Kernels,
-		})
-	}
+func writeProfileJSON(path, mode string, res aigre.Result) error {
+	rep := profileReport{Mode: mode, Result: res, Kernels: res.Profile, Commands: res.Timings}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

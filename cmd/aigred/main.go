@@ -30,6 +30,11 @@
 //	GET  /v1/stats             queue depths, engine metrics, store size
 //	GET  /healthz              liveness (reports draining)
 //
+// A job's session is the engine's job record — the row aigre -report prints
+// for a batch job — plus the result digest and its size; the "engine" block
+// of /v1/stats is the engine's fleet metrics under the snake_case keys of the
+// aigre -report header (workers, finished, peak_workers, wall_ns, ...).
+//
 // Errors are a typed JSON envelope {"error": {"code", "message",
 // "retry_after_ms"}} with machine-readable codes (saturated, rate_limited,
 // draining, not_found, invalid_argument, ...).

@@ -279,7 +279,7 @@ func (s *server) runJob(spec *queue.Spec) {
 		s.requeue(spec.ID, "drain: engine closed before the job started")
 		return
 	}
-	sess := sessionOf(r)
+	sess := &queue.Session{Record: r.Record}
 	switch {
 	case r.Quarantined:
 		s.casualties.Add(1)
@@ -536,25 +536,6 @@ func specBatch(spec *queue.Spec, cfg serverConfig) (aigre.Batch, error) {
 		Workers: spec.Workers,
 		Options: opts,
 	}, nil
-}
-
-// sessionOf converts an engine result to the queryable session record
-// persisted with the job's terminal state.
-func sessionOf(r aigre.BatchResult) *queue.Session {
-	return &queue.Session{
-		Attempts:     r.Attempts,
-		Preemptions:  r.Preemptions,
-		NodesBefore:  r.NodesBefore,
-		LevelsBefore: r.LevelsBefore,
-		NodesAfter:   r.NodesAfter,
-		LevelsAfter:  r.LevelsAfter,
-		QueuedNS:     r.Queued,
-		WallNS:       r.Wall,
-		ModeledNS:    r.Modeled,
-		Incidents:    r.Incidents,
-		Profile:      r.Profile,
-		Cache:        r.CacheStats,
-	}
 }
 
 func errText(err error) string {

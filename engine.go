@@ -25,16 +25,6 @@ type Engine struct {
 	sharedBefore CacheStats
 }
 
-// batchResultOf wraps a scheduler report (and the partition report, if any)
-// in the public shape.
-func batchResultOf(r sched.Result, pr *PartitionReport) BatchResult {
-	br := BatchResult{Result: r, Partition: pr}
-	if r.AIG != nil {
-		br.AIG = &Network{aig: r.AIG}
-	}
-	return br
-}
-
 // NewEngine starts an engine configured like a RunBatch call. ctx, when
 // non-nil, cancels every job engine-wide when it is done. The engine holds
 // opts.Workers pool workers until Close.
@@ -85,19 +75,19 @@ func (b Batch) check() error {
 // Run runs one job to completion on the calling goroutine, outside
 // MaxConcurrentJobs, with the supervision, journal, metrics and result a
 // RunBatch job gets. ctx, when non-nil, cancels this job alone. A failing or
-// cancelled job reports through BatchResult.Err; the call itself errors only
+// cancelled job reports through Result.Err; the call itself errors only
 // on a malformed job (nil network, unparsable script, unknown partition mode)
 // and, after Close, with sched.ErrClosed.
-func (e *Engine) Run(ctx context.Context, b Batch) (BatchResult, error) {
+func (e *Engine) Run(ctx context.Context, b Batch) (Result, error) {
 	if err := b.check(); err != nil {
-		return BatchResult{}, fmt.Errorf("aigre: job %q: %w", b.Name, err)
+		return Result{}, fmt.Errorf("aigre: job %q: %w", b.Name, err)
 	}
 	var pr *PartitionReport
 	r := e.eng.Do(ctx, e.convert(b, &pr))
 	if errors.Is(r.Err, sched.ErrClosed) {
-		return BatchResult{}, r.Err
+		return Result{}, r.Err
 	}
-	return batchResultOf(r, pr), nil
+	return resultOf(r, pr), nil
 }
 
 // Close refuses new work, waits for the jobs in flight, and releases the
@@ -115,7 +105,8 @@ func (e *Engine) Close() {
 func (e *Engine) Metrics() BatchMetrics {
 	m := e.eng.Metrics()
 	if e.opts.SharedCache != nil {
-		m.CacheStats = e.opts.SharedCache.Stats().Sub(e.sharedBefore)
+		cs := e.opts.SharedCache.Stats().Sub(e.sharedBefore)
+		m.CacheStats = &cs
 	}
 	return m
 }

@@ -171,7 +171,7 @@ func TestNpnCountersExact(t *testing.T) {
 			t.Fatalf("batch job %s: %v", r.Name, r.Err)
 		}
 	}
-	if got, want := probes(m.CacheStats), c.seqCuts+2*c.parCuts; got != want {
+	if got, want := probes(*m.CacheStats), c.seqCuts+2*c.parCuts; got != want {
 		t.Errorf("shared-cache batch: %d NPN probes, want %d", got, want)
 	}
 	if got, want := probes(shared.Stats()), 2*c.seqCuts+2*c.parCuts; got != want {

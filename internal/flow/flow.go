@@ -92,36 +92,32 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// CommandTiming is the per-command record behind Figure 8.
+// CommandTiming is the per-command record behind Figure 8, and a row of the
+// "commands" array of cmd/aigre -profile-json. Wall and Modeled cover the
+// command's own passes; DedupWall and DedupModeled its cleanup pass.
 type CommandTiming struct {
-	Command      string
-	Wall         time.Duration
-	Modeled      time.Duration // device-modeled time (parallel mode only)
-	DedupWall    time.Duration
-	DedupModeled time.Duration
-	NodesAfter   int
-	LevelsAfter  int
+	Command      string        `json:"command"`
+	Wall         time.Duration `json:"wall_ns"`
+	Modeled      time.Duration `json:"modeled_ns"` // device-modeled time (parallel mode only)
+	DedupWall    time.Duration `json:"dedup_wall_ns"`
+	DedupModeled time.Duration `json:"dedup_modeled_ns"`
+	NodesAfter   int           `json:"nodes_after"`
+	LevelsAfter  int           `json:"levels_after"`
 	// Kernels is the per-kernel device profile of this command, including
 	// its cleanup pass when one ran (dedup kernels carry "dedup/" names).
 	// Parallel mode only; the modeled times sum to Modeled + DedupModeled.
-	Kernels []gpu.KernelProfile
+	Kernels []gpu.KernelProfile `json:"kernels,omitempty"`
 }
 
-// Result is the run record of one script: the one definition of what a run
-// reports. The layers above embed it beside the fields they add — sched.Result
-// (supervision), partition.Result (the partition report) and the public
-// aigre.Result / aigre.BatchResult (the Network wrapper) — and its JSON form
-// is the part of a cmd/aigre -report job row that comes from the run.
-type Result struct {
-	// AIG is the optimized network; on a cancelled run the network after the
-	// last completed command, nil only when the script failed to parse.
-	AIG *aig.AIG `json:"-"`
+// Record is the part of a run's Result that outlives the run: what is
+// stored, served and printed. It holds no network and no timings, so a kept
+// record never keeps an optimized AIG alive. sched.Record, the job record,
+// embeds it.
+type Record struct {
 	// Wall is the measured host time of the run; Modeled the simulated-device
 	// time (parallel mode; sequential commands model their wall time).
 	Wall    time.Duration `json:"wall_ns"`
 	Modeled time.Duration `json:"modeled_ns"`
-	// Timings is the per-command breakdown.
-	Timings []CommandTiming `json:"-"`
 	// Incidents lists every contained failure: commands whose attempt
 	// aborted (kernel panic, full hash table), or whose output failed the
 	// structural invariant check or the equivalence gate, and what the
@@ -130,12 +126,24 @@ type Result struct {
 	// Profile is the per-kernel device profile of a parallel run (nil for
 	// sequential and partitioned runs). The modeled times of its rows sum to
 	// the device's modeled time exactly; see gpu.FormatProfile.
-	Profile []gpu.KernelProfile `json:"-"`
+	Profile []gpu.KernelProfile `json:"profile,omitempty"`
 	// CacheStats is the resynthesis-cache traffic observed during this run
 	// (a before/after delta of the configured cache). When the cache is
 	// shared with concurrently running jobs the delta includes their traffic
 	// too — the counters are cache-global.
-	CacheStats rcache.Stats `json:"-"`
+	CacheStats rcache.Stats `json:"cache"`
+}
+
+// Result is the in-memory outcome of one script: the run Record plus the
+// optimized network and the per-command breakdown. partition.Result embeds
+// it; sched.Result keeps its three parts beside the job's supervision record.
+type Result struct {
+	// AIG is the optimized network; on a cancelled run the network after the
+	// last completed command, nil only when the script failed to parse.
+	AIG *aig.AIG
+	// Timings is the per-command breakdown.
+	Timings []CommandTiming
+	Record
 }
 
 // Command is one entry of the script vocabulary: the engines behind a command

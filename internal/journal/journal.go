@@ -20,7 +20,9 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -68,16 +70,22 @@ type Entry struct {
 
 // Journal is a concurrency-safe append-only JSONL writer. The zero value and
 // a nil *Journal are both valid no-op journals, so call sites never need to
-// guard Append behind a nil check.
+// guard Append behind a nil check. A journal that owns a file refuses every
+// append once closed (ErrClosed), so a write-ahead caller never takes a lost
+// line for a durable one.
 type Journal struct {
-	mu   sync.Mutex
-	w    io.Writer
-	f    *os.File // non-nil when the journal owns the file
-	sync bool     // fsync after every append
-	seq  int64
-	size int64       // bytes in the journal (file length when it owns one)
-	obs  func(Entry) // observer of appended entries, under mu
+	mu     sync.Mutex
+	w      io.Writer
+	f      *os.File // non-nil when the journal owns the file
+	sync   bool     // fsync after every append
+	closed bool     // Close released the owned file
+	seq    int64
+	size   int64       // bytes in the journal (file length when it owns one)
+	obs    func(Entry) // observer of appended entries, under mu
 }
+
+// ErrClosed is what appends to a closed file journal report.
+var ErrClosed = errors.New("journal: closed")
 
 // Create opens (creating or appending to) a journal file at path. Appends
 // are flushed to the OS but not fsynced; use CreateSync for a write-ahead
@@ -153,6 +161,9 @@ func (j *Journal) Append(e Entry) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.closed {
+		return ErrClosed
+	}
 	j.seq++
 	e.Seq = j.seq
 	if e.Time.IsZero() {
@@ -174,11 +185,17 @@ func (j *Journal) Append(e Entry) error {
 // nothing: the caller owns the record type and its sequencing. This is the
 // generic layer internal/queue builds its write-ahead log on.
 func (j *Journal) AppendRecord(v any) error {
-	if j == nil || j.w == nil {
+	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	switch {
+	case j.closed:
+		return ErrClosed
+	case j.w == nil:
+		return nil
+	}
 	return j.appendLocked(v)
 }
 
@@ -204,57 +221,75 @@ func (j *Journal) appendLocked(v any) error {
 
 // Sync fsyncs the journal file now (a no-op without an underlying file).
 func (j *Journal) Sync() error {
-	if j == nil || j.f == nil {
+	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	switch {
+	case j.closed:
+		return ErrClosed
+	case j.f == nil:
+		return nil
+	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	return nil
 }
 
-// Close closes the underlying file, if the journal owns one.
+// Close closes the underlying file, if the journal owns one; appends after
+// it report ErrClosed. Closing a journal without a file of its own is a
+// no-op.
 func (j *Journal) Close() error {
-	if j == nil || j.f == nil {
+	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
 	err := j.f.Close()
-	j.f = nil
-	j.w = nil
+	j.f, j.w, j.closed = nil, nil, true
 	return err
 }
 
-// ReadRecords decodes JSONL records of type T from r. Torn records — the
-// footprints of a crashed writer: a truncated final line, or a partially
-// persisted mid-file line followed by later appends — are skipped, and the
-// count of skipped lines is returned so callers can surface a warning.
-// Only an unreadable stream is an error.
+// ReadRecords decodes JSONL records of type T from r. A line is as long as
+// its record: there is no cap, so any record an append could write reads
+// back. Torn records — the footprints of a crashed writer: a truncated final
+// line, or a partially persisted mid-file line followed by later appends —
+// are skipped, and the count of skipped lines is returned so callers can
+// surface a warning. Only an unreadable stream is an error.
 func ReadRecords[T any](r io.Reader) (recs []T, torn int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	br := bufio.NewReaderSize(r, 64*1024)
+	var line []byte // reused: Unmarshal keeps no reference to its input
+	for {
+		chunk, rerr := br.ReadSlice('\n')
+		line = append(line, chunk...)
+		if rerr == bufio.ErrBufferFull {
 			continue
 		}
-		var rec T
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn record: skip to the next newline and keep going. A torn
-			// *tail* is a process killed mid-append; a torn *mid-file* line
-			// is a partial page writeback that later appends survived.
-			torn++
-			continue
+		if rerr != nil && rerr != io.EOF {
+			return recs, torn, fmt.Errorf("journal: %w", rerr)
 		}
-		recs = append(recs, rec)
+		if len(bytes.TrimSpace(line)) > 0 {
+			var rec T
+			if err := json.Unmarshal(line, &rec); err != nil {
+				// Torn record: skip to the next newline and keep going. A
+				// torn *tail* is a process killed mid-append; a torn
+				// *mid-file* line is a partial page writeback that later
+				// appends survived.
+				torn++
+			} else {
+				recs = append(recs, rec)
+			}
+		}
+		if rerr == io.EOF {
+			return recs, torn, nil
+		}
+		line = line[:0]
 	}
-	if err := sc.Err(); err != nil {
-		return recs, torn, fmt.Errorf("journal: %w", err)
-	}
-	return recs, torn, nil
 }
 
 // Read decodes supervision-journal lines from r, skipping torn records (both

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -85,6 +86,48 @@ func TestNilJournalIsNoOp(t *testing.T) {
 	var zero Journal
 	if err := zero.Append(Entry{Job: "x", Event: EventDone}); err != nil {
 		t.Fatalf("zero journal Append: %v", err)
+	}
+}
+
+// TestClosedJournalRefusesAppends checks that a file journal reports every
+// append after Close as an error, while a writer-less (observer-only)
+// journal stays a no-op across Close.
+func TestClosedJournalRefusesAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	j, err := CreateSync(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendRecord(struct{ X int }{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendRecord(struct{ X int }{2}); !errors.Is(err, ErrClosed) {
+		t.Errorf("AppendRecord after Close: %v, want ErrClosed", err)
+	}
+	if err := j.Append(Entry{Job: "x", Event: EventDone}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Append after Close: %v, want ErrClosed", err)
+	}
+	if err := j.Sync(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Sync after Close: %v, want ErrClosed", err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != "{\"X\":1}\n" {
+		t.Errorf("file after refused appends: %q", data)
+	}
+
+	obs := New(nil)
+	seen := 0
+	obs.Observe(func(Entry) { seen++ })
+	if err := obs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.AppendRecord(struct{ X int }{1}); err != nil {
+		t.Errorf("observer-only AppendRecord: %v", err)
+	}
+	if err := obs.Append(Entry{Job: "x", Event: EventDone}); err != nil || seen != 1 {
+		t.Errorf("observer-only Append: %v, observed %d", err, seen)
 	}
 }
 

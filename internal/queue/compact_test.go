@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"aigre/internal/sched"
 )
 
 // bigPayload is a payload large enough that dropping it from terminal
@@ -30,11 +32,11 @@ func TestCompactShrinksAndReplaysEquivalently(t *testing.T) {
 		}
 	}
 	a := mustLease(t, q)
-	if err := q.Resolve(a.ID, Done, "ok", &Session{Attempts: 1, NodesAfter: 7}); err != nil {
+	if err := q.Resolve(a.ID, Done, "ok", &Session{Record: sched.Record{Attempts: 1, NodesAfter: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	b := mustLease(t, q)
-	if err := q.Resolve(b.ID, Failed, "boom", &Session{Attempts: 2}); err != nil {
+	if err := q.Resolve(b.ID, Failed, "boom", &Session{Record: sched.Record{Attempts: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	c := mustLease(t, q) // will be in flight across the compaction
@@ -105,7 +107,7 @@ func TestOpenCompactsRedundantHistory(t *testing.T) {
 	mustSubmit(t, q, "j1", 0)
 	mustSubmit(t, q, "j2", 0)
 	spec := mustLease(t, q)
-	if err := q.Resolve(spec.ID, Done, "", &Session{Attempts: 1}); err != nil {
+	if err := q.Resolve(spec.ID, Done, "", &Session{Record: sched.Record{Attempts: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Close(); err != nil {

@@ -12,6 +12,7 @@ import (
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/rcache"
+	"aigre/internal/sched"
 )
 
 // goldenWAL is the life of one job as three WAL records — submission, lease,
@@ -23,16 +24,21 @@ func goldenWAL() []Record {
 		Parallel: true, Workers: 2, Client: "tenant-a", Inject: []string{"rewrite/eval:1:panic"},
 		AIGER: []byte("aag 0 0 0 0 0\n"), Submitted: at}
 	sess := &Session{
-		Attempts: 2, Preemptions: 1,
-		NodesBefore: 120, LevelsBefore: 14, NodesAfter: 96, LevelsAfter: 11,
-		QueuedNS: 1500 * time.Microsecond, WallNS: 42 * time.Millisecond, ModeledNS: 7 * time.Millisecond,
+		Record: sched.Record{
+			Name: spec.ID, Script: spec.Script,
+			Record: flow.Record{
+				Wall: 42 * time.Millisecond, Modeled: 7 * time.Millisecond,
+				Incidents: []flow.Incident{{Index: 1, Command: "rw", Stage: "launch", Kernel: "rewrite/eval",
+					Action: "retried-sequential", Detail: "injected panic", Class: flow.ClassTransient,
+					Attempt: 1, Time: at.Add(time.Second)}},
+				Profile: []gpu.KernelProfile{{Kernel: "balance/collect", Launches: 3, Threads: 360, Work: 1440,
+					Span: 12, Modeled: 5 * time.Millisecond, Seq: time.Millisecond, Wall: 9 * time.Millisecond}},
+				CacheStats: rcache.Stats{Hits: 10, Misses: 4, Evictions: 1, NpnHits: 200, NpnMisses: 22, Entries: 3},
+			},
+			Attempts: 2, Preemptions: 1, Queued: 1500 * time.Microsecond,
+			NodesBefore: 120, LevelsBefore: 14, NodesAfter: 96, LevelsAfter: 11,
+		},
 		Result: "sha256:00112233", ResultBytes: 321,
-		Incidents: []flow.Incident{{Index: 1, Command: "rw", Stage: "launch", Kernel: "rewrite/eval",
-			Action: "retried-sequential", Detail: "injected panic", Class: flow.ClassTransient,
-			Attempt: 1, Time: at.Add(time.Second)}},
-		Profile: []gpu.KernelProfile{{Kernel: "balance/collect", Launches: 3, Threads: 360, Work: 1440,
-			Span: 12, Modeled: 5 * time.Millisecond, Seq: time.Millisecond, Wall: 9 * time.Millisecond}},
-		Cache: rcache.Stats{Hits: 10, Misses: 4, Evictions: 1, NpnHits: 200, NpnMisses: 22, Entries: 3},
 	}
 	return []Record{
 		{Seq: 1, Time: at, ID: spec.ID, State: Pending, Spec: &spec},
@@ -42,7 +48,7 @@ func goldenWAL() []Record {
 }
 
 // TestGoldenWAL pins the on-disk shape of WAL records byte for byte, and
-// checks that the checked-in lines replay to the Session they were built from.
+// checks that the checked-in lines replay to the job they were built from.
 func TestGoldenWAL(t *testing.T) {
 	recs := goldenWAL()
 	var got bytes.Buffer
@@ -60,9 +66,32 @@ func TestGoldenWAL(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("WAL records changed shape:\n got: %s\nwant: %s", got.Bytes(), want)
 	}
+	checkReplay(t, "wal.golden.jsonl", recs)
+}
 
+// TestWALCompat replays WAL lines written when a Session was a copy of the
+// job record's fields rather than the record itself: a queue file from
+// before the change must come back as the same job, with the keys the old
+// shape lacked (name, script, the verdicts) left zero.
+func TestWALCompat(t *testing.T) {
+	recs := goldenWAL()
+	old := *recs[2].Session
+	old.Name, old.Script = "", ""
+	recs[2].Session = &old
+	checkReplay(t, "wal.compat.jsonl", recs)
+}
+
+// checkReplay opens a queue on the testdata file and checks that its one job
+// is the job recs describe: submitted, leased once, resolved with the last
+// record's state, detail and session.
+func checkReplay(t *testing.T, file string, recs []Record) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	if err := os.WriteFile(path, want, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	q, err := Open(path, Options{})
@@ -70,15 +99,11 @@ func TestGoldenWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	j, ok := q.Get(recs[0].ID)
-	if !ok || j.State != Done || j.Leases != 1 || j.Detail != "ok" {
-		t.Fatalf("replayed job: %+v ok=%v", j, ok)
-	}
-	ws, gs := reflect.ValueOf(*recs[2].Session), reflect.ValueOf(*j.Session)
-	for i := 0; i < ws.NumField(); i++ {
-		if !reflect.DeepEqual(gs.Field(i).Interface(), ws.Field(i).Interface()) {
-			t.Errorf("replayed Session.%s = %+v, want %+v",
-				ws.Type().Field(i).Name, gs.Field(i).Interface(), ws.Field(i).Interface())
-		}
+	last := recs[len(recs)-1]
+	want := Job{Spec: *recs[0].Spec, State: last.State, Detail: last.Detail, Leases: 1,
+		Session: last.Session, Updated: last.Time}
+	got, ok := q.Get(recs[0].ID)
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s replayed to\n%+v\nsession %+v\nwant\n%+v\nsession %+v", file, got, got.Session, want, want.Session)
 	}
 }

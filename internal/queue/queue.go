@@ -59,10 +59,8 @@ import (
 	"sync"
 	"time"
 
-	"aigre/internal/flow"
-	"aigre/internal/gpu"
 	"aigre/internal/journal"
-	"aigre/internal/rcache"
+	"aigre/internal/sched"
 )
 
 // State is a job's queue state. Submissions start Pending, move to Leased
@@ -133,33 +131,15 @@ type Spec struct {
 }
 
 // Session is the queryable after-the-fact record of a job's execution,
-// persisted in the terminal WAL record so it survives daemon restarts.
+// persisted in the terminal WAL record so it survives daemon restarts: the
+// engine's job record as it is, plus where the optimized network went.
 type Session struct {
-	Attempts    int `json:"attempts,omitempty"`
-	Preemptions int `json:"preemptions,omitempty"`
-
-	NodesBefore  int `json:"nodes_before,omitempty"`
-	LevelsBefore int `json:"levels_before,omitempty"`
-	NodesAfter   int `json:"nodes_after,omitempty"`
-	LevelsAfter  int `json:"levels_after,omitempty"`
-
-	QueuedNS  time.Duration `json:"queued_ns,omitempty"`
-	WallNS    time.Duration `json:"wall_ns,omitempty"`
-	ModeledNS time.Duration `json:"modeled_ns,omitempty"`
-
+	sched.Record
 	// Result is the content address (SHA-256 digest) of the optimized AIGER
 	// in the daemon's blob store, with its size; empty when the job produced
 	// no output. The blob outlives the process alongside the WAL.
 	Result      string `json:"result,omitempty"`
 	ResultBytes int    `json:"result_bytes,omitempty"`
-
-	// Incidents are the contained failures of the run, with their
-	// supervision Class and Attempt stamps.
-	Incidents []flow.Incident `json:"incidents,omitempty"`
-	// Profile is the per-kernel device profile of a parallel run.
-	Profile []gpu.KernelProfile `json:"profile,omitempty"`
-	// Cache is the resynthesis-cache traffic observed while the job ran.
-	Cache rcache.Stats `json:"cache"`
 }
 
 // Record is one WAL line: job ID moved to State. A record with a Spec is

@@ -1,15 +1,18 @@
 package queue
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"aigre/internal/flow"
+	"aigre/internal/sched"
 )
 
 func mustSubmit(t *testing.T, q *Queue, id string, priority int) {
@@ -51,8 +54,8 @@ func TestSubmitLeaseResolveRoundTrip(t *testing.T) {
 	if j, _ := q.Get("j1"); j.State != Leased || j.Leases != 1 {
 		t.Fatalf("after lease: %+v", j)
 	}
-	sess := &Session{Attempts: 1, NodesBefore: 10, NodesAfter: 8,
-		Incidents: []flow.Incident{{Command: "rw", Stage: "launch", Class: flow.ClassTransient}}}
+	sess := &Session{Record: sched.Record{Attempts: 1, NodesBefore: 10, NodesAfter: 8,
+		Record: flow.Record{Incidents: []flow.Incident{{Command: "rw", Stage: "launch", Class: flow.ClassTransient}}}}}
 	if err := q.Resolve("j1", Done, "", sess); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestReplayReconstructsQueue(t *testing.T) {
 	if got := mustLease(t, q); got.ID != "done" {
 		t.Fatalf("leased %s", got.ID)
 	}
-	if err := q.Resolve("done", Done, "", &Session{Attempts: 1}); err != nil {
+	if err := q.Resolve("done", Done, "", &Session{Record: sched.Record{Attempts: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustLease(t, q); got.ID != "inflight" {
@@ -129,7 +132,7 @@ func TestReplayReconstructsQueue(t *testing.T) {
 	if err := q.Resolve("waiting", Done, "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Resolve("poison", Quarantined, "stuck", &Session{Attempts: 3, Preemptions: 3}); err != nil {
+	if err := q.Resolve("poison", Quarantined, "stuck", &Session{Record: sched.Record{Attempts: 3, Preemptions: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	q.Close() // "crash" with inflight still leased
@@ -239,6 +242,104 @@ func TestTornWALRecordsTolerated(t *testing.T) {
 	}
 }
 
+// TestLargeSpecReplays submits a spec whose WAL line (the payload
+// base64-encoded) is several MiB long, tears a second line of that size at
+// the tail, and checks that the queue reopens with the job and its payload
+// intact, before and after a compaction rewrites the line.
+func TestLargeSpecReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	q, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("aag 1 1 0 1 0\n2\n2\n"), 7<<19/18) // 3.5 MiB
+	if err := q.Submit(Spec{ID: "big", Script: "b", AIGER: payload}); err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := append(data, data[:len(data)/2]...) // a second big line, torn mid-append
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, compact := range []bool{false, true} {
+		r, err := Open(path, Options{})
+		if err != nil {
+			t.Fatalf("reopen (compacted=%v): %v", compact, err)
+		}
+		j, ok := r.Get("big")
+		if !ok || j.State != Pending || !bytes.Equal(j.Spec.AIGER, payload) {
+			t.Fatalf("compacted=%v: job %q ok=%v state %s, %d payload bytes, want %d",
+				compact, j.Spec.ID, ok, j.State, len(j.Spec.AIGER), len(payload))
+		}
+		if compact {
+			if st := r.Stats(); st.Torn != 0 {
+				t.Errorf("compacted WAL replayed %d torn lines", st.Torn)
+			}
+		} else if st := r.Stats(); st.Torn != 1 {
+			t.Errorf("torn = %d, want 1", st.Torn)
+		}
+		r.Close()
+	}
+}
+
+// TestSubmitAfterCloseFails checks that a closed queue refuses work instead
+// of acknowledging a submission its WAL never received.
+func TestSubmitAfterCloseFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.jsonl")
+	q, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, q, "a", 0)
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Submit(Spec{ID: "b", Script: "b", AIGER: []byte("aag 0 0 0 0 0\n")}); err == nil {
+		t.Fatal("Submit after Close returned nil")
+	}
+	if _, ok := q.Get("b"); ok {
+		t.Error("a refused submission is held in memory")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Errorf("WAL changed after Close: %d -> %d bytes", len(before), len(after))
+	}
+}
+
+// TestSessionHoldsNoNetwork checks the stored record's type: a Session is
+// plain values all the way down — no pointer, interface (an error), map,
+// func or chan, and no per-command timings — so a terminal job kept in the
+// queue cannot keep an optimized network or anything else of its run alive.
+func TestSessionHoldsNoNetwork(t *testing.T) {
+	timeType := reflect.TypeOf(time.Time{}) // its *Location is a shared zone
+	timingType := reflect.TypeOf(flow.CommandTiming{})
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch {
+		case typ == timeType:
+		case typ == timingType:
+			t.Errorf("%s holds per-command timings", path)
+		case typ.Kind() == reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case typ.Kind() == reflect.Slice || typ.Kind() == reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Interface || typ.Kind() == reflect.Map ||
+			typ.Kind() == reflect.Func || typ.Kind() == reflect.Chan || typ.Kind() == reflect.UnsafePointer:
+			t.Errorf("%s is a %s (%s)", path, typ.Kind(), typ)
+		}
+	}
+	walk("Session", reflect.TypeOf(Session{}))
+}
+
 // TestResolveGuards checks the state machine rejects transitions that would
 // mean a runner finished a job it never held.
 func TestResolveGuards(t *testing.T) {
@@ -312,7 +413,7 @@ func TestConcurrentSubmitLeaseResolve(t *testing.T) {
 					continue
 				}
 				idle = 0
-				if err := q.Resolve(spec.ID, Done, "", &Session{Attempts: 1}); err != nil {
+				if err := q.Resolve(spec.ID, Done, "", &Session{Record: sched.Record{Attempts: 1}}); err != nil {
 					t.Errorf("resolve %s: %v", spec.ID, err)
 				}
 			}

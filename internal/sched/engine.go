@@ -67,23 +67,18 @@ func (j *Job) prepare() error {
 	return nil
 }
 
-// Result reports one finished job: the run record (flow.Result) plus what
-// supervision adds. It is the one job-report struct — the public
-// aigre.BatchResult embeds it — and its JSON form is a cmd/aigre -report job
-// row (which is why LevelsBefore, not part of that schema, is untagged out).
-type Result struct {
+// Record is the job record: the one struct that is stored, served and
+// printed for a job — an aigred session (queue.Session embeds it), a
+// cmd/aigre -report row and the -profile-json document (aigre.Result embeds
+// it through Result). It is the run record (flow.Record) plus what
+// supervision adds, and holds no network, error or timings.
+type Record struct {
 	Name   string `json:"name"`
 	Script string `json:"script"`
-	// Result is the run record. AIG is the optimized network; on a cancelled
-	// job the partial result (the network after the last completed command),
-	// nil only when the script failed to parse. Wall is start -> finish host
-	// time over every attempt; Modeled and Incidents accumulate over
-	// attempts; Timings, Profile and CacheStats are the last attempt's.
-	flow.Result
-	// Err is nil on success, the (wrapped) context error when the job was
-	// cancelled, or the script error. Contained engine failures do not set
-	// Err — they are listed in Incidents.
-	Err error `json:"-"`
+	// Record is the run record. Wall is start -> finish host time over every
+	// attempt; Modeled and Incidents accumulate over attempts; Profile and
+	// CacheStats are the last attempt's.
+	flow.Record
 	// Cancelled reports that Err traces back to external cancellation (the
 	// batch or engine shut down). Deadline expiries set TimedOut instead.
 	Cancelled bool `json:"cancelled,omitempty"`
@@ -102,42 +97,63 @@ type Result struct {
 	Queued time.Duration `json:"queued_ns"`
 
 	NodesBefore  int `json:"nodes_before"`
-	LevelsBefore int `json:"-"`
+	LevelsBefore int `json:"levels_before"`
 	NodesAfter   int `json:"nodes_after"`
 	LevelsAfter  int `json:"levels_after"`
 }
 
+// Result reports one finished job: its Record plus the in-memory parts of
+// the last attempt's flow.Result and the job's error.
+type Result struct {
+	Record
+	// AIG is the optimized network; on a cancelled job the partial result
+	// (the network after the last completed command), nil only when the
+	// script failed to parse.
+	AIG *aig.AIG `json:"-"`
+	// Timings is the last attempt's per-command breakdown.
+	Timings []flow.CommandTiming `json:"-"`
+	// Err is nil on success, the (wrapped) context error when the job was
+	// cancelled, or the script error. Contained engine failures do not set
+	// Err — they are listed in Incidents.
+	Err error `json:"-"`
+}
+
 // Metrics aggregates an engine's fleet statistics. It is the one fleet-
-// metrics struct (the public aigre.BatchMetrics is this type) and, marshalled
-// as is, the "engine" block of aigred's GET /v1/stats — whose keys are the Go
-// field names, so the fields that block never carried are tagged out.
+// metrics struct (the public aigre.BatchMetrics is this type): marshalled as
+// is, it is the header of a cmd/aigre -report and the "engine" block of
+// aigred's GET /v1/stats.
 type Metrics struct {
-	Workers int // pool size W backing the engine
+	Workers int `json:"workers"` // pool size W backing the engine
 	// Finished (completed without error), Failed, Cancelled, TimedOut (killed
 	// by a deadline, their own or the batch's) and Quarantined (poison jobs
 	// withdrawn by the supervisor) partition the jobs by final outcome.
-	Finished, Failed, Cancelled int
-	TimedOut, Quarantined       int
+	Finished    int `json:"finished"`
+	Failed      int `json:"failed"`
+	Cancelled   int `json:"cancelled"`
+	TimedOut    int `json:"timed_out,omitempty"`
+	Quarantined int `json:"quarantined,omitempty"`
 	// Retries counts extra attempts beyond the first, fleet-wide.
-	Retries int
+	Retries int `json:"retries,omitempty"`
 	// PeakWorkers is the pool's observed concurrency high-water mark (never
 	// above Workers: the shared-budget invariant); PeakQueueDepth the most
 	// jobs admitted but not yet started (a Batch admits its whole slice; a job
 	// handed to Do starts at once).
-	PeakWorkers    int
-	PeakQueueDepth int
+	PeakWorkers    int `json:"peak_workers"`
+	PeakQueueDepth int `json:"peak_queue_depth"`
 	// Wall spans the first admission to the last job completion. JobWall
 	// sums per-job host time — their ratio is the job-level concurrency.
 	// Modeled sums the modeled device time of all jobs.
-	Wall, JobWall, Modeled time.Duration
+	Wall    time.Duration `json:"wall_ns"`
+	JobWall time.Duration `json:"job_wall_ns"`
+	Modeled time.Duration `json:"modeled_ns"`
 	// Utilization is the fraction of the worker budget kept busy executing
 	// kernel bodies: busy-time / (Wall * Workers). Zero before any job
 	// finishes.
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 	// CacheStats is the fleet-wide resynthesis-cache traffic delta. The
 	// engine does not know the cache; the public aigre.Engine fills it when
-	// BatchOptions.SharedCache is set (zero otherwise).
-	CacheStats rcache.Stats
+	// BatchOptions.SharedCache is set (nil otherwise).
+	CacheStats *rcache.Stats `json:"cache,omitempty"`
 
 	Submitted int `json:"-"`
 	Started   int `json:"-"`
@@ -243,7 +259,7 @@ func (e *Engine) Batch(ctx context.Context, jobs []Job) []Result {
 			err = ErrClosed
 		}
 		if err != nil {
-			out[i] = Result{Name: jobs[i].Name, Script: jobs[i].Script, Err: err}
+			out[i] = Result{Record: Record{Name: jobs[i].Name, Script: jobs[i].Script}, Err: err}
 			continue
 		}
 		e.admit(&jobs[i])
@@ -285,7 +301,7 @@ func (e *Engine) Batch(ctx context.Context, jobs []Job) []Result {
 // result carries ErrClosed.
 func (e *Engine) Do(ctx context.Context, job Job) Result {
 	err := job.prepare()
-	res := Result{Name: job.Name, Script: job.Script, Err: err}
+	res := Result{Record: Record{Name: job.Name, Script: job.Script}, Err: err}
 	if err != nil {
 		return res
 	}

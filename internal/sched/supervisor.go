@@ -54,10 +54,10 @@ func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
 		// attempt that produced no network keeps the previous one.
 		fres.Incidents = append(res.Incidents, incs...)
 		fres.Modeled += res.Modeled
-		if fres.AIG == nil {
-			fres.AIG = res.AIG
+		if fres.AIG != nil {
+			res.AIG = fres.AIG
 		}
-		res.Result = fres
+		res.Timings, res.Record.Record = fres.Timings, fres.Record
 		if dev != nil {
 			faults = dev.Faults()
 		}

@@ -273,10 +273,10 @@ func TestRetryDegraded(t *testing.T) {
 	var calls atomic.Int64
 	job := customJob("degraded", func(ctx context.Context, _ *Pool) (flow.Result, error) {
 		if calls.Add(1) == 1 {
-			return flow.Result{AIG: testAIG(1), Incidents: []flow.Incident{{
+			return flow.Result{AIG: testAIG(1), Record: flow.Record{Incidents: []flow.Incident{{
 				Index: 0, Command: "rw", Stage: "launch", Kernel: "rewrite/evaluate",
 				Action: "retried-sequential", Class: flow.ClassTransient,
-			}}}, nil
+			}}}}, nil
 		}
 		return flow.Result{AIG: testAIG(1)}, nil
 	})

@@ -254,7 +254,7 @@ func TestPartitionedBatchJob(t *testing.T) {
 func TestPartitionedJobUnderFullPolicy(t *testing.T) {
 	job := aigre.Batch{Name: "deep", AIG: aigre.FromInternal(bench.DeepNarrow(8, 500)), Script: "b; rw",
 		Options: aigre.Options{Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 2000}}}
-	run := func(pol aigre.Policy) (aigre.BatchResult, aigre.BatchMetrics, map[string][]string) {
+	run := func(pol aigre.Policy) (aigre.Result, aigre.BatchMetrics, map[string][]string) {
 		t.Helper()
 		var mu sync.Mutex
 		events := map[string][]string{}

@@ -10,53 +10,40 @@ import (
 
 	"aigre"
 	"aigre/internal/bench"
-	"aigre/internal/flow"
 	"aigre/internal/gpu"
 )
 
-// routeReport is what every entry point reports for one job: the optimized
-// network and the run record.
-type routeReport struct {
-	aig *aigre.Network
-	run flow.Result
-}
-
 // jobRoute is one way into the engine. observe marks the routes that take
 // BatchOptions and so have a supervision policy and an event stream;
-// Network.Run has neither.
+// Network.Run has neither. Every route reports the job as an aigre.Result.
 type jobRoute struct {
 	name    string
 	observe bool
-	run     func(ctx context.Context, job aigre.Batch, bopts aigre.BatchOptions) (routeReport, error)
-}
-
-func batchReport(r aigre.BatchResult) (routeReport, error) {
-	return routeReport{aig: r.AIG, run: r.Result.Result}, r.Err
+	run     func(ctx context.Context, job aigre.Batch, bopts aigre.BatchOptions) (aigre.Result, error)
 }
 
 var jobRoutes = []jobRoute{
-	{name: "Network.Run", run: func(ctx context.Context, job aigre.Batch, _ aigre.BatchOptions) (routeReport, error) {
-		res, err := job.AIG.Run(ctx, job.Script, job.Options)
-		return routeReport{aig: res.AIG, run: res.Result}, err
+	{name: "Network.Run", run: func(ctx context.Context, job aigre.Batch, _ aigre.BatchOptions) (aigre.Result, error) {
+		return job.AIG.Run(ctx, job.Script, job.Options)
 	}},
-	{name: "RunBatch", observe: true, run: func(ctx context.Context, job aigre.Batch, bopts aigre.BatchOptions) (routeReport, error) {
+	{name: "RunBatch", observe: true, run: func(ctx context.Context, job aigre.Batch, bopts aigre.BatchOptions) (aigre.Result, error) {
 		rs, _, err := aigre.RunBatch(ctx, []aigre.Batch{job}, bopts)
 		if err != nil {
-			return routeReport{}, err
+			return aigre.Result{}, err
 		}
-		return batchReport(rs[0])
+		return rs[0], rs[0].Err
 	}},
-	{name: "Engine.Run", observe: true, run: func(ctx context.Context, job aigre.Batch, bopts aigre.BatchOptions) (routeReport, error) {
+	{name: "Engine.Run", observe: true, run: func(ctx context.Context, job aigre.Batch, bopts aigre.BatchOptions) (aigre.Result, error) {
 		e, err := aigre.NewEngine(ctx, bopts)
 		if err != nil {
-			return routeReport{}, err
+			return aigre.Result{}, err
 		}
 		defer e.Close()
 		r, err := e.Run(ctx, job)
 		if err != nil {
-			return routeReport{}, err
+			return aigre.Result{}, err
 		}
-		return batchReport(r)
+		return r, r.Err
 	}},
 }
 
@@ -78,16 +65,16 @@ func through(t *testing.T, rt jobRoute, job aigre.Batch, pol aigre.Policy) strin
 	if err != nil {
 		t.Fatalf("%s: %v", rt.name, err)
 	}
-	got := outputDigest(t, rep.aig)
-	if rep.run.Profile != nil {
-		got += " " + profileDigest(rep.run.Profile)
+	got := outputDigest(t, rep.AIG)
+	if rep.Profile != nil {
+		got += " " + profileDigest(rep.Profile)
 		// A degraded command models its sequential retry by the wall clock.
-		if len(rep.run.Incidents) == 0 {
-			got += fmt.Sprintf(" %d", rep.run.Modeled.Nanoseconds())
+		if len(rep.Incidents) == 0 {
+			got += fmt.Sprintf(" %d", rep.Modeled.Nanoseconds())
 		}
 	}
-	got += fmt.Sprintf(" timings=%d", len(rep.run.Timings))
-	for _, inc := range rep.run.Incidents {
+	got += fmt.Sprintf(" timings=%d", len(rep.Timings))
+	for _, inc := range rep.Incidents {
 		got += fmt.Sprintf(" {%s class=%s kernel=%s}", inc, inc.Class, inc.Kernel)
 	}
 	if rt.observe {

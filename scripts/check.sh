@@ -44,6 +44,17 @@ if grep -rnE --include='*.go' --exclude-dir=benchmark '\bRetryBudget\b' . ||
     echo "check: a RetryBudget type, or a Policy handed to the engine by internal/partition, grew back; supervise the partitioned job's attempt instead" >&2
     exit 1
 fi
+# One definition per report key: the job record (sched.Record) and the fleet
+# metrics (sched.Metrics) are each declared once, and the aigred session, the
+# -report rows and header, -profile-json and /v1/stats embed or alias them.
+# client/ is the vendorable wire mirror and keeps its own copy.
+for key in nodes_before peak_workers; do
+    defs=$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=client --exclude-dir=benchmark "json:\"$key" . || true)
+    if [ "$(echo "$defs" | grep -c .)" -ne 1 ]; then
+        echo "check: json:\"$key\" must be declared in exactly one file, found in: $defs" >&2
+        exit 1
+    fi
+done
 # One way to regenerate a paper table: TestPaperClaims (paper_test.go) asserts
 # and prints them all; a regenerator command or testing.B table rows must not
 # grow back beside it.
