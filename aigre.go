@@ -320,12 +320,12 @@ func (n *Network) runCommand(ctx context.Context, opts Options, name string, pas
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := opts.flowConfig()
+	var d *gpu.Device
 	if opts.Parallel {
-		cfg.Device = gpu.New(opts.Workers)
-		cfg.Device.InjectFaults(opts.FaultPlans...)
+		d = gpu.New(opts.Workers)
+		d.InjectFaults(opts.FaultPlans...)
 	}
-	res, err := flow.RunCommand(ctx, n.aig, cmd, passes, cfg)
+	res, err := flow.RunCommand(ctx, d, n.aig, cmd, passes, opts.flowConfig())
 	r := sched.Result{AIG: res.AIG, Timings: res.Timings}
 	r.Record.Record = res.Record
 	return resultOf(r, nil), err

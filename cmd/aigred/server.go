@@ -726,12 +726,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // limiter is a per-client token bucket: rate tokens/second up to burst.
-// A zero rate admits everything.
+// A zero rate admits everything. Client names are caller-supplied, so a
+// bucket lives only until it has refilled to burst: it then cannot be told
+// apart from the fresh bucket allow would create, and the next sweep drops
+// it.
 type limiter struct {
 	mu      sync.Mutex
 	rate    float64
 	burst   float64
 	buckets map[string]*bucket
+	swept   time.Time // time of the last sweep
 }
 
 type bucket struct {
@@ -758,6 +762,9 @@ func (l *limiter) allow(client string, now time.Time) (retryAfter int, ok bool) 
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if now.Sub(l.swept).Seconds()*l.rate >= l.burst {
+		l.sweep(now) // a refill period has passed
+	}
 	b := l.buckets[client]
 	if b == nil {
 		b = &bucket{tokens: l.burst, last: now}
@@ -774,4 +781,17 @@ func (l *limiter) allow(client string, now time.Time) (retryAfter int, ok bool) 
 	}
 	wait := (1 - b.tokens) / l.rate
 	return int(wait) + 1, false
+}
+
+// sweep drops every bucket that has refilled to burst by now. It runs at most
+// once per refill period, and every bucket untouched for a period is full, so
+// the map holds only the clients seen within the last two periods and each
+// sweep costs about as much as the requests since the one before.
+func (l *limiter) sweep(now time.Time) {
+	for client, b := range l.buckets {
+		if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
+			delete(l.buckets, client)
+		}
+	}
+	l.swept = now
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -296,6 +297,36 @@ func TestLimiterRefill(t *testing.T) {
 		if _, ok := unlimited.allow("c", now); !ok {
 			t.Fatal("zero-rate limiter refused")
 		}
+	}
+}
+
+// TestLimiterForgetsIdleClients checks that caller-supplied client names
+// cannot grow the limiter without bound: a bucket that has refilled to burst
+// is dropped, so after one refill period only the clients active in it keep
+// a bucket — and a dropped client is admitted exactly like a fresh one.
+func TestLimiterForgetsIdleClients(t *testing.T) {
+	const rate, burst = 2, 2
+	l := newLimiter(rate, burst)
+	t0 := time.Unix(1000, 0)
+	for i := 0; i < 10_000; i++ {
+		if _, ok := l.allow(fmt.Sprintf("client-%d", i), t0); !ok {
+			t.Fatalf("first request of client %d refused", i)
+		}
+	}
+	t1 := t0.Add(burst / rate * time.Second)
+	if _, ok := l.allow("late", t1); !ok {
+		t.Fatal("fresh client refused")
+	}
+	if n := len(l.buckets); n != 1 {
+		t.Fatalf("%d buckets after one refill period, want 1 (the only client active in it)", n)
+	}
+	for i := 0; i < burst; i++ {
+		if _, ok := l.allow("client-0", t1); !ok {
+			t.Fatalf("dropped client refused burst token %d", i)
+		}
+	}
+	if _, ok := l.allow("client-0", t1); ok {
+		t.Fatal("dropped client got more than burst tokens")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"aigre/internal/flow"
+	"aigre/internal/gpu"
 	"aigre/internal/journal"
 	"aigre/internal/partition"
 	"aigre/internal/sched"
@@ -18,7 +19,7 @@ import (
 // worker of their own.
 type Engine struct {
 	opts BatchOptions
-	pool *sched.Pool
+	pool *gpu.Pool
 	eng  *sched.Engine
 	jour *journal.Journal
 
@@ -46,7 +47,7 @@ func NewEngine(ctx context.Context, opts BatchOptions) (*Engine, error) {
 	if opts.SharedCache != nil {
 		e.sharedBefore = opts.SharedCache.Stats()
 	}
-	e.pool = sched.NewPool(opts.Workers)
+	e.pool = gpu.NewPool(opts.Workers)
 	e.eng = sched.NewEngine(ctx, e.pool, sched.Options{
 		MaxConcurrentJobs: opts.MaxConcurrentJobs,
 		Policy:            opts.Policy,
@@ -134,7 +135,7 @@ func (e *Engine) convert(b Batch, prp **PartitionReport) sched.Job {
 	}
 	in, script := b.AIG.aig, b.Script
 	popts := partition.Options{Split: o.Partition, Workers: b.Workers, Flow: o.flowConfig(), Journal: e.jour}
-	sj.Custom = func(ctx context.Context, pool *sched.Pool) (flow.Result, error) {
+	sj.Custom = func(ctx context.Context, pool *gpu.Pool) (flow.Result, error) {
 		popts.Pool = pool
 		pres, err := partition.Run(ctx, in, script, popts)
 		*prp = reportOf(&pres)

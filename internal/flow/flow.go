@@ -50,8 +50,6 @@ type Config struct {
 	// Parallel selects the GPU-parallel algorithms; otherwise the
 	// sequential ABC-style baselines run.
 	Parallel bool
-	// Device used in parallel mode (nil = a fresh default device).
-	Device *gpu.Device
 	// MaxCut is the refactoring cut-size limit (paper: 12; 11 for log2).
 	MaxCut int
 	// RfPasses is the number of parallel refactoring passes per rf/rfz
@@ -80,9 +78,6 @@ type Config struct {
 }
 
 func (c Config) normalized() Config {
-	if c.Device == nil && c.Parallel {
-		c.Device = gpu.New(0)
-	}
 	if c.RfPasses == 0 {
 		c.RfPasses = 1
 	}
@@ -250,18 +245,22 @@ func Parse(script string) ([]string, error) {
 }
 
 // drive is the run loop under Run and RunCommand. It opens the run record
-// (defaults filled in, ctx bound to the device, clock and cache counters
-// snapshotted), calls step once per command and files what it returns, and
-// closes the record. An error from step ends the run; the network step hands
-// back beside it is the run's partial result.
-func drive(ctx context.Context, a *aig.AIG, cmds []string, cfg Config,
-	step func(ctx context.Context, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error)) (Result, error) {
+// (defaults filled in, a parallel run's nil device replaced by gpu.New(0), ctx
+// bound to the device, clock and cache counters snapshotted), calls step once
+// per command and files what it returns, and closes the record. An error from
+// step ends the run; the network step hands back beside it is the run's
+// partial result.
+func drive(ctx context.Context, d *gpu.Device, a *aig.AIG, cmds []string, cfg Config,
+	step func(ctx context.Context, d *gpu.Device, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error)) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cfg = cfg.normalized()
-	if cfg.Device != nil {
-		cfg.Device.Bind(ctx)
+	if d == nil && cfg.Parallel {
+		d = gpu.New(0)
+	}
+	if d != nil {
+		d.Bind(ctx)
 	}
 	start := time.Now()
 	cacheBefore := cfg.Cache.Snapshot()
@@ -270,7 +269,7 @@ func drive(ctx context.Context, a *aig.AIG, cmds []string, cfg Config,
 	for i := range cmds {
 		var t CommandTiming
 		var incs []Incident
-		if res.AIG, t, incs, err = step(ctx, res.AIG, i, cfg); err != nil {
+		if res.AIG, t, incs, err = step(ctx, d, res.AIG, i, cfg); err != nil {
 			break
 		}
 		res.Incidents = append(res.Incidents, incs...)
@@ -281,14 +280,16 @@ func drive(ctx context.Context, a *aig.AIG, cmds []string, cfg Config,
 	}
 	res.Wall = time.Since(start)
 	res.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
-	if cfg.Device != nil {
-		res.Profile = cfg.Device.Profile()
+	if d != nil {
+		res.Profile = d.Profile()
 	}
 	return res, err
 }
 
 // Run executes the script on a copy of the input and returns the optimized
-// AIG with the per-command breakdown.
+// AIG with the per-command breakdown. In parallel mode the device engines run
+// on d (nil = gpu.New(0), a private device as wide as the host); a sequential
+// run ignores d.
 //
 // Every command runs guarded: the input AIG serves as a checkpoint (engines
 // never mutate their input), the output must pass the structural invariant
@@ -303,7 +304,7 @@ func drive(ctx context.Context, a *aig.AIG, cmds []string, cfg Config,
 // returns the partial Result — the network after the last completed
 // command, with that prefix's timings — alongside an error wrapping
 // ctx.Err(). The only other error cause is a script Parse rejects.
-func Run(ctx context.Context, a *aig.AIG, script string, cfg Config) (Result, error) {
+func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Config) (Result, error) {
 	cmds, err := Parse(script)
 	if err != nil {
 		return Result{}, err
@@ -311,11 +312,11 @@ func Run(ctx context.Context, a *aig.AIG, script string, cfg Config) (Result, er
 	if slices.Equal(cmds, resyn2Cmds) {
 		cfg.rwzPasses = 2
 	}
-	return drive(ctx, a, cmds, cfg, func(ctx context.Context, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
+	return drive(ctx, d, a, cmds, cfg, func(ctx context.Context, d *gpu.Device, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
 		if cerr := ctx.Err(); cerr != nil {
 			return cur, CommandTiming{}, nil, fmt.Errorf("flow: script cancelled before command %d (%s): %w", i, cmds[i], cerr)
 		}
-		return runGuarded(ctx, cur, cmds[i], i, cfg)
+		return runGuarded(ctx, d, cur, cmds[i], i, cfg)
 	})
 }
 
@@ -323,7 +324,8 @@ func Run(ctx context.Context, a *aig.AIG, script string, cfg Config) (Result, er
 // outside a script and returns the run record Run does, with one timing
 // (filed under cmd.Kind). It is the body of the public single-algorithm entry
 // points and unguarded: no checkpoint, no gate, no retry on the other engine —
-// use Run for those. cfg.Parallel selects the engine; either one repeats.
+// use Run for those. cfg.Parallel selects the engine; either one repeats. A
+// device run uses d as Run does.
 //
 // Engine failures are propagated, not swallowed: a kernel abort
 // (*gpu.LaunchError), a launch refused after ctx was cancelled
@@ -331,9 +333,9 @@ func Run(ctx context.Context, a *aig.AIG, script string, cfg Config) (Result, er
 // after p of n passes", wrapping ctx.Err()) is returned beside the partial
 // Result, the network after the last completed pass. Any other engine panic
 // is a bug and is re-raised.
-func RunCommand(ctx context.Context, a *aig.AIG, cmd Command, passes int, cfg Config) (Result, error) {
-	return drive(ctx, a, []string{cmd.Kind}, cfg, func(ctx context.Context, cur *aig.AIG, _ int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
-		out, t, err := execute(ctx, cur, cmd.Kind, cmd, passes, cfg.Parallel, cfg)
+func RunCommand(ctx context.Context, d *gpu.Device, a *aig.AIG, cmd Command, passes int, cfg Config) (Result, error) {
+	return drive(ctx, d, a, []string{cmd.Kind}, cfg, func(ctx context.Context, d *gpu.Device, cur *aig.AIG, _ int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
+		out, t, err := execute(ctx, d, cur, cmd.Kind, cmd, passes, cfg.Parallel, cfg)
 		var bug *enginePanic
 		if errors.As(err, &bug) {
 			panic(bug.value)
@@ -343,7 +345,7 @@ func RunCommand(ctx context.Context, a *aig.AIG, cmd Command, passes int, cfg Co
 }
 
 // execute is the one place a Command turns into engine calls: passes runs of
-// its sequential engine or of its device engine on cfg.Device, ctx checked
+// its sequential engine or of its device engine on d, ctx checked
 // between them, the cleanup pass after a device run of a command that asks
 // for one, and the timing record (for a device run the modeled times and the
 // per-kernel profile are deltas of the device's accounting). An engine panic
@@ -351,7 +353,7 @@ func RunCommand(ctx context.Context, a *aig.AIG, cmd Command, passes int, cfg Co
 // surfaced through a kernel) or *gpu.CancelledError as itself, anything else
 // as an *enginePanic — with an empty timing and the network after the last
 // completed pass.
-func execute(ctx context.Context, a *aig.AIG, name string, c Command, passes int, parallel bool, cfg Config) (out *aig.AIG, t CommandTiming, err error) {
+func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c Command, passes int, parallel bool, cfg Config) (out *aig.AIG, t CommandTiming, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t = CommandTiming{Command: name}
@@ -367,7 +369,6 @@ func execute(ctx context.Context, a *aig.AIG, name string, c Command, passes int
 	}()
 	out, t.Command = a, name
 	passes = max(passes, 1)
-	d := cfg.Device
 	var snap gpu.Stats
 	var profSnap []gpu.KernelProfile
 	if parallel {

@@ -42,7 +42,7 @@ func testAIG() *aig.AIG {
 
 func TestSequentialResyn2PreservesFunctionAndImproves(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), a, Resyn2, Config{})
+	res, err := Run(context.Background(), nil, a, Resyn2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSequentialResyn2PreservesFunctionAndImproves(t *testing.T) {
 
 func TestParallelResyn2PreservesFunction(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), a, Resyn2, Config{Parallel: true})
+	res, err := Run(context.Background(), nil, a, Resyn2, Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestParallelResyn2PreservesFunction(t *testing.T) {
 
 func TestRfResynBothModes(t *testing.T) {
 	a, _ := bench.ByName("sin", 1)
-	seq, err := Run(context.Background(), a, RfResyn, Config{})
+	seq, err := Run(context.Background(), nil, a, RfResyn, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), a, RfResyn, Config{Parallel: true})
+	par, err := Run(context.Background(), nil, a, RfResyn, Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRfResynBothModes(t *testing.T) {
 
 func TestBreakdownAggregation(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), a, "b; rf; rwz", Config{Parallel: true})
+	res, err := Run(context.Background(), nil, a, "b; rf; rwz", Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestBalanceCommandMatchesLevels(t *testing.T) {
 	// After b, parallel and sequential runs must agree on levels
 	// (Property 3 at the flow level).
 	a := testAIG()
-	seq, _ := Run(context.Background(), a, "b", Config{})
-	par, _ := Run(context.Background(), a, "b", Config{Parallel: true})
+	seq, _ := Run(context.Background(), nil, a, "b", Config{})
+	par, _ := Run(context.Background(), nil, a, "b", Config{Parallel: true})
 	if seq.AIG.Levels() != par.AIG.Levels() {
 		t.Errorf("levels differ: %d vs %d", seq.AIG.Levels(), par.AIG.Levels())
 	}
@@ -134,7 +134,7 @@ func TestBalanceCommandMatchesLevels(t *testing.T) {
 func TestPerCommandKernelBreakdown(t *testing.T) {
 	a := testAIG()
 	d := gpu.New(2)
-	res, err := Run(context.Background(), a, "b; rw; rfz", Config{Parallel: true, Device: d})
+	res, err := Run(context.Background(), d, a, "b; rw; rfz", Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestPerCommandKernelBreakdown(t *testing.T) {
 // only differ by accepting zero-gain replacements.
 func TestSequentialZeroGainConfig(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), a, "rw; rf", Config{ZeroGain: true})
+	res, err := Run(context.Background(), nil, a, "rw; rf", Config{ZeroGain: true})
 	if err != nil {
 		t.Fatal(err)
 	}

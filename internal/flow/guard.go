@@ -92,7 +92,7 @@ func (e *gateError) Unwrap() error { return e.err }
 // (the device refuses further kernel launches), the runner does not degrade —
 // it returns the checkpoint and an error wrapping ctx.Err() so the caller can
 // stop the script.
-func runGuarded(ctx context.Context, checkpoint *aig.AIG, cmd string, idx int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
+func runGuarded(ctx context.Context, d *gpu.Device, checkpoint *aig.AIG, cmd string, idx int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
 	// Deterministic per-command gate seed, so failures reproduce.
 	seed := int64(idx)*7919 + 1
 	// Parse validated the name; the zero Command of an unknown one fails every
@@ -105,7 +105,7 @@ func runGuarded(ctx context.Context, checkpoint *aig.AIG, cmd string, idx int, c
 		if parallel && c.Passes != nil {
 			passes = c.Passes(cfg)
 		}
-		out, t, err := execute(ctx, checkpoint, cmd, c, passes, parallel, cfg)
+		out, t, err := execute(ctx, d, checkpoint, cmd, c, passes, parallel, cfg)
 		if err == nil {
 			err = EquivGate(checkpoint, out, cfg.Verify, GateRounds, seed)
 		}

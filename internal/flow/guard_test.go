@@ -45,7 +45,7 @@ func TestFaultInjectionRecovery(t *testing.T) {
 			a := testAIG()
 			d := gpu.New(4)
 			d.InjectFaults(tc.plan)
-			res, err := Run(context.Background(), a, tc.script, Config{Parallel: true, Device: d})
+			res, err := Run(context.Background(), d, a, tc.script, Config{Parallel: true})
 			if err != nil {
 				t.Fatalf("guarded run failed outright: %v", err)
 			}
@@ -90,7 +90,7 @@ func TestGuardSkipsWhenBothEnginesFail(t *testing.T) {
 	// both attempts must fail and the checkpoint must come back untouched.
 	a := testAIG()
 	cfg := Config{Parallel: true}.normalized()
-	out, _, incs, err := runGuarded(context.Background(), a, "frobnicate", 3, cfg)
+	out, _, incs, err := runGuarded(context.Background(), gpu.New(0), a, "frobnicate", 3, cfg)
 	if err != nil {
 		t.Fatalf("non-cancellation failure surfaced as an error: %v", err)
 	}
@@ -113,11 +113,11 @@ func TestGuardSkipsWhenBothEnginesFail(t *testing.T) {
 // Command of an unknown name fails in the executor on either engine.
 func TestRunSequentialUnknownCommandNoPanic(t *testing.T) {
 	ctx := context.Background()
-	if _, _, err := execute(ctx, testAIG(), "frobnicate", commands["frobnicate"], 1, false, Config{}.normalized()); err == nil {
+	if _, _, err := execute(ctx, nil, testAIG(), "frobnicate", commands["frobnicate"], 1, false, Config{}.normalized()); err == nil {
 		t.Error("unknown command did not error")
 	}
 	cfg := Config{Parallel: true}.normalized()
-	if _, _, err := execute(ctx, testAIG(), "frobnicate", commands["frobnicate"], 1, true, cfg); err == nil {
+	if _, _, err := execute(ctx, gpu.New(0), testAIG(), "frobnicate", commands["frobnicate"], 1, true, cfg); err == nil {
 		t.Error("unknown parallel command did not error")
 	}
 }
@@ -125,7 +125,7 @@ func TestRunSequentialUnknownCommandNoPanic(t *testing.T) {
 // TestVerifyModeFullCheck runs the opt-in full equivalence gate end to end.
 func TestVerifyModeFullCheck(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), a, "b; rf", Config{Parallel: true, Verify: true})
+	res, err := Run(context.Background(), nil, a, "b; rf", Config{Parallel: true, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCheckPassesAfterEveryCommand(t *testing.T) {
 	for _, script := range []string{Resyn2, RfResyn} {
 		for _, parallel := range []bool{false, true} {
 			a := testAIG()
-			res, err := Run(context.Background(), a, script, Config{Parallel: parallel})
+			res, err := Run(context.Background(), nil, a, script, Config{Parallel: parallel})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,8 +198,10 @@ func TestDegradeLadder(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			cfg := Config{Parallel: c.parallel}.normalized()
-			if cfg.Device != nil {
-				cfg.Device.Bind(ctx)
+			var dev *gpu.Device
+			if c.parallel {
+				dev = gpu.New(0)
+				dev.Bind(ctx)
 			}
 			commands["test"] = Command{Kind: "test",
 				Seq: func(a *aig.AIG, _ Config) *aig.AIG { return c.seq(a) },
@@ -216,7 +218,7 @@ func TestDegradeLadder(t *testing.T) {
 			defer delete(commands, "test")
 
 			checkpoint := testAIG()
-			out, tm, incs, err := runGuarded(ctx, checkpoint, "test", 4, cfg)
+			out, tm, incs, err := runGuarded(ctx, dev, checkpoint, "test", 4, cfg)
 			if c.cancel {
 				if !errors.Is(err, context.Canceled) || len(incs) != 0 || out != checkpoint {
 					t.Fatalf("cancelled command: err %v, incidents %+v, checkpoint returned %v", err, incs, out == checkpoint)

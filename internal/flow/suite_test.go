@@ -35,11 +35,11 @@ func TestSuiteIntegration(t *testing.T) {
 				t.Fatalf("Property 3 violated: %d vs %d levels", seqB.Levels(), parB.Levels())
 			}
 			// Full sequences in both modes.
-			seq, err := Run(context.Background(), a, RfResyn, Config{})
+			seq, err := Run(context.Background(), nil, a, RfResyn, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Run(context.Background(), a, RfResyn, Config{Parallel: true})
+			par, err := Run(context.Background(), nil, a, RfResyn, Config{Parallel: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,7 @@
 // CUDA runtime used by the paper (see DESIGN.md): algorithms are expressed
 // as data-parallel kernels with barrier semantics between launches — exactly
 // the structure of the paper's GPU refactoring and balancing — and run on a
-// goroutine worker pool.
+// bounded host worker pool (Pool); every Device is a lease of one.
 //
 // Because the reproduction host may have few cores (the benchmark recorder
 // has two), the device additionally records the work and span of every
@@ -16,7 +16,6 @@ package gpu
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -104,8 +103,8 @@ func (s Stats) String() string {
 // stream).
 type Device struct {
 	Model   CostModel
-	workers int
-	exec    Executor        // nil = spawn goroutines per launch; else a shared pool
+	workers int             // worker bodies per launch, at most the pool's size
+	pool    *Pool           // the worker budget every launch draws from
 	ctx     context.Context // nil = never cancelled; checked at launch boundaries
 	hb      *Heartbeat      // nil = no liveness reporting
 	stats   Stats
@@ -142,37 +141,10 @@ func (h *Heartbeat) Last() time.Time {
 // be called from the orchestration goroutine.
 func (d *Device) SetHeartbeat(h *Heartbeat) { d.hb = h }
 
-// Executor runs the host worker bodies of a kernel launch on behalf of a
-// device. An implementation typically multiplexes many devices over one
-// bounded goroutine pool (see internal/sched.Pool), so that N concurrent
-// jobs share a fixed host worker budget instead of oversubscribing the
-// machine N-fold. Execute must run every task to completion before
-// returning — it is the device barrier — and tasks of one call are
-// independent (they never block on each other), so running them with any
-// degree of concurrency, including sequentially, is correct.
-type Executor interface {
-	Execute(tasks []func())
-}
-
-// New creates a device backed by the given number of worker goroutines
-// (0 means GOMAXPROCS) using the default cost model.
+// New creates a device on a private pool of the given number of workers
+// (0 means GOMAXPROCS) using the default cost model: NewPool(workers).Lease(0).
 func New(workers int) *Device {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Device{Model: DefaultModel, workers: workers}
-}
-
-// NewLeased creates a device whose kernel launches draw host workers from
-// exec instead of spawning private goroutines: a capped sub-device leased
-// from a shared pool. workers bounds the worker bodies submitted per launch
-// (the lease size; minimum 1). The leased device keeps its own Stats and
-// per-kernel profile, so per-job accounting is unchanged.
-func NewLeased(workers int, exec Executor) *Device {
-	if workers <= 0 {
-		workers = 1
-	}
-	return &Device{Model: DefaultModel, workers: workers, exec: exec}
+	return NewPool(workers).Lease(0)
 }
 
 // Bind attaches a cancellation context to the device. Every subsequent
@@ -197,7 +169,7 @@ func (e *CancelledError) Error() string {
 
 func (e *CancelledError) Unwrap() error { return e.Err }
 
-// Workers returns the number of host worker goroutines.
+// Workers returns the lease size: the most worker bodies one launch runs.
 func (d *Device) Workers() int { return d.workers }
 
 // Stats returns the accumulated execution profile.
@@ -219,12 +191,12 @@ func (d *Device) AddOverhead(name string, ops int64) {
 // The kernel receives its worker slot and the thread id in [0,n), and returns
 // the thread's elementary operation count, which feeds the cost model; return
 // 1 when per-thread accounting is not meaningful. The slot is in [0, bodies)
-// where bodies <= Workers() is the number of worker bodies this launch runs
-// (the single-worker fast path runs every thread in slot 0). One goroutine
-// runs all threads of a slot, one after another, so a kernel may keep
-// per-slot working memory in a slice indexed by slot without locking — the
-// thread-local memory of a GPU kernel, sized once per launch instead of
-// borrowed per thread.
+// where bodies <= Workers() is the number of worker bodies this launch runs.
+// One goroutine runs all threads of a slot, one after another and in tid
+// order (a one-body launch runs every thread in slot 0, tid 0 first), so a
+// kernel may keep per-slot working memory in a slice indexed by slot without
+// locking — the thread-local memory of a GPU kernel, sized once per launch
+// instead of borrowed per thread.
 //
 // Threads must not communicate except through the data-race-free structures
 // provided by this repository (disjoint output slots, the concurrent hash
@@ -278,27 +250,7 @@ func (d *Device) launch(name string, n int, kernel func(slot, tid int) int64) er
 	var work, maxOps int64
 	var lerr *LaunchError
 	if n > 0 {
-		if d.workers == 1 && d.exec == nil {
-			// Fast path: no goroutines, still the same kernel semantics.
-			// Leased devices skip it so their work always runs on (and is
-			// bounded by) the shared pool.
-			for tid := 0; tid < n; tid++ {
-				ops, err := runThread(name, 0, tid, kernel)
-				if err != nil {
-					lerr = err
-					break
-				}
-				work += ops
-				if ops > maxOps {
-					maxOps = ops
-				}
-				if tid%launchChunk == launchChunk-1 {
-					d.beat()
-				}
-			}
-		} else {
-			work, maxOps, lerr = d.launchParallel(name, n, kernel)
-		}
+		work, maxOps, lerr = d.launchParallel(name, n, kernel)
 	}
 	modeled := d.Model.LaunchOverhead +
 		time.Duration(work/int64(d.Model.Processors)+maxOps)*d.Model.OpTime
@@ -333,8 +285,7 @@ func (d *Device) beat() {
 	}
 }
 
-// parallelLaunch is the state the worker bodies of one launch share, in one
-// allocation per launch.
+// parallelLaunch is the state the worker bodies of one launch share.
 type parallelLaunch struct {
 	d      *Device
 	name   string
@@ -346,33 +297,21 @@ type parallelLaunch struct {
 	stop   atomic.Bool // set when a thread panics; cancels remaining threads
 	mu     sync.Mutex  // guards lerr (failure path only)
 	lerr   *LaunchError
-	wg     sync.WaitGroup
 }
 
+// launchParallel runs the worker bodies of one launch on the device's pool,
+// at most one per chunk of threads: the one way a kernel reaches the host.
 func (d *Device) launchParallel(name string, n int, kernel func(slot, tid int) int64) (work, maxOps int64, lerr *LaunchError) {
 	workers := d.workers
 	if w := (n + launchChunk - 1) / launchChunk; w < workers {
 		workers = w
 	}
 	l := &parallelLaunch{d: d, name: name, n: int64(n), kernel: kernel}
-	if d.exec != nil {
-		// Leased device: the worker bodies run on the shared pool, which
-		// bounds host concurrency across all devices leased from it.
-		tasks := make([]func(), workers)
-		for i := range tasks {
-			tasks[i] = func() { l.body(i) }
-		}
-		d.exec.Execute(tasks)
-	} else {
-		l.wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer l.wg.Done()
-				l.body(w)
-			}()
-		}
-		l.wg.Wait()
+	tasks := make([]func(), workers)
+	for i := range tasks {
+		tasks[i] = func() { l.body(i) }
 	}
+	d.pool.Execute(tasks)
 	return l.work.Load(), l.maxOps.Load(), l.lerr
 }
 

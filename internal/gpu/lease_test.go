@@ -7,33 +7,18 @@ import (
 	"testing"
 )
 
-// inlineExec is a minimal Executor that runs every task body itself,
-// counting calls — a stand-in for the scheduler's worker pool.
-type inlineExec struct {
-	mu    sync.Mutex
-	calls int
-	tasks int
-}
-
-func (e *inlineExec) Execute(tasks []func()) {
-	e.mu.Lock()
-	e.calls++
-	e.tasks += len(tasks)
-	e.mu.Unlock()
-	for _, fn := range tasks {
-		fn()
-	}
-}
-
-// TestLeasedDeviceRoutesThroughExecutor checks that a leased device sends
-// every launch's worker bodies to the executor (never spawning its own
-// goroutines) while keeping full Device semantics: thread coverage, stats,
-// and per-kernel profile.
-func TestLeasedDeviceRoutesThroughExecutor(t *testing.T) {
-	exec := &inlineExec{}
-	d := NewLeased(3, exec)
+// TestLeasedDeviceRunsOnPool checks that a leased device runs every
+// launch's worker bodies on its pool, capped at the lease size, while keeping
+// full Device semantics: thread coverage, stats, and per-kernel profile.
+func TestLeasedDeviceRunsOnPool(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	d := pool.Lease(3)
 	if d.Workers() != 3 {
 		t.Fatalf("workers = %d, want 3", d.Workers())
+	}
+	if pool.PeakWorkers() != 0 || pool.BusyTime() != 0 {
+		t.Fatalf("fresh pool: peak %d busy %v, want 0", pool.PeakWorkers(), pool.BusyTime())
 	}
 	const n = 1000
 	seen := make([]bool, n)
@@ -49,8 +34,11 @@ func TestLeasedDeviceRoutesThroughExecutor(t *testing.T) {
 			t.Fatalf("thread %d never ran", tid)
 		}
 	}
-	if exec.calls != 1 || exec.tasks != 3 {
-		t.Errorf("executor saw %d calls / %d tasks, want 1 / 3", exec.calls, exec.tasks)
+	if p := pool.PeakWorkers(); p < 1 || p > 3 {
+		t.Errorf("pool peak = %d, want the launch on 1..3 pool slots", p)
+	}
+	if pool.BusyTime() <= 0 {
+		t.Error("pool busy time = 0: the launch did not run on the pool")
 	}
 	if s := d.Stats(); s.Launches != 1 || s.Work != n {
 		t.Errorf("stats = %+v, want 1 launch of %d work", s, int64(n))

@@ -9,23 +9,25 @@ import (
 	"time"
 
 	"aigre/internal/gpu"
-	"aigre/internal/sched"
 )
 
-// slotDevices returns a private and a sched.Pool-leased device with w
-// workers, by name, and a cleanup closing the pool.
+// slotDevices returns, by name, a private device with w workers, a lease of
+// a whole w-slot pool, and a w-worker lease of a shared 4-slot pool, and a
+// cleanup closing the pools.
 func slotDevices(w int) (map[string]*gpu.Device, func()) {
-	pool := sched.NewPool(w)
-	return map[string]*gpu.Device{
+	pool, shared := gpu.NewPool(w), gpu.NewPool(4)
+	devs := map[string]*gpu.Device{
 		"private": gpu.New(w),
 		"leased":  pool.Lease(w),
-	}, pool.Close
+		"shared":  shared.Lease(w),
+	}
+	return devs, func() { pool.Close(); shared.Close() }
 }
 
 // TestLaunchSlotsContract checks the worker-slot contract kernels rely on to
 // keep per-slot memory without locks: every slot is below Workers(), no two
 // threads of one slot ever run at the same time, every thread runs exactly
-// once, and the single-worker fast path runs everything in slot 0.
+// once, and a one-worker device runs every thread in slot 0 in tid order.
 func TestLaunchSlotsContract(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		devs, closePool := slotDevices(w)
@@ -33,7 +35,7 @@ func TestLaunchSlotsContract(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/W=%d", name, w), func(t *testing.T) {
 				const n = 5000
 				inflight := make([]atomic.Int32, d.Workers())
-				var badSlot, overlap atomic.Int32
+				var badSlot, overlap, outOfOrder, next atomic.Int32
 				ran := make([]int32, n)
 				d.LaunchSlots("slots", n, func(slot, tid int) int64 {
 					if slot < 0 || slot >= d.Workers() {
@@ -50,6 +52,9 @@ func TestLaunchSlotsContract(t *testing.T) {
 					if w == 1 && slot != 0 {
 						badSlot.Add(1)
 					}
+					if w == 1 && next.Add(1)-1 != int32(tid) {
+						outOfOrder.Add(1)
+					}
 					inflight[slot].Add(-1)
 					return 1
 				})
@@ -58,6 +63,9 @@ func TestLaunchSlotsContract(t *testing.T) {
 				}
 				if overlap.Load() != 0 {
 					t.Fatalf("%d threads shared a slot with a running thread", overlap.Load())
+				}
+				if outOfOrder.Load() != 0 {
+					t.Fatalf("%d threads of a one-worker launch ran out of tid order", outOfOrder.Load())
 				}
 				for tid, c := range ran {
 					if c != 1 {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"aigre/internal/aig"
-	"aigre/internal/sched"
+	"aigre/internal/gpu"
 )
 
 // part is one partition of the base network, described in base node ids.
@@ -185,7 +185,7 @@ func buildWindows(a *aig.AIG, target int) []*part {
 // over the pool; each task's translation scratch comes from the shared
 // free-lists (one dirty literal array gated by a zeroed seen array). A task
 // starting after ctx was cancelled leaves its cone nil; the caller checks ctx.
-func extractAll(ctx context.Context, base *aig.AIG, parts []*part, pool *sched.Pool) []*aig.AIG {
+func extractAll(ctx context.Context, base *aig.AIG, parts []*part, pool *gpu.Pool) []*aig.AIG {
 	nobj := base.NumObjs()
 	cones := make([]*aig.AIG, len(parts))
 	tasks := make([]func(), len(parts))

@@ -9,6 +9,7 @@ import (
 
 	"aigre/internal/bench"
 	"aigre/internal/flow"
+	"aigre/internal/gpu"
 	"aigre/internal/sched"
 )
 
@@ -50,7 +51,7 @@ func TestOrchestrationBeatsWatchdog(t *testing.T) {
 	defer e.Close()
 	var liveness int64
 	res := e.Do(context.Background(), sched.Job{Name: "deep", AIG: a, Script: "b; rw",
-		Custom: func(ctx context.Context, pool *sched.Pool) (flow.Result, error) {
+		Custom: func(ctx context.Context, pool *gpu.Pool) (flow.Result, error) {
 			slow := &probeCtx{Context: ctx, delay: 30 * time.Millisecond}
 			pres, err := Run(slow, a, "b; rw", Options{Split: Split{Mode: Cones, TargetSize: 2000}, Pool: pool,
 				Flow: flow.Config{Parallel: true}}) // device jobs: every kernel launch beats

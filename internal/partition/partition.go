@@ -27,6 +27,7 @@ import (
 
 	"aigre/internal/aig"
 	"aigre/internal/flow"
+	"aigre/internal/gpu"
 	"aigre/internal/journal"
 	"aigre/internal/rcache"
 	"aigre/internal/sched"
@@ -91,11 +92,11 @@ type Options struct {
 	// Pool is the engine's worker pool (required, not closed by Run): the
 	// partition jobs lease from it and extraction and stitch fan out on it,
 	// so a partitioned job cannot oversubscribe the host.
-	Pool *sched.Pool
+	Pool *gpu.Pool
 	// Flow is the per-partition execution config (mode, cut limits, gate
-	// settings, cache). Flow.Device is ignored: parallel partitions lease
-	// device capacity from the pool. Flow.Cache is shared across every
-	// partition job (nil = rcache.Default).
+	// settings, cache). Parallel partitions lease device capacity from the
+	// pool. Flow.Cache is shared across every partition job (nil =
+	// rcache.Default).
 	Flow flow.Config
 	// Journal, when non-nil, receives the partition jobs' supervision
 	// events (and this layer's seam-gate rollback incidents go to the
@@ -122,7 +123,6 @@ func (o Options) normalized() Options {
 	if o.Flow.Cache == nil {
 		o.Flow.Cache = rcache.Default
 	}
-	o.Flow.Device = nil
 	return o
 }
 

@@ -9,13 +9,13 @@ import (
 	"aigre/internal/bench"
 	"aigre/internal/cec"
 	"aigre/internal/flow"
-	"aigre/internal/sched"
+	"aigre/internal/gpu"
 )
 
 // testPool returns a pool of n workers that closes with the test.
-func testPool(t *testing.T, n int) *sched.Pool {
+func testPool(t *testing.T, n int) *gpu.Pool {
 	t.Helper()
-	p := sched.NewPool(n)
+	p := gpu.NewPool(n)
 	t.Cleanup(p.Close)
 	return p
 }

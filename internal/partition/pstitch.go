@@ -7,9 +7,9 @@ import (
 	"sync/atomic"
 
 	"aigre/internal/aig"
+	"aigre/internal/gpu"
 	"aigre/internal/hashtable"
 	"aigre/internal/mempool"
-	"aigre/internal/sched"
 )
 
 // Pooled scratch for parallel extraction and stitching. The arrays are
@@ -23,7 +23,7 @@ var (
 
 // chunked fans fn over [0,n) in contiguous chunks on the pool, inline when
 // the range is too small to be worth a goroutine handoff.
-func chunked(pool *sched.Pool, n int, fn func(lo, hi int)) {
+func chunked(pool *gpu.Pool, n int, fn func(lo, hi int)) {
 	const minChunk = 512
 	w := pool.Workers()
 	if n <= minChunk || w <= 1 {
@@ -103,7 +103,7 @@ func (m coneMap) lit(l aig.Lit) aig.Lit {
 // structurally identical nodes completely and apply the same trivial-node
 // simplification.
 // A cancelled ctx stops the merge, with ctx.Err(), within levelBatch levels.
-func stitchParallel(ctx context.Context, base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *sched.Pool) (*aig.AIG, []int, error) {
+func stitchParallel(ctx context.Context, base *aig.AIG, parts []*part, chosen []*aig.AIG, pool *gpu.Pool) (*aig.AIG, []int, error) {
 	nPI := base.NumPIs()
 	nParts := len(parts)
 

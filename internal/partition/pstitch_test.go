@@ -8,8 +8,8 @@ import (
 	"aigre/internal/aig"
 	"aigre/internal/bench"
 	"aigre/internal/flow"
+	"aigre/internal/gpu"
 	"aigre/internal/rcache"
-	"aigre/internal/sched"
 )
 
 // isomorphic checks that a and b are the same DAG up to node renumbering: PIs
@@ -129,7 +129,7 @@ func canonicalBase(t *testing.T, name string) *aig.AIG {
 // in-order strash replay and requires the same merged structure (up to
 // renumbering — the level-synchronous merge picks different winner ids, but
 // the quotient DAG must be the same) and the same total conflict count.
-func matchesOracle(t *testing.T, base *aig.AIG, parts []*part, cones []*aig.AIG, pool *sched.Pool) *aig.AIG {
+func matchesOracle(t *testing.T, base *aig.AIG, parts []*part, cones []*aig.AIG, pool *gpu.Pool) *aig.AIG {
 	t.Helper()
 	seq, seqConf, err := stitch(base, parts, cones)
 	if err != nil {
@@ -160,7 +160,7 @@ func matchesOracle(t *testing.T, base *aig.AIG, parts []*part, cones []*aig.AIG,
 // "b; rw"-optimized cones of benchmark circuits, split both ways, through
 // the stitcher and its oracle.
 func TestParallelStitchMatchesSequential(t *testing.T) {
-	pool := sched.NewPool(4)
+	pool := gpu.NewPool(4)
 	defer pool.Close()
 	for _, name := range []string{"multiplier", "mem_ctrl", "ac97_ctrl", "voter", "sin"} {
 		name := name
@@ -175,7 +175,7 @@ func TestParallelStitchMatchesSequential(t *testing.T) {
 				cones := extractAll(context.Background(), base, parts, pool)
 				matchesOracle(t, base, parts, cones, pool)
 				for i, c := range cones {
-					res, err := flow.Run(context.Background(), c, "b; rw", flow.Config{Cache: rcache.New()})
+					res, err := flow.Run(context.Background(), nil, c, "b; rw", flow.Config{Cache: rcache.New()})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -206,7 +206,7 @@ func TestStitchBoundaryOutputKinds(t *testing.T) {
 		{index: 1, inputs: []int32{4, 3, 5}, members: []int32{6, 7}, outputs: []int32{6, 7}},
 		{index: 2, inputs: []int32{7, 4}, members: []int32{8}, outputs: []int32{8}},
 	}
-	pool := sched.NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
 	pres := extractAll(context.Background(), base, parts, pool)
 
@@ -251,7 +251,7 @@ func TestStitchBoundaryOutputKinds(t *testing.T) {
 func TestParallelStitchWorkerIndependence(t *testing.T) {
 	base := canonicalBase(t, "mem_ctrl")
 	target := base.NumAnds()/8 + 1
-	pool1 := sched.NewPool(1)
+	pool1 := gpu.NewPool(1)
 	defer pool1.Close()
 	for mode, parts := range map[Mode][]*part{Cones: buildCones(base, target), Levels: buildWindows(base, target)} {
 		pres := extractAll(context.Background(), base, parts, pool1)
@@ -260,7 +260,7 @@ func TestParallelStitchWorkerIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 4, 8} {
-			pool := sched.NewPool(w)
+			pool := gpu.NewPool(w)
 			for round := 0; round < 2; round++ {
 				got, _, err := stitchParallel(context.Background(), base, parts, pres, pool)
 				if err != nil {

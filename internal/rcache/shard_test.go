@@ -22,7 +22,7 @@ func TestShardSpread(t *testing.T) {
 		t.Fatal("sixteen missing from suite")
 	}
 	c := rcache.New()
-	if _, err := flow.Run(context.Background(), a, flow.Resyn2, flow.Config{Cache: c}); err != nil {
+	if _, err := flow.Run(context.Background(), nil, a, flow.Resyn2, flow.Config{Cache: c}); err != nil {
 		t.Fatal(err)
 	}
 	sizes := c.ShardSizes()

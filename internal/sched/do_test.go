@@ -9,13 +9,14 @@ import (
 	"time"
 
 	"aigre/internal/flow"
+	"aigre/internal/gpu"
 )
 
 // TestDoAfterClose checks the admission rule: Close waits for the work in
 // flight, and once the engine is closed Do runs nothing and reports ErrClosed
 // in Result.Err.
 func TestDoAfterClose(t *testing.T) {
-	pool := NewPool(1)
+	pool := gpu.NewPool(1)
 	defer pool.Close()
 	e := NewEngine(context.Background(), pool, Options{})
 	a := testAIG(1)
@@ -24,7 +25,7 @@ func TestDoAfterClose(t *testing.T) {
 	batch := make(chan []Result, 1)
 	go func() {
 		batch <- e.Batch(context.Background(), []Job{{Name: "slow", AIG: a, Script: "b",
-			Custom: func(context.Context, *Pool) (flow.Result, error) {
+			Custom: func(context.Context, *gpu.Pool) (flow.Result, error) {
 				close(started)
 				time.Sleep(20 * time.Millisecond) // a Close that does not wait returns meanwhile
 				finished.Store(true)
@@ -42,7 +43,7 @@ func TestDoAfterClose(t *testing.T) {
 
 	ran := false
 	res := e.Do(context.Background(), Job{Name: "late", AIG: a, Script: "b",
-		Custom: func(context.Context, *Pool) (flow.Result, error) {
+		Custom: func(context.Context, *gpu.Pool) (flow.Result, error) {
 			ran = true
 			return flow.Result{AIG: a}, nil
 		}})
@@ -69,7 +70,7 @@ func TestDoCountsLikeRunJobs(t *testing.T) {
 		{Name: "ok", AIG: a, Script: flow.RfResyn, Config: flow.Config{Parallel: true}},
 		{Name: "ok2", AIG: testAIG(4), Script: "b; rw", Config: flow.Config{Parallel: true}},
 		{Name: "bad", AIG: a, Script: "b",
-			Custom: func(context.Context, *Pool) (flow.Result, error) { return flow.Result{}, boom }},
+			Custom: func(context.Context, *gpu.Pool) (flow.Result, error) { return flow.Result{}, boom }},
 	}
 	counts := func(m Metrics) Metrics {
 		m.Wall, m.JobWall, m.Utilization = 0, 0, 0
@@ -77,11 +78,11 @@ func TestDoCountsLikeRunJobs(t *testing.T) {
 		return m
 	}
 
-	batchPool := NewPool(1)
+	batchPool := gpu.NewPool(1)
 	defer batchPool.Close()
 	_, viaBatch := RunJobs(context.Background(), batchPool, jobs, 1)
 
-	doPool := NewPool(1)
+	doPool := gpu.NewPool(1)
 	defer doPool.Close()
 	before := runtime.NumGoroutine()
 	e := NewEngine(context.Background(), doPool, Options{MaxConcurrentJobs: 1})

@@ -35,9 +35,8 @@ type Job struct {
 	// scheduling fairness, not the budget — the pool bounds total
 	// concurrency regardless.
 	Workers int
-	// Config selects execution mode and engine options. Config.Device is
-	// ignored: parallel jobs always run on a device leased from the
-	// engine's pool.
+	// Config selects execution mode and engine options. A parallel job runs
+	// on a device leased from the engine's pool.
 	Config flow.Config
 	// Custom, when non-nil, replaces the flow.Run invocation for this job.
 	// It runs on the goroutine that called Do, under the merged per-job and
@@ -45,7 +44,7 @@ type Job struct {
 	// of the given pool. AIG is still required (it sizes the before-stats),
 	// and Script still labels the job. The partition-parallel batch path
 	// uses this to fan a job's sub-partitions onto the engine's pool.
-	Custom func(ctx context.Context, pool *Pool) (flow.Result, error)
+	Custom func(ctx context.Context, pool *gpu.Pool) (flow.Result, error)
 	// FaultPlans is a chaos/test facility: the plans are injected into each
 	// attempt's leased device, with fire-progress carried across attempts.
 	// Ignored for Custom jobs, which manage their own leases.
@@ -175,7 +174,7 @@ type Options struct {
 // Engine runs jobs on device capacity leased from the shared pool, each
 // through Do: one on the caller's goroutine, or a slice of them by Batch.
 type Engine struct {
-	pool    *Pool
+	pool    *gpu.Pool
 	ctx     context.Context // engine-wide cancellation
 	policy  Policy
 	jour    *journal.Journal
@@ -195,7 +194,7 @@ var ErrClosed = errors.New("sched: engine closed")
 
 // NewEngine returns an engine over pool. ctx, when non-nil, cancels every
 // job (waiting and running) engine-wide when it is done.
-func NewEngine(ctx context.Context, pool *Pool, opts Options) *Engine {
+func NewEngine(ctx context.Context, pool *gpu.Pool, opts Options) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -378,14 +377,14 @@ func (e *Engine) Do(ctx context.Context, job Job) Result {
 // order together with the fleet metrics. maxConcurrent bounds simultaneous
 // jobs (0 = pool workers). Its only caller is benchmark/probes.go; it stays
 // while that module is frozen.
-func RunJobs(ctx context.Context, pool *Pool, jobs []Job, maxConcurrent int) ([]Result, Metrics) {
+func RunJobs(ctx context.Context, pool *gpu.Pool, jobs []Job, maxConcurrent int) ([]Result, Metrics) {
 	return RunSupervised(ctx, pool, jobs, Options{MaxConcurrentJobs: maxConcurrent})
 }
 
 // RunSupervised is RunJobs with full engine options: a supervision policy
 // governing every job and an optional durable journal receiving the fleet's
 // lifecycle events.
-func RunSupervised(ctx context.Context, pool *Pool, jobs []Job, opts Options) ([]Result, Metrics) {
+func RunSupervised(ctx context.Context, pool *gpu.Pool, jobs []Job, opts Options) ([]Result, Metrics) {
 	e := NewEngine(ctx, pool, opts)
 	out := e.Batch(ctx, jobs)
 	e.Close()

@@ -3,6 +3,8 @@ package sched
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"time"
 
@@ -122,17 +124,20 @@ const (
 	backoffCap  = 500 * time.Millisecond
 )
 
-// backoffFor returns the pause before retrying after the given (1-based)
-// failed attempt: exponential doubling from backoffBase, capped at
-// backoffCap, with deterministic ±50% jitter so synchronized retries
-// de-correlate.
-func backoffFor(attempt int) time.Duration {
+// backoffFor returns the pause before retrying the named job after its
+// given (1-based) failed attempt: exponential doubling from backoffBase,
+// capped at backoffCap, with ±50% jitter seeded by the job name and the
+// attempt — deterministic per (job, attempt), so a retry schedule
+// reproduces, yet jobs that fail together do not retry together.
+func backoffFor(job string, attempt int) time.Duration {
 	d := backoffBase
 	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
 	d = min(d, backoffCap)
-	rng := rand.New(rand.NewSource(int64(attempt)))
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s/%d", job, attempt)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))
 }
 

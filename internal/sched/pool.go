@@ -3,153 +3,19 @@
 //
 // The paper's system optimizes one AIG per invocation and sizes its worker
 // pool to the whole machine; a service optimizing N designs at once would
-// oversubscribe the host N-fold. Here a Pool owns the host worker
-// budget once, jobs lease capped sub-devices from it (gpu.NewLeased),
-// and an Engine runs each job through Do — alone, or a slice of them in
-// priority order by Batch — under the guarded flow.Run with per-job and
-// engine-wide context cancellation, and aggregates per-job Results plus
-// fleet Metrics.
+// oversubscribe the host N-fold. Here one gpu.Pool owns the host worker
+// budget, jobs lease capped devices from it (gpu.Pool.Lease), and an Engine
+// runs each job through Do — alone, or a slice of them in priority order by
+// Batch — under the guarded flow.Run with per-job and engine-wide context
+// cancellation, and aggregates per-job Results plus fleet Metrics.
 package sched
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
+import "aigre/internal/gpu"
 
-	"aigre/internal/gpu"
-)
+// Pool and NewPool keep the pool's pre-move names for the benchmark module,
+// which is versioned separately and still spells them gpu.Pool and
+// gpu.NewPool (like RunJobs). Code in this module uses gpu.Pool.
+type Pool = gpu.Pool
 
-// Pool is a fixed budget of W concurrent worker slots shared by every device
-// leased from it. Kernel launches of leased devices draw their worker bodies
-// from it, so the total host concurrency across any number of concurrent
-// jobs never exceeds the pool size.
-//
-// The budget is a slot semaphore rather than a set of resident worker
-// goroutines: a single-body launch — the whole traffic of a W=1 lease, which
-// is what every partition sub-job holds — runs inline on the calling
-// goroutine after claiming a slot, costing no channel handoff or context
-// switch. The earlier resident-worker design paid two scheduler switches per
-// task, which at eight concurrent partition jobs on a saturated host turned
-// the pool itself into a contention source. Multi-body launches spawn one
-// goroutine per extra body; each claims its own slot, so the W bound holds
-// regardless of how many jobs launch at once.
-type Pool struct {
-	size int
-	sem  chan int // buffered with slot ids 0..size-1
-
-	closeOnce sync.Once
-	running   atomic.Int32 // slots currently executing a task
-	peak      atomic.Int32 // high-water mark of running
-	busy      []slotClock  // per-slot busy time, indexed by slot id
-}
-
-// slotClock is one slot's busy-time accumulator, padded to a cache line so
-// concurrent slots don't false-share — BusyTime is read rarely, but the
-// accumulators are written once per task by every worker.
-type slotClock struct {
-	ns atomic.Int64
-	_  [56]byte
-}
-
-// NewPool creates a pool with the given number of worker slots
-// (0 = GOMAXPROCS). Close releases the budget.
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{
-		size: workers,
-		sem:  make(chan int, workers),
-		busy: make([]slotClock, workers),
-	}
-	for i := 0; i < workers; i++ {
-		p.sem <- i
-	}
-	return p
-}
-
-// runOn executes fn while holding slot, maintaining the concurrency
-// statistics.
-func (p *Pool) runOn(slot int, fn func()) {
-	cur := p.running.Add(1)
-	for {
-		peak := p.peak.Load()
-		if cur <= peak || p.peak.CompareAndSwap(peak, cur) {
-			break
-		}
-	}
-	start := time.Now()
-	fn()
-	p.busy[slot].ns.Add(int64(time.Since(start)))
-	p.running.Add(-1)
-}
-
-// Workers returns the pool size W: the hard bound on concurrently running
-// leased kernel workers.
-func (p *Pool) Workers() int { return p.size }
-
-// PeakWorkers returns the high-water mark of concurrently executing worker
-// bodies observed so far — by construction never above Workers(). Tests use
-// it to assert the shared-budget invariant.
-func (p *Pool) PeakWorkers() int { return int(p.peak.Load()) }
-
-// BusyTime returns the summed execution time of all tasks run so far, the
-// numerator of worker utilization.
-func (p *Pool) BusyTime() time.Duration {
-	var total int64
-	for i := range p.busy {
-		total += p.busy[i].ns.Load()
-	}
-	return time.Duration(total)
-}
-
-// Execute implements gpu.Executor: it runs every task under the pool's slot
-// budget and returns when all have completed. Tasks may be enqueued from
-// many jobs' orchestration goroutines concurrently; each blocks only until a
-// slot frees up. The first task runs inline on the caller — the single-task
-// launch is the fast path and costs no goroutine switch.
-func (p *Pool) Execute(tasks []func()) {
-	if len(tasks) == 0 {
-		return
-	}
-	var done sync.WaitGroup
-	done.Add(len(tasks) - 1)
-	for _, fn := range tasks[1:] {
-		go func(fn func()) {
-			defer done.Done()
-			slot := <-p.sem
-			p.runOn(slot, fn)
-			p.sem <- slot
-		}(fn)
-	}
-	slot := <-p.sem
-	p.runOn(slot, tasks[0])
-	p.sem <- slot
-	done.Wait()
-}
-
-// Close retires the worker budget: it claims every slot, which waits for all
-// in-flight tasks to finish. No device leased from the pool may launch
-// kernels afterwards. Close is idempotent.
-func (p *Pool) Close() {
-	p.closeOnce.Do(func() {
-		for i := 0; i < p.size; i++ {
-			<-p.sem
-		}
-	})
-}
-
-// Lease returns a device drawing its launch workers from the pool, capped
-// at max worker bodies per launch (0 or anything above the pool size means
-// the whole pool). The leased device records its own work/span/profile
-// stats, so per-job accounting is identical to a private device.
-//
-// The lease stays valid until the pool is closed; leasing is cheap enough
-// to do per job.
-func (p *Pool) Lease(max int) *gpu.Device {
-	if max <= 0 || max > p.size {
-		max = p.size
-	}
-	return gpu.NewLeased(max, p)
-}
+// NewPool is gpu.NewPool.
+func NewPool(workers int) *Pool { return gpu.NewPool(workers) }

@@ -13,6 +13,7 @@ import (
 
 	"aigre/internal/aig"
 	"aigre/internal/flow"
+	"aigre/internal/gpu"
 )
 
 func testAIG(seed int64) *aig.AIG {
@@ -24,7 +25,7 @@ func testAIG(seed int64) *aig.AIG {
 // invariant at its source: however many tasks one call carries, and however
 // many calls run at once, no more than W bodies execute concurrently.
 func TestPoolExecuteBudget(t *testing.T) {
-	p := NewPool(3)
+	p := gpu.NewPool(3)
 	defer p.Close()
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
@@ -72,7 +73,7 @@ func TestEngineSharedBudgetStress(t *testing.T) {
 		want[i] = ref[0].NodesAfter
 	}
 
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
 	results, m := RunJobs(context.Background(), pool, jobs, 0)
 	for i, r := range results {
@@ -100,9 +101,9 @@ func TestEngineSharedBudgetStress(t *testing.T) {
 	}
 }
 
-func mustPool(t *testing.T, w int) *Pool {
+func mustPool(t *testing.T, w int) *gpu.Pool {
 	t.Helper()
-	p := NewPool(w)
+	p := gpu.NewPool(w)
 	t.Cleanup(p.Close)
 	return p
 }
@@ -116,7 +117,7 @@ func TestEngineCancellation(t *testing.T) {
 
 	a := testAIG(7)
 	nodesBefore := a.NumAnds()
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	e := NewEngine(context.Background(), pool, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	// A long job: many repetitions of the full sequence.
@@ -169,7 +170,7 @@ func TestEngineCancellation(t *testing.T) {
 // cancels the jobs of a batch that are still waiting too.
 func TestEngineWideCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	pool := NewPool(1)
+	pool := gpu.NewPool(1)
 	defer pool.Close()
 	e := NewEngine(ctx, pool, Options{MaxConcurrentJobs: 1})
 	script := strings.Repeat(flow.Resyn2+"; ", 50) + "b"
@@ -195,11 +196,11 @@ func TestEngineWideCancellation(t *testing.T) {
 // job of the slice has the lowest priority, so it must not start first — with
 // the whole slice admitted before anything starts.
 func TestBatchStartsInPriorityOrder(t *testing.T) {
-	pool := NewPool(1)
+	pool := gpu.NewPool(1)
 	defer pool.Close()
 	var started []string // one goroutine runs the jobs: no lock needed
 	job := func(name string, prio int) Job {
-		j := customJob(name, func(context.Context, *Pool) (flow.Result, error) {
+		j := customJob(name, func(context.Context, *gpu.Pool) (flow.Result, error) {
 			started = append(started, name)
 			return flow.Result{}, nil
 		})
@@ -225,7 +226,7 @@ func TestBatchStartsInPriorityOrder(t *testing.T) {
 // TestLeaseClamp pins the lease bounds: never wider than the pool, never
 // less than one worker.
 func TestLeaseClamp(t *testing.T) {
-	p := NewPool(4)
+	p := gpu.NewPool(4)
 	defer p.Close()
 	for _, tc := range []struct{ req, want int }{{0, 4}, {-1, 4}, {2, 2}, {99, 4}} {
 		if got := p.Lease(tc.req).Workers(); got != tc.want {

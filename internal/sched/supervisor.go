@@ -71,7 +71,7 @@ func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
 			}
 			if transient > 0 && retries > 0 && outer.Err() == nil {
 				retries--
-				d := backoffFor(attempt)
+				d := backoffFor(job.Name, attempt)
 				e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 					Event: journal.EventRetry, Class: flow.ClassTransient, Backoff: d,
 					Detail: fmt.Sprintf("discarding result degraded by %d transient incident(s)", transient)})
@@ -115,7 +115,7 @@ func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
 
 		if cls.Retryable() && retries > 0 {
 			retries--
-			d := backoffFor(attempt)
+			d := backoffFor(job.Name, attempt)
 			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
 				Event: journal.EventRetry, Class: cls.String(), Detail: err.Error(), Backoff: d})
 			if !sleepInterruptible(outer, d) {
@@ -195,15 +195,13 @@ func (e *Engine) attempt(outer context.Context, job *Job, watched bool, faults [
 		go watch(ctx, watchDone, hb, start, pol.StuckTimeout, preempt)
 	}
 
-	cfg := job.Config
-	cfg.Device = nil
 	var dev *gpu.Device
 	var fres flow.Result
 	var err error
 	if job.Custom != nil {
 		fres, err = job.Custom(ctx, e.pool)
 	} else {
-		if cfg.Parallel {
+		if job.Config.Parallel {
 			dev = e.pool.Lease(job.Workers)
 			if hb := HeartbeatFrom(ctx); hb != nil {
 				dev.SetHeartbeat(hb)
@@ -211,9 +209,8 @@ func (e *Engine) attempt(outer context.Context, job *Job, watched bool, faults [
 			if len(faults) > 0 {
 				dev.InjectFaults(faults...)
 			}
-			cfg.Device = dev
 		}
-		fres, err = flow.Run(ctx, job.AIG, job.Script, cfg)
+		fres, err = flow.Run(ctx, dev, job.AIG, job.Script, job.Config)
 	}
 
 	cls := Classify(err)

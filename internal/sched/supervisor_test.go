@@ -16,7 +16,7 @@ import (
 )
 
 // customJob wraps a Custom func into a Job with the fields supervision needs.
-func customJob(name string, a func(ctx context.Context, pool *Pool) (flow.Result, error)) Job {
+func customJob(name string, a func(ctx context.Context, pool *gpu.Pool) (flow.Result, error)) Job {
 	return Job{Name: name, AIG: testAIG(1), Script: "b", Custom: a}
 }
 
@@ -55,13 +55,13 @@ func TestClassify(t *testing.T) {
 // class is retried within its budget and lands as Finished, with the attempt
 // history journaled.
 func TestRetryTransientToSuccess(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
 	var buf bytes.Buffer
 	jour := journal.New(&buf)
 
 	var calls atomic.Int64
-	job := customJob("flaky", func(ctx context.Context, _ *Pool) (flow.Result, error) {
+	job := customJob("flaky", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		if calls.Add(1) < 3 {
 			return flow.Result{}, &gpu.LaunchError{Kernel: "rewrite/evaluate", Value: "boom"}
 		}
@@ -100,10 +100,10 @@ func TestRetryTransientToSuccess(t *testing.T) {
 // TestQuarantineOnExhaustedBudget checks that a job failing transiently on
 // every attempt is quarantined, not merely failed.
 func TestQuarantineOnExhaustedBudget(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
 	var buf bytes.Buffer
-	job := customJob("poison", func(ctx context.Context, _ *Pool) (flow.Result, error) {
+	job := customJob("poison", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		return flow.Result{}, &gpu.LaunchError{Kernel: "k", Value: hashtable.ErrTableFull}
 	})
 	pol := Policy{Retries: 2}
@@ -128,9 +128,9 @@ func TestQuarantineOnExhaustedBudget(t *testing.T) {
 // TestPermanentFailureNotRetried checks that a permanent-class error consumes
 // no retry tokens.
 func TestPermanentFailureNotRetried(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
-	job := customJob("broken", func(ctx context.Context, _ *Pool) (flow.Result, error) {
+	job := customJob("broken", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		return flow.Result{}, errors.New("equivalence refuted")
 	})
 	pol := Policy{Retries: 3}
@@ -149,9 +149,9 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 // TestJobTimeoutDistinctFromCancel checks the satellite fix: a job killed by
 // its own deadline reports TimedOut, an externally cancelled one Cancelled.
 func TestJobTimeoutDistinctFromCancel(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
-	hang := func(ctx context.Context, _ *Pool) (flow.Result, error) {
+	hang := func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		<-ctx.Done()
 		return flow.Result{}, ctx.Err()
 	}
@@ -179,9 +179,9 @@ func TestJobTimeoutDistinctFromCancel(t *testing.T) {
 // TestDeadlineRetriesThenQuarantine checks that with retries enabled a job
 // that keeps blowing its deadline is eventually quarantined as poison.
 func TestDeadlineRetriesThenQuarantine(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
-	hang := func(ctx context.Context, _ *Pool) (flow.Result, error) {
+	hang := func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		<-ctx.Done()
 		return flow.Result{}, ctx.Err()
 	}
@@ -201,10 +201,10 @@ func TestDeadlineRetriesThenQuarantine(t *testing.T) {
 // TestWatchdogPreemptsStuckJob checks that an attempt that stops beating is
 // preempted with cause ErrStuck and quarantined.
 func TestWatchdogPreemptsStuckJob(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
 	var buf bytes.Buffer
-	stuck := customJob("stuck", func(ctx context.Context, _ *Pool) (flow.Result, error) {
+	stuck := customJob("stuck", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		// Never beats: the watchdog must fire. Block until preempted.
 		<-ctx.Done()
 		return flow.Result{}, context.Cause(ctx)
@@ -239,9 +239,9 @@ func TestWatchdogPreemptsStuckJob(t *testing.T) {
 // TestWatchdogSparesBeatingJob checks that a job whose heartbeat keeps
 // advancing is never preempted even when it runs far past StuckTimeout.
 func TestWatchdogSparesBeatingJob(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
-	beating := customJob("alive", func(ctx context.Context, _ *Pool) (flow.Result, error) {
+	beating := customJob("alive", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		hb := HeartbeatFrom(ctx)
 		if hb == nil {
 			return flow.Result{}, errors.New("no heartbeat in context")
@@ -268,10 +268,10 @@ func TestWatchdogSparesBeatingJob(t *testing.T) {
 // TestRetryDegraded checks that a completed-but-degraded attempt (transient
 // incidents) is discarded and re-run while the retry budget lasts.
 func TestRetryDegraded(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
 	var calls atomic.Int64
-	job := customJob("degraded", func(ctx context.Context, _ *Pool) (flow.Result, error) {
+	job := customJob("degraded", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		if calls.Add(1) == 1 {
 			return flow.Result{AIG: testAIG(1), Record: flow.Record{Incidents: []flow.Incident{{
 				Index: 0, Command: "rw", Stage: "launch", Kernel: "rewrite/evaluate",
@@ -301,7 +301,7 @@ func TestRetryDegraded(t *testing.T) {
 // carry fire-progress across attempts: a plan that fired in attempt 1 does
 // not fire again in attempt 2, so the retry succeeds cleanly.
 func TestFaultPlanCarryOver(t *testing.T) {
-	pool := NewPool(2)
+	pool := gpu.NewPool(2)
 	defer pool.Close()
 	job := Job{
 		Name:   "faulted",
@@ -333,11 +333,12 @@ func TestFaultPlanCarryOver(t *testing.T) {
 }
 
 // TestBackoffShape pins the exponential-with-jitter schedule: doubling from
-// backoffBase, capped at backoffCap, jitter within ±50%, deterministic.
+// backoffBase, capped at backoffCap, jitter within ±50%, deterministic per
+// (job, attempt) and different for two jobs at the same attempt.
 func TestBackoffShape(t *testing.T) {
 	capped := false
 	for attempt := 1; attempt <= 8; attempt++ {
-		d := backoffFor(attempt)
+		d := backoffFor("job", attempt)
 		base := backoffBase << (attempt - 1)
 		if base > backoffCap {
 			base = backoffCap
@@ -347,8 +348,13 @@ func TestBackoffShape(t *testing.T) {
 		if d < lo || d > hi {
 			t.Errorf("attempt %d: backoff %v outside [%v, %v]", attempt, d, lo, hi)
 		}
-		if d != backoffFor(attempt) {
+		if d != backoffFor("job", attempt) {
 			t.Errorf("attempt %d: backoff not deterministic", attempt)
+		}
+		// Jobs that fail together must not retry together: the jitter is
+		// seeded by the job name too.
+		if other := backoffFor("other-job", attempt); other == d {
+			t.Errorf("attempt %d: jobs %q and %q both back off %v", attempt, "job", "other-job", d)
 		}
 	}
 	if !capped {
@@ -364,7 +370,7 @@ func TestBackoffShape(t *testing.T) {
 // when they funnel per-partition incidents into the batch journal.
 func TestConcurrentIncidentAppendStress(t *testing.T) {
 	const jobsN = 16
-	pool := NewPool(4)
+	pool := gpu.NewPool(4)
 	defer pool.Close()
 	var buf bytes.Buffer
 	jour := journal.New(&buf)

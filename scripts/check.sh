@@ -87,6 +87,15 @@ if grep -rn --include='*.go' '"aigre/internal/mempool"' internal/balance ||
     echo "check: internal/balance imports mempool, or a kernel closure takes scratch from a pool per thread (see above); index per-slot scratch by the LaunchSlots slot instead" >&2
     exit 1
 fi
+# One launch path: every gpu.Device is a lease of a gpu.Pool, and
+# gpu.Pool.Execute is the only place a kernel launch reaches host goroutines,
+# so no other non-test file of internal/gpu starts one, and the Executor hook
+# and NewLeased constructor of the old two-way launch must not grow back.
+if grep -nE '^[[:space:]]*go[[:space:]]+[^[:space:]]' $(find internal/gpu -name '*.go' ! -name '*_test.go' ! -name pool.go) ||
+    grep -rnE --include='*.go' '^(type|func|var|const)[[:space:]]+(Executor|NewLeased)\b' internal/gpu; then
+    echo "check: a go statement outside internal/gpu/pool.go, or an Executor/NewLeased declaration, grew back in internal/gpu; launch through gpu.Pool.Execute" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
