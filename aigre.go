@@ -120,7 +120,7 @@ type Options struct {
 	// FaultPlans is a chaos-testing facility: each plan panics, corrupts or
 	// stalls the Nth kernel launch matching a name pattern (gpu.FaultPlan).
 	// The plans go into each attempt's device lease, fire-progress carried
-	// across retries; a partitioned run, whose partition jobs hold the leases,
+	// across retries; a partitioned run, whose partitions each hold a lease,
 	// ignores them.
 	FaultPlans []gpu.FaultPlan
 	// Cache is the resynthesis cache consulted by the rewriting and
@@ -129,10 +129,12 @@ type Options struct {
 	Cache *Cache
 	// Partition, when its Mode is not PartitionOff, makes a script run
 	// partition-parallel: the network is split into size-bounded partitions,
-	// each runs the script as a prioritized job on the engine's pool, sharing
-	// one resynthesis cache, and the results are stitched back with seam
-	// conflict breaking, equivalence gating and per-partition rollback
-	// (Result.Partition reports them). See PartitionOptions.
+	// the job's attempt runs the script on each, largest first and at most
+	// the pool's width at once, sharing one resynthesis cache, and the
+	// results are stitched back with seam conflict breaking, equivalence
+	// gating and per-partition rollback (Result.Partition reports them). The
+	// job stays one supervised job: its deadline, watchdog and retries cover
+	// every partition. See PartitionOptions.
 	Partition PartitionOptions
 }
 
@@ -146,7 +148,8 @@ type Options struct {
 // after, Incidents (contained failures and how the guarded runner degraded
 // them), Profile (per-kernel device profile of a parallel run; see
 // gpu.FormatProfile) and CacheStats. Beside it sit Timings (the per-command
-// breakdown) and Err (nil on success, wraps ctx.Err() on cancellation, or
+// breakdown), Partition (the PartitionReport of a partition-parallel run, nil
+// otherwise) and Err (nil on success, wraps ctx.Err() on cancellation, or
 // reports a script error; contained engine failures appear in Incidents, not
 // Err). See sched.Result for the field documentation. The single-algorithm
 // methods (Balance, Rewrite, ...) run outside the engine and fill in only
@@ -157,16 +160,11 @@ type Result struct {
 	// command), nil only if the script failed to parse.
 	AIG *Network `json:"-"`
 	sched.Result
-	// Partition is the partition-parallel report of a run with
-	// Options.Partition enabled (nil otherwise): partitioning mode, seam
-	// conflicts found and broken, rollbacks, and one row per partition.
-	Partition *PartitionReport `json:"partition,omitempty"`
 }
 
-// resultOf wraps a job report (and the partition report, if any) in the
-// public shape.
-func resultOf(r sched.Result, pr *PartitionReport) Result {
-	out := Result{Result: r, Partition: pr}
+// resultOf wraps a job report in the public shape.
+func resultOf(r sched.Result) Result {
+	out := Result{Result: r}
 	if r.AIG != nil {
 		out.AIG = &Network{aig: r.AIG}
 	}
@@ -328,7 +326,7 @@ func (n *Network) runCommand(ctx context.Context, opts Options, name string, pas
 	res, err := flow.RunCommand(ctx, d, n.aig, cmd, passes, opts.flowConfig())
 	r := sched.Result{AIG: res.AIG, Timings: res.Timings}
 	r.Record.Record = res.Record
-	return resultOf(r, nil), err
+	return resultOf(r), err
 }
 
 // Balance runs AND-balancing (delay optimization, Section IV). Like

@@ -33,13 +33,15 @@ type Batch struct {
 	// in slice order.
 	Priority int
 	// Workers caps how many pool workers a single kernel launch of this job
-	// may occupy (0 = the whole pool). The shared budget bounds total
-	// concurrency regardless.
+	// may occupy (0 = the whole pool); in a partitioned job, each partition's
+	// lease has this cap. The shared budget bounds total concurrency
+	// regardless.
 	Workers int
 	// Options selects engine parameters for this job, as documented there.
 	// Options.Workers is ignored: the job leases from the engine's pool
-	// (BatchOptions.Workers), capped by Batch.Workers. A partitioned job fans
-	// its partitions onto that pool; Result.Partition carries the report.
+	// (BatchOptions.Workers), capped by Batch.Workers. A partitioned job runs
+	// its partitions inside its own attempt, at most the pool's width at
+	// once; Result.Partition carries the report.
 	Options Options
 }
 
@@ -131,13 +133,12 @@ func RunBatch(ctx context.Context, jobs []Batch, opts BatchOptions) ([]Result, B
 	}
 	defer e.Close()
 	sjobs := make([]sched.Job, len(jobs))
-	prs := make([]*PartitionReport, len(jobs))
 	for i, b := range jobs {
-		sjobs[i] = e.convert(b, &prs[i])
+		sjobs[i] = e.convert(b)
 	}
 	out := make([]Result, len(jobs))
 	for i, r := range e.eng.Batch(ctx, sjobs) {
-		out[i] = resultOf(r, prs[i])
+		out[i] = resultOf(r)
 	}
 	return out, e.Metrics(), nil
 }

@@ -8,7 +8,6 @@ import (
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/journal"
-	"aigre/internal/partition"
 	"aigre/internal/sched"
 )
 
@@ -83,12 +82,11 @@ func (e *Engine) Run(ctx context.Context, b Batch) (Result, error) {
 	if err := b.check(); err != nil {
 		return Result{}, fmt.Errorf("aigre: job %q: %w", b.Name, err)
 	}
-	var pr *PartitionReport
-	r := e.eng.Do(ctx, e.convert(b, &pr))
+	r := e.eng.Do(ctx, e.convert(b))
 	if errors.Is(r.Err, sched.ErrClosed) {
 		return Result{}, r.Err
 	}
-	return resultOf(r, pr), nil
+	return resultOf(r), nil
 }
 
 // Close refuses new work, waits for the jobs in flight, and releases the
@@ -113,33 +111,21 @@ func (e *Engine) Metrics() BatchMetrics {
 }
 
 // convert builds the sched job for b: engine options merged with the shared
-// cache and, for a partitioned job, a custom runner that fans the partitions
-// onto the engine's pool within the job's supervised attempt. *prp receives
-// the partition report before the job finishes.
-func (e *Engine) convert(b Batch, prp **PartitionReport) sched.Job {
+// cache. A partitioned job stays one sched job, whose attempts run its
+// partitions.
+func (e *Engine) convert(b Batch) sched.Job {
 	o := b.Options
 	if e.opts.SharedCache != nil {
 		o.Cache = e.opts.SharedCache
 	}
-	sj := sched.Job{
+	return sched.Job{
 		Name:       b.Name,
 		AIG:        b.AIG.aig,
 		Script:     b.Script,
 		Priority:   b.Priority,
 		Workers:    b.Workers,
 		Config:     o.flowConfig(),
+		Partition:  o.Partition,
 		FaultPlans: o.FaultPlans,
 	}
-	if o.Partition.Mode == PartitionOff {
-		return sj
-	}
-	in, script := b.AIG.aig, b.Script
-	popts := partition.Options{Split: o.Partition, Workers: b.Workers, Flow: o.flowConfig(), Journal: e.jour}
-	sj.Custom = func(ctx context.Context, pool *gpu.Pool) (flow.Result, error) {
-		popts.Pool = pool
-		pres, err := partition.Run(ctx, in, script, popts)
-		*prp = reportOf(&pres)
-		return pres.Result, err
-	}
-	return sj
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -191,7 +192,7 @@ func TestFaultPlanPanicValue(t *testing.T) {
 func TestFaultPlanStall(t *testing.T) {
 	d := New(2)
 	hb := &Heartbeat{}
-	d.SetHeartbeat(hb)
+	d.Bind(WithHeartbeat(context.Background(), hb))
 	d.InjectFaults(FaultPlan{Kernel: "slow", Kind: FaultStall, Stall: 30 * time.Millisecond})
 	if err := d.TryLaunch("warm", 8, func(tid int) int64 { return 1 }); err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestHeartbeatBeats(t *testing.T) {
 		t.Errorf("fresh heartbeat has non-zero Last")
 	}
 	d := New(2)
-	d.SetHeartbeat(hb)
+	d.Bind(WithHeartbeat(context.Background(), hb))
 	if err := d.TryLaunch("k", 16, func(tid int) int64 { return 1 }); err != nil {
 		t.Fatal(err)
 	}

@@ -106,17 +106,18 @@ type Device struct {
 	workers int             // worker bodies per launch, at most the pool's size
 	pool    *Pool           // the worker budget every launch draws from
 	ctx     context.Context // nil = never cancelled; checked at launch boundaries
-	hb      *Heartbeat      // nil = no liveness reporting
+	hb      *Heartbeat      // the bound context's heartbeat; nil = none
 	stats   Stats
 	profile map[string]*KernelProfile
 	faults  []FaultPlan
 }
 
-// Heartbeat is a liveness signal a device bumps at every kernel-launch
-// boundary and after every launchChunk threads inside a launch. A watchdog
-// on another goroutine polls Last(): a job whose device heartbeat goes quiet
-// is stuck inside a kernel (or between launches) and can be preempted. All methods are safe for concurrent use;
-// the beat path is one atomic store, cheap enough for every launch.
+// Heartbeat is a liveness signal a watchdog on another goroutine polls with
+// Last(): a job whose heartbeat goes quiet is stuck and can be preempted. A
+// device bound to a context carrying it (WithHeartbeat, Bind) beats it at
+// every kernel-launch boundary and after every launchChunk threads inside a
+// launch; host phases that launch no kernel call Beat. Safe for concurrent
+// use; a beat is one atomic store, cheap enough for every launch.
 type Heartbeat struct {
 	last atomic.Int64 // unix nanoseconds of the latest beat
 }
@@ -134,12 +135,20 @@ func (h *Heartbeat) Last() time.Time {
 	return time.Unix(0, ns)
 }
 
-// SetHeartbeat attaches a liveness heartbeat to the device: every subsequent
-// kernel launch and accounted primitive beats it. Several devices may share
-// one heartbeat (the partition runner's sub-jobs all report into their
-// parent job's). A nil h removes the binding. Like Bind, SetHeartbeat must
-// be called from the orchestration goroutine.
-func (d *Device) SetHeartbeat(h *Heartbeat) { d.hb = h }
+type heartbeatKey struct{}
+
+// WithHeartbeat returns a context carrying hb: every device bound to it or to
+// a context derived from it beats hb, and so does Beat.
+func WithHeartbeat(ctx context.Context, hb *Heartbeat) context.Context {
+	return context.WithValue(ctx, heartbeatKey{}, hb)
+}
+
+// Beat beats the heartbeat ctx carries, if any.
+func Beat(ctx context.Context) {
+	if hb, _ := ctx.Value(heartbeatKey{}).(*Heartbeat); hb != nil {
+		hb.Beat()
+	}
+}
 
 // New creates a device on a private pool of the given number of workers
 // (0 means GOMAXPROCS) using the default cost model: NewPool(workers).Lease(0).
@@ -147,12 +156,18 @@ func New(workers int) *Device {
 	return NewPool(workers).Lease(0)
 }
 
-// Bind attaches a cancellation context to the device. Every subsequent
-// Launch/TryLaunch checks it first and refuses to start when the context is
-// done, returning (or panicking with, for the infallible wrappers) a
-// *CancelledError that wraps ctx.Err(). A nil ctx removes the binding.
-// Bind must be called from the orchestration goroutine, like Launch.
-func (d *Device) Bind(ctx context.Context) { d.ctx = ctx }
+// Bind attaches a context to the device. Every subsequent Launch/TryLaunch
+// checks it first and refuses to start when the context is done, returning
+// (or panicking with, for the infallible wrappers) a *CancelledError that
+// wraps ctx.Err(); and every launch beats the heartbeat the context carries
+// (WithHeartbeat), if any. A nil ctx removes the binding. Bind must be called
+// from the orchestration goroutine, like Launch.
+func (d *Device) Bind(ctx context.Context) {
+	d.ctx, d.hb = ctx, nil
+	if ctx != nil {
+		d.hb, _ = ctx.Value(heartbeatKey{}).(*Heartbeat)
+	}
+}
 
 // CancelledError reports a kernel launch refused because the context bound
 // to the device (Device.Bind) was cancelled. Unwrap exposes the context

@@ -3,21 +3,21 @@ package partition
 import (
 	"context"
 	"errors"
+	"runtime/pprof"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"aigre/internal/aig"
 	"aigre/internal/bench"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/sched"
 )
 
 // probeCtx instruments the orchestration's liveness points: they are what calls
-// Err on the context handed to Run (the partition jobs and their kernels see
-// contexts derived from it, which answer Err themselves; the nested engine
-// asks once per partition job). Every call is counted, optionally delayed, and
-// the cancelAt-th call cancels.
+// Err on the context handed to Run (and, through the callback's context, the
+// partitions' own runs do too). Every call is counted, optionally delayed,
+// and the cancelAt-th call cancels.
 type probeCtx struct {
 	context.Context
 	delay    time.Duration
@@ -34,38 +34,97 @@ func (c *probeCtx) Err() error {
 	return c.Context.Err()
 }
 
-// TestOrchestrationBeatsWatchdog runs a partitioned job under a watchdog whose
-// StuckTimeout is far shorter than the job's orchestration — each liveness
-// point is stretched to 30 ms, some twenty-five of them follow the last
-// partition job — but longer than any gap between two beats. The job must
-// finish unpreempted: extraction, the per-partition gates and the stitch
-// launch no kernel, so only their own beats keep the watchdog quiet. Inside
-// the partition jobs every 256-thread chunk of a launch beats: a kernel over a
-// whole partition outlasts the timeout under the race detector, and so does a
-// short launch queued in the shared pool behind it.
+// TestOrchestrationBeatsWatchdog runs a partitioned network under a context
+// carrying a heartbeat, with the orchestration far longer than a watchdog's
+// timeout — each liveness point is stretched to 30 ms, some twenty-five of
+// them follow the last partition — and checks that the heartbeat never stands
+// still that long: extraction, the per-partition gates and the stitch launch
+// no kernel, so only their own beats would keep a watchdog quiet. Inside the
+// partitions every 256-thread chunk of a launch beats: a kernel over a whole
+// partition outlasts the timeout under the race detector, and so does a short
+// launch queued in the shared pool behind it.
 func TestOrchestrationBeatsWatchdog(t *testing.T) {
+	const timeout = 150 * time.Millisecond
 	a := bench.DeepNarrow(8, 500)
 	pool := testPool(t, 2)
-	e := sched.NewEngine(context.Background(), pool, sched.Options{
-		Policy: sched.Policy{StuckTimeout: 150 * time.Millisecond}})
-	defer e.Close()
-	var liveness int64
-	res := e.Do(context.Background(), sched.Job{Name: "deep", AIG: a, Script: "b; rw",
-		Custom: func(ctx context.Context, pool *gpu.Pool) (flow.Result, error) {
-			slow := &probeCtx{Context: ctx, delay: 30 * time.Millisecond}
-			pres, err := Run(slow, a, "b; rw", Options{Split: Split{Mode: Cones, TargetSize: 2000}, Pool: pool,
-				Flow: flow.Config{Parallel: true}}) // device jobs: every kernel launch beats
-			liveness = slow.calls.Load()
-			return pres.Result, err
-		}})
-	if res.Err != nil || res.Preemptions != 0 || res.Quarantined {
-		t.Fatalf("watched partitioned job: err=%v preemptions=%d quarantined=%v", res.Err, res.Preemptions, res.Quarantined)
+	hb := &gpu.Heartbeat{}
+	ctx := gpu.WithHeartbeat(context.Background(), hb)
+	slow := &probeCtx{Context: ctx, delay: 30 * time.Millisecond}
+
+	// The watcher samples what a watchdog polls, every millisecond, and keeps
+	// the longest silence it saw.
+	start := time.Now()
+	done, stopped := make(chan struct{}), make(chan struct{})
+	var maxGap time.Duration
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				last := hb.Last()
+				if last.IsZero() {
+					last = start
+				}
+				maxGap = max(maxGap, time.Since(last))
+			}
+		}
+	}()
+	// The partitions run on the unstretched context, which carries the same
+	// heartbeat: the probe's delay would stretch every kernel launch too.
+	res, err := Run(slow, a, Options{Split: Split{Mode: Cones, TargetSize: 2000}, Pool: pool},
+		func(_ context.Context, part *aig.AIG) (flow.Result, error) {
+			return flow.Run(ctx, pool.Lease(0), part, "b; rw", flow.Config{Parallel: true})
+		})
+	close(done)
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stretched := time.Duration(liveness) * 30 * time.Millisecond; stretched < 4*150*time.Millisecond {
-		t.Fatalf("only %d liveness points (%v): the orchestration did not outlast the watchdog", liveness, stretched)
+	if maxGap >= timeout {
+		t.Errorf("the heartbeat stood still for %v, a watchdog's timeout is %v", maxGap, timeout)
+	}
+	if stretched := time.Duration(slow.calls.Load()) * 30 * time.Millisecond; stretched < 4*timeout {
+		t.Fatalf("only %d liveness points (%v): the orchestration did not outlast the timeout", slow.calls.Load(), stretched)
 	}
 	if err := flow.EquivGate(a, res.AIG, false, 8, 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOptimizeRunsLabeledAndBounded checks that every partition is optimized
+// once, under the profiler label partition_phase=optimize, with at most the
+// pool's width of partitions in flight.
+func TestOptimizeRunsLabeledAndBounded(t *testing.T) {
+	a := bench.DeepNarrow(8, 200)
+	var calls, unlabeled, inflight, peak atomic.Int64
+	res, err := Run(context.Background(), a, Options{Split: Split{Mode: Cones, TargetSize: 400}, Pool: testPool(t, 2)},
+		func(ctx context.Context, part *aig.AIG) (flow.Result, error) {
+			calls.Add(1)
+			if v, _ := pprof.Label(ctx, "partition_phase"); v != "optimize" {
+				unlabeled.Add(1)
+			}
+			n := inflight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			inflight.Add(-1)
+			return flow.Result{AIG: part}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Parts) < 3 || calls.Load() != int64(len(res.Parts)) {
+		t.Fatalf("%d optimize calls for %d partitions", calls.Load(), len(res.Parts))
+	}
+	if unlabeled.Load() != 0 {
+		t.Errorf("%d optimize calls ran without partition_phase=optimize", unlabeled.Load())
+	}
+	if p := peak.Load(); p < 1 || p > 2 {
+		t.Errorf("%d partitions in flight on a 2-worker pool", p)
 	}
 }
 
@@ -73,7 +132,7 @@ func TestOrchestrationBeatsWatchdog(t *testing.T) {
 // loop's k-th liveness point: the stitch must return the context error from
 // that very point — within one level batch — and a Run cancelled that late
 // must hand back the input network with the wrapped context error, as a run
-// cancelled during its partition jobs does.
+// cancelled while its partitions are optimized does.
 func TestStitchObservesCancellation(t *testing.T) {
 	a := bench.DeepNarrow(4, 2000) // 4000 levels: fifteen level batches
 	pool := testPool(t, 2)
@@ -100,13 +159,13 @@ func TestStitchObservesCancellation(t *testing.T) {
 
 	opts := Options{Split: Split{Mode: Cones, TargetSize: 2000}, Pool: pool}
 	whole = &probeCtx{Context: context.Background()}
-	if _, err := Run(whole, a, "b", opts); err != nil {
+	if _, err := runScript(whole, a, "b", opts); err != nil {
 		t.Fatal(err)
 	}
 	inner, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	late := &probeCtx{Context: inner, cancelAt: whole.calls.Load() - 3, cancel: cancel} // inside the stitch
-	res, err := Run(late, a, "b", opts)
+	res, err := runScript(late, a, "b", opts)
 	if !errors.Is(err, context.Canceled) || res.AIG != a {
 		t.Fatalf("Run cancelled during the stitch: err=%v, input handed back=%v", err, res.AIG == a)
 	}

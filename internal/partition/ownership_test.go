@@ -150,7 +150,7 @@ func TestEveryNodeOwnedOnce(t *testing.T) {
 				checkOwnership(t, a, buildWindows(a, target))
 			}
 			for _, mode := range []Mode{Cones, Levels} {
-				res, err := Run(context.Background(), a, "b", Options{Split: Split{Mode: mode, TargetSize: n/4 + 1}, Pool: pool})
+				res, err := runScript(context.Background(), a, "b", Options{Split: Split{Mode: mode, TargetSize: n/4 + 1}, Pool: pool})
 				if err != nil {
 					t.Fatal(err)
 				}

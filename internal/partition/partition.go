@@ -1,36 +1,43 @@
 // Package partition implements partition-parallel optimization of large
 // AIGs. The network is split into size-bounded partitions — output-cone
 // clusters or level-window slices, every node owned by exactly one — each
-// partition is optimized as an independent prioritized job on the batch
-// engine (internal/sched, largest partition first, sharing one resynthesis
-// cache), and the optimized partitions are stitched back together with
-// conflict breaking at the seams: duplicate structure created by independent
-// jobs is merged level by level under a fixed winner priority
-// (stitchParallel), and the stitched result must pass the structural
-// invariant check plus the sampling-equivalence gate of the guarded flow
-// runner. A partition that refutes is rolled back to its pre-optimization
-// cone.
+// partition is optimized by the caller's callback, largest first and at most
+// the pool's width at once, and the optimized partitions are stitched back
+// together with conflict breaking at the seams: duplicate structure created
+// by independent partition runs is merged level by level under a fixed
+// winner priority (stitchParallel), and the stitched result must pass the
+// structural invariant check plus the sampling-equivalence gate of the
+// guarded flow runner. A partition that refutes is rolled back to its
+// pre-optimization cone.
+//
+// The package knows no engine, journal or supervision policy. Its one caller
+// is a partitioned job's attempt in internal/sched, whose callback runs the
+// job's script on a lease of the engine's pool: the attempt's deadline,
+// watchdog heartbeat (carried by ctx) and retries cover every partition, and
+// the partitions' incidents come back in the job's own result.
 //
 // This is the layer that turns the batch engine's many-small-jobs
 // parallelism into one-huge-job parallelism ("Parallel AIG Refactoring via
 // Conflict Breaking" supplies the recipe): the script commands themselves
 // parallelize only within a level, so a deep, narrow million-node AIG
 // starves kernel-level parallelism — but its output cones are embarrassingly
-// parallel jobs.
+// parallel.
 package partition
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"aigre/internal/aig"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/journal"
 	"aigre/internal/rcache"
-	"aigre/internal/sched"
 )
 
 // Mode selects how the network is split (the public aigre.PartitionMode is
@@ -82,26 +89,19 @@ type Split struct {
 	TargetSize int
 }
 
-// Options configures a partition-parallel run: the split plus how the
-// partition jobs execute.
+// Options configures a partition-parallel run: the split, the pool and the
+// flow settings the gates follow.
 type Options struct {
 	Split
-	// Workers bounds how many partition jobs run at once (0 = the pool's
-	// size).
-	Workers int
-	// Pool is the engine's worker pool (required, not closed by Run): the
-	// partition jobs lease from it and extraction and stitch fan out on it,
-	// so a partitioned job cannot oversubscribe the host.
+	// Pool is the engine's worker pool (required, not closed by Run):
+	// extraction and stitch fan out on it, and its width bounds how many
+	// partitions are optimized at once, so a partitioned job cannot
+	// oversubscribe the host.
 	Pool *gpu.Pool
-	// Flow is the per-partition execution config (mode, cut limits, gate
-	// settings, cache). Parallel partitions lease device capacity from the
-	// pool. Flow.Cache is shared across every partition job (nil =
-	// rcache.Default).
+	// Flow is the partitions' execution config: Verify selects the gates'
+	// full CEC, and Flow.Cache (nil = rcache.Default) is the cache whose
+	// traffic Result.CacheStats reports.
 	Flow flow.Config
-	// Journal, when non-nil, receives the partition jobs' supervision
-	// events (and this layer's seam-gate rollback incidents go to the
-	// aggregated Result.Incidents regardless).
-	Journal *journal.Journal
 }
 
 // gateSeed is the fixed base of every gate's sampling seed.
@@ -147,12 +147,13 @@ type Stat struct {
 	// simplified away at the boundary.
 	ConflictsBroken int `json:"conflicts_broken"`
 	// RolledBack reports that the partition's optimized cone was discarded
-	// (job failure, local gate refutation, or seam-round refutation) and the
+	// (optimization failure, local gate refutation, or seam-round refutation) and the
 	// pre-optimization cone stitched instead; Note carries the reason.
 	RolledBack bool   `json:"rolled_back,omitempty"`
 	Note       string `json:"note,omitempty"`
-	// QueuedNS and WallNS are the partition job's scheduling delay and host
-	// run time; Incidents counts contained failures inside the job.
+	// QueuedNS is how long the partition waited for a free runner after
+	// optimization began, WallNS the host time of its optimization; Incidents
+	// counts the contained failures inside it.
 	QueuedNS  time.Duration `json:"queued_ns"`
 	WallNS    time.Duration `json:"wall_ns"`
 	Incidents int           `json:"incidents,omitempty"`
@@ -185,18 +186,24 @@ type Report struct {
 // Result is the outcome of a partition-parallel run: the run record — AIG
 // is the stitched optimized network (the original input when the run was
 // cancelled), Incidents aggregates the contained failures of every partition
-// job, CacheStats is the shared cache's traffic — plus the partition report.
+// and the seam repairs, CacheStats is the shared cache's traffic — plus the
+// partition report.
 type Result struct {
 	flow.Result
 	Report
 }
 
-// Run optimizes a with the script, partition-parallel. The input is never
-// mutated. The returned network is functionally equivalent to the input as
-// screened by the same gates the guarded flow runner uses (sampling by
-// default, full CEC when Flow.Verify is set); any partition that fails its
-// gate is stitched from its pre-optimization cone instead.
-func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Result, err error) {
+// Run optimizes a partition-parallel: optimize runs once per partition, on
+// the partition's extracted network, under ctx with the profiler label
+// partition_phase=optimize. The input is never mutated. The returned network
+// is functionally equivalent to the input as screened by the same gates the
+// guarded flow runner uses (sampling by default, full CEC when Flow.Verify is
+// set); any partition whose optimization fails or fails its gate is stitched
+// from its pre-optimization cone instead.
+func Run(ctx context.Context, a *aig.AIG, opts Options, optimize func(ctx context.Context, part *aig.AIG) (flow.Result, error)) (res Result, err error) {
+	if opts.Mode != Cones && opts.Mode != Levels {
+		return Result{}, fmt.Errorf("partition: unknown mode %v", opts.Mode)
+	}
 	opts = opts.normalized()
 	start := time.Now()
 	cacheBefore := opts.Flow.Cache.Snapshot()
@@ -207,16 +214,6 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Resu
 	if !canonicalOrder(a) {
 		base, _ = a.Compact()
 	}
-
-	var parts []*part
-	switch opts.Mode {
-	case Cones:
-		parts = buildCones(base, opts.TargetSize)
-	case Levels:
-		parts = buildWindows(base, opts.TargetSize)
-	default:
-		return Result{}, fmt.Errorf("partition: unknown mode %v", opts.Mode)
-	}
 	res = Result{Report: Report{Mode: opts.Mode.String(), NodesIn: base.NumAnds()}}
 	defer func() {
 		res.Wall = time.Since(start)
@@ -226,41 +223,52 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Resu
 		}
 	}()
 
-	// Profiler labels mark the orchestration phases (the per-partition jobs
-	// themselves are labeled by the engine): a CPU profile of a partitioned
-	// run separates extraction, optimization, and seam stitching.
+	// Profiler labels mark the phases: a CPU profile of a partitioned run
+	// separates clustering, extraction, optimization and seam stitching.
+	build := buildWindows
+	if opts.Mode == Cones {
+		build = buildCones
+	}
+	var parts []*part
 	var pres []*aig.AIG
+	pprof.Do(ctx, pprof.Labels("partition_phase", "cluster"), func(context.Context) { parts = build(base, opts.TargetSize) })
 	pprof.Do(ctx, pprof.Labels("partition_phase", "extract"), func(context.Context) {
 		pres = extractAll(ctx, base, parts, opts.Pool)
 	})
 	if err := alive(ctx); err != nil {
 		return res, cancelled(err)
 	}
-	jobs := make([]sched.Job, len(parts))
-	for i, p := range parts {
-		jobs[i] = sched.Job{
-			Name:     pres[i].Name,
-			AIG:      pres[i],
-			Script:   script,
-			Priority: len(p.members), // largest partition first (LPT)
-			Config:   opts.Flow,
-		}
+	// At most the pool's width of runners take the partitions largest first
+	// (longest processing time first: no runner starts a big one late).
+	order := make([]int, len(parts))
+	for i := range order {
+		order[i] = i
 	}
-	// The partition jobs run unsupervised: the partitioned job's own attempt
-	// is the supervised unit, whose deadline, watchdog (the jobs' leases
-	// beat its heartbeat) and retries cover them.
-	results, _ := sched.RunSupervised(ctx, opts.Pool, jobs, sched.Options{
-		MaxConcurrentJobs: opts.Workers,
-		Journal:           opts.Journal,
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(len(parts[y].members), len(parts[x].members)) })
+	res.Parts = make([]Stat, len(parts))
+	outs := make([]flow.Result, len(parts))
+	errs := make([]error, len(parts))
+	pprof.Do(ctx, pprof.Labels("partition_phase", "optimize"), func(ctx context.Context) {
+		began := time.Now()
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range min(opts.Pool.Workers(), len(order)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
+					i, t := order[k], time.Now()
+					outs[i], errs[i] = optimize(ctx, pres[i])
+					res.Parts[i].QueuedNS, res.Parts[i].WallNS = t.Sub(began), time.Since(t)
+				}
+			}()
+		}
+		wg.Wait()
 	})
 
 	chosen := make([]*aig.AIG, len(parts))
-	res.Parts = make([]Stat, len(parts))
-	for i, r := range results {
-		if err := alive(ctx); r.Cancelled || err != nil {
-			if r.Cancelled {
-				err = r.Err
-			}
+	for i, r := range outs {
+		if err := alive(ctx); err != nil {
 			return res, cancelled(err)
 		}
 		st := &res.Parts[i]
@@ -268,16 +276,15 @@ func Run(ctx context.Context, a *aig.AIG, script string, opts Options) (res Resu
 		st.POs = len(parts[i].poIdx)
 		st.LevelLo, st.LevelHi = parts[i].levelLo, parts[i].levelHi
 		st.NodesIn = pres[i].NumAnds()
-		st.QueuedNS, st.WallNS = r.Queued, r.Wall
 		st.Incidents = len(r.Incidents)
 		res.Incidents = append(res.Incidents, r.Incidents...)
 		res.Modeled += r.Modeled
-		if r.Err != nil {
+		if errs[i] != nil {
 			// Defensive: flow.Run fails only on parse or cancellation, both
-			// handled above — but a failed job must never corrupt the stitch.
+			// handled above — but a failed run must never corrupt the stitch.
 			chosen[i] = pres[i]
 			st.RolledBack = true
-			st.Note = r.Err.Error()
+			st.Note = errs[i].Error()
 			res.Rollbacks++
 			continue
 		}
@@ -416,17 +423,14 @@ func resolve(ctx context.Context, base *aig.AIG, parts []*part, pres, chosen []*
 	}
 }
 
-// cancelled wraps the context error that ended a run, as a cancelled
-// partition job's error is wrapped.
+// cancelled wraps the context error that ended a run.
 func cancelled(err error) error { return fmt.Errorf("partition: cancelled: %w", err) }
 
 // alive is the orchestration's liveness point — between phases, per partition
 // gate, per stitch round and every levelBatch merge levels: it beats the
-// watchdog's heartbeat (these phases launch no kernel) and returns ctx.Err().
+// heartbeat ctx carries (these phases launch no kernel) and returns ctx.Err().
 func alive(ctx context.Context) error {
-	if hb := sched.HeartbeatFrom(ctx); hb != nil {
-		hb.Beat()
-	}
+	gpu.Beat(ctx)
 	return ctx.Err()
 }
 

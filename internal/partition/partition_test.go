@@ -20,6 +20,19 @@ func testPool(t *testing.T, n int) *gpu.Pool {
 	return p
 }
 
+// runScript is Run with every partition running script through flow.Run,
+// on a lease of opts.Pool in parallel mode, as a sched job's attempt runs a
+// partitioned job's script.
+func runScript(ctx context.Context, a *aig.AIG, script string, opts Options) (Result, error) {
+	return Run(ctx, a, opts, func(ctx context.Context, part *aig.AIG) (flow.Result, error) {
+		var dev *gpu.Device
+		if opts.Flow.Parallel {
+			dev = opts.Pool.Lease(0)
+		}
+		return flow.Run(ctx, dev, part, script, opts.Flow)
+	})
+}
+
 // fullCEC asserts functional equivalence with the complete checker (random
 // refutation, exhaustive simulation, SAT sweeping) — no sampling shortcuts.
 func fullCEC(t *testing.T, a, b *aig.AIG) {
@@ -48,7 +61,7 @@ func TestPartitionModesEquivalence(t *testing.T) {
 				if !ok {
 					t.Fatalf("unknown circuit %q", name)
 				}
-				res, err := Run(context.Background(), a, "b; rw", Options{
+				res, err := runScript(context.Background(), a, "b; rw", Options{
 					Split: Split{Mode: mode, TargetSize: a.NumAnds()/6 + 1},
 					Pool:  testPool(t, 4),
 				})
@@ -145,7 +158,7 @@ func TestPartitionStressRace(t *testing.T) {
 	if !ok {
 		t.Fatal("ac97_ctrl missing from suite")
 	}
-	res, err := Run(context.Background(), a, "b; rw; rwz", Options{
+	res, err := runScript(context.Background(), a, "b; rw; rwz", Options{
 		Split: Split{Mode: Cones, TargetSize: a.NumAnds()/8 + 1},
 		Pool:  testPool(t, 2),
 		Flow:  flow.Config{Parallel: true},
@@ -166,7 +179,7 @@ func TestPartitionCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, a, "b; rw", Options{Split: Split{Mode: Cones, TargetSize: 500}, Pool: testPool(t, 2)})
+	res, err := runScript(ctx, a, "b; rw", Options{Split: Split{Mode: Cones, TargetSize: 500}, Pool: testPool(t, 2)})
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
@@ -192,7 +205,7 @@ func TestPartitionEditedInput(t *testing.T) {
 		id := live[rng.Intn(len(live))]
 		a.ReplaceNode(id, a.Fanin0(id))
 	}
-	res, err := Run(context.Background(), a, "b", Options{Split: Split{Mode: Levels, TargetSize: 60}, Pool: testPool(t, 2)})
+	res, err := runScript(context.Background(), a, "b", Options{Split: Split{Mode: Levels, TargetSize: 60}, Pool: testPool(t, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}

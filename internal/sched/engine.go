@@ -15,6 +15,7 @@ import (
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/journal"
+	"aigre/internal/partition"
 	"aigre/internal/rcache"
 )
 
@@ -38,16 +39,20 @@ type Job struct {
 	// Config selects execution mode and engine options. A parallel job runs
 	// on a device leased from the engine's pool.
 	Config flow.Config
-	// Custom, when non-nil, replaces the flow.Run invocation for this job.
-	// It runs on the goroutine that called Do, under the merged per-job and
-	// engine-wide context and draws any device capacity from its own leases
-	// of the given pool. AIG is still required (it sizes the before-stats),
-	// and Script still labels the job. The partition-parallel batch path
-	// uses this to fan a job's sub-partitions onto the engine's pool.
+	// Partition, when its Mode is not partition.Off, makes each attempt split
+	// AIG with partition.Run and run Script on every partition as on a whole
+	// job — on its own lease, capped by Workers, when Config.Parallel — then
+	// stitch the results; Result.Partition carries the report.
+	Partition partition.Split
+	// Custom, when non-nil, replaces the script run of each attempt: it runs
+	// under the attempt's context and draws any device capacity from its own
+	// leases of the given pool. AIG is still required (it sizes the
+	// before-stats), and Script still labels the job. It is the tests'
+	// supervision seam and the frozen benchmark's probe; no other caller.
 	Custom func(ctx context.Context, pool *gpu.Pool) (flow.Result, error)
 	// FaultPlans is a chaos/test facility: the plans are injected into each
 	// attempt's leased device, with fire-progress carried across attempts.
-	// Ignored for Custom jobs, which manage their own leases.
+	// Ignored for Custom and partitioned jobs, which hold no single lease.
 	FaultPlans []gpu.FaultPlan
 
 	// admitted is when Batch admitted the job (zero until Do admits a job of
@@ -115,6 +120,10 @@ type Result struct {
 	// cancelled, or the script error. Contained engine failures do not set
 	// Err — they are listed in Incidents.
 	Err error `json:"-"`
+	// Partition is the last attempt's partition report of a partitioned job
+	// (nil otherwise): partitioning mode, seam conflicts found and broken,
+	// rollbacks, and one row per partition.
+	Partition *partition.Report `json:"partition,omitempty"`
 }
 
 // Metrics aggregates an engine's fleet statistics. It is the one fleet-
@@ -378,14 +387,7 @@ func (e *Engine) Do(ctx context.Context, job Job) Result {
 // jobs (0 = pool workers). Its only caller is benchmark/probes.go; it stays
 // while that module is frozen.
 func RunJobs(ctx context.Context, pool *gpu.Pool, jobs []Job, maxConcurrent int) ([]Result, Metrics) {
-	return RunSupervised(ctx, pool, jobs, Options{MaxConcurrentJobs: maxConcurrent})
-}
-
-// RunSupervised is RunJobs with full engine options: a supervision policy
-// governing every job and an optional durable journal receiving the fleet's
-// lifecycle events.
-func RunSupervised(ctx context.Context, pool *gpu.Pool, jobs []Job, opts Options) ([]Result, Metrics) {
-	e := NewEngine(ctx, pool, opts)
+	e := NewEngine(ctx, pool, Options{MaxConcurrentJobs: maxConcurrent})
 	out := e.Batch(ctx, jobs)
 	e.Close()
 	return out, e.Metrics()

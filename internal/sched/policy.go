@@ -112,8 +112,9 @@ type Policy struct {
 	Retries int
 	// StuckTimeout arms the watchdog: an attempt whose kernel-launch
 	// heartbeat advances nothing for this long is preempted and, with no
-	// budget left, quarantined (0 = no watchdog). Only parallel and custom
-	// jobs are watched — sequential jobs never beat.
+	// budget left, quarantined (0 = no watchdog). Only jobs whose script runs
+	// on a device (Config.Parallel, partitioned or not) and Custom jobs are
+	// watched: a sequential script launches no kernel and never beats.
 	StuckTimeout time.Duration
 }
 
@@ -139,20 +140,4 @@ func backoffFor(job string, attempt int) time.Duration {
 	fmt.Fprintf(h, "%s/%d", job, attempt)
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	return time.Duration(float64(d) * (0.5 + rng.Float64()))
-}
-
-// hbKey carries a *gpu.Heartbeat through a context so nested engines (a
-// partitioned job fanning its partition jobs onto the same pool) attach their
-// device leases to the supervising watchdog's heartbeat.
-type hbKey struct{}
-
-// WithHeartbeat returns a context carrying hb.
-func WithHeartbeat(ctx context.Context, hb *gpu.Heartbeat) context.Context {
-	return context.WithValue(ctx, hbKey{}, hb)
-}
-
-// HeartbeatFrom extracts the heartbeat installed by WithHeartbeat, or nil.
-func HeartbeatFrom(ctx context.Context) *gpu.Heartbeat {
-	hb, _ := ctx.Value(hbKey{}).(*gpu.Heartbeat)
-	return hb
 }

@@ -15,9 +15,11 @@ import (
 	"fmt"
 	"time"
 
+	"aigre/internal/aig"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/journal"
+	"aigre/internal/partition"
 )
 
 // supervise runs job under the engine's policy until an attempt succeeds,
@@ -29,15 +31,20 @@ func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
 	// armed for the Nth matching launch counts launches cumulatively over
 	// the job, not per attempt.
 	faults := append([]gpu.FaultPlan(nil), job.FaultPlans...)
-	// Sequential non-custom jobs never reach a launch boundary, so they
-	// produce no heartbeat; watching them would always preempt.
+	// A sequential script, partitioned or not, never reaches a launch
+	// boundary, so it produces no heartbeat; watching it would preempt it.
 	watched := e.policy.StuckTimeout > 0 && (job.Config.Parallel || job.Custom != nil)
 
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
 		e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt, Event: journal.EventAttempt})
 
-		fres, dev, err, cls := e.attempt(outer, job, watched, faults)
+		pres, dev, err, cls := e.attempt(outer, job, watched, faults)
+		fres := pres.Result
+		if job.Partition.Mode != partition.Off {
+			rep := pres.Report // a copy: pres holds the attempt's network
+			res.Partition = &rep
+		}
 
 		incs := fres.Incidents
 		for i := range incs {
@@ -171,9 +178,10 @@ func (e *Engine) finish(job *Job, res *Result, cls Class, err error, attempt int
 }
 
 // attempt executes one supervised attempt under its own deadline and
-// watchdog, returning the flow result, the leased device (nil for custom or
-// sequential jobs), the attempt error, and its supervision class.
-func (e *Engine) attempt(outer context.Context, job *Job, watched bool, faults []gpu.FaultPlan) (flow.Result, *gpu.Device, error, Class) {
+// watchdog, returning the run result (with the partition report of a
+// partitioned job), the leased device of a whole-network parallel job (nil
+// otherwise), the attempt error, and its supervision class.
+func (e *Engine) attempt(outer context.Context, job *Job, watched bool, faults []gpu.FaultPlan) (partition.Result, *gpu.Device, error, Class) {
 	pol := e.policy
 	start := time.Now()
 	base, preempt := context.WithCancelCause(outer)
@@ -186,31 +194,31 @@ func (e *Engine) attempt(outer context.Context, job *Job, watched bool, faults [
 	}
 
 	if watched {
-		// The attempt's own heartbeat, threaded through the context so the
-		// partition jobs of a partitioned job lease devices that beat it.
+		// The attempt's own heartbeat rides its context: every device a
+		// script binds to it beats it, and so do the partition phases.
 		hb := &gpu.Heartbeat{}
-		ctx = WithHeartbeat(ctx, hb)
+		ctx = gpu.WithHeartbeat(ctx, hb)
 		watchDone := make(chan struct{})
 		defer close(watchDone)
 		go watch(ctx, watchDone, hb, start, pol.StuckTimeout, preempt)
 	}
 
 	var dev *gpu.Device
-	var fres flow.Result
+	var pres partition.Result
 	var err error
-	if job.Custom != nil {
-		fres, err = job.Custom(ctx, e.pool)
-	} else {
-		if job.Config.Parallel {
-			dev = e.pool.Lease(job.Workers)
-			if hb := HeartbeatFrom(ctx); hb != nil {
-				dev.SetHeartbeat(hb)
-			}
-			if len(faults) > 0 {
-				dev.InjectFaults(faults...)
-			}
+	switch {
+	case job.Custom != nil:
+		pres.Result, err = job.Custom(ctx, e.pool)
+	case job.Partition.Mode != partition.Off:
+		popts := partition.Options{Split: job.Partition, Pool: e.pool, Flow: job.Config}
+		pres, err = partition.Run(ctx, job.AIG, popts, func(ctx context.Context, part *aig.AIG) (flow.Result, error) {
+			return flow.Run(ctx, e.lease(job), part, job.Script, job.Config)
+		})
+	default:
+		if dev = e.lease(job); dev != nil {
+			dev.InjectFaults(faults...)
 		}
-		fres, err = flow.Run(ctx, dev, job.AIG, job.Script, job.Config)
+		pres.Result, err = flow.Run(ctx, dev, job.AIG, job.Script, job.Config)
 	}
 
 	cls := Classify(err)
@@ -218,7 +226,17 @@ func (e *Engine) attempt(outer context.Context, job *Job, watched bool, faults [
 		cls = ClassStuck
 		err = fmt.Errorf("%w (no heartbeat for %v)", ErrStuck, pol.StuckTimeout)
 	}
-	return fres, dev, err, cls
+	return pres, dev, err, cls
+}
+
+// lease returns the device the job's script runs on — over the whole input
+// or one partition: a lease of the pool capped by the job's Workers, or nil
+// for a sequential job.
+func (e *Engine) lease(job *Job) *gpu.Device {
+	if !job.Config.Parallel {
+		return nil
+	}
+	return e.pool.Lease(job.Workers)
 }
 
 // watch preempts the attempt when the heartbeat goes quiet for limit.

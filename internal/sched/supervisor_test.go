@@ -15,6 +15,15 @@ import (
 	"aigre/internal/journal"
 )
 
+// runSupervised runs jobs as one Batch over a fresh engine with opts and
+// returns the results with the fleet metrics.
+func runSupervised(ctx context.Context, pool *gpu.Pool, jobs []Job, opts Options) ([]Result, Metrics) {
+	e := NewEngine(ctx, pool, opts)
+	out := e.Batch(ctx, jobs)
+	e.Close()
+	return out, e.Metrics()
+}
+
 // customJob wraps a Custom func into a Job with the fields supervision needs.
 func customJob(name string, a func(ctx context.Context, pool *gpu.Pool) (flow.Result, error)) Job {
 	return Job{Name: name, AIG: testAIG(1), Script: "b", Custom: a}
@@ -68,7 +77,7 @@ func TestRetryTransientToSuccess(t *testing.T) {
 		return flow.Result{AIG: testAIG(1)}, nil
 	})
 	pol := Policy{Retries: 3}
-	res, m := RunSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol, Journal: jour})
+	res, m := runSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol, Journal: jour})
 	if res[0].Err != nil {
 		t.Fatalf("retried job failed: %v", res[0].Err)
 	}
@@ -107,7 +116,7 @@ func TestQuarantineOnExhaustedBudget(t *testing.T) {
 		return flow.Result{}, &gpu.LaunchError{Kernel: "k", Value: hashtable.ErrTableFull}
 	})
 	pol := Policy{Retries: 2}
-	res, m := RunSupervised(context.Background(), pool, []Job{job},
+	res, m := runSupervised(context.Background(), pool, []Job{job},
 		Options{Policy: pol, Journal: journal.New(&buf)})
 	if !res[0].Quarantined {
 		t.Fatalf("poison job not quarantined: %+v err=%v", res[0], res[0].Err)
@@ -134,7 +143,7 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 		return flow.Result{}, errors.New("equivalence refuted")
 	})
 	pol := Policy{Retries: 3}
-	res, m := RunSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
+	res, m := runSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
 	if res[0].Attempts != 1 {
 		t.Errorf("permanent failure retried: %d attempts", res[0].Attempts)
 	}
@@ -157,7 +166,7 @@ func TestJobTimeoutDistinctFromCancel(t *testing.T) {
 	}
 	// Deadline kill, no retries: TimedOut, not Cancelled, not Quarantined.
 	pol := Policy{JobTimeout: 20 * time.Millisecond}
-	res, m := RunSupervised(context.Background(), pool, []Job{customJob("slow", hang)}, Options{Policy: pol})
+	res, m := runSupervised(context.Background(), pool, []Job{customJob("slow", hang)}, Options{Policy: pol})
 	if !res[0].TimedOut || res[0].Cancelled || res[0].Quarantined {
 		t.Fatalf("deadline kill misclassified: %+v err=%v", res[0], res[0].Err)
 	}
@@ -167,7 +176,7 @@ func TestJobTimeoutDistinctFromCancel(t *testing.T) {
 	// External cancel: Cancelled, not TimedOut.
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
-	res2, m2 := RunSupervised(ctx, pool, []Job{customJob("cancelled", hang)}, Options{})
+	res2, m2 := runSupervised(ctx, pool, []Job{customJob("cancelled", hang)}, Options{})
 	if !res2[0].Cancelled || res2[0].TimedOut {
 		t.Fatalf("external cancel misclassified: %+v err=%v", res2[0], res2[0].Err)
 	}
@@ -186,7 +195,7 @@ func TestDeadlineRetriesThenQuarantine(t *testing.T) {
 		return flow.Result{}, ctx.Err()
 	}
 	pol := Policy{JobTimeout: 10 * time.Millisecond, Retries: 2}
-	res, m := RunSupervised(context.Background(), pool, []Job{customJob("poison", hang)}, Options{Policy: pol})
+	res, m := runSupervised(context.Background(), pool, []Job{customJob("poison", hang)}, Options{Policy: pol})
 	if !res[0].Quarantined || !res[0].TimedOut {
 		t.Fatalf("repeated deadline kills not quarantined: %+v err=%v", res[0], res[0].Err)
 	}
@@ -210,7 +219,7 @@ func TestWatchdogPreemptsStuckJob(t *testing.T) {
 		return flow.Result{}, context.Cause(ctx)
 	})
 	pol := Policy{StuckTimeout: 25 * time.Millisecond, Retries: 1}
-	res, m := RunSupervised(context.Background(), pool, []Job{stuck},
+	res, m := runSupervised(context.Background(), pool, []Job{stuck},
 		Options{Policy: pol, Journal: journal.New(&buf)})
 	if !res[0].Quarantined {
 		t.Fatalf("stuck job not quarantined: %+v err=%v", res[0], res[0].Err)
@@ -237,26 +246,25 @@ func TestWatchdogPreemptsStuckJob(t *testing.T) {
 }
 
 // TestWatchdogSparesBeatingJob checks that a job whose heartbeat keeps
-// advancing is never preempted even when it runs far past StuckTimeout.
+// advancing is never preempted even when it runs far past StuckTimeout: the
+// heartbeat rides the attempt's context, so a device the job binds to that
+// context beats it at every launch.
 func TestWatchdogSparesBeatingJob(t *testing.T) {
 	pool := gpu.NewPool(2)
 	defer pool.Close()
-	beating := customJob("alive", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
-		hb := HeartbeatFrom(ctx)
-		if hb == nil {
-			return flow.Result{}, errors.New("no heartbeat in context")
-		}
+	beating := customJob("alive", func(ctx context.Context, pool *gpu.Pool) (flow.Result, error) {
+		dev := pool.Lease(1)
+		dev.Bind(ctx)
 		for i := 0; i < 10; i++ {
-			if ctx.Err() != nil {
-				return flow.Result{}, context.Cause(ctx)
+			if err := dev.TryLaunch("beat", 1, func(int) int64 { return 1 }); err != nil {
+				return flow.Result{}, err
 			}
-			hb.Beat()
 			time.Sleep(5 * time.Millisecond)
 		}
 		return flow.Result{AIG: testAIG(1)}, nil
 	})
 	pol := Policy{StuckTimeout: 20 * time.Millisecond}
-	res, _ := RunSupervised(context.Background(), pool, []Job{beating}, Options{Policy: pol})
+	res, _ := runSupervised(context.Background(), pool, []Job{beating}, Options{Policy: pol})
 	if res[0].Err != nil {
 		t.Fatalf("beating job preempted: %v", res[0].Err)
 	}
@@ -281,7 +289,7 @@ func TestRetryDegraded(t *testing.T) {
 		return flow.Result{AIG: testAIG(1)}, nil
 	})
 	pol := Policy{Retries: 2}
-	res, _ := RunSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
+	res, _ := runSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
@@ -313,7 +321,7 @@ func TestFaultPlanCarryOver(t *testing.T) {
 		},
 	}
 	pol := Policy{Retries: 2}
-	res, m := RunSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
+	res, m := runSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol})
 	if res[0].Err != nil {
 		t.Fatalf("supervised flow job failed: %v", res[0].Err)
 	}
@@ -366,8 +374,8 @@ func TestBackoffShape(t *testing.T) {
 // concurrently supervised jobs that all contain an injected kernel fault:
 // every incident must come back Attempt- and Time-stamped, every journal
 // entry must land intact with a unique sequence number, and the run must be
-// clean under -race. This is the concurrency contract partition jobs rely on
-// when they funnel per-partition incidents into the batch journal.
+// clean under -race. This is the concurrency contract a batch of jobs relies
+// on when their attempts journal incidents at once.
 func TestConcurrentIncidentAppendStress(t *testing.T) {
 	const jobsN = 16
 	pool := gpu.NewPool(4)
@@ -386,7 +394,7 @@ func TestConcurrentIncidentAppendStress(t *testing.T) {
 			},
 		}
 	}
-	res, m := RunSupervised(context.Background(), pool, jobs,
+	res, m := runSupervised(context.Background(), pool, jobs,
 		Options{MaxConcurrentJobs: jobsN, Journal: jour})
 	total := 0
 	for i, r := range res {

@@ -56,14 +56,3 @@ type (
 	PartitionStat   = partition.Stat
 	PartitionReport = partition.Report
 )
-
-// reportOf returns the report of a partition run that got as far as
-// producing a network (nil for a run rejected up front). It is a copy: a
-// pointer into pres would keep the run's network alive as long as the report.
-func reportOf(pres *partition.Result) *PartitionReport {
-	if pres.AIG == nil {
-		return nil
-	}
-	rep := pres.Report
-	return &rep
-}

@@ -250,7 +250,8 @@ func TestPartitionedBatchJob(t *testing.T) {
 // TestPartitionedJobUnderFullPolicy runs a partitioned job under a deadline,
 // a retry budget and a watchdog: the job's attempt is the one supervised
 // unit, so it makes one clean attempt with the zero-policy run's output
-// bytes, and every partition job journals a bare attempt and done.
+// bytes, and the journal holds that attempt and its done, nothing under a
+// partition's name.
 func TestPartitionedJobUnderFullPolicy(t *testing.T) {
 	job := aigre.Batch{Name: "deep", AIG: aigre.FromInternal(bench.DeepNarrow(8, 500)), Script: "b; rw",
 		Options: aigre.Options{Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 2000}}}
@@ -284,17 +285,8 @@ func TestPartitionedJobUnderFullPolicy(t *testing.T) {
 	if r.Partition == nil || len(r.Partition.Parts) < 2 {
 		t.Fatalf("job was not partitioned: %+v", r.Partition)
 	}
-	parts := 0
-	for name, evs := range events {
-		if got := strings.Join(evs, ","); got != "attempt,done" {
-			t.Errorf("job %s journaled %s, want attempt,done", name, got)
-		}
-		if strings.Contains(name, ".part") {
-			parts++
-		}
-	}
-	if parts != len(r.Partition.Parts) {
-		t.Errorf("%d partition jobs journaled, the report has %d partitions", parts, len(r.Partition.Parts))
+	if len(events) != 1 || strings.Join(events["deep"], ",") != "attempt,done" {
+		t.Errorf("journal %v, want the job's own attempt,done only", events)
 	}
 }
 
@@ -363,6 +355,64 @@ func TestConePartitionQuality(t *testing.T) {
 					t.Errorf("%s %q: cone-partitioned result not equivalent to the input (%v)", c.Name, script, err)
 				}
 			}
+		}
+	}
+}
+
+// TestSequentialPartitionedJobNotWatched runs a sequential partitioned job
+// under a watchdog far shorter than the job: a sequential script launches no
+// kernel and so never beats, and a job is watched only when its script runs on
+// a device, partitioned or not. It must make one unpreempted attempt with the
+// zero-policy run's output bytes.
+func TestSequentialPartitionedJobNotWatched(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("two sequential resyn2 runs of a 16k-node network; too slow under -race")
+	}
+	job := aigre.Batch{Name: "deep", AIG: aigre.FromInternal(bench.DeepNarrow(8, 2000)), Script: aigre.ScriptResyn2,
+		Options: aigre.Options{Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 2000}}}
+	run := func(pol aigre.Policy) aigre.Result {
+		t.Helper()
+		rs, _, err := aigre.RunBatch(context.Background(), []aigre.Batch{job}, aigre.BatchOptions{Workers: 2, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs[0]
+	}
+	want := run(aigre.Policy{})
+	r := run(aigre.Policy{StuckTimeout: 100 * time.Millisecond})
+	if r.Err != nil || r.Preemptions != 0 || r.Attempts != 1 {
+		t.Fatalf("watched sequential partitioned job: err=%v preemptions=%d attempts=%d", r.Err, r.Preemptions, r.Attempts)
+	}
+	if got, w := outputDigest(t, r.AIG), outputDigest(t, want.AIG); got != w {
+		t.Errorf("output %s under the watchdog, %s without", got, w)
+	}
+}
+
+// TestPartitionLeaseCapKeepsBytes runs one parallel partitioned job with
+// Batch.Workers 0, 1 and 2 on a 3-worker engine: the cap only narrows each
+// partition's lease, so the output bytes are the same.
+func TestPartitionLeaseCapKeepsBytes(t *testing.T) {
+	in := aigre.FromInternal(bench.DeepNarrow(8, 500))
+	var want string
+	for _, workers := range []int{0, 1, 2} {
+		job := aigre.Batch{Name: "deep", AIG: in, Script: "b; rw", Workers: workers,
+			Options: aigre.Options{Parallel: true, Cache: aigre.NewCache(),
+				Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 2000}}}
+		rs, _, err := aigre.RunBatch(context.Background(), []aigre.Batch{job}, aigre.BatchOptions{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[0].Err != nil {
+			t.Fatal(rs[0].Err)
+		}
+		if rs[0].Partition == nil || len(rs[0].Partition.Parts) < 2 {
+			t.Fatalf("Workers %d: job was not partitioned: %+v", workers, rs[0].Partition)
+		}
+		got := outputDigest(t, rs[0].AIG)
+		if workers == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("Batch.Workers %d: output %s, %s at 0", workers, got, want)
 		}
 	}
 }

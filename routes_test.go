@@ -78,7 +78,7 @@ func through(t *testing.T, rt jobRoute, job aigre.Batch, pol aigre.Policy) strin
 		got += fmt.Sprintf(" {%s class=%s kernel=%s}", inc, inc.Class, inc.Kernel)
 	}
 	if rt.observe {
-		// Per job in name order: the partition jobs of one run interleave.
+		// Per job in name order.
 		got += " events="
 		names := make([]string, 0, len(events))
 		for name := range events {
@@ -171,8 +171,8 @@ func TestJobRoutes(t *testing.T) {
 }
 
 var routeGoldens = map[string]string{
-	"deep/cones":                          "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8 timings=0 events=[deep attempt,done][deep_narrow_8x500.part0 attempt,done][deep_narrow_8x500.part1 attempt,done][deep_narrow_8x500.part2 attempt,done][deep_narrow_8x500.part3 attempt,done][deep_narrow_8x500.part4 attempt,done][deep_narrow_8x500.part5 attempt,done][deep_narrow_8x500.part6 attempt,done][deep_narrow_8x500.part7 attempt,done]",
-	"deep/levels":                         "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8 timings=0 events=[deep attempt,done][deep_narrow_8x500.part0 attempt,done][deep_narrow_8x500.part1 attempt,done][deep_narrow_8x500.part2 attempt,done][deep_narrow_8x500.part3 attempt,done][deep_narrow_8x500.part4 attempt,done][deep_narrow_8x500.part5 attempt,done][deep_narrow_8x500.part6 attempt,done][deep_narrow_8x500.part7 attempt,done]",
+	"deep/cones":                          "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8 timings=0 events=[deep attempt,done]",
+	"deep/levels":                         "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8 timings=0 events=[deep attempt,done]",
 	"mem_ctrl/par/b-rw-rfz":               "92057d211e0e851c0a8017fb96dc705286e7ba69c59a30322a4e172a225a8876 4ce3d7f08c027124 16302726 timings=3 events=[mem_ctrl attempt,done]",
 	"mem_ctrl/par/b-rw-rfz/fault":         "82944a252e523c40d4b238d1abd4c08015b1911ad3e0a6406ff30f64f428552d 41e540729f845de8 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
 	"mem_ctrl/par/b-rw-rfz/fault+retry":   "92057d211e0e851c0a8017fb96dc705286e7ba69c59a30322a4e172a225a8876 4ce3d7f08c027124 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",

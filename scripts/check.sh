@@ -25,8 +25,9 @@ fi
 # One function runs a job, reached one way: flow.Run is called from
 # sched.(*Engine).Do only (its attempt), a job reaches Do directly or from the
 # batch loop (sched.(*Engine).Batch, a slice, not a queue: no heap, no Submit or
-# Shutdown, no ticket type), partition.Run from the one place a job is converted
-# (engine.go), and pass-scoped tables are pooled by hashtable.Acquire alone.
+# Shutdown, no ticket type), partition.Run from one call site (a partitioned
+# job's attempt in sched), and pass-scoped tables are pooled by
+# hashtable.Acquire alone.
 if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-dir=sched --exclude-dir=benchmark 'flow\.Run(' . ||
     grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '"container/heap"' internal/sched ||
     grep -nE --exclude='*_test.go' --exclude-dir=benchmark '^func \([^)]*\) (Submit|Shutdown)\(|^type (Job)?Ticket ' ./*.go internal/sched/*.go ||
@@ -36,12 +37,21 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-
     exit 1
 fi
 # A job is supervised once: a partitioned job's own attempt (deadline,
-# watchdog, retries) covers its partition jobs, which internal/partition runs
-# under the zero policy; a retry budget shared across the two layers must not
-# grow back.
+# watchdog, retries) covers its partitions, which internal/partition runs
+# without a policy; a retry budget shared across the two layers must not grow
+# back.
 if grep -rnE --include='*.go' --exclude-dir=benchmark '\bRetryBudget\b' . ||
     grep -rnwE --include='*.go' --exclude='*_test.go' 'Policy' internal/partition; then
     echo "check: a RetryBudget type, or a Policy handed to the engine by internal/partition, grew back; supervise the partitioned job's attempt instead" >&2
+    exit 1
+fi
+# A partitioned job is one job: internal/partition runs its partitions itself
+# and imports neither the engine nor the journal, so a nested engine
+# (sched.RunSupervised) cannot come back, and the heartbeat rides the attempt's
+# context into Device.Bind instead of a per-device setter (SetHeartbeat).
+if grep -nE '"aigre/internal/(sched|journal)"' $(find internal/partition -name '*.go' ! -name '*_test.go') ||
+    grep -rnwE --include='*.go' --exclude='*_test.go' 'RunSupervised|SetHeartbeat' .; then
+    echo "check: internal/partition imports sched or journal, or RunSupervised/SetHeartbeat grew back (see above); run partitions inside the job's attempt" >&2
     exit 1
 fi
 # One definition per report key: the job record (sched.Record) and the fleet
