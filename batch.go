@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"aigre/internal/flow"
-	"aigre/internal/journal"
 	"aigre/internal/sched"
 )
 
@@ -53,14 +52,15 @@ type Batch struct {
 // unit: its attempt's deadline, watchdog and retries cover its partitions.
 type Policy = sched.Policy
 
-// JobEvent is one live supervision event, delivered via
-// BatchOptions.OnEvent — the journal's own entry type: an attempt starting,
-// a contained incident (with the full flow.Incident attached), a retry with
-// its backoff, a watchdog preemption, a deadline timeout, a quarantine, or
-// the final outcome. Job is the Batch.Name of the job the event belongs to;
+// JobEvent is one supervision event of an Engine: what BatchOptions.OnEvent
+// receives and what a JournalPath line holds — an attempt starting, a
+// contained incident (with the full flow.Incident attached), a retry with its
+// backoff, a watchdog preemption, a deadline timeout, a quarantine, or the
+// final outcome. Job is the Batch.Name of the job the event belongs to;
 // Event is "attempt", "incident", "retry", "preempt", "timeout",
-// "quarantine", "done", "fail", or "cancel".
-type JobEvent = journal.Entry
+// "quarantine", "done", "fail", or "cancel"; Seq numbers the engine's events
+// in emission order. See sched.Event for the fields.
+type JobEvent = sched.Event
 
 // BatchOptions configures RunBatch.
 type BatchOptions struct {
@@ -84,16 +84,17 @@ type BatchOptions struct {
 	Policy Policy
 	// JournalPath, when non-empty, appends every supervision event —
 	// attempts, contained incidents, retries, preemptions, timeouts,
-	// quarantines, final outcomes — to a JSONL journal file that survives
-	// the process and can be replayed with internal/journal.Replay (or any
-	// JSONL reader). The file is created if missing, appended otherwise.
+	// quarantines, final outcomes — as one JSON line to a journal file that
+	// survives the process and reads back with any JSONL reader. The file is
+	// created if missing, appended otherwise.
 	JournalPath string
 	// OnEvent, when set, receives every supervision event of the batch or
-	// engine — the same stream JournalPath persists — as it happens, with
-	// or without a journal file. Calls are serialized in journal order and
-	// run on the supervised job's own path: keep the callback fast and
-	// non-blocking (hand the event to a channel or bus), or it will stall
-	// the fleet. The aigred daemon's live progress streams hang off this.
+	// engine — the same stream JournalPath persists, each event after its
+	// line is appended — as it happens, with or without a journal file.
+	// Calls are serialized in Seq order and run on the supervised job's own
+	// path: keep the callback fast and non-blocking (hand the event to a
+	// channel or bus), or it will stall the fleet. The aigred daemon's live
+	// progress streams hang off this.
 	OnEvent func(JobEvent)
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -142,7 +143,12 @@ func TestChaosBatchSupervision(t *testing.T) {
 	// The journal must replay the full history now that RunBatch has closed
 	// it: a start and a terminal event for every job, preemptions and the
 	// quarantine for the stuck job, and strictly increasing sequence numbers.
-	entries, _, err := journal.Replay(jpath)
+	f, err := os.Open(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries, _, err := journal.ReadRecords[aigre.JobEvent](f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +162,13 @@ func TestChaosBatchSupervision(t *testing.T) {
 		}
 		lastSeq = e.Seq
 		switch e.Event {
-		case journal.EventAttempt:
+		case sched.EventAttempt:
 			attempts[e.Job]++
-		case journal.EventPreempt:
+		case sched.EventPreempt:
 			preempts++
-		case journal.EventRetry:
+		case sched.EventRetry:
 			retries++
-		case journal.EventDone, journal.EventFail, journal.EventQuarantine, journal.EventCancel:
+		case sched.EventDone, sched.EventFail, sched.EventQuarantine, sched.EventCancel:
 			terminal[e.Job] = e.Event
 		}
 	}
@@ -170,9 +176,9 @@ func TestChaosBatchSupervision(t *testing.T) {
 		if attempts[r.Name] != r.Attempts {
 			t.Errorf("journal: job %s has %d attempt entries, result says %d", r.Name, attempts[r.Name], r.Attempts)
 		}
-		want := journal.EventDone
+		want := sched.EventDone
 		if i == stuckIdx {
-			want = journal.EventQuarantine
+			want = sched.EventQuarantine
 		}
 		if terminal[r.Name] != want {
 			t.Errorf("journal: job %s terminal event %q, want %q", r.Name, terminal[r.Name], want)

@@ -264,43 +264,55 @@ func (c *Client) Result(ctx context.Context, id string) (data []byte, digest str
 // Wait blocks until the job reaches a terminal state and returns its final
 // record. It follows the job's SSE event stream (reconnecting with the last
 // seen event id, so daemon restarts and dropped connections lose nothing)
-// and degrades to polling when streaming is unavailable.
+// and degrades to polling when streaming is unavailable. Transport failures
+// are retried with a capped backoff until ctx ends; an error response from
+// the daemon (*Error, such as not_found) ends the wait.
 func (c *Client) Wait(ctx context.Context, id string) (Job, error) {
-	lastID := ""
+	lastID, terminal := "", false
+	var backoff time.Duration // after consecutive transport failures
 	for {
-		stream, err := c.Events(ctx, id, lastID)
-		if err != nil {
-			if e, ok := err.(*Error); ok && e.Code == "not_found" {
+		if !terminal {
+			stream, err := c.Events(ctx, id, lastID)
+			if err == nil {
+				for ev := range stream.C {
+					lastID = ev.ID
+					if terminal = Terminal(ev.Type); terminal {
+						break
+					}
+				}
+				stream.Close()
+				if err := ctx.Err(); err != nil {
+					return Job{}, err
+				}
+				if !terminal {
+					// Stream ended without a terminal event (daemon restart,
+					// overflow cut): reconnect from the last seen id.
+					continue
+				}
+			} else if e, ok := err.(*Error); ok && e.Code == "not_found" {
 				return Job{}, err
 			}
-			// Streaming unavailable (proxy, old daemon): poll instead.
-			j, gerr := c.Get(ctx, id)
-			if gerr != nil {
-				return j, gerr
-			}
-			if j.Terminal() {
-				return j, nil
-			}
-			select {
-			case <-ctx.Done():
-				return Job{}, ctx.Err()
-			case <-time.After(100 * time.Millisecond):
-			}
-			continue
+			// Otherwise streaming is unavailable (proxy, old daemon, dropped
+			// connection): poll instead.
 		}
-		for ev := range stream.C {
-			lastID = ev.ID
-			if Terminal(ev.Type) {
-				stream.Close()
-				return c.Get(ctx, id)
-			}
+		j, err := c.Get(ctx, id)
+		var pause time.Duration
+		switch _, isResp := err.(*Error); {
+		case err == nil && (terminal || j.Terminal()):
+			return j, nil
+		case err == nil:
+			pause, backoff = 100*time.Millisecond, 0
+		case isResp:
+			return j, err
+		default:
+			backoff = min(max(2*backoff, 50*time.Millisecond), time.Second)
+			pause = backoff
 		}
-		stream.Close()
-		if err := ctx.Err(); err != nil {
-			return Job{}, err
+		select {
+		case <-ctx.Done():
+			return Job{}, ctx.Err()
+		case <-time.After(pause):
 		}
-		// Stream ended without a terminal event (daemon restart, overflow
-		// cut): reconnect from the last seen id.
 	}
 }
 

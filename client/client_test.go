@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -143,5 +144,58 @@ func TestWaitFallsBackToPolling(t *testing.T) {
 	}
 	if j.State != StateDone || polls < 2 {
 		t.Fatalf("job %+v after %d polls", j, polls)
+	}
+}
+
+// TestWaitSurvivesDroppedConnections checks that Wait rides out transport
+// failures: the server drops its first two connections mid-request, then
+// serves a terminal job, and Wait returns that job instead of the error.
+func TestWaitSurvivesDroppedConnections(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if requests.Add(1) <= 2 {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+			return
+		}
+		switch r.URL.Path {
+		case "/v1/jobs/j-1/events":
+			w.Header().Set("Content-Type", "text/event-stream")
+			fmt.Fprintf(w, "id: 1\nevent: done\ndata: {\"id\":\"1\",\"type\":\"done\"}\n\n")
+		case "/v1/jobs/j-1":
+			fmt.Fprintf(w, `{"id":"j-1","state":%q,"leases":1}`, StateDone)
+		default:
+			t.Errorf("unexpected path %s", r.URL.Path)
+		}
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	j, err := New(ts.URL).Wait(ctx, "j-1")
+	if err != nil {
+		t.Fatalf("Wait gave up after %d requests: %v", requests.Load(), err)
+	}
+	if j.State != StateDone {
+		t.Fatalf("job %+v", j)
+	}
+}
+
+// TestWaitEndsOnErrorResponse checks that an error response from the daemon
+// still ends Wait: only transport failures are retried.
+func TestWaitEndsOnErrorResponse(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		fmt.Fprint(w, `{"error":{"code":"not_found","message":"no such job"}}`)
+	}))
+	defer ts.Close()
+	_, err := New(ts.URL).Wait(context.Background(), "j-1")
+	var e *Error
+	if !errors.As(err, &e) || e.Code != "not_found" {
+		t.Fatalf("Wait = %v, want the not_found error", err)
 	}
 }

@@ -108,7 +108,7 @@ func newServer(ctx context.Context, cfg serverConfig) (*server, error) {
 		fmt.Fprintf(os.Stderr, "aigred: store gc: removed %d unreferenced blobs\n", removed)
 	}
 	// The engine's supervision stream (attempts, incidents, retries,
-	// preemptions) feeds the same bus. Terminal journal events are skipped:
+	// preemptions) feeds the same bus. Terminal supervision events are skipped:
 	// the durable queue record is the authoritative end of a job's stream.
 	cfg.batch.OnEvent = func(ev aigre.JobEvent) {
 		switch ev.Event {

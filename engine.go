@@ -29,20 +29,21 @@ type Engine struct {
 // non-nil, cancels every job engine-wide when it is done. The engine holds
 // opts.Workers pool workers until Close.
 func NewEngine(ctx context.Context, opts BatchOptions) (*Engine, error) {
-	var jour *journal.Journal
+	e := &Engine{opts: opts}
+	sink := opts.OnEvent
 	if opts.JournalPath != "" {
-		var err error
-		jour, err = journal.Create(opts.JournalPath)
+		jour, err := journal.Create(opts.JournalPath)
 		if err != nil {
 			return nil, fmt.Errorf("aigre: %w", err)
 		}
-	} else if opts.OnEvent != nil {
-		// No journal file wanted: a writer-less journal still stamps every
-		// entry and feeds the live stream.
-		jour = journal.New(nil)
+		e.jour = jour
+		sink = func(ev JobEvent) {
+			jour.AppendRecord(ev) // best effort: a lost journal line never fails a job
+			if opts.OnEvent != nil {
+				opts.OnEvent(ev)
+			}
+		}
 	}
-	jour.Observe(opts.OnEvent)
-	e := &Engine{opts: opts, jour: jour}
 	if opts.SharedCache != nil {
 		e.sharedBefore = opts.SharedCache.Stats()
 	}
@@ -50,7 +51,7 @@ func NewEngine(ctx context.Context, opts BatchOptions) (*Engine, error) {
 	e.eng = sched.NewEngine(ctx, e.pool, sched.Options{
 		MaxConcurrentJobs: opts.MaxConcurrentJobs,
 		Policy:            opts.Policy,
-		Journal:           jour,
+		OnEvent:           sink,
 	})
 	return e, nil
 }

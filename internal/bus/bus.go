@@ -1,6 +1,6 @@
 // Package bus is the aigred daemon's in-process job event bus: the fan-out
-// layer between the durable sources of job lifecycle (the write-ahead queue
-// log, the supervision journal) and live subscribers (the SSE handlers of
+// layer between the sources of job lifecycle (the write-ahead queue log, the
+// engine's supervision events) and live subscribers (the SSE handlers of
 // GET /v1/jobs/{id}/events).
 //
 // Every published event is appended to the job's in-memory history and
@@ -38,7 +38,7 @@ type Event struct {
 	Job string `json:"job"`
 	// Type is the transition or supervision event name: a queue state
 	// ("pending", "leased", "done", "failed", "quarantined", "cancelled")
-	// or a journal event ("attempt", "incident", "retry", "preempt",
+	// or a supervision event ("attempt", "incident", "retry", "preempt",
 	// "timeout", "quarantine").
 	Type string `json:"type"`
 	// Attempt stamps supervision events with the attempt ordinal.
@@ -106,7 +106,7 @@ func (b *Bus) Publish(job string, e Event) Event {
 		case s.ch <- e:
 		default:
 			// Subscriber stalled: cut it loose rather than block the
-			// publisher (which may hold queue or journal locks upstream).
+			// publisher (which may hold queue or engine locks upstream).
 			s.overflow = true
 			b.dropLocked(s)
 		}

@@ -14,7 +14,6 @@ import (
 	"aigre/internal/aig"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/journal"
 	"aigre/internal/partition"
 	"aigre/internal/rcache"
 )
@@ -176,8 +175,10 @@ type Options struct {
 	// Policy is the supervision policy of every job (zero = one attempt, no
 	// deadline, no watchdog).
 	Policy Policy
-	// Journal, when non-nil, receives every supervision event durably.
-	Journal *journal.Journal
+	// OnEvent, when non-nil, receives every supervision event of the
+	// engine's jobs, stamped with Seq and Time. Calls are serialized in Seq
+	// order and run on the job's own path: a slow sink stalls the fleet.
+	OnEvent func(Event)
 }
 
 // Engine runs jobs on device capacity leased from the shared pool, each
@@ -186,8 +187,11 @@ type Engine struct {
 	pool    *gpu.Pool
 	ctx     context.Context // engine-wide cancellation
 	policy  Policy
-	jour    *journal.Journal
 	maxJobs int // goroutines of one Batch call
+
+	evMu    sync.Mutex // serializes emit
+	seq     int64      // last emitted Event.Seq
+	onEvent func(Event)
 
 	mu      sync.Mutex
 	closed  bool
@@ -207,7 +211,7 @@ func NewEngine(ctx context.Context, pool *gpu.Pool, opts Options) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := &Engine{pool: pool, ctx: ctx, policy: opts.Policy, jour: opts.Journal,
+	e := &Engine{pool: pool, ctx: ctx, policy: opts.Policy, onEvent: opts.OnEvent,
 		maxJobs: opts.MaxConcurrentJobs}
 	e.metrics.Workers = pool.Workers()
 	if e.maxJobs <= 0 {

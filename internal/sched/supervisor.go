@@ -1,12 +1,12 @@
 // Job supervision: deadlines, classified retry with backoff, watchdog
-// preemption of stuck attempts, quarantine of poison jobs, and a durable
-// journal of every lifecycle event.
+// preemption of stuck attempts, quarantine of poison jobs, and an Event for
+// every lifecycle step.
 //
-// The flow layer (PR 2) contains faults *within* one script run — a kernel
-// panic degrades a command, it does not kill the job. The supervisor is the
+// The flow layer contains faults *within* one script run — a kernel panic
+// degrades a command, it does not kill the job. The supervisor is the
 // fleet-level complement: it decides what a whole job's attempt outcome means
-// (retry it, quarantine it, report it timed out) and leaves a replayable
-// record. Every job runs under it, the aigred daemon's included.
+// (retry it, quarantine it, report it timed out) and emits the record of it.
+// Every job runs under it, the aigred daemon's included.
 package sched
 
 import (
@@ -18,13 +18,14 @@ import (
 	"aigre/internal/aig"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/journal"
 	"aigre/internal/partition"
 )
 
 // supervise runs job under the engine's policy until an attempt succeeds,
 // the retry budget runs dry, or a non-retryable failure lands, filling res
-// with the final outcome and the accumulated attempt history.
+// with the final outcome and the accumulated attempt history. Each attempt's
+// outcome is decided once — done, retried or terminal — and announced
+// through note.
 func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
 	retries := e.policy.Retries
 	// Fault plans carry across attempts with their fire-progress, so a plan
@@ -37,7 +38,17 @@ func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
 
 	for attempt := 1; ; attempt++ {
 		res.Attempts = attempt
-		e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt, Event: journal.EventAttempt})
+		note := func(event string, cls Class, err error, backoff time.Duration) {
+			ev := Event{Job: job.Name, Attempt: attempt, Event: event, Backoff: backoff}
+			if cls != ClassNone {
+				ev.Class = cls.String()
+			}
+			if err != nil {
+				ev.Detail = err.Error()
+			}
+			e.emit(ev)
+		}
+		note(EventAttempt, ClassNone, nil, 0)
 
 		pres, dev, err, cls := e.attempt(outer, job, watched, faults)
 		fres := pres.Result
@@ -47,14 +58,18 @@ func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
 		}
 
 		incs := fres.Incidents
+		transient := 0
 		for i := range incs {
 			incs[i].Attempt = attempt
 			if incs[i].Time.IsZero() {
 				incs[i].Time = time.Now()
 			}
+			if incs[i].Class == flow.ClassTransient {
+				transient++
+			}
 			inc := incs[i]
-			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-				Event: journal.EventIncident, Class: inc.Class, Detail: inc.Detail, Incident: &inc})
+			e.emit(Event{Job: job.Name, Attempt: attempt,
+				Event: EventIncident, Class: inc.Class, Detail: inc.Detail, Incident: &inc})
 		}
 		// The job's record is the latest attempt's run record with the history
 		// carried forward: incidents and modeled time accumulate, and an
@@ -69,112 +84,69 @@ func (e *Engine) supervise(outer context.Context, job *Job, res *Result) {
 			faults = dev.Faults()
 		}
 
+		// The outcome. A result degraded by transient incidents is a transient
+		// failure while the budget lasts; an external shutdown (the batch
+		// window expired or the engine is closing) dominates every other
+		// failure and is never retried.
+		switch {
+		case err == nil && transient > 0 && retries > 0 && outer.Err() == nil:
+			cls = ClassTransient
+			err = fmt.Errorf("discarding result degraded by %d transient incident(s)", transient)
+		case err != nil && outer.Err() != nil:
+			cls = ClassCancelled
+		}
 		if err == nil {
-			transient := 0
-			for _, inc := range incs {
-				if inc.Class == flow.ClassTransient {
-					transient++
-				}
-			}
-			if transient > 0 && retries > 0 && outer.Err() == nil {
-				retries--
-				d := backoffFor(job.Name, attempt)
-				e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-					Event: journal.EventRetry, Class: flow.ClassTransient, Backoff: d,
-					Detail: fmt.Sprintf("discarding result degraded by %d transient incident(s)", transient)})
-				if !sleepInterruptible(outer, d) {
-					e.finish(job, res, ClassCancelled, cancelErrFor(outer, job.Name), attempt)
-					return
-				}
-				continue
-			}
 			res.Err = nil
-			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt, Event: journal.EventDone})
+			note(EventDone, ClassNone, nil, 0)
 			return
 		}
-
-		// External shutdown dominates every other outcome: the batch window
-		// expired or the engine is closing. Never retried.
-		if oerr := outer.Err(); oerr != nil {
-			if errors.Is(oerr, context.DeadlineExceeded) {
-				res.TimedOut = true
-				res.Err = err
-				e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-					Event: journal.EventTimeout, Class: cls.String(), Detail: err.Error()})
-			} else {
-				res.Cancelled = true
-				res.Err = err
-				e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-					Event: journal.EventCancel, Detail: err.Error()})
-			}
-			return
-		}
-
 		switch cls {
 		case ClassStuck:
 			res.Preemptions++
-			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-				Event: journal.EventPreempt, Class: cls.String(), Detail: err.Error()})
+			note(EventPreempt, cls, err, 0)
 		case ClassTimeout:
-			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-				Event: journal.EventTimeout, Class: cls.String(), Detail: err.Error()})
+			note(EventTimeout, cls, err, 0)
 		}
-
 		if cls.Retryable() && retries > 0 {
 			retries--
 			d := backoffFor(job.Name, attempt)
-			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-				Event: journal.EventRetry, Class: cls.String(), Detail: err.Error(), Backoff: d})
-			if !sleepInterruptible(outer, d) {
-				e.finish(job, res, ClassCancelled, cancelErrFor(outer, job.Name), attempt)
-				return
+			note(EventRetry, cls, err, d)
+			if sleepInterruptible(outer, d) {
+				continue
 			}
-			continue
+			cls, err = ClassCancelled, fmt.Errorf("sched: job %q cancelled during backoff: %w", job.Name, outer.Err())
 		}
 
-		e.finish(job, res, cls, err, attempt)
+		// Terminal: cancelled, timed out, failed, or — when a retryable class
+		// ran the budget dry, or the watchdog caught the job, which makes it
+		// poison by definition — quarantined.
+		switch cls {
+		case ClassCancelled:
+			if errors.Is(outer.Err(), context.DeadlineExceeded) {
+				res.TimedOut = true
+				note(EventTimeout, ClassNone, err, 0)
+			} else {
+				res.Cancelled = true
+				note(EventCancel, ClassNone, err, 0)
+			}
+		case ClassStuck:
+			res.Quarantined = true
+		case ClassTimeout:
+			res.TimedOut = true
+			res.Quarantined = e.policy.Retries > 0
+		case ClassTransient:
+			res.Quarantined = e.policy.Retries > 0
+		}
+		switch {
+		case res.Quarantined:
+			err = fmt.Errorf("sched: job %q quarantined after %d attempt(s): %w", job.Name, attempt, err)
+			note(EventQuarantine, cls, err, 0)
+		case cls == ClassTransient || cls == ClassPermanent:
+			note(EventFail, cls, err, 0)
+		}
+		res.Err = err
 		return
 	}
-}
-
-// finish records a terminal failure outcome: cancelled, timed out, failed,
-// or — when a retryable class ran the budget dry (or the watchdog caught the
-// job) — quarantined.
-func (e *Engine) finish(job *Job, res *Result, cls Class, err error, attempt int) {
-	switch cls {
-	case ClassCancelled:
-		if errors.Is(err, context.DeadlineExceeded) {
-			res.TimedOut = true
-			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-				Event: journal.EventTimeout, Detail: err.Error()})
-		} else {
-			res.Cancelled = true
-			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-				Event: journal.EventCancel, Detail: err.Error()})
-		}
-	case ClassStuck:
-		// A stuck job is poison by definition: quarantine even when the
-		// policy granted no retries.
-		res.Quarantined = true
-	case ClassTimeout:
-		res.TimedOut = true
-		res.Quarantined = e.policy.Retries > 0
-	case ClassTransient:
-		res.Quarantined = e.policy.Retries > 0
-		if !res.Quarantined {
-			e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-				Event: journal.EventFail, Class: cls.String(), Detail: err.Error()})
-		}
-	default:
-		e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-			Event: journal.EventFail, Class: cls.String(), Detail: err.Error()})
-	}
-	if res.Quarantined {
-		err = fmt.Errorf("sched: job %q quarantined after %d attempt(s): %w", job.Name, attempt, err)
-		e.jour.Append(journal.Entry{Job: job.Name, Attempt: attempt,
-			Event: journal.EventQuarantine, Class: cls.String(), Detail: err.Error()})
-	}
-	res.Err = err
 }
 
 // attempt executes one supervised attempt under its own deadline and
@@ -269,9 +241,6 @@ func watch(ctx context.Context, done <-chan struct{}, hb *gpu.Heartbeat, start t
 // sleepInterruptible pauses for d, returning false when ctx was cancelled
 // before the pause completed.
 func sleepInterruptible(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -280,14 +249,4 @@ func sleepInterruptible(ctx context.Context, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// cancelErrFor wraps the outer context error observed while a job named name
-// was between attempts.
-func cancelErrFor(outer context.Context, name string) error {
-	err := outer.Err()
-	if err == nil {
-		err = context.Canceled
-	}
-	return fmt.Errorf("sched: job %q cancelled during backoff: %w", name, err)
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/hashtable"
-	"aigre/internal/journal"
 )
 
 // runSupervised runs jobs as one Batch over a fresh engine with opts and
@@ -22,6 +20,13 @@ func runSupervised(ctx context.Context, pool *gpu.Pool, jobs []Job, opts Options
 	out := e.Batch(ctx, jobs)
 	e.Close()
 	return out, e.Metrics()
+}
+
+// collect returns an OnEvent sink that records every event it receives, and
+// the slice it fills.
+func collect() (func(Event), *[]Event) {
+	var evs []Event
+	return func(ev Event) { evs = append(evs, ev) }, &evs
 }
 
 // customJob wraps a Custom func into a Job with the fields supervision needs.
@@ -66,8 +71,7 @@ func TestClassify(t *testing.T) {
 func TestRetryTransientToSuccess(t *testing.T) {
 	pool := gpu.NewPool(2)
 	defer pool.Close()
-	var buf bytes.Buffer
-	jour := journal.New(&buf)
+	sink, entries := collect()
 
 	var calls atomic.Int64
 	job := customJob("flaky", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
@@ -77,7 +81,7 @@ func TestRetryTransientToSuccess(t *testing.T) {
 		return flow.Result{AIG: testAIG(1)}, nil
 	})
 	pol := Policy{Retries: 3}
-	res, m := runSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol, Journal: jour})
+	res, m := runSupervised(context.Background(), pool, []Job{job}, Options{Policy: pol, OnEvent: sink})
 	if res[0].Err != nil {
 		t.Fatalf("retried job failed: %v", res[0].Err)
 	}
@@ -87,12 +91,8 @@ func TestRetryTransientToSuccess(t *testing.T) {
 	if m.Finished != 1 || m.Retries != 2 || m.Quarantined != 0 {
 		t.Errorf("metrics = %+v", m)
 	}
-	entries, _, err := journal.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var events []string
-	for _, e := range entries {
+	for _, e := range *entries {
 		events = append(events, e.Event)
 	}
 	want := []string{"attempt", "retry", "attempt", "retry", "attempt", "done"}
@@ -111,13 +111,13 @@ func TestRetryTransientToSuccess(t *testing.T) {
 func TestQuarantineOnExhaustedBudget(t *testing.T) {
 	pool := gpu.NewPool(2)
 	defer pool.Close()
-	var buf bytes.Buffer
+	sink, entries := collect()
 	job := customJob("poison", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		return flow.Result{}, &gpu.LaunchError{Kernel: "k", Value: hashtable.ErrTableFull}
 	})
 	pol := Policy{Retries: 2}
 	res, m := runSupervised(context.Background(), pool, []Job{job},
-		Options{Policy: pol, Journal: journal.New(&buf)})
+		Options{Policy: pol, OnEvent: sink})
 	if !res[0].Quarantined {
 		t.Fatalf("poison job not quarantined: %+v err=%v", res[0], res[0].Err)
 	}
@@ -127,9 +127,8 @@ func TestQuarantineOnExhaustedBudget(t *testing.T) {
 	if m.Quarantined != 1 || m.Failed != 0 {
 		t.Errorf("metrics = %+v", m)
 	}
-	entries, _, _ := journal.Read(&buf)
-	last := entries[len(entries)-1]
-	if last.Event != journal.EventQuarantine {
+	last := (*entries)[len(*entries)-1]
+	if last.Event != EventQuarantine {
 		t.Errorf("last journal event %q, want quarantine", last.Event)
 	}
 }
@@ -212,7 +211,7 @@ func TestDeadlineRetriesThenQuarantine(t *testing.T) {
 func TestWatchdogPreemptsStuckJob(t *testing.T) {
 	pool := gpu.NewPool(2)
 	defer pool.Close()
-	var buf bytes.Buffer
+	sink, entries := collect()
 	stuck := customJob("stuck", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
 		// Never beats: the watchdog must fire. Block until preempted.
 		<-ctx.Done()
@@ -220,7 +219,7 @@ func TestWatchdogPreemptsStuckJob(t *testing.T) {
 	})
 	pol := Policy{StuckTimeout: 25 * time.Millisecond, Retries: 1}
 	res, m := runSupervised(context.Background(), pool, []Job{stuck},
-		Options{Policy: pol, Journal: journal.New(&buf)})
+		Options{Policy: pol, OnEvent: sink})
 	if !res[0].Quarantined {
 		t.Fatalf("stuck job not quarantined: %+v err=%v", res[0], res[0].Err)
 	}
@@ -233,10 +232,9 @@ func TestWatchdogPreemptsStuckJob(t *testing.T) {
 	if m.Quarantined != 1 {
 		t.Errorf("metrics = %+v", m)
 	}
-	entries, _, _ := journal.Read(&buf)
 	preempts := 0
-	for _, e := range entries {
-		if e.Event == journal.EventPreempt {
+	for _, e := range *entries {
+		if e.Event == EventPreempt {
 			preempts++
 		}
 	}
@@ -380,8 +378,7 @@ func TestConcurrentIncidentAppendStress(t *testing.T) {
 	const jobsN = 16
 	pool := gpu.NewPool(4)
 	defer pool.Close()
-	var buf bytes.Buffer
-	jour := journal.New(&buf)
+	sink, entries := collect()
 	jobs := make([]Job, jobsN)
 	for i := range jobs {
 		jobs[i] = Job{
@@ -395,7 +392,7 @@ func TestConcurrentIncidentAppendStress(t *testing.T) {
 		}
 	}
 	res, m := runSupervised(context.Background(), pool, jobs,
-		Options{MaxConcurrentJobs: jobsN, Journal: jour})
+		Options{MaxConcurrentJobs: jobsN, OnEvent: sink})
 	total := 0
 	for i, r := range res {
 		if r.Err != nil {
@@ -417,18 +414,14 @@ func TestConcurrentIncidentAppendStress(t *testing.T) {
 	if m.Finished != jobsN {
 		t.Errorf("metrics = %+v, want %d finished", m, jobsN)
 	}
-	entries, _, err := journal.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seen := map[int64]bool{}
 	logged := 0
-	for _, e := range entries {
+	for _, e := range *entries {
 		if seen[e.Seq] {
 			t.Fatalf("duplicate journal seq %d", e.Seq)
 		}
 		seen[e.Seq] = true
-		if e.Event == journal.EventIncident {
+		if e.Event == EventIncident {
 			logged++
 			if e.Incident == nil || e.Incident.Time.IsZero() {
 				t.Errorf("journaled incident entry missing stamped incident: %+v", e)

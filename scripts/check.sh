@@ -54,6 +54,18 @@ if grep -nE '"aigre/internal/(sched|journal)"' $(find internal/partition -name '
     echo "check: internal/partition imports sched or journal, or RunSupervised/SetHeartbeat grew back (see above); run partitions inside the job's attempt" >&2
     exit 1
 fi
+# One supervision event path: sched declares the event type, and emit (in
+# internal/sched/event.go) stamps every event and is the one caller of the
+# OnEvent sink; internal/journal is the generic JSONL log under it and the
+# queue's write-ahead log, so it imports no aigre package and declares no
+# event type and no stamping Append or Observe hook.
+journal_go=$(find internal/journal -name '*.go' ! -name '*_test.go')
+if grep -nE '"aigre/' $journal_go ||
+    grep -nE '^type[[:space:]]+(Event|Entry)\b|^[[:space:]]+(Event|Entry)[[:space:]]+struct\b|^func \([^)]*\) (Append|Observe)\(' $journal_go ||
+    grep -nE '\b[oO]nEvent\(' $(find internal/sched -name '*.go' ! -name '*_test.go' ! -name event.go); then
+    echo "check: internal/journal imports an aigre package or declares an event type or Append/Observe, or the OnEvent sink is called outside internal/sched/event.go (see above); emit supervision events through sched.(*Engine).emit" >&2
+    exit 1
+fi
 # One definition per report key: the job record (sched.Record) and the fleet
 # metrics (sched.Metrics) are each declared once, and the aigred session, the
 # -report rows and header, -profile-json and /v1/stats embed or alias them.
