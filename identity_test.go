@@ -279,7 +279,7 @@ func TestCommandGoldens(t *testing.T) {
 
 		// The Table I row: parallel refactoring with host-sequential replacement.
 		d := gpu.New(1)
-		out, _ := refactor.Parallel(d, n.Internal(), refactor.Options{SequentialReplacement: true, Cache: rcache.New()})
+		out, _ := refactor.ParallelSeqReplace(d, n.Internal(), refactor.Options{Cache: rcache.New()})
 		key := name + "/rf-seqreplace"
 		got := fmt.Sprintf("%s %d", outputDigest(t, aigre.FromInternal(out)), d.Stats().SeqTime.Nanoseconds())
 		if want := commandGoldens[key]; got != want {

@@ -31,6 +31,9 @@ func ConstRef(value bool) Ref { return MakeRef(refConst, 0, value) }
 // LeafRef returns a reference to cone leaf i, optionally complemented.
 func LeafRef(i int, neg bool) Ref { return MakeRef(refLeaf, i, neg) }
 
+// OpRef returns a reference to op i of the program, optionally complemented.
+func OpRef(i int, neg bool) Ref { return MakeRef(refOp, i, neg) }
+
 // Kind returns the reference kind (refConst, refLeaf or refOp).
 func (r Ref) Kind() Ref { return r & refKind }
 

@@ -25,6 +25,7 @@ type EvalScratch struct {
 	members []int32
 	results []aig.Lit
 	created []int32
+	words   []uint64 // Apply's revalidation tables
 }
 
 func (s *EvalScratch) ensure(n int) {

@@ -150,8 +150,19 @@ func (s *Scratch) ConeTruth16(a *aig.AIG, rootLit aig.Lit, leaves []int32) (uint
 // No allocation in steady state: the returned table is owned by the scratch
 // — callers must copy anything they keep past the next call.
 func (s *Scratch) ConeTruth(a *aig.AIG, rootLit aig.Lit, leaves []int32) truth.TT {
-	s.walk(a, rootLit.Var(), leaves)
+	s.mustWalk(a, rootLit.Var(), leaves)
 	return s.KeyedTruth(a, rootLit, leaves)
+}
+
+// CutTruth is ConeTruth for a cut that may have gone stale: ok is false,
+// instead of a panic, when the cone of lit escapes the leaves, reaches the
+// node avoid (-1 avoids nothing), or grows past 4096 AND nodes. The table is
+// owned by the scratch, as ConeTruth's.
+func (s *Scratch) CutTruth(a *aig.AIG, lit aig.Lit, leaves []int32, avoid int32) (t truth.TT, ok bool) {
+	if !s.walk(a, lit.Var(), leaves, avoid, 4096) {
+		return truth.TT{}, false
+	}
+	return s.KeyedTruth(a, lit, leaves), true
 }
 
 // KeyedTruth is ConeTruth for the cone the preceding ConeKey call walked,
@@ -205,7 +216,7 @@ const (
 // Escaping cones panic as in ConeTruth.
 func (s *Scratch) ConeKey(a *aig.AIG, rootLit aig.Lit, leaves []int32, dst []byte) []byte {
 	root := rootLit.Var()
-	s.walk(a, root, leaves)
+	s.mustWalk(a, root, leaves)
 	if len(leaves)+len(s.post) > constIndex {
 		return nil
 	}
@@ -230,11 +241,20 @@ func (s *Scratch) appendCode(dst []byte, l aig.Lit) []byte {
 	return append(dst, byte(c), byte(c>>8))
 }
 
+// mustWalk is walk without avoid or size limit, panicking when the cone
+// escapes the leaf boundary (the ConeTruth and ConeKey contract).
+func (s *Scratch) mustWalk(a *aig.AIG, root int32, leaves []int32) {
+	if !s.walk(a, root, leaves, -1, -1) {
+		panic("cut: cone escapes the leaf boundary")
+	}
+}
+
 // walk records in s.post the AND nodes of root's cone over leaves in
 // depth-first post-order, fanin0 first, and numbers the constant, the leaves
-// and those nodes in s.index. It panics when the cone escapes the leaf
-// boundary.
-func (s *Scratch) walk(a *aig.AIG, root int32, leaves []int32) {
+// and those nodes in s.index. It returns false when the cone escapes the leaf
+// boundary, reaches avoid, or holds more than limit AND nodes (limit < 0 is
+// unbounded).
+func (s *Scratch) walk(a *aig.AIG, root int32, leaves []int32, avoid int32, limit int) bool {
 	s.ensure(a.NumObjs())
 	if s.index == nil {
 		s.index = make([]int32, len(s.stamp))
@@ -248,7 +268,7 @@ func (s *Scratch) walk(a *aig.AIG, root int32, leaves []int32) {
 		s.index[l] = int32(i)
 	}
 	if s.stamp[root] == s.trav {
-		return
+		return true
 	}
 	next := int32(len(leaves))
 	st := append(s.stack[:0], root)
@@ -258,9 +278,9 @@ func (s *Scratch) walk(a *aig.AIG, root int32, leaves []int32) {
 			st = st[:len(st)-1]
 			continue
 		}
-		if !a.IsAnd(cur) {
+		if !a.IsAnd(cur) || cur == avoid || len(s.post) == limit {
 			s.stack = st
-			panic("cut: cone escapes the leaf boundary")
+			return false
 		}
 		f0, f1 := a.Fanin0(cur), a.Fanin1(cur)
 		if s.stamp[f0.Var()] != s.trav {
@@ -278,6 +298,7 @@ func (s *Scratch) walk(a *aig.AIG, root int32, leaves []int32) {
 		st = st[:len(st)-1]
 	}
 	s.stack = st
+	return true
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -288,37 +309,4 @@ func ConeTruth(a *aig.AIG, rootLit aig.Lit, leaves []int32) truth.TT {
 	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)
 	return s.ConeTruth(a, rootLit, leaves).Clone()
-}
-
-// ValidCut reports whether every path from root toward the PIs crosses the
-// leaf set, visiting at most budget AND nodes — the revalidation used by
-// sequential replacement, without the per-call maps.
-func (s *Scratch) ValidCut(a *aig.AIG, root int32, leaves []int32, budget int) bool {
-	s.ensure(a.NumObjs())
-	s.trav++
-	for _, l := range leaves {
-		s.stamp[l] = s.trav
-	}
-	count := 0
-	st := append(s.stack[:0], root)
-	for len(st) > 0 {
-		cur := st[len(st)-1]
-		st = st[:len(st)-1]
-		if s.stamp[cur] == s.trav {
-			continue
-		}
-		if !a.IsAnd(cur) {
-			s.stack = st
-			return false // escaped to a PI or constant
-		}
-		s.stamp[cur] = s.trav
-		count++
-		if count > budget {
-			s.stack = st
-			return false
-		}
-		st = append(st, a.Fanin0(cur).Var(), a.Fanin1(cur).Var())
-	}
-	s.stack = st
-	return true
 }

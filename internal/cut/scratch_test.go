@@ -42,6 +42,9 @@ func TestScratchConeTruthMatchesMapVersion(t *testing.T) {
 						t.Fatalf("node %d word %d: scratch %016x, reference %016x", id, w, got.Words[w], want.Words[w])
 					}
 				}
+				if got, ok := s.CutTruth(a, lit, leaves, -1); !ok || !slices.Equal(got.Words, want.Words) {
+					t.Fatalf("node %d: CutTruth (%v, %v), reference %v", id, got, ok, want)
+				}
 			}
 			if len(leaves) <= 4 {
 				want16, wantOK := refConeTruth16(a, aig.MakeLit(id, false), leaves)
@@ -72,7 +75,10 @@ func TestScratchConeTruth16RejectsEscapingCone(t *testing.T) {
 	}
 }
 
-func TestScratchValidCut(t *testing.T) {
+// TestScratchCutTruth covers the ways a stale cut fails CutTruth — an
+// escape, the avoided node, the size limit — and that it evaluates a valid
+// cut, complemented and constant roots included, right after a failure.
+func TestScratchCutTruth(t *testing.T) {
 	a := aig.New(4)
 	a.EnableStrash()
 	n1 := a.NewAnd(a.PI(0), a.PI(1))
@@ -80,14 +86,41 @@ func TestScratchValidCut(t *testing.T) {
 	n3 := a.NewAnd(n1, n2)
 	a.AddPO(n3)
 	s := NewScratch()
-	if !s.ValidCut(a, n3.Var(), []int32{n1.Var(), n2.Var()}, 16) {
-		t.Error("valid cut rejected")
+	cut := []int32{n1.Var(), n2.Var()}
+	for _, c := range []struct {
+		name   string
+		lit    aig.Lit
+		leaves []int32
+		avoid  int32
+		ok     bool
+		word   uint64 // the table's low 4 bits, when ok
+	}{
+		{"valid", n3, cut, -1, true, 0x8},
+		{"escape", n3, []int32{n1.Var()}, -1, false, 0},
+		{"avoid", n3, []int32{a.PI(0).Var(), a.PI(1).Var(), a.PI(2).Var(), a.PI(3).Var()}, n1.Var(), false, 0},
+		{"avoid a leaf", n3, cut, n1.Var(), true, 0x8},
+		{"complemented", n3.Not(), cut, -1, true, 0x7},
+		{"constant", aig.ConstTrue, cut, -1, true, 0xF},
+		{"leaf", n2.Not(), cut, n3.Var(), true, 0x3},
+	} {
+		tt, ok := s.CutTruth(a, c.lit, c.leaves, c.avoid)
+		if ok != c.ok || ok && tt.Words[0]&0xF != c.word {
+			t.Errorf("%s: (%v, %v), want (%x, %v)", c.name, tt, ok, c.word, c.ok)
+		}
 	}
-	if s.ValidCut(a, n3.Var(), []int32{n1.Var()}, 16) {
-		t.Error("escaping cut accepted")
+	// The size limit: a chain of 4097 ANDs over one leaf is a valid cut that
+	// ConeTruth evaluates, but past CutTruth's 4096 nodes.
+	b := aig.New(2)
+	x := b.PI(0)
+	for i := 0; i <= 4096; i++ {
+		x = b.NewAnd(x, b.PI(1))
 	}
-	if s.ValidCut(a, n3.Var(), []int32{n1.Var(), n2.Var()}, 0) {
-		t.Error("budget 0 must reject a cut with internal nodes")
+	leaves := []int32{b.PI(0).Var(), b.PI(1).Var()}
+	if _, ok := s.CutTruth(b, x, leaves, -1); ok {
+		t.Error("4097-node cone accepted")
+	}
+	if got := s.ConeTruth(b, x, leaves).Words[0] & 0xF; got != 0x8 {
+		t.Errorf("ConeTruth of the chain = %x, want 8", got)
 	}
 }
 

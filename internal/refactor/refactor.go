@@ -34,9 +34,6 @@ type Options struct {
 	// gain is a lower bound (Section III-D); the flag only affects the
 	// sequential engine.
 	ZeroGain bool
-	// SequentialReplacement runs the parallel engine's replacement stage as
-	// a single host thread: the Table I ablation ("rf w/ seq. replace").
-	SequentialReplacement bool
 	// Cache memoizes resynthesis by cone structure (nil = the process-wide
 	// rcache.Default). Programs are immutable once built, so sharing a cache
 	// across passes, runs and concurrent jobs is safe; results are identical
@@ -131,7 +128,16 @@ func synthesize(tt truth.TT, s *scratch) (core.Program, int64) {
 // after external loaders); the result is compacted and de-duplicated by the
 // caller's post-processing (see package dedup).
 func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
-	opts = opts.normalized()
+	reps, st := resynthesizeCones(d, a, opts.normalized())
+	// Stage 3: parallel replacement (Section III-B b, Figures 1c-1f).
+	out := core.ApplyReplacements(d, a, reps)
+	st.NodesAfter = out.NumAnds()
+	return out, st
+}
+
+// resynthesizeCones is the front of Parallel and of the Table I ablation:
+// the accepted replacements of a, in collapse order.
+func resynthesizeCones(d *gpu.Device, a *aig.AIG, opts Options) ([]core.Replacement, Stats) {
 	st := Stats{NodesBefore: a.NumAnds()}
 
 	// Stage 1: collapse into disjoint FFCs (Section III-B a).
@@ -149,8 +155,7 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	// (Section III-B b, III-D). gain = deleted nodes - new cone size; the
 	// logic sharing among new cones is omitted, making it a lower bound, so
 	// zero-gain cones are accepted.
-	progs := make([]core.Program, len(cones))
-	accept := make([]bool, len(cones))
+	reps := make([]core.Replacement, len(cones))
 	slots := make([]*scratch, d.Workers()) // one per worker slot for the launch
 	for i := range slots {
 		slots[i] = scratchPool.Get().(*scratch)
@@ -163,86 +168,71 @@ func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 		prog, ops := resynthesize(a, aig.MakeLit(cone.Root, false), cone.Leaves, opts.Cache, slots[slot])
 		gain := len(cone.Nodes) - prog.NumAnds()
 		if gain >= 0 {
-			progs[tid] = prog
-			accept[tid] = true
+			reps[tid] = core.Replacement{Cone: cone, Prog: prog}
 		}
 		return ops
 	})
 	for _, s := range slots {
 		scratchPool.Put(s)
 	}
-
-	// Stage 3: parallel replacement (Section III-B b, Figures 1c-1f).
-	var reps []core.Replacement
-	for i, ok := range accept {
-		if ok {
-			reps = append(reps, core.Replacement{Cone: cones[i], Prog: progs[i]})
-		}
-	}
+	reps = slices.DeleteFunc(reps, func(r core.Replacement) bool { return r.Cone == nil })
 	st.ConesReplaced = len(reps)
-	var out *aig.AIG
-	if opts.SequentialReplacement {
-		out = applySequentially(d, a, reps)
-	} else {
-		out = core.ApplyReplacements(d, a, reps)
-	}
-	st.NodesAfter = out.NumAnds()
-	return out, st
+	return reps, st
 }
 
-// applySequentially is the Table I ablation: the resynthesized cones are
-// inserted one at a time by the host through the incremental replacement
-// machinery of [9] (build with structural hashing, revalidate, replace,
-// cascade), instead of the paper's parallel replacement. Because refactoring
-// cones are much larger than rewriting's 4-input cones, this sequential part
-// is correspondingly more expensive — the effect Table I quantifies.
-func applySequentially(d *gpu.Device, a *aig.AIG, reps []core.Replacement) *aig.AIG {
-	return core.EditInPlace(a, func(work *aig.AIG) func(int32) {
+// ParallelSeqReplace is the Table I ablation ("rf w/ seq. replace"):
+// Parallel's collapse and resynthesis, after which the host inserts the
+// cones one at a time in collapse order through core.Apply with
+// revalidation, [9]'s replacement step, instead of the paper's parallel
+// replacement. Refactoring cones are much larger than rewriting's 4-input
+// ones, so this sequential part costs correspondingly more: the effect
+// Table I quantifies. Stats.ConesReplaced counts the accepted cones, as in
+// Parallel.
+func ParallelSeqReplace(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
+	var st Stats
+	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
+		var reps []core.Replacement
+		reps, st = resynthesizeCones(d, work, opts.normalized())
 		s := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(s)
 		var ops int64
 		for _, r := range reps {
 			ops += int64(2*len(r.Cone.Nodes) + len(r.Cone.Leaves) + 8)
-			if work.IsDeleted(r.Cone.Root) || !work.IsAnd(r.Cone.Root) {
-				continue
+			c := s.candidate(r.Cone.Root, r.Cone.Leaves, r.Prog, true)
+			if s.es.Apply(work, &s.cs, &c, true) != core.Stale {
+				ops += int64(3 * len(r.Prog.Ops))
 			}
-			if slices.ContainsFunc(r.Cone.Leaves, work.IsDeleted) {
-				continue
-			}
-			// Earlier replacements may have restructured the region: the leaves
-			// must still form a cut of the root (which also guarantees no cycle
-			// can arise from structural-hash reuse, since leaf-above-root and
-			// root-above-leaf cannot hold simultaneously in a DAG).
-			if !s.cs.ValidCut(work, r.Cone.Root, r.Cone.Leaves, 4*len(r.Cone.Nodes)+16) {
-				continue
-			}
-			ops += int64(3 * len(r.Prog.Ops))
-			replaceCone(work, s, r.Cone.Root, s.leafLitsOf(r.Cone.Leaves), r.Prog)
 		}
 		d.AddOverhead("refactor/seq-replace", ops)
 		return nil
 	})
+	st.NodesAfter = out.NumAnds()
+	return out, st
 }
 
-// replaceCone builds prog over the leaf literals with structural hashing and
-// substitutes it for root, unless resynthesis reproduced the node being
-// replaced. It reports whether the network changed.
-func replaceCone(work *aig.AIG, s *scratch, root int32, leafLits []aig.Lit, prog core.Program) bool {
-	newRoot, ok := s.es.BuildProgramAvoiding(work, prog, leafLits, root)
-	if !ok || newRoot.Var() == root {
-		return false
+// Candidates returns the replacements ParallelSeqReplace applies on work, in
+// its order, for a caller that applies them through core.Apply with
+// revalidation, in any order. work must be EditInPlace's kind of copy.
+func Candidates(d *gpu.Device, work *aig.AIG, opts Options) []core.Candidate {
+	reps, _ := resynthesizeCones(d, work, opts.normalized())
+	cands := make([]core.Candidate, len(reps))
+	var s scratch
+	for i, r := range reps {
+		cands[i] = s.candidate(r.Cone.Root, r.Cone.Leaves, r.Prog, true)
+		cands[i].Inputs = slices.Clone(cands[i].Inputs)
 	}
-	work.ReplaceNode(root, newRoot)
-	return true
+	return cands
 }
 
-// leafLitsOf returns the positive literals of leaves in the scratch's buffer.
-func (s *scratch) leafLitsOf(leaves []int32) []aig.Lit {
+// candidate returns prog replacing root over leaves as core.Apply takes it;
+// the inputs are the leaves' positive literals, in the scratch's buffer. The
+// parallel engine always accepts zero gain, its gain being a lower bound.
+func (s *scratch) candidate(root int32, leaves []int32, prog core.Program, zeroGain bool) core.Candidate {
 	s.leafLits = s.leafLits[:0]
 	for _, l := range leaves {
 		s.leafLits = append(s.leafLits, aig.MakeLit(l, false))
 	}
-	return s.leafLits
+	return core.Candidate{Root: root, Leaves: leaves, Inputs: s.leafLits, Prog: prog, ZeroGain: zeroGain}
 }
 
 // Sequential runs one pass of ABC-style refactoring (drf; drf -z when
@@ -266,12 +256,12 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 				return
 			}
 			prog, _ := resynthesize(work, aig.MakeLit(id, false), leaves, opts.Cache, s)
-			leafLits := s.leafLitsOf(leaves)
-			gain := mffc - s.es.DryRunCost(work, prog, leafLits)
+			c := s.candidate(id, leaves, prog, opts.ZeroGain)
+			gain := mffc - s.es.DryRunCost(work, prog, c.Inputs)
 			if gain < 0 || (gain == 0 && !opts.ZeroGain) {
 				return
 			}
-			if replaceCone(work, s, id, leafLits, prog) {
+			if s.es.Apply(work, &s.cs, &c, false) == core.Replaced {
 				st.ConesReplaced++
 			}
 		}

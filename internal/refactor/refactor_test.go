@@ -104,7 +104,7 @@ func TestParallelSequentialReplacementAblation(t *testing.T) {
 	dp := gpu.New(2)
 	outP, _ := Parallel(dp, a, Options{})
 	ds := gpu.New(2)
-	outS, _ := Parallel(ds, a, Options{SequentialReplacement: true})
+	outS, _ := ParallelSeqReplace(ds, a, Options{})
 	if err := outS.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,26 @@
 // Package resub implements resubstitution: re-expressing a node as a small
 // function of existing divisor nodes, deleting its MFFC. The paper names
-// parallel resubstitution as future work ("parallelizing more logic
-// optimization algorithms such as resubstitution"); this package provides
-// both the ABC-style sequential algorithm and a parallel version following
-// the evaluation/replacement split the paper uses for rewriting: divisor
-// search for all nodes runs as a device kernel, replacement is applied
-// sequentially with on-the-fly revalidation.
+// parallel resubstitution as future work; Parallel here is the [9]-style
+// baseline: divisor search for all nodes runs as a device kernel, and the
+// host applies the substitutions in id order through core.Apply, which
+// revalidates each against the edits before it.
 //
-// Supported substitutions: 0-resub (node equals an existing divisor up to
-// complement) and 1-resub (node equals the AND/OR of two divisors up to
-// complements). Divisors are gathered from the cut closure: starting from
-// the cut leaves, any node both of whose fanins already lie in the closure
-// is a divisor. This construction cannot reach the transitive fanout of the
-// target (the target would have to be in a divisor's fanin cone, impossible
-// in a DAG when the leaves lie in the target's fanin cone), so substitution
-// can never create a cycle.
+// Supported substitutions, each a core.Candidate over divisor literals:
+// 0-resub (node equals an existing divisor up to complement) and 1-resub
+// (node equals the AND/OR of two divisors up to complements). Divisors are
+// gathered from the cut closure: starting from the cut leaves, any node both
+// of whose fanins already lie in the closure is a divisor. On the graph it
+// was evaluated on, this construction cannot reach the transitive fanout of
+// the target (the target would have to be in a divisor's fanin cone,
+// impossible in a DAG when the leaves lie in the target's fanin cone), so the
+// sequential pass never creates a cycle. An earlier replacement can reroute a
+// divisor's cone through the target; core.Apply's revalidation, whose divisor
+// walk avoids the target, turns that candidate down.
 package resub
 
 import (
+	"slices"
+
 	"aigre/internal/aig"
 	"aigre/internal/core"
 	"aigre/internal/cut"
@@ -41,15 +44,18 @@ type Stats struct {
 	NodesAfter      int
 }
 
-// candidate describes one substitution found by evaluation.
-type candidate struct {
-	leaves []int32
-	// kind 0: root := d0 (with complement); kind 1: root := d0 AND d1
-	// (with operand/output complements encoding OR by De Morgan).
-	kind   int
-	d0, d1 aig.Lit // divisor literals (complements included)
-	outNeg bool    // complement the result
-	gain   int
+// oneAnd is the program of every 1-resub: the AND of its two inputs.
+var oneAnd = []core.Op{{A: core.LeafRef(0, false), B: core.LeafRef(1, false)}}
+
+// substitution is the candidate replacing id by its one input (0-resub) or
+// by the AND of its two (1-resub), complemented when outNeg. The divisor
+// literals carry their own complements.
+func substitution(id int32, leaves []int32, outNeg bool, ins ...aig.Lit) core.Candidate {
+	p := core.Program{Root: core.LeafRef(0, outNeg)}
+	if len(ins) == 2 {
+		p = core.Program{Ops: oneAnd, Root: core.OpRef(0, outNeg)}
+	}
+	return core.Candidate{Root: id, Leaves: leaves, Inputs: ins, Prog: p, ZeroGain: true}
 }
 
 // scratch is one worker's reusable evaluation memory: the cut computer and
@@ -127,10 +133,10 @@ func collectDivisors(a *aig.AIG, target int32, leaves []int32, fanouts func(int3
 
 // evaluateNode searches for the best substitution of node id. fanouts is a
 // static fanout index of the current graph.
-func evaluateNode(a *aig.AIG, s *scratch, fanouts func(int32) []int32, id int32) (candidate, bool, int64) {
+func evaluateNode(a *aig.AIG, s *scratch, fanouts func(int32) []int32, id int32) (core.Candidate, bool, int64) {
 	leaves := s.rc.Cut(id, maxCut)
 	if len(leaves) < 2 {
-		return candidate{}, false, 1
+		return core.Candidate{}, false, 1
 	}
 	leaves = append([]int32(nil), leaves...) // rc reuses its buffer
 	mffc := len(s.es.MffcMembers(a, id, leaves))
@@ -145,15 +151,15 @@ func evaluateNode(a *aig.AIG, s *scratch, fanouts func(int32) []int32, id int32)
 			continue
 		}
 		if ds.truths[i].Equal(ttN) {
-			return candidate{leaves: leaves, kind: 0, d0: aig.MakeLit(d, false), gain: mffc}, true, ops
+			return substitution(id, leaves, false, aig.MakeLit(d, false)), true, ops
 		}
 		if ds.truths[i].Equal(notN) {
-			return candidate{leaves: leaves, kind: 0, d0: aig.MakeLit(d, true), gain: mffc}, true, ops
+			return substitution(id, leaves, false, aig.MakeLit(d, true)), true, ops
 		}
 	}
 	// 1-resub: target = ±(±di & ±dj); needs |MFFC| >= 2 for positive gain.
 	if mffc < 2 {
-		return candidate{}, false, ops
+		return core.Candidate{}, false, ops
 	}
 	n := ttN.NVars
 	// Support-mask prefilter: complementation preserves support and
@@ -187,19 +193,13 @@ func evaluateNode(a *aig.AIG, s *scratch, fanouts func(int32) []int32, id int32)
 				}
 				and := andOf(n, ti, tj, phase&2 != 0)
 				if and.Equal(ttN) || and.Equal(notN) {
-					return candidate{
-						leaves: leaves,
-						kind:   1,
-						d0:     aig.MakeLit(ds.ids[i], phase&1 != 0),
-						d1:     aig.MakeLit(ds.ids[j], phase&2 != 0),
-						outNeg: and.Equal(notN),
-						gain:   mffc - 1,
-					}, true, ops
+					return substitution(id, leaves, and.Equal(notN),
+						aig.MakeLit(ds.ids[i], phase&1 != 0), aig.MakeLit(ds.ids[j], phase&2 != 0)), true, ops
 				}
 			}
 		}
 	}
-	return candidate{}, false, ops
+	return core.Candidate{}, false, ops
 }
 
 // supportMask folds a table's support (via the allocation-free SupportInto)
@@ -221,111 +221,6 @@ func andOf(n int, ti, tj truth.TT, negJ bool) truth.TT {
 	return out.And(ti, tj)
 }
 
-// apply performs the substitution in place, revalidating against the
-// current graph (leaves must still form a cut, the divisors must be live,
-// and the identity must still hold).
-func apply(work *aig.AIG, s *scratch, id int32, cand candidate, revalidate bool) bool {
-	if work.IsDeleted(id) {
-		return false
-	}
-	for _, l := range cand.leaves {
-		if work.IsDeleted(l) {
-			return false
-		}
-	}
-	divs := []aig.Lit{cand.d0}
-	if cand.kind == 1 {
-		divs = append(divs, cand.d1)
-	}
-	for _, d := range divs {
-		if work.IsDeleted(d.Var()) {
-			return false
-		}
-	}
-	if revalidate {
-		ttN, ok := coneTruthSafe(work, s, aig.MakeLit(id, false), cand.leaves)
-		if !ok {
-			return false
-		}
-		ttN = ttN.Clone() // the divisor truths below reuse the scratch
-		// Earlier substitutions may have rerouted a divisor's cone through
-		// the target itself; substituting would then create a cycle.
-		for _, dl := range divs {
-			if coneContains(work, dl.Var(), cand.leaves, id) {
-				return false
-			}
-		}
-		expr, ok := coneTruthSafe(work, s, cand.d0, cand.leaves)
-		if !ok {
-			return false
-		}
-		if cand.kind == 1 {
-			t0 := expr.Clone()
-			t1, ok := coneTruthSafe(work, s, cand.d1, cand.leaves)
-			if !ok {
-				return false
-			}
-			expr = t0.And(t0, t1)
-		}
-		if cand.outNeg {
-			expr = truth.New(ttN.NVars).Not(expr)
-		}
-		if !expr.Equal(ttN) {
-			return false
-		}
-	}
-	var newLit aig.Lit
-	if cand.kind == 0 {
-		newLit = cand.d0
-	} else {
-		newLit = work.NewAnd(cand.d0, cand.d1)
-	}
-	newLit = newLit.NotCond(cand.outNeg)
-	if newLit.Var() == id {
-		return false
-	}
-	work.ReplaceNode(id, newLit)
-	return true
-}
-
-// coneContains reports whether the cone of root bounded by leaves contains
-// the banned node.
-func coneContains(a *aig.AIG, root int32, leaves []int32, banned int32) bool {
-	isLeaf := make(map[int32]bool, len(leaves))
-	for _, l := range leaves {
-		isLeaf[l] = true
-	}
-	seen := map[int32]bool{}
-	stack := []int32{root}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if cur == banned {
-			return true
-		}
-		if isLeaf[cur] || seen[cur] || !a.IsAnd(cur) {
-			continue
-		}
-		seen[cur] = true
-		if len(seen) > 4096 {
-			return true // runaway region: treat as unsafe
-		}
-		stack = append(stack, a.Fanin0(cur).Var(), a.Fanin1(cur).Var())
-	}
-	return false
-}
-
-// coneTruthSafe evaluates a cone function, returning ok=false when the
-// leaves no longer bound the cone.
-func coneTruthSafe(a *aig.AIG, s *scratch, rootLit aig.Lit, leaves []int32) (t truth.TT, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	return s.cs.ConeTruth(a, rootLit, leaves), true
-}
-
 // Sequential runs one ABC-style resubstitution pass (rs): nodes are visited
 // in topological order and substitutions applied immediately.
 func Sequential(a *aig.AIG) (*aig.AIG, Stats) {
@@ -337,8 +232,8 @@ func Sequential(a *aig.AIG) (*aig.AIG, Stats) {
 			// The managed mode keeps live fanout lists; use them directly so
 			// evaluation always sees the current graph.
 			cand, ok, _ := evaluateNode(work, s, work.Fanouts, id)
-			if ok && apply(work, s, id, cand, false) {
-				st.count(cand)
+			if ok && s.es.Apply(work, &s.cs, &cand, false) == core.Replaced {
+				st.count(&cand)
 			}
 		}
 	})
@@ -347,52 +242,52 @@ func Sequential(a *aig.AIG) (*aig.AIG, Stats) {
 }
 
 // count files an applied substitution under its kind.
-func (st *Stats) count(cand candidate) {
-	if cand.kind == 0 {
+func (st *Stats) count(cand *core.Candidate) {
+	if len(cand.Prog.Ops) == 0 {
 		st.ZeroResubs++
 	} else {
 		st.OneResubs++
 	}
 }
 
+// Candidates returns the substitutions found on work by Parallel's
+// evaluation kernel, one device thread per AND node, in id order, for a
+// caller that applies them through core.Apply with revalidation, in any
+// order. work must be EditInPlace's kind of copy.
+func Candidates(d *gpu.Device, work *aig.AIG) []core.Candidate {
+	nodes := make([]int32, 0, work.NumAnds())
+	work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
+	cands := make([]core.Candidate, len(nodes))
+	// One scratch per worker slot; the cut computer is bound to work.
+	slots := make([]*scratch, d.Workers())
+	for i := range slots {
+		slots[i] = &scratch{rc: cut.NewReconv(work)}
+	}
+	d.LaunchSlots("resub/evaluate", len(nodes), func(slot, tid int) int64 {
+		cand, ok, ops := evaluateNode(work, slots[slot], work.Fanouts, nodes[tid])
+		if ok {
+			cands[tid] = cand
+		}
+		return ops
+	})
+	return slices.DeleteFunc(cands, func(c core.Candidate) bool { return c.Root == 0 })
+}
+
 // Parallel runs resubstitution with the paper's evaluation/replacement
 // split: one device thread evaluates each node on the immutable input
-// graph; the host applies accepted substitutions sequentially with
-// revalidation. (A fully parallel replacement as in Section III would
-// require substitutions whose divisor regions are disjoint; the paper
-// leaves this as future work, and this engine is the natural [9]-style
-// baseline for it.)
+// graph; the host applies the substitutions in id order, each revalidated
+// against the edits before it by core.Apply ([9]'s loop). The paper leaves a
+// parallel replacement of substitutions as future work.
 func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 	st := Stats{NodesBefore: a.NumAnds()}
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
-		nodes := make([]int32, 0, work.NumAnds())
-		work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
-		cands := make([]candidate, len(nodes))
-		oks := make([]bool, len(nodes))
-		// One scratch per worker slot; the cut computer is bound to work, so
-		// the scratches live for this pass, and slot 0's serves the host step.
-		slots := make([]*scratch, d.Workers())
-		for i := range slots {
-			slots[i] = &scratch{rc: cut.NewReconv(work)}
-		}
-		d.LaunchSlots("resub/evaluate", len(nodes), func(slot, tid int) int64 {
-			cand, ok, ops := evaluateNode(work, slots[slot], work.Fanouts, nodes[tid])
-			cands[tid] = cand
-			oks[tid] = ok
-			return ops
-		})
-		st.NodesConsidered = len(nodes)
-
-		s := slots[0]
-		var seqOps int64
-		for i, id := range nodes {
-			seqOps++
-			if !oks[i] {
-				continue
-			}
-			seqOps += int64(8 + 4*len(cands[i].leaves))
-			if apply(work, s, id, cands[i], true) {
-				st.count(cands[i])
+		st.NodesConsidered = work.NumAnds()
+		seqOps := int64(st.NodesConsidered)
+		var s scratch
+		for _, c := range Candidates(d, work) {
+			seqOps += int64(8 + 4*len(c.Leaves))
+			if s.es.Apply(work, &s.cs, &c, true) == core.Replaced {
+				st.count(&c)
 			}
 		}
 		d.AddOverhead("resub/seq-replace", seqOps)

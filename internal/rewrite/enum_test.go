@@ -135,7 +135,8 @@ func TestEnumLocalCutsMatchesReference(t *testing.T) {
 				}
 				cuts += len(want)
 				if cand, ok, _ := evaluateNode(work, id, opts, s); ok {
-					applyCandidate(work, id, &cand, opts, false, s)
+					c := cand.forApply(id, opts.ZeroGain)
+					s.es.Apply(work, &s.cs, &c, false)
 				}
 			}
 			if cuts == 0 {

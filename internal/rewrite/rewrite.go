@@ -156,16 +156,17 @@ func enumLocalCuts(a *aig.AIG, n int32, maxCuts int, s *evalScratch) []leafSet {
 type candidate struct {
 	leaves leafSet
 	mapped [4]aig.Lit
-	tt     uint16 // cut function (padded to 4 vars), for revalidation
-	canon  uint16 // its NPN class: DefaultLibrary key of the program
+	canon  uint16 // NPN class of the cut function: DefaultLibrary key of the program
 	outNeg bool
 	gain   int32
 }
 
-// prog returns the candidate's program with the output complement folded in.
-func (c *candidate) prog() core.Program {
+// forApply returns the candidate for root n as core.Apply takes it: the
+// library program, output complement folded in, over the mapped leaves.
+func (c *candidate) forApply(n int32, zeroGain bool) core.Candidate {
 	p, _ := DefaultLibrary.Best(c.canon)
-	return progWithOutput(p, c.outNeg)
+	return core.Candidate{Root: n, Leaves: c.leaves.leaves(), Inputs: c.mapped[:],
+		Prog: progWithOutput(p, c.outNeg), ZeroGain: zeroGain}
 }
 
 // evaluateNode finds the best library-based rewriting of node n on the
@@ -200,7 +201,6 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 			best = candidate{
 				leaves: cuts[i],
 				mapped: mapped,
-				tt:     padded,
 				canon:  canon,
 				outNeg: outNeg,
 				gain:   gain,
@@ -248,41 +248,6 @@ func pad16(w uint16, k int) uint16 {
 	return w
 }
 
-// applyCandidate validates cand against the current graph and applies it in
-// place. Returns whether the node was rewritten.
-func applyCandidate(work *aig.AIG, n int32, cand *candidate, opts Options, revalidate bool, s *evalScratch) bool {
-	if work.IsDeleted(n) {
-		return false
-	}
-	leaves := cand.leaves.leaves()
-	for _, l := range leaves {
-		if work.IsDeleted(l) {
-			return false
-		}
-	}
-	prog := cand.prog()
-	if revalidate {
-		// The graph may have changed since evaluation: check the cut still
-		// bounds the cone and computes the same function, and recompute the
-		// gain (the on-the-fly re-evaluation of [9]).
-		tt16, ok := s.cs.ConeTruth16(work, aig.MakeLit(n, false), leaves)
-		if !ok || pad16(tt16, len(leaves)) != cand.tt {
-			return false
-		}
-		members := s.es.MffcMembers(work, n, leaves)
-		gain := len(members) - s.es.DryRunCost(work, prog, cand.mapped[:])
-		if gain < 0 || (gain == 0 && !opts.ZeroGain) {
-			return false
-		}
-	}
-	newRoot, ok := s.es.BuildProgramAvoiding(work, prog, cand.mapped[:], n)
-	if !ok || newRoot.Var() == n {
-		return false
-	}
-	work.ReplaceNode(n, newRoot)
-	return true
-}
-
 // Sequential runs one pass of ABC-style DAG-aware rewriting (drw; drw -z
 // with ZeroGain).
 func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
@@ -293,7 +258,10 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 		return func(id int32) {
 			st.NodesConsidered++
 			cand, ok, _ := evaluateNode(work, id, opts, s)
-			if ok && applyCandidate(work, id, &cand, opts, false, s) {
+			if !ok {
+				return
+			}
+			if c := cand.forApply(id, opts.ZeroGain); s.es.Apply(work, &s.cs, &c, false) == core.Replaced {
 				st.NodesRewritten++
 			}
 		}
@@ -304,53 +272,75 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	return out, st
 }
 
+// evaluate runs the evaluation kernel of Parallel: one device thread per AND
+// node of work finds its best candidate on the unchanged graph. It returns
+// the nodes in id order with their candidates (ok[i] when nodes[i] has one)
+// and slot 0's scratch, flushed, for the host step; the caller puts it back.
+func evaluate(d *gpu.Device, work *aig.AIG, opts Options) (nodes []int32, cands []candidate, ok []bool, s *evalScratch) {
+	nodes = make([]int32, 0, work.NumAnds())
+	work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
+	cands = make([]candidate, len(nodes))
+	ok = make([]bool, len(nodes))
+	// One scratch per worker slot, taken from the pool once per launch.
+	slots := make([]*evalScratch, d.Workers())
+	for i := range slots {
+		slots[i] = scratchPool.Get().(*evalScratch)
+	}
+	d.LaunchSlots("rewrite/evaluate", len(nodes), func(slot, tid int) int64 {
+		cand, found, ops := evaluateNode(work, nodes[tid], opts, slots[slot])
+		cands[tid] = cand
+		ok[tid] = found
+		return ops
+	})
+	for i, s := range slots {
+		if s.flushNpn(opts.Cache); i > 0 {
+			scratchPool.Put(s)
+		}
+	}
+	return nodes, cands, ok, slots[0]
+}
+
+// Candidates returns the candidates Parallel's evaluation finds on work, in
+// id order, for a caller that applies them itself (through core.Apply with
+// revalidation, in any order). work must be EditInPlace's kind of copy.
+func Candidates(d *gpu.Device, work *aig.AIG, opts Options) []core.Candidate {
+	opts = opts.normalized()
+	nodes, cands, ok, s := evaluate(d, work, opts)
+	scratchPool.Put(s)
+	var out []core.Candidate
+	for i, id := range nodes {
+		if ok[i] {
+			out = append(out, cands[i].forApply(id, opts.ZeroGain))
+		}
+	}
+	return out
+}
+
 // Parallel runs one pass of GPU rewriting in the style of [9]: the cut
 // evaluation of all nodes runs as a device kernel; the replacement step is
-// sequential on the host (accounted as sequential time — the Table I
-// baseline) with on-the-fly re-evaluation; duplicates left behind are
-// handled by the caller's dedup pass (Section III-F).
+// [9]'s host-sequential loop in id order (accounted as sequential time, the
+// Table I baseline), each candidate revalidated against the edits before it
+// by core.Apply; duplicates left behind are handled by the caller's dedup
+// pass (Section III-F).
 func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
-		// Parallel evaluation kernel: one thread per AND node.
-		nodes := make([]int32, 0, work.NumAnds())
-		work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
-		cands := make([]candidate, len(nodes))
-		oks := make([]bool, len(nodes))
-		// One scratch per worker slot, taken from the pool once per launch.
-		slots := make([]*evalScratch, d.Workers())
-		for i := range slots {
-			slots[i] = scratchPool.Get().(*evalScratch)
-		}
-		d.LaunchSlots("rewrite/evaluate", len(nodes), func(slot, tid int) int64 {
-			cand, ok, ops := evaluateNode(work, nodes[tid], opts, slots[slot])
-			cands[tid] = cand
-			oks[tid] = ok
-			return ops
-		})
-		for _, s := range slots[1:] {
-			s.flushNpn(opts.Cache)
-			scratchPool.Put(s)
-		}
-		st.NodesConsidered = len(nodes)
-
-		// Sequential replacement with re-evaluation (the data-race-avoiding
-		// step of [9]), on slot 0's scratch; accounted as host-sequential time.
-		s := slots[0]
-		s.flushNpn(opts.Cache)
+		nodes, cands, ok, s := evaluate(d, work, opts)
 		defer scratchPool.Put(s)
+		st.NodesConsidered = len(nodes)
 		var seqOps int64
 		for i, id := range nodes {
 			seqOps += 2
-			if !oks[i] {
+			if !ok[i] {
 				continue
 			}
 			// Re-evaluation (cone truth, MFFC, dry run) plus the replacement
 			// itself are host-sequential work in [9].
-			nops := int64(len(cands[i].prog().Ops))
+			c := cands[i].forApply(id, opts.ZeroGain)
+			nops := int64(len(c.Prog.Ops))
 			seqOps += 40 + 3*nops
-			if applyCandidate(work, id, &cands[i], opts, true, s) {
+			if s.es.Apply(work, &s.cs, &c, true) == core.Replaced {
 				st.NodesRewritten++
 				seqOps += 2*nops + 16
 			}

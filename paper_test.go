@@ -144,7 +144,7 @@ func measurePaper(t *testing.T) *paperData {
 				f.rwSeq = seqPart(must(t)(n.Rewrite(ctx, opts(true))))
 				f.rfSeq = seqPart(must(t)(n.Refactor(ctx, opts(true))))
 				d := gpu.New(1)
-				refactor.Parallel(d, a, refactor.Options{SequentialReplacement: true, Cache: replCache})
+				refactor.ParallelSeqReplace(d, a, refactor.Options{Cache: replCache})
 				f.replSeq = d.Stats().SeqTime
 				for _, r := range paperRows {
 					f.seq[r.name] = must(t)(r.run(ctx, n, opts(false)))

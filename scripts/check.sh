@@ -22,6 +22,16 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude
     echo "check: a copy of the command executor or of the edit scaffold grew back (see above)" >&2
     exit 1
 fi
+# One host applier: rewriting, refactoring and resubstitution hand every
+# in-place replacement to core.(*EvalScratch).Apply, so none of them builds a
+# program or calls ReplaceNode itself or recovers a panicking cone walk, and
+# the per-pass revalidators (ValidCut, coneContains, coneTruthSafe) must not
+# grow back.
+if grep -rnE --include='*.go' --exclude='*_test.go' 'ReplaceNode\(|BuildProgramAvoiding\(|recover\(\)' internal/rewrite internal/refactor internal/resub ||
+    grep -rnE --include='*.go' '^func (\([^)]*\) )?(ValidCut|coneContains|coneTruthSafe)\(' .; then
+    echo "check: a pass applies its own replacements or revalidates its own way again (see above); go through core.(*EvalScratch).Apply" >&2
+    exit 1
+fi
 # One function runs a job, reached one way: flow.Run is called from
 # sched.(*Engine).Do only (its attempt), a job reaches Do directly or from the
 # batch loop (sched.(*Engine).Batch, a slice, not a queue: no heap, no Submit or
