@@ -98,22 +98,21 @@ type Options struct {
 	// Parallel runs the paper's GPU-parallel algorithms; false runs the
 	// ABC-style sequential baselines.
 	Parallel bool
-	// Workers sizes the pool behind this Network's methods (0 = GOMAXPROCS):
-	// the pool of Run's one-job engine (BatchOptions.Workers) and the device of
-	// the single-algorithm entry points. Ignored in a Batch.
+	// Workers sizes the pool of the one-job engine behind every Network
+	// method (BatchOptions.Workers; 0 = GOMAXPROCS). Ignored in a Batch.
 	Workers int
 	// MaxCut is the refactoring cut-size limit (default 12, the paper's
 	// setting).
 	MaxCut int
 	// ZeroGain accepts zero-gain replacements in the sequential engines
-	// (parallel engines always accept them; Section III-D). In script runs
-	// it makes the sequential rw/rf commands behave like rwz/rfz.
+	// (parallel engines always accept them; Section III-D): it makes the
+	// sequential rw/rf commands behave like rwz/rfz, and Rewrite run rwz.
 	ZeroGain bool
-	// Passes repeats the algorithm (the paper evaluates parallel
-	// refactoring with 2 passes in Table II). In script runs it sets the
-	// parallel refactoring passes per rf/rfz command. Default 1.
+	// Passes is the number of refactoring passes per rf/rfz command, on
+	// either engine (the paper evaluates parallel refactoring with 2 passes
+	// in Table II). Default 1.
 	Passes int
-	// Verify upgrades the per-command functional gate of script runs from
+	// Verify upgrades the per-command functional gate of every run from
 	// random-simulation sampling to a full combinational equivalence check
 	// (the CLI -verify flag). Complete but potentially much slower.
 	Verify bool
@@ -151,9 +150,9 @@ type Options struct {
 // breakdown), Partition (the PartitionReport of a partition-parallel run, nil
 // otherwise) and Err (nil on success, wraps ctx.Err() on cancellation, or
 // reports a script error; contained engine failures appear in Incidents, not
-// Err). See sched.Result for the field documentation. The single-algorithm
-// methods (Balance, Rewrite, ...) run outside the engine and fill in only
-// the run record, Timings and AIG.
+// Err). See sched.Result for the field documentation. Every method fills in
+// the whole report: the single-algorithm ones (Balance, Rewrite, ...) are
+// one-command scripts.
 type Result struct {
 	// AIG is the optimized network (it shadows the report's internal one);
 	// on a cancelled job the partial result (after the last completed
@@ -308,62 +307,42 @@ func (o Options) flowConfig() flow.Config {
 	return cfg
 }
 
-// runCommand runs the named vocabulary command as a single algorithm through
-// flow.RunCommand: passes repetitions on the selected engine, then (parallel
-// mode, rewriting/refactoring/resubstitution) the cleanup pass, unguarded — a
-// kernel abort or a cancellation comes back as an error beside the partial
-// Result. Use Run for checkpointed, gated execution.
-func (n *Network) runCommand(ctx context.Context, opts Options, name string, passes int) (Result, error) {
-	cmd, err := flow.Lookup(name)
-	if err != nil {
-		return Result{}, err
-	}
-	var d *gpu.Device
-	if opts.Parallel {
-		d = gpu.New(opts.Workers)
-		d.InjectFaults(opts.FaultPlans...)
-	}
-	res, err := flow.RunCommand(ctx, d, n.aig, cmd, passes, opts.flowConfig())
-	r := sched.Result{AIG: res.AIG, Timings: res.Timings}
-	r.Record.Record = res.Record
-	return resultOf(r), err
-}
-
-// Balance runs AND-balancing (delay optimization, Section IV). Like
-// Refactor, Rewrite, Resub and Dedup it is one unguarded command run; see
-// flow.RunCommand for the execution and error contract.
+// Balance runs AND-balancing (delay optimization, Section IV): the
+// one-command script "b". Like Refactor, Rewrite, Resub and Dedup it is Run
+// of its command, checkpointed, gated and supervised like any script.
 func (n *Network) Balance(ctx context.Context, opts Options) (Result, error) {
-	return n.runCommand(ctx, opts, "b", 1)
+	return n.Run(ctx, "b", opts)
 }
 
-// Refactor runs refactoring (Section III). In parallel mode the cleanup
-// pass (Section III-F) is included.
+// Refactor runs refactoring (Section III), opts.Passes passes: the script
+// "rf". In parallel mode the cleanup pass (Section III-F) is included.
 func (n *Network) Refactor(ctx context.Context, opts Options) (Result, error) {
-	return n.runCommand(ctx, opts, "rf", opts.Passes)
+	return n.Run(ctx, "rf", opts)
 }
 
-// Rewrite runs rewriting. In parallel mode this follows [9] (parallel
-// evaluation, sequential replacement) plus the cleanup pass.
+// Rewrite runs rewriting: the script "rw", or "rwz" with opts.ZeroGain. In
+// parallel mode this follows [9] (parallel evaluation, sequential
+// replacement) plus the cleanup pass.
 func (n *Network) Rewrite(ctx context.Context, opts Options) (Result, error) {
-	name := "rw"
 	if opts.ZeroGain {
-		name = "rwz"
+		return n.Run(ctx, "rwz", opts)
 	}
-	return n.runCommand(ctx, opts, name, opts.Passes)
+	return n.Run(ctx, "rw", opts)
 }
 
-// Resub runs resubstitution (the paper's future-work algorithm): nodes are
-// re-expressed as functions of existing divisors. In parallel mode the
-// divisor search for all nodes runs on the device.
+// Resub runs resubstitution (the paper's future-work algorithm), the script
+// "rs": nodes are re-expressed as functions of existing divisors. In
+// parallel mode the divisor search for all nodes runs on the device.
 func (n *Network) Resub(ctx context.Context, opts Options) (Result, error) {
-	return n.runCommand(ctx, opts, "rs", opts.Passes)
+	return n.Run(ctx, "rs", opts)
 }
 
-// Dedup runs the de-duplication and dangling-node cleanup pass alone. It
-// always executes on the device (the pass has no sequential variant).
+// Dedup runs the de-duplication and dangling-node cleanup pass alone, the
+// script "dedup". It always executes on the device; the script's sequential
+// engine (a full rehash) serves only as the degrade ladder's fallback.
 func (n *Network) Dedup(ctx context.Context, opts Options) (Result, error) {
 	opts.Parallel = true
-	return n.runCommand(ctx, opts, "dedup", 1)
+	return n.Run(ctx, "dedup", opts)
 }
 
 // Run executes a command script such as "b; rw; rfz" (see package flow for

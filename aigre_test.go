@@ -3,7 +3,6 @@ package aigre_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -163,44 +162,70 @@ func TestPublicAPIClone(t *testing.T) {
 	}
 }
 
-// TestSingleAlgorithmKernelAbort drives the unguarded single-algorithm path
-// into a kernel panic: the failure comes back as a *gpu.LaunchError beside a
-// partial result that is still the input's function (the network after the
-// last completed pass — here the input itself or one refactoring pass).
-func TestSingleAlgorithmKernelAbort(t *testing.T) {
+// TestSingleAlgorithmGated checks that the single-algorithm methods are
+// one-command scripts on the engine: a kernel fault is contained by the
+// guarded runner like in any script — a panic as a launch incident, a
+// corrupted balance as an equivalence incident — and the method returns an
+// equivalent network, no error, and the full job record.
+func TestSingleAlgorithmGated(t *testing.T) {
 	n := aigre.FromInternal(bench.Multiplier(8))
 	ctx := context.Background()
 	for _, c := range []struct {
-		name string
-		spec string
-		run  func(aigre.Options) (aigre.Result, error)
+		name, spec, script, stage string
+		run                       func(aigre.Options) (aigre.Result, error)
 	}{
-		{"balance", "balance/insert-pass:1:panic", func(o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
-		{"rewrite", "rewrite/evaluate:1:panic", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
-		{"rewrite-cleanup", "dedup/level:1:panic", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
-		{"refactor", "refactor/resynth:1:panic", func(o aigre.Options) (aigre.Result, error) { return n.Refactor(ctx, o) }},
-		{"refactor-pass-2", "refactor/resynth:2:panic", func(o aigre.Options) (aigre.Result, error) { o.Passes = 2; return n.Refactor(ctx, o) }},
+		// A lost gather write or reconstruction seed yields a structurally
+		// valid, functionally wrong network that only the gate sees.
+		{"balance-gather", "balance/gather:1:corrupt", "b", "equivalence", func(o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
+		{"balance-recon-init", "balance/recon-init:1:corrupt", "b", "equivalence", func(o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
+		{"balance-panic", "balance/insert-pass:1:panic", "b", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
+		{"rewrite", "rewrite/evaluate:1:panic", "rw", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
+		{"rewrite-cleanup", "dedup/level:1:panic", "rw", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
+		{"refactor", "refactor/resynth:1:panic", "rf", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Refactor(ctx, o) }},
+		{"refactor-pass-2", "refactor/resynth:2:panic", "rf", "launch", func(o aigre.Options) (aigre.Result, error) { o.Passes = 2; return n.Refactor(ctx, o) }},
 	} {
 		plan, err := gpu.ParseFaultPlan(c.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := c.run(aigre.Options{Parallel: true, Workers: 1, FaultPlans: []gpu.FaultPlan{plan}})
-		var le *gpu.LaunchError
-		if !errors.As(err, &le) {
-			t.Errorf("%s: err = %v, want a *gpu.LaunchError", c.name, err)
+		if err != nil {
+			t.Errorf("%s: err = %v, want the fault contained", c.name, err)
 			continue
 		}
-		if res.AIG == nil {
-			t.Errorf("%s: kernel abort lost the partial result", c.name)
-			continue
+		if len(res.Incidents) != 1 || res.Incidents[0].Stage != c.stage || res.Incidents[0].Action != "retried-sequential" {
+			t.Errorf("%s: incidents = %+v, want one %s incident, retried-sequential", c.name, res.Incidents, c.stage)
 		}
 		if eq, err := res.AIG.EquivalentTo(n); err != nil || !eq {
-			t.Errorf("%s: partial result not equivalent to the input (%v)", c.name, err)
+			t.Errorf("%s: output not equivalent to the input (%v)", c.name, err)
 		}
-		if len(res.Profile) == 0 {
-			t.Errorf("%s: partial result carries no device profile", c.name)
+		if res.Script != c.script || res.Attempts != 1 || res.NodesAfter != res.AIG.Stats().Nodes {
+			t.Errorf("%s: record script %q, attempts %d, nodes after %d: want %q, 1, %d",
+				c.name, res.Script, res.Attempts, res.NodesAfter, c.script, res.AIG.Stats().Nodes)
 		}
+	}
+}
+
+// TestVerifyCatchesSampledMiss runs a corrupted parallel refactoring that the
+// default sampling gate (flow.GateRounds rounds) lets through on this input:
+// with Verify the full check refutes it, records an incident and the output
+// is the sequential engine's, equivalent to the input.
+func TestVerifyCatchesSampledMiss(t *testing.T) {
+	n := aigre.FromInternal(bench.Multiplier(8))
+	plan, err := gpu.ParseFaultPlan("replace/insert:1:corrupt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := n.Run(context.Background(), "rf", aigre.Options{Parallel: true, Workers: 1, Verify: true,
+		FaultPlans: []gpu.FaultPlan{plan}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Incidents) != 1 || res.Incidents[0].Stage != "equivalence" {
+		t.Errorf("incidents = %+v, want one equivalence incident", res.Incidents)
+	}
+	if eq, err := res.AIG.EquivalentTo(n); err != nil || !eq {
+		t.Errorf("verified output not equivalent to the input (%v)", err)
 	}
 }
 

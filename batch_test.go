@@ -137,7 +137,7 @@ func TestCancelledSingleRunReturnsPartial(t *testing.T) {
 		t.Errorf("pre-cancelled run still optimized: %d vs %d nodes", got, n.Stats().Nodes)
 	}
 
-	// Balance goes through flow.RunCommand rather than flow.Run; same contract.
+	// Balance is the one-command script "b" on the same engine; same contract.
 	if _, err := n.Balance(ctx, aigre.Options{Parallel: true}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Balance err = %v, want wrapped context.Canceled", err)
 	}

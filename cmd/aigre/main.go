@@ -67,7 +67,7 @@ func main() {
 		parallel = flag.Bool("parallel", false, "use the parallel (GPU-model) algorithms")
 		workers  = flag.Int("workers", 0, "worker goroutines for the simulated device (0 = GOMAXPROCS)")
 		maxCut   = flag.Int("maxcut", 12, "refactoring cut-size limit")
-		passes   = flag.Int("passes", 0, "parallel refactoring passes per rf/rfz command (0 = 1)")
+		passes   = flag.Int("passes", 0, "refactoring passes per rf/rfz command, either engine (0 = 1)")
 		zeroGain = flag.Bool("zerogain", false, "sequential rw/rf accept zero-gain replacements (like rwz/rfz)")
 		profile  = flag.Bool("profile", false, "print the per-kernel device profile (parallel mode)")
 		profJSON = flag.String("profile-json", "", "write the profile report as JSON to this file (\"-\" = stdout)")

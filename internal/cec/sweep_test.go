@@ -19,7 +19,7 @@ import (
 // dissolves it in about a millisecond.
 func TestSweepMultiplierFlow(t *testing.T) {
 	a, _ := bench.ByName("sin", 1)
-	res, err := flow.Run(context.Background(), nil, a, flow.RfResyn, flow.Config{Parallel: true})
+	res, err := flow.Run(context.Background(), gpu.New(0), a, flow.RfResyn, flow.Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

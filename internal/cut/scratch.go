@@ -74,8 +74,11 @@ func (s *Scratch) allocTT(n int) truth.TT {
 
 // ConeTruth16 evaluates the function of rootLit over at most four leaves as
 // a 16-bit truth table (leaf i is variable i), the fast path for rewriting.
-// ok is false when the cone escapes the leaf boundary (the leaves do not
-// form a cut). No allocation in steady state.
+// Leaf i is seeded with the 4-variable projection, so a table over k < 4
+// leaves never depends on variables k..3: it is already the full 16-bit
+// form that NPN canonization takes. ok is false when the cone escapes the
+// leaf boundary (the leaves do not form a cut). No allocation in steady
+// state.
 func (s *Scratch) ConeTruth16(a *aig.AIG, rootLit aig.Lit, leaves []int32) (uint16, bool) {
 	var leafTT = [4]uint16{0xAAAA, 0xCCCC, 0xF0F0, 0xFF00}
 	s.ensure(a.NumObjs())

@@ -75,6 +75,47 @@ func TestScratchConeTruth16RejectsEscapingCone(t *testing.T) {
 	}
 }
 
+// TestConeTruth16IgnoresUnusedVariables checks that a table over k < 4
+// leaves does not depend on variables k..3, so rewriting canonizes it as is.
+func TestConeTruth16IgnoresUnusedVariables(t *testing.T) {
+	// Negative-cofactor masks of variables 0..3.
+	masks := [4]uint16{0x5555, 0x3333, 0x0F0F, 0x00FF}
+	rng := rand.New(rand.NewSource(11))
+	s := NewScratch()
+	checked := 0
+	for trial := 0; trial < 20; trial++ {
+		a := aig.Random(rng, 6, 150, 4).Rehash()
+		a.EnableFanouts()
+		rc := NewReconv(a)
+		for id := int32(a.NumPIs() + 1); id < int32(a.NumObjs()); id++ {
+			if !a.IsAnd(id) || a.IsDeleted(id) {
+				continue
+			}
+			for size := 2; size <= 4; size++ {
+				leaves := rc.Cut(id, size)
+				if len(leaves) >= 4 {
+					continue
+				}
+				for _, neg := range []bool{false, true} {
+					tt, ok := s.ConeTruth16(a, aig.MakeLit(id, neg), leaves)
+					if !ok {
+						t.Fatalf("node %d: reconvergence cut %v rejected", id, leaves)
+					}
+					for v := len(leaves); v < 4; v++ {
+						if tt&masks[v] != tt>>(1<<v)&masks[v] {
+							t.Fatalf("node %d over %d leaves: table %04x depends on variable %d", id, len(leaves), tt, v)
+						}
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no cut under four leaves was checked")
+	}
+}
+
 // TestScratchCutTruth covers the ways a stale cut fails CutTruth — an
 // escape, the avoided node, the size limit — and that it evaluates a valid
 // cut, complemented and constant roots included, right after a failure.

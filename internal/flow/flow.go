@@ -3,11 +3,13 @@
 // and records the per-command runtime breakdown used by Figure 8.
 //
 // The command vocabulary matches the paper: b (AND-balancing), rw / rwz
-// (rewriting, z = accept zero gain), rf / rfz (refactoring). In parallel
-// mode rf and rfz are identical, because the parallel gain is a lower bound
-// and zero-gain replacements are always accepted (Section III-D), and every
-// parallel rw/rf command is followed by the de-duplication and dangling-node
-// cleanup pass, timed separately (Sections III-F, V-B).
+// (rewriting, z = accept zero gain), rf / rfz (refactoring), plus rs
+// (resubstitution) and dedup (the cleanup pass alone; aig.Rehash is its
+// sequential engine). In parallel mode rf and rfz are identical, because the
+// parallel gain is a lower bound and zero-gain replacements are always
+// accepted (Section III-D), and every parallel rw/rf/rs command is followed
+// by the de-duplication and dangling-node cleanup pass, timed separately
+// (Sections III-F, V-B). A single algorithm is a one-command script.
 package flow
 
 import (
@@ -52,9 +54,9 @@ type Config struct {
 	Parallel bool
 	// MaxCut is the refactoring cut-size limit (paper: 12; 11 for log2).
 	MaxCut int
-	// RfPasses is the number of parallel refactoring passes per rf/rfz
-	// command (the paper uses 2 in the single-algorithm Table II
-	// comparison, 1 inside sequences). Default 1.
+	// RfPasses is the number of refactoring passes per rf/rfz command, on
+	// either engine (the paper uses 2 parallel passes in the single-algorithm
+	// Table II comparison, 1 inside sequences). Default 1.
 	RfPasses int
 	// ZeroGain makes the sequential rw and rf commands accept zero-gain
 	// replacements, as rwz/rfz do. Parallel engines always accept zero gain
@@ -73,7 +75,7 @@ type Config struct {
 	// rwzPasses is the number of parallel rewriting passes per rwz command:
 	// Run sets 2 for a script that parses to the resyn2 command list (the
 	// paper's GPU resyn2 setting, however the script was spelled); zero runs
-	// one pass.
+	// one pass. The sequential rwz always runs one.
 	rwzPasses int
 }
 
@@ -141,25 +143,25 @@ type Result struct {
 	Record
 }
 
-// Command is one entry of the script vocabulary: the engines behind a command
+// command is one entry of the script vocabulary: the engines behind a command
 // name and how execute, the one function that calls them, drives them. Parse,
-// the guarded runner, Breakdown and the public single-algorithm entry points
-// all consult the one table through Lookup.
-type Command struct {
+// the guarded runner and Breakdown consult the one table.
+type command struct {
 	// Kind is the Breakdown series the command's time is filed under
 	// (zero-gain variants fold into their base command).
 	Kind string
 	// Seq and Par run one pass on the sequential engine and on device d.
 	Seq func(a *aig.AIG, cfg Config) *aig.AIG
 	Par func(d *gpu.Device, a *aig.AIG, cfg Config) *aig.AIG
-	// Passes is the parallel pass count of one script command (nil = 1).
+	// Passes is the pass count of one script command on the engine
+	// cfg.Parallel selects (nil = 1).
 	Passes func(cfg Config) int
 	// Cleanup makes parallel mode follow the command with the
 	// de-duplication and dangling-node pass (Section III-F).
 	Cleanup bool
 }
 
-var commands = map[string]Command{
+var commands = map[string]command{
 	"b": {Kind: "b",
 		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := balance.Sequential(a); return out },
 		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := balance.Parallel(d, a); return out }},
@@ -170,16 +172,18 @@ var commands = map[string]Command{
 	"rs": {Kind: "rs", Cleanup: true,
 		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Sequential(a); return out },
 		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Parallel(d, a); return out }},
-	// The cleanup pass as a command of its own, for RunCommand. It has no
-	// sequential engine, so Parse does not admit it to scripts.
+	// The cleanup pass as a command of its own; a full rehash is its
+	// sequential reference.
 	"dedup": {Kind: "dedup",
+		Seq: func(a *aig.AIG, _ Config) *aig.AIG { return a.Rehash() },
 		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := dedup.Run(d, a); return out }},
 }
 
 // rewriteCommand builds rw (zero = false) and rwz. Config.ZeroGain turns the
-// sequential rw into rwz; only rwz repeats, Config.rwzPasses times.
-func rewriteCommand(zero bool) Command {
-	c := Command{Kind: "rw", Cleanup: true,
+// sequential rw into rwz; only the parallel rwz repeats, Config.rwzPasses
+// times.
+func rewriteCommand(zero bool) command {
+	c := command{Kind: "rw", Cleanup: true,
 		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
 			out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: zero || cfg.ZeroGain, Cache: cfg.Cache})
 			return out
@@ -189,7 +193,12 @@ func rewriteCommand(zero bool) Command {
 			return out
 		}}
 	if zero {
-		c.Passes = func(cfg Config) int { return cfg.rwzPasses }
+		c.Passes = func(cfg Config) int {
+			if !cfg.Parallel {
+				return 1
+			}
+			return cfg.rwzPasses
+		}
 	}
 	return c
 }
@@ -197,8 +206,8 @@ func rewriteCommand(zero bool) Command {
 // refactorCommand builds rf (zero = false) and rfz. The parallel engine
 // always accepts zero gain (Section III-D), so the two differ only on the
 // sequential engine.
-func refactorCommand(zero bool) Command {
-	return Command{Kind: "rf", Cleanup: true,
+func refactorCommand(zero bool) command {
+	return command{Kind: "rf", Cleanup: true,
 		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
 			out, _ := refactor.Sequential(a, refactor.Options{MaxCut: cfg.MaxCut, ZeroGain: zero || cfg.ZeroGain, Cache: cfg.Cache})
 			return out
@@ -208,15 +217,6 @@ func refactorCommand(zero bool) Command {
 			return out
 		},
 		Passes: func(cfg Config) int { return cfg.RfPasses }}
-}
-
-// Lookup returns the vocabulary entry for a command name.
-func Lookup(name string) (Command, error) {
-	c, ok := commands[name]
-	if !ok {
-		return c, fmt.Errorf("flow: unknown command %q", name)
-	}
-	return c, nil
 }
 
 // resyn2Cmds is the parsed Resyn2 script, what Run compares a command list
@@ -231,9 +231,7 @@ func Parse(script string) ([]string, error) {
 		if tok == "" {
 			continue
 		}
-		// A script command has both engines; the device-only cleanup pass
-		// ("dedup") is part of the vocabulary but not of scripts.
-		if c, err := Lookup(tok); err != nil || c.Seq == nil {
+		if _, ok := commands[tok]; !ok {
 			return nil, fmt.Errorf("flow: unknown command %q", tok)
 		}
 		cmds = append(cmds, tok)
@@ -244,32 +242,54 @@ func Parse(script string) ([]string, error) {
 	return cmds, nil
 }
 
-// drive is the run loop under Run and RunCommand. It opens the run record
-// (defaults filled in, a parallel run's nil device replaced by gpu.New(0), ctx
-// bound to the device, clock and cache counters snapshotted), calls step once
-// per command and files what it returns, and closes the record. An error from
-// step ends the run; the network step hands back beside it is the run's
-// partial result.
-func drive(ctx context.Context, d *gpu.Device, a *aig.AIG, cmds []string, cfg Config,
-	step func(ctx context.Context, d *gpu.Device, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error)) (Result, error) {
+// Run executes the script on a copy of the input and returns the optimized
+// AIG with the per-command breakdown. In parallel mode the device engines run
+// on d, which must not be nil (sched passes a lease of its pool); a
+// sequential run ignores d.
+//
+// Every command runs guarded: the input AIG serves as a checkpoint (engines
+// never mutate their input), the output must pass the structural invariant
+// check (aig.Check) and the equivalence gate, and a kernel panic aborts only
+// the command. On any of those failures the runner rolls back to the
+// checkpoint and degrades — in parallel mode it retries the command on the
+// sequential engine, otherwise it skips the command — and records an
+// Incident.
+//
+// ctx cancels the run: between commands, and (in parallel mode, where ctx
+// is bound to the device) at every kernel-launch boundary. A cancelled Run
+// returns the partial Result — the network after the last completed
+// command, with that prefix's timings — alongside an error wrapping
+// ctx.Err(). The only other error causes are a script Parse rejects and a
+// parallel run without a device.
+func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Config) (Result, error) {
+	cmds, err := Parse(script)
+	if err != nil {
+		return Result{}, err
+	}
+	if cfg.Parallel && d == nil {
+		return Result{}, errors.New("flow: a parallel run needs a device")
+	}
+	if slices.Equal(cmds, resyn2Cmds) {
+		cfg.rwzPasses = 2
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cfg = cfg.normalized()
-	if d == nil && cfg.Parallel {
-		d = gpu.New(0)
-	}
 	if d != nil {
 		d.Bind(ctx)
 	}
 	start := time.Now()
 	cacheBefore := cfg.Cache.Snapshot()
 	res := Result{AIG: a}
-	var err error
-	for i := range cmds {
+	for i, cmd := range cmds {
+		if cerr := ctx.Err(); cerr != nil {
+			err = fmt.Errorf("flow: script cancelled before command %d (%s): %w", i, cmd, cerr)
+			break
+		}
 		var t CommandTiming
 		var incs []Incident
-		if res.AIG, t, incs, err = step(ctx, d, res.AIG, i, cfg); err != nil {
+		if res.AIG, t, incs, err = runGuarded(ctx, d, res.AIG, cmd, i, cfg); err != nil {
 			break
 		}
 		res.Incidents = append(res.Incidents, incs...)
@@ -286,74 +306,16 @@ func drive(ctx context.Context, d *gpu.Device, a *aig.AIG, cmds []string, cfg Co
 	return res, err
 }
 
-// Run executes the script on a copy of the input and returns the optimized
-// AIG with the per-command breakdown. In parallel mode the device engines run
-// on d (nil = gpu.New(0), a private device as wide as the host); a sequential
-// run ignores d.
-//
-// Every command runs guarded: the input AIG serves as a checkpoint (engines
-// never mutate their input), the output must pass the structural invariant
-// check (aig.Check) and the equivalence gate, and a kernel panic aborts only
-// the command. On any of those failures the runner rolls back to the
-// checkpoint and degrades — in parallel mode it retries the command on the
-// sequential engine, otherwise it skips the command — and records an
-// Incident.
-//
-// ctx cancels the run: between commands, and (in parallel mode, where ctx
-// is bound to the device) at every kernel-launch boundary. A cancelled Run
-// returns the partial Result — the network after the last completed
-// command, with that prefix's timings — alongside an error wrapping
-// ctx.Err(). The only other error cause is a script Parse rejects.
-func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Config) (Result, error) {
-	cmds, err := Parse(script)
-	if err != nil {
-		return Result{}, err
-	}
-	if slices.Equal(cmds, resyn2Cmds) {
-		cfg.rwzPasses = 2
-	}
-	return drive(ctx, d, a, cmds, cfg, func(ctx context.Context, d *gpu.Device, cur *aig.AIG, i int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
-		if cerr := ctx.Err(); cerr != nil {
-			return cur, CommandTiming{}, nil, fmt.Errorf("flow: script cancelled before command %d (%s): %w", i, cmds[i], cerr)
-		}
-		return runGuarded(ctx, d, cur, cmds[i], i, cfg)
-	})
-}
-
-// RunCommand runs passes (at least one) repetitions of one vocabulary command
-// outside a script and returns the run record Run does, with one timing
-// (filed under cmd.Kind). It is the body of the public single-algorithm entry
-// points and unguarded: no checkpoint, no gate, no retry on the other engine —
-// use Run for those. cfg.Parallel selects the engine; either one repeats. A
-// device run uses d as Run does.
-//
-// Engine failures are propagated, not swallowed: a kernel abort
-// (*gpu.LaunchError), a launch refused after ctx was cancelled
-// (*gpu.CancelledError) or a cancellation noticed between passes ("cancelled
-// after p of n passes", wrapping ctx.Err()) is returned beside the partial
-// Result, the network after the last completed pass. Any other engine panic
-// is a bug and is re-raised.
-func RunCommand(ctx context.Context, d *gpu.Device, a *aig.AIG, cmd Command, passes int, cfg Config) (Result, error) {
-	return drive(ctx, d, a, []string{cmd.Kind}, cfg, func(ctx context.Context, d *gpu.Device, cur *aig.AIG, _ int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
-		out, t, err := execute(ctx, d, cur, cmd.Kind, cmd, passes, cfg.Parallel, cfg)
-		var bug *enginePanic
-		if errors.As(err, &bug) {
-			panic(bug.value)
-		}
-		return out, t, nil, err
-	})
-}
-
-// execute is the one place a Command turns into engine calls: passes runs of
-// its sequential engine or of its device engine on d, ctx checked
-// between them, the cleanup pass after a device run of a command that asks
-// for one, and the timing record (for a device run the modeled times and the
-// per-kernel profile are deltas of the device's accounting). An engine panic
-// comes back as an error — a *gpu.LaunchError (kernel panic, full hash table
-// surfaced through a kernel) or *gpu.CancelledError as itself, anything else
-// as an *enginePanic — with an empty timing and the network after the last
-// completed pass.
-func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c Command, passes int, parallel bool, cfg Config) (out *aig.AIG, t CommandTiming, err error) {
+// execute is the one place a command turns into engine calls: c.Passes runs
+// of its sequential engine or of its device engine on d (cfg.Parallel
+// selects), ctx checked between them, the cleanup pass after a device run of
+// a command that asks for one, and the timing record (for a device run the
+// modeled times and the per-kernel profile are deltas of the device's
+// accounting). An engine panic comes back as an error — a *gpu.LaunchError
+// (kernel panic, full hash table surfaced through a kernel) or
+// *gpu.CancelledError as itself, anything else as an engine-panic error —
+// with an empty timing.
+func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c command, cfg Config) (out *aig.AIG, t CommandTiming, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t = CommandTiming{Command: name}
@@ -363,30 +325,33 @@ func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c Comm
 			case *gpu.CancelledError:
 				err = e
 			default:
-				err = &enginePanic{value: r}
+				err = fmt.Errorf("flow: engine panic: %v", r)
 			}
 		}
 	}()
 	out, t.Command = a, name
-	passes = max(passes, 1)
+	passes := 1
+	if c.Passes != nil {
+		passes = max(c.Passes(cfg), 1)
+	}
 	var snap gpu.Stats
 	var profSnap []gpu.KernelProfile
-	if parallel {
+	if cfg.Parallel {
 		snap, profSnap = d.Stats(), d.Profile()
 	}
 	start := time.Now()
 	for p := 0; p < passes; p++ {
 		if cerr := ctx.Err(); cerr != nil {
-			return out, t, fmt.Errorf("aigre: cancelled after %d of %d passes: %w", p, passes, cerr)
+			return out, t, fmt.Errorf("flow: cancelled after %d of %d passes: %w", p, passes, cerr)
 		}
-		if parallel {
+		if cfg.Parallel {
 			out = c.Par(d, out, cfg)
 		} else {
 			out = c.Seq(out, cfg)
 		}
 	}
 	t.Wall = time.Since(start)
-	if !parallel {
+	if !cfg.Parallel {
 		t.Modeled = t.Wall
 		return out, t, nil
 	}
@@ -400,19 +365,6 @@ func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c Comm
 	}
 	t.Kernels = gpu.DiffProfile(d.Profile(), profSnap)
 	return out, t, nil
-}
-
-// enginePanic is an engine panic that is neither a kernel failure nor a
-// cancelled launch: a bug in an engine, contained by the guarded runner and
-// re-raised by RunCommand.
-type enginePanic struct{ value any }
-
-func (e *enginePanic) Error() string { return fmt.Sprintf("flow: engine panic: %v", e.value) }
-
-// Unwrap exposes a panic value that is itself an error.
-func (e *enginePanic) Unwrap() error {
-	err, _ := e.value.(error)
-	return err
 }
 
 // Breakdown aggregates timings by command kind (b, rw, rf, dedup), the

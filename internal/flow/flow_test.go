@@ -60,7 +60,7 @@ func TestSequentialResyn2PreservesFunctionAndImproves(t *testing.T) {
 
 func TestParallelResyn2PreservesFunction(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), nil, a, Resyn2, Config{Parallel: true})
+	res, err := Run(context.Background(), gpu.New(0), a, Resyn2, Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRfResynBothModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(context.Background(), nil, a, RfResyn, Config{Parallel: true})
+	par, err := Run(context.Background(), gpu.New(0), a, RfResyn, Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRfResynBothModes(t *testing.T) {
 
 func TestBreakdownAggregation(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), nil, a, "b; rf; rwz", Config{Parallel: true})
+	res, err := Run(context.Background(), gpu.New(0), a, "b; rf; rwz", Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestBalanceCommandMatchesLevels(t *testing.T) {
 	// (Property 3 at the flow level).
 	a := testAIG()
 	seq, _ := Run(context.Background(), nil, a, "b", Config{})
-	par, _ := Run(context.Background(), nil, a, "b", Config{Parallel: true})
+	par, _ := Run(context.Background(), gpu.New(0), a, "b", Config{Parallel: true})
 	if seq.AIG.Levels() != par.AIG.Levels() {
 		t.Errorf("levels differ: %d vs %d", seq.AIG.Levels(), par.AIG.Levels())
 	}

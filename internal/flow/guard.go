@@ -48,7 +48,8 @@ type Incident struct {
 	// refutations, non-kernel engine panics).
 	Class string `json:"class,omitempty"`
 	// Attempt is the 1-based attempt of the job that recorded the incident;
-	// 0 for a run outside the engine (RunCommand, a direct flow.Run).
+	// 0 only for a direct flow.Run, outside the engine that every public
+	// entry point runs on.
 	Attempt int `json:"attempt,omitempty"`
 	// Time is the wall-clock moment the incident was recorded, so journal
 	// entries from concurrent jobs order correctly.
@@ -95,17 +96,14 @@ func (e *gateError) Unwrap() error { return e.err }
 func runGuarded(ctx context.Context, d *gpu.Device, checkpoint *aig.AIG, cmd string, idx int, cfg Config) (*aig.AIG, CommandTiming, []Incident, error) {
 	// Deterministic per-command gate seed, so failures reproduce.
 	seed := int64(idx)*7919 + 1
-	// Parse validated the name; the zero Command of an unknown one fails every
+	// Parse validated the name; the zero command of an unknown one fails every
 	// rung (its nil engines panic into incidents).
 	c := commands[cmd]
 	var failed CommandTiming // of the first failed attempt
 	var incs []Incident
 	for parallel := cfg.Parallel; ; parallel = false {
-		passes := 1
-		if parallel && c.Passes != nil {
-			passes = c.Passes(cfg)
-		}
-		out, t, err := execute(ctx, d, checkpoint, cmd, c, passes, parallel, cfg)
+		cfg.Parallel = parallel
+		out, t, err := execute(ctx, d, checkpoint, cmd, c, cfg)
 		if err == nil {
 			err = EquivGate(checkpoint, out, cfg.Verify, GateRounds, seed)
 		}

@@ -110,14 +110,14 @@ func TestGuardSkipsWhenBothEnginesFail(t *testing.T) {
 
 // TestRunSequentialUnknownCommandNoPanic pins the former
 // panic("flow: unreachable command") as a plain error return: the zero
-// Command of an unknown name fails in the executor on either engine.
+// command of an unknown name fails in the executor on either engine.
 func TestRunSequentialUnknownCommandNoPanic(t *testing.T) {
 	ctx := context.Background()
-	if _, _, err := execute(ctx, nil, testAIG(), "frobnicate", commands["frobnicate"], 1, false, Config{}.normalized()); err == nil {
+	if _, _, err := execute(ctx, nil, testAIG(), "frobnicate", commands["frobnicate"], Config{}.normalized()); err == nil {
 		t.Error("unknown command did not error")
 	}
 	cfg := Config{Parallel: true}.normalized()
-	if _, _, err := execute(ctx, gpu.New(0), testAIG(), "frobnicate", commands["frobnicate"], 1, true, cfg); err == nil {
+	if _, _, err := execute(ctx, gpu.New(0), testAIG(), "frobnicate", commands["frobnicate"], cfg); err == nil {
 		t.Error("unknown parallel command did not error")
 	}
 }
@@ -125,7 +125,7 @@ func TestRunSequentialUnknownCommandNoPanic(t *testing.T) {
 // TestVerifyModeFullCheck runs the opt-in full equivalence gate end to end.
 func TestVerifyModeFullCheck(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), nil, a, "b; rf", Config{Parallel: true, Verify: true})
+	res, err := Run(context.Background(), gpu.New(0), a, "b; rf", Config{Parallel: true, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCheckPassesAfterEveryCommand(t *testing.T) {
 	for _, script := range []string{Resyn2, RfResyn} {
 		for _, parallel := range []bool{false, true} {
 			a := testAIG()
-			res, err := Run(context.Background(), nil, a, script, Config{Parallel: parallel})
+			res, err := Run(context.Background(), gpu.New(0), a, script, Config{Parallel: parallel})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestDegradeLadder(t *testing.T) {
 				dev = gpu.New(0)
 				dev.Bind(ctx)
 			}
-			commands["test"] = Command{Kind: "test",
+			commands["test"] = command{Kind: "test",
 				Seq: func(a *aig.AIG, _ Config) *aig.AIG { return c.seq(a) },
 				Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG {
 					switch {

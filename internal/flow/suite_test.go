@@ -39,7 +39,7 @@ func TestSuiteIntegration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Run(context.Background(), nil, a, RfResyn, Config{Parallel: true})
+			par, err := Run(context.Background(), gpu.New(0), a, RfResyn, Config{Parallel: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -152,6 +152,7 @@ func Beat(ctx context.Context) {
 
 // New creates a device on a private pool of the given number of workers
 // (0 means GOMAXPROCS) using the default cost model: NewPool(workers).Lease(0).
+// It is for tests and tools; a job's device is a lease of its engine's pool.
 func New(workers int) *Device {
 	return NewPool(workers).Lease(0)
 }

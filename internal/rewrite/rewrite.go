@@ -185,8 +185,7 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 			continue
 		}
 		ops += int64(30 + 4*len(leaves))
-		padded := pad16(tt16, len(leaves))
-		canon, tr, hit := opts.Cache.Npn4Uncounted(padded)
+		canon, tr, hit := opts.Cache.Npn4Uncounted(tt16)
 		if hit {
 			s.npnHits++
 		} else {
@@ -223,29 +222,6 @@ func progWithOutput(p core.Program, neg bool) core.Program {
 		return p
 	}
 	return core.Program{Ops: p.Ops, Root: p.Root.Not()}
-}
-
-// pad16 replicates the meaningful low bits of a k-variable table (k <= 4)
-// across the full 16-bit 4-variable representation.
-func pad16(w uint16, k int) uint16 {
-	switch k {
-	case 0:
-		w &= 1
-		w |= w << 1
-		fallthrough
-	case 1:
-		w &= 3
-		w |= w << 2
-		fallthrough
-	case 2:
-		w &= 0xF
-		w |= w << 4
-		fallthrough
-	case 3:
-		w &= 0xFF
-		w |= w << 8
-	}
-	return w
 }
 
 // Sequential runs one pass of ABC-style DAG-aware rewriting (drw; drw -z

@@ -87,17 +87,6 @@ func TestMapLeavesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPad16(t *testing.T) {
-	// A 2-variable AND (tt 0x8) padded to 4 vars is 0x8888.
-	if got := pad16(0x8, 2); got != 0x8888 {
-		t.Errorf("pad16 = %04x, want 8888", got)
-	}
-	// A 1-variable identity (tt 0b10) padded is 0xAAAA.
-	if got := pad16(0x2, 1); got != 0xAAAA {
-		t.Errorf("pad16 = %04x, want AAAA", got)
-	}
-}
-
 func TestEnumLocalCuts(t *testing.T) {
 	a := aig.New(4)
 	a.EnableStrash()

@@ -33,17 +33,21 @@ if grep -rnE --include='*.go' --exclude='*_test.go' 'ReplaceNode\(|BuildProgramA
     exit 1
 fi
 # One function runs a job, reached one way: flow.Run is called from
-# sched.(*Engine).Do only (its attempt), a job reaches Do directly or from the
-# batch loop (sched.(*Engine).Batch, a slice, not a queue: no heap, no Submit or
-# Shutdown, no ticket type), partition.Run from one call site (a partitioned
-# job's attempt in sched), and pass-scoped tables are pooled by
-# hashtable.Acquire alone.
+# sched.(*Engine).Do only (its attempt), and every public entry point, the
+# single algorithms too, is a script on the engine: no RunCommand beside it and
+# no private device (outside internal/gpu every device is a pool lease). A job
+# reaches Do directly or from the batch loop (sched.(*Engine).Batch, a slice,
+# not a queue: no heap, no Submit or Shutdown, no ticket type), partition.Run
+# from one call site (a partitioned job's attempt in sched), and pass-scoped
+# tables are pooled by hashtable.Acquire alone.
 if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-dir=sched --exclude-dir=benchmark 'flow\.Run(' . ||
+    grep -rnE --include='*.go' '^func (\([^)]*\) )?RunCommand\(' . ||
+    grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=gpu --exclude-dir=benchmark 'gpu\.New(' . ||
     grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '"container/heap"' internal/sched ||
     grep -nE --exclude='*_test.go' --exclude-dir=benchmark '^func \([^)]*\) (Submit|Shutdown)\(|^type (Job)?Ticket ' ./*.go internal/sched/*.go ||
     [ "$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'partition\.Run(' . | wc -l)" -gt 1 ] ||
     grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=hashtable --exclude-dir=benchmark '\.\(\*hashtable\.Table\)' .; then
-    echo "check: a second route into the engine, an admission queue, a second partition.Run call site or a second table pool grew back" >&2
+    echo "check: a second route into the engine (a RunCommand or a private gpu.New device), an admission queue, a second partition.Run call site or a second table pool grew back" >&2
     exit 1
 fi
 # A job is supervised once: a partitioned job's own attempt (deadline,
