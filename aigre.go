@@ -92,8 +92,10 @@ func (s Stats) String() string {
 	return fmt.Sprintf("%-16s i/o = %5d/%5d  and = %8d  lev = %5d", s.Name, s.PIs, s.POs, s.Nodes, s.Levels)
 }
 
-// Options selects the execution mode and algorithm parameters for the
-// optimization entry points.
+// Options selects how the optimization entry points run a script: the
+// execution mode, the worker budget, checking, caching and partitioning.
+// What runs is the script's alone; no option repeats or rewrites a command
+// (zero gain is "rwz"/"rfz", two refactoring passes are "rf; rf").
 type Options struct {
 	// Parallel runs the paper's GPU-parallel algorithms; false runs the
 	// ABC-style sequential baselines.
@@ -101,17 +103,6 @@ type Options struct {
 	// Workers sizes the pool of the one-job engine behind every Network
 	// method (BatchOptions.Workers; 0 = GOMAXPROCS). Ignored in a Batch.
 	Workers int
-	// MaxCut is the refactoring cut-size limit (default 12, the paper's
-	// setting).
-	MaxCut int
-	// ZeroGain accepts zero-gain replacements in the sequential engines
-	// (parallel engines always accept them; Section III-D): it makes the
-	// sequential rw/rf commands behave like rwz/rfz, and Rewrite run rwz.
-	ZeroGain bool
-	// Passes is the number of refactoring passes per rf/rfz command, on
-	// either engine (the paper evaluates parallel refactoring with 2 passes
-	// in Table II). Default 1.
-	Passes int
 	// Verify upgrades the per-command functional gate of every run from
 	// random-simulation sampling to a full combinational equivalence check
 	// (the CLI -verify flag). Complete but potentially much slower.
@@ -293,14 +284,7 @@ func (n *Network) WriteFile(path string) error {
 // flowConfig maps the engine parameters onto a flow.Config, without a device:
 // jobs lease theirs from the engine's pool.
 func (o Options) flowConfig() flow.Config {
-	cfg := flow.Config{
-		Parallel: o.Parallel,
-		MaxCut:   o.MaxCut,
-		RfPasses: o.Passes,
-		ZeroGain: o.ZeroGain,
-		Verify:   o.Verify,
-		Cache:    rcache.Default,
-	}
+	cfg := flow.Config{Parallel: o.Parallel, Verify: o.Verify, Cache: rcache.Default}
 	if o.Cache != nil {
 		cfg.Cache = o.Cache.c
 	}
@@ -314,19 +298,17 @@ func (n *Network) Balance(ctx context.Context, opts Options) (Result, error) {
 	return n.Run(ctx, "b", opts)
 }
 
-// Refactor runs refactoring (Section III), opts.Passes passes: the script
-// "rf". In parallel mode the cleanup pass (Section III-F) is included.
+// Refactor runs one refactoring pass (Section III): the script "rf". In
+// parallel mode the cleanup pass (Section III-F) is included. More passes are
+// a longer script: the paper's "GPU rf (x2)" is Run(ctx, "rf; rf", opts).
 func (n *Network) Refactor(ctx context.Context, opts Options) (Result, error) {
 	return n.Run(ctx, "rf", opts)
 }
 
-// Rewrite runs rewriting: the script "rw", or "rwz" with opts.ZeroGain. In
-// parallel mode this follows [9] (parallel evaluation, sequential
-// replacement) plus the cleanup pass.
+// Rewrite runs rewriting: the script "rw" (zero-gain rewriting is
+// Run(ctx, "rwz", opts)). In parallel mode this follows [9] (parallel
+// evaluation, sequential replacement) plus the cleanup pass.
 func (n *Network) Rewrite(ctx context.Context, opts Options) (Result, error) {
-	if opts.ZeroGain {
-		return n.Run(ctx, "rwz", opts)
-	}
 	return n.Run(ctx, "rw", opts)
 }
 
@@ -368,7 +350,8 @@ func (n *Network) Run(ctx context.Context, script string, opts Options) (Result,
 }
 
 // Resyn2 runs the resyn2 sequence (b; rw; rf; b; rw; rwz; b; rfz; rwz; b).
-// In parallel mode rwz runs two rewriting passes, matching the paper.
+// In parallel mode each rwz runs two rewriting passes, as it does in any
+// script, matching the paper.
 func (n *Network) Resyn2(ctx context.Context, opts Options) (Result, error) {
 	return n.Run(ctx, flow.Resyn2, opts)
 }

@@ -52,7 +52,7 @@ func TestPublicAPIOptimizations(t *testing.T) {
 				return n.Balance(context.Background(), aigre.Options{Parallel: parallel})
 			},
 			"refactor": func() (aigre.Result, error) {
-				return n.Refactor(context.Background(), aigre.Options{Parallel: parallel, Passes: 2})
+				return n.Run(context.Background(), "rf; rf", aigre.Options{Parallel: parallel})
 			},
 			"rewrite": func() (aigre.Result, error) {
 				return n.Rewrite(context.Background(), aigre.Options{Parallel: parallel})
@@ -182,7 +182,7 @@ func TestSingleAlgorithmGated(t *testing.T) {
 		{"rewrite", "rewrite/evaluate:1:panic", "rw", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
 		{"rewrite-cleanup", "dedup/level:1:panic", "rw", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
 		{"refactor", "refactor/resynth:1:panic", "rf", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Refactor(ctx, o) }},
-		{"refactor-pass-2", "refactor/resynth:2:panic", "rf", "launch", func(o aigre.Options) (aigre.Result, error) { o.Passes = 2; return n.Refactor(ctx, o) }},
+		{"refactor-pass-2", "refactor/resynth:2:panic", "rf; rf", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Run(ctx, "rf; rf", o) }},
 	} {
 		plan, err := gpu.ParseFaultPlan(c.spec)
 		if err != nil {
@@ -229,8 +229,9 @@ func TestVerifyCatchesSampledMiss(t *testing.T) {
 	}
 }
 
-// TestSequentialPassesRepeat checks that Options.Passes repeats the sequential
-// engine: two passes give the network of two chained one-pass calls.
+// TestSequentialPassesRepeat checks that a repeated command repeats the
+// sequential engine: the script "rf; rf" gives the network of two chained
+// one-pass calls.
 func TestSequentialPassesRepeat(t *testing.T) {
 	ctx := context.Background()
 	n := suiteCase(t, "mem_ctrl") // a second drf pass still finds replacements here
@@ -242,18 +243,18 @@ func TestSequentialPassesRepeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := n.Refactor(ctx, aigre.Options{Passes: 2, Cache: aigre.NewCache()})
+	two, err := n.Run(ctx, "rf; rf", aigre.Options{Cache: aigre.NewCache()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := outputDigest(t, two.AIG), outputDigest(t, chained.AIG); got != want {
-		t.Errorf("Refactor{Passes: 2} differs from two chained passes: %d vs %d nodes", two.AIG.Stats().Nodes, chained.AIG.Stats().Nodes)
+		t.Errorf("Run(rf; rf) differs from two chained passes: %d vs %d nodes", two.AIG.Stats().Nodes, chained.AIG.Stats().Nodes)
 	}
 	if two.AIG.Stats().Nodes >= one.AIG.Stats().Nodes {
 		t.Errorf("second pass changed nothing (%d -> %d nodes): the case cannot tell one pass from two",
 			one.AIG.Stats().Nodes, two.AIG.Stats().Nodes)
 	}
-	if len(two.Timings) != 1 || two.Timings[0].NodesAfter != two.AIG.Stats().Nodes {
-		t.Errorf("run record timings = %+v, want one entry for the command", two.Timings)
+	if len(two.Timings) != 2 || two.Timings[0].NodesAfter != one.AIG.Stats().Nodes || two.Timings[1].NodesAfter != two.AIG.Stats().Nodes {
+		t.Errorf("run record timings = %+v, want one entry per command", two.Timings)
 	}
 }

@@ -8,12 +8,15 @@
 //
 //	aigre -in design.aig -script "b; rw; rf; b" -parallel -out opt.aig
 //	aigre -in design.aig -resyn2 -cec
+//	aigre -in design.aig -script "rf; rf" -parallel   # the paper's GPU rf x2
 //	aigre -batch jobs.txt -parallel -workers 8 -outdir opt/ -report report.json
 //	aigre -batch jobs.txt -parallel -job-timeout 1m -retries 2 -journal run.jsonl
 //
 // Both modes run their jobs on one engine under one supervision policy:
 // -job-timeout, -retries, -stuck-timeout and -journal mean the same thing for
-// the single -in run as for every job of a -batch manifest.
+// the single -in run as for every job of a -batch manifest. The script is the
+// whole program: no flag repeats or rewrites a command. A negative count,
+// size or duration is a usage error.
 //
 // Exit codes (for automation):
 //
@@ -41,6 +44,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"syscall"
+	"time"
 
 	"aigre"
 	"aigre/internal/flow"
@@ -66,9 +70,6 @@ func main() {
 		rfResyn  = flag.Bool("rf_resyn", false, "run the rf_resyn sequence")
 		parallel = flag.Bool("parallel", false, "use the parallel (GPU-model) algorithms")
 		workers  = flag.Int("workers", 0, "worker goroutines for the simulated device (0 = GOMAXPROCS)")
-		maxCut   = flag.Int("maxcut", 12, "refactoring cut-size limit")
-		passes   = flag.Int("passes", 0, "refactoring passes per rf/rfz command, either engine (0 = 1)")
-		zeroGain = flag.Bool("zerogain", false, "sequential rw/rf accept zero-gain replacements (like rwz/rfz)")
 		profile  = flag.Bool("profile", false, "print the per-kernel device profile (parallel mode)")
 		profJSON = flag.String("profile-json", "", "write the profile report as JSON to this file (\"-\" = stdout)")
 		partMode = flag.String("partition", "off", "partition-parallel optimization: off, cones, or levels")
@@ -82,12 +83,8 @@ func main() {
 		verbose  = flag.Bool("v", false, "print per-command statistics")
 	)
 	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "aigre: -workers must be >= 0 (got %d)\n", *workers)
-		os.Exit(2)
-	}
-	if *passes < 0 {
-		fmt.Fprintf(os.Stderr, "aigre: -passes must be >= 0 (got %d)\n", *passes)
+	if err := nonNegative(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "aigre:", err)
 		os.Exit(2)
 	}
 	pmode, err := aigre.ParsePartitionMode(*partMode)
@@ -115,10 +112,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aigre: %s: immediate exit\n", s)
 		os.Exit(1)
 	}()
-	if *retries < 0 {
-		fmt.Fprintf(os.Stderr, "aigre: -retries must be >= 0 (got %d)\n", *retries)
-		os.Exit(2)
-	}
 	// Profiles must be written on every exit path, and main exits through
 	// os.Exit (which skips defers) — route all exits through finishProfiles.
 	fatal(startProfiles(*cpuProf, *memProf))
@@ -126,9 +119,6 @@ func main() {
 	// of either mode leases from.
 	opts := aigre.Options{
 		Parallel:  *parallel,
-		MaxCut:    *maxCut,
-		Passes:    *passes,
-		ZeroGain:  *zeroGain,
 		Verify:    *verify,
 		Partition: aigre.PartitionOptions{Mode: pmode, TargetSize: *partSize},
 	}
@@ -277,6 +267,26 @@ func main() {
 	if degraded {
 		os.Exit(3)
 	}
+}
+
+// nonNegative rejects a negative value of any numeric flag set on the
+// command line: every count, size and duration of this command reads 0 as
+// "default" or "none", and a negative one has no meaning.
+func nonNegative(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		var neg bool
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg && err == nil {
+			err = fmt.Errorf("-%s must be >= 0 (got %s)", f.Name, f.Value)
+		}
+	})
+	return err
 }
 
 // runSingle runs the -in network as the one job of an engine configured like

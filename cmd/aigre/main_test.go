@@ -179,3 +179,25 @@ func TestResyn2DecidedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeFlagsRejected checks that a negative value of any numeric flag
+// is a usage error, exit 2 with the one message of the shared check, where
+// some of them used to mean "none" or the default.
+func TestNegativeFlagsRejected(t *testing.T) {
+	in := filepath.Join("testdata", "adder8.aag")
+	for _, c := range []struct{ flag, value string }{
+		{"workers", "-1"}, {"retries", "-1"}, {"max-jobs", "-3"}, {"partition-size", "-5"},
+		{"timeout", "-1s"}, {"job-timeout", "-1s"}, {"stuck-timeout", "-1s"},
+	} {
+		cmd := exec.Command(os.Args[0], "-in", in, "-script", "b", "-"+c.flag, c.value)
+		cmd.Env = append(os.Environ(), "AIGRE_CHILD=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		want := "-" + c.flag + " must be >= 0"
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(stderr.String(), want) {
+			t.Errorf("aigre -%s %s: %v, stderr %q; want exit 2 and %q", c.flag, c.value, err, stderr.String(), want)
+		}
+	}
+}

@@ -53,8 +53,9 @@ func main() {
 			log.Fatal("Property 3 violated")
 		}
 
-		// Area optimization: two passes of parallel refactoring.
-		rf, _ := n.Refactor(context.Background(), aigre.Options{Parallel: true, Passes: 2})
+		// Area optimization: two passes of parallel refactoring, the script
+		// "rf; rf" (the paper's GPU rf x2).
+		rf, _ := n.Run(context.Background(), "rf; rf", aigre.Options{Parallel: true})
 		fmt.Printf("  refactor:  %d -> %d nodes (modeled device time %v)\n",
 			n.Stats().Nodes, rf.AIG.Stats().Nodes, rf.Modeled)
 

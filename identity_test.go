@@ -182,7 +182,9 @@ func TestNpnCountersExact(t *testing.T) {
 // TestResyn2DecidedOnce checks that "resyn2 runs rwz twice in parallel mode"
 // is decided on the parsed command list, once: Resyn2, Run and a one-job
 // RunBatch, of the canonical script and of the same commands spelled without
-// spaces, all return the same bytes.
+// spaces, all return the same bytes. And scripts compose: resyn2 followed by
+// b in one script gives the bytes of Resyn2 followed by a run of b, because
+// the device rwz runs two passes wherever it appears.
 func TestResyn2DecidedOnce(t *testing.T) {
 	ctx := context.Background()
 	n := suiteCase(t, "ac97_ctrl") // one and two rwz passes give different networks here
@@ -209,6 +211,27 @@ func TestResyn2DecidedOnce(t *testing.T) {
 			t.Errorf("RunBatch(%q): output digest %s, Resyn2() gives %s", script, got, want)
 		}
 	}
+
+	one := func() aigre.Options { return aigre.Options{Parallel: true, Workers: 1, Cache: aigre.NewCache()} }
+	for _, name := range []string{"ac97_ctrl", "hyp"} {
+		n := suiteCase(t, name)
+		whole, err := n.Run(ctx, aigre.ScriptResyn2+"; b", one())
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := n.Resyn2(ctx, one())
+		if err != nil {
+			t.Fatal(err)
+		}
+		then, err := first.AIG.Run(ctx, "b", one())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := outputDigest(t, whole.AIG), outputDigest(t, then.AIG); got != want {
+			t.Errorf("%s: Run(resyn2; b) gives %d ANDs, Resyn2() then Run(b) %d: output digests differ",
+				name, whole.AIG.Stats().Nodes, then.AIG.Stats().Nodes)
+		}
+	}
 }
 
 // profileDigest hashes the accounting columns of a device profile (kernel,
@@ -227,7 +250,9 @@ func profileDigest(rows []gpu.KernelProfile) string {
 // edit scaffold own: output bytes of every single-algorithm entry point, and
 // for the device runs the modeled time to the nanosecond and the per-kernel
 // accounting rows. Recorded at the commit before the executor existed
-// (0854ff4); nothing here may move in a change that only restructures.
+// (0854ff4); nothing here may move in a change that only restructures. rf2
+// is the script "rf; rf" (on the device, a cleanup pass after each pass), and
+// the device rwz runs two passes.
 func TestCommandGoldens(t *testing.T) {
 	ctx := context.Background()
 	type algo struct {
@@ -236,12 +261,9 @@ func TestCommandGoldens(t *testing.T) {
 	}
 	algos := []algo{
 		{"b", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
-		{"rf2", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { o.Passes = 2; return n.Refactor(ctx, o) }},
+		{"rf2", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Run(ctx, "rf; rf", o) }},
 		{"rw", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
-		{"rwz", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) {
-			o.ZeroGain = true
-			return n.Rewrite(ctx, o)
-		}},
+		{"rwz", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Run(ctx, "rwz", o) }},
 		{"rs", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Resub(ctx, o) }},
 		{"dedup", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Dedup(ctx, o) }},
 		{"resyn2", func(n *aigre.Network, o aigre.Options) (aigre.Result, error) { return n.Resyn2(ctx, o) }},
@@ -292,11 +314,11 @@ var commandGoldens = map[string]string{
 	"sixteen/b/seq":            "bf8470c60b5c28f98fd2f5c9807df4e0915b967ac80cb394a3ee98a86af84f68",
 	"sixteen/b/par":            "f9354383cf2831ac604a04bf6268b9453f173640b1086f2bc631254f3378a561 9849270 e54d5f122a577c01",
 	"sixteen/rf2/seq":          "10cae196dc4d49abe104c6d1485c0cd040dfac02c0d562f7cef8e3cf9aa54c3c",
-	"sixteen/rf2/par":          "fe6b7cc2cd60c68604c461f23d0860ea769c99db2fcf85d877df245513c75a62 14437190 36ca7b1f1035c596",
+	"sixteen/rf2/par":          "766585a67be1dd86ab8282af3a5cb0048ddfa5b5cb9c66e06c1e748fdacf1a92 16431620 f7d4fd6d584ce278",
 	"sixteen/rw/seq":           "cb8e697f943124c353f61fa25c36e8d135ec070a09cc915f8eb60f0c755cee63",
 	"sixteen/rw/par":           "586d33521c0b1f5a4df1d88a6970875d121e8f10741fa1d30f701db1f5b0ce08 2037108 c35a58ac6b62839a",
 	"sixteen/rwz/seq":          "cb8e697f943124c353f61fa25c36e8d135ec070a09cc915f8eb60f0c755cee63",
-	"sixteen/rwz/par":          "586d33521c0b1f5a4df1d88a6970875d121e8f10741fa1d30f701db1f5b0ce08 2307664 3d8cb4b9215c7cdc",
+	"sixteen/rwz/par":          "21fb2aa12a271cab34f28bffce3611ad48aa8df83aa0482a4416e0d2a0f895ab 2569372 15580b42b9197b3e",
 	"sixteen/rs/seq":           "171c8ca7097b8d54a91ea8c946e173b728dfc12a7dd69e9ef93a5aa1606162da",
 	"sixteen/rs/par":           "09bc2b8d0438765c941630baa2324565dc55322ec697acacdd40cbc21a39b966 2033434 9fb405cd1e9581df",
 	"sixteen/dedup/seq":        "5d0f70bf9d8f9d2664810a051efd4e630bc4a32309a50bd43d92faa76e236e61 2252230 67a1ed7affcfebfb",
@@ -306,11 +328,11 @@ var commandGoldens = map[string]string{
 	"mem_ctrl/b/seq":           "11881b99dff1ebcb33ad775186cb1b45eb768884054492c7c57a1044501f428f",
 	"mem_ctrl/b/par":           "ad57faf60fcb605d69e396194f7c64cd5fbc9be683ba81ff281a14a8891816aa 6997030 5c713dbd9fc87e83",
 	"mem_ctrl/rf2/seq":         "ed2e5bb5b80648293e86016b199c4beecd30233aa0c1e81ce2ae51a8f4d08c56",
-	"mem_ctrl/rf2/par":         "0487633400f54cae28e568bcb6a1e944ade23b86d8d8393a40f7a22725b67d9d 16602520 7e6c7b8bfa538898",
+	"mem_ctrl/rf2/par":         "0487633400f54cae28e568bcb6a1e944ade23b86d8d8393a40f7a22725b67d9d 17743640 3f586317bf2f0381",
 	"mem_ctrl/rw/seq":          "084ba5f5595265e29327c1d91dbe5544ccdde07e49aec806132a3e82d9520f4f",
 	"mem_ctrl/rw/par":          "b578d42097af86f8792233c81041c3fc2f383b9a694618cabf530faec935b9bf 1293664 a23c7eaa39af899e",
 	"mem_ctrl/rwz/seq":         "084ba5f5595265e29327c1d91dbe5544ccdde07e49aec806132a3e82d9520f4f",
-	"mem_ctrl/rwz/par":         "4a3aa88934b5225802b5375cefca20d2be92213ac10ba5257ebe8bf3ffaaa27e 1571244 e35b91e56dfbb02a",
+	"mem_ctrl/rwz/par":         "3b2b30a9fb7e34c1b1c711b3a80ee88696a4f1201d78c1901972e8d3668722b5 1901810 0a8fd80520ab6496",
 	"mem_ctrl/rs/seq":          "06b0d6e963fef50ac7272dca7bd53b9a1a6a98345084ef7a4829125144b6e0c8",
 	"mem_ctrl/rs/par":          "06b0d6e963fef50ac7272dca7bd53b9a1a6a98345084ef7a4829125144b6e0c8 1634272 849a080e504d2926",
 	"mem_ctrl/dedup/seq":       "a643178a755d297fe35fb317979b94882cf01ac2316f1830fdf9f0f6a6ab9bf8 1591570 6be77970523c1e2d",
@@ -320,11 +342,11 @@ var commandGoldens = map[string]string{
 	"multiplier/b/seq":         "2d5aa107346e7edb17507641685cce377cb95530ae3abb93078f5cd9a73c06dc",
 	"multiplier/b/par":         "2d5aa107346e7edb17507641685cce377cb95530ae3abb93078f5cd9a73c06dc 27263930 3dbee1da39e58f57",
 	"multiplier/rf2/seq":       "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324",
-	"multiplier/rf2/par":       "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 66449320 7c8cfdf1fc9c34ce",
+	"multiplier/rf2/par":       "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 73776620 4a181d8b2d6c424c",
 	"multiplier/rw/seq":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5",
 	"multiplier/rw/par":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 7707260 8cef52fafc6cee07",
 	"multiplier/rwz/seq":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5",
-	"multiplier/rwz/par":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 9385980 7c55af20e09c3340",
+	"multiplier/rwz/par":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 11009820 4fc55d87922efd7d",
 	"multiplier/rs/seq":        "f5f7887817409f2ffb5e6f623f5a50ab75046054476ef835e55f584688f2bb1f",
 	"multiplier/rs/par":        "5e34010ba8841dc34fc673520a5f7dbbccd2bccd6fa20cf5a8b0f52cc3cb23a5 8902686 b06b766f998a33bc",
 	"multiplier/dedup/seq":     "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324 9129110 3d76932a5254b486",

@@ -7,16 +7,18 @@
 // (resubstitution) and dedup (the cleanup pass alone; aig.Rehash is its
 // sequential engine). In parallel mode rf and rfz are identical, because the
 // parallel gain is a lower bound and zero-gain replacements are always
-// accepted (Section III-D), and every parallel rw/rf/rs command is followed
+// accepted (Section III-D), the device rwz runs two rewriting passes (the
+// paper's GPU resyn2 setting), and every parallel rw/rf/rs command is followed
 // by the de-duplication and dangling-node cleanup pass, timed separately
-// (Sections III-F, V-B). A single algorithm is a one-command script.
+// (Sections III-F, V-B). A single algorithm is a one-command script, and the
+// script is the whole program: no option repeats or rewrites a command, so
+// the paper's "GPU rf (x2)" is the script "rf; rf".
 package flow
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -47,21 +49,13 @@ const (
 // per-command sampling equivalence gate (EquivGate).
 const GateRounds = 4
 
-// Config selects the execution mode and engine options.
+// Config selects the execution mode and how a run is checked and cached;
+// what runs is the script's alone (the engines use their default settings,
+// among them the paper's refactoring cut limit of 12).
 type Config struct {
 	// Parallel selects the GPU-parallel algorithms; otherwise the
 	// sequential ABC-style baselines run.
 	Parallel bool
-	// MaxCut is the refactoring cut-size limit (paper: 12; 11 for log2).
-	MaxCut int
-	// RfPasses is the number of refactoring passes per rf/rfz command, on
-	// either engine (the paper uses 2 parallel passes in the single-algorithm
-	// Table II comparison, 1 inside sequences). Default 1.
-	RfPasses int
-	// ZeroGain makes the sequential rw and rf commands accept zero-gain
-	// replacements, as rwz/rfz do. Parallel engines always accept zero gain
-	// (Section III-D), so it has no effect in parallel mode.
-	ZeroGain bool
 	// Verify upgrades the per-command equivalence gate from sampling to a
 	// full combinational equivalence check (exhaustive simulation or SAT via
 	// internal/cec). This is the CLI -verify flag; it is complete but can be
@@ -71,18 +65,9 @@ type Config struct {
 	// commands (nil = the process-wide rcache.Default). Optimization results
 	// are identical with or without it; it only cuts host wall-clock.
 	Cache *rcache.Cache
-
-	// rwzPasses is the number of parallel rewriting passes per rwz command:
-	// Run sets 2 for a script that parses to the resyn2 command list (the
-	// paper's GPU resyn2 setting, however the script was spelled); zero runs
-	// one pass. The sequential rwz always runs one.
-	rwzPasses int
 }
 
 func (c Config) normalized() Config {
-	if c.RfPasses == 0 {
-		c.RfPasses = 1
-	}
 	if c.Cache == nil {
 		c.Cache = rcache.Default
 	}
@@ -153,75 +138,64 @@ type command struct {
 	// Seq and Par run one pass on the sequential engine and on device d.
 	Seq func(a *aig.AIG, cfg Config) *aig.AIG
 	Par func(d *gpu.Device, a *aig.AIG, cfg Config) *aig.AIG
-	// Passes is the pass count of one script command on the engine
-	// cfg.Parallel selects (nil = 1).
-	Passes func(cfg Config) int
+	// ParPasses is the number of device passes of one script command (0 = 1);
+	// the sequential engine always runs one.
+	ParPasses int
 	// Cleanup makes parallel mode follow the command with the
 	// de-duplication and dangling-node pass (Section III-F).
 	Cleanup bool
 }
 
 var commands = map[string]command{
-	"b": {Kind: "b",
+	"b": {Kind: "b", ParPasses: 1,
 		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := balance.Sequential(a); return out },
 		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := balance.Parallel(d, a); return out }},
 	"rw":  rewriteCommand(false),
 	"rwz": rewriteCommand(true),
 	"rf":  refactorCommand(false),
 	"rfz": refactorCommand(true),
-	"rs": {Kind: "rs", Cleanup: true,
+	"rs": {Kind: "rs", ParPasses: 1, Cleanup: true,
 		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Sequential(a); return out },
 		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Parallel(d, a); return out }},
 	// The cleanup pass as a command of its own; a full rehash is its
 	// sequential reference.
-	"dedup": {Kind: "dedup",
+	"dedup": {Kind: "dedup", ParPasses: 1,
 		Seq: func(a *aig.AIG, _ Config) *aig.AIG { return a.Rehash() },
 		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := dedup.Run(d, a); return out }},
 }
 
-// rewriteCommand builds rw (zero = false) and rwz. Config.ZeroGain turns the
-// sequential rw into rwz; only the parallel rwz repeats, Config.rwzPasses
-// times.
+// rewriteCommand builds rw (zero = false) and rwz. The device rwz runs two
+// [9] passes before its cleanup, the paper's GPU resyn2 setting.
 func rewriteCommand(zero bool) command {
-	c := command{Kind: "rw", Cleanup: true,
+	passes := 1
+	if zero {
+		passes = 2
+	}
+	return command{Kind: "rw", ParPasses: passes, Cleanup: true,
 		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
-			out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: zero || cfg.ZeroGain, Cache: cfg.Cache})
+			out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: zero, Cache: cfg.Cache})
 			return out
 		},
 		Par: func(d *gpu.Device, a *aig.AIG, cfg Config) *aig.AIG {
 			out, _ := rewrite.Parallel(d, a, rewrite.Options{ZeroGain: zero, Cache: cfg.Cache})
 			return out
 		}}
-	if zero {
-		c.Passes = func(cfg Config) int {
-			if !cfg.Parallel {
-				return 1
-			}
-			return cfg.rwzPasses
-		}
-	}
-	return c
 }
 
 // refactorCommand builds rf (zero = false) and rfz. The parallel engine
 // always accepts zero gain (Section III-D), so the two differ only on the
 // sequential engine.
 func refactorCommand(zero bool) command {
-	return command{Kind: "rf", Cleanup: true,
+	return command{Kind: "rf", ParPasses: 1, Cleanup: true,
 		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
-			out, _ := refactor.Sequential(a, refactor.Options{MaxCut: cfg.MaxCut, ZeroGain: zero || cfg.ZeroGain, Cache: cfg.Cache})
+			out, _ := refactor.Sequential(a, refactor.Options{ZeroGain: zero, Cache: cfg.Cache})
 			return out
 		},
 		Par: func(d *gpu.Device, a *aig.AIG, cfg Config) *aig.AIG {
-			out, _ := refactor.Parallel(d, a, refactor.Options{MaxCut: cfg.MaxCut, Cache: cfg.Cache})
+			out, _ := refactor.Parallel(d, a, refactor.Options{Cache: cfg.Cache})
 			return out
-		},
-		Passes: func(cfg Config) int { return cfg.RfPasses }}
+		}}
 }
-
-// resyn2Cmds is the parsed Resyn2 script, what Run compares a command list
-// against to apply the paper's two rwz passes.
-var resyn2Cmds, _ = Parse(Resyn2)
 
 // Parse splits a script like "b; rw; rfz" into commands, validating names.
 func Parse(script string) ([]string, error) {
@@ -269,9 +243,6 @@ func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Conf
 	if cfg.Parallel && d == nil {
 		return Result{}, errors.New("flow: a parallel run needs a device")
 	}
-	if slices.Equal(cmds, resyn2Cmds) {
-		cfg.rwzPasses = 2
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -306,9 +277,9 @@ func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Conf
 	return res, err
 }
 
-// execute is the one place a command turns into engine calls: c.Passes runs
-// of its sequential engine or of its device engine on d (cfg.Parallel
-// selects), ctx checked between them, the cleanup pass after a device run of
+// execute is the one place a command turns into engine calls: one run of its
+// sequential engine or c.ParPasses runs of its device engine on d
+// (cfg.Parallel selects), ctx checked between them, the cleanup pass after a device run of
 // a command that asks for one, and the timing record (for a device run the
 // modeled times and the per-kernel profile are deltas of the device's
 // accounting). An engine panic comes back as an error — a *gpu.LaunchError
@@ -331,12 +302,10 @@ func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c comm
 	}()
 	out, t.Command = a, name
 	passes := 1
-	if c.Passes != nil {
-		passes = max(c.Passes(cfg), 1)
-	}
 	var snap gpu.Stats
 	var profSnap []gpu.KernelProfile
 	if cfg.Parallel {
+		passes = max(c.ParPasses, 1)
 		snap, profSnap = d.Stats(), d.Profile()
 	}
 	start := time.Now()

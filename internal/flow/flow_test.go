@@ -169,12 +169,12 @@ func TestPerCommandKernelBreakdown(t *testing.T) {
 	}
 }
 
-// TestSequentialZeroGainConfig checks that the ZeroGain config reaches the
-// sequential rw/rf engines: a zero-gain run must still be equivalent and can
-// only differ by accepting zero-gain replacements.
-func TestSequentialZeroGainConfig(t *testing.T) {
+// TestSequentialZeroGainCommands checks that rwz and rfz reach the
+// sequential rw/rf engines with zero gain: a zero-gain run must still be
+// equivalent and can only differ by accepting zero-gain replacements.
+func TestSequentialZeroGainCommands(t *testing.T) {
 	a := testAIG()
-	res, err := Run(context.Background(), nil, a, "rw; rf", Config{ZeroGain: true})
+	res, err := Run(context.Background(), nil, a, "rwz; rfz", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

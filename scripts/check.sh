@@ -4,7 +4,7 @@
 # under the race detector, and then only the rows that add a flag to it: the
 # non-race million-node and scaling smokes, the seeded chaos gate, uncached
 # (-count=1) runs of the I/O-bound packages, the byte budgets, and short fuzz
-# smokes of the AIGER parser, the ISOP and the simulator.
+# smokes of the AIGER parser, the ISOP, the simulator and the script parser.
 # Run from anywhere; `make check` is an alias.
 set -eu
 cd "$(dirname "$0")/.."
@@ -48,6 +48,17 @@ if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-
     [ "$(grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'partition\.Run(' . | wc -l)" -gt 1 ] ||
     grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=hashtable --exclude-dir=benchmark '\.\(\*hashtable\.Table\)' .; then
     echo "check: a second route into the engine (a RunCommand or a private gpu.New device), an admission queue, a second partition.Run call site or a second table pool grew back" >&2
+    exit 1
+fi
+# The script is the whole program: the command table's ParPasses constant
+# decides how many device passes a command runs, so internal/flow compares no
+# command list against a named script (resyn2Cmds, rwzPasses, slices.Equal),
+# and no option repeats or rewrites a command (a ZeroGain, Passes, RfPasses or
+# MaxCut field in aigre.go or internal/flow/flow.go).
+flow_go=$(find internal/flow -name '*.go' ! -name '*_test.go')
+if grep -nwE 'resyn2Cmds|rwzPasses' $flow_go || grep -nF 'slices.Equal(' $flow_go ||
+    grep -nE '^[[:space:]]+(ZeroGain|Passes|RfPasses|MaxCut)[[:space:]]+[^:=[:space:]]' aigre.go internal/flow/flow.go; then
+    echo "check: a rule keyed on the script's spelling, or an option that repeats or rewrites a command, grew back (see above); put it in the script or in the command table" >&2
     exit 1
 fi
 # A job is supervised once: a partitioned job's own attempt (deadline,
@@ -173,8 +184,10 @@ go test -race -count=1 ./internal/sched/ ./internal/journal/ ./internal/queue/ .
 # whose allocation padding makes them meaningless.
 go test -count=1 -run 'AllocBudget' ./internal/aig ./internal/cec ./internal/aiger ./internal/rewrite ./internal/balance ./cmd/aigred
 # Fuzz smoke: the AIGER parser must never panic on arbitrary input, the
-# width-halving ISOP must match the full-width oracle cube for cube, and
-# Simulate must match its reference on randomly edited networks.
+# width-halving ISOP must match the full-width oracle cube for cube, Simulate
+# must match its reference on randomly edited networks, and the script parser
+# must never panic and accept only table commands, in a canonical round trip.
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/aiger/
+go test -run='^$' -fuzz=FuzzScript -fuzztime=10s ./internal/flow/
 go test -run='^$' -fuzz=FuzzISOP -fuzztime=10s ./internal/truth/
 go test -run='^$' -fuzz=FuzzSimulate -fuzztime=10s ./internal/aig/
