@@ -308,17 +308,16 @@ func runSingle(ctx context.Context, n *aigre.Network, script string, bopts aigre
 
 // profileReport is the JSON schema of -profile-json: the run's job record
 // (as in a -report row: wall and modeled time, contained incidents, cache
-// traffic, the partition report of a -partition run) beside the mode and the
-// per-kernel and per-command rows.
+// traffic, the per-kernel rows under "profile", the partition report of a
+// -partition run) beside the mode and the per-command rows.
 type profileReport struct {
 	Mode string `json:"mode"`
 	aigre.Result
-	Kernels  []gpu.KernelProfile  `json:"kernels"`
 	Commands []flow.CommandTiming `json:"commands"`
 }
 
 func writeProfileJSON(path, mode string, res aigre.Result) error {
-	rep := profileReport{Mode: mode, Result: res, Kernels: res.Profile, Commands: res.Timings}
+	rep := profileReport{Mode: mode, Result: res, Commands: res.Timings}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

@@ -355,7 +355,7 @@ func TestQuickRehashPreservesFunction(t *testing.T) {
 func TestRandomIsTopo(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Random(rng, 8, 200, 6)
-	if !a.isTopoByID() {
+	if !a.Canonical() {
 		t.Errorf("Random must produce id-topological AIGs")
 	}
 	if err := a.Check(); err != nil {

@@ -9,44 +9,24 @@ import "fmt"
 // order) while rejecting anything a downstream consumer could trip over:
 //
 //   - fanin literals of live AND nodes are in range, do not reference the
-//     node itself, and do not reference deleted nodes;
-//   - the live subgraph is acyclic (a topological order exists);
+//     node itself, and do not reference deleted nodes, and the live subgraph
+//     is acyclic: one walk over all live nodes, TopoOrder(false)'s;
 //   - PO literals are in range and do not reference deleted nodes;
 //   - when structural hashing is enabled, every live table entry's key
 //     matches the normalized fanin pair of the node it names;
 //   - when fanout tracking is enabled, the fanout lists and PO reference
 //     counts agree exactly with the fanin edges and PO literals.
 func Check(a *AIG) error {
-	n := int32(len(a.fanin0))
 	if int(a.numPIs)+1 > len(a.fanin0) {
 		return fmt.Errorf("aig: %d PIs but only %d objects", a.numPIs, len(a.fanin0))
 	}
-	for id := a.numPIs + 1; id < n; id++ {
-		if a.IsDeleted(id) {
-			continue
-		}
-		for _, f := range [2]Lit{a.fanin0[id], a.fanin1[id]} {
-			v := f.Var()
-			if v < 0 || v >= n {
-				return fmt.Errorf("aig: node %d fanin literal %d out of range", id, f)
-			}
-			if v == id {
-				return fmt.Errorf("aig: node %d references itself", id)
-			}
-			if a.IsDeleted(v) {
-				return fmt.Errorf("aig: node %d references deleted node %d", id, v)
-			}
-		}
+	if _, err := a.walk(false, false); err != nil {
+		return err
 	}
 	for i, p := range a.pos {
-		if v := p.Var(); v < 0 || v >= n {
-			return fmt.Errorf("aig: PO %d literal %d out of range", i, p)
-		} else if a.IsDeleted(v) {
-			return fmt.Errorf("aig: PO %d references deleted node %d", i, v)
+		if err := a.checkPO(i, p); err != nil {
+			return err
 		}
-	}
-	if err := a.checkAcyclic(); err != nil {
-		return err
 	}
 	if a.strash != nil {
 		if err := a.checkStrash(); err != nil {
@@ -63,52 +43,6 @@ func Check(a *AIG) error {
 
 // Check validates structural invariants; see the package-level Check.
 func (a *AIG) Check() error { return Check(a) }
-
-// checkAcyclic verifies that a topological order of the live AND nodes
-// exists, via an iterative three-color depth-first search.
-func (a *AIG) checkAcyclic() error {
-	const (
-		white = byte(0) // unvisited
-		grey  = byte(1) // on the DFS path
-		black = byte(2) // finished
-	)
-	n := int32(len(a.fanin0))
-	color := make([]byte, n)
-	for id := int32(0); id <= a.numPIs; id++ {
-		color[id] = black
-	}
-	var stack []int32
-	for root := a.numPIs + 1; root < n; root++ {
-		if a.IsDeleted(root) || color[root] != white {
-			continue
-		}
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			if color[cur] == black {
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			color[cur] = grey
-			advanced := false
-			for _, f := range [2]Lit{a.fanin0[cur], a.fanin1[cur]} {
-				v := f.Var()
-				switch color[v] {
-				case grey:
-					return fmt.Errorf("aig: cycle through node %d (fanin %d)", cur, v)
-				case white:
-					stack = append(stack, v)
-					advanced = true
-				}
-			}
-			if !advanced {
-				color[cur] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
-}
 
 // checkStrash verifies that every structural-hashing entry naming a live AND
 // node carries that node's normalized fanin key. Entries naming deleted

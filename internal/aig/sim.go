@@ -2,7 +2,9 @@ package aig
 
 // Simulate performs 64-way bit-parallel simulation. piValues holds w words
 // per PI (piValues[i] are the patterns of PI i); all PIs must have the same
-// word count. It returns one slice of w words per PO.
+// word count. It returns one slice of w words per PO. A network that is not
+// Canonical is swept in TopoOrder(false), and Simulate panics as TopoOrder
+// does on an invalid one.
 //
 // The network is swept once per pattern word over one value word per node,
 // reused across the sweeps, so the scratch is 8 bytes per node whatever w is
@@ -29,9 +31,9 @@ func (a *AIG) Simulate(piValues [][]uint64) [][]uint64 {
 	if w == 0 {
 		return out
 	}
-	// A network built by appending is topological by id and needs no order;
-	// in-place edits (ReplaceNode) can leave a fanin above its fanout.
-	byID := a.isTopoByID()
+	// A canonical network is swept by id and needs no order; in-place edits
+	// (ReplaceNode) can leave a fanin above its fanout, and a hole.
+	byID := a.Canonical()
 	var order []int32
 	if !byID {
 		order = a.TopoOrder(false)
@@ -42,8 +44,6 @@ func (a *AIG) Simulate(piValues [][]uint64) [][]uint64 {
 			vals[i+1] = v[col]
 		}
 		if byID {
-			// A deleted node is evaluated too: no live node reads its
-			// value, and skipping it would cost a branch per node.
 			for id := int(a.numPIs) + 1; id < len(a.fanin0); id++ {
 				vals[id] = andWord(vals, a.fanin0[id], a.fanin1[id])
 			}

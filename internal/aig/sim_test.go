@@ -133,9 +133,9 @@ func simNetworks(t testing.TB) map[string]*AIG {
 	if err := edited.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if edited.isTopoByID() || edited.numDead == 0 {
+	if idOrdered(edited) || edited.numDead == 0 {
 		t.Fatalf("edited network is topological by id (%v) with %d deleted nodes; want neither",
-			edited.isTopoByID(), edited.numDead)
+			idOrdered(edited), edited.numDead)
 	}
 	nets["edited"] = edited
 

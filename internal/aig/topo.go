@@ -2,50 +2,158 @@ package aig
 
 import "fmt"
 
-// NodeLevels returns the level (delay) of every node: PIs and the constant
-// are level 0, an AND node is 1 + max(level of fanins). The computation is
-// iterative and tolerates non-topological id order (after in-place edits).
-// Deleted nodes have level 0.
-func (a *AIG) NodeLevels() []int32 {
-	n := len(a.fanin0)
-	level := make([]int32, n)
-	if a.isTopoByID() {
-		for id := int(a.numPIs) + 1; id < n; id++ {
-			if a.IsDeleted(int32(id)) {
-				continue
-			}
-			l0 := level[a.fanin0[id].Var()]
-			l1 := level[a.fanin1[id].Var()]
-			level[id] = max32(l0, l1) + 1
-		}
-		return level
+// walk is the package's one topological traversal. It returns the live AND
+// nodes reachable from the POs (fromPOs) or all live AND nodes, in the
+// post-order of an iterative depth-first search that visits fanin0 first,
+// from roots taken in PO order or in ascending id order. With keepOrder
+// false it only validates, and the order it returns is nil. Every order,
+// cycle check and validity check of the package is a caller of it.
+//
+// The walk validates what it touches: a root PO must name an existing live
+// node, and every step from a node to a fanin must land in range, on a node
+// that is not deleted (checked once, as the fanin turns grey and joins the
+// DFS path) and not on the path itself (the node, or a cycle). The first
+// violation is returned as an error naming the node. The stack is the
+// current path, so a node is never pushed twice.
+func (a *AIG) walk(fromPOs, keepOrder bool) ([]int32, error) {
+	const (
+		white = byte(0) // unvisited
+		grey  = byte(1) // on the DFS path
+		black = byte(2) // emitted
+	)
+	fanin0, fanin1, deleted, pis := a.fanin0, a.fanin1, a.deleted, a.numPIs
+	n := int32(len(fanin0))
+	var order []int32
+	if keepOrder {
+		order = make([]int32, 0, a.NumAnds())
 	}
-	done := make([]bool, n)
-	done[0] = true
-	for id := int32(1); id <= a.numPIs; id++ {
-		done[id] = true
+	color := make([]byte, n)
+	for id := int32(0); id <= pis && id < n; id++ {
+		color[id] = black
+	}
+	roots := n - pis - 1
+	if fromPOs {
+		roots = int32(len(a.pos))
 	}
 	var stack []int32
-	for id := a.numPIs + 1; int(id) < n; id++ {
-		if done[id] || a.IsDeleted(id) {
+	for r := int32(0); r < roots; r++ {
+		root := pis + 1 + r
+		if fromPOs {
+			if err := a.checkPO(int(r), a.pos[r]); err != nil {
+				return nil, err
+			}
+			root = a.pos[r].Var()
+		}
+		if color[root] != white || deleted != nil && deleted[root] {
 			continue
 		}
-		stack = append(stack[:0], id)
+		// A root whose fanins are both emitted (in a canonical network,
+		// every root) is emitted without a push.
+		v0, v1 := fanin0[root].Var(), fanin1[root].Var()
+		if v0 < n && v1 < n && color[v0] == black && color[v1] == black {
+			color[root] = black
+			if keepOrder {
+				order = append(order, root)
+			}
+			continue
+		}
+		color[root] = grey
+		stack = append(stack, root)
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
-			v0 := a.fanin0[cur].Var()
-			v1 := a.fanin1[cur].Var()
-			if !done[v0] {
-				stack = append(stack, v0)
-				continue
+			v := fanin0[cur].Var()
+			if v < n && color[v] == black {
+				v = fanin1[cur].Var()
+				if v < n && color[v] == black {
+					color[cur] = black
+					if keepOrder {
+						order = append(order, cur)
+					}
+					stack = stack[:len(stack)-1]
+					continue
+				}
 			}
-			if !done[v1] {
-				stack = append(stack, v1)
-				continue
+			if v >= n || color[v] == grey || deleted != nil && deleted[v] {
+				return nil, a.faninErr(cur, v)
 			}
-			level[cur] = max32(level[v0], level[v1]) + 1
-			done[cur] = true
-			stack = stack[:len(stack)-1]
+			color[v] = grey
+			stack = append(stack, v)
+		}
+	}
+	return order, nil
+}
+
+// faninErr describes why the walk cannot step from node id to its fanin v.
+func (a *AIG) faninErr(id, v int32) error {
+	switch {
+	case int(v) >= len(a.fanin0):
+		f := a.fanin0[id]
+		if f.Var() != v {
+			f = a.fanin1[id]
+		}
+		return fmt.Errorf("aig: node %d fanin literal %d out of range", id, f)
+	case v == id:
+		return fmt.Errorf("aig: node %d references itself", id)
+	case a.IsDeleted(v):
+		return fmt.Errorf("aig: node %d references deleted node %d", id, v)
+	}
+	return fmt.Errorf("aig: combinational cycle through node %d (fanin of %d)", v, id)
+}
+
+// checkPO validates the i-th PO literal p: it must name an existing node
+// that is not deleted.
+func (a *AIG) checkPO(i int, p Lit) error {
+	if v := p.Var(); int(v) >= len(a.fanin0) {
+		return fmt.Errorf("aig: PO %d references out-of-range node %d", i, v)
+	} else if a.IsDeleted(v) {
+		return fmt.Errorf("aig: PO %d references deleted node %d", i, v)
+	}
+	return nil
+}
+
+// Canonical reports whether the network has no deleted nodes and every AND
+// node's fanins have smaller ids than the node: the form Compact returns and
+// AIGER files store, in which a sweep by id is a topological order.
+func (a *AIG) Canonical() bool {
+	if a.numDead != 0 {
+		return false
+	}
+	for id := int(a.numPIs) + 1; id < len(a.fanin0); id++ {
+		if int(a.fanin0[id].Var()) >= id || int(a.fanin1[id].Var()) >= id {
+			return false
+		}
+	}
+	return true
+}
+
+// TopoOrder returns the live AND node ids in a topological order (fanins
+// before fanouts), restricted to nodes reachable from the POs when
+// reachableOnly is true. It panics with the walk's error on an invalid
+// network (a dangling or deleted reference, a cycle).
+func (a *AIG) TopoOrder(reachableOnly bool) []int32 {
+	order, err := a.walk(reachableOnly, true)
+	if err != nil {
+		panic(err)
+	}
+	return order
+}
+
+// NodeLevels returns the level (delay) of every node: PIs and the constant
+// are level 0, an AND node is 1 + max(level of fanins). A canonical network
+// is swept by id; one edited in place is swept in TopoOrder(false), and
+// NodeLevels panics as TopoOrder does. Deleted nodes have level 0.
+func (a *AIG) NodeLevels() []int32 {
+	level := make([]int32, len(a.fanin0))
+	set := func(id int32) {
+		level[id] = max(level[a.fanin0[id].Var()], level[a.fanin1[id].Var()]) + 1
+	}
+	if a.Canonical() {
+		for id := a.numPIs + 1; int(id) < len(level); id++ {
+			set(id)
+		}
+	} else {
+		for _, id := range a.TopoOrder(false) {
+			set(id)
 		}
 	}
 	return level
@@ -56,214 +164,55 @@ func (a *AIG) Levels() int {
 	level := a.NodeLevels()
 	var m int32
 	for _, p := range a.pos {
-		if l := level[p.Var()]; l > m {
-			m = l
-		}
+		m = max(m, level[p.Var()])
 	}
 	return int(m)
-}
-
-// isTopoByID reports whether every AND node's fanins have smaller ids, which
-// holds for freshly constructed AIGs and allows linear-scan algorithms.
-func (a *AIG) isTopoByID() bool {
-	for id := int(a.numPIs) + 1; id < len(a.fanin0); id++ {
-		if a.IsDeleted(int32(id)) {
-			continue
-		}
-		if int(a.fanin0[id].Var()) >= id || int(a.fanin1[id].Var()) >= id {
-			return false
-		}
-	}
-	return true
-}
-
-// TopoOrder returns the live AND node ids in a topological order (fanins
-// before fanouts), restricted to nodes reachable from the POs when
-// reachableOnly is true.
-func (a *AIG) TopoOrder(reachableOnly bool) []int32 {
-	n := len(a.fanin0)
-	order := make([]int32, 0, a.NumAnds())
-	visited := make([]bool, n)
-	visited[0] = true
-	for id := int32(1); id <= a.numPIs; id++ {
-		visited[id] = true
-	}
-	var stack []int32
-	visit := func(root int32) {
-		if visited[root] {
-			return
-		}
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			if visited[cur] {
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			v0 := a.fanin0[cur].Var()
-			v1 := a.fanin1[cur].Var()
-			if !visited[v0] {
-				stack = append(stack, v0)
-				continue
-			}
-			if !visited[v1] {
-				stack = append(stack, v1)
-				continue
-			}
-			visited[cur] = true
-			order = append(order, cur)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	if reachableOnly {
-		for _, p := range a.pos {
-			if a.IsAnd(p.Var()) {
-				visit(p.Var())
-			}
-		}
-	} else {
-		for id := a.numPIs + 1; int(id) < n; id++ {
-			if !a.IsDeleted(id) {
-				visit(id)
-			}
-		}
-	}
-	return order
-}
-
-// CountReachable returns the number of AND nodes reachable from the POs.
-func (a *AIG) CountReachable() int {
-	return len(a.TopoOrder(true))
-}
-
-// TopoOrderChecked returns the AND node ids reachable from the POs in
-// topological order, like TopoOrder(true), but validates the network while
-// walking: an out-of-range fanin or PO literal, a reference to a deleted
-// node, or a combinational cycle yields an error. TopoOrder silently
-// mis-handles such networks — deleted fanins are traversed as if alive and a
-// cycle hangs the walk — so consumers that cannot trust their input (the
-// AIGER writers) use this variant.
-func (a *AIG) TopoOrderChecked() ([]int32, error) {
-	const (
-		white = 0 // unvisited
-		grey  = 1 // on the DFS stack
-		black = 2 // done
-	)
-	n := int32(len(a.fanin0))
-	order := make([]int32, 0, a.NumAnds())
-	color := make([]byte, n)
-	color[0] = black
-	for id := int32(1); id <= a.numPIs; id++ {
-		color[id] = black
-	}
-	var stack []int32
-	visit := func(root int32) error {
-		if color[root] == black {
-			return nil
-		}
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			if color[cur] == black {
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			color[cur] = grey
-			advanced := false
-			for _, f := range [2]Lit{a.fanin0[cur], a.fanin1[cur]} {
-				v := f.Var()
-				if v >= n {
-					return fmt.Errorf("aig: node %d fanin references out-of-range node %d", cur, v)
-				}
-				if a.IsDeleted(v) {
-					return fmt.Errorf("aig: node %d fanin references deleted node %d", cur, v)
-				}
-				switch color[v] {
-				case grey:
-					return fmt.Errorf("aig: combinational cycle through node %d", v)
-				case white:
-					stack = append(stack, v)
-					advanced = true
-				}
-			}
-			if !advanced {
-				color[cur] = black
-				order = append(order, cur)
-				stack = stack[:len(stack)-1]
-			}
-		}
-		return nil
-	}
-	for i, p := range a.pos {
-		v := p.Var()
-		if v >= n {
-			return nil, fmt.Errorf("aig: PO %d references out-of-range node %d", i, v)
-		}
-		if a.IsDeleted(v) {
-			return nil, fmt.Errorf("aig: PO %d references deleted node %d", i, v)
-		}
-		if a.IsAnd(v) {
-			if err := visit(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return order, nil
-}
-
-// CompactSafe is Compact with validation: it returns an error instead of a
-// silently corrupt network when the traversal encounters an out-of-range
-// literal, a reference to a deleted node, or a combinational cycle (on which
-// plain Compact would not terminate).
-func (a *AIG) CompactSafe() (*AIG, []Lit, error) {
-	order, err := a.TopoOrderChecked()
-	if err != nil {
-		return nil, nil, err
-	}
-	out, mp := a.compactOrder(order)
-	return out, mp, nil
 }
 
 // Compact returns a new AIG containing only the nodes reachable from the
 // POs, renumbered in topological order, along with a literal map from old
 // node ids to new literals (old dangling nodes map to ConstFalse). This is
 // the "dangling node removal" primitive: nodes not reachable from any PO are
-// dropped.
+// dropped. It panics as TopoOrder does; CompactSafe returns the error.
 func (a *AIG) Compact() (*AIG, []Lit) {
-	return a.compactOrder(a.TopoOrder(true))
-}
-
-// compactOrder replays the given topological order of reachable AND nodes
-// into a fresh network; shared by Compact and CompactSafe.
-func (a *AIG) compactOrder(order []int32) (*AIG, []Lit) {
-	out := NewCap(int(a.numPIs), int(a.numPIs)+1+len(order))
-	out.Name = a.Name
-	mp := make([]Lit, len(a.fanin0))
-	mp[0] = ConstFalse
-	for id := int32(1); id <= a.numPIs; id++ {
-		mp[id] = MakeLit(id, false)
-	}
-	for _, id := range order {
-		f0 := a.fanin0[id]
-		f1 := a.fanin1[id]
-		n0 := mp[f0.Var()].NotCond(f0.IsCompl())
-		n1 := mp[f1.Var()].NotCond(f1.IsCompl())
-		mp[id] = out.AddAndUnchecked(n0, n1)
-	}
-	for _, p := range a.pos {
-		out.AddPO(mp[p.Var()].NotCond(p.IsCompl()))
+	out, mp, err := a.CompactSafe()
+	if err != nil {
+		panic(err)
 	}
 	return out, mp
+}
+
+// CompactSafe is Compact for networks that cannot be trusted (the AIGER
+// writers' input): an out-of-range literal, a reference to a deleted node or
+// a combinational cycle is returned as the walk's error.
+func (a *AIG) CompactSafe() (*AIG, []Lit, error) {
+	order, err := a.walk(true, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, mp := a.rebuild(order, false)
+	return out, mp, nil
 }
 
 // Rehash returns a new AIG rebuilt with full structural hashing and constant
 // propagation, removing duplicate and dangling nodes in one pass. It is the
 // sequential reference for the parallel de-duplication pass.
 func (a *AIG) Rehash() *AIG {
-	order := a.TopoOrder(true)
+	out, _ := a.rebuild(a.TopoOrder(true), true)
+	final, _ := out.Compact()
+	out.ReleaseStrash()
+	return final
+}
+
+// rebuild replays a topological order of reachable AND nodes into a fresh
+// network, node for node (Compact) or through NewAnd with structural hashing
+// (Rehash), and returns it with the literal map from old ids.
+func (a *AIG) rebuild(order []int32, hash bool) (*AIG, []Lit) {
 	out := NewCap(int(a.numPIs), int(a.numPIs)+1+len(order))
 	out.Name = a.Name
-	out.EnableStrash()
+	if hash {
+		out.EnableStrash()
+	}
 	mp := make([]Lit, len(a.fanin0))
 	mp[0] = ConstFalse
 	for id := int32(1); id <= a.numPIs; id++ {
@@ -274,19 +223,14 @@ func (a *AIG) Rehash() *AIG {
 		f1 := a.fanin1[id]
 		n0 := mp[f0.Var()].NotCond(f0.IsCompl())
 		n1 := mp[f1.Var()].NotCond(f1.IsCompl())
-		mp[id] = out.NewAnd(n0, n1)
+		if hash {
+			mp[id] = out.NewAnd(n0, n1)
+		} else {
+			mp[id] = out.AddAndUnchecked(n0, n1)
+		}
 	}
 	for _, p := range a.pos {
 		out.AddPO(mp[p.Var()].NotCond(p.IsCompl()))
 	}
-	final, _ := out.Compact()
-	out.ReleaseStrash()
-	return final
-}
-
-func max32(x, y int32) int32 {
-	if x > y {
-		return x
-	}
-	return y
+	return out, mp
 }

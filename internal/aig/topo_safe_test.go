@@ -37,9 +37,9 @@ func TestCompactSafeRejectsDeletedPORef(t *testing.T) {
 	}
 }
 
-// TestCompactSafeRejectsCycle pins termination on cyclic input: plain
-// Compact's traversal never terminates on this network, so before the
-// checked variant existed there was no safe way to reject it.
+// TestCompactSafeRejectsCycle pins termination on cyclic input: the walk
+// reports the cycle where an unchecked traversal would grow its stack
+// without bound.
 func TestCompactSafeRejectsCycle(t *testing.T) {
 	a := New(1)
 	first := a.ExtendSlots(2)

@@ -322,18 +322,7 @@ func writeDelta(bw *bufio.Writer, d uint64) error {
 // combinational cycle from in-place edits — yields an error rather than a
 // silently corrupt (or, for cycles, never-terminating) write.
 func canonical(a *aig.AIG) (*aig.AIG, error) {
-	needCompact := false
-	if a.NumObjs() != a.NumPIs()+1+a.NumAnds() {
-		needCompact = true // deleted nodes present
-	} else {
-		for i := 0; i < a.NumAnds() && !needCompact; i++ {
-			id := int32(a.NumPIs() + 1 + i)
-			if int32(a.Fanin0(id).Var()) >= id || int32(a.Fanin1(id).Var()) >= id {
-				needCompact = true
-			}
-		}
-	}
-	if !needCompact {
+	if a.Canonical() {
 		// The fast path skips the traversal, so range-check the POs here:
 		// a PO pointing past the last node would otherwise be written as an
 		// out-of-range literal.

@@ -88,7 +88,7 @@ type Cone struct {
 // best-first search from the root toward the PIs that greedily expands the
 // cut node increasing the cut size least, absorbs a node only when every one
 // of its fanouts already lies inside the cone (the fanout-free condition),
-// and early-stops at MaxCut leaves. When the limit is never reached the
+// and early-stops at maxCut leaves. When the limit is never reached the
 // resulting cone is the root's MFFC restricted to the already-carved
 // partition (Section III-C).
 type FFCCollapser struct {

@@ -37,8 +37,8 @@ func TestLevelWiseCollapseVisitsEachRootOnce(t *testing.T) {
 			t.Fatalf("root %d visited %d times", r, c)
 		}
 	}
-	if total != a.CountReachable() {
-		t.Errorf("visited %d roots, want %d reachable nodes", total, a.CountReachable())
+	if reach := len(a.TopoOrder(true)); total != reach {
+		t.Errorf("visited %d roots, want %d reachable nodes", total, reach)
 	}
 }
 

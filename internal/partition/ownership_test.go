@@ -135,7 +135,7 @@ func TestEveryNodeOwnedOnce(t *testing.T) {
 	for name, a := range nets {
 		name, a := name, a
 		t.Run(name, func(t *testing.T) {
-			if !canonicalOrder(a) {
+			if !a.Canonical() {
 				a, _ = a.Compact()
 			}
 			n := a.NumAnds()

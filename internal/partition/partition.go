@@ -211,7 +211,7 @@ func Run(ctx context.Context, a *aig.AIG, opts Options, optimize func(ctx contex
 	// Partitioning assumes canonical id order; in-place-edited inputs are
 	// compacted first (POs and functions preserved).
 	base := a
-	if !canonicalOrder(a) {
+	if !a.Canonical() {
 		base, _ = a.Compact()
 	}
 	res = Result{Report: Report{Mode: opts.Mode.String(), NodesIn: base.NumAnds()}}
@@ -432,19 +432,4 @@ func cancelled(err error) error { return fmt.Errorf("partition: cancelled: %w", 
 func alive(ctx context.Context) error {
 	gpu.Beat(ctx)
 	return ctx.Err()
-}
-
-// canonicalOrder reports whether the network has no deleted nodes and every
-// fanin id is below its node id (the invariant the builders walk under).
-func canonicalOrder(a *aig.AIG) bool {
-	if a.NumObjs() != a.NumPIs()+1+a.NumAnds() {
-		return false
-	}
-	ok := true
-	a.ForEachAnd(func(id int32) {
-		if a.Fanin0(id).Var() >= id || a.Fanin1(id).Var() >= id {
-			ok = false
-		}
-	})
-	return ok
 }

@@ -119,7 +119,7 @@ func canonicalBase(t *testing.T, name string) *aig.AIG {
 	if !ok {
 		t.Fatalf("unknown circuit %q", name)
 	}
-	if !canonicalOrder(a) {
+	if !a.Canonical() {
 		a, _ = a.Compact()
 	}
 	return a

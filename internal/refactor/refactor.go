@@ -24,11 +24,13 @@ import (
 	"aigre/internal/truth"
 )
 
+// maxCut bounds the cut size (number of cone leaves): the paper's 12 (it
+// uses 11 for log2), within truth.MaxVars. A variable only so that the
+// function-preservation fuzz test can vary it.
+var maxCut = 12
+
 // Options controls both engines.
 type Options struct {
-	// MaxCut bounds the cut size (number of cone leaves). The paper uses 12
-	// (11 for log2). Default 12.
-	MaxCut int
 	// ZeroGain accepts replacements that do not change the node count
 	// (ABC's -z). The parallel engine always accepts zero gain, because its
 	// gain is a lower bound (Section III-D); the flag only affects the
@@ -43,15 +45,6 @@ type Options struct {
 
 // normalized fills in defaults.
 func (o Options) normalized() Options {
-	if o.MaxCut == 0 {
-		o.MaxCut = 12
-	}
-	if o.MaxCut < 2 {
-		o.MaxCut = 2
-	}
-	if o.MaxCut > truth.MaxVars {
-		o.MaxCut = truth.MaxVars
-	}
 	if o.Cache == nil {
 		o.Cache = rcache.Default
 	}
@@ -141,7 +134,7 @@ func resynthesizeCones(d *gpu.Device, a *aig.AIG, opts Options) ([]core.Replacem
 	st := Stats{NodesBefore: a.NumAnds()}
 
 	// Stage 1: collapse into disjoint FFCs (Section III-B a).
-	fc := core.NewFFCCollapser(a, opts.MaxCut)
+	fc := core.NewFFCCollapser(a, maxCut)
 	batches := fc.Collapse(d)
 	cones := make([]*core.Cone, 0, 1024)
 	for bi := range batches {
@@ -246,7 +239,7 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
 		rc := cut.NewReconv(work)
 		return func(id int32) {
-			leaves := rc.Cut(id, opts.MaxCut)
+			leaves := rc.Cut(id, maxCut)
 			if len(leaves) < 2 {
 				return
 			}

@@ -10,6 +10,7 @@ import (
 	"aigre/internal/cut"
 	"aigre/internal/gpu"
 	"aigre/internal/rcache"
+	"aigre/internal/truth"
 )
 
 func simEqual(a, b *aig.AIG) bool {
@@ -59,7 +60,9 @@ func TestParallelPreservesFunction(t *testing.T) {
 		a := aig.Random(rng, 6+rng.Intn(4), 120+rng.Intn(200), 4)
 		a = a.Rehash()
 		d := gpu.New(1 + rng.Intn(4))
-		out, _ := Parallel(d, a, Options{MaxCut: 4 + rng.Intn(9)})
+		defer func(k int) { maxCut = k }(maxCut)
+		maxCut = 4 + rng.Intn(9)
+		out, _ := Parallel(d, a, Options{})
 		if err := out.Check(); err != nil {
 			t.Log(err)
 			return false
@@ -181,13 +184,11 @@ func TestTwoPassesImproveOrMatch(t *testing.T) {
 }
 
 func TestOptionsNormalization(t *testing.T) {
-	o := Options{}.normalized()
-	if o.MaxCut != 12 {
-		t.Errorf("default MaxCut = %d, want 12", o.MaxCut)
+	if o := (Options{}).normalized(); o.Cache != rcache.Default {
+		t.Errorf("default Cache = %p, want rcache.Default", o.Cache)
 	}
-	o = Options{MaxCut: 99}.normalized()
-	if o.MaxCut != 16 {
-		t.Errorf("MaxCut must clamp to truth.MaxVars, got %d", o.MaxCut)
+	if maxCut != 12 || maxCut > truth.MaxVars {
+		t.Errorf("maxCut = %d, want the paper's 12 (at most truth.MaxVars = %d)", maxCut, truth.MaxVars)
 	}
 }
 

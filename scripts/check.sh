@@ -4,7 +4,8 @@
 # under the race detector, and then only the rows that add a flag to it: the
 # non-race million-node and scaling smokes, the seeded chaos gate, uncached
 # (-count=1) runs of the I/O-bound packages, the byte budgets, and short fuzz
-# smokes of the AIGER parser, the ISOP, the simulator and the script parser.
+# smokes of the AIGER parser, the ISOP, the simulator, the topological walk and
+# the script parser.
 # Run from anywhere; `make check` is an alias.
 set -eu
 cd "$(dirname "$0")/.."
@@ -143,6 +144,20 @@ if grep -nE '^[[:space:]]*go[[:space:]]+[^[:space:]]' $(find internal/gpu -name 
     echo "check: a go statement outside internal/gpu/pool.go, or an Executor/NewLeased declaration, grew back in internal/gpu; launch through gpu.Pool.Execute" >&2
     exit 1
 fi
+# One walk in internal/aig: TopoOrder, Compact and CompactSafe, Check,
+# NodeLevels and Simulate order and validate through the one traversal in
+# topo.go, and (*aig.AIG).Canonical is the one canonical-order predicate. The
+# second walks (TopoOrderChecked, checkAcyclic, CountReachable), the private
+# id-order test (isTopoByID), partition's copy of it (canonicalOrder) and any
+# other hand-written "fanin id below node id" test outside internal/aig must
+# not grow back; nor may the refactoring cut limit become an option again.
+if grep -nE '^func (\([^)]*\) )?(TopoOrderChecked|checkAcyclic|isTopoByID|CountReachable)\(' $(find internal/aig -name '*.go' ! -name '*_test.go') ||
+    grep -rnE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?canonicalOrder\(' internal/partition ||
+    grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=aig 'Fanin[01]\([^)]*\)\.Var\(\)\)* *>=' . ||
+    grep -nE '^[[:space:]]+MaxCut[[:space:]]+[^:=[:space:]]' $(find internal/refactor -name '*.go' ! -name '*_test.go'); then
+    echo "check: a second topological walk or canonical-order test, or refactor.Options.MaxCut, grew back (see above); call the walk through TopoOrder/CompactSafe/Check and use (*aig.AIG).Canonical" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
@@ -185,9 +200,12 @@ go test -race -count=1 ./internal/sched/ ./internal/journal/ ./internal/queue/ .
 go test -count=1 -run 'AllocBudget' ./internal/aig ./internal/cec ./internal/aiger ./internal/rewrite ./internal/balance ./cmd/aigred
 # Fuzz smoke: the AIGER parser must never panic on arbitrary input, the
 # width-halving ISOP must match the full-width oracle cube for cube, Simulate
-# must match its reference on randomly edited networks, and the script parser
-# must never panic and accept only table commands, in a canonical round trip.
+# must match its reference on randomly edited networks, the topological walk
+# must fail exactly on corrupted networks and otherwise return the reference
+# order, and the script parser must never panic and accept only table
+# commands, in a canonical round trip.
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/aiger/
 go test -run='^$' -fuzz=FuzzScript -fuzztime=10s ./internal/flow/
 go test -run='^$' -fuzz=FuzzISOP -fuzztime=10s ./internal/truth/
 go test -run='^$' -fuzz=FuzzSimulate -fuzztime=10s ./internal/aig/
+go test -run='^$' -fuzz=FuzzWalk -fuzztime=10s ./internal/aig/
