@@ -73,18 +73,22 @@ func TestOutputIdentity(t *testing.T) {
 		}
 	}
 
-	// Both partition modes go through the one stitcher; on this input they
-	// produce the same bytes (the levels-mode pin was recorded when the
-	// in-order strash replay became the test oracle).
+	// Both partition modes go through the one stitcher, whose merge is the
+	// dedup pass over the concatenated cones. The two modes stitch the same
+	// network (16,000 ANDs, 1,001 levels) laid out in their own partition
+	// order, so each has its digest (recorded when the stitch became
+	// concatenation plus dedup).
 	deep := aigre.FromInternal(bench.DeepNarrow(8, 500))
-	for _, mode := range []aigre.PartitionMode{aigre.PartitionCones, aigre.PartitionLevels} {
+	for mode, want := range map[aigre.PartitionMode]string{
+		aigre.PartitionCones:  "2a6a1569a3a0c21896f72809868a35e28fcc63a47b47d77e7269da73971d582a",
+		aigre.PartitionLevels: "9de661200300069970a24fe0fdcacb8bf5aab6c2bceb7e8128c0207a2e88b659",
+	} {
 		for _, workers := range []int{1, 2} {
 			res, err := deep.Run(ctx, "b; rw", aigre.Options{Workers: workers, Cache: aigre.NewCache(),
 				Partition: aigre.PartitionOptions{Mode: mode, TargetSize: 2000}})
 			if err != nil {
 				t.Fatalf("deep-narrow, %v at %d workers: %v", mode, workers, err)
 			}
-			const want = "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8"
 			if got := outputDigest(t, res.AIG); got != want {
 				t.Errorf("%v-partitioned b; rw of DeepNarrow(8, 500) at %d workers: output digest %s, want %s", mode, workers, got, want)
 			}
@@ -92,10 +96,9 @@ func TestOutputIdentity(t *testing.T) {
 	}
 
 	// The deep_part shape at a sixteenth of its size: strashed, chains c and
-	// c+32 coincide, so every node is reached from two POs. Recorded when the
-	// cone partitioner still copied such nodes into both clusters (8
-	// partitions, 31,992 shared nodes); one-owner partitions (4) stitch to
-	// the same bytes.
+	// c+32 coincide, so every node is reached from two POs. Four one-owner
+	// partitions, no seam conflict; 31,988 ANDs, 501 levels (recorded when
+	// the stitch became concatenation plus dedup).
 	shared := readBack(t, aigre.FromInternal(bench.DeepNarrow(64, 250)))
 	for _, workers := range []int{1, 2} {
 		res, err := shared.Run(ctx, "b; rw", aigre.Options{Workers: workers, Cache: aigre.NewCache(),
@@ -103,7 +106,7 @@ func TestOutputIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strashed deep-narrow at %d workers: %v", workers, err)
 		}
-		const want = "675602e61d3d914bfb950b56ccd23fdf4ccc4810b5875ae669f88929c01e75a6"
+		const want = "6d120986e8df048aea003f728f1b6557c5733a6172f797f5a266d69c36f26ec7"
 		if got := outputDigest(t, res.AIG); got != want {
 			t.Errorf("cone-partitioned b; rw of strashed DeepNarrow(64, 250) at %d workers: output digest %s, want %s", workers, got, want)
 		}

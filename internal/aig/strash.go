@@ -1,6 +1,6 @@
 package aig
 
-import "aigre/internal/mempool"
+import "sync"
 
 // strashTable is the structural-hashing table behind EnableStrash/NewAnd: an
 // open-addressed linear-probing map from packed fanin keys (Key) to AND node
@@ -8,8 +8,8 @@ import "aigre/internal/mempool"
 // rehash allocations dominated the partition-parallel memory profile — eight
 // concurrent partition jobs each rebuilding a million-entry Go map serialized
 // on the allocator and the GC. The backing arrays are recycled through
-// mempool free-lists (ReleaseStrash), so in steady state a rebuild allocates
-// nothing.
+// typed free-lists (slicePool, ReleaseStrash), so in steady state a rebuild
+// allocates nothing.
 //
 // Slot states live in vals: 0 = empty, < 0 = tombstone, > 0 = node id (AND
 // ids are always >= 1, so 0 is free as the empty marker and keys need no
@@ -25,9 +25,60 @@ type strashTable struct {
 }
 
 var (
-	strashKeyPool mempool.SlicePool[uint64]
-	strashValPool mempool.SlicePool[int32]
+	strashKeyPool slicePool[uint64]
+	strashValPool slicePool[int32]
 )
+
+// slicePool recycles the backing arrays of strash tables; the zero value is
+// ready to use. It is a thin veneer over sync.Pool: concurrency-safe and
+// GC-friendly (idle arrays are reclaimed under memory pressure).
+//
+// sync.Pool stores interface values, and boxing a slice header into an
+// interface heap-allocates 24 bytes — which would make every put cost an
+// allocation and defeat the pool. The pool therefore stores *[]T boxes and
+// recycles the boxes themselves through a second free-list, so a steady-state
+// get/put cycle allocates nothing.
+type slicePool[T any] struct {
+	full  sync.Pool // *[]T boxes holding a recycled backing array
+	empty sync.Pool // *[]T boxes with a nil slice, awaiting the next put
+}
+
+// get returns a slice of length n. The contents are arbitrary (whatever the
+// previous user left behind); callers that need zeroed memory use getZeroed.
+func (p *slicePool[T]) get(n int) []T {
+	if v := p.full.Get(); v != nil {
+		b := v.(*[]T)
+		s := *b
+		*b = nil
+		p.empty.Put(b)
+		if cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]T, n)
+}
+
+// getZeroed returns a slice of length n with every element set to the zero
+// value of T.
+func (p *slicePool[T]) getZeroed(n int) []T {
+	s := p.get(n)
+	clear(s)
+	return s
+}
+
+// put returns a slice to the pool; nil and zero-capacity slices are ignored.
+// The caller must not use s afterwards.
+func (p *slicePool[T]) put(s []T) {
+	if cap(s) == 0 {
+		return
+	}
+	b, _ := p.empty.Get().(*[]T)
+	if b == nil {
+		b = new([]T)
+	}
+	*b = s[:0]
+	p.full.Put(b)
+}
 
 // strashSizeFor returns the slot count for a capacity hint: the next power of
 // two holding hint entries at a load factor of at most 1/2 (the exact-sizing
@@ -49,8 +100,8 @@ func strashSizeFor(hint int) int {
 func newStrashTable(hint int) *strashTable {
 	size := strashSizeFor(hint)
 	return &strashTable{
-		keys: strashKeyPool.Get(size),
-		vals: strashValPool.GetZeroed(size),
+		keys: strashKeyPool.get(size),
+		vals: strashValPool.getZeroed(size),
 		mask: uint64(size - 1),
 	}
 }
@@ -58,8 +109,8 @@ func newStrashTable(hint int) *strashTable {
 // release returns the backing arrays to the pools. The table must not be used
 // afterwards.
 func (t *strashTable) release() {
-	strashKeyPool.Put(t.keys)
-	strashValPool.Put(t.vals)
+	strashKeyPool.put(t.keys)
+	strashValPool.put(t.vals)
 	t.keys, t.vals = nil, nil
 }
 
@@ -190,8 +241,8 @@ func (t *strashTable) maybeGrow() {
 	}
 	old := *t
 	size := strashSizeFor(2*t.live + 8)
-	t.keys = strashKeyPool.Get(size)
-	t.vals = strashValPool.GetZeroed(size)
+	t.keys = strashKeyPool.get(size)
+	t.vals = strashValPool.getZeroed(size)
 	t.mask = uint64(size - 1)
 	t.live, t.used = 0, 0
 	for i, v := range old.vals {
@@ -199,8 +250,8 @@ func (t *strashTable) maybeGrow() {
 			t.set(old.keys[i], v)
 		}
 	}
-	strashKeyPool.Put(old.keys)
-	strashValPool.Put(old.vals)
+	strashKeyPool.put(old.keys)
+	strashValPool.put(old.vals)
 }
 
 // RebuildStrash (re)builds the structural-hashing table from the current

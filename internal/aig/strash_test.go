@@ -117,7 +117,7 @@ func buildStrashed(seed int64, ands int) (*AIG, string) {
 }
 
 // TestStrashPoolDeterminism runs many concurrent strashed builds through the
-// shared mempool-backed free-lists (the partition-parallel usage pattern:
+// shared slicePool free-lists (the partition-parallel usage pattern:
 // every worker builds, releases, and rebuilds tables whose arrays are recycled
 // across goroutines) and checks that every build of the same seed produces an
 // identical structure — i.e. reuse-after-Put leaks no state. Run under -race
@@ -180,4 +180,59 @@ func TestRebuildStrashSizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.ReleaseStrash()
+}
+
+func TestSlicePoolGetPutRoundTrip(t *testing.T) {
+	var p slicePool[int]
+	s := p.get(4)
+	if len(s) != 4 || cap(s) < 4 {
+		t.Fatalf("get(4) = len %d cap %d", len(s), cap(s))
+	}
+	s[0] = 42
+	p.put(s)
+	r := p.get(2)
+	if len(r) != 2 {
+		t.Fatalf("get(2) = len %d", len(r))
+	}
+	// Contents are explicitly arbitrary; getZeroed clears them.
+	p.put(r)
+	z := p.getZeroed(3)
+	for i, v := range z {
+		if v != 0 {
+			t.Fatalf("getZeroed[%d] = %d", i, v)
+		}
+	}
+}
+
+func TestSlicePoolPutNilAndEmptyAreNoOps(t *testing.T) {
+	var p slicePool[byte]
+	p.put(nil)
+	p.put([]byte{})
+	if s := p.get(1); len(s) != 1 {
+		t.Fatalf("get(1) after no-op puts = len %d", len(s))
+	}
+}
+
+func TestSlicePoolGetLargerThanPooled(t *testing.T) {
+	var p slicePool[int32]
+	p.put(make([]int32, 8))
+	big := p.get(100)
+	if len(big) != 100 {
+		t.Fatalf("get(100) = len %d", len(big))
+	}
+}
+
+// TestSlicePoolSteadyStateDoesNotAllocate is the reason the pool boxes its
+// slices: a warm get/put cycle must not box slice headers into fresh heap
+// allocations.
+func TestSlicePoolSteadyStateDoesNotAllocate(t *testing.T) {
+	var p slicePool[uint64]
+	p.put(make([]uint64, 0, 64))
+	avg := testing.AllocsPerRun(100, func() {
+		s := p.get(32)
+		p.put(s)
+	})
+	if avg != 0 {
+		t.Errorf("warm get/put allocates %.1f objects per cycle, want 0", avg)
+	}
 }

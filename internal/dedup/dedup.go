@@ -27,28 +27,61 @@ type Stats struct {
 }
 
 // Run de-duplicates the AIG level-wise in parallel and removes dangling
-// nodes, returning a compacted network.
+// nodes, returning a compacted network. The input is not modified.
 func Run(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
-	return run(d, a, a.NumAnds()+16)
+	out, _, st := merge(d, a.Clone(), a.NumAnds()+16)
+	return out, st
 }
 
-// run is Run with an explicit hash-table capacity hint, so tests can start
-// from a deliberately undersized table and exercise the rehash recovery.
-func run(d *gpu.Device, a *aig.AIG, tableCap int) (*aig.AIG, Stats) {
+// Merge is Run on a network the caller hands over: work is rewritten in
+// place and must not be used afterwards. Besides the compacted network it
+// returns the final literal of every node of work (a survivor maps to
+// itself), in the id space of work.
+func Merge(d *gpu.Device, work *aig.AIG) (*aig.AIG, []aig.Lit, Stats) {
+	return merge(d, work, work.NumAnds()+16)
+}
+
+// merge is Merge with an explicit hash-table capacity hint, so tests can
+// start from a deliberately undersized table and exercise the rehash
+// recovery.
+//
+// Every class of structural duplicates keeps its member of lowest rank, the
+// (level, id) order: the earliest level the class appears at, then the
+// lowest id there — the conflict breaking by fixed priority of "Parallel AIG
+// Refactoring via Conflict Breaking". The level kernel resolves fanins
+// through plain reads of remap and inserts each node once with InsertUnique;
+// whichever member's insert lands first is the class's resident, and every
+// other member lowers the resident's rank slot to its own rank with one
+// atomic min. The classes do not depend on which member is resident, so only
+// the representatives can differ between schedules; when some resident is
+// not its class's minimum-rank member, the closing sweep relabels every
+// fanin, and remap, to those members. With one worker the resident always is
+// that member and the sweep has nothing to do.
+func merge(d *gpu.Device, work *aig.AIG, tableCap int) (*aig.AIG, []aig.Lit, Stats) {
 	var st Stats
-	work := a.Clone()
 	n := work.NumObjs()
-	levels := work.NodeLevels()
+	// Bucket the nodes by level (a counting sort: id order within a level).
+	// order lists every node, const, PIs and deleted nodes at level 0; the
+	// level array becomes each node's rank, its position in order.
+	rank := work.NodeLevels()
 	maxLevel := int32(0)
-	for _, l := range levels {
-		if l > maxLevel {
-			maxLevel = l
-		}
+	for _, l := range rank {
+		maxLevel = max(maxLevel, l)
 	}
-	byLevel := make([][]int32, maxLevel+1)
-	work.ForEachAnd(func(id int32) {
-		byLevel[levels[id]] = append(byLevel[levels[id]], id)
-	})
+	start := make([]int32, maxLevel+2)
+	for _, l := range rank {
+		start[l+1]++
+	}
+	for lv := range maxLevel + 1 {
+		start[lv+1] += start[lv]
+	}
+	order := make([]int32, n)
+	fill := append([]int32(nil), start[:maxLevel+1]...)
+	for id, l := range rank {
+		order[fill[l]] = int32(id)
+		rank[id] = fill[l]
+		fill[l]++
+	}
 
 	remap := make([]aig.Lit, n)
 	for i := range remap {
@@ -56,37 +89,33 @@ func run(d *gpu.Device, a *aig.AIG, tableCap int) (*aig.AIG, Stats) {
 	}
 	ht := hashtable.Acquire(tableCap)
 	defer hashtable.Release(ht)
-	merged := make([]int32, len(byLevel))
-	trivial := make([]int32, len(byLevel))
-	maxBatch := 0
-	for _, b := range byLevel {
-		if len(b) > maxBatch {
-			maxBatch = len(b)
-		}
+	// Per-thread counters are sized for the largest level once, instead of
+	// being reallocated for every level batch.
+	maxBatch := int32(0)
+	for lv := int32(1); lv <= maxLevel; lv++ {
+		maxBatch = max(maxBatch, start[lv+1]-start[lv])
 	}
-	// Per-thread counter arrays are sized for the largest level once, instead
-	// of being reallocated for every level batch.
-	mergedAll := make([]int32, maxBatch)
-	trivialAll := make([]int32, maxBatch)
+	mergedPer := make([]int32, maxBatch)
+	trivialPer := make([]int32, maxBatch)
+	var relabel atomic.Bool // some class's minimum-rank member is not its resident
 
 	for lv := int32(1); lv <= maxLevel; lv++ {
-		batch := byLevel[lv]
+		first := start[lv]
+		batch := order[first:start[lv+1]]
 		if len(batch) == 0 {
 			continue
 		}
 		st.Levels++
-		var mergedHere, trivialHere int32
-		mergedPer := mergedAll[:len(batch)]
-		trivialPer := trivialAll[:len(batch)]
-		clear(mergedPer)
-		clear(trivialPer)
+		merged, trivial := mergedPer[:len(batch)], trivialPer[:len(batch)]
 		// A full hash table degrades gracefully: the batch is retried after
 		// growing the table (rehashing happens between launches, where
 		// single-threaded access is safe). The kernel is idempotent — fanin
-		// remaps resolve to the same literals on a retry — so re-running a
-		// partially processed batch is sound.
+		// remaps resolve to the same literals on a retry, and the rank min is
+		// monotone — so re-running a partially processed batch is sound.
 		for {
-			var full int32
+			clear(merged)
+			clear(trivial)
+			var full atomic.Bool
 			d.Launch("dedup/level", len(batch), func(tid int) int64 {
 				id := batch[tid]
 				f0 := work.Fanin0(id)
@@ -97,53 +126,65 @@ func run(d *gpu.Device, a *aig.AIG, tableCap int) (*aig.AIG, Stats) {
 				work.SetFanins(id, nf0, nf1)
 				if lit, ok := aig.SimplifyAnd(nf0, nf1); ok {
 					remap[id] = lit
-					trivialPer[tid] = 1
+					trivial[tid] = 1
 					return 2
 				}
 				got, inserted, err := ht.InsertUnique(aig.Key(nf0, nf1), uint32(id))
 				if err != nil {
-					atomic.StoreInt32(&full, 1)
+					full.Store(true)
 					return 3
 				}
 				if !inserted && got != uint32(id) {
 					remap[id] = aig.MakeLit(int32(got), false)
-					mergedPer[tid] = 1
+					merged[tid] = 1
+					// The resident's own rank needs no min: it starts there.
+					for slot, mine := &rank[got], first+int32(tid); ; {
+						cur := atomic.LoadInt32(slot)
+						if mine >= cur {
+							break
+						}
+						if atomic.CompareAndSwapInt32(slot, cur, mine) {
+							relabel.Store(true)
+							break
+						}
+					}
 				}
 				return 3
 			})
-			if atomic.LoadInt32(&full) == 0 {
+			if !full.Load() {
 				break
 			}
 			st.Rehashes++
 			ht.Rehash(2*ht.Len() + len(batch))
-			for i := range batch {
-				mergedPer[i] = 0
-				trivialPer[i] = 0
-			}
 		}
 		for i := range batch {
-			mergedHere += mergedPer[i]
-			trivialHere += trivialPer[i]
+			st.DuplicatesMerged += int(merged[i])
+			st.TriviallyReduced += int(trivial[i])
 		}
-		merged[lv] = mergedHere
-		trivial[lv] = trivialHere
 	}
-	for lv := range merged {
-		st.DuplicatesMerged += int(merged[lv])
-		st.TriviallyReduced += int(trivial[lv])
+	// The sweep relabels to the minimum-rank members, when a resident is
+	// not one. Dangling-node removal: the paper assigns one thread per
+	// zero-fanout node to delete its MFFC; compaction from the POs removes
+	// exactly the same nodes, so the sweep is accounted as that kernel.
+	sweep := func(int) {}
+	if relabel.Load() {
+		winner := func(l aig.Lit) aig.Lit {
+			return aig.MakeLit(order[rank[l.Var()]], l.IsCompl())
+		}
+		sweep = func(tid int) {
+			id := int32(tid)
+			if work.IsAnd(id) {
+				work.SetFanins(id, winner(work.Fanin0(id)), winner(work.Fanin1(id)))
+			}
+			remap[tid] = winner(remap[tid])
+		}
 	}
+	d.Launch1("dedup/dangling", n, sweep)
 	for i, p := range work.POs() {
 		work.SetPO(i, remap[p.Var()].NotCond(p.IsCompl()))
 	}
-	// Dangling-node removal: the paper assigns one thread per zero-fanout
-	// node to delete its MFFC; compaction from the POs removes exactly the
-	// same nodes. Account it as one sweep kernel.
-	d.Launch1("dedup/dangling", work.NumObjs(), func(int) {})
 	before := work.NumAnds()
 	out, _ := work.Compact()
-	st.DanglingRemoved = before - out.NumAnds() - st.DuplicatesMerged - st.TriviallyReduced
-	if st.DanglingRemoved < 0 {
-		st.DanglingRemoved = 0
-	}
-	return out, st
+	st.DanglingRemoved = max(before-out.NumAnds()-st.DuplicatesMerged-st.TriviallyReduced, 0)
+	return out, remap, st
 }

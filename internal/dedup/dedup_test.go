@@ -1,11 +1,14 @@
 package dedup
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"aigre/internal/aig"
+	"aigre/internal/bench"
 	"aigre/internal/gpu"
 )
 
@@ -117,7 +120,7 @@ func TestDedupUndersizedTableRecovers(t *testing.T) {
 		a.AddPO(lits[len(lits)-1-rng.Intn(8)])
 	}
 	for _, workers := range []int{1, 4} {
-		out, st := run(gpu.New(workers), a, 4) // 8 slots for a 100+ node AIG
+		out, _, st := merge(gpu.New(workers), a.Clone(), 4) // 8 slots for a 100+ node AIG
 		if st.Rehashes == 0 {
 			t.Errorf("workers=%d: undersized table never rehashed", workers)
 		}
@@ -167,5 +170,111 @@ func TestQuickDedupMatchesRehash(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// twoCopies replays a's AND nodes twice without structural hashing, so every
+// node has a structural duplicate on its own level, and alternates the POs
+// between the two copies.
+func twoCopies(a *aig.AIG) *aig.AIG {
+	if !a.Canonical() {
+		a, _ = a.Compact()
+	}
+	out := aig.NewCap(a.NumPIs(), 2*a.NumObjs())
+	out.Name = a.Name
+	var copies [2][]aig.Lit
+	for c := range copies {
+		m := make([]aig.Lit, a.NumObjs())
+		for v := 0; v <= a.NumPIs(); v++ {
+			m[v] = aig.MakeLit(int32(v), false)
+		}
+		at := func(l aig.Lit) aig.Lit { return m[l.Var()].NotCond(l.IsCompl()) }
+		a.ForEachAnd(func(id int32) { m[id] = out.AddAndUnchecked(at(a.Fanin0(id)), at(a.Fanin1(id))) })
+		copies[c] = m
+	}
+	for i, p := range a.POs() {
+		out.AddPO(copies[i%2][p.Var()].NotCond(p.IsCompl()))
+	}
+	return out
+}
+
+// levelSpanning builds n instances of a class that spans two levels, with
+// same-level duplicates beside it: q = ((x&x)&y)&z sits one level above the
+// two copies of p = (x&y)&z, yet all three reduce to the same node. The q
+// chains are created first, so q has the lowest id of its class, and the
+// copies of p lie n nodes apart, in different chunks of a launch.
+func levelSpanning(n int) *aig.AIG {
+	const npi = 128
+	a := aig.New(npi)
+	a.Name = "level_spanning"
+	pis := func(i int) (x, y, z aig.Lit) {
+		j := i % npi
+		return a.PI(j), a.PI((j + 1 + i/npi%(npi-1)) % npi).NotCond(i%3 == 0), a.PI((i*13 + 5) % npi)
+	}
+	roots := make([][3]aig.Lit, n)
+	for i := range roots {
+		x, y, z := pis(i)
+		roots[i][0] = a.AddAndUnchecked(a.AddAndUnchecked(a.AddAndUnchecked(x, x), y), z)
+	}
+	for c := 1; c <= 2; c++ {
+		for i := range roots {
+			x, y, z := pis(i)
+			roots[i][c] = a.AddAndUnchecked(a.AddAndUnchecked(x, y), z)
+		}
+	}
+	for i, r := range roots {
+		a.AddPO(r[i%3])
+		a.AddPO(r[(i+1)%3].Not())
+	}
+	return a
+}
+
+// digest hashes the structure of a network: PI count, fanins and POs.
+func digest(a *aig.AIG) [sha256.Size]byte {
+	h := sha256.New()
+	var buf [4]byte
+	put := func(v uint32) {
+		binary.LittleEndian.PutUint32(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint32(a.NumPIs()))
+	for id := int32(a.NumPIs() + 1); int(id) < a.NumObjs(); id++ {
+		put(uint32(a.Fanin0(id)))
+		put(uint32(a.Fanin1(id)))
+	}
+	for _, p := range a.POs() {
+		put(uint32(p))
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestDedupWorkerIndependence pins the survivor rule: every class of
+// structural duplicates keeps the member of lowest (level, id) rank, so the
+// cleanup pass gives the same bytes at any worker count. Most inputs have
+// levels wider than one 256-thread chunk, where a two-worker launch splits a
+// class's members between its bodies.
+func TestDedupWorkerIndependence(t *testing.T) {
+	inputs := []*aig.AIG{levelSpanning(3000)}
+	for _, c := range bench.Suite(2) {
+		inputs = append(inputs, twoCopies(c.Build()))
+	}
+	for _, in := range inputs {
+		want, wantSt := Run(gpu.New(1), in)
+		if wantSt.DuplicatesMerged == 0 {
+			t.Fatalf("%s: no duplicates merged", in.Name)
+		}
+		if !simEqual(in, want) {
+			t.Fatalf("%s: function changed", in.Name)
+		}
+		for run := 0; run < 8; run++ {
+			got, st := Run(gpu.New(2), in)
+			if digest(got) != digest(want) || st != wantSt {
+				t.Errorf("%s: W=2 run %d differs from W=1 (%d vs %d ANDs, stats %+v vs %+v)",
+					in.Name, run, got.NumAnds(), want.NumAnds(), st, wantSt)
+				break
+			}
+		}
 	}
 }

@@ -94,11 +94,11 @@ func (p *Pool) BusyTime() time.Duration {
 }
 
 // Execute runs every task under the pool's slot budget and returns when all
-// have completed: it is the device barrier of every kernel launch, and the
-// fan-out of host phases that share the budget (partition extraction and
-// stitch). Tasks may be enqueued from many goroutines concurrently; each
-// blocks only until a slot frees up. Tasks of one call must not block on
-// each other. The first task runs inline on the caller.
+// have completed: it is the device barrier of every kernel launch, and
+// (*Device).launchParallel, which hands it a launch's worker bodies, is its
+// one caller outside tests. Tasks may be enqueued from many goroutines
+// concurrently; each blocks only until a slot frees up. Tasks of one call
+// must not block on each other. The first task runs inline on the caller.
 func (p *Pool) Execute(tasks []func()) {
 	if len(tasks) == 0 {
 		return

@@ -85,7 +85,8 @@ func SizeFor(capacityHint int) int {
 	return size
 }
 
-// pool recycles pass-scoped tables (de-duplication, the seam stitcher's merge).
+// pool recycles pass-scoped tables (the de-duplication pass, which the seam
+// stitch runs too).
 var pool sync.Pool
 
 // Acquire returns an empty table sized as New(capacityHint) would size it. A
@@ -184,10 +185,11 @@ func (t *Table) ShareOrCreate(a *aig.AIG, f0, f1 aig.Lit, provisional int32) (li
 // lowers the stored value to min(stored, val). Unlike InsertUnique's
 // first-caller-wins race, the winning value is determined by the values
 // alone, so a batch of concurrent InsertMin calls leaves the table in a
-// state independent of scheduling — the deterministic-merge primitive of
-// the parallel seam stitcher (the minimum node id in a batch of structural
-// duplicates wins, matching a sequential first-encounter replay of the same
-// batch). Returns ErrTableFull exactly as InsertUnique does.
+// state independent of scheduling (the minimum value offered for a key
+// wins, matching a sequential first-encounter replay of the same batch in
+// value order). No engine calls it: the de-duplication pass gets the same
+// independence from InsertUnique plus a rank min per class. Returns
+// ErrTableFull exactly as InsertUnique does.
 func (t *Table) InsertMin(key uint64, val uint32) error {
 	if key == emptyKey {
 		panic("hashtable: zero key is reserved")

@@ -95,8 +95,8 @@ func TestConcurrentInsertUniqueWinner(t *testing.T) {
 	}
 }
 
-// TestConcurrentInsertMinDeterministic drives the parallel stitcher's merge
-// primitive from many racing goroutines: whatever the scheduling, every key
+// TestConcurrentInsertMinDeterministic drives InsertMin from many racing
+// goroutines: whatever the scheduling, every key
 // must end at the minimum value any thread offered — the property that makes
 // a batch of InsertMin calls equivalent to a sequential first-encounter
 // replay of the same batch.

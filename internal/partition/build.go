@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"context"
 	"fmt"
 
 	"aigre/internal/aig"
@@ -181,52 +180,52 @@ func buildWindows(a *aig.AIG, target int) []*part {
 // original PO literals of poIdx. The extracted cone doubles as the
 // checkpoint the partition rolls back to.
 //
-// Extraction is a pure read of the base network, so the partitions fan out
-// over the pool; each task's translation scratch comes from the shared
-// free-lists (one dirty literal array gated by a zeroed seen array). A task
-// starting after ctx was cancelled leaves its cone nil; the caller checks ctx.
-func extractAll(ctx context.Context, base *aig.AIG, parts []*part, pool *gpu.Pool) []*aig.AIG {
-	nobj := base.NumObjs()
+// Extraction is a pure read of the base network, so the partitions run as
+// the threads of one launch on d. Each worker slot keeps one translation
+// array over the base ids, unresolved except for the partition it is
+// extracting, and clears what it set before its next partition.
+func extractAll(d *gpu.Device, base *aig.AIG, parts []*part) []*aig.AIG {
 	cones := make([]*aig.AIG, len(parts))
-	tasks := make([]func(), len(parts))
-	for pi := range parts {
-		pi, p := pi, parts[pi]
-		tasks[pi] = func() {
-			if alive(ctx) != nil {
-				return
+	scratch := make([][]aig.Lit, d.Workers())
+	d.LaunchSlots("partition/extract", len(parts), func(slot, pi int) int64 {
+		local := scratch[slot]
+		if local == nil {
+			local = make([]aig.Lit, base.NumObjs())
+			for v := range local {
+				local[v] = unresolved
 			}
-			local := pLitPool.Get(nobj)
-			seen := pI32Pool.GetZeroed(nobj)
-			defer func() {
-				pLitPool.Put(local)
-				pI32Pool.Put(seen)
-			}()
-			c := aig.NewCap(len(p.inputs), len(p.inputs)+1+len(p.members))
-			c.Name = fmt.Sprintf("%s.part%d", base.Name, pi)
-			local[0], seen[0] = aig.ConstFalse, 1
-			for j, in := range p.inputs {
-				local[in], seen[in] = c.PI(j), 1
-			}
-			at := func(f aig.Lit) aig.Lit {
-				if seen[f.Var()] == 0 {
-					panic(fmt.Sprintf("partition: part %d member references unextracted node %d", pi, f.Var()))
-				}
-				return local[f.Var()].NotCond(f.IsCompl())
-			}
-			for _, id := range p.members {
-				lit := c.AddAndUnchecked(at(base.Fanin0(id)), at(base.Fanin1(id)))
-				local[id], seen[id] = lit, 1
-			}
-			for _, outID := range p.outputs {
-				c.AddPO(local[outID])
-			}
-			for _, po := range p.poIdx {
-				l := base.PO(po)
-				c.AddPO(at(l))
-			}
-			cones[pi] = c
+			local[0] = aig.ConstFalse
+			scratch[slot] = local
 		}
-	}
-	pool.Execute(tasks)
+		p := parts[pi]
+		c := aig.NewCap(len(p.inputs), len(p.inputs)+1+len(p.members))
+		c.Name = fmt.Sprintf("%s.part%d", base.Name, pi)
+		for j, in := range p.inputs {
+			local[in] = c.PI(j)
+		}
+		at := func(f aig.Lit) aig.Lit {
+			l := local[f.Var()]
+			if l == unresolved {
+				panic(fmt.Sprintf("partition: part %d member references unextracted node %d", pi, f.Var()))
+			}
+			return l.NotCond(f.IsCompl())
+		}
+		for _, id := range p.members {
+			local[id] = c.AddAndUnchecked(at(base.Fanin0(id)), at(base.Fanin1(id)))
+		}
+		for _, outID := range p.outputs {
+			c.AddPO(local[outID])
+		}
+		for _, po := range p.poIdx {
+			c.AddPO(at(base.PO(po)))
+		}
+		for _, v := range [2][]int32{p.inputs, p.members} {
+			for _, id := range v {
+				local[id] = unresolved
+			}
+		}
+		cones[pi] = c
+		return int64(len(p.members))
+	})
 	return cones
 }

@@ -15,41 +15,49 @@ import (
 )
 
 // probeCtx instruments the orchestration's liveness points: they are what calls
-// Err on the context handed to Run (and, through the callback's context, the
-// partitions' own runs do too). Every call is counted, optionally delayed,
-// and the cancelAt-th call cancels.
+// Err on the context handed to Run — its own checks and the launches of
+// extraction and the stitch (and, through the callback's context, the
+// partitions' own runs do too). Every call is counted, the first slowFor
+// calls are delayed, and the cancelAt-th call cancels.
 type probeCtx struct {
 	context.Context
 	delay    time.Duration
+	slowFor  int64
 	cancelAt int64
 	cancel   context.CancelFunc
 	calls    atomic.Int64
 }
 
 func (c *probeCtx) Err() error {
-	if n := c.calls.Add(1); n == c.cancelAt {
+	n := c.calls.Add(1)
+	if n == c.cancelAt {
 		c.cancel()
 	}
-	time.Sleep(c.delay)
+	if n <= c.slowFor {
+		time.Sleep(c.delay)
+	}
 	return c.Context.Err()
 }
 
 // TestOrchestrationBeatsWatchdog runs a partitioned network under a context
 // carrying a heartbeat, with the orchestration far longer than a watchdog's
-// timeout — each liveness point is stretched to 30 ms, some twenty-five of
-// them follow the last partition — and checks that the heartbeat never stands
-// still that long: extraction, the per-partition gates and the stitch launch
-// no kernel, so only their own beats would keep a watchdog quiet. Inside the
-// partitions every 256-thread chunk of a launch beats: a kernel over a whole
-// partition outlasts the timeout under the race detector, and so does a short
-// launch queued in the shared pool behind it.
+// timeout — its first forty liveness points are stretched to 30 ms: the
+// extraction launch, the checks around the per-partition gates and the first
+// levels of the stitch's merge — and checks that the heartbeat never stands
+// still that long: the gates launch no kernel, so only the orchestration's
+// own beats keep a watchdog quiet there, and every launch beats as it starts.
+// Inside the partitions every 256-thread chunk of a launch beats: a kernel
+// over a whole partition outlasts the timeout under the race detector, and
+// so does a short launch queued in the shared pool behind it. (The merge
+// launches once per level, a thousand times here, so only the first few are
+// stretched.)
 func TestOrchestrationBeatsWatchdog(t *testing.T) {
 	const timeout = 150 * time.Millisecond
 	a := bench.DeepNarrow(8, 500)
 	pool := testPool(t, 2)
 	hb := &gpu.Heartbeat{}
 	ctx := gpu.WithHeartbeat(context.Background(), hb)
-	slow := &probeCtx{Context: ctx, delay: 30 * time.Millisecond}
+	slow := &probeCtx{Context: ctx, delay: 30 * time.Millisecond, slowFor: 40}
 
 	// The watcher samples what a watchdog polls, every millisecond, and keeps
 	// the longest silence it saw.
@@ -87,7 +95,7 @@ func TestOrchestrationBeatsWatchdog(t *testing.T) {
 	if maxGap >= timeout {
 		t.Errorf("the heartbeat stood still for %v, a watchdog's timeout is %v", maxGap, timeout)
 	}
-	if stretched := time.Duration(slow.calls.Load()) * 30 * time.Millisecond; stretched < 4*timeout {
+	if stretched := time.Duration(min(slow.calls.Load(), slow.slowFor)) * slow.delay; stretched < 4*timeout {
 		t.Fatalf("only %d liveness points (%v): the orchestration did not outlast the timeout", slow.calls.Load(), stretched)
 	}
 	if err := flow.EquivGate(a, res.AIG, false, 8, 1); err != nil {
@@ -128,33 +136,42 @@ func TestOptimizeRunsLabeledAndBounded(t *testing.T) {
 	}
 }
 
-// TestStitchObservesCancellation cancels the context from inside the merge
-// loop's k-th liveness point: the stitch must return the context error from
-// that very point — within one level batch — and a Run cancelled that late
+// TestStitchObservesCancellation pins the launch-boundary contract: the
+// stitch runs as launches on a device bound to the run's context, and every
+// launch checks the context first, so a stitch cancelled from inside its
+// k-th check stops at that very launch — the merge launches once per level,
+// so a deep network is stopped within one level. A Run cancelled that late
 // must hand back the input network with the wrapped context error, as a run
 // cancelled while its partitions are optimized does.
 func TestStitchObservesCancellation(t *testing.T) {
-	a := bench.DeepNarrow(4, 2000) // 4000 levels: fifteen level batches
+	a := bench.DeepNarrow(4, 2000) // 4000 levels
 	pool := testPool(t, 2)
 	parts := buildCones(a, 2000)
-	cones := extractAll(context.Background(), a, parts, pool)
+	cones := extractAll(pool.Lease(0), a, parts)
+	stitchUnder := func(ctx context.Context) error {
+		d := pool.Lease(0)
+		d.Bind(ctx)
+		_, _, err := stitchParallel(d, a, parts, cones)
+		return err
+	}
 
 	whole := &probeCtx{Context: context.Background()}
-	if _, _, err := stitchParallel(whole, a, parts, cones, pool); err != nil {
+	if err := stitchUnder(whole); err != nil {
 		t.Fatal(err)
 	}
-	if n := whole.calls.Load(); n < 10 {
-		t.Fatalf("an uncancelled stitch passed %d liveness points, want one per %d levels", n, levelBatch)
+	if n, levels := whole.calls.Load(), a.Levels(); n < int64(levels) {
+		t.Fatalf("an uncancelled stitch checked its context %d times, want one per level (%d)", n, levels)
 	}
-	const k = 6
+	const k = 1000
 	inner, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cut := &probeCtx{Context: inner, cancelAt: k, cancel: cancel}
-	if _, _, err := stitchParallel(cut, a, parts, cones, pool); !errors.Is(err, context.Canceled) {
-		t.Fatalf("stitch cancelled at liveness point %d returned %v", k, err)
+	var ce *gpu.CancelledError
+	if err := stitchUnder(cut); !errors.Is(err, context.Canceled) || !errors.As(err, &ce) {
+		t.Fatalf("stitch cancelled at launch %d returned %v", k, err)
 	}
 	if n := cut.calls.Load(); n != k {
-		t.Errorf("stitch ran on to liveness point %d after being cancelled at %d", n, k)
+		t.Errorf("stitch ran on to launch %d after being cancelled at %d", n, k)
 	}
 
 	opts := Options{Split: Split{Mode: Cones, TargetSize: 2000}, Pool: pool}
@@ -164,7 +181,7 @@ func TestStitchObservesCancellation(t *testing.T) {
 	}
 	inner, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	late := &probeCtx{Context: inner, cancelAt: whole.calls.Load() - 3, cancel: cancel} // inside the stitch
+	late := &probeCtx{Context: inner, cancelAt: whole.calls.Load() - 10, cancel: cancel} // inside the stitch's merge
 	res, err := runScript(late, a, "b", opts)
 	if !errors.Is(err, context.Canceled) || res.AIG != a {
 		t.Fatalf("Run cancelled during the stitch: err=%v, input handed back=%v", err, res.AIG == a)

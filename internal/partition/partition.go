@@ -1,13 +1,13 @@
-// Package partition implements partition-parallel optimization of large
-// AIGs. The network is split into size-bounded partitions — output-cone
-// clusters or level-window slices, every node owned by exactly one — each
-// partition is optimized by the caller's callback, largest first and at most
-// the pool's width at once, and the optimized partitions are stitched back
-// together with conflict breaking at the seams: duplicate structure created
-// by independent partition runs is merged level by level under a fixed
-// winner priority (stitchParallel), and the stitched result must pass the
-// structural invariant check plus the sampling-equivalence gate of the
-// guarded flow runner. A partition that refutes is rolled back to its
+// Package partition implements partition-parallel optimization of large AIGs.
+// The network is split into size-bounded partitions — output-cone clusters or
+// level-window slices, every node owned by exactly one — each partition is
+// optimized by the caller's callback, largest first and at most the pool's
+// width at once, and the optimized partitions are stitched back together with
+// conflict breaking at the seams: the cones are concatenated, the duplicates
+// independent partition runs created are merged by the de-duplication pass
+// under its fixed winner priority (stitchParallel), and the stitched result
+// must pass the structural invariant check plus the sampling-equivalence gate
+// of the guarded flow runner. A partition that refutes is rolled back to its
 // pre-optimization cone.
 //
 // The package knows no engine, journal or supervision policy. Its one caller
@@ -94,9 +94,9 @@ type Split struct {
 type Options struct {
 	Split
 	// Pool is the engine's worker pool (required, not closed by Run):
-	// extraction and stitch fan out on it, and its width bounds how many
-	// partitions are optimized at once, so a partitioned job cannot
-	// oversubscribe the host.
+	// extraction and the stitch launch on a lease of it, and its width
+	// bounds how many partitions are optimized at once, so a partitioned
+	// job cannot oversubscribe the host.
 	Pool *gpu.Pool
 	// Flow is the partitions' execution config: Verify selects the gates'
 	// full CEC, and Flow.Cache (nil = rcache.Default) is the cache whose
@@ -141,10 +141,9 @@ type Stat struct {
 	// optimization and as finally stitched (after any rollback).
 	NodesIn  int `json:"nodes_in"`
 	NodesOut int `json:"nodes_out"`
-	// ConflictsBroken counts seam conflicts broken while replaying this
-	// partition into the merged network in the final stitch round: nodes
-	// merged with duplicates another partition already created, or
-	// simplified away at the boundary.
+	// ConflictsBroken counts seam conflicts broken in this partition's
+	// nodes in the final stitch round: nodes merged into a duplicate of
+	// lower (level, id) rank, or simplified away at the boundary.
 	ConflictsBroken int `json:"conflicts_broken"`
 	// RolledBack reports that the partition's optimized cone was discarded
 	// (optimization failure, local gate refutation, or seam-round refutation) and the
@@ -229,13 +228,17 @@ func Run(ctx context.Context, a *aig.AIG, opts Options, optimize func(ctx contex
 	if opts.Mode == Cones {
 		build = buildCones
 	}
+	// Extraction and the stitch launch on a lease of the pool bound to ctx;
+	// its accounting stays out of the run's modeled time and profile.
+	d := opts.Pool.Lease(0)
+	d.Bind(ctx)
 	var parts []*part
 	var pres []*aig.AIG
 	pprof.Do(ctx, pprof.Labels("partition_phase", "cluster"), func(context.Context) { parts = build(base, opts.TargetSize) })
 	pprof.Do(ctx, pprof.Labels("partition_phase", "extract"), func(context.Context) {
-		pres = extractAll(ctx, base, parts, opts.Pool)
+		err = launching(func() { pres = extractAll(d, base, parts) })
 	})
-	if err := alive(ctx); err != nil {
+	if err = cmp.Or(err, alive(ctx)); err != nil {
 		return res, cancelled(err)
 	}
 	// At most the pool's width of runners take the partitions largest first
@@ -304,7 +307,7 @@ func Run(ctx context.Context, a *aig.AIG, opts Options, optimize func(ctx contex
 	}
 
 	pprof.Do(ctx, pprof.Labels("partition_phase", "stitch"), func(context.Context) {
-		res.AIG, err = resolve(ctx, base, parts, pres, chosen, opts, &res)
+		res.AIG, err = resolve(ctx, d, base, parts, pres, chosen, opts, &res)
 	})
 	if cerr := ctx.Err(); cerr != nil {
 		return res, cancelled(cerr)
@@ -346,11 +349,11 @@ func rollbackIncident(idx int, stage, class, detail string) flow.Incident {
 // culprit is found) every remaining optimized partition is rolled back at
 // once, which makes the loop terminate: a stitch of nothing but
 // pre-optimization cones reproduces the base network function exactly. A
-// cancelled ctx ends the loop with ctx.Err() at the next liveness point.
-func resolve(ctx context.Context, base *aig.AIG, parts []*part, pres, chosen []*aig.AIG, opts Options, res *Result) (*aig.AIG, error) {
+// cancelled ctx ends the loop at the next launch or liveness point.
+func resolve(ctx context.Context, d *gpu.Device, base *aig.AIG, parts []*part, pres, chosen []*aig.AIG, opts Options, res *Result) (*aig.AIG, error) {
 	verify, rounds := opts.Flow.Verify, flow.GateRounds
 	for round := 1; ; round++ {
-		merged, conflicts, err := stitchParallel(ctx, base, parts, chosen, opts.Pool)
+		merged, conflicts, err := stitchParallel(d, base, parts, chosen)
 		if err != nil {
 			return nil, err
 		}
@@ -427,8 +430,8 @@ func resolve(ctx context.Context, base *aig.AIG, parts []*part, pres, chosen []*
 func cancelled(err error) error { return fmt.Errorf("partition: cancelled: %w", err) }
 
 // alive is the orchestration's liveness point — between phases, per partition
-// gate, per stitch round and every levelBatch merge levels: it beats the
-// heartbeat ctx carries (these phases launch no kernel) and returns ctx.Err().
+// gate and per stitch round: it beats the heartbeat ctx carries (these
+// points launch no kernel) and returns ctx.Err().
 func alive(ctx context.Context) error {
 	gpu.Beat(ctx)
 	return ctx.Err()

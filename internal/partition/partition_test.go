@@ -95,7 +95,6 @@ func TestStitchCheckpointIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := aig.Random(rng, 12, 600, 9)
 	pool := testPool(t, 2)
-	ctx := context.Background()
 	for _, mode := range []Mode{Cones, Levels} {
 		var parts []*part
 		if mode == Cones {
@@ -103,7 +102,7 @@ func TestStitchCheckpointIdentity(t *testing.T) {
 		} else {
 			parts = buildWindows(a, 120)
 		}
-		merged, _, err := stitchParallel(ctx, a, parts, extractAll(ctx, a, parts, pool), pool)
+		merged, _, err := stitchParallel(pool.Lease(0), a, parts, extractAll(pool.Lease(0), a, parts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +127,7 @@ func TestResolveRollsBackCorruptPartition(t *testing.T) {
 	}
 	pool := testPool(t, 2)
 	ctx := context.Background()
-	pres := extractAll(ctx, a, parts, pool)
+	pres := extractAll(pool.Lease(0), a, parts)
 	chosen := make([]*aig.AIG, len(parts))
 	copy(chosen, pres)
 	bad := chosen[1].Clone()
@@ -137,7 +136,7 @@ func TestResolveRollsBackCorruptPartition(t *testing.T) {
 	chosen[1] = bad
 
 	res := Result{Report: Report{Parts: make([]Stat, len(parts))}}
-	merged, err := resolve(ctx, a, parts, pres, chosen, Options{Pool: pool}.normalized(), &res)
+	merged, err := resolve(ctx, pool.Lease(0), a, parts, pres, chosen, Options{Pool: pool}.normalized(), &res)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"aigre/internal/aig"
@@ -135,7 +136,7 @@ func matchesOracle(t *testing.T, base *aig.AIG, parts []*part, cones []*aig.AIG,
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parConf, err := stitchParallel(context.Background(), base, parts, cones, pool)
+	par, parConf, err := stitchParallel(pool.Lease(0), base, parts, cones)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestParallelStitchMatchesSequential(t *testing.T) {
 					continue // a single-output circuit does not split into cones
 				}
 				t.Log(mode, len(parts), "partitions")
-				cones := extractAll(context.Background(), base, parts, pool)
+				cones := extractAll(pool.Lease(0), base, parts)
 				matchesOracle(t, base, parts, cones, pool)
 				for i, c := range cones {
 					res, err := flow.Run(context.Background(), nil, c, "b; rw", flow.Config{Cache: rcache.New()})
@@ -208,7 +209,7 @@ func TestStitchBoundaryOutputKinds(t *testing.T) {
 	}
 	pool := gpu.NewPool(2)
 	defer pool.Close()
-	pres := extractAll(context.Background(), base, parts, pool)
+	pres := extractAll(pool.Lease(0), base, parts)
 
 	// Stand-ins for optimized cones, over the same inputs and outputs: part
 	// 0 exports an AND and a complemented AND, part 1 an input passthrough
@@ -230,47 +231,71 @@ func TestStitchBoundaryOutputKinds(t *testing.T) {
 	// The typed errors of the pre-pass: an input no lower partition drives,
 	// interface count mismatches, and a PO whose driver was never stitched.
 	swapped := []*part{parts[1], parts[0], parts[2]}
-	if _, _, err := stitchParallel(context.Background(), base, swapped, []*aig.AIG{pres[1], pres[0], pres[2]}, pool); err == nil {
+	if _, _, err := stitchParallel(pool.Lease(0), base, swapped, []*aig.AIG{pres[1], pres[0], pres[2]}); err == nil {
 		t.Error("input read before its partition is stitched: no error")
 	}
-	if _, _, err := stitchParallel(context.Background(), base, parts, []*aig.AIG{pres[0], pres[0], pres[2]}, pool); err == nil {
+	if _, _, err := stitchParallel(pool.Lease(0), base, parts, []*aig.AIG{pres[0], pres[0], pres[2]}); err == nil {
 		t.Error("PI count mismatch: no error")
 	}
-	if _, _, err := stitchParallel(context.Background(), base, parts, []*aig.AIG{pres[0], pres[1], c0}, pool); err == nil {
+	if _, _, err := stitchParallel(pool.Lease(0), base, parts, []*aig.AIG{pres[0], pres[1], c0}); err == nil {
 		t.Error("PO count mismatch: no error")
 	}
-	if _, _, err := stitchParallel(context.Background(), base, parts[:2], pres[:2], pool); err == nil {
+	if _, _, err := stitchParallel(pool.Lease(0), base, parts[:2], pres[:2]); err == nil {
 		t.Error("PO driver not stitched: no error")
 	}
 }
 
 // TestParallelStitchWorkerIndependence pins the determinism contract of the
-// InsertMin merge in both modes: the stitched network must be bit-identical
-// across worker counts (and across repeated runs through the pooled scratch
-// arrays).
+// merge in both modes: the stitched network must be bit-identical across
+// worker counts (and across repeated runs), for the checkpoint cones and for
+// "b; rw"-optimized cones whose seams carry conflicts to break.
 func TestParallelStitchWorkerIndependence(t *testing.T) {
 	base := canonicalBase(t, "mem_ctrl")
 	target := base.NumAnds()/8 + 1
 	pool1 := gpu.NewPool(1)
 	defer pool1.Close()
 	for mode, parts := range map[Mode][]*part{Cones: buildCones(base, target), Levels: buildWindows(base, target)} {
-		pres := extractAll(context.Background(), base, parts, pool1)
-		want, _, err := stitchParallel(context.Background(), base, parts, pres, pool1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 4, 8} {
-			pool := gpu.NewPool(w)
-			for round := 0; round < 2; round++ {
-				got, _, err := stitchParallel(context.Background(), base, parts, pres, pool)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sameAIG(want, got); err != nil {
-					t.Errorf("%v W=%d round %d: %v", mode, w, round, err)
-				}
+		pres := extractAll(pool1.Lease(0), base, parts)
+		opt := make([]*aig.AIG, len(pres))
+		for i, c := range pres {
+			res, err := flow.Run(context.Background(), nil, c, "b; rw", flow.Config{Cache: rcache.New()})
+			if err != nil {
+				t.Fatal(err)
 			}
-			pool.Close()
+			opt[i] = res.AIG
+		}
+		for row, cones := range map[string][]*aig.AIG{"checkpoint": pres, "b; rw": opt} {
+			want, conflicts, err := stitchParallel(pool1.Lease(0), base, parts, cones)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if found := sum(conflicts); row == "b; rw" && found == 0 {
+				t.Errorf("%v %s: no seam conflict to break", mode, row)
+			}
+			for _, w := range []int{2, 4, 8} {
+				pool := gpu.NewPool(w)
+				for round := 0; round < 2; round++ {
+					got, gotConflicts, err := stitchParallel(pool.Lease(0), base, parts, cones)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameAIG(want, got); err != nil {
+						t.Errorf("%v %s W=%d round %d: %v", mode, row, w, round, err)
+					}
+					if !slices.Equal(conflicts, gotConflicts) {
+						t.Errorf("%v %s W=%d round %d: conflicts %v, want %v", mode, row, w, round, gotConflicts, conflicts)
+					}
+				}
+				pool.Close()
+			}
 		}
 	}
+}
+
+func sum(xs []int) int {
+	total := 0
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }

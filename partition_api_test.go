@@ -115,9 +115,9 @@ func TestPartitionMillionNodeSmoke(t *testing.T) {
 	// hands it over (strashed, so chains c and c+32 are one chain and POs
 	// 32..63 drive roots that POs 0..31 already claimed) through "b; rw" at
 	// 2^17 nodes per partition. Four partitions own the 32 distinct chains,
-	// nothing is shared and the stitch has no conflict to break; the bytes
-	// are the ones the duplicating partitioner (8 partitions, 511,992 shared
-	// nodes) wrote.
+	// nothing is shared and the stitch has no conflict to break; 511,988
+	// ANDs, 8,001 levels (bytes recorded when the stitch became
+	// concatenation plus dedup).
 	n = readBack(t, n)
 	for _, workers := range []int{1, 2, 4} {
 		res, err := n.Run(context.Background(), "b; rw", aigre.Options{Workers: workers, Cache: aigre.NewCache(),
@@ -129,7 +129,7 @@ func TestPartitionMillionNodeSmoke(t *testing.T) {
 		if len(rep.Parts) != 4 || rep.SharedNodes != 0 || rep.ConflictsFound != 0 || rep.Rollbacks != 0 || rep.StitchRounds != 1 {
 			t.Errorf("deep_part at %d workers: %d partitions, %+v", workers, len(rep.Parts), rep)
 		}
-		const want = "0c5618b8333165c5085578fa18d38be51fc86ef36704613fc39df4d32c0754d6"
+		const want = "441ce13c4228dd542524843e3ed11e04f7b918df63714c3772663df7ac7e3018"
 		if got := outputDigest(t, res.AIG); got != want {
 			t.Errorf("deep_part at %d workers: output digest %s, want %s", workers, got, want)
 		}

@@ -171,8 +171,8 @@ func TestJobRoutes(t *testing.T) {
 }
 
 var routeGoldens = map[string]string{
-	"deep/cones":                          "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8 timings=0 events=[deep attempt,done]",
-	"deep/levels":                         "03b89be42d950a7cf8dcdcb2d5fca03868433d71f7c7733d66a38e3e8ba0bfc8 timings=0 events=[deep attempt,done]",
+	"deep/cones":                          "2a6a1569a3a0c21896f72809868a35e28fcc63a47b47d77e7269da73971d582a timings=0 events=[deep attempt,done]",
+	"deep/levels":                         "9de661200300069970a24fe0fdcacb8bf5aab6c2bceb7e8128c0207a2e88b659 timings=0 events=[deep attempt,done]",
 	"mem_ctrl/par/b-rw-rfz":               "92057d211e0e851c0a8017fb96dc705286e7ba69c59a30322a4e172a225a8876 4ce3d7f08c027124 16302726 timings=3 events=[mem_ctrl attempt,done]",
 	"mem_ctrl/par/b-rw-rfz/fault":         "82944a252e523c40d4b238d1abd4c08015b1911ad3e0a6406ff30f64f428552d 41e540729f845de8 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
 	"mem_ctrl/par/b-rw-rfz/fault+retry":   "92057d211e0e851c0a8017fb96dc705286e7ba69c59a30322a4e172a225a8876 4ce3d7f08c027124 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",

@@ -120,10 +120,8 @@ if [ "$builders" != "func buildCones func buildWindows " ] || [ "$modes" != "Off
     exit 1
 fi
 # Kernel threads own their scratch by worker slot (gpu.Device.LaunchSlots): no
-# kernel closure of the four engines borrows from a pool per thread, and
-# balancing keeps its gather arenas per slot, without the slice pools.
-if grep -rn --include='*.go' '"aigre/internal/mempool"' internal/balance ||
-    awk '
+# kernel closure of the four engines borrows from a pool per thread.
+if awk '
         FNR == 1 { inside = 0; depth = 0 }
         /\.(Launch|LaunchSlots|Launch1|TryLaunch)\(/ && !inside { inside = 1; depth = 0 }
         inside {
@@ -132,7 +130,7 @@ if grep -rn --include='*.go' '"aigre/internal/mempool"' internal/balance ||
             if (depth <= 0) inside = 0
         }
         END { exit !bad }' $(find internal/rewrite internal/refactor internal/resub internal/balance -name '*.go' ! -name '*_test.go'); then
-    echo "check: internal/balance imports mempool, or a kernel closure takes scratch from a pool per thread (see above); index per-slot scratch by the LaunchSlots slot instead" >&2
+    echo "check: a kernel closure takes scratch from a pool per thread (see above); index per-slot scratch by the LaunchSlots slot instead" >&2
     exit 1
 fi
 # One launch path: every gpu.Device is a lease of a gpu.Pool, and
@@ -142,6 +140,17 @@ fi
 if grep -nE '^[[:space:]]*go[[:space:]]+[^[:space:]]' $(find internal/gpu -name '*.go' ! -name '*_test.go' ! -name pool.go) ||
     grep -rnE --include='*.go' '^(type|func|var|const)[[:space:]]+(Executor|NewLeased)\b' internal/gpu; then
     echo "check: a go statement outside internal/gpu/pool.go, or an Executor/NewLeased declaration, grew back in internal/gpu; launch through gpu.Pool.Execute" >&2
+    exit 1
+fi
+# One merge kernel: the partition stitch is concatenation plus the dedup pass
+# (dedup.Merge), and extraction and the stitch run as launches on a lease of
+# the job's pool, so gpu.(*Device).launchParallel is the one non-test caller
+# of gpu.Pool.Execute; internal/partition hashes nothing itself, and its
+# chunked host fan-out and levelBatch liveness cadence must not grow back.
+if grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=gpu --exclude-dir=benchmark '\.Execute(' . ||
+    grep -rnE --include='*.go' --exclude='*_test.go' '^[^/]*\bhashtable\.' internal/partition ||
+    grep -rnE --include='*.go' '^(func|const|var)[[:space:]]+(chunked|levelBatch)\b' internal/partition; then
+    echo "check: a second launch path into gpu.Pool.Execute, or partition's own merge (a hash table, chunked, levelBatch), grew back (see above); stitch through dedup.Merge on a device lease" >&2
     exit 1
 fi
 # One walk in internal/aig: TopoOrder, Compact and CompactSafe, Check,
