@@ -44,12 +44,15 @@ func TestSubmitAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body))
-	admit := alloctest.Bytes(func() { s.handleSubmit(rec, req) })
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
+	// alloctest.Bytes calls its function three times, and a request body
+	// reads once: each call builds its own request.
+	admit := alloctest.Bytes(func() {
+		rec := httptest.NewRecorder()
+		s.handleSubmit(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
 	if budget := uint64(16 * len(payload)); admit >= budget {
 		t.Errorf("admitting %d bytes allocated %d B, budget %d B", len(payload), admit, budget)
 	}

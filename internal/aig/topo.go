@@ -196,12 +196,61 @@ func (a *AIG) CompactSafe() (*AIG, []Lit, error) {
 
 // Rehash returns a new AIG rebuilt with full structural hashing and constant
 // propagation, removing duplicate and dangling nodes in one pass. It is the
-// sequential reference for the parallel de-duplication pass.
+// sequential reference for the parallel de-duplication pass. It panics as
+// TopoOrder does.
+//
+// A network that already is a fixed point of the rebuild (rehashedForm) comes
+// back as an exact-capacity copy: the rebuild would replay it node for node.
 func (a *AIG) Rehash() *AIG {
-	out, _ := a.rebuild(a.TopoOrder(true), true)
+	order := a.TopoOrder(true)
+	if a.rehashedForm(order) {
+		return a.copyExact()
+	}
+	out, _ := a.rebuild(order, true)
 	final, _ := out.Compact()
 	out.ReleaseStrash()
 	return final
+}
+
+// rehashedForm reports whether rebuilding the network from its PO order
+// would reproduce it id for id, so that Rehash may copy it. It verifies
+// rather than trusts: no deleted node, the PO order is exactly the AND ids in
+// ascending order (nothing dangles, every fanin id is below its node's),
+// every fanin pair is sorted and not folded by SimplifyAnd, and no two nodes
+// share a key, checked in one insert pass through a pooled strash table.
+func (a *AIG) rehashedForm(order []int32) bool {
+	if a.numDead != 0 || len(order) != len(a.fanin0)-int(a.numPIs)-1 {
+		return false
+	}
+	for i, id := range order {
+		f0, f1 := a.fanin0[id], a.fanin1[id]
+		if id != a.numPIs+1+int32(i) || f0 > f1 {
+			return false
+		}
+		if _, folds := SimplifyAnd(f0, f1); folds {
+			return false
+		}
+	}
+	t := newStrashTable(len(order))
+	defer t.release()
+	for _, id := range order {
+		if _, fresh := t.setIfAbsent(Key(a.fanin0[id], a.fanin1[id]), id); !fresh {
+			return false
+		}
+	}
+	return true
+}
+
+// copyExact returns a copy of the network's fanins, POs and name with
+// capacity equal to length, as the rebuild's NewCap sizes its output.
+func (a *AIG) copyExact() *AIG {
+	return &AIG{
+		Name:   a.Name,
+		numPIs: a.numPIs,
+		fanin0: append(make([]Lit, 0, len(a.fanin0)), a.fanin0...),
+		fanin1: append(make([]Lit, 0, len(a.fanin1)), a.fanin1...),
+		pos:    append(make([]Lit, 0, len(a.pos)), a.pos...),
+	}
 }
 
 // rebuild replays a topological order of reachable AND nodes into a fresh

@@ -240,6 +240,38 @@ func TestNoTraversalHangsOrWalksDeadNodes(t *testing.T) {
 	}
 }
 
+// corrupt applies nEdits random corruptions to a network without strash or
+// fanout tracking — rewired fanins, deleted nodes, back-edges, dangling POs —
+// for FuzzWalk and FuzzRehash. Fanins it rewires are stored as they come,
+// unsorted.
+func corrupt(a *AIG, rng *rand.Rand, nEdits int) {
+	if a.deleted == nil {
+		a.deleted = make([]bool, a.NumObjs())
+	}
+	n := int32(a.NumObjs())
+	randID := func() int32 { return int32(rng.Intn(int(n) + 2)) } // two past the end
+	for e := 0; e < nEdits && n > a.numPIs+1; e++ {
+		id := a.numPIs + 1 + int32(rng.Intn(int(n-a.numPIs-1)))
+		switch rng.Intn(4) {
+		case 0: // rewire a fanin anywhere, in range or not
+			a.fanin0[id] = MakeLit(randID(), rng.Intn(2) == 0)
+		case 1: // delete a node, whoever still references it
+			if !a.deleted[id] {
+				a.deleted[id] = true
+				a.numDead++
+			}
+		case 2: // back-edge: a fanin to a later node
+			if id+1 < n {
+				a.fanin1[id] = MakeLit(id+1+int32(rng.Intn(int(n-id-1))), false)
+			}
+		case 3: // move a PO
+			if len(a.pos) > 0 {
+				a.pos[rng.Intn(len(a.pos))] = MakeLit(randID(), false)
+			}
+		}
+	}
+}
+
 // FuzzWalk randomly corrupts a Random network — rewired fanins, deleted
 // nodes, back-edges, dangling POs — and checks the walk in both modes
 // against refValid and, where that accepts, refTopoOrder: the walk fails
@@ -257,29 +289,8 @@ func FuzzWalk(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := Random(rng, int(nPIs), int(nAnds), 1+int(nPIs)/2)
 		a.ReleaseStrash()
-		a.deleted = make([]bool, a.NumObjs())
+		corrupt(a, rng, int(nEdits))
 		n := int32(a.NumObjs())
-		randID := func() int32 { return int32(rng.Intn(int(n) + 2)) } // two past the end
-		for e := 0; e < int(nEdits) && n > a.numPIs+1; e++ {
-			id := a.numPIs + 1 + int32(rng.Intn(int(n-a.numPIs-1)))
-			switch rng.Intn(4) {
-			case 0: // rewire a fanin anywhere, in range or not
-				a.fanin0[id] = MakeLit(randID(), rng.Intn(2) == 0)
-			case 1: // delete a node, whoever still references it
-				if !a.deleted[id] {
-					a.deleted[id] = true
-					a.numDead++
-				}
-			case 2: // back-edge: a fanin to a later node
-				if id+1 < n {
-					a.fanin1[id] = MakeLit(id+1+int32(rng.Intn(int(n-id-1))), false)
-				}
-			case 3: // move a PO
-				if len(a.pos) > 0 {
-					a.pos[rng.Intn(len(a.pos))] = MakeLit(randID(), false)
-				}
-			}
-		}
 		for _, fromPOs := range []bool{true, false} {
 			order, err := a.walk(fromPOs, true)
 			if _, bare := a.walk(fromPOs, false); fmt.Sprint(bare) != fmt.Sprint(err) {

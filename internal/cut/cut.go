@@ -30,10 +30,11 @@ func (r *Reconv) visit(id int32)        { r.trav[id] = r.travID }
 // maxLeaves leaves. The returned slice is reused by the next call.
 func (r *Reconv) Cut(root int32, maxLeaves int) []int32 {
 	if n := r.a.NumObjs(); n > len(r.trav) {
-		// The AIG has grown since the last call (in-place editing).
-		grown := make([]int32, n)
-		copy(grown, r.trav)
-		r.trav = grown
+		// The AIG has grown since the last call (in-place editing): grow
+		// geometrically, so a pass of single-node growths reallocates
+		// O(log n) times. Fresh zeroed stamps; travID restarts above them.
+		r.trav = make([]int32, max(n, 2*len(r.trav)))
+		r.travID = 0
 	}
 	r.travID++
 	r.leaves = r.leaves[:0]

@@ -5,9 +5,10 @@
 package factor
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"aigre/internal/truth"
 )
@@ -235,47 +236,83 @@ func mostFrequentLiteral(f []truth.Cube) (v int, pos bool, count int) {
 }
 
 // divide performs algebraic division f / d, returning quotient and
-// remainder: f = q*d + r with q maximal.
+// remainder: f = q*d + r with q maximal. The quotient is sorted by (Pos, Neg)
+// without duplicates, and the remainder keeps f's order.
 func divide(f, d []truth.Cube) (q, r []truth.Cube) {
 	if len(d) == 0 {
 		return nil, f
 	}
-	// Quotient = intersection over divisor cubes of {fc/dc : dc ⊆ fc}.
-	var qset map[truth.Cube]bool
-	for _, dc := range d {
-		cur := map[truth.Cube]bool{}
+	// Quotient = intersection over divisor cubes of {fc/dc : dc ⊆ fc}: the
+	// first set is q, and each later one, built in one reused buffer, is
+	// merged into it in place. Every set is sorted and deduplicated.
+	var buf []truth.Cube
+	for i, dc := range d {
+		set := buf[:0]
+		if buf == nil {
+			set = make([]truth.Cube, 0, len(f))
+		}
 		for _, fc := range f {
 			if cubeContains(fc, dc) {
-				cur[cubeRemove(fc, dc)] = true
+				set = append(set, cubeRemove(fc, dc))
 			}
 		}
-		if qset == nil {
-			qset = cur
+		slices.SortFunc(set, cubeCmp)
+		set = slices.Compact(set)
+		if i == 0 {
+			q = set
 		} else {
-			for c := range qset {
-				if !cur[c] {
-					delete(qset, c)
-				}
-			}
+			q, buf = intersectCubes(q, set), set
 		}
-		if len(qset) == 0 {
+		if len(q) == 0 {
 			return nil, f
 		}
 	}
-	q = sortedCubes(qset)
-	// Remainder = f minus the product q*d.
-	prod := map[truth.Cube]bool{}
-	for _, qc := range q {
-		for _, dc := range d {
-			prod[cubeProduct(qc, dc)] = true
-		}
-	}
+	// Remainder = f minus the product q*d. Every quotient cube is disjoint
+	// from every divisor cube, so fc is a product qc*dc exactly when some
+	// dc ⊆ fc leaves fc/dc in q.
 	for _, fc := range f {
-		if !prod[fc] {
+		if !inProduct(fc, q, d) {
 			r = append(r, fc)
 		}
 	}
 	return q, r
+}
+
+// inProduct reports whether fc is qc*dc for some qc in the sorted set q and
+// some dc in d, given that q and d share no literal.
+func inProduct(fc truth.Cube, q, d []truth.Cube) bool {
+	for _, dc := range d {
+		if cubeContains(fc, dc) {
+			if _, ok := slices.BinarySearchFunc(q, cubeRemove(fc, dc), cubeCmp); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// intersectCubes keeps the cubes of the sorted set a that also are in the
+// sorted set b, in place.
+func intersectCubes(a, b []truth.Cube) []truth.Cube {
+	out := a[:0]
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := cubeCmp(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// cubeCmp orders cubes by (Pos, Neg).
+func cubeCmp(a, b truth.Cube) int {
+	return cmp.Compare(uint32(a.Pos)<<16|uint32(a.Neg), uint32(b.Pos)<<16|uint32(b.Neg))
 }
 
 func divideByCube(f []truth.Cube, c truth.Cube) []truth.Cube {
@@ -323,20 +360,6 @@ func cubeProduct(a, b truth.Cube) truth.Cube {
 }
 
 func cubeNumLits(c truth.Cube) int { return c.NumLits() }
-
-func sortedCubes(set map[truth.Cube]bool) []truth.Cube {
-	out := make([]truth.Cube, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos != out[j].Pos {
-			return out[i].Pos < out[j].Pos
-		}
-		return out[i].Neg < out[j].Neg
-	})
-	return out
-}
 
 // cubeTree builds the AND tree of a single cube ("1" for the empty cube).
 func cubeTree(c truth.Cube) *Tree {

@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"aigre/internal/aig"
+	"aigre/internal/alloctest"
+	"aigre/internal/bench"
 	"aigre/internal/cut"
 	"aigre/internal/gpu"
 	"aigre/internal/rcache"
@@ -255,4 +257,22 @@ func TestStructuralAndFunctionalKeysDisjoint(t *testing.T) {
 	if n := c.Entries(); n != 2 {
 		t.Errorf("%d entries, want 2", n)
 	}
+}
+
+var sinkRefactor *aig.AIG
+
+// BenchmarkRefactorSequential is one sequential refactoring pass (drf) over
+// multiplier at scale 4, the in-place engine of the sequential resyn2:
+// Reconv cuts across the growing network, the EditInPlace copy in and out,
+// and, with a fresh resynthesis cache per pass, the ISOP and factoring of
+// every cone.
+func BenchmarkRefactorSequential(b *testing.B) {
+	a, _ := bench.ByName("multiplier", 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := alloctest.Total()
+	for i := 0; i < b.N; i++ {
+		sinkRefactor, _ = Sequential(a, Options{Cache: rcache.New()})
+	}
+	alloctest.ReportPerNode(b, start, a.NumAnds())
 }

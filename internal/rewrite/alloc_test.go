@@ -15,9 +15,10 @@ import (
 // warm library, NPN table and scratch pool. The budgets sit 10 % above the
 // measured values, so a candidate array that carries pointers or a copy of
 // each winning cut coming back fails here (scripts/check.sh keeps per-thread
-// pool round trips out of the kernel). The collector is off and the minimum
-// of five passes is taken: a pass whose scratch Get lands on another P than
-// the last Put misses the pool and is charged a fresh scratch.
+// pool round trips out of the kernel). The collector is off and
+// alloctest.Bytes takes the minimum of its three passes: a pass whose scratch
+// Get lands on another P than the last Put misses the pool and is charged a
+// fresh scratch.
 func TestParallelAllocBudget(t *testing.T) {
 	alloctest.SkipIfRace(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -34,11 +35,7 @@ func TestParallelAllocBudget(t *testing.T) {
 		opts := tc.opts
 		opts.Cache = rcache.New()
 		Parallel(d, a, opts)
-		best := ^uint64(0)
-		for range 5 {
-			best = min(best, alloctest.Bytes(func() { Parallel(d, a, opts) }))
-		}
-		perNode := float64(best) / float64(a.NumAnds())
+		perNode := float64(alloctest.Bytes(func() { Parallel(d, a, opts) })) / float64(a.NumAnds())
 		t.Logf("%s: %.0f B/node over %d ANDs (budget %.0f)", tc.name, perNode, a.NumAnds(), tc.budget)
 		if perNode > tc.budget {
 			t.Errorf("%s: %.0f B/node, budget %.0f", tc.name, perNode, tc.budget)

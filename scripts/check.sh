@@ -4,8 +4,8 @@
 # under the race detector, and then only the rows that add a flag to it: the
 # non-race million-node and scaling smokes, the seeded chaos gate, uncached
 # (-count=1) runs of the I/O-bound packages, the byte budgets, and short fuzz
-# smokes of the AIGER parser, the ISOP, the simulator, the topological walk and
-# the script parser.
+# smokes of the AIGER parser, the ISOP, the simulator, the topological walk,
+# Rehash and the script parser.
 # Run from anywhere; `make check` is an alias.
 set -eu
 cd "$(dirname "$0")/.."
@@ -167,6 +167,14 @@ if grep -nE '^func (\([^)]*\) )?(TopoOrderChecked|checkAcyclic|isTopoByID|CountR
     echo "check: a second topological walk or canonical-order test, or refactor.Options.MaxCut, grew back (see above); call the walk through TopoOrder/CompactSafe/Check and use (*aig.AIG).Canonical" >&2
     exit 1
 fi
+# Division works on sorted cube slices: factor.divide merges sorted,
+# deduplicated []truth.Cube sets, so no non-test file of internal/factor
+# declares a map keyed by a cube (the per-call map sets it replaced
+# allocated ~10 % of a sequential resyn2's bytes).
+if grep -nF 'map[truth.Cube]' $(find internal/factor -name '*.go' ! -name '*_test.go'); then
+    echo "check: internal/factor declares a map keyed by truth.Cube again (see above); divide on sorted cube slices" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
@@ -203,18 +211,21 @@ go test -race -count=1 -run 'TestChaosBatchSupervision' -chaos-seed="$CHAOS_SEED
 # daemon (v1 API e2e with SSE resume; crash-recovery and drain smokes that
 # re-exec the daemon) — so a cached pass never hides a flake.
 go test -race -count=1 ./internal/sched/ ./internal/journal/ ./internal/queue/ ./internal/bus/ ./internal/store/ ./client/ ./cmd/aigred/
-# Byte budgets of the gate, the AIGER streams, a daemon submission and the
-# parallel rw, rwz and balancing passes: they skip themselves under -race,
+# Byte budgets of Rehash on a fixed point, Reconv cuts across a growing
+# network, cube division, the gate, the AIGER streams, a daemon submission and
+# the parallel rw, rwz and balancing passes: they skip themselves under -race,
 # whose allocation padding makes them meaningless.
-go test -count=1 -run 'AllocBudget' ./internal/aig ./internal/cec ./internal/aiger ./internal/rewrite ./internal/balance ./cmd/aigred
+go test -count=1 -run 'AllocBudget' ./internal/aig ./internal/cut ./internal/factor ./internal/cec ./internal/aiger ./internal/rewrite ./internal/balance ./cmd/aigred
 # Fuzz smoke: the AIGER parser must never panic on arbitrary input, the
 # width-halving ISOP must match the full-width oracle cube for cube, Simulate
 # must match its reference on randomly edited networks, the topological walk
 # must fail exactly on corrupted networks and otherwise return the reference
-# order, and the script parser must never panic and accept only table
+# order, Rehash must match its rebuild path (bytes, or the panic) on them, and
+# the script parser must never panic and accept only table
 # commands, in a canonical round trip.
 go test -run='^$' -fuzz=FuzzParse -fuzztime=10s ./internal/aiger/
 go test -run='^$' -fuzz=FuzzScript -fuzztime=10s ./internal/flow/
 go test -run='^$' -fuzz=FuzzISOP -fuzztime=10s ./internal/truth/
 go test -run='^$' -fuzz=FuzzSimulate -fuzztime=10s ./internal/aig/
 go test -run='^$' -fuzz=FuzzWalk -fuzztime=10s ./internal/aig/
+go test -run='^$' -fuzz=FuzzRehash -fuzztime=10s ./internal/aig/
