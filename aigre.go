@@ -100,8 +100,10 @@ type Options struct {
 	// Parallel runs the paper's GPU-parallel algorithms; false runs the
 	// ABC-style sequential baselines.
 	Parallel bool
-	// Workers sizes the pool of the one-job engine behind every Network
-	// method (BatchOptions.Workers; 0 = GOMAXPROCS). Ignored in a Batch.
+	// Workers is this job's worker budget: the pool size of a Network
+	// method's one-job engine (BatchOptions.Workers; 0 = GOMAXPROCS), and in
+	// a Batch the cap on the pool workers one kernel launch of the job, or of
+	// each of its partitions, may occupy (0 = the whole pool).
 	Workers int
 	// Verify upgrades the per-command functional gate of every run from
 	// random-simulation sampling to a full combinational equivalence check
@@ -299,7 +301,8 @@ func (n *Network) Balance(ctx context.Context, opts Options) (Result, error) {
 }
 
 // Refactor runs one refactoring pass (Section III): the script "rf". In
-// parallel mode the cleanup pass (Section III-F) is included. More passes are
+// parallel mode its replacement ends with the de-duplication and
+// dangling-node pass (Section III-F). More passes are
 // a longer script: the paper's "GPU rf (x2)" is Run(ctx, "rf; rf", opts).
 func (n *Network) Refactor(ctx context.Context, opts Options) (Result, error) {
 	return n.Run(ctx, "rf", opts)
@@ -307,7 +310,8 @@ func (n *Network) Refactor(ctx context.Context, opts Options) (Result, error) {
 
 // Rewrite runs rewriting: the script "rw" (zero-gain rewriting is
 // Run(ctx, "rwz", opts)). In parallel mode this follows [9] (parallel
-// evaluation, sequential replacement) plus the cleanup pass.
+// evaluation, sequential replacement); the strash-aware replacement leaves no
+// duplicate for a cleanup pass to merge.
 func (n *Network) Rewrite(ctx context.Context, opts Options) (Result, error) {
 	return n.Run(ctx, "rw", opts)
 }

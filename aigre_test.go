@@ -180,8 +180,9 @@ func TestSingleAlgorithmGated(t *testing.T) {
 		{"balance-recon-init", "balance/recon-init:1:corrupt", "b", "equivalence", func(o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
 		{"balance-panic", "balance/insert-pass:1:panic", "b", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Balance(ctx, o) }},
 		{"rewrite", "rewrite/evaluate:1:panic", "rw", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
-		{"rewrite-cleanup", "dedup/level:1:panic", "rw", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Rewrite(ctx, o) }},
 		{"refactor", "refactor/resynth:1:panic", "rf", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Refactor(ctx, o) }},
+		// The parallel replacement runs the Section III-F pass itself.
+		{"refactor-cleanup", "dedup/level:1:panic", "rf", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Refactor(ctx, o) }},
 		{"refactor-pass-2", "refactor/resynth:2:panic", "rf; rf", "launch", func(o aigre.Options) (aigre.Result, error) { return n.Run(ctx, "rf; rf", o) }},
 	} {
 		plan, err := gpu.ParseFaultPlan(c.spec)

@@ -31,16 +31,11 @@ type Batch struct {
 	// Priority orders the start of a batch's jobs: higher starts first, ties
 	// in slice order.
 	Priority int
-	// Workers caps how many pool workers a single kernel launch of this job
-	// may occupy (0 = the whole pool); in a partitioned job, each partition's
-	// lease has this cap. The shared budget bounds total concurrency
-	// regardless.
-	Workers int
 	// Options selects engine parameters for this job, as documented there.
-	// Options.Workers is ignored: the job leases from the engine's pool
-	// (BatchOptions.Workers), capped by Batch.Workers. A partitioned job runs
-	// its partitions inside its own attempt, at most the pool's width at
-	// once; Result.Partition carries the report.
+	// The job leases from the engine's pool (BatchOptions.Workers), capped by
+	// Options.Workers. A partitioned job runs its partitions inside its own
+	// attempt, at most the pool's width at once; Result.Partition carries the
+	// report.
 	Options Options
 }
 

@@ -202,9 +202,11 @@ func main() {
 		cur = res.AIG
 		degraded = len(res.Incidents) > 0
 		if *verbose {
+			// dedup= is the share of modeled= that the command's Section
+			// III-F kernels took, as its profile files it.
 			for _, t := range res.Timings {
 				fmt.Fprintf(msg, "  %-4s wall=%-12v modeled=%-12v dedup=%-12v and=%d lev=%d\n",
-					t.Command, t.Wall, t.Modeled, t.DedupModeled, t.NodesAfter, t.LevelsAfter)
+					t.Command, t.Wall, t.Modeled, flow.Breakdown([]flow.CommandTiming{t})["dedup"], t.NodesAfter, t.LevelsAfter)
 			}
 		}
 		mode := "sequential"

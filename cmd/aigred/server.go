@@ -518,7 +518,7 @@ func specBatch(spec *queue.Spec, cfg serverConfig) (aigre.Batch, error) {
 	if err != nil {
 		return aigre.Batch{}, err
 	}
-	opts := aigre.Options{Parallel: spec.Parallel}
+	opts := aigre.Options{Parallel: spec.Parallel, Workers: spec.Workers}
 	for _, inj := range spec.Inject {
 		plan, err := gpu.ParseFaultPlan(inj)
 		if err != nil {
@@ -533,7 +533,6 @@ func specBatch(spec *queue.Spec, cfg serverConfig) (aigre.Batch, error) {
 		Name:    spec.ID,
 		AIG:     n,
 		Script:  spec.Script,
-		Workers: spec.Workers,
 		Options: opts,
 	}, nil
 }

@@ -124,7 +124,7 @@ func (e *Engine) convert(b Batch) sched.Job {
 		AIG:        b.AIG.aig,
 		Script:     b.Script,
 		Priority:   b.Priority,
-		Workers:    b.Workers,
+		Workers:    o.Workers,
 		Config:     o.flowConfig(),
 		Partition:  o.Partition,
 		FaultPlans: o.FaultPlans,

@@ -253,9 +253,12 @@ func profileDigest(rows []gpu.KernelProfile) string {
 // edit scaffold own: output bytes of every single-algorithm entry point, and
 // for the device runs the modeled time to the nanosecond and the per-kernel
 // accounting rows. Recorded at the commit before the executor existed
-// (0854ff4); nothing here may move in a change that only restructures. rf2
-// is the script "rf; rf" (on the device, a cleanup pass after each pass), and
-// the device rwz runs two passes.
+// (0854ff4); nothing here may move in a change that only restructures. The
+// modeled and profile fields of the rw, rwz, rs and resyn2 device rows were
+// re-pinned when the flow stopped running a cleanup pass after rw, rwz and
+// rs; every output digest stayed. rf2 is the script "rf; rf" (on the device,
+// each pass's replacement runs the Section III-F pass), and the device rwz
+// runs two passes.
 func TestCommandGoldens(t *testing.T) {
 	ctx := context.Background()
 	type algo struct {
@@ -319,41 +322,41 @@ var commandGoldens = map[string]string{
 	"sixteen/rf2/seq":          "10cae196dc4d49abe104c6d1485c0cd040dfac02c0d562f7cef8e3cf9aa54c3c",
 	"sixteen/rf2/par":          "766585a67be1dd86ab8282af3a5cb0048ddfa5b5cb9c66e06c1e748fdacf1a92 16431620 f7d4fd6d584ce278",
 	"sixteen/rw/seq":           "cb8e697f943124c353f61fa25c36e8d135ec070a09cc915f8eb60f0c755cee63",
-	"sixteen/rw/par":           "586d33521c0b1f5a4df1d88a6970875d121e8f10741fa1d30f701db1f5b0ce08 2037108 c35a58ac6b62839a",
+	"sixteen/rw/par":           "586d33521c0b1f5a4df1d88a6970875d121e8f10741fa1d30f701db1f5b0ce08 55148 6bba06be7f6f2b7c",
 	"sixteen/rwz/seq":          "cb8e697f943124c353f61fa25c36e8d135ec070a09cc915f8eb60f0c755cee63",
-	"sixteen/rwz/par":          "21fb2aa12a271cab34f28bffce3611ad48aa8df83aa0482a4416e0d2a0f895ab 2569372 15580b42b9197b3e",
+	"sixteen/rwz/par":          "21fb2aa12a271cab34f28bffce3611ad48aa8df83aa0482a4416e0d2a0f895ab 647472 e5c1d43a1581512f",
 	"sixteen/rs/seq":           "171c8ca7097b8d54a91ea8c946e173b728dfc12a7dd69e9ef93a5aa1606162da",
-	"sixteen/rs/par":           "09bc2b8d0438765c941630baa2324565dc55322ec697acacdd40cbc21a39b966 2033434 9fb405cd1e9581df",
+	"sixteen/rs/par":           "09bc2b8d0438765c941630baa2324565dc55322ec697acacdd40cbc21a39b966 51474 06b79096f1a9dfba",
 	"sixteen/dedup/seq":        "5d0f70bf9d8f9d2664810a051efd4e630bc4a32309a50bd43d92faa76e236e61 2252230 67a1ed7affcfebfb",
 	"sixteen/dedup/par":        "5d0f70bf9d8f9d2664810a051efd4e630bc4a32309a50bd43d92faa76e236e61 2252230 67a1ed7affcfebfb",
-	"sixteen/resyn2/par":       "a8ba8d773c0eadd485211c8c234b2d6f95285140e469c0af9d400e36adf72d2c 59631980 7794fbe14d7faacc 10",
+	"sixteen/resyn2/par":       "a8ba8d773c0eadd485211c8c234b2d6f95285140e469c0af9d400e36adf72d2c 52544980 1c82fbf8315b5056 10",
 	"sixteen/rf-seqreplace":    "7959f6cff23f2f3e4504da33af8d73e806c7c8578aa5e1ca9c0858cbad3b319c 23020",
 	"mem_ctrl/b/seq":           "11881b99dff1ebcb33ad775186cb1b45eb768884054492c7c57a1044501f428f",
 	"mem_ctrl/b/par":           "ad57faf60fcb605d69e396194f7c64cd5fbc9be683ba81ff281a14a8891816aa 6997030 5c713dbd9fc87e83",
 	"mem_ctrl/rf2/seq":         "ed2e5bb5b80648293e86016b199c4beecd30233aa0c1e81ce2ae51a8f4d08c56",
 	"mem_ctrl/rf2/par":         "0487633400f54cae28e568bcb6a1e944ade23b86d8d8393a40f7a22725b67d9d 17743640 3f586317bf2f0381",
 	"mem_ctrl/rw/seq":          "084ba5f5595265e29327c1d91dbe5544ccdde07e49aec806132a3e82d9520f4f",
-	"mem_ctrl/rw/par":          "b578d42097af86f8792233c81041c3fc2f383b9a694618cabf530faec935b9bf 1293664 a23c7eaa39af899e",
+	"mem_ctrl/rw/par":          "b578d42097af86f8792233c81041c3fc2f383b9a694618cabf530faec935b9bf 152544 a4988f18fd732f19",
 	"mem_ctrl/rwz/seq":         "084ba5f5595265e29327c1d91dbe5544ccdde07e49aec806132a3e82d9520f4f",
-	"mem_ctrl/rwz/par":         "3b2b30a9fb7e34c1b1c711b3a80ee88696a4f1201d78c1901972e8d3668722b5 1901810 0a8fd80520ab6496",
+	"mem_ctrl/rwz/par":         "3b2b30a9fb7e34c1b1c711b3a80ee88696a4f1201d78c1901972e8d3668722b5 790720 a854c67d950196f6",
 	"mem_ctrl/rs/seq":          "06b0d6e963fef50ac7272dca7bd53b9a1a6a98345084ef7a4829125144b6e0c8",
-	"mem_ctrl/rs/par":          "06b0d6e963fef50ac7272dca7bd53b9a1a6a98345084ef7a4829125144b6e0c8 1634272 849a080e504d2926",
+	"mem_ctrl/rs/par":          "06b0d6e963fef50ac7272dca7bd53b9a1a6a98345084ef7a4829125144b6e0c8 72732 f7a21b0054c98021",
 	"mem_ctrl/dedup/seq":       "a643178a755d297fe35fb317979b94882cf01ac2316f1830fdf9f0f6a6ab9bf8 1591570 6be77970523c1e2d",
 	"mem_ctrl/dedup/par":       "a643178a755d297fe35fb317979b94882cf01ac2316f1830fdf9f0f6a6ab9bf8 1591570 6be77970523c1e2d",
-	"mem_ctrl/resyn2/par":      "8092faea071090a2127b06328622f724009020004861fa041d9b7108a27dd6e6 51539406 50f23bd48204c044 10",
+	"mem_ctrl/resyn2/par":      "8092faea071090a2127b06328622f724009020004861fa041d9b7108a27dd6e6 46013966 b0c67ec3fdbdd1c4 10",
 	"mem_ctrl/rf-seqreplace":   "db16291d43fe3300a041e3dcd63a3288507ef1b6a547395c89f6df2587c2703f 33188",
 	"multiplier/b/seq":         "2d5aa107346e7edb17507641685cce377cb95530ae3abb93078f5cd9a73c06dc",
 	"multiplier/b/par":         "2d5aa107346e7edb17507641685cce377cb95530ae3abb93078f5cd9a73c06dc 27263930 3dbee1da39e58f57",
 	"multiplier/rf2/seq":       "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324",
 	"multiplier/rf2/par":       "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 73776620 4a181d8b2d6c424c",
 	"multiplier/rw/seq":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5",
-	"multiplier/rw/par":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 7707260 8cef52fafc6cee07",
+	"multiplier/rw/par":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 379960 4c07a09340ca6c77",
 	"multiplier/rwz/seq":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5",
-	"multiplier/rwz/par":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 11009820 4fc55d87922efd7d",
+	"multiplier/rwz/par":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 3682520 432079e83b4367ab",
 	"multiplier/rs/seq":        "f5f7887817409f2ffb5e6f623f5a50ab75046054476ef835e55f584688f2bb1f",
-	"multiplier/rs/par":        "5e34010ba8841dc34fc673520a5f7dbbccd2bccd6fa20cf5a8b0f52cc3cb23a5 8902686 b06b766f998a33bc",
+	"multiplier/rs/par":        "5e34010ba8841dc34fc673520a5f7dbbccd2bccd6fa20cf5a8b0f52cc3cb23a5 434246 94a33040a64f90bb",
 	"multiplier/dedup/seq":     "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324 9129110 3d76932a5254b486",
 	"multiplier/dedup/par":     "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324 9129110 3d76932a5254b486",
-	"multiplier/resyn2/par":    "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 210126720 dbe90956a6af55da 10",
+	"multiplier/resyn2/par":    "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 179015710 44771671e58b3253 10",
 	"multiplier/rf-seqreplace": "395edfe2af14a46d8113b9a4873dda578c847e0fa462f0ddf5393150d7be4a3f 97308",
 }

@@ -1,8 +1,11 @@
 package balance
 
 // itemHeap is a binary min-heap over (delay, literal), the per-subtree
-// reconstruction table entry ordering. Ties break on the literal value so
-// reconstruction is deterministic regardless of worker count.
+// reconstruction table entry ordering. Ties break on the literal value, so
+// one subtree's pairing order is fixed by its items. The literals are not
+// fixed across worker counts: when two subtrees create the same AND in one
+// insertion pass, whichever ShareOrCreate insert lands first picks the
+// literal both get.
 type itemHeap struct{ s []item }
 
 func itemLess(a, b item) bool {

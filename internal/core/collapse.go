@@ -7,9 +7,13 @@
 //     cut-size early stop (Section III-C, Theorem 1),
 //   - the data-race-free parallel replacement engine built on the
 //     GPU-parallel hash table, with lower-bound gain accounting
-//     (Sections III-B(b), III-D, III-E).
+//     (Sections III-B(b), III-D, III-E), which runs the de-duplication and
+//     dangling-node pass (Section III-F, package dedup) on its output,
+//   - the host in-place editor and applier (EditInPlace, Apply) that
+//     rewriting, resubstitution and [9]-style replacement go through.
 //
-// Refactoring and balancing are thin clients of this package.
+// Refactoring, rewriting and resubstitution are clients of this package;
+// balancing has its own reconstruction kernels and does not use it.
 package core
 
 import (

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"aigre/internal/aig"
+	"aigre/internal/dedup"
 	"aigre/internal/gpu"
 	"aigre/internal/hashtable"
 )
@@ -20,7 +21,7 @@ type Replacement struct {
 // the shared hash table, one op per cone per insertion pass, with no data
 // race (the cones are disjoint by Theorem 1, so deletions cannot conflict,
 // and concurrent creations are resolved by the lock-free table). It returns
-// a fresh compacted AIG.
+// a fresh network with no structural duplicate and no dangling node.
 func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement) *aig.AIG {
 	work := a.Clone()
 
@@ -159,8 +160,11 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement) *aig.AIG {
 		}
 	}
 
-	// Phase 7: drop the old cones and unused provisional slots.
+	// Phase 7: drop the old cones and unused provisional slots, then merge
+	// the Figure 4 duplicates the redirect made and drop what they orphan
+	// (Section III-F).
 	out, _ := work.Compact()
+	out, _, _ = dedup.Merge(d, out)
 	return out
 }
 

@@ -1,10 +1,15 @@
 // Package dedup implements the paper's post-processing pass (Section III-F):
 // de-duplication of structurally identical nodes and dangling-node removal.
 //
-// Parallel replacement and parallel rewriting can leave duplicate pairs
-// behind (Figure 4: when the new root of a resynthesized cone already exists,
-// fanouts of the old and new roots may become structurally identical), and
-// local functions that do not depend on all leaves leave dangling nodes.
+// The paper's parallel replacement leaves duplicate pairs behind (Figure 4:
+// when the new root of a resynthesized cone already exists, fanouts of the
+// old and new roots may become structurally identical), and local functions
+// that do not depend on all leaves leave dangling nodes, so
+// core.ApplyReplacements ends with Merge, as does the partition stitch. The
+// in-place editor under rewriting and resubstitution merges duplicates as it
+// replaces and leaves neither. Run is the pass alone: the dedup command's
+// engine, and the reference a clean network is checked against.
+//
 // De-duplication must proceed level-wise from PIs to POs because merging two
 // nodes can create new duplicates among their fanouts.
 package dedup

@@ -7,12 +7,16 @@
 // (resubstitution) and dedup (the cleanup pass alone; aig.Rehash is its
 // sequential engine). In parallel mode rf and rfz are identical, because the
 // parallel gain is a lower bound and zero-gain replacements are always
-// accepted (Section III-D), the device rwz runs two rewriting passes (the
-// paper's GPU resyn2 setting), and every parallel rw/rf/rs command is followed
-// by the de-duplication and dangling-node cleanup pass, timed separately
-// (Sections III-F, V-B). A single algorithm is a one-command script, and the
-// script is the whole program: no option repeats or rewrites a command, so
-// the paper's "GPU rf (x2)" is the script "rf; rf".
+// accepted (Section III-D), and the device rwz runs two rewriting passes (the
+// paper's GPU resyn2 setting). Every engine hands back a clean network, free
+// of structural duplicates and dangling nodes: rw, rwz and rs replace through
+// a strash-aware in-place editor, and the parallel replacement of rf and rfz
+// runs the de-duplication and dangling-node pass (Section III-F) itself, so
+// no cleanup follows a command; its kernels ("dedup/") sit in the command's
+// profile, where Breakdown files them under "dedup" (Section V-B). A single
+// algorithm is a one-command script, and the script is the whole program: no
+// option repeats or rewrites a command, so the paper's "GPU rf (x2)" is the
+// script "rf; rf".
 package flow
 
 import (
@@ -76,18 +80,16 @@ func (c Config) normalized() Config {
 
 // CommandTiming is the per-command record behind Figure 8, and a row of the
 // "commands" array of cmd/aigre -profile-json. Wall and Modeled cover the
-// command's own passes; DedupWall and DedupModeled its cleanup pass.
+// command's passes.
 type CommandTiming struct {
-	Command      string        `json:"command"`
-	Wall         time.Duration `json:"wall_ns"`
-	Modeled      time.Duration `json:"modeled_ns"` // device-modeled time (parallel mode only)
-	DedupWall    time.Duration `json:"dedup_wall_ns"`
-	DedupModeled time.Duration `json:"dedup_modeled_ns"`
-	NodesAfter   int           `json:"nodes_after"`
-	LevelsAfter  int           `json:"levels_after"`
-	// Kernels is the per-kernel device profile of this command, including
-	// its cleanup pass when one ran (dedup kernels carry "dedup/" names).
-	// Parallel mode only; the modeled times sum to Modeled + DedupModeled.
+	Command     string        `json:"command"`
+	Wall        time.Duration `json:"wall_ns"`
+	Modeled     time.Duration `json:"modeled_ns"` // device-modeled time (parallel mode only)
+	NodesAfter  int           `json:"nodes_after"`
+	LevelsAfter int           `json:"levels_after"`
+	// Kernels is the per-kernel device profile of this command (the
+	// Section III-F kernels of a parallel replacement carry "dedup/" names).
+	// Parallel mode only; the modeled times sum to Modeled.
 	Kernels []gpu.KernelProfile `json:"kernels,omitempty"`
 }
 
@@ -141,9 +143,6 @@ type command struct {
 	// ParPasses is the number of device passes of one script command (0 = 1);
 	// the sequential engine always runs one.
 	ParPasses int
-	// Cleanup makes parallel mode follow the command with the
-	// de-duplication and dangling-node pass (Section III-F).
-	Cleanup bool
 }
 
 var commands = map[string]command{
@@ -154,7 +153,7 @@ var commands = map[string]command{
 	"rwz": rewriteCommand(true),
 	"rf":  refactorCommand(false),
 	"rfz": refactorCommand(true),
-	"rs": {Kind: "rs", ParPasses: 1, Cleanup: true,
+	"rs": {Kind: "rs", ParPasses: 1,
 		Seq: func(a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Sequential(a); return out },
 		Par: func(d *gpu.Device, a *aig.AIG, _ Config) *aig.AIG { out, _ := resub.Parallel(d, a); return out }},
 	// The cleanup pass as a command of its own; a full rehash is its
@@ -165,13 +164,13 @@ var commands = map[string]command{
 }
 
 // rewriteCommand builds rw (zero = false) and rwz. The device rwz runs two
-// [9] passes before its cleanup, the paper's GPU resyn2 setting.
+// [9] passes, the paper's GPU resyn2 setting.
 func rewriteCommand(zero bool) command {
 	passes := 1
 	if zero {
 		passes = 2
 	}
-	return command{Kind: "rw", ParPasses: passes, Cleanup: true,
+	return command{Kind: "rw", ParPasses: passes,
 		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
 			out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: zero, Cache: cfg.Cache})
 			return out
@@ -186,7 +185,7 @@ func rewriteCommand(zero bool) command {
 // always accepts zero gain (Section III-D), so the two differ only on the
 // sequential engine.
 func refactorCommand(zero bool) command {
-	return command{Kind: "rf", ParPasses: 1, Cleanup: true,
+	return command{Kind: "rf", ParPasses: 1,
 		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
 			out, _ := refactor.Sequential(a, refactor.Options{ZeroGain: zero, Cache: cfg.Cache})
 			return out
@@ -267,7 +266,7 @@ func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Conf
 		t.NodesAfter = res.AIG.NumAnds()
 		t.LevelsAfter = res.AIG.Levels()
 		res.Timings = append(res.Timings, t)
-		res.Modeled += t.Modeled + t.DedupModeled
+		res.Modeled += t.Modeled
 	}
 	res.Wall = time.Since(start)
 	res.CacheStats = cfg.Cache.Snapshot().Sub(cacheBefore)
@@ -279,10 +278,9 @@ func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Conf
 
 // execute is the one place a command turns into engine calls: one run of its
 // sequential engine or c.ParPasses runs of its device engine on d
-// (cfg.Parallel selects), ctx checked between them, the cleanup pass after a device run of
-// a command that asks for one, and the timing record (for a device run the
-// modeled times and the per-kernel profile are deltas of the device's
-// accounting). An engine panic comes back as an error — a *gpu.LaunchError
+// (cfg.Parallel selects), ctx checked between them, and the timing record (for
+// a device run the modeled time and the per-kernel profile are deltas of the
+// device's accounting). An engine panic comes back as an error — a *gpu.LaunchError
 // (kernel panic, full hash table surfaced through a kernel) or
 // *gpu.CancelledError as itself, anything else as an engine-panic error —
 // with an empty timing.
@@ -324,35 +322,44 @@ func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c comm
 		t.Modeled = t.Wall
 		return out, t, nil
 	}
-	afterCmd := d.Stats()
-	t.Modeled = afterCmd.Sub(snap).ModeledTime
-	if c.Cleanup {
-		dstart := time.Now()
-		out, _ = dedup.Run(d, out)
-		t.DedupWall = time.Since(dstart)
-		t.DedupModeled = d.Stats().Sub(afterCmd).ModeledTime
-	}
+	t.Modeled = d.Stats().Sub(snap).ModeledTime
 	t.Kernels = gpu.DiffProfile(d.Profile(), profSnap)
 	return out, t, nil
 }
 
 // Breakdown aggregates timings by command kind (b, rw, rf, dedup), the
-// Figure 8 data series.
+// Figure 8 data series. A command's "dedup/" kernel rows, the Section III-F
+// pass of a parallel replacement, are filed under "dedup" and the rest of its
+// time under its kind.
 func Breakdown(timings []CommandTiming) map[string]time.Duration {
 	out := map[string]time.Duration{}
 	for _, t := range timings {
-		out[commands[t.Command].Kind] += t.Modeled
-		out["dedup"] += t.DedupModeled
+		dd := dedupShare(t.Kernels).Modeled
+		out[commands[t.Command].Kind] += t.Modeled - dd
+		out["dedup"] += dd
 	}
 	return out
 }
 
-// BreakdownWall is Breakdown over wall-clock times.
+// BreakdownWall is Breakdown over wall-clock times; the "dedup" series is
+// the wall time of the dedup kernels' launches.
 func BreakdownWall(timings []CommandTiming) map[string]time.Duration {
 	out := map[string]time.Duration{}
 	for _, t := range timings {
-		out[commands[t.Command].Kind] += t.Wall
-		out["dedup"] += t.DedupWall
+		dd := dedupShare(t.Kernels).Wall
+		out[commands[t.Command].Kind] += t.Wall - dd
+		out["dedup"] += dd
 	}
 	return out
+}
+
+// dedupShare totals a command's "dedup/" kernel rows.
+func dedupShare(rows []gpu.KernelProfile) gpu.KernelProfile {
+	var dd []gpu.KernelProfile
+	for _, k := range rows {
+		if strings.HasPrefix(k.Kernel, "dedup/") {
+			dd = append(dd, k)
+		}
+	}
+	return gpu.TotalProfile(dd)
 }

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"aigre/internal/aig"
 	"aigre/internal/bench"
 	"aigre/internal/cec"
+	"aigre/internal/dedup"
 	"aigre/internal/gpu"
 )
 
@@ -107,8 +109,8 @@ func TestBreakdownAggregation(t *testing.T) {
 	if bd["b"] <= 0 || bd["rf"] <= 0 || bd["rw"] <= 0 {
 		t.Errorf("breakdown missing entries: %v", bd)
 	}
-	if _, ok := bd["dedup"]; !ok {
-		t.Errorf("dedup not tracked")
+	if bd["dedup"] <= 0 {
+		t.Errorf("rf's Section III-F kernels not filed under dedup: %v", bd)
 	}
 	wd := BreakdownWall(res.Timings)
 	if wd["rf"] <= 0 {
@@ -129,12 +131,13 @@ func TestBalanceCommandMatchesLevels(t *testing.T) {
 
 // TestPerCommandKernelBreakdown checks the profiler threading: every
 // parallel command carries a per-kernel breakdown whose modeled times sum to
-// the command's Modeled + DedupModeled exactly, and the union of all
-// breakdowns reconciles with the device's total profile.
+// the command's Modeled exactly, only the parallel replacement (rf, rfz)
+// launches the Section III-F kernels, Breakdown files those under "dedup",
+// and the union of all breakdowns reconciles with the device's total profile.
 func TestPerCommandKernelBreakdown(t *testing.T) {
 	a := testAIG()
 	d := gpu.New(2)
-	res, err := Run(context.Background(), d, a, "b; rw; rfz", Config{Parallel: true})
+	res, err := Run(context.Background(), d, a, "b; rw; rwz; rs; rfz", Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,21 +147,22 @@ func TestPerCommandKernelBreakdown(t *testing.T) {
 			t.Fatalf("command %q has no kernel breakdown", ct.Command)
 		}
 		perCmd := gpu.TotalProfile(ct.Kernels).Modeled
-		if perCmd != ct.Modeled+ct.DedupModeled {
-			t.Errorf("command %q: kernel sum %v != modeled %v + dedup %v",
-				ct.Command, perCmd, ct.Modeled, ct.DedupModeled)
+		if perCmd != ct.Modeled {
+			t.Errorf("command %q: kernel sum %v != modeled %v", ct.Command, perCmd, ct.Modeled)
 		}
 		sumAll += perCmd
-		if ct.Command != "b" {
-			found := false
-			for _, k := range ct.Kernels {
-				if strings.HasPrefix(k.Kernel, "dedup/") {
-					found = true
-				}
+		var dd time.Duration
+		for _, k := range ct.Kernels {
+			if strings.HasPrefix(k.Kernel, "dedup/") {
+				dd += k.Modeled
 			}
-			if found == false {
-				t.Errorf("command %q breakdown lacks dedup kernels: %v", ct.Command, ct.Kernels)
-			}
+		}
+		if want := ct.Command == "rfz"; (dd > 0) != want {
+			t.Errorf("command %q: dedup kernels %v, want them present = %v: %v", ct.Command, dd, want, ct.Kernels)
+		}
+		bd := Breakdown([]CommandTiming{ct})
+		if bd["dedup"] != dd || bd[commands[ct.Command].Kind] != ct.Modeled-dd {
+			t.Errorf("command %q: Breakdown %v, want dedup %v and the rest %v", ct.Command, bd, dd, ct.Modeled-dd)
 		}
 	}
 	if total := d.Stats().ModeledTime; sumAll != total {
@@ -184,5 +188,39 @@ func TestSequentialZeroGainCommands(t *testing.T) {
 	}
 	if res.AIG.NumAnds() > a.NumAnds() {
 		t.Errorf("zero-gain run grew the AIG: %d -> %d", a.NumAnds(), res.AIG.NumAnds())
+	}
+}
+
+// TestEnginesReturnCleanNetworks pins the contract that lets the flow run no
+// cleanup after a command: every parallel command hands back a network on
+// which the Section III-F pass merges, folds and removes nothing, on every
+// Suite(1) family and on 60 seeded random networks. It compares counts, not
+// bytes: aig.Compact is not idempotent, so the pass may renumber a clean
+// network.
+func TestEnginesReturnCleanNetworks(t *testing.T) {
+	inputs := map[string]*aig.AIG{}
+	for _, c := range bench.Suite(1) {
+		inputs[c.Name] = c.Build()
+	}
+	for seed := range 60 {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		inputs[fmt.Sprintf("random%d", seed)] = aig.Random(rng, 6+seed%8, 100+10*seed, 1+seed%6)
+	}
+	d, cfg := gpu.New(2), Config{}.normalized()
+	for _, name := range []string{"b", "rw", "rwz", "rf", "rfz", "rs"} {
+		c := commands[name]
+		for in, a := range inputs {
+			out := a
+			for range max(c.ParPasses, 1) {
+				out = c.Par(d, out, cfg)
+			}
+			clean, st := dedup.Run(d, out)
+			if st.DuplicatesMerged != 0 || st.TriviallyReduced != 0 || st.DanglingRemoved != 0 ||
+				clean.NumAnds() != out.NumAnds() || clean.Levels() != out.Levels() {
+				t.Errorf("%s on %s: cleanup merged %d, folded %d, removed %d; ands %d -> %d, levels %d -> %d",
+					name, in, st.DuplicatesMerged, st.TriviallyReduced, st.DanglingRemoved,
+					out.NumAnds(), clean.NumAnds(), out.Levels(), clean.Levels())
+			}
+		}
 	}
 }

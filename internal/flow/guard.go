@@ -111,7 +111,6 @@ func runGuarded(ctx context.Context, d *gpu.Device, checkpoint *aig.AIG, cmd str
 			// A failed attempt's wall time is part of this command's cost; its
 			// modeled time is not (the launch was aborted, not completed).
 			t.Wall += failed.Wall
-			t.DedupWall += failed.DedupWall
 			return out, t, incs, nil
 		}
 		if cerr := ctx.Err(); cerr != nil {

@@ -119,7 +119,7 @@ func synthesize(tt truth.TT, s *scratch) (core.Program, int64) {
 // Parallel runs one pass of the paper's GPU refactoring and returns the
 // optimized AIG. The input must be structurally sound (use Rehash/Compact
 // after external loaders); the result is compacted and de-duplicated by the
-// caller's post-processing (see package dedup).
+// parallel replacement (core.ApplyReplacements).
 func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	reps, st := resynthesizeCones(d, a, opts.normalized())
 	// Stage 3: parallel replacement (Section III-B b, Figures 1c-1f).

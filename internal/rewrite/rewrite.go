@@ -296,8 +296,8 @@ func Candidates(d *gpu.Device, work *aig.AIG, opts Options) []core.Candidate {
 // evaluation of all nodes runs as a device kernel; the replacement step is
 // [9]'s host-sequential loop in id order (accounted as sequential time, the
 // Table I baseline), each candidate revalidated against the edits before it
-// by core.Apply; duplicates left behind are handled by the caller's dedup
-// pass (Section III-F).
+// by core.Apply, whose strash-aware ReplaceNode merges any duplicate a
+// replacement makes, so the result needs no Section III-F pass.
 func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}

@@ -389,14 +389,14 @@ func TestSequentialPartitionedJobNotWatched(t *testing.T) {
 }
 
 // TestPartitionLeaseCapKeepsBytes runs one parallel partitioned job with
-// Batch.Workers 0, 1 and 2 on a 3-worker engine: the cap only narrows each
+// Options.Workers 0, 1 and 2 on a 3-worker engine: the cap only narrows each
 // partition's lease, so the output bytes are the same.
 func TestPartitionLeaseCapKeepsBytes(t *testing.T) {
 	in := aigre.FromInternal(bench.DeepNarrow(8, 500))
 	var want string
 	for _, workers := range []int{0, 1, 2} {
-		job := aigre.Batch{Name: "deep", AIG: in, Script: "b; rw", Workers: workers,
-			Options: aigre.Options{Parallel: true, Cache: aigre.NewCache(),
+		job := aigre.Batch{Name: "deep", AIG: in, Script: "b; rw",
+			Options: aigre.Options{Parallel: true, Workers: workers, Cache: aigre.NewCache(),
 				Partition: aigre.PartitionOptions{Mode: aigre.PartitionCones, TargetSize: 2000}}}
 		rs, _, err := aigre.RunBatch(context.Background(), []aigre.Batch{job}, aigre.BatchOptions{Workers: 3})
 		if err != nil {
@@ -412,7 +412,7 @@ func TestPartitionLeaseCapKeepsBytes(t *testing.T) {
 		if workers == 0 {
 			want = got
 		} else if got != want {
-			t.Errorf("Batch.Workers %d: output %s, %s at 0", workers, got, want)
+			t.Errorf("Options.Workers %d: output %s, %s at 0", workers, got, want)
 		}
 	}
 }

@@ -97,6 +97,9 @@ func through(t *testing.T, rt jobRoute, job aigre.Batch, pol aigre.Policy) strin
 // pins what each returns. The goldens were recorded at the commit before the
 // routes were joined under sched.(*Engine).Do (1564810, where Engine.Run did
 // not exist yet): every column must agree with every other and with them.
+// The profile and modeled fields of the parallel rows were re-pinned when the
+// flow stopped running a cleanup pass after rw, rwz and rs; every output
+// digest stayed.
 func TestJobRoutes(t *testing.T) {
 	const fault = "refactor/resynth:1:panic"
 	plan, err := gpu.ParseFaultPlan(fault)
@@ -173,20 +176,20 @@ func TestJobRoutes(t *testing.T) {
 var routeGoldens = map[string]string{
 	"deep/cones":                          "2a6a1569a3a0c21896f72809868a35e28fcc63a47b47d77e7269da73971d582a timings=0 events=[deep attempt,done]",
 	"deep/levels":                         "9de661200300069970a24fe0fdcacb8bf5aab6c2bceb7e8128c0207a2e88b659 timings=0 events=[deep attempt,done]",
-	"mem_ctrl/par/b-rw-rfz":               "92057d211e0e851c0a8017fb96dc705286e7ba69c59a30322a4e172a225a8876 4ce3d7f08c027124 16302726 timings=3 events=[mem_ctrl attempt,done]",
-	"mem_ctrl/par/b-rw-rfz/fault":         "82944a252e523c40d4b238d1abd4c08015b1911ad3e0a6406ff30f64f428552d 41e540729f845de8 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
-	"mem_ctrl/par/b-rw-rfz/fault+retry":   "92057d211e0e851c0a8017fb96dc705286e7ba69c59a30322a4e172a225a8876 4ce3d7f08c027124 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",
-	"mem_ctrl/par/resyn2":                 "8092faea071090a2127b06328622f724009020004861fa041d9b7108a27dd6e6 50f23bd48204c044 51539406 timings=10 events=[mem_ctrl attempt,done]",
-	"mem_ctrl/par/resyn2/fault":           "fad6ade025aa56306b6a59903eec24129215d880176c0326e98c5b5c9a9e48b5 63df95e33a528c4e timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
-	"mem_ctrl/par/resyn2/fault+retry":     "8092faea071090a2127b06328622f724009020004861fa041d9b7108a27dd6e6 50f23bd48204c044 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",
+	"mem_ctrl/par/b-rw-rfz":               "92057d211e0e851c0a8017fb96dc705286e7ba69c59a30322a4e172a225a8876 69be0ebc1a7ca177 14771216 timings=3 events=[mem_ctrl attempt,done]",
+	"mem_ctrl/par/b-rw-rfz/fault":         "82944a252e523c40d4b238d1abd4c08015b1911ad3e0a6406ff30f64f428552d 89093206f16b5066 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
+	"mem_ctrl/par/b-rw-rfz/fault+retry":   "92057d211e0e851c0a8017fb96dc705286e7ba69c59a30322a4e172a225a8876 69be0ebc1a7ca177 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",
+	"mem_ctrl/par/resyn2":                 "8092faea071090a2127b06328622f724009020004861fa041d9b7108a27dd6e6 b0c67ec3fdbdd1c4 46013966 timings=10 events=[mem_ctrl attempt,done]",
+	"mem_ctrl/par/resyn2/fault":           "fad6ade025aa56306b6a59903eec24129215d880176c0326e98c5b5c9a9e48b5 f37d5b8af62f1bbc timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
+	"mem_ctrl/par/resyn2/fault+retry":     "8092faea071090a2127b06328622f724009020004861fa041d9b7108a27dd6e6 b0c67ec3fdbdd1c4 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",
 	"mem_ctrl/seq/b-rw-rfz":               "5a22e1f5aabdf831f67c310a8e9139767ba60a2617532bb36b00de6205af2a97 timings=3 events=[mem_ctrl attempt,done]",
 	"mem_ctrl/seq/resyn2":                 "30c2807fb3fc3ffd496289e35e55aacf6c1c7d773a19f0e58631ba0220cc3055 timings=10 events=[mem_ctrl attempt,done]",
-	"multiplier/par/b-rw-rfz":             "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d a942eff403ec5265 64991160 timings=3 events=[multiplier attempt,done]",
-	"multiplier/par/b-rw-rfz/fault":       "61ce1eaddbfd7f2e1eddaf3989f11bc0c3761f8a7c04af8b424463c337e548fc 0a4f45b1a466b28f timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,done]",
-	"multiplier/par/b-rw-rfz/fault+retry": "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d a942eff403ec5265 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,retry,attempt,done]",
-	"multiplier/par/resyn2":               "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d dbe90956a6af55da 210126720 timings=10 events=[multiplier attempt,done]",
-	"multiplier/par/resyn2/fault":         "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d b4f3526eea32acb3 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,done]",
-	"multiplier/par/resyn2/fault+retry":   "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d dbe90956a6af55da timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,retry,attempt,done]",
+	"multiplier/par/b-rw-rfz":             "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 888db27f87873851 55862050 timings=3 events=[multiplier attempt,done]",
+	"multiplier/par/b-rw-rfz/fault":       "61ce1eaddbfd7f2e1eddaf3989f11bc0c3761f8a7c04af8b424463c337e548fc f3ba2431ed020b08 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,done]",
+	"multiplier/par/b-rw-rfz/fault+retry": "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 888db27f87873851 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,retry,attempt,done]",
+	"multiplier/par/resyn2":               "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 44771671e58b3253 179015710 timings=10 events=[multiplier attempt,done]",
+	"multiplier/par/resyn2/fault":         "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 8c11ae258a74eb47 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,done]",
+	"multiplier/par/resyn2/fault+retry":   "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 44771671e58b3253 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,retry,attempt,done]",
 	"multiplier/seq/b-rw-rfz":             "61ce1eaddbfd7f2e1eddaf3989f11bc0c3761f8a7c04af8b424463c337e548fc timings=3 events=[multiplier attempt,done]",
 	"multiplier/seq/resyn2":               "e100d288d86ffb928cddd9acd598500ad044220b8f113c1dbea69fc2e275613a timings=10 events=[multiplier attempt,done]",
 }

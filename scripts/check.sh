@@ -175,6 +175,27 @@ if grep -nF 'map[truth.Cube]' $(find internal/factor -name '*.go' ! -name '*_tes
     echo "check: internal/factor declares a map keyed by truth.Cube again (see above); divide on sorted cube slices" >&2
     exit 1
 fi
+# Engines hand back clean networks: rw, rwz and rs replace through the
+# strash-aware in-place editor and the parallel replacement ends with the
+# Section III-F pass (dedup.Merge), so the flow runs no cleanup stage after a
+# command: non-test internal/flow declares no Cleanup field and no DedupWall or
+# DedupModeled timing, and calls into dedup only from the dedup command's own
+# table entry. A job's worker budget is Options.Workers alone: aigre.Batch
+# declares no Workers field beside it.
+if grep -nE '^[[:space:]]+Cleanup[[:space:]]+[^:=[:space:]]|\bDedup(Wall|Modeled)\b' $flow_go ||
+    awk 'FNR == 1 { entry = 0 }
+        /^[[:space:]]*\/\// { next }
+        /"dedup":[[:space:]]*\{/ { entry = 1 }
+        !entry && /(^|[^A-Za-z0-9_])dedup\.[A-Za-z_]+\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        entry && /\}\},?[[:space:]]*$/ { entry = 0 }
+        END { exit !bad }' $flow_go ||
+    awk '/^type Batch struct/ { inside = 1; next }
+        inside && /^}/ { inside = 0 }
+        inside && /^[[:space:]]+Workers[[:space:]]/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+        END { exit !bad }' $(find . -maxdepth 1 -name '*.go' ! -name '*_test.go'); then
+    echo "check: a cleanup stage after a command (a Cleanup field, DedupWall/DedupModeled, a dedup call outside the dedup command) or aigre.Batch.Workers grew back (see above); engines return clean networks and Options.Workers is the job's budget" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
