@@ -41,11 +41,25 @@ const (
 //     is the cycle guard;
 //  3. the recomputed gain, MFFC over the leaves minus the dry-run cost, is
 //     positive, or zero with c.ZeroGain.
+//
+// A revalidated candidate that rebuilds its root (selfRebuild) is Kept
+// without the check: the rules hold for it by construction, and the build
+// would be abandoned with nothing created.
 func (s *EvalScratch) Apply(work *aig.AIG, cs *cut.Scratch, c *Candidate, revalidate bool) Outcome {
 	if work.IsDeleted(c.Root) || slices.ContainsFunc(c.Leaves, work.IsDeleted) ||
-		slices.ContainsFunc(c.Inputs, func(l aig.Lit) bool { return work.IsDeleted(l.Var()) }) ||
-		revalidate && !s.holds(work, cs, c) {
+		slices.ContainsFunc(c.Inputs, func(l aig.Lit) bool { return work.IsDeleted(l.Var()) }) {
 		return Stale
+	}
+	if revalidate {
+		if s.selfRebuild(work, c) {
+			if onSelfRebuild != nil {
+				onSelfRebuild(s.holds(work, cs, c))
+			}
+			return Kept
+		}
+		if !s.holds(work, cs, c) {
+			return Stale
+		}
 	}
 	newRoot, ok := s.BuildProgramAvoiding(work, c.Prog, c.Inputs, c.Root)
 	if !ok || newRoot.Var() == c.Root {
@@ -53,6 +67,53 @@ func (s *EvalScratch) Apply(work *aig.AIG, cs *cut.Scratch, c *Candidate, revali
 	}
 	work.ReplaceNode(c.Root, newRoot)
 	return Replaced
+}
+
+// LeastGain is the smallest gain a replacement needs: 1, or 0 when zero gain
+// is accepted.
+func LeastGain(zeroGain bool) int {
+	if zeroGain {
+		return 0
+	}
+	return 1
+}
+
+// onSelfRebuild, when set, receives holds' verdict on every candidate Apply
+// keeps as a self-rebuild; tests set it to check the short cut against the
+// full revalidation.
+var onSelfRebuild func(holds bool)
+
+// selfRebuild reports whether c, with zero gain accepted, is its root's own
+// structure: every input is a cut leaf or the constant, every op is a
+// structural-hash hit, no op but the last resolves to the root, the last
+// resolves to the root uncomplemented, and the program's root is that op.
+// Then the root's cone is exactly the hit nodes over the leaves, so rules 1
+// and 2 hold; the dry run revives the whole MFFC, charging one node per
+// member, so the gain is 0 and rule 3 holds with ZeroGain; and
+// BuildProgramAvoiding would hit the root having created nothing. The ops
+// cap keeps the cone inside CutTruth's 4096-node walk.
+func (s *EvalScratch) selfRebuild(work *aig.AIG, c *Candidate) bool {
+	last := len(c.Prog.Ops) - 1
+	if !c.ZeroGain || last < 0 || last >= 4096 || c.Prog.Root != OpRef(last, false) {
+		return false
+	}
+	results := s.resultsFor(len(c.Prog.Ops))
+	for i, op := range c.Prog.Ops {
+		lit, ok := work.Lookup(Resolve(op.A, c.Inputs, results), Resolve(op.B, c.Inputs, results))
+		if !ok || (lit.Var() == c.Root) != (i == last) {
+			return false
+		}
+		results[i] = lit
+	}
+	if results[last] != aig.MakeLit(c.Root, false) {
+		return false
+	}
+	for _, in := range c.Inputs {
+		if in.Var() != 0 && !slices.Contains(c.Leaves, in.Var()) {
+			return false
+		}
+	}
+	return true
 }
 
 // holds checks Apply's three revalidation rules for c on work.
@@ -99,6 +160,6 @@ func (s *EvalScratch) holds(work *aig.AIG, cs *cut.Scratch, c *Candidate) bool {
 		return false
 	}
 	// Rule 3.
-	gain := len(s.MffcMembers(work, c.Root, c.Leaves)) - s.DryRunCost(work, c.Prog, c.Inputs)
-	return gain > 0 || (gain == 0 && c.ZeroGain)
+	need, members := LeastGain(c.ZeroGain), len(s.MffcMembers(work, c.Root, c.Leaves))
+	return members-s.DryRunCost(work, c.Prog, c.Inputs, members-need) >= need
 }

@@ -1,15 +1,20 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"aigre/internal/aig"
+	"aigre/internal/alloctest"
 	"aigre/internal/bench"
 	"aigre/internal/cec"
 	"aigre/internal/core"
 	"aigre/internal/cut"
+	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/rcache"
 	"aigre/internal/refactor"
@@ -125,5 +130,166 @@ func TestApplyDivisorThroughRoot(t *testing.T) {
 	}
 	if err := aig.Check(a); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// selfRebuildNet is r = (x&y)&z over PIs x, y, z with strash and fanouts,
+// and the candidate that rebuilds r from its own structure over the leaves.
+func selfRebuildNet() (*aig.AIG, core.Candidate) {
+	a := aig.New(3)
+	a.EnableStrash()
+	x, y, z := a.PI(0), a.PI(1), a.PI(2)
+	r := a.NewAnd(a.NewAnd(x, y), z)
+	a.AddPO(r)
+	a.EnableFanouts()
+	return a, core.Candidate{Root: r.Var(), Leaves: []int32{x.Var(), y.Var(), z.Var()},
+		Inputs: []aig.Lit{x, y, z}, ZeroGain: true, Prog: core.Program{
+			Ops:  []core.Op{{A: core.LeafRef(0, false), B: core.LeafRef(1, false)}, {A: core.OpRef(0, false), B: core.LeafRef(2, false)}},
+			Root: core.OpRef(1, false)}}
+}
+
+// strashView is the strash lookup of every pair of literals of a: two views
+// are equal exactly when no lookup changed.
+func strashView(a *aig.AIG) map[[2]aig.Lit]aig.Lit {
+	v := map[[2]aig.Lit]aig.Lit{}
+	n := aig.Lit(2 * a.NumObjs())
+	for f0 := range n {
+		for f1 := range n {
+			if lit, ok := a.Lookup(f0, f1); ok {
+				v[[2]aig.Lit{f0, f1}] = lit
+			}
+		}
+	}
+	return v
+}
+
+// TestApplySelfRebuild: a zero-gain candidate that reproduces its root is
+// Kept by the short cut, whose verdict full revalidation shares, and leaves
+// the network and its strash table as they were.
+func TestApplySelfRebuild(t *testing.T) {
+	a, c := selfRebuildNet()
+	var calls, agree int
+	defer core.SetSelfRebuildHook(func(holds bool) {
+		calls++
+		if holds {
+			agree++
+		}
+	})()
+	objs, view := a.NumObjs(), strashView(a)
+	var es core.EvalScratch
+	var cs cut.Scratch
+	if got := es.Apply(a, &cs, &c, true); got != core.Kept {
+		t.Fatalf("Apply = %v, want Kept", got)
+	}
+	if calls != 1 || agree != 1 {
+		t.Fatalf("short cut taken %d times, confirmed by holds %d times; want 1 and 1", calls, agree)
+	}
+	if a.NumObjs() != objs {
+		t.Errorf("NumObjs %d -> %d", objs, a.NumObjs())
+	}
+	if got := strashView(a); !maps.Equal(got, view) {
+		t.Errorf("strash lookups changed: %v, was %v", got, view)
+	}
+	if err := aig.Check(a); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplySelfRebuildExclusions: each candidate the short cut's strict rule
+// leaves out goes through full revalidation and keeps that outcome.
+func TestApplySelfRebuildExclusions(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(a *aig.AIG, c *core.Candidate)
+		want core.Outcome
+	}{
+		{"zero gain not accepted", func(a *aig.AIG, c *core.Candidate) { c.ZeroGain = false }, core.Stale},
+		{"complemented program root", func(a *aig.AIG, c *core.Candidate) {
+			c.Prog.Root = c.Prog.Root.Not() // computes !r: rule 2 fails
+		}, core.Stale},
+		{"root hit at an intermediate op", func(a *aig.AIG, c *core.Candidate) {
+			// r&r folds to r: ops 1 and 2 both resolve to the root.
+			c.Prog.Ops = append(c.Prog.Ops, core.Op{A: core.OpRef(1, false), B: core.OpRef(1, false)})
+			c.Prog.Root = core.OpRef(2, false)
+		}, core.Kept},
+		{"divisor input outside the leaves", func(a *aig.AIG, c *core.Candidate) {
+			// x&y as one input: the program is r's last AND over a divisor.
+			c.Inputs = []aig.Lit{a.Fanin0(c.Root), a.Fanin1(c.Root)}
+			c.Prog.Ops = []core.Op{{A: core.LeafRef(0, false), B: core.LeafRef(1, false)}}
+			c.Prog.Root = core.OpRef(0, false)
+		}, core.Kept},
+		{"deleted leaf", func(a *aig.AIG, c *core.Candidate) {
+			// Leaves {x&y, z}: then x&y goes, r re-pointed at x.
+			xy := a.Fanin0(c.Root)
+			if !a.IsAnd(xy.Var()) {
+				xy = a.Fanin1(c.Root)
+			}
+			c.Leaves = []int32{xy.Var(), c.Leaves[2]}
+			c.Inputs = []aig.Lit{xy, c.Inputs[2]}
+			c.Prog.Ops = []core.Op{{A: core.LeafRef(0, false), B: core.LeafRef(1, false)}}
+			c.Prog.Root = core.OpRef(0, false)
+			a.ReplaceNode(xy.Var(), a.PI(0))
+		}, core.Stale},
+	}
+	defer core.SetSelfRebuildHook(func(bool) { t.Error("short cut taken") })()
+	for _, tc := range cases {
+		a, c := selfRebuildNet()
+		tc.edit(a, &c)
+		var es core.EvalScratch
+		var cs cut.Scratch
+		if got := es.Apply(a, &cs, &c, true); got != tc.want {
+			t.Errorf("%s: Apply = %v, want %v", tc.name, got, tc.want)
+		}
+		if err := aig.Check(a); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestApplySelfRebuildOracle runs every pass that revalidates (the device
+// rw, rwz and rs inside resyn2, compress2rs and rf_resyn, and the Table I
+// refactoring ablation) over the suite with full revalidation beside the
+// short cut: holds must accept every candidate the short cut keeps.
+func TestApplySelfRebuildOracle(t *testing.T) {
+	if alloctest.RaceEnabled {
+		t.Skip("three scripts over the suite take minutes under -race; check.sh runs it without")
+	}
+	var taken, refuted atomic.Int64
+	defer core.SetSelfRebuildHook(func(holds bool) {
+		taken.Add(1)
+		if !holds {
+			refuted.Add(1)
+		}
+	})()
+	type run struct {
+		name string
+		run  func(a *aig.AIG) error
+	}
+	var runs []run
+	for _, script := range []string{flow.Resyn2, flow.CompressRS, flow.RfResyn} {
+		runs = append(runs, run{script, func(a *aig.AIG) error {
+			_, err := flow.Run(context.Background(), gpu.New(1), a, script, flow.Config{Parallel: true, Cache: rcache.New()})
+			return err
+		}})
+	}
+	runs = append(runs, run{"rf-seqreplace", func(a *aig.AIG) error {
+		refactor.ParallelSeqReplace(gpu.New(1), a, refactor.Options{Cache: rcache.New()})
+		return nil
+	}})
+	for _, r := range runs {
+		before := taken.Load()
+		for _, c := range bench.Suite(1) {
+			if err := r.run(c.Build()); err != nil {
+				t.Fatalf("%s on %s: %v", r.name, c.Name, err)
+			}
+		}
+		t.Logf("%s: %d self-rebuilds kept", r.name, taken.Load()-before)
+	}
+	total := taken.Load()
+	if total == 0 {
+		t.Fatal("no candidate took the short cut; the oracle is vacuous")
+	}
+	if n := refuted.Load(); n != 0 {
+		t.Errorf("holds refuted %d of %d self-rebuilds", n, total)
 	}
 }

@@ -101,12 +101,19 @@ func (s *EvalScratch) InMffc(v int32) bool { return s.mark[v] == s.trav+1 }
 // an exact lower bound on the area improvement. The call consumes the
 // recorded set (members revived here stay revived), matching the one-shot
 // evaluate-then-decide usage of the callers.
-func (s *EvalScratch) DryRunCost(a *aig.AIG, prog Program, leaves []aig.Lit) int {
+//
+// bound is the largest cost that still matters to the caller: the walk stops
+// at the first op it reaches with the cost past bound, so the result is exact
+// when it is at most bound and only known to exceed bound otherwise.
+func (s *EvalScratch) DryRunCost(a *aig.AIG, prog Program, leaves []aig.Lit, bound int) int {
 	base := s.trav
 	results := s.resultsFor(len(prog.Ops))
 	cost := 0
 	st := s.stack[:0]
 	for i, op := range prog.Ops {
+		if cost > bound {
+			break
+		}
 		f0 := Resolve(op.A, leaves, results)
 		f1 := Resolve(op.B, leaves, results)
 		if f0.Regular() == virtualLit || f1.Regular() == virtualLit {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"aigre/internal/aig"
@@ -52,7 +53,7 @@ func TestDryRunCostCountsMisses(t *testing.T) {
 	prog := Linearize(tree, false)
 	var s EvalScratch
 	s.MffcMembers(a, nodes[2].Var(), nil)
-	if cost := s.DryRunCost(a, prog, pis); cost != 3 {
+	if cost := s.DryRunCost(a, prog, pis, math.MaxInt); cost != 3 {
 		t.Errorf("cost = %d, want 3 fresh nodes", cost)
 	}
 }
@@ -66,13 +67,13 @@ func TestDryRunCostFreeHitsOutsideMffc(t *testing.T) {
 	prog := Linearize(tree, false)
 	var s EvalScratch
 	s.MffcMembers(a, n3.Var(), []int32{n2.Var(), 4})
-	if cost := s.DryRunCost(a, prog, pis); cost != 1 {
+	if cost := s.DryRunCost(a, prog, pis, math.MaxInt); cost != 1 {
 		t.Errorf("cost = %d, want 1 (strash hits below the MFFC are free)", cost)
 	}
 	// With the full MFFC of n3 declared, hitting n3 (the deepest hit)
 	// revives its whole chain.
 	s.MffcMembers(a, n3.Var(), nil)
-	if cost := s.DryRunCost(a, prog, pis); cost != 3 {
+	if cost := s.DryRunCost(a, prog, pis, math.MaxInt); cost != 3 {
 		t.Errorf("cost = %d, want 3 (full revival through the chain)", cost)
 	}
 }
@@ -90,7 +91,7 @@ func TestDryRunCostRevivalCountedOnce(t *testing.T) {
 	s.MffcMembers(a, n3.Var(), nil)
 	// Hits: n1 (revive: 1), n2 = (n1&x2) (revive: 1); the top (n1 & n2) is
 	// not in the network -> 1 miss. Total 3.
-	if cost := s.DryRunCost(a, prog, pis); cost != 3 {
+	if cost := s.DryRunCost(a, prog, pis, math.MaxInt); cost != 3 {
 		t.Errorf("cost = %d, want 3 (n1+n2 revived once, one miss)", cost)
 	}
 }

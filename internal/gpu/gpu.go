@@ -219,7 +219,8 @@ func (d *Device) AddOverhead(name string, ops int64) {
 // table, atomic counters) — run the test suite with -race to validate.
 //
 // A panicking kernel thread does not kill the process outright: the panic is
-// recovered on its worker goroutine, the rest of the launch is cancelled,
+// recovered on its worker goroutine (one recover per chunk of launchChunk
+// threads, not per thread), the rest of the launch is cancelled,
 // and LaunchSlots re-panics with a typed *LaunchError on the orchestration
 // goroutine so a guarded caller (see package flow) can contain the failure.
 // Use TryLaunch to receive the error as a return value instead.
@@ -277,17 +278,6 @@ func (d *Device) launch(name string, n int, kernel func(slot, tid int) int64) er
 	return nil
 }
 
-// runThread executes one logical thread, converting a kernel panic into a
-// *LaunchError with the thread's stack.
-func runThread(name string, slot, tid int, kernel func(slot, tid int) int64) (ops int64, lerr *LaunchError) {
-	defer func() {
-		if r := recover(); r != nil {
-			lerr = &LaunchError{Kernel: name, Tid: tid, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return kernel(slot, tid), nil
-}
-
 // launchChunk is the number of consecutive threads a launch hands a worker at
 // a time; the device beats its heartbeat as each chunk completes, so a long
 // kernel that is making progress — or one whose pool is busy with a sibling
@@ -340,22 +330,17 @@ func (l *parallelLaunch) body(slot int) {
 		if base >= l.n {
 			break
 		}
-		end := min(base+launchChunk, l.n)
-		for tid := base; tid < end; tid++ {
-			ops, err := runThread(l.name, slot, int(tid), l.kernel)
-			if err != nil {
-				l.stop.Store(true)
-				l.mu.Lock()
-				if l.lerr == nil {
-					l.lerr = err
-				}
-				l.mu.Unlock()
-				break
+		work, maxOps, err := l.runChunk(slot, base, min(base+launchChunk, l.n))
+		localWork += work
+		localMax = max(localMax, maxOps)
+		if err != nil {
+			l.stop.Store(true)
+			l.mu.Lock()
+			if l.lerr == nil {
+				l.lerr = err
 			}
-			localWork += ops
-			if ops > localMax {
-				localMax = ops
-			}
+			l.mu.Unlock()
+			break
 		}
 		if l.stop.Load() {
 			break
@@ -369,6 +354,25 @@ func (l *parallelLaunch) body(slot int) {
 			break
 		}
 	}
+}
+
+// runChunk runs threads [base, end) in slot and returns their operation
+// total and maximum. One recover covers the chunk: a panicking thread ends
+// it, and comes back as a *LaunchError with its tid and stack, the threads
+// before it still counted.
+func (l *parallelLaunch) runChunk(slot int, base, end int64) (work, maxOps int64, lerr *LaunchError) {
+	tid := base
+	defer func() {
+		if r := recover(); r != nil {
+			lerr = &LaunchError{Kernel: l.name, Tid: int(tid), Value: r, Stack: debug.Stack()}
+		}
+	}()
+	for ; tid < end; tid++ {
+		ops := l.kernel(slot, int(tid))
+		work += ops
+		maxOps = max(maxOps, ops)
+	}
+	return work, maxOps, nil
 }
 
 // ---------------------------------------------------------------------------

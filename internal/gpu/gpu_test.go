@@ -188,3 +188,43 @@ func TestLaunchParallelDeterministicOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestMidChunkPanic: a panic inside a chunk (tid 300 of 1,000, the second
+// 256-thread chunk) names its own tid, the threads that returned before it
+// are accounted in Stats().Work, and the rest of its chunk never runs.
+func TestMidChunkPanic(t *testing.T) {
+	const n, bad = 1000, 300
+	for _, w := range []int{1, 2} {
+		d := New(w)
+		ran := make([]atomic.Bool, n)
+		var returned atomic.Int64
+		err := d.TryLaunch("midchunk", n, func(tid int) int64 {
+			ran[tid].Store(true)
+			if tid == bad {
+				panic("boom")
+			}
+			returned.Add(1)
+			return 1
+		})
+		lerr, ok := err.(*LaunchError)
+		if !ok || lerr.Tid != bad || lerr.Value != "boom" || len(lerr.Stack) == 0 {
+			t.Fatalf("W=%d: err = %#v, want a *LaunchError at tid %d with its stack", w, err, bad)
+		}
+		if got := d.Stats().Work; got != returned.Load() {
+			t.Errorf("W=%d: Work = %d, want the %d threads that returned", w, got, returned.Load())
+		}
+		for tid := range bad {
+			if !ran[tid].Load() {
+				t.Errorf("W=%d: thread %d before the panic did not run", w, tid)
+			}
+		}
+		for tid := bad + 1; tid < 2*launchChunk; tid++ {
+			if ran[tid].Load() {
+				t.Errorf("W=%d: thread %d after the panic in its chunk ran", w, tid)
+			}
+		}
+		if w == 1 && returned.Load() != bad {
+			t.Errorf("W=1: %d threads returned, want the %d before the panic", returned.Load(), bad)
+		}
+	}
+}

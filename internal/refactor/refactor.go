@@ -236,6 +236,7 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 	st := Stats{NodesBefore: a.NumAnds()}
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
+	need := core.LeastGain(opts.ZeroGain)
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
 		rc := cut.NewReconv(work)
 		return func(id int32) {
@@ -250,8 +251,7 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 			}
 			prog, _ := resynthesize(work, aig.MakeLit(id, false), leaves, opts.Cache, s)
 			c := s.candidate(id, leaves, prog, opts.ZeroGain)
-			gain := mffc - s.es.DryRunCost(work, prog, c.Inputs)
-			if gain < 0 || (gain == 0 && !opts.ZeroGain) {
+			if mffc-s.es.DryRunCost(work, prog, c.Inputs, mffc-need) < need {
 				return
 			}
 			if s.es.Apply(work, &s.cs, &c, false) == core.Replaced {

@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"math/bits"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -143,5 +145,81 @@ func TestEnumLocalCutsMatchesReference(t *testing.T) {
 				t.Errorf("%s: no cuts enumerated", a.Name)
 			}
 		}
+	}
+}
+
+// expandRef is leafSet.expand without its early reject: the leaves but the
+// one at i, plus f0 and f1, sorted and deduplicated; ok when at most four.
+func expandRef(c leafSet, i int, f0, f1 int32) (leafSet, bool) {
+	var ids []int32
+	for j, x := range c {
+		if j != i && x >= 0 {
+			ids = append(ids, x)
+		}
+	}
+	ids = append(ids, f0, f1)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	out := noLeaves
+	if len(ids) > 4 {
+		return out, false
+	}
+	copy(out[:], ids)
+	return out, true
+}
+
+// TestExpandMatchesMerge checks expand's early reject of a four-leaf set
+// gaining two new fanins against the plain merge: every leaf set over ids
+// 0..7 (the empty one and -1 padding included) × every expanded index × every
+// fanin pair over 0..8 (equal fanins and fanins already in the set included),
+// then random sets over wide ids.
+func TestExpandMatchesMerge(t *testing.T) {
+	check := func(c leafSet, i int, f0, f1 int32) {
+		t.Helper()
+		got, ok := c.expand(i, f0, f1)
+		want, wantOK := expandRef(c, i, f0, f1)
+		if ok != wantOK || ok && got != want {
+			t.Fatalf("%v.expand(%d, %d, %d) = %v, %v; merge gives %v, %v", c, i, f0, f1, got, ok, want, wantOK)
+		}
+	}
+	sets := 0
+	for mask := range uint(1 << 8) {
+		if bits.OnesCount(mask) > 4 {
+			continue
+		}
+		c, n := noLeaves, 0
+		for v := range int32(8) {
+			if mask>>v&1 != 0 {
+				c[n] = v
+				n++
+			}
+		}
+		sets++
+		for i := -1; i < n; i++ {
+			for f0 := range int32(9) {
+				for f1 := range int32(9) {
+					check(c, i, f0, f1)
+				}
+			}
+		}
+	}
+	if sets != 163 {
+		t.Fatalf("%d leaf sets enumerated, want 163 (at most four of eight ids)", sets)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 100000 {
+		c, n := noLeaves, 1+rng.Intn(4)
+		ids := rng.Perm(40)[:n]
+		slices.Sort(ids)
+		for k, v := range ids {
+			c[k] = int32(v)
+		}
+		pick := func() int32 {
+			if rng.Intn(2) == 0 {
+				return c[rng.Intn(n)]
+			}
+			return int32(rng.Intn(40))
+		}
+		check(c, rng.Intn(n), pick(), pick())
 	}
 }

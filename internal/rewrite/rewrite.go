@@ -93,6 +93,16 @@ func (c *leafSet) expand(i int, f0, f1 int32) (out leafSet, ok bool) {
 	pair, np := [2]int32{f0, f1}, 2
 	if f0 == f1 {
 		np = 1
+	} else if c[3] >= 0 {
+		// Four leaves keep three: two distinct fanins fit only if one of
+		// them is already among those three.
+		known := false
+		for j, x := range c {
+			known = known || j != i && (x == f0 || x == f1)
+		}
+		if !known {
+			return out, false
+		}
 	}
 	out = noLeaves
 	for j, k, n := 0, 0, 0; ; n++ {
@@ -175,6 +185,11 @@ func (c *candidate) forApply(n int32, zeroGain bool) core.Candidate {
 func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate, bool, int64) {
 	var best candidate
 	found := false
+	// need is the least gain a cut must reach to be kept: the pass threshold,
+	// then one more than the best so far. The first cut with the largest
+	// gain wins, so a cut short of need cannot, and its dry run stops as
+	// soon as its cost shows that (or is skipped when its MFFC alone does).
+	need := core.LeastGain(opts.ZeroGain)
 	cuts := enumLocalCuts(a, n, maxCutsPerNode, s)
 	// Cut enumeration explores roughly a handful of expansions per kept cut.
 	ops := int64(1 + 20*len(cuts))
@@ -192,25 +207,26 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 			s.npnMisses++
 		}
 		prog, _ := DefaultLibrary.Best(canon)
+		members := len(s.es.MffcMembers(a, n, leaves))
+		ops += int64(2*len(prog.Ops) + members)
+		if members < need {
+			continue
+		}
 		mapped, outNeg := mapLeaves(leaves, tr)
-		members := s.es.MffcMembers(a, n, leaves)
-		gain := int32(len(members) - s.es.DryRunCost(a, progWithOutput(prog, outNeg), mapped[:]))
-		ops += int64(2*len(prog.Ops) + len(members))
-		if !found || gain > best.gain {
+		gain := members - s.es.DryRunCost(a, progWithOutput(prog, outNeg), mapped[:], members-need)
+		if gain >= need {
 			best = candidate{
 				leaves: cuts[i],
 				mapped: mapped,
 				canon:  canon,
 				outNeg: outNeg,
-				gain:   gain,
+				gain:   int32(gain),
 			}
 			found = true
+			need = gain + 1
 		}
 	}
 	if !found {
-		return candidate{}, false, ops
-	}
-	if best.gain < 0 || (best.gain == 0 && !opts.ZeroGain) {
 		return candidate{}, false, ops
 	}
 	return best, true, ops

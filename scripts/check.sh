@@ -3,7 +3,8 @@
 # the run; the nested benchmark module too, with its smoke test), the full suite
 # under the race detector, and then only the rows that add a flag to it: the
 # non-race million-node and scaling smokes, the seeded chaos gate, uncached
-# (-count=1) runs of the I/O-bound packages, the byte budgets, and short fuzz
+# (-count=1) runs of the I/O-bound packages, the Apply short-cut oracle, the
+# byte budgets and the launch-loop smoke, and short fuzz
 # smokes of the AIGER parser, the ISOP, the simulator, the topological walk,
 # Rehash and the script parser.
 # Run from anywhere; `make check` is an alias.
@@ -196,6 +197,14 @@ if grep -nE '^[[:space:]]+Cleanup[[:space:]]+[^:=[:space:]]|\bDedup(Wall|Modeled
     echo "check: a cleanup stage after a command (a Cleanup field, DedupWall/DedupModeled, a dedup call outside the dedup command) or aigre.Batch.Workers grew back (see above); engines return clean networks and Options.Workers is the job's budget" >&2
     exit 1
 fi
+# Kernel panics are contained per chunk: a launch body runs launchChunk
+# threads under one recover (parallelLaunch.runChunk), so non-test
+# internal/gpu declares no per-thread recover wrapper (runThread), whose
+# defer put 8-11 ns on every logical thread.
+if grep -nE '^func runThread\(' $(find internal/gpu -name '*.go' ! -name '*_test.go'); then
+    echo "check: a per-thread recover wrapper grew back in internal/gpu (see above); recover once per chunk in parallelLaunch.runChunk" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
@@ -216,6 +225,9 @@ go test -timeout 20m -run 'TestPartitionMillionNodeSmoke|TestConePartitionQualit
 # get faster with workers (skips itself on <4-CPU runners, where wall time
 # cannot improve; the benchmark's deep_part workload carries the full story).
 go test -timeout 10m -run 'TestPartitionScalingSmoke' .
+# Apply's self-rebuild short cut against full revalidation over three scripts
+# and the Table I ablation on the suite (skipped under -race as too slow).
+go test -count=1 -run 'TestApplySelfRebuildOracle' ./internal/core
 # Supervision chaos gate: a randomized (but seeded and printed, hence
 # reproducible) fault schedule over an 8-job batch under -race — kernel
 # panics, typed hashtable-full failures, silent corruptions, and one poison
@@ -237,6 +249,8 @@ go test -race -count=1 ./internal/sched/ ./internal/journal/ ./internal/queue/ .
 # the parallel rw, rwz and balancing passes: they skip themselves under -race,
 # whose allocation padding makes them meaningless.
 go test -count=1 -run 'AllocBudget' ./internal/aig ./internal/cut ./internal/factor ./internal/cec ./internal/aiger ./internal/rewrite ./internal/balance ./cmd/aigred
+# Launch-loop smoke: one run of the per-logical-thread cost of a 1-op kernel.
+go test -run '^$' -bench 'BenchmarkLaunchThreads' -benchtime=1x ./internal/gpu
 # Fuzz smoke: the AIGER parser must never panic on arbitrary input, the
 # width-halving ISOP must match the full-width oracle cube for cube, Simulate
 # must match its reference on randomly edited networks, the topological walk
