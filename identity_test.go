@@ -41,13 +41,16 @@ func suiteCase(t *testing.T, name string) *aigre.Network {
 // (width-halving ISOP, dense rewrite library); a change that reorders ISOP
 // cubes, library entries or cut enumeration moves the output and fails here
 // instead of silently moving the node counts. Update a digest only for a
-// change that is meant to alter results.
+// change that is meant to alter results. The sequential and levels-partitioned
+// digests were re-pinned when Compact began keeping the ids of a canonical
+// network with nothing dangling, and flow.Run began rehashing an input that
+// is not Clean.
 func TestOutputIdentity(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct{ name, want string }{
-		{"sixteen", "7c879b905bcf2decd36cf5ab466c325cec9f996652740ff7890185466dbbeee0"},
-		{"mem_ctrl", "30c2807fb3fc3ffd496289e35e55aacf6c1c7d773a19f0e58631ba0220cc3055"},
-		{"multiplier", "e100d288d86ffb928cddd9acd598500ad044220b8f113c1dbea69fc2e275613a"},
+		{"sixteen", "391a5326c6fceead356c9f9e808193b10f0516537dab2906144cf58a3f65ada8"},
+		{"mem_ctrl", "5b15b6c05a86ef36fd6e8040e16d98571c58a81d4a25f0b8e56a89a18abba52c"},
+		{"multiplier", "fb2820006372c8c4d8e55f77cf0af6442cd9c6e924ce730d80150c79a6b5b5fa"},
 	} {
 		res, err := suiteCase(t, c.name).Resyn2(ctx, aigre.Options{Cache: aigre.NewCache()})
 		if err != nil {
@@ -61,8 +64,8 @@ func TestOutputIdentity(t *testing.T) {
 	// Sequential compress2rs, recorded before resubstitution moved onto the
 	// scratch-based cone kit.
 	for _, c := range []struct{ name, want string }{
-		{"sixteen", "6d5cc5753594730fb31b67aa2a9636b0d5fe8a4b8a6e9f5cee94b2984e277681"},
-		{"mem_ctrl", "ec43e0793dca51accace846cd95a9e33504f25120a70221c3f45de2338420c1c"},
+		{"sixteen", "5f54d2d4c205d105ae984e9ea7c659a9b9ca4320d550608e00bfb17aec6f4ee0"},
+		{"mem_ctrl", "7fc3d4e670b6aa6dd3a21d9118c697889aa963469b5b7ac49bfd08013665db01"},
 	} {
 		res, err := suiteCase(t, c.name).CompressRS(ctx, aigre.Options{Cache: aigre.NewCache()})
 		if err != nil {
@@ -81,7 +84,7 @@ func TestOutputIdentity(t *testing.T) {
 	deep := aigre.FromInternal(bench.DeepNarrow(8, 500))
 	for mode, want := range map[aigre.PartitionMode]string{
 		aigre.PartitionCones:  "2a6a1569a3a0c21896f72809868a35e28fcc63a47b47d77e7269da73971d582a",
-		aigre.PartitionLevels: "9de661200300069970a24fe0fdcacb8bf5aab6c2bceb7e8128c0207a2e88b659",
+		aigre.PartitionLevels: "eec4e606dc55e2034a48541057c8874eeea6ce0ac7bf3fd63c1dab1308b66a18",
 	} {
 		for _, workers := range []int{1, 2} {
 			res, err := deep.Run(ctx, "b; rw", aigre.Options{Workers: workers, Cache: aigre.NewCache(),
@@ -256,7 +259,12 @@ func profileDigest(rows []gpu.KernelProfile) string {
 // (0854ff4); nothing here may move in a change that only restructures. The
 // modeled and profile fields of the rw, rwz, rs and resyn2 device rows were
 // re-pinned when the flow stopped running a cleanup pass after rw, rwz and
-// rs; every output digest stayed. rf2 is the script "rf; rf" (on the device,
+// rs; every output digest stayed. The digests of 24 rows, and the modeled
+// and profile fields of the rf2, multiplier rs and resyn2 device rows, were
+// re-pinned when Compact began keeping the ids of a canonical network with
+// nothing dangling, flow.Run began rehashing an input that is not Clean, and
+// the parallel replacement stopped compacting before its Section III-F pass.
+// rf2 is the script "rf; rf" (on the device,
 // each pass's replacement runs the Section III-F pass), and the device rwz
 // runs two passes.
 func TestCommandGoldens(t *testing.T) {
@@ -317,24 +325,24 @@ func TestCommandGoldens(t *testing.T) {
 }
 
 var commandGoldens = map[string]string{
-	"sixteen/b/seq":            "bf8470c60b5c28f98fd2f5c9807df4e0915b967ac80cb394a3ee98a86af84f68",
+	"sixteen/b/seq":            "488a56f48931031bdc3c335b3dc7e893d70b2586a02f5e5fcc5dd8a8a0b7dc75",
 	"sixteen/b/par":            "f9354383cf2831ac604a04bf6268b9453f173640b1086f2bc631254f3378a561 9849270 e54d5f122a577c01",
-	"sixteen/rf2/seq":          "10cae196dc4d49abe104c6d1485c0cd040dfac02c0d562f7cef8e3cf9aa54c3c",
-	"sixteen/rf2/par":          "766585a67be1dd86ab8282af3a5cb0048ddfa5b5cb9c66e06c1e748fdacf1a92 16431620 f7d4fd6d584ce278",
-	"sixteen/rw/seq":           "cb8e697f943124c353f61fa25c36e8d135ec070a09cc915f8eb60f0c755cee63",
-	"sixteen/rw/par":           "586d33521c0b1f5a4df1d88a6970875d121e8f10741fa1d30f701db1f5b0ce08 55148 6bba06be7f6f2b7c",
-	"sixteen/rwz/seq":          "cb8e697f943124c353f61fa25c36e8d135ec070a09cc915f8eb60f0c755cee63",
-	"sixteen/rwz/par":          "21fb2aa12a271cab34f28bffce3611ad48aa8df83aa0482a4416e0d2a0f895ab 647472 e5c1d43a1581512f",
-	"sixteen/rs/seq":           "171c8ca7097b8d54a91ea8c946e173b728dfc12a7dd69e9ef93a5aa1606162da",
-	"sixteen/rs/par":           "09bc2b8d0438765c941630baa2324565dc55322ec697acacdd40cbc21a39b966 51474 06b79096f1a9dfba",
-	"sixteen/dedup/seq":        "5d0f70bf9d8f9d2664810a051efd4e630bc4a32309a50bd43d92faa76e236e61 2252230 67a1ed7affcfebfb",
-	"sixteen/dedup/par":        "5d0f70bf9d8f9d2664810a051efd4e630bc4a32309a50bd43d92faa76e236e61 2252230 67a1ed7affcfebfb",
-	"sixteen/resyn2/par":       "a8ba8d773c0eadd485211c8c234b2d6f95285140e469c0af9d400e36adf72d2c 52544980 1c82fbf8315b5056 10",
-	"sixteen/rf-seqreplace":    "7959f6cff23f2f3e4504da33af8d73e806c7c8578aa5e1ca9c0858cbad3b319c 23020",
-	"mem_ctrl/b/seq":           "11881b99dff1ebcb33ad775186cb1b45eb768884054492c7c57a1044501f428f",
+	"sixteen/rf2/seq":          "8c6065a6274729d66baf4e1caf844a66449a6cd55805a860cf065d0d292c568f",
+	"sixteen/rf2/par":          "1ac6c8da96e1a91ed9ac163d9fa451731e417afabcf722ae9e57994918fdb439 16431610 d64042aaec97d455",
+	"sixteen/rw/seq":           "dc484b457a1103b2e475b779df36b870d248dfd5a0672f1941187ac277a26630",
+	"sixteen/rw/par":           "7a40c6108ebeeda30cba0d74601d4b2fa100784e05aac6b4fe25a8f3cd8a7540 55148 935e146784953b13",
+	"sixteen/rwz/seq":          "dc484b457a1103b2e475b779df36b870d248dfd5a0672f1941187ac277a26630",
+	"sixteen/rwz/par":          "02cc6f864fb85090c0aa2cd9e6ed927e87440d7059045c6c042df91b65c202ad 647472 ee3df4f076d0226c",
+	"sixteen/rs/seq":           "e62b92a0912f67214e8b2eea170d7ac0b408a4a644827578122d71d0fdcda914",
+	"sixteen/rs/par":           "6060932088069ac8fd7169e31eaf799c7c36cb9375e68fd5daca2e5f77d07959 51474 23206c5b1a086a0f",
+	"sixteen/dedup/seq":        "5a99f654f3e063d92b5217bfa6427ccc5182ec12b00330a985ad190a30b31d24 2252230 67a1ed7affcfebfb",
+	"sixteen/dedup/par":        "5a99f654f3e063d92b5217bfa6427ccc5182ec12b00330a985ad190a30b31d24 2252230 67a1ed7affcfebfb",
+	"sixteen/resyn2/par":       "0c7d85699a1e68441c37ca3b6c5be76207ed9be5a9c92d6ed8585379a6130a93 52544794 5fbef8325bf16091 10",
+	"sixteen/rf-seqreplace":    "a3356f8d72efc6935500fddda640ef535ff592426d995898505a46f16041fbf1 23020",
+	"mem_ctrl/b/seq":           "b00112faf3a4e3f81d1a31680a5f5e99d9a1444c74b8f4f62fc7d8ef8a6fd66c",
 	"mem_ctrl/b/par":           "ad57faf60fcb605d69e396194f7c64cd5fbc9be683ba81ff281a14a8891816aa 6997030 5c713dbd9fc87e83",
 	"mem_ctrl/rf2/seq":         "ed2e5bb5b80648293e86016b199c4beecd30233aa0c1e81ce2ae51a8f4d08c56",
-	"mem_ctrl/rf2/par":         "0487633400f54cae28e568bcb6a1e944ade23b86d8d8393a40f7a22725b67d9d 17743640 3f586317bf2f0381",
+	"mem_ctrl/rf2/par":         "f607b8bd8a3f93941013c93c9848b9ea903ace99d80ac142c19de3899fc4d388 17773590 90dc21eec0c6b6e2",
 	"mem_ctrl/rw/seq":          "084ba5f5595265e29327c1d91dbe5544ccdde07e49aec806132a3e82d9520f4f",
 	"mem_ctrl/rw/par":          "b578d42097af86f8792233c81041c3fc2f383b9a694618cabf530faec935b9bf 152544 a4988f18fd732f19",
 	"mem_ctrl/rwz/seq":         "084ba5f5595265e29327c1d91dbe5544ccdde07e49aec806132a3e82d9520f4f",
@@ -343,20 +351,20 @@ var commandGoldens = map[string]string{
 	"mem_ctrl/rs/par":          "06b0d6e963fef50ac7272dca7bd53b9a1a6a98345084ef7a4829125144b6e0c8 72732 f7a21b0054c98021",
 	"mem_ctrl/dedup/seq":       "a643178a755d297fe35fb317979b94882cf01ac2316f1830fdf9f0f6a6ab9bf8 1591570 6be77970523c1e2d",
 	"mem_ctrl/dedup/par":       "a643178a755d297fe35fb317979b94882cf01ac2316f1830fdf9f0f6a6ab9bf8 1591570 6be77970523c1e2d",
-	"mem_ctrl/resyn2/par":      "8092faea071090a2127b06328622f724009020004861fa041d9b7108a27dd6e6 46013966 b0c67ec3fdbdd1c4 10",
+	"mem_ctrl/resyn2/par":      "5187be72936e6ce32bc3cf9baa3a6e7c17741ca9b89641cc85eef4ab251e2c27 46013966 7f1b0681edacb7be 10",
 	"mem_ctrl/rf-seqreplace":   "db16291d43fe3300a041e3dcd63a3288507ef1b6a547395c89f6df2587c2703f 33188",
-	"multiplier/b/seq":         "2d5aa107346e7edb17507641685cce377cb95530ae3abb93078f5cd9a73c06dc",
-	"multiplier/b/par":         "2d5aa107346e7edb17507641685cce377cb95530ae3abb93078f5cd9a73c06dc 27263930 3dbee1da39e58f57",
-	"multiplier/rf2/seq":       "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324",
-	"multiplier/rf2/par":       "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 73776620 4a181d8b2d6c424c",
+	"multiplier/b/seq":         "1119b5c73efc8331fa63863def7a64468370392e9e186ea8a4438c63cf4ed020",
+	"multiplier/b/par":         "1119b5c73efc8331fa63863def7a64468370392e9e186ea8a4438c63cf4ed020 27263930 3dbee1da39e58f57",
+	"multiplier/rf2/seq":       "d70eaa5cc1938822ba50858a0326a8357680f1a77a25919d8643879c487bd633",
+	"multiplier/rf2/par":       "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe 73806640 c2b0ef8f11909125",
 	"multiplier/rw/seq":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5",
 	"multiplier/rw/par":        "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 379960 4c07a09340ca6c77",
 	"multiplier/rwz/seq":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5",
 	"multiplier/rwz/par":       "98d4a8eda76345e2abaeee51c35dcdaec78c3b82af71fe63fa6c7a0b6821e6d5 3682520 432079e83b4367ab",
 	"multiplier/rs/seq":        "f5f7887817409f2ffb5e6f623f5a50ab75046054476ef835e55f584688f2bb1f",
-	"multiplier/rs/par":        "5e34010ba8841dc34fc673520a5f7dbbccd2bccd6fa20cf5a8b0f52cc3cb23a5 434246 94a33040a64f90bb",
-	"multiplier/dedup/seq":     "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324 9129110 3d76932a5254b486",
-	"multiplier/dedup/par":     "b9e20660378a79dbb6f26af1925dd6c5ab4c998b3c034821caec4ba62b5c6324 9129110 3d76932a5254b486",
-	"multiplier/resyn2/par":    "ee695a667a496ee794458b2b926fbd503ddb64509a80af439a0b72ac7575786d 179015710 44771671e58b3253 10",
+	"multiplier/rs/par":        "12fe1c80a24bfdac294bbffdcb62fc805d554b46018df3ad1183b53946b8bb51 435186 cb6ba7a31337aeca",
+	"multiplier/dedup/seq":     "d70eaa5cc1938822ba50858a0326a8357680f1a77a25919d8643879c487bd633 9129110 3d76932a5254b486",
+	"multiplier/dedup/par":     "d70eaa5cc1938822ba50858a0326a8357680f1a77a25919d8643879c487bd633 9129110 3d76932a5254b486",
+	"multiplier/resyn2/par":    "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe 179045760 58c6acbd69fbb089 10",
 	"multiplier/rf-seqreplace": "395edfe2af14a46d8113b9a4873dda578c847e0fa462f0ddf5393150d7be4a3f 97308",
 }

@@ -13,10 +13,7 @@
 // (ReplaceNode) has been used; Compact restores topological order.
 package aig
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Lit is a signal literal: 2*node | complement.
 type Lit uint32
@@ -89,27 +86,17 @@ type AIG struct {
 }
 
 // New creates an AIG with numPIs primary inputs and no AND nodes.
-func New(numPIs int) *AIG {
-	a := &AIG{
-		numPIs: int32(numPIs),
-		fanin0: make([]Lit, numPIs+1, 2*(numPIs+1)),
-		fanin1: make([]Lit, numPIs+1, 2*(numPIs+1)),
-	}
-	return a
-}
+func New(numPIs int) *AIG { return NewCap(numPIs, 2*(numPIs+1)) }
 
 // NewCap creates an AIG with numPIs primary inputs, reserving capacity for
 // about capNodes total nodes.
 func NewCap(numPIs, capNodes int) *AIG {
-	if capNodes < numPIs+1 {
-		capNodes = numPIs + 1
-	}
-	a := &AIG{
+	capNodes = max(capNodes, numPIs+1)
+	return &AIG{
 		numPIs: int32(numPIs),
 		fanin0: make([]Lit, numPIs+1, capNodes),
 		fanin1: make([]Lit, numPIs+1, capNodes),
 	}
-	return a
 }
 
 // NumPIs returns the number of primary inputs.
@@ -204,10 +191,11 @@ func HashKey(k uint64) uint64 {
 
 // EnableStrash builds the structural-hashing table for the current nodes,
 // pre-sized for the network's remaining append capacity (strash.go documents
-// the sizing discipline). Subsequent NewAnd calls reuse existing nodes with
-// identical fanin pairs. If duplicate pairs already exist, the first
-// occurrence wins.
-func (a *AIG) EnableStrash() { a.enableStrash() }
+// the sizing discipline): a network fresh from NewCap carries its expected
+// final size as that capacity, so its construction never grows the table.
+// Subsequent NewAnd calls reuse existing nodes with identical fanin pairs. If
+// duplicate pairs already exist, the first occurrence wins.
+func (a *AIG) EnableStrash() { a.rebuildStrash(a.NumAnds() + cap(a.fanin0) - len(a.fanin0)) }
 
 // Lookup returns the existing node literal for an AND of f0 and f1 after
 // constant propagation, without creating a node. The boolean result reports
@@ -379,20 +367,21 @@ func (s Stats) String() string {
 	return fmt.Sprintf("i/o = %d/%d  and = %d  lev = %d", s.PIs, s.POs, s.Ands, s.Levels)
 }
 
-// Clone returns a deep copy of the AIG's basic structure (fanins and POs).
-// Optional features (strash, fanouts) are not copied; re-enable them on the
-// clone if needed.
+// Clone returns a deep copy of the AIG's basic structure (fanins, POs and
+// deleted marks), each array with capacity equal to its length. Optional
+// features (strash, fanouts) are not copied; re-enable them on the clone if
+// needed.
 func (a *AIG) Clone() *AIG {
 	c := &AIG{
-		Name:   a.Name,
-		numPIs: a.numPIs,
-		fanin0: append([]Lit(nil), a.fanin0...),
-		fanin1: append([]Lit(nil), a.fanin1...),
-		pos:    append([]Lit(nil), a.pos...),
+		Name:    a.Name,
+		numPIs:  a.numPIs,
+		fanin0:  append(make([]Lit, 0, len(a.fanin0)), a.fanin0...),
+		fanin1:  append(make([]Lit, 0, len(a.fanin1)), a.fanin1...),
+		pos:     append(make([]Lit, 0, len(a.pos)), a.pos...),
+		numDead: a.numDead,
 	}
 	if a.deleted != nil {
-		c.deleted = append([]bool(nil), a.deleted...)
-		c.numDead = a.numDead
+		c.deleted = append(make([]bool, 0, len(a.deleted)), a.deleted...)
 	}
 	return c
 }
@@ -402,12 +391,4 @@ func (a *AIG) Clone() *AIG {
 func (a *AIG) MemoryFootprint() int64 {
 	b := int64(len(a.fanin0))*8 + int64(len(a.pos))*4
 	return b
-}
-
-// ceilLog2 returns ceil(log2(x)) for x >= 1.
-func ceilLog2(x int) int {
-	if x <= 1 {
-		return 0
-	}
-	return bits.Len(uint(x - 1))
 }

@@ -5,19 +5,19 @@ import "math/rand"
 // Hooks for the external tests in rehash_test.go, which compare AIGER bytes
 // and so cannot live in this package (internal/aiger imports it).
 
-// RehashByRebuild is Rehash without the fixed-point copy: the structural
-// rebuild and compaction every input took before, kept as the oracle of the
-// differential tests.
+// RehashByRebuild is Rehash without the copy of a Clean network: the
+// structural rebuild and compaction, kept as the oracle of the differential
+// tests.
 func RehashByRebuild(a *AIG) *AIG {
-	out, _ := a.rebuild(a.TopoOrder(true), true)
+	order, err := a.replayOrder()
+	if err != nil {
+		panic(err)
+	}
+	out, _ := a.rebuild(order, true)
 	final, _ := out.Compact()
 	out.ReleaseStrash()
 	return final
 }
-
-// RehashedForm reports whether Rehash takes the copy path for a; it panics
-// as TopoOrder does.
-func RehashedForm(a *AIG) bool { return a.rehashedForm(a.TopoOrder(true)) }
 
 // Corrupt is FuzzWalk's random corruptor.
 func Corrupt(a *AIG, rng *rand.Rand, nEdits int) { corrupt(a, rng, nEdits) }

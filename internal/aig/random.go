@@ -52,10 +52,3 @@ func pickBiased(rng *rand.Rand, n int) int {
 	}
 	return n - 1 - rng.Intn(w)
 }
-
-func min(x, y int) int {
-	if x < y {
-		return x
-	}
-	return y
-}

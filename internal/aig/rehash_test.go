@@ -58,10 +58,11 @@ func sameAsRebuild(t *testing.T, a *aig.AIG) {
 	}
 }
 
-// TestRehashMatchesRebuild: a fixed point of the rebuild is copied, and each
-// way of not being one — a row per check rehashedForm makes — takes the
-// rebuild; either way the output is the rebuild's, and a cyclic network
-// panics with the walk's error.
+// TestRehashMatchesRebuild: a Clean network is copied, and each way of not
+// being one — a row per check Clean makes — takes the rebuild; either way the
+// output is the rebuild's, and a cyclic network panics with the walk's error.
+// A canonical network with nothing dangling replays in id order, so one whose
+// POs list its nodes out of id order is clean.
 func TestRehashMatchesRebuild(t *testing.T) {
 	three := func(build func(a *aig.AIG, x, y, z aig.Lit)) *aig.AIG {
 		a := aig.New(3)
@@ -73,7 +74,7 @@ func TestRehashMatchesRebuild(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		net   *aig.AIG
-		fixed bool
+		clean bool
 	}{
 		{"fixed point", random.Rehash(), true},
 		{"raw random", random, false},
@@ -104,7 +105,7 @@ func TestRehashMatchesRebuild(t *testing.T) {
 			n2 := a.AddAndUnchecked(y, z)
 			a.AddPO(n2)
 			a.AddPO(n1)
-		}), false},
+		}), true},
 		{"deleted node", three(func(a *aig.AIG, x, y, z aig.Lit) {
 			a.AddAndUnchecked(x, y)
 			a.AddPO(a.AddAndUnchecked(y, z))
@@ -115,8 +116,8 @@ func TestRehashMatchesRebuild(t *testing.T) {
 		}), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := aig.RehashedForm(tc.net); got != tc.fixed {
-				t.Fatalf("rehashed form %v, want %v", got, tc.fixed)
+			if got := tc.net.Clean(); got != tc.clean {
+				t.Fatalf("clean %v, want %v", got, tc.clean)
 			}
 			sameAsRebuild(t, tc.net)
 		})
@@ -162,15 +163,15 @@ func FuzzRehash(f *testing.F) {
 	})
 }
 
-// TestRehashAllocBudget: rehashing a fixed point allocates one copy of it
-// (8 B per object, 4 B per PO) plus the walk's scratch (1 B per object of
-// colour, 4 B per AND of order), not a rebuild and a compaction; the strash
-// table of the duplicate check comes from the package pool.
+// TestRehashAllocBudget: rehashing a Clean network allocates one copy of it
+// (8 B per object, 4 B per PO) plus Clean's reach marks (1 B per object), not
+// a walk, a rebuild and a compaction; the strash table of the duplicate check
+// comes from the package pool.
 func TestRehashAllocBudget(t *testing.T) {
 	alloctest.SkipIfRace(t)
 	a := aig.Random(rand.New(rand.NewSource(3)), 64, 50000, 32).Rehash()
 	got := alloctest.Bytes(func() { a.Rehash() })
-	budget := uint64(9*a.NumObjs() + 4*a.NumAnds() + 4*a.NumPOs() + 16384) // 16 KiB: page rounding
+	budget := uint64(9*a.NumObjs() + 4*a.NumPOs() + 16384) // 16 KiB: page rounding
 	t.Logf("%d B for %d objects (budget %d B)", got, a.NumObjs(), budget)
 	if got > budget {
 		t.Errorf("Rehash of a fixed point allocated %d B on %d objects, budget %d B", got, a.NumObjs(), budget)
@@ -179,8 +180,8 @@ func TestRehashAllocBudget(t *testing.T) {
 
 var sinkRehash *aig.AIG
 
-// BenchmarkRehash is Rehash on a raw Random network (dangling nodes, not in
-// PO order: the rebuild) and on its own output (a fixed point: the copy).
+// BenchmarkRehash is Rehash on a raw Random network (dangling nodes: the
+// rebuild) and on its own output (Clean: the copy).
 func BenchmarkRehash(b *testing.B) {
 	raw := aig.Random(rand.New(rand.NewSource(1)), 256, 1<<18, 64)
 	for _, bc := range []struct {

@@ -263,14 +263,6 @@ func (t *strashTable) maybeGrow() {
 // identical fanin pairs.
 func (a *AIG) RebuildStrash() { a.rebuildStrash(a.NumAnds()) }
 
-// enableStrash is the build-ahead variant behind EnableStrash: a network
-// fresh from NewCap carries its expected final size as unused append
-// capacity, so sizing the table for it up front avoids every growth rehash
-// during construction.
-func (a *AIG) enableStrash() {
-	a.rebuildStrash(a.NumAnds() + (cap(a.fanin0) - len(a.fanin0)))
-}
-
 func (a *AIG) rebuildStrash(hint int) {
 	if a.strash != nil {
 		a.strash.release()

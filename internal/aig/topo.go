@@ -173,7 +173,9 @@ func (a *AIG) Levels() int {
 // POs, renumbered in topological order, along with a literal map from old
 // node ids to new literals (old dangling nodes map to ConstFalse). This is
 // the "dangling node removal" primitive: nodes not reachable from any PO are
-// dropped. It panics as TopoOrder does; CompactSafe returns the error.
+// dropped. A canonical network with nothing dangling keeps its ids, so
+// Compact is idempotent. It panics as TopoOrder does; CompactSafe returns the
+// error.
 func (a *AIG) Compact() (*AIG, []Lit) {
 	out, mp, err := a.CompactSafe()
 	if err != nil {
@@ -186,7 +188,7 @@ func (a *AIG) Compact() (*AIG, []Lit) {
 // writers' input): an out-of-range literal, a reference to a deleted node or
 // a combinational cycle is returned as the walk's error.
 func (a *AIG) CompactSafe() (*AIG, []Lit, error) {
-	order, err := a.walk(true, true)
+	order, err := a.replayOrder()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -194,46 +196,50 @@ func (a *AIG) CompactSafe() (*AIG, []Lit, error) {
 	return out, mp, nil
 }
 
-// Rehash returns a new AIG rebuilt with full structural hashing and constant
-// propagation, removing duplicate and dangling nodes in one pass. It is the
-// sequential reference for the parallel de-duplication pass. It panics as
-// TopoOrder does.
-//
-// A network that already is a fixed point of the rebuild (rehashedForm) comes
-// back as an exact-capacity copy: the rebuild would replay it node for node.
-func (a *AIG) Rehash() *AIG {
-	order := a.TopoOrder(true)
-	if a.rehashedForm(order) {
-		return a.copyExact()
+// replayOrder is the order Compact and Rehash rebuild from: the walk from the
+// POs, except that a canonical network the walk reaches entirely replays in
+// its own id order. A rebuild's output is canonical, so its next replay keeps
+// every id.
+func (a *AIG) replayOrder() ([]int32, error) {
+	order, err := a.walk(true, true)
+	if err == nil && len(order) == a.NumAnds() && a.Canonical() {
+		for i := range order {
+			order[i] = a.numPIs + 1 + int32(i)
+		}
 	}
-	out, _ := a.rebuild(order, true)
-	final, _ := out.Compact()
-	out.ReleaseStrash()
-	return final
+	return order, err
 }
 
-// rehashedForm reports whether rebuilding the network from its PO order
-// would reproduce it id for id, so that Rehash may copy it. It verifies
-// rather than trusts: no deleted node, the PO order is exactly the AND ids in
-// ascending order (nothing dangles, every fanin id is below its node's),
-// every fanin pair is sorted and not folded by SimplifyAnd, and no two nodes
-// share a key, checked in one insert pass through a pooled strash table.
-func (a *AIG) rehashedForm(order []int32) bool {
-	if a.numDead != 0 || len(order) != len(a.fanin0)-int(a.numPIs)-1 {
+// Clean reports whether the network is in the form commands hand on to each
+// other, which is exactly Rehash's fixed point: canonical, every AND node
+// reachable from a PO, every fanin pair sorted and not folded by SimplifyAnd,
+// and no two AND nodes with the same key. It never panics: an invalid network
+// is not clean. One reverse sweep marks what the POs reach and checks the
+// fanins; only then do the keys go through a pooled strash table.
+func (a *AIG) Clean() bool {
+	n := int32(len(a.fanin0))
+	if a.numDead != 0 || n <= a.numPIs {
 		return false
 	}
-	for i, id := range order {
-		f0, f1 := a.fanin0[id], a.fanin1[id]
-		if id != a.numPIs+1+int32(i) || f0 > f1 {
+	live := make([]bool, n)
+	for _, p := range a.pos {
+		if p.Var() >= n {
 			return false
 		}
-		if _, folds := SimplifyAnd(f0, f1); folds {
-			return false
-		}
+		live[p.Var()] = true
 	}
-	t := newStrashTable(len(order))
+	for id := n - 1; id > a.numPIs; id-- {
+		// Fanin ids strictly between 0 and id, ascending: sorted, canonical,
+		// and no constant, x & x or x & !x for SimplifyAnd to fold.
+		f0, f1 := a.fanin0[id], a.fanin1[id]
+		if !live[id] || f0.Var() == 0 || f0.Var() >= f1.Var() || f1.Var() >= id {
+			return false
+		}
+		live[f0.Var()], live[f1.Var()] = true, true
+	}
+	t := newStrashTable(int(n - a.numPIs - 1))
 	defer t.release()
-	for _, id := range order {
+	for id := a.numPIs + 1; id < n; id++ {
 		if _, fresh := t.setIfAbsent(Key(a.fanin0[id], a.fanin1[id]), id); !fresh {
 			return false
 		}
@@ -241,16 +247,23 @@ func (a *AIG) rehashedForm(order []int32) bool {
 	return true
 }
 
-// copyExact returns a copy of the network's fanins, POs and name with
-// capacity equal to length, as the rebuild's NewCap sizes its output.
-func (a *AIG) copyExact() *AIG {
-	return &AIG{
-		Name:   a.Name,
-		numPIs: a.numPIs,
-		fanin0: append(make([]Lit, 0, len(a.fanin0)), a.fanin0...),
-		fanin1: append(make([]Lit, 0, len(a.fanin1)), a.fanin1...),
-		pos:    append(make([]Lit, 0, len(a.pos)), a.pos...),
+// Rehash returns a new AIG rebuilt with full structural hashing and constant
+// propagation, removing duplicate and dangling nodes in one pass; the result
+// is Clean. It is the sequential reference for the parallel de-duplication
+// pass. A Clean network comes back as a copy, since the rebuild would replay
+// it node for node. It panics as TopoOrder does.
+func (a *AIG) Rehash() *AIG {
+	if a.Clean() {
+		return a.Clone()
 	}
+	order, err := a.replayOrder()
+	if err != nil {
+		panic(err)
+	}
+	out, _ := a.rebuild(order, true)
+	final, _ := out.Compact()
+	out.ReleaseStrash()
+	return final
 }
 
 // rebuild replays a topological order of reachable AND nodes into a fresh

@@ -311,5 +311,24 @@ func FuzzWalk(f *testing.F) {
 		if err := Check(a); (err == nil) != (refValid(a, false) && poOK) {
 			t.Fatalf("Check error %v, reference valid %v, POs valid %v", err, refValid(a, false), poOK)
 		}
+		if !refValid(a, true) {
+			return
+		}
+		// What validates has one form: Compact is idempotent, and Rehash
+		// lands on Clean.
+		once, _ := a.Compact()
+		if twice, _ := once.Compact(); !sameNetwork(once, twice) {
+			t.Fatalf("a second Compact renumbered the first's output")
+		}
+		if !a.Rehash().Clean() {
+			t.Fatalf("Rehash output is not Clean")
+		}
 	})
+}
+
+// sameNetwork reports whether x and y have the same PIs, nodes, fanins and
+// POs, id for id: the AIGER bytes they would write.
+func sameNetwork(x, y *AIG) bool {
+	return x.numPIs == y.numPIs && slices.Equal(x.fanin0, y.fanin0) && slices.Equal(x.fanin1, y.fanin1) &&
+		slices.Equal(x.pos, y.pos) && slices.Equal(x.deleted, y.deleted)
 }

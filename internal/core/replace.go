@@ -160,11 +160,10 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement) *aig.AIG {
 		}
 	}
 
-	// Phase 7: drop the old cones and unused provisional slots, then merge
-	// the Figure 4 duplicates the redirect made and drop what they orphan
-	// (Section III-F).
-	out, _ := work.Compact()
-	out, _, _ = dedup.Merge(d, out)
+	// Phase 7: merge the Figure 4 duplicates the redirect made, and drop
+	// what they orphan with the old cones and the unused provisional slots
+	// (Section III-F, whose compaction is the command's only one).
+	out, _, _ := dedup.Merge(d, work)
 	return out
 }
 

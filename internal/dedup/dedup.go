@@ -5,10 +5,12 @@
 // when the new root of a resynthesized cone already exists, fanouts of the
 // old and new roots may become structurally identical), and local functions
 // that do not depend on all leaves leave dangling nodes, so
-// core.ApplyReplacements ends with Merge, as does the partition stitch. The
-// in-place editor under rewriting and resubstitution merges duplicates as it
-// replaces and leaves neither. Run is the pass alone: the dedup command's
-// engine, and the reference a clean network is checked against.
+// core.ApplyReplacements hands Merge its uncompacted network, as does the
+// partition stitch, and Merge's compaction is the only one. The in-place
+// editor under rewriting and resubstitution merges duplicates as it replaces
+// and leaves neither. Either way the result is Clean (aig.(*AIG).Clean).
+// Run is the pass alone, the dedup command's engine; it returns a Clean
+// network node for node.
 //
 // De-duplication must proceed level-wise from PIs to POs because merging two
 // nodes can create new duplicates among their fanouts.

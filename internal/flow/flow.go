@@ -215,8 +215,13 @@ func Parse(script string) ([]string, error) {
 	return cmds, nil
 }
 
-// Run executes the script on a copy of the input and returns the optimized
-// AIG with the per-command breakdown. In parallel mode the device engines run
+// ErrInvalidInput is wrapped by Run's error for an input network that fails
+// aig.Check: a cycle, an out-of-range fanin, a PO on a deleted node.
+var ErrInvalidInput = errors.New("flow: invalid input network")
+
+// Run executes the script on the input's Clean form (the input itself when
+// it is clean, its Rehash otherwise) and returns the optimized AIG with the
+// per-command breakdown. In parallel mode the device engines run
 // on d, which must not be nil (sched passes a lease of its pool); a
 // sequential run ignores d.
 //
@@ -232,8 +237,9 @@ func Parse(script string) ([]string, error) {
 // is bound to the device) at every kernel-launch boundary. A cancelled Run
 // returns the partial Result — the network after the last completed
 // command, with that prefix's timings — alongside an error wrapping
-// ctx.Err(). The only other error causes are a script Parse rejects and a
-// parallel run without a device.
+// ctx.Err(). The only other error causes are a script Parse rejects, a
+// parallel run without a device and an input aig.Check rejects
+// (ErrInvalidInput).
 func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Config) (Result, error) {
 	cmds, err := Parse(script)
 	if err != nil {
@@ -251,6 +257,14 @@ func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Conf
 	}
 	start := time.Now()
 	cacheBefore := cfg.Cache.Snapshot()
+	// Commands hand each other Clean networks, and this is where the form is
+	// made.
+	if !a.Clean() {
+		if err := aig.Check(a); err != nil {
+			return Result{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
+		}
+		a = a.Rehash()
+	}
 	res := Result{AIG: a}
 	for i, cmd := range cmds {
 		if cerr := ctx.Err(); cerr != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -191,36 +192,50 @@ func TestSequentialZeroGainCommands(t *testing.T) {
 	}
 }
 
-// TestEnginesReturnCleanNetworks pins the contract that lets the flow run no
-// cleanup after a command: every parallel command hands back a network on
-// which the Section III-F pass merges, folds and removes nothing, on every
-// Suite(1) family and on 60 seeded random networks. It compares counts, not
-// bytes: aig.Compact is not idempotent, so the pass may renumber a clean
-// network.
+// TestEnginesReturnCleanNetworks pins the one network form between commands:
+// every command on both engines, over every Suite(1) family and 60 seeded
+// random networks (rehashed first, as Run hands them on), returns a Clean
+// network, which the Section III-F pass and a second Compact both return
+// node for node.
 func TestEnginesReturnCleanNetworks(t *testing.T) {
 	inputs := map[string]*aig.AIG{}
 	for _, c := range bench.Suite(1) {
-		inputs[c.Name] = c.Build()
+		inputs[c.Name] = c.Build().Rehash()
 	}
 	for seed := range 60 {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		inputs[fmt.Sprintf("random%d", seed)] = aig.Random(rng, 6+seed%8, 100+10*seed, 1+seed%6)
+		inputs[fmt.Sprintf("random%d", seed)] = aig.Random(rng, 6+seed%8, 100+10*seed, 1+seed%6).Rehash()
 	}
-	d, cfg := gpu.New(2), Config{}.normalized()
-	for _, name := range []string{"b", "rw", "rwz", "rf", "rfz", "rs"} {
-		c := commands[name]
-		for in, a := range inputs {
-			out := a
-			for range max(c.ParPasses, 1) {
-				out = c.Par(d, out, cfg)
-			}
-			clean, st := dedup.Run(d, out)
-			if st.DuplicatesMerged != 0 || st.TriviallyReduced != 0 || st.DanglingRemoved != 0 ||
-				clean.NumAnds() != out.NumAnds() || clean.Levels() != out.Levels() {
-				t.Errorf("%s on %s: cleanup merged %d, folded %d, removed %d; ands %d -> %d, levels %d -> %d",
-					name, in, st.DuplicatesMerged, st.TriviallyReduced, st.DanglingRemoved,
-					out.NumAnds(), clean.NumAnds(), out.Levels(), clean.Levels())
+	d := gpu.New(2)
+	for _, name := range []string{"b", "rw", "rwz", "rf", "rfz", "rs", "dedup"} {
+		for _, parallel := range []bool{false, true} {
+			cfg := Config{Parallel: parallel}.normalized()
+			for in, a := range inputs {
+				out, _, err := execute(context.Background(), d, a, name, commands[name], cfg)
+				if err != nil {
+					t.Fatalf("%s (parallel %v) on %s: %v", name, parallel, in, err)
+				}
+				cleaned, _ := dedup.Run(d, out)
+				compacted, _ := out.Compact()
+				if !out.Clean() || !sameNetwork(cleaned, out) || !sameNetwork(compacted, out) {
+					t.Errorf("%s (parallel %v) on %s: clean %v, same after the cleanup pass %v, after Compact %v",
+						name, parallel, in, out.Clean(), sameNetwork(cleaned, out), sameNetwork(compacted, out))
+				}
 			}
 		}
 	}
+}
+
+// sameNetwork reports whether x and y have the same PIs, nodes, fanins and
+// POs, id for id.
+func sameNetwork(x, y *aig.AIG) bool {
+	if x.NumPIs() != y.NumPIs() || x.NumObjs() != y.NumObjs() || !slices.Equal(x.POs(), y.POs()) {
+		return false
+	}
+	for id := int32(0); int(id) < x.NumObjs(); id++ {
+		if x.Fanin0(id) != y.Fanin0(id) || x.Fanin1(id) != y.Fanin1(id) || x.IsDeleted(id) != y.IsDeleted(id) {
+			return false
+		}
+	}
+	return true
 }

@@ -247,3 +247,26 @@ func TestDegradeLadder(t *testing.T) {
 		})
 	}
 }
+
+// TestRunInvalidInputNoPanic: an input that fails aig.Check, here testAIG
+// with a fanin of its last node pointed back at that node, comes back as
+// ErrInvalidInput on either engine, not as a panic from the entry step or
+// from a command.
+func TestRunInvalidInputNoPanic(t *testing.T) {
+	a := testAIG()
+	last := int32(a.NumObjs() - 1)
+	f := a.Fanin0(last)
+	if !a.IsAnd(f.Var()) {
+		f = a.Fanin1(last)
+	}
+	a.SetFanins(f.Var(), aig.MakeLit(last, false), a.Fanin1(f.Var()))
+	if aig.Check(a) == nil {
+		t.Fatal("no cycle made")
+	}
+	for _, parallel := range []bool{false, true} {
+		_, err := Run(context.Background(), gpu.New(2), a, Resyn2, Config{Parallel: parallel})
+		if !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("parallel %v: error %v, want ErrInvalidInput", parallel, err)
+		}
+	}
+}

@@ -208,10 +208,12 @@ func Run(ctx context.Context, a *aig.AIG, opts Options, optimize func(ctx contex
 	cacheBefore := opts.Flow.Cache.Snapshot()
 
 	// Partitioning assumes canonical id order; in-place-edited inputs are
-	// compacted first (POs and functions preserved).
+	// compacted first (POs and functions preserved), invalid ones refused.
 	base := a
 	if !a.Canonical() {
-		base, _ = a.Compact()
+		if base, _, err = a.CompactSafe(); err != nil {
+			return Result{}, fmt.Errorf("%w: %v", flow.ErrInvalidInput, err)
+		}
 	}
 	res = Result{Report: Report{Mode: opts.Mode.String(), NodesIn: base.NumAnds()}}
 	defer func() {

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -209,4 +210,27 @@ func TestPartitionEditedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullCEC(t, a.Rehash(), res.AIG)
+}
+
+// TestPartitionInvalidInput: a partitioned run of a cyclic network returns
+// flow.ErrInvalidInput in either mode and on either engine, not a panic.
+func TestPartitionInvalidInput(t *testing.T) {
+	a := aig.Random(rand.New(rand.NewSource(5)), 8, 300, 6).Rehash()
+	last := int32(a.NumObjs() - 1)
+	f := a.Fanin0(last)
+	if !a.IsAnd(f.Var()) {
+		f = a.Fanin1(last)
+	}
+	a.SetFanins(f.Var(), aig.MakeLit(last, false), a.Fanin1(f.Var()))
+	if aig.Check(a) == nil {
+		t.Fatal("no cycle made")
+	}
+	for _, mode := range []Mode{Cones, Levels} {
+		for _, parallel := range []bool{false, true} {
+			opts := Options{Split: Split{Mode: mode, TargetSize: 60}, Pool: testPool(t, 2), Flow: flow.Config{Parallel: parallel}}
+			if _, err := runScript(context.Background(), a, "b; rw", opts); !errors.Is(err, flow.ErrInvalidInput) {
+				t.Errorf("%v, parallel %v: error %v, want flow.ErrInvalidInput", mode, parallel, err)
+			}
+		}
+	}
 }

@@ -20,7 +20,7 @@ fi
 # Structural gate: flow.execute is the only caller of a Command's engines, and
 # core.EditInPlace the only in-place edit scaffold of the three engines.
 if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=flow --exclude-dir=benchmark '\.(Par|Seq)\(' . ||
-    grep -rnE --include='*.go' --exclude='*_test.go' 'EnableFanouts\(\)|\.Rehash\(\)|ReleaseStrash\(\)' internal/rewrite internal/resub internal/refactor; then
+    grep -rnE --include='*.go' --exclude='*_test.go' 'EnableFanouts\(\)|ReleaseStrash\(\)' internal/rewrite internal/resub internal/refactor; then
     echo "check: a copy of the command executor or of the edit scaffold grew back (see above)" >&2
     exit 1
 fi
@@ -205,6 +205,17 @@ if grep -nE '^func runThread\(' $(find internal/gpu -name '*.go' ! -name '*_test
     echo "check: a per-thread recover wrapper grew back in internal/gpu (see above); recover once per chunk in parallelLaunch.runChunk" >&2
     exit 1
 fi
+# One network form between commands: flow.Run makes its input Clean once and
+# every engine keeps it, so the edit scaffold and the engines over it copy
+# their input instead of rehashing it (non-test internal/core, rewrite,
+# refactor and resub call no Rehash), and the parallel replacement compacts
+# only inside its Section III-F pass (internal/core/replace.go calls no
+# Compact).
+if grep -rnE --include='*.go' --exclude='*_test.go' '\.Rehash\(\)' internal/core internal/rewrite internal/refactor internal/resub ||
+    grep -nE '\.Compact\(\)' internal/core/replace.go; then
+    echo "check: an engine rehashes its input, or the parallel replacement compacts before dedup.Merge, again (see above); flow.Run hands every command a Clean network" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
@@ -244,7 +255,7 @@ go test -race -count=1 -run 'TestChaosBatchSupervision' -chaos-seed="$CHAOS_SEED
 # daemon (v1 API e2e with SSE resume; crash-recovery and drain smokes that
 # re-exec the daemon) — so a cached pass never hides a flake.
 go test -race -count=1 ./internal/sched/ ./internal/journal/ ./internal/queue/ ./internal/bus/ ./internal/store/ ./client/ ./cmd/aigred/
-# Byte budgets of Rehash on a fixed point, Reconv cuts across a growing
+# Byte budgets of Rehash on a Clean network, Reconv cuts across a growing
 # network, cube division, the gate, the AIGER streams, a daemon submission and
 # the parallel rw, rwz and balancing passes: they skip themselves under -race,
 # whose allocation padding makes them meaningless.
