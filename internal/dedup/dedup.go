@@ -30,13 +30,15 @@ type Stats struct {
 	TriviallyReduced int // nodes removed by constant propagation
 	DanglingRemoved  int
 	Levels           int // level batches processed
-	Rehashes         int // hash-table growth events (full-table recovery)
+	// Rehashes is always 0: the table is sized for one key per AND and never
+	// grows. The field stays for the benchmark's dedup.rehashes probe.
+	Rehashes int
 }
 
 // Run de-duplicates the AIG level-wise in parallel and removes dangling
 // nodes, returning a compacted network. The input is not modified.
 func Run(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
-	out, _, st := merge(d, a.Clone(), a.NumAnds()+16)
+	out, _, st := Merge(d, a.Clone())
 	return out, st
 }
 
@@ -44,13 +46,6 @@ func Run(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 // place and must not be used afterwards. Besides the compacted network it
 // returns the final literal of every node of work (a survivor maps to
 // itself), in the id space of work.
-func Merge(d *gpu.Device, work *aig.AIG) (*aig.AIG, []aig.Lit, Stats) {
-	return merge(d, work, work.NumAnds()+16)
-}
-
-// merge is Merge with an explicit hash-table capacity hint, so tests can
-// start from a deliberately undersized table and exercise the rehash
-// recovery.
 //
 // Every class of structural duplicates keeps its member of lowest rank, the
 // (level, id) order: the earliest level the class appears at, then the
@@ -64,7 +59,7 @@ func Merge(d *gpu.Device, work *aig.AIG) (*aig.AIG, []aig.Lit, Stats) {
 // not its class's minimum-rank member, the closing sweep relabels every
 // fanin, and remap, to those members. With one worker the resident always is
 // that member and the sweep has nothing to do.
-func merge(d *gpu.Device, work *aig.AIG, tableCap int) (*aig.AIG, []aig.Lit, Stats) {
+func Merge(d *gpu.Device, work *aig.AIG) (*aig.AIG, []aig.Lit, Stats) {
 	var st Stats
 	n := work.NumObjs()
 	// Bucket the nodes by level (a counting sort: id order within a level).
@@ -94,7 +89,8 @@ func merge(d *gpu.Device, work *aig.AIG, tableCap int) (*aig.AIG, []aig.Lit, Sta
 	for i := range remap {
 		remap[i] = aig.MakeLit(int32(i), false)
 	}
-	ht := hashtable.Acquire(tableCap)
+	// At most one key per AND, so the table is never more than half full.
+	ht := hashtable.Acquire(work.NumAnds() + 16)
 	defer hashtable.Release(ht)
 	// Per-thread counters are sized for the largest level once, instead of
 	// being reallocated for every level batch.
@@ -114,56 +110,39 @@ func merge(d *gpu.Device, work *aig.AIG, tableCap int) (*aig.AIG, []aig.Lit, Sta
 		}
 		st.Levels++
 		merged, trivial := mergedPer[:len(batch)], trivialPer[:len(batch)]
-		// A full hash table degrades gracefully: the batch is retried after
-		// growing the table (rehashing happens between launches, where
-		// single-threaded access is safe). The kernel is idempotent — fanin
-		// remaps resolve to the same literals on a retry, and the rank min is
-		// monotone — so re-running a partially processed batch is sound.
-		for {
-			clear(merged)
-			clear(trivial)
-			var full atomic.Bool
-			d.Launch("dedup/level", len(batch), func(tid int) int64 {
-				id := batch[tid]
-				f0 := work.Fanin0(id)
-				f1 := work.Fanin1(id)
-				// Fanins are at lower levels, so their remaps are final.
-				nf0 := remap[f0.Var()].NotCond(f0.IsCompl())
-				nf1 := remap[f1.Var()].NotCond(f1.IsCompl())
-				work.SetFanins(id, nf0, nf1)
-				if lit, ok := aig.SimplifyAnd(nf0, nf1); ok {
-					remap[id] = lit
-					trivial[tid] = 1
-					return 2
-				}
-				got, inserted, err := ht.InsertUnique(aig.Key(nf0, nf1), uint32(id))
-				if err != nil {
-					full.Store(true)
-					return 3
-				}
-				if !inserted && got != uint32(id) {
-					remap[id] = aig.MakeLit(int32(got), false)
-					merged[tid] = 1
-					// The resident's own rank needs no min: it starts there.
-					for slot, mine := &rank[got], first+int32(tid); ; {
-						cur := atomic.LoadInt32(slot)
-						if mine >= cur {
-							break
-						}
-						if atomic.CompareAndSwapInt32(slot, cur, mine) {
-							relabel.Store(true)
-							break
-						}
+		clear(merged)
+		clear(trivial)
+		d.Launch("dedup/level", len(batch), func(tid int) int64 {
+			id := batch[tid]
+			f0 := work.Fanin0(id)
+			f1 := work.Fanin1(id)
+			// Fanins are at lower levels, so their remaps are final.
+			nf0 := remap[f0.Var()].NotCond(f0.IsCompl())
+			nf1 := remap[f1.Var()].NotCond(f1.IsCompl())
+			work.SetFanins(id, nf0, nf1)
+			if lit, ok := aig.SimplifyAnd(nf0, nf1); ok {
+				remap[id] = lit
+				trivial[tid] = 1
+				return 2
+			}
+			got, inserted := ht.InsertUnique(aig.Key(nf0, nf1), uint32(id))
+			if !inserted && got != uint32(id) {
+				remap[id] = aig.MakeLit(int32(got), false)
+				merged[tid] = 1
+				// The resident's own rank needs no min: it starts there.
+				for slot, mine := &rank[got], first+int32(tid); ; {
+					cur := atomic.LoadInt32(slot)
+					if mine >= cur {
+						break
+					}
+					if atomic.CompareAndSwapInt32(slot, cur, mine) {
+						relabel.Store(true)
+						break
 					}
 				}
-				return 3
-			})
-			if !full.Load() {
-				break
 			}
-			st.Rehashes++
-			ht.Rehash(2*ht.Len() + len(batch))
-		}
+			return 3
+		})
 		for i := range batch {
 			st.DuplicatesMerged += int(merged[i])
 			st.TriviallyReduced += int(trivial[i])

@@ -99,45 +99,6 @@ func TestDedupIdempotentOnCleanAIG(t *testing.T) {
 	}
 }
 
-func TestDedupUndersizedTableRecovers(t *testing.T) {
-	// A deliberately undersized hash table must degrade (rehash + retry),
-	// never crash, and still produce the same result as a full-size run.
-	rng := rand.New(rand.NewSource(11))
-	a := aig.New(6)
-	lits := make([]aig.Lit, 0, 128)
-	for i := 0; i < 6; i++ {
-		lits = append(lits, a.PI(i))
-	}
-	for i := 0; i < 120; i++ {
-		f0 := lits[rng.Intn(len(lits))].NotCond(rng.Intn(2) == 0)
-		f1 := lits[rng.Intn(len(lits))].NotCond(rng.Intn(2) == 0)
-		if f0.Var() == f1.Var() {
-			continue
-		}
-		lits = append(lits, a.AddAndUnchecked(f0, f1))
-	}
-	for i := 0; i < 4; i++ {
-		a.AddPO(lits[len(lits)-1-rng.Intn(8)])
-	}
-	for _, workers := range []int{1, 4} {
-		out, _, st := merge(gpu.New(workers), a.Clone(), 4) // 8 slots for a 100+ node AIG
-		if st.Rehashes == 0 {
-			t.Errorf("workers=%d: undersized table never rehashed", workers)
-		}
-		ref, refSt := Run(gpu.New(workers), a)
-		if refSt.Rehashes != 0 {
-			t.Errorf("workers=%d: full-size table rehashed %d times", workers, refSt.Rehashes)
-		}
-		if out.NumAnds() != ref.NumAnds() {
-			t.Errorf("workers=%d: undersized run %d nodes, reference %d",
-				workers, out.NumAnds(), ref.NumAnds())
-		}
-		if !simEqual(a, out) {
-			t.Errorf("workers=%d: function changed", workers)
-		}
-	}
-}
-
 func TestQuickDedupMatchesRehash(t *testing.T) {
 	// The parallel pass must reach the same node count as the sequential
 	// reference (full rehash) and preserve the function.

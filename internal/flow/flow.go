@@ -103,9 +103,9 @@ type Record struct {
 	Wall    time.Duration `json:"wall_ns"`
 	Modeled time.Duration `json:"modeled_ns"`
 	// Incidents lists every contained failure: commands whose attempt
-	// aborted (kernel panic, full hash table), or whose output failed the
-	// structural invariant check or the equivalence gate, and what the
-	// guarded runner did about it. Empty on a clean run.
+	// aborted (a kernel panic), or whose output failed the structural
+	// invariant check or the equivalence gate, and what the guarded runner
+	// did about it. Empty on a clean run.
 	Incidents []Incident `json:"incidents,omitempty"`
 	// Profile is the per-kernel device profile of a parallel run (nil for
 	// sequential and partitioned runs). The modeled times of its rows sum to
@@ -293,11 +293,10 @@ func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Conf
 // execute is the one place a command turns into engine calls: one run of its
 // sequential engine or c.ParPasses runs of its device engine on d
 // (cfg.Parallel selects), ctx checked between them, and the timing record (for
-// a device run the modeled time and the per-kernel profile are deltas of the
-// device's accounting). An engine panic comes back as an error — a *gpu.LaunchError
-// (kernel panic, full hash table surfaced through a kernel) or
-// *gpu.CancelledError as itself, anything else as an engine-panic error —
-// with an empty timing.
+// a device run the per-kernel profile is the delta of the device's profile,
+// and the modeled time its total). An engine panic comes back as an error — a
+// *gpu.LaunchError (a panicking kernel thread) or *gpu.CancelledError as
+// itself, anything else as an engine-panic error — with an empty timing.
 func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c command, cfg Config) (out *aig.AIG, t CommandTiming, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -314,11 +313,10 @@ func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c comm
 	}()
 	out, t.Command = a, name
 	passes := 1
-	var snap gpu.Stats
-	var profSnap []gpu.KernelProfile
+	var snap []gpu.KernelProfile
 	if cfg.Parallel {
 		passes = max(c.ParPasses, 1)
-		snap, profSnap = d.Stats(), d.Profile()
+		snap = d.Profile()
 	}
 	start := time.Now()
 	for p := 0; p < passes; p++ {
@@ -336,8 +334,8 @@ func execute(ctx context.Context, d *gpu.Device, a *aig.AIG, name string, c comm
 		t.Modeled = t.Wall
 		return out, t, nil
 	}
-	t.Modeled = d.Stats().Sub(snap).ModeledTime
-	t.Kernels = gpu.DiffProfile(d.Profile(), profSnap)
+	t.Kernels = gpu.DiffProfile(d.Profile(), snap)
+	t.Modeled = gpu.TotalProfile(t.Kernels).Modeled
 	return out, t, nil
 }
 

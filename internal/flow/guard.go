@@ -2,12 +2,12 @@
 //
 // The paper argues its parallel passes are race-free and equivalence-
 // preserving; this layer is what makes the pipeline survive the cases where
-// that argument fails in practice — a panicking kernel, a full hash table, a
-// structurally corrupt or functionally wrong pass output. Each command runs
-// against an immutable checkpoint (pass engines never mutate their input, so
-// the checkpoint is a plain reference), its output is screened by the
-// structural invariant checker and an equivalence gate, and any failure
-// rolls the AIG back and degrades the command instead of killing the run.
+// that argument fails in practice — a panicking kernel, a structurally
+// corrupt or functionally wrong pass output. Each command runs against an
+// immutable checkpoint (pass engines never mutate their input, so the
+// checkpoint is a plain reference), its output is screened by the structural
+// invariant checker and an equivalence gate, and any failure rolls the AIG
+// back and degrades the command instead of killing the run.
 package flow
 
 import (
@@ -43,9 +43,9 @@ type Incident struct {
 	Detail string `json:"detail"`
 	// Class is the supervision class of the failure: ClassTransient for
 	// faults a fresh attempt can plausibly clear (aborted kernel launches,
-	// full hash tables, seam-gate rollbacks), ClassPermanent for faults
-	// that will reproduce on retry (invariant violations, equivalence
-	// refutations, non-kernel engine panics).
+	// seam-gate rollbacks), ClassPermanent for faults that will reproduce
+	// on retry (invariant violations, equivalence refutations, non-kernel
+	// engine panics).
 	Class string `json:"class,omitempty"`
 	// Attempt is the 1-based attempt of the job that recorded the incident;
 	// 0 only for a direct flow.Run, outside the engine that every public
@@ -160,8 +160,8 @@ func newIncident(idx int, cmd string, err error, action string) Incident {
 	var ge *gateError
 	switch {
 	case errors.As(err, &le):
-		// Aborted launches — kernel panics, full hash tables — are faults a
-		// fresh attempt can plausibly clear.
+		// Aborted launches (kernel panics) are faults a fresh attempt can
+		// plausibly clear.
 		inc.Stage = "launch"
 		inc.Kernel = le.Kernel
 		inc.Class = ClassTransient

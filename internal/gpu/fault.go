@@ -26,7 +26,7 @@ func (e *LaunchError) Error() string {
 }
 
 // Unwrap exposes a panic value that is itself an error (for example
-// hashtable.ErrTableFull) to errors.Is / errors.As chains.
+// ErrInjectedFault) to errors.Is / errors.As chains.
 func (e *LaunchError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err
@@ -73,7 +73,7 @@ type FaultPlan struct {
 	Kind   FaultKind
 	// Panic, when non-nil, replaces ErrInjectedFault as the panic value of a
 	// FaultPanic plan. Chaos tests use it to simulate typed kernel failures
-	// (e.g. hashtable.ErrTableFull) without reaching into the engines.
+	// without reaching into the engines.
 	Panic error
 	// Stall is the sleep duration of a FaultStall plan (0 = 250ms).
 	Stall time.Duration

@@ -55,48 +55,6 @@ var DefaultModel = CostModel{
 // modeled regime when comparing against modeled device time.
 const SequentialReference = 4 * time.Nanosecond
 
-// Stats accumulates the execution profile of a device.
-type Stats struct {
-	Launches    int           // number of kernel launches
-	Threads     int64         // total logical threads launched
-	Work        int64         // total elementary operations across all threads
-	Span        int64         // sum over launches of the max per-thread operations
-	ModeledTime time.Duration // per the cost model
-	SeqTime     time.Duration // modeled host-sequential portion (AddOverhead)
-	WallTime    time.Duration // measured host time inside Launch
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Launches += other.Launches
-	s.Threads += other.Threads
-	s.Work += other.Work
-	s.Span += other.Span
-	s.ModeledTime += other.ModeledTime
-	s.SeqTime += other.SeqTime
-	s.WallTime += other.WallTime
-}
-
-// Sub returns s minus other: the execution profile accumulated between the
-// snapshot other and the snapshot s. Use it to attribute device time to a
-// phase: before := d.Stats(); ...; delta := d.Stats().Sub(before).
-func (s Stats) Sub(other Stats) Stats {
-	return Stats{
-		Launches:    s.Launches - other.Launches,
-		Threads:     s.Threads - other.Threads,
-		Work:        s.Work - other.Work,
-		Span:        s.Span - other.Span,
-		ModeledTime: s.ModeledTime - other.ModeledTime,
-		SeqTime:     s.SeqTime - other.SeqTime,
-		WallTime:    s.WallTime - other.WallTime,
-	}
-}
-
-func (s Stats) String() string {
-	return fmt.Sprintf("launches=%d threads=%d work=%d span=%d modeled=%v wall=%v",
-		s.Launches, s.Threads, s.Work, s.Span, s.ModeledTime, s.WallTime)
-}
-
 // Device executes kernels. It is safe for use by a single orchestration
 // goroutine (kernel launches themselves are internally parallel; two
 // concurrent Launch calls on one Device are not supported, matching a CUDA
@@ -107,7 +65,6 @@ type Device struct {
 	pool    *Pool           // the worker budget every launch draws from
 	ctx     context.Context // nil = never cancelled; checked at launch boundaries
 	hb      *Heartbeat      // the bound context's heartbeat; nil = none
-	stats   Stats
 	profile map[string]*KernelProfile
 	faults  []FaultPlan
 }
@@ -187,9 +144,6 @@ func (e *CancelledError) Unwrap() error { return e.Err }
 
 // Workers returns the lease size: the most worker bodies one launch runs.
 func (d *Device) Workers() int { return d.workers }
-
-// Stats returns the accumulated execution profile.
-func (d *Device) Stats() Stats { return d.stats }
 
 // AddOverhead accounts an explicit host-side sequential phase into the
 // modeled time (e.g. the sequential replacement step of rewriting),

@@ -36,7 +36,7 @@ func TestLaunchZeroAndSmall(t *testing.T) {
 func TestWorkSpanAccounting(t *testing.T) {
 	d := New(1)
 	d.Launch("ops", 4, func(tid int) int64 { return int64(tid + 1) })
-	s := d.Stats()
+	s := TotalProfile(d.Profile())
 	if s.Work != 1+2+3+4 {
 		t.Errorf("Work = %d, want 10", s.Work)
 	}
@@ -46,8 +46,8 @@ func TestWorkSpanAccounting(t *testing.T) {
 	if s.Launches != 1 || s.Threads != 4 {
 		t.Errorf("Launches/Threads = %d/%d", s.Launches, s.Threads)
 	}
-	if s.ModeledTime <= d.Model.LaunchOverhead {
-		t.Errorf("modeled time must include op cost: %v", s.ModeledTime)
+	if s.Modeled <= d.Model.LaunchOverhead {
+		t.Errorf("modeled time must include op cost: %v", s.Modeled)
 	}
 }
 
@@ -56,7 +56,7 @@ func TestModeledTimeBrent(t *testing.T) {
 	d.Model = CostModel{Processors: 10, OpTime: 1, LaunchOverhead: 0}
 	d.Launch("brent", 25, func(tid int) int64 { return 2 })
 	// work/procs + span = 50/10 + 2 = 7ns
-	if got := d.Stats().ModeledTime; got != 7 {
+	if got := TotalProfile(d.Profile()).Modeled; got != 7 {
 		t.Errorf("ModeledTime = %v, want 7ns", got)
 	}
 }
@@ -153,14 +153,14 @@ func TestSortUniqueLeavesInputUntouched(t *testing.T) {
 	}
 }
 
+// TestStatsAdd checks that device totals add: the TotalProfile of two
+// devices' rows is the sum of their accounts.
 func TestStatsAdd(t *testing.T) {
 	d := New(1)
 	d.Launch1("a", 10, func(int) {})
-	var total Stats
-	total.Add(d.Stats())
-	total.Add(d.Stats())
+	total := TotalProfile(append(d.Profile(), d.Profile()...))
 	if total.Launches != 2 || total.Threads != 20 {
-		t.Errorf("Add wrong: %+v", total)
+		t.Errorf("total wrong: %+v", total)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestMidChunkPanic(t *testing.T) {
 		if !ok || lerr.Tid != bad || lerr.Value != "boom" || len(lerr.Stack) == 0 {
 			t.Fatalf("W=%d: err = %#v, want a *LaunchError at tid %d with its stack", w, err, bad)
 		}
-		if got := d.Stats().Work; got != returned.Load() {
+		if got := TotalProfile(d.Profile()).Work; got != returned.Load() {
 			t.Errorf("W=%d: Work = %d, want the %d threads that returned", w, got, returned.Load())
 		}
 		for tid := range bad {

@@ -40,7 +40,7 @@ func TestLeasedDeviceRunsOnPool(t *testing.T) {
 	if pool.BusyTime() <= 0 {
 		t.Error("pool busy time = 0: the launch did not run on the pool")
 	}
-	if s := d.Stats(); s.Launches != 1 || s.Work != n {
+	if s := TotalProfile(d.Profile()); s.Launches != 1 || s.Work != n {
 		t.Errorf("stats = %+v, want 1 launch of %d work", s, int64(n))
 	}
 	if p := d.Profile(); len(p) != 1 || p[0].Kernel != "lease-test" {
@@ -80,7 +80,7 @@ func TestBindRefusesLaunchesAfterCancel(t *testing.T) {
 	if ran {
 		t.Error("kernel body ran despite cancellation")
 	}
-	if s := d.Stats(); s.Launches != 1 {
+	if s := TotalProfile(d.Profile()); s.Launches != 1 {
 		t.Errorf("refused launch was counted: %+v", s)
 	}
 

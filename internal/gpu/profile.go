@@ -10,9 +10,9 @@ import (
 // KernelProfile is the accumulated execution profile of one kernel name: how
 // often it launched, how many logical threads and elementary operations it
 // accounted, and how much modeled device time (plus measured host wall time)
-// it consumed. The per-kernel rows partition Stats exactly: summing any field
-// over all rows of Device.Profile reproduces the corresponding Stats field,
-// so the profile is the per-kernel breakdown of the paper's Fig. 8 data.
+// it consumed. The rows are the device's only ledger: TotalProfile of
+// Device.Profile is the device's whole account, and the rows are its
+// per-kernel breakdown, the paper's Fig. 8 data.
 type KernelProfile struct {
 	Kernel   string        `json:"kernel"`
 	Launches int           `json:"launches"`
@@ -51,19 +51,10 @@ func (p KernelProfile) isZero() bool {
 		p.Modeled == 0 && p.Seq == 0 && p.Wall == 0
 }
 
-// account is the single funnel for all device-time accounting: it updates the
-// aggregate Stats and the per-kernel profile. Every
-// path that adds to Stats must go through it so that the per-kernel rows
-// reconcile with Stats exactly.
+// account is the single funnel for all device-time accounting: it adds to
+// name's row of the per-kernel profile.
 func (d *Device) account(name string, launches int, threads, work, span int64, modeled, seq, wall time.Duration) {
 	d.beat() // accounted operation completed: the job is alive
-	d.stats.Launches += launches
-	d.stats.Threads += threads
-	d.stats.Work += work
-	d.stats.Span += span
-	d.stats.ModeledTime += modeled
-	d.stats.SeqTime += seq
-	d.stats.WallTime += wall
 	p := d.profile[name]
 	if p == nil {
 		if d.profile == nil {
@@ -77,8 +68,7 @@ func (d *Device) account(name string, launches int, threads, work, span int64, m
 }
 
 // Profile returns a copy of the accumulated per-kernel profile, sorted by
-// modeled time descending (ties broken by kernel name). Summing any field
-// over the returned rows equals the corresponding field of Stats exactly.
+// modeled time descending (ties broken by kernel name).
 func (d *Device) Profile() []KernelProfile {
 	rows := make([]KernelProfile, 0, len(d.profile))
 	for _, p := range d.profile {
@@ -125,9 +115,8 @@ func TotalProfile(rows []KernelProfile) KernelProfile {
 	return total
 }
 
-// FormatProfile renders rows as a text table with a trailing TOTAL line. The
-// TOTAL modeled time equals Stats().ModeledTime exactly when rows came from
-// Device.Profile.
+// FormatProfile renders rows as a text table with a trailing TOTAL line, the
+// TotalProfile of rows.
 func FormatProfile(rows []KernelProfile) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %9s %12s %14s %10s %14s %14s\n",

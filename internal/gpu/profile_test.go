@@ -18,7 +18,8 @@ func exercise(d *Device) {
 }
 
 // TestProfileReconcilesWithStats checks the central invariant: the
-// per-kernel rows partition Stats exactly, field by field.
+// per-kernel rows are the device's whole account, so their total is exactly
+// what exercise ran, field by field.
 func TestProfileReconcilesWithStats(t *testing.T) {
 	d := New(2)
 	exercise(d)
@@ -26,20 +27,18 @@ func TestProfileReconcilesWithStats(t *testing.T) {
 	if len(rows) < 6 {
 		t.Fatalf("expected at least 6 distinct kernels, got %d: %v", len(rows), rows)
 	}
+	// Launches: kernel-a 2, kernel-b 1, the 4-element scan 2*log2(4), the
+	// sort 5, the compaction's flags 1 + scan 2*ceil(log2(3)) + scatter 1.
+	// Work: kernel-a 199+20, kernel-b 50, scan 2*4, sort 5*4, compaction
+	// 3+2*3+3, and the sequential phase's 1234 ops, which are also its span.
 	total := TotalProfile(rows)
-	s := d.Stats()
-	if total.Launches != s.Launches || total.Threads != s.Threads ||
-		total.Work != s.Work || total.Span != s.Span {
-		t.Errorf("profile totals %+v do not reconcile with stats %+v", total, s)
+	want := KernelProfile{Kernel: "TOTAL", Launches: 18, Threads: 193, Work: 1543, Span: 1255,
+		Seq: 1234 * SequentialReference, Modeled: total.Modeled, Wall: total.Wall}
+	if total != want {
+		t.Errorf("profile total %+v, want %+v", total, want)
 	}
-	if total.Modeled != s.ModeledTime {
-		t.Errorf("profile modeled %v != stats modeled %v", total.Modeled, s.ModeledTime)
-	}
-	if total.Seq != s.SeqTime {
-		t.Errorf("profile seq %v != stats seq %v", total.Seq, s.SeqTime)
-	}
-	if total.Wall != s.WallTime {
-		t.Errorf("profile wall %v != stats wall %v", total.Wall, s.WallTime)
+	if total.Modeled <= total.Seq {
+		t.Errorf("modeled %v does not exceed its sequential share %v", total.Modeled, total.Seq)
 	}
 }
 
@@ -67,20 +66,20 @@ func TestProfileMergesLaunchesByName(t *testing.T) {
 	}
 }
 
+// TestStatsSub checks that a phase's account is the total of its profile
+// diff, and that the snapshot plus the diff is the whole account.
 func TestStatsSub(t *testing.T) {
 	d := New(1)
 	d.Launch("a", 10, func(int) int64 { return 1 })
-	before := d.Stats()
+	before := d.Profile()
 	d.Launch("b", 20, func(int) int64 { return 2 })
-	delta := d.Stats().Sub(before)
+	diff := DiffProfile(d.Profile(), before)
+	delta := TotalProfile(diff)
 	if delta.Launches != 1 || delta.Threads != 20 || delta.Work != 40 {
-		t.Errorf("Sub delta wrong: %+v", delta)
+		t.Errorf("diff total wrong: %+v", delta)
 	}
-	var again Stats
-	again.Add(before)
-	again.Add(delta)
-	if again != d.Stats() {
-		t.Errorf("before + delta != after: %+v vs %+v", again, d.Stats())
+	if again, after := TotalProfile(append(before, diff...)), TotalProfile(d.Profile()); again != after {
+		t.Errorf("before + delta != after: %+v vs %+v", again, after)
 	}
 }
 
@@ -120,7 +119,7 @@ func TestFormatProfile(t *testing.T) {
 	// The TOTAL line must carry the exact modeled time of the device.
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	last := lines[len(lines)-1]
-	if !strings.Contains(last, d.Stats().ModeledTime.String()) {
-		t.Errorf("TOTAL line %q does not contain exact modeled time %v", last, d.Stats().ModeledTime)
+	if modeled := TotalProfile(d.Profile()).Modeled; !strings.Contains(last, modeled.String()) {
+		t.Errorf("TOTAL line %q does not contain exact modeled time %v", last, modeled)
 	}
 }

@@ -56,16 +56,3 @@ func BenchmarkLinearQueryHit(b *testing.B) {
 		t.Query(keys[i&(len(keys)-1)])
 	}
 }
-
-func BenchmarkDump(b *testing.B) {
-	keys := benchKeys(1 << 14)
-	t := New(len(keys))
-	for j, k := range keys {
-		t.InsertUnique(k, uint32(j))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Dump(nil)
-	}
-}

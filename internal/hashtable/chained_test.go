@@ -1,8 +1,13 @@
 package hashtable
 
 import (
+	"errors"
 	"sync/atomic"
 )
+
+// errChainedFull is returned by ChainedTable.InsertUnique when its entry pool
+// is exhausted.
+var errChainedFull = errors.New("hashtable: chained entry pool exhausted")
 
 // ChainedTable is a lock-free chained hash table in the style of the
 // primitive hashing used by the earlier GPU rewriting work [9]. It is test
@@ -40,12 +45,9 @@ func NewChained(capacity int) *ChainedTable {
 	return t
 }
 
-// Len returns the number of entries.
-func (t *ChainedTable) Len() int { return int(atomic.LoadInt64(&t.n)) }
-
 // InsertUnique inserts (key, val) if absent; semantics match
-// Table.InsertUnique, including the ErrTableFull return when the entry pool
-// is exhausted.
+// Table.InsertUnique, except that an exhausted entry pool returns
+// errChainedFull.
 func (t *ChainedTable) InsertUnique(key uint64, val uint32) (uint32, bool, error) {
 	if key == 0 {
 		panic("hashtable: zero key is reserved")
@@ -62,7 +64,7 @@ func (t *ChainedTable) InsertUnique(key uint64, val uint32) (uint32, bool, error
 	e := atomic.AddInt64(&t.n, 1) - 1
 	if int(e) >= len(t.keys) {
 		atomic.AddInt64(&t.n, -1)
-		return InvalidValue, false, ErrTableFull
+		return InvalidValue, false, errChainedFull
 	}
 	atomic.StoreUint64(&t.keys[e], key)
 	atomic.StoreUint32(&t.vals[e], val)

@@ -5,6 +5,12 @@
 // sharing-aware node creation during parallel replacement, of parallel
 // structural hashing, and of the de-duplication pass.
 //
+// As on the device, a table's capacity is fixed before its kernel runs: every
+// caller sizes it for the keys it can insert (New allocates at least twice
+// the hint), so a table is never more than half full. An insert that finds
+// no empty slot is a sizing bug and panics; inside a kernel the gpu layer
+// turns that panic into a *gpu.LaunchError like any other.
+//
 // Compared to the chained design used by the earlier GPU rewriting work [9],
 // linear probing keeps probes within consecutive memory, benefiting from
 // locality; go test -bench InsertQuery measures the two head-to-head
@@ -12,26 +18,17 @@
 package hashtable
 
 import (
-	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"aigre/internal/aig"
-	"aigre/internal/gpu"
 )
 
 const (
 	emptyKey   = uint64(0)
 	invalidVal = ^uint32(0)
 )
-
-// ErrTableFull is returned by InsertUnique when the table has no free slot
-// left for a new key. Kernel callers propagate it by panicking with the
-// error, which the gpu layer converts into a typed *gpu.LaunchError (the
-// guarded flow layer then rolls the pass back); host callers such as the
-// de-duplication pass recover by rehashing into a larger table. The table
-// reserves one empty slot so that probe loops always terminate, full or not.
-var ErrTableFull = errors.New("hashtable: table full")
 
 // InvalidValue is returned by Query for absent keys. Values equal to
 // InvalidValue must not be inserted.
@@ -42,24 +39,17 @@ const InvalidValue = invalidVal
 // structural keys are never zero for real AND nodes (an AND of two
 // constant-false literals is simplified away before hashing).
 //
-// All methods except Rehash are safe for concurrent use.
+// All methods except Reset are safe for concurrent use.
 type Table struct {
 	keys []uint64
 	vals []uint32
 	mask uint64
-	n    int64 // occupied slots
 }
 
 // New creates a table able to hold at least capacityHint entries at a load
 // factor of at most 1/2.
 func New(capacityHint int) *Table {
-	if capacityHint < 4 {
-		capacityHint = 4
-	}
-	size := 1
-	for size < 2*capacityHint {
-		size <<= 1
-	}
+	size := SizeFor(capacityHint)
 	t := &Table{
 		keys: make([]uint64, size),
 		vals: make([]uint32, size),
@@ -91,7 +81,7 @@ var pool sync.Pool
 
 // Acquire returns an empty table sized as New(capacityHint) would size it. A
 // pooled table is reused only at exactly that slot count, so pooled and
-// unpooled passes behave identically (undersized test tables included).
+// unpooled passes behave identically.
 func Acquire(capacityHint int) *Table {
 	if t, _ := pool.Get().(*Table); t != nil && t.Cap() == SizeFor(capacityHint) {
 		t.Reset()
@@ -111,56 +101,53 @@ func (t *Table) Reset() {
 	for i := range t.vals {
 		t.vals[i] = invalidVal
 	}
-	atomic.StoreInt64(&t.n, 0)
 }
-
-// Len returns the number of entries.
-func (t *Table) Len() int { return int(atomic.LoadInt64(&t.n)) }
 
 // Cap returns the number of slots.
 func (t *Table) Cap() int { return len(t.keys) }
 
-// InsertUnique inserts (key, val) if key is absent and returns the value now
-// associated with key together with whether this call inserted it. This is
-// the paper's shareable-node discovery primitive: create a candidate node
-// id, InsertUnique(key, id); if the returned value differs from id, an
-// equivalent node already exists and the candidate should be discarded.
-//
-// When the table cannot accommodate a new key it returns ErrTableFull
-// instead of inserting (looking up a key that is already present still
-// succeeds on a full table). Occupancy is reserved atomically before the
-// slot CAS, so concurrent inserts can never fill the final slot: at least
-// one empty slot remains and every probe loop terminates.
-func (t *Table) InsertUnique(key uint64, val uint32) (uint32, bool, error) {
+// checkInsert panics on a key or value the table cannot store.
+func checkInsert(key uint64, val uint32) {
 	if key == emptyKey {
 		panic("hashtable: zero key is reserved")
 	}
 	if val == invalidVal {
 		panic("hashtable: invalid value")
 	}
+}
+
+// overflow is the panic of an insert that probed every slot without finding
+// key or an empty one: the table was built for fewer keys than its caller
+// inserts.
+func (t *Table) overflow() {
+	panic(fmt.Sprintf("hashtable: all %d slots taken: the capacity hint is too small for the keys inserted", len(t.keys)))
+}
+
+// InsertUnique inserts (key, val) if key is absent and returns the value now
+// associated with key together with whether this call inserted it. This is
+// the paper's shareable-node discovery primitive: create a candidate node
+// id, InsertUnique(key, id); if the returned value differs from id, an
+// equivalent node already exists and the candidate should be discarded.
+// Between racing threads the first slot claim wins.
+func (t *Table) InsertUnique(key uint64, val uint32) (uint32, bool) {
+	checkInsert(key, val)
 	i := aig.HashKey(key) & t.mask
-	for probes := 0; probes <= len(t.keys); probes++ {
+	for range t.keys {
 		k := atomic.LoadUint64(&t.keys[i])
 		if k == emptyKey {
-			// Reserve occupancy before claiming the slot, keeping one slot
-			// permanently empty (atomic full-detection).
-			if atomic.AddInt64(&t.n, 1) >= int64(len(t.keys)) {
-				atomic.AddInt64(&t.n, -1)
-				return invalidVal, false, ErrTableFull
-			}
 			if atomic.CompareAndSwapUint64(&t.keys[i], emptyKey, key) {
 				atomic.StoreUint32(&t.vals[i], val)
-				return val, true, nil
+				return val, true
 			}
-			atomic.AddInt64(&t.n, -1) // lost the slot race; release the claim
-			k = atomic.LoadUint64(&t.keys[i])
+			k = atomic.LoadUint64(&t.keys[i]) // lost the slot race
 		}
 		if k == key {
-			return t.waitVal(i), false, nil
+			return t.waitVal(i), false
 		}
 		i = (i + 1) & t.mask
 	}
-	return invalidVal, false, ErrTableFull
+	t.overflow()
+	return invalidVal, false
 }
 
 // ShareOrCreate is the sharing-aware node creation step of parallel
@@ -168,13 +155,9 @@ func (t *Table) InsertUnique(key uint64, val uint32) (uint32, bool, error) {
 // a claims the structure with InsertUnique and either wins — the provisional
 // node gets the fanins, created is true — or takes the node that owns it,
 // leaving the provisional id unused. Between racing threads the first insert
-// wins. A full table panics with ErrTableFull, as kernels do (the gpu layer
-// makes it a *gpu.LaunchError, the guarded flow rolls the pass back).
+// wins.
 func (t *Table) ShareOrCreate(a *aig.AIG, f0, f1 aig.Lit, provisional int32) (lit aig.Lit, created bool) {
-	got, inserted, err := t.InsertUnique(aig.Key(f0, f1), uint32(provisional))
-	if err != nil {
-		panic(err)
-	}
+	got, inserted := t.InsertUnique(aig.Key(f0, f1), uint32(provisional))
 	if inserted {
 		a.SetFanins(provisional, f0, f1)
 	}
@@ -188,29 +171,18 @@ func (t *Table) ShareOrCreate(a *aig.AIG, f0, f1 aig.Lit, provisional int32) (li
 // state independent of scheduling (the minimum value offered for a key
 // wins, matching a sequential first-encounter replay of the same batch in
 // value order). No engine calls it: the de-duplication pass gets the same
-// independence from InsertUnique plus a rank min per class. Returns
-// ErrTableFull exactly as InsertUnique does.
-func (t *Table) InsertMin(key uint64, val uint32) error {
-	if key == emptyKey {
-		panic("hashtable: zero key is reserved")
-	}
-	if val == invalidVal {
-		panic("hashtable: invalid value")
-	}
+// independence from InsertUnique plus a rank min per class.
+func (t *Table) InsertMin(key uint64, val uint32) {
+	checkInsert(key, val)
 	i := aig.HashKey(key) & t.mask
-	for probes := 0; probes <= len(t.keys); probes++ {
+	for range t.keys {
 		k := atomic.LoadUint64(&t.keys[i])
 		if k == emptyKey {
-			if atomic.AddInt64(&t.n, 1) >= int64(len(t.keys)) {
-				atomic.AddInt64(&t.n, -1)
-				return ErrTableFull
-			}
 			if atomic.CompareAndSwapUint64(&t.keys[i], emptyKey, key) {
 				atomic.StoreUint32(&t.vals[i], val)
-				return nil
+				return
 			}
-			atomic.AddInt64(&t.n, -1) // lost the slot race; release the claim
-			k = atomic.LoadUint64(&t.keys[i])
+			k = atomic.LoadUint64(&t.keys[i]) // lost the slot race
 		}
 		if k == key {
 			for {
@@ -221,17 +193,14 @@ func (t *Table) InsertMin(key uint64, val uint32) error {
 					// so spin rather than race its plain store.
 					continue
 				}
-				if cur <= val {
-					return nil
-				}
-				if atomic.CompareAndSwapUint32(&t.vals[i], cur, val) {
-					return nil
+				if cur <= val || atomic.CompareAndSwapUint32(&t.vals[i], cur, val) {
+					return
 				}
 			}
 		}
 		i = (i + 1) & t.mask
 	}
-	return ErrTableFull
+	t.overflow()
 }
 
 // waitVal spins until the slot's value has been published by the inserting
@@ -251,7 +220,7 @@ func (t *Table) Query(key uint64) (uint32, bool) {
 		return invalidVal, false
 	}
 	i := aig.HashKey(key) & t.mask
-	for probes := 0; probes <= len(t.keys); probes++ {
+	for range t.keys {
 		k := atomic.LoadUint64(&t.keys[i])
 		if k == emptyKey {
 			return invalidVal, false
@@ -262,51 +231,4 @@ func (t *Table) Query(key uint64) (uint32, bool) {
 		i = (i + 1) & t.mask
 	}
 	return invalidVal, false
-}
-
-// KV is one key-value pair.
-type KV struct {
-	Key uint64
-	Val uint32
-}
-
-// Dump gathers all entries into a densely packed slice using device stream
-// compaction (Section III-E: "dumping all the key-value pairs concurrently
-// to a consecutively stored array"). Pass a device to account the cost; a
-// nil device performs a plain host-side sweep.
-func (t *Table) Dump(d *gpu.Device) []KV {
-	if d == nil {
-		// Atomic loads: Dump may run concurrently with InsertUnique (the
-		// documented contract), and a slot's value is published after its
-		// key CAS — waitVal closes that window.
-		out := make([]KV, 0, t.Len())
-		for i := range t.keys {
-			if k := atomic.LoadUint64(&t.keys[i]); k != emptyKey {
-				out = append(out, KV{k, t.waitVal(uint64(i))})
-			}
-		}
-		return out
-	}
-	keep := make([]bool, len(t.keys))
-	src := make([]KV, len(t.keys))
-	d.Launch1("hashtable/dump-flags", len(t.keys), func(i int) {
-		if k := atomic.LoadUint64(&t.keys[i]); k != emptyKey {
-			keep[i] = true
-			src[i] = KV{k, t.waitVal(uint64(i))}
-		}
-	})
-	return gpu.Compact(d, "hashtable/dump", src, keep)
-}
-
-// Rehash grows the table to hold at least capacityHint entries. Not safe
-// for concurrent use; call between kernel launches.
-func (t *Table) Rehash(capacityHint int) {
-	old := t.Dump(nil)
-	if capacityHint < len(old) {
-		capacityHint = len(old)
-	}
-	*t = *New(capacityHint)
-	for _, kv := range old {
-		t.InsertUnique(kv.Key, kv.Val)
-	}
 }

@@ -1,26 +1,22 @@
 package hashtable
 
 import (
-	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
-
-	"aigre/internal/gpu"
+	"time"
 )
 
 func TestInsertQueryBasic(t *testing.T) {
 	ht := New(16)
-	v, ins, err := ht.InsertUnique(42, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, ins := ht.InsertUnique(42, 7)
 	if !ins || v != 7 {
 		t.Fatalf("first insert = (%d,%v)", v, ins)
 	}
-	v, ins, _ = ht.InsertUnique(42, 9)
+	v, ins = ht.InsertUnique(42, 9)
 	if ins || v != 7 {
 		t.Fatalf("duplicate insert = (%d,%v), want existing 7", v, ins)
 	}
@@ -29,9 +25,6 @@ func TestInsertQueryBasic(t *testing.T) {
 	}
 	if _, ok := ht.Query(43); ok {
 		t.Errorf("absent key found")
-	}
-	if ht.Len() != 1 {
-		t.Errorf("Len = %d", ht.Len())
 	}
 }
 
@@ -55,7 +48,7 @@ func TestCollisionHeavyFill(t *testing.T) {
 			t.Fatalf("key %d -> (%d,%v)", i, v, ok)
 		}
 	}
-	if lf := float64(ht.Len()) / float64(ht.Cap()); lf > 0.51 {
+	if lf := 1024.0 / float64(ht.Cap()); lf > 0.51 {
 		t.Errorf("load factor %f too high", lf)
 	}
 }
@@ -75,7 +68,7 @@ func TestConcurrentInsertUniqueWinner(t *testing.T) {
 			defer wg.Done()
 			res := make([]uint32, keys)
 			for k := 1; k <= keys; k++ {
-				v, _, _ := ht.InsertUnique(uint64(k), uint32(g*keys+k))
+				v, _ := ht.InsertUnique(uint64(k), uint32(g*keys+k))
 				res[k-1] = v
 			}
 			results[g] = res
@@ -89,9 +82,9 @@ func TestConcurrentInsertUniqueWinner(t *testing.T) {
 				t.Fatalf("key %d: thread %d saw %d, thread 0 saw %d", k+1, g, results[g][k], want)
 			}
 		}
-	}
-	if ht.Len() != keys {
-		t.Errorf("Len = %d, want %d", ht.Len(), keys)
+		if v, ok := ht.Query(uint64(k + 1)); !ok || v != want {
+			t.Fatalf("key %d: Query = (%d,%v), winner %d", k+1, v, ok, want)
+		}
 	}
 }
 
@@ -114,10 +107,7 @@ func TestConcurrentInsertMinDeterministic(t *testing.T) {
 			// Visit the keys in a per-thread order so slot claims and CAS-min
 			// races interleave differently every run.
 			for _, k := range rng.Perm(keys) {
-				if err := ht.InsertMin(uint64(k+1), uint32((g+1)*10_000+k)); err != nil {
-					t.Error(err)
-					return
-				}
+				ht.InsertMin(uint64(k+1), uint32((g+1)*10_000+k))
 			}
 		}()
 	}
@@ -128,171 +118,42 @@ func TestConcurrentInsertMinDeterministic(t *testing.T) {
 			t.Fatalf("key %d -> (%d,%v), want %d", k+1, v, ok, want)
 		}
 	}
-	if ht.Len() != keys {
-		t.Errorf("Len = %d, want %d", ht.Len(), keys)
+	if _, ok := ht.Query(keys + 1); ok {
+		t.Errorf("key %d never inserted but present", keys+1)
 	}
 }
 
-// TestInsertMinFull checks that InsertMin degrades exactly like InsertUnique:
-// ErrTableFull for new keys on a full table, while lowering present keys
-// still succeeds.
-func TestInsertMinFull(t *testing.T) {
-	ht := New(4)
-	cap := ht.Cap()
-	var inserted []uint64
-	for k := uint64(1); ; k++ {
-		if err := ht.InsertMin(k, uint32(k)); err != nil {
-			if !errors.Is(err, ErrTableFull) {
-				t.Fatal(err)
-			}
-			break
-		}
-		inserted = append(inserted, k)
-		if len(inserted) > cap {
-			t.Fatal("table never filled")
-		}
+// TestUndersizedTablePanics feeds a table built with a hint of 4 more
+// distinct keys than it has slots: both insert forms must panic with the
+// sizing message once every slot is taken, in bounded time, never hang.
+func TestUndersizedTablePanics(t *testing.T) {
+	inserts := map[string]func(*Table, uint64){
+		"InsertUnique": func(ht *Table, k uint64) { ht.InsertUnique(k, uint32(k)) },
+		"InsertMin":    func(ht *Table, k uint64) { ht.InsertMin(k, uint32(k)) },
 	}
-	if err := ht.InsertMin(inserted[0], 0); err != nil {
-		t.Errorf("lowering a present key on a full table failed: %v", err)
-	}
-	if v, _ := ht.Query(inserted[0]); v != 0 {
-		t.Errorf("value not lowered: %d", v)
-	}
-}
-
-// TestTableFullReturnsError checks the typed degradation path: a table at
-// capacity must return ErrTableFull for new keys (never panic), while
-// lookups of present keys still succeed.
-func TestTableFullReturnsError(t *testing.T) {
-	ht := New(4) // 8 slots; full detection trips at 7 occupied
-	var inserted []uint64
-	var sawFull bool
-	for k := uint64(1); k <= 16; k++ {
-		_, ins, err := ht.InsertUnique(k, uint32(k))
-		if err != nil {
-			if !errors.Is(err, ErrTableFull) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			sawFull = true
-			continue
-		}
-		if ins {
-			inserted = append(inserted, k)
-		}
-	}
-	if !sawFull {
-		t.Fatal("table never reported full")
-	}
-	if len(inserted) != ht.Cap()-1 {
-		t.Errorf("inserted %d keys into %d slots, want %d (one reserved empty)",
-			len(inserted), ht.Cap(), ht.Cap()-1)
-	}
-	// Present keys still resolve on the full table, via Query and via
-	// InsertUnique's lookup path.
-	for _, k := range inserted {
-		if v, ok := ht.Query(k); !ok || v != uint32(k) {
-			t.Fatalf("key %d lost on full table", k)
-		}
-		if v, ins, err := ht.InsertUnique(k, 999); err != nil || ins || v != uint32(k) {
-			t.Fatalf("present-key insert on full table = (%d,%v,%v)", v, ins, err)
-		}
-	}
-	// Rehash recovers: after growing, new keys insert again.
-	ht.Rehash(64)
-	if _, ins, err := ht.InsertUnique(1000, 1); err != nil || !ins {
-		t.Fatalf("insert after rehash = (%v,%v)", ins, err)
-	}
-}
-
-// TestConcurrentFullDetection races many goroutines against a tiny table:
-// no panic, at least one ErrTableFull, and one slot stays reserved.
-func TestConcurrentFullDetection(t *testing.T) {
-	ht := New(8) // 16 slots
-	const goroutines = 8
-	var wg sync.WaitGroup
-	var fulls int64
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		g := g
+	for name, insert := range inserts {
+		ht := New(4)
+		done := make(chan any, 1)
 		go func() {
-			defer wg.Done()
-			for k := 1; k <= 64; k++ {
-				_, _, err := ht.InsertUnique(uint64(g*64+k), uint32(k))
-				if err != nil {
-					atomic.AddInt64(&fulls, 1)
-				}
+			defer func() { done <- recover() }()
+			for k := uint64(1); k <= uint64(2*ht.Cap()); k++ {
+				insert(ht, k)
 			}
 		}()
-	}
-	wg.Wait()
-	if fulls == 0 {
-		t.Error("no ErrTableFull under concurrent overflow")
-	}
-	if ht.Len() >= ht.Cap() {
-		t.Errorf("occupancy %d reached capacity %d; reserved slot lost", ht.Len(), ht.Cap())
-	}
-}
-
-func TestChainedTableFullReturnsError(t *testing.T) {
-	ct := NewChained(4)
-	var sawFull bool
-	for k := uint64(1); k <= 16; k++ {
-		_, _, err := ct.InsertUnique(k, uint32(k))
-		if err != nil {
-			if !errors.Is(err, ErrTableFull) {
-				t.Fatalf("unexpected error type: %v", err)
+		select {
+		case r := <-done:
+			if msg := fmt.Sprint(r); !strings.Contains(msg, "capacity hint is too small") {
+				t.Errorf("%s: overflow recovered %q, want the sizing panic", name, msg)
 			}
-			sawFull = true
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: overflowing insert did not return", name)
 		}
-	}
-	if !sawFull {
-		t.Fatal("chained table never reported full")
-	}
-}
-
-func TestDumpMatchesContents(t *testing.T) {
-	ht := New(256)
-	rng := rand.New(rand.NewSource(2))
-	want := map[uint64]uint32{}
-	for i := 0; i < 200; i++ {
-		k := uint64(rng.Intn(500) + 1)
-		v := uint32(rng.Intn(1000))
-		got, ins, _ := ht.InsertUnique(k, v)
-		if ins {
-			want[k] = v
-		} else if want[k] != got {
-			t.Fatalf("existing value mismatch")
-		}
-	}
-	for _, dev := range []*gpu.Device{nil, gpu.New(2)} {
-		dump := ht.Dump(dev)
-		if len(dump) != len(want) {
-			t.Fatalf("dump len = %d, want %d", len(dump), len(want))
-		}
-		for _, kv := range dump {
-			if want[kv.Key] != kv.Val {
-				t.Errorf("dump entry %d=%d, want %d", kv.Key, kv.Val, want[kv.Key])
+		// The keys that fit are all still there.
+		for k := uint64(1); k <= uint64(ht.Cap()); k++ {
+			if v, ok := ht.Query(k); !ok || v != uint32(k) {
+				t.Errorf("%s: key %d -> (%d,%v) after the overflow", name, k, v, ok)
 			}
 		}
-	}
-}
-
-func TestRehashPreservesEntries(t *testing.T) {
-	ht := New(8)
-	for i := uint64(1); i <= 8; i++ {
-		ht.InsertUnique(i*7, uint32(i))
-	}
-	ht.Rehash(1000)
-	if ht.Len() != 8 {
-		t.Fatalf("Len after rehash = %d", ht.Len())
-	}
-	for i := uint64(1); i <= 8; i++ {
-		if v, ok := ht.Query(i * 7); !ok || v != uint32(i) {
-			t.Errorf("key %d lost after rehash", i*7)
-		}
-	}
-	if ht.Cap() < 2000 {
-		t.Errorf("Cap = %d after Rehash(1000)", ht.Cap())
 	}
 }
 
@@ -304,7 +165,7 @@ func TestQuickTableMatchesMap(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			k := uint64(rng.Intn(200) + 1)
 			v := uint32(rng.Intn(1 << 20))
-			got, ins, _ := ht.InsertUnique(k, v)
+			got, ins := ht.InsertUnique(k, v)
 			if prev, ok := ref[k]; ok {
 				if ins || got != prev {
 					return false
@@ -316,12 +177,15 @@ func TestQuickTableMatchesMap(t *testing.T) {
 				ref[k] = v
 			}
 		}
-		for k, v := range ref {
-			if got, ok := ht.Query(k); !ok || got != v {
+		// Every key of the probed range is present exactly when the oracle
+		// holds it.
+		for k := uint64(1); k <= 200; k++ {
+			got, ok := ht.Query(k)
+			if want, in := ref[k]; ok != in || (in && got != want) {
 				return false
 			}
 		}
-		return ht.Len() == len(ref)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -384,9 +248,6 @@ func TestResetReusesArrays(t *testing.T) {
 		ht.InsertUnique(k, uint32(k))
 	}
 	ht.Reset()
-	if ht.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", ht.Len())
-	}
 	for k := uint64(1); k <= 10; k++ {
 		if _, ok := ht.Query(k); ok {
 			t.Fatalf("key %d survived Reset", k)
@@ -394,12 +255,14 @@ func TestResetReusesArrays(t *testing.T) {
 	}
 	// The table is fully usable again at its original capacity.
 	for k := uint64(100); k < 110; k++ {
-		if _, ins, err := ht.InsertUnique(k, uint32(k)); err != nil || !ins {
-			t.Fatalf("reinsert %d after Reset: ins=%v err=%v", k, ins, err)
+		if _, ins := ht.InsertUnique(k, uint32(k)); !ins {
+			t.Fatalf("reinsert %d after Reset: not inserted", k)
 		}
 	}
-	if ht.Len() != 10 {
-		t.Errorf("Len after reinsert = %d", ht.Len())
+	for k := uint64(100); k < 110; k++ {
+		if v, ok := ht.Query(k); !ok || v != uint32(k) {
+			t.Errorf("key %d after reinsert: Query = (%d,%v)", k, v, ok)
+		}
 	}
 }
 

@@ -8,18 +8,18 @@ import (
 	"aigre/internal/gpu"
 )
 
-// TestConcurrentInsertAndDumpStress exercises the documented contract that
-// Dump is safe to run concurrently with InsertUnique: writer goroutines
-// insert disjoint key ranges while a reader repeatedly dumps the host path.
-// Run with -race to validate the atomic loads in the host sweep. Every
-// intermediate dump must be a consistent subset (valid values, no
-// duplicates), and the final dump must be complete.
+// TestConcurrentInsertAndDumpStress reads the whole key range with Query
+// while writer goroutines insert disjoint parts of it with InsertUnique. Run
+// with -race to validate the atomic loads and the value publication. Every
+// intermediate read must see a present key with its published value, and the
+// final read must find every key.
 func TestConcurrentInsertAndDumpStress(t *testing.T) {
 	const (
 		writers       = 4
 		keysPerWriter = 2000
+		keys          = writers * keysPerWriter
 	)
-	ht := New(writers * keysPerWriter)
+	ht := New(keys)
 	var done int32
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -38,36 +38,32 @@ func TestConcurrentInsertAndDumpStress(t *testing.T) {
 		atomic.StoreInt32(&done, 1)
 	}()
 
-	check := func(dump []KV) {
-		seen := make(map[uint64]bool, len(dump))
-		for _, kv := range dump {
-			if kv.Key == 0 || kv.Key > uint64(writers*keysPerWriter) {
-				t.Fatalf("dump contains invalid key %d", kv.Key)
+	// read returns how many keys of the range are present, failing on a
+	// present key whose value is not the one inserted.
+	read := func() int {
+		found := 0
+		for k := uint64(1); k <= keys; k++ {
+			v, ok := ht.Query(k)
+			if !ok {
+				continue
 			}
-			if kv.Val == InvalidValue {
-				t.Fatalf("dump observed unpublished value for key %d", kv.Key)
+			if v != uint32(k*3) {
+				t.Fatalf("key %d has value %d, want %d", k, v, uint32(k*3))
 			}
-			if kv.Val != uint32(kv.Key*3) {
-				t.Fatalf("key %d has value %d, want %d", kv.Key, kv.Val, uint32(kv.Key*3))
-			}
-			if seen[kv.Key] {
-				t.Fatalf("key %d dumped twice", kv.Key)
-			}
-			seen[kv.Key] = true
+			found++
 		}
+		return found
 	}
 	for atomic.LoadInt32(&done) == 0 {
-		check(ht.Dump(nil))
+		read()
 	}
-	final := ht.Dump(nil)
-	check(final)
-	if len(final) != writers*keysPerWriter {
-		t.Fatalf("final dump has %d entries, want %d", len(final), writers*keysPerWriter)
+	if got := read(); got != keys {
+		t.Fatalf("final read found %d entries, want %d", got, keys)
 	}
 }
 
-// TestConcurrentInsertAndDeviceDumpStress is the same race against the
-// device-kernel dump path.
+// TestConcurrentInsertAndDeviceDumpStress is the same race with the reader
+// a device kernel: one thread queries each key of the range.
 func TestConcurrentInsertAndDeviceDumpStress(t *testing.T) {
 	const keys = 4000
 	ht := New(keys)
@@ -79,14 +75,23 @@ func TestConcurrentInsertAndDeviceDumpStress(t *testing.T) {
 		}
 		atomic.StoreInt32(&done, 1)
 	}()
-	for atomic.LoadInt32(&done) == 0 {
-		for _, kv := range ht.Dump(d) {
-			if kv.Val == InvalidValue || kv.Val != uint32(kv.Key) {
-				t.Fatalf("device dump saw inconsistent entry %v", kv)
+	read := func() int64 {
+		var found atomic.Int64
+		d.Launch1("hashtable/read", keys, func(tid int) {
+			k := uint64(tid + 1)
+			if v, ok := ht.Query(k); ok {
+				if v != uint32(k) {
+					t.Errorf("device read saw key %d with value %d", k, v)
+				}
+				found.Add(1)
 			}
-		}
+		})
+		return found.Load()
 	}
-	if got := len(ht.Dump(d)); got != keys {
-		t.Fatalf("final device dump has %d entries, want %d", got, keys)
+	for atomic.LoadInt32(&done) == 0 {
+		read()
+	}
+	if got := read(); got != keys {
+		t.Fatalf("final device read found %d entries, want %d", got, keys)
 	}
 }

@@ -121,11 +121,11 @@ func TestParallelSequentialReplacementAblation(t *testing.T) {
 	}
 	// The ablation performs its replacement on the host, so it must report
 	// sequential-part time; the proposed algorithm must not.
-	if ds.Stats().SeqTime == 0 {
+	if gpu.TotalProfile(ds.Profile()).Seq == 0 {
 		t.Errorf("ablation reported no sequential part")
 	}
-	if dp.Stats().SeqTime != 0 {
-		t.Errorf("proposed replacement reported sequential part %v", dp.Stats().SeqTime)
+	if seq := gpu.TotalProfile(dp.Profile()).Seq; seq != 0 {
+		t.Errorf("proposed replacement reported sequential part %v", seq)
 	}
 }
 

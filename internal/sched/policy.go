@@ -10,7 +10,6 @@ import (
 
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/hashtable"
 )
 
 // ErrStuck is the cancellation cause the watchdog sets when it preempts an
@@ -27,8 +26,7 @@ const (
 	// ClassNone: no failure.
 	ClassNone Class = iota
 	// ClassTransient faults can plausibly clear on a fresh attempt: an
-	// aborted kernel launch (*gpu.LaunchError), a full hash table, a
-	// seam-gate rollback.
+	// aborted kernel launch (*gpu.LaunchError), a seam-gate rollback.
 	ClassTransient
 	// ClassPermanent faults reproduce on retry: equivalence refutations,
 	// structural invariant violations, script parse errors, non-kernel
@@ -82,8 +80,6 @@ func Classify(err error) Class {
 		return ClassTimeout
 	case errors.Is(err, context.Canceled):
 		return ClassCancelled
-	case errors.Is(err, hashtable.ErrTableFull):
-		return ClassTransient
 	case errors.As(err, &le):
 		return ClassTransient
 	}
@@ -102,13 +98,13 @@ type Policy struct {
 	// retried, and other jobs keep running.
 	JobTimeout time.Duration
 	// Retries is each job's retry budget: how many extra attempts its
-	// transient failures (aborted kernel launches, full hash tables,
-	// seam-gate rollbacks, deadline kills, watchdog preemptions) may
-	// consume. A job that exhausts the budget is quarantined. With a budget,
-	// an attempt that completed but recorded transient-class incidents (a
-	// contained kernel fault degraded a command) is also retried, its
-	// degraded result discarded in the hope of a clean pass; the last
-	// degraded result stands when the budget runs dry.
+	// transient failures (aborted kernel launches, seam-gate rollbacks,
+	// deadline kills, watchdog preemptions) may consume. A job that
+	// exhausts the budget is quarantined. With a budget, an attempt that
+	// completed but recorded transient-class incidents (a contained kernel
+	// fault degraded a command) is also retried, its degraded result
+	// discarded in the hope of a clean pass; the last degraded result stands
+	// when the budget runs dry.
 	Retries int
 	// StuckTimeout arms the watchdog: an attempt whose kernel-launch
 	// heartbeat advances nothing for this long is preempted and, with no

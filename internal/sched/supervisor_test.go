@@ -10,7 +10,6 @@ import (
 
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/hashtable"
 )
 
 // runSupervised runs jobs as one Batch over a fresh engine with opts and
@@ -45,8 +44,6 @@ func TestClassify(t *testing.T) {
 		{context.DeadlineExceeded, ClassTimeout},
 		{context.Canceled, ClassCancelled},
 		{&gpu.LaunchError{Kernel: "k", Value: "boom"}, ClassTransient},
-		{&gpu.LaunchError{Kernel: "k", Value: hashtable.ErrTableFull}, ClassTransient},
-		{hashtable.ErrTableFull, ClassTransient},
 		{errors.New("parse error"), ClassPermanent},
 	}
 	for _, c := range cases {
@@ -113,7 +110,7 @@ func TestQuarantineOnExhaustedBudget(t *testing.T) {
 	defer pool.Close()
 	sink, entries := collect()
 	job := customJob("poison", func(ctx context.Context, _ *gpu.Pool) (flow.Result, error) {
-		return flow.Result{}, &gpu.LaunchError{Kernel: "k", Value: hashtable.ErrTableFull}
+		return flow.Result{}, &gpu.LaunchError{Kernel: "k", Value: "poison"}
 	})
 	pol := Policy{Retries: 2}
 	res, m := runSupervised(context.Background(), pool, []Job{job},

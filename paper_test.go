@@ -145,7 +145,7 @@ func measurePaper(t *testing.T) *paperData {
 				f.rfSeq = seqPart(must(t)(n.Refactor(ctx, opts(true))))
 				d := gpu.New(1)
 				refactor.ParallelSeqReplace(d, a, refactor.Options{Cache: replCache})
-				f.replSeq = d.Stats().SeqTime
+				f.replSeq = gpu.TotalProfile(d.Profile()).Seq
 				for _, r := range paperRows {
 					f.seq[r.name] = must(t)(r.run(ctx, n, opts(false)))
 					f.par[r.name] = must(t)(r.run(ctx, n, opts(true)))

@@ -216,6 +216,19 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '\.Rehash\(\)' internal/core
     echo "check: an engine rehashes its input, or the parallel replacement compacts before dedup.Merge, again (see above); flow.Run hands every command a Clean network" >&2
     exit 1
 fi
+# Hash tables are sized for their keys, as on the device: an insert that finds
+# no empty slot is a sizing bug and panics, contained like any kernel panic, so
+# no non-test Go names a full-table error (ErrTableFull), internal/hashtable
+# neither counts, grows nor dumps a table (an atomic add, Len, Rehash, Dump),
+# and the device keeps one ledger, its per-kernel profile: internal/gpu
+# declares no Stats type beside it.
+ht_go=$(find internal/hashtable -name '*.go' ! -name '*_test.go')
+if grep -rnw --include='*.go' --exclude='*_test.go' 'ErrTableFull' . ||
+    grep -nE '^func \(t \*Table\) (Rehash|Dump|Len)\(|atomic\.Add' $ht_go ||
+    grep -nE '^type Stats struct' $(find internal/gpu -name '*.go' ! -name '*_test.go'); then
+    echo "check: a full-table error, a table occupancy counter, Table.Rehash/Dump/Len or gpu.Stats grew back (see above); size the table for its keys and read device totals with gpu.TotalProfile" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
@@ -241,7 +254,7 @@ go test -timeout 10m -run 'TestPartitionScalingSmoke' .
 go test -count=1 -run 'TestApplySelfRebuildOracle' ./internal/core
 # Supervision chaos gate: a randomized (but seeded and printed, hence
 # reproducible) fault schedule over an 8-job batch under -race — kernel
-# panics, typed hashtable-full failures, silent corruptions, and one poison
+# panics, typed device faults, silent corruptions, and one poison
 # job the watchdog must preempt and quarantine. Surviving outputs must stay
 # CEC-equivalent to a fault-free run and the journal must replay the full
 # supervision history. Override the seed with CHAOS_SEED=n to reproduce.
