@@ -41,37 +41,42 @@ import (
 	"aigre/internal/sched"
 )
 
-// Cache is a resynthesis cache: it memoizes NPN canonization for rewriting
-// cuts, keyed by the cut function, and factored programs for refactoring
-// cones, keyed by the exact cone structure. Optimization results are
-// bit-identical with or without a cache — it only cuts host wall-clock — and
-// a Cache is safe for concurrent use, so one may be shared across passes,
-// runs, and jobs.
+// Cache is a resynthesis cache: it memoizes factored programs for
+// refactoring cones, keyed by the exact cone structure. Optimization results
+// are bit-identical with or without a cache — it only cuts host wall-clock —
+// and a Cache is safe for concurrent use, so one may be shared across passes,
+// runs, and jobs: jobs share a cache by being given the same one.
 //
-// A nil Cache in Options selects a process-wide default cache. Use NewCache
-// to isolate a run (for reproducible per-run statistics) and
-// DisabledCache to turn memoization off entirely.
+// A nil Cache in Options selects the process-wide default cache, which every
+// such job shares. Use NewCache to isolate a run (for reproducible per-run
+// statistics) and DisabledCache to turn the memo off.
 type Cache struct{ c *rcache.Cache }
 
 // NewCache returns an empty resynthesis cache with the default capacity.
 func NewCache() *Cache { return &Cache{c: rcache.New()} }
 
-// DisabledCache returns a cache that never stores or hits: every lookup is a
-// miss. Useful for measuring the cache's effect and in tests.
+// DisabledCache returns a cache that never stores or hits: every cone
+// lookup is a miss and the cone is factored again. Useful for measuring the
+// cache's effect and in tests. Rewriting's NPN classes are a pure function,
+// computed once per process whatever the cache.
 func DisabledCache() *Cache { return &Cache{c: rcache.Disabled()} }
 
-// Stats returns a snapshot of the cache's lifetime counters.
-func (c *Cache) Stats() CacheStats {
+// rc returns the internal cache; nil stays nil, which rcache reads as its
+// process-wide default.
+func (c *Cache) rc() *rcache.Cache {
 	if c == nil {
-		return CacheStats{}
+		return nil
 	}
-	return c.c.Snapshot()
+	return c.c
 }
 
-// CacheStats reports resynthesis-cache traffic. Hits/Misses/Evictions count
-// the program compartment (refactoring cones); NpnHits/NpnMisses count the
-// NPN-canonization compartment (rewriting cuts); Entries is the current
-// number of cached programs. HitRate is Hits / (Hits + Misses).
+// Stats returns a snapshot of the cache's lifetime counters (of the
+// process-wide default cache for a nil Cache).
+func (c *Cache) Stats() CacheStats { return c.rc().Snapshot() }
+
+// CacheStats reports resynthesis-cache traffic: Hits/Misses/Evictions count
+// cone lookups, Entries is the current number of cached programs, HitRate is
+// Hits / (Hits + Misses). NpnHits and NpnMisses are always 0.
 type CacheStats = rcache.Stats
 
 // Network is a combinational And-Inverter Graph.
@@ -286,11 +291,7 @@ func (n *Network) WriteFile(path string) error {
 // flowConfig maps the engine parameters onto a flow.Config, without a device:
 // jobs lease theirs from the engine's pool.
 func (o Options) flowConfig() flow.Config {
-	cfg := flow.Config{Parallel: o.Parallel, Verify: o.Verify, Cache: rcache.Default}
-	if o.Cache != nil {
-		cfg.Cache = o.Cache.c
-	}
-	return cfg
+	return flow.Config{Parallel: o.Parallel, Verify: o.Verify, Cache: o.Cache.rc()}
 }
 
 // Balance runs AND-balancing (delay optimization, Section IV): the

@@ -68,13 +68,6 @@ type BatchOptions struct {
 	// already bounds host parallelism; this knob bounds memory held by
 	// in-flight networks.
 	MaxConcurrentJobs int
-	// SharedCache, when set, is the resynthesis cache every job of this batch
-	// uses, overriding each job's Options.Cache — an opt-in way to let jobs
-	// over similar designs reuse each other's factoring work. The cache is
-	// concurrency-safe and results remain bit-identical with or without it.
-	// BatchMetrics.CacheStats reports the batch-wide traffic delta (nil
-	// without a shared cache).
-	SharedCache *Cache
 	// Policy supervises every job of the batch (zero = unsupervised).
 	Policy Policy
 	// JournalPath, when non-empty, appends every supervision event —
@@ -96,8 +89,7 @@ type BatchOptions struct {
 // BatchMetrics aggregates fleet statistics of one RunBatch call or Engine:
 // the worker budget, jobs by final outcome, retries, concurrency and queue
 // high-water marks, wall / summed job wall / summed modeled time, worker
-// utilization, and — when BatchOptions.SharedCache was set — the batch-wide
-// resynthesis-cache traffic delta. See sched.Metrics for the fields.
+// utilization. See sched.Metrics for the fields.
 type BatchMetrics = sched.Metrics
 
 // RunBatch optimizes many networks concurrently over one shared, bounded
@@ -130,7 +122,7 @@ func RunBatch(ctx context.Context, jobs []Batch, opts BatchOptions) ([]Result, B
 	defer e.Close()
 	sjobs := make([]sched.Job, len(jobs))
 	for i, b := range jobs {
-		sjobs[i] = e.convert(b)
+		sjobs[i] = b.job()
 	}
 	out := make([]Result, len(jobs))
 	for i, r := range e.eng.Batch(ctx, sjobs) {

@@ -67,7 +67,7 @@ func TestCachedRunsMatchUncached(t *testing.T) {
 						if eq, err := warm.AIG.EquivalentTo(n); err != nil || !eq {
 							t.Fatalf("cached result not equivalent (err=%v)", err)
 						}
-						if cold.CacheStats.Hits != 0 || cold.CacheStats.NpnHits != 0 {
+						if cold.CacheStats.Hits != 0 {
 							t.Errorf("disabled cache reported hits: %+v", cold.CacheStats)
 						}
 						if warm.CacheStats.Misses == 0 {
@@ -112,9 +112,10 @@ func TestEvictionIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedCacheBatchStress hammers one shared cache from concurrent batch
-// jobs (run under -race by scripts/check.sh) and checks every job's result
-// against an isolated-cache reference run.
+// TestSharedCacheBatchStress hammers one cache, shared by giving every job's
+// Options.Cache the same one, from concurrent batch jobs (run under -race by
+// scripts/check.sh) and checks every job's result against an uncached
+// reference run.
 func TestSharedCacheBatchStress(t *testing.T) {
 	const jobs = 8
 	shared := aigre.NewCache()
@@ -137,11 +138,10 @@ func TestSharedCacheBatchStress(t *testing.T) {
 			Name:    fmt.Sprintf("job%d", i),
 			AIG:     aigre.FromInternal(raw),
 			Script:  "b; rw; rfz; b",
-			Options: aigre.Options{Parallel: true},
+			Options: aigre.Options{Parallel: true, Cache: shared},
 		}
 	}
-	results, metrics, err := aigre.RunBatch(context.Background(), batch,
-		aigre.BatchOptions{Workers: 4, SharedCache: shared})
+	results, _, err := aigre.RunBatch(context.Background(), batch, aigre.BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +160,11 @@ func TestSharedCacheBatchStress(t *testing.T) {
 			t.Errorf("job %d: shared-cache stats %+v != isolated %+v", i, ss, rs)
 		}
 	}
-	if metrics.CacheStats.Misses == 0 {
-		t.Errorf("shared cache saw no traffic: %+v", metrics.CacheStats)
+	st := shared.Stats()
+	if st.Misses == 0 {
+		t.Errorf("shared cache saw no traffic: %+v", st)
 	}
-	if metrics.CacheStats.Hits == 0 {
-		t.Errorf("duplicate jobs produced no shared-cache hits: %+v", metrics.CacheStats)
+	if st.Hits == 0 {
+		t.Errorf("duplicate jobs produced no shared-cache hits: %+v", st)
 	}
 }

@@ -127,10 +127,6 @@ func runBatch(ctx context.Context, manifest, outdir, reportPath string, bopts ai
 		return 1
 	}
 	rep := batchReport{BatchMetrics: m}
-	if cs := m.CacheStats; cs != nil {
-		fmt.Fprintf(msg, "rcache:  hits=%d misses=%d (%.1f%%) npn-hits=%d npn-misses=%d entries=%d\n",
-			cs.Hits, cs.Misses, 100*cs.HitRate(), cs.NpnHits, cs.NpnMisses, cs.Entries)
-	}
 	var infra, casualty, degraded bool
 	for _, r := range results {
 		jr := batchJobReport{Result: r}

@@ -58,7 +58,6 @@ func main() {
 		outdir   = flag.String("outdir", "", "directory for batch outputs (default: none written)")
 		report   = flag.String("report", "", "write the batch report as JSON to this file (\"-\" = stdout)")
 		maxJobs  = flag.Int("max-jobs", 0, "max concurrently running batch jobs (0 = workers)")
-		shCache  = flag.Bool("shared-cache", false, "share one resynthesis cache across all batch jobs (batch mode)")
 		timeout  = flag.Duration("timeout", 0, "overall run deadline, e.g. 30s (0 = none)")
 		jobTmo   = flag.Duration("job-timeout", 0, "per-job attempt deadline, e.g. 10s (0 = none)")
 		retries  = flag.Int("retries", 0, "retry budget per job for transient faults, timeouts, and stuck preemptions")
@@ -142,9 +141,6 @@ func main() {
 				os.Exit(2)
 			}
 			opts.FaultPlans = []gpu.FaultPlan{plan}
-		}
-		if *shCache {
-			bopts.SharedCache = aigre.NewCache()
 		}
 		exit(runBatch(ctx, *batch, *outdir, *report, bopts, opts))
 	}
@@ -239,8 +235,8 @@ func main() {
 		fmt.Fprintln(msg, "output: ", cur.Stats())
 		if *profile {
 			cs := res.CacheStats
-			fmt.Fprintf(msg, "rcache:  hits=%d misses=%d (%.1f%%) npn-hits=%d npn-misses=%d evictions=%d entries=%d\n",
-				cs.Hits, cs.Misses, 100*cs.HitRate(), cs.NpnHits, cs.NpnMisses, cs.Evictions, cs.Entries)
+			fmt.Fprintf(msg, "rcache:  hits=%d misses=%d (%.1f%%) evictions=%d entries=%d\n",
+				cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Evictions, cs.Entries)
 			if res.Profile == nil {
 				fmt.Fprintln(msg, "profile: (no device profile; run with -parallel)")
 			} else {

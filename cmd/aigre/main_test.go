@@ -91,8 +91,8 @@ func checkKeyPaths(t *testing.T, golden string, docs ...[]byte) {
 }
 
 // TestReportSchemas pins the key paths of the two CLI JSON documents over
-// runs that populate every optional section: a parallel shared-cache batch
-// with an injected fault (incidents, cache) and a partitioned batch for
+// runs that populate every optional section: a parallel batch with an
+// injected fault (incidents, cache) and a partitioned batch for
 // -report; a faulted parallel run and a partitioned run for -profile-json.
 func TestReportSchemas(t *testing.T) {
 	in := filepath.Join("testdata", "adder8.aag")
@@ -102,7 +102,7 @@ func TestReportSchemas(t *testing.T) {
 	}
 	const fault = "refactor/resynth:1:panic"
 	checkKeyPaths(t, "report.keys",
-		runCLI(t, "-batch", manifest, "-parallel", "-shared-cache", "-inject", fault,
+		runCLI(t, "-batch", manifest, "-parallel", "-inject", fault,
 			"-outdir", t.TempDir(), "-report", "-"),
 		runCLI(t, "-batch", manifest, "-partition", "cones", "-partition-size", "16", "-report", "-"))
 	checkKeyPaths(t, "profile.keys",

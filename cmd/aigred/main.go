@@ -100,7 +100,6 @@ func run(args []string) int {
 		jobTmo   = fs.Duration("job-timeout", 0, "per-attempt deadline of one job (0 = none)")
 		retries  = fs.Int("retries", 0, "retry budget per job for transient faults, timeouts, and stuck preemptions")
 		stuckTmo = fs.Duration("stuck-timeout", 0, "watchdog threshold: preempt a job whose kernel heartbeat stalls this long (0 = off)")
-		shCache  = fs.Bool("shared-cache", false, "share one resynthesis cache across all jobs")
 		parallel = fs.Bool("parallel", false, "default jobs to the parallel (GPU-model) engines")
 		compactB = fs.Int64("compact-bytes", 8<<20, "compact the queue WAL once it exceeds this size and terminal jobs dominate (0 = never live-compact)")
 		verbose  = fs.Bool("v", false, "log every job transition")
@@ -133,9 +132,6 @@ func run(args []string) int {
 			Retries:      *retries,
 			StuckTimeout: *stuckTmo,
 		},
-	}
-	if *shCache {
-		bopts.SharedCache = aigre.NewCache()
 	}
 	srv, err := newServer(ctx, serverConfig{
 		queuePath: *queueF,

@@ -12,24 +12,21 @@ import (
 )
 
 // Engine is what every job runs on: a fleet sharing one bounded worker pool,
-// one supervision policy, and (optionally) one resynthesis cache and journal.
+// one supervision policy, and (optionally) one journal.
 // Network.Run opens one for its one job, RunBatch for its slice, and daemons
 // such as cmd/aigred keep one open across many jobs, each handed to Run by a
 // worker of their own.
 type Engine struct {
-	opts BatchOptions
 	pool *gpu.Pool
 	eng  *sched.Engine
 	jour *journal.Journal
-
-	sharedBefore CacheStats
 }
 
 // NewEngine starts an engine configured like a RunBatch call. ctx, when
 // non-nil, cancels every job engine-wide when it is done. The engine holds
 // opts.Workers pool workers until Close.
 func NewEngine(ctx context.Context, opts BatchOptions) (*Engine, error) {
-	e := &Engine{opts: opts}
+	e := &Engine{}
 	sink := opts.OnEvent
 	if opts.JournalPath != "" {
 		jour, err := journal.Create(opts.JournalPath)
@@ -43,9 +40,6 @@ func NewEngine(ctx context.Context, opts BatchOptions) (*Engine, error) {
 				opts.OnEvent(ev)
 			}
 		}
-	}
-	if opts.SharedCache != nil {
-		e.sharedBefore = opts.SharedCache.Stats()
 	}
 	e.pool = gpu.NewPool(opts.Workers)
 	e.eng = sched.NewEngine(ctx, e.pool, sched.Options{
@@ -83,7 +77,7 @@ func (e *Engine) Run(ctx context.Context, b Batch) (Result, error) {
 	if err := b.check(); err != nil {
 		return Result{}, fmt.Errorf("aigre: job %q: %w", b.Name, err)
 	}
-	r := e.eng.Do(ctx, e.convert(b))
+	r := e.eng.Do(ctx, b.job())
 	if errors.Is(r.Err, sched.ErrClosed) {
 		return Result{}, r.Err
 	}
@@ -99,26 +93,13 @@ func (e *Engine) Close() {
 	e.jour.Close()
 }
 
-// Metrics snapshots the fleet statistics accumulated since NewEngine,
-// including the shared-cache traffic delta when BatchOptions.SharedCache
-// was set.
-func (e *Engine) Metrics() BatchMetrics {
-	m := e.eng.Metrics()
-	if e.opts.SharedCache != nil {
-		cs := e.opts.SharedCache.Stats().Sub(e.sharedBefore)
-		m.CacheStats = &cs
-	}
-	return m
-}
+// Metrics snapshots the fleet statistics accumulated since NewEngine.
+func (e *Engine) Metrics() BatchMetrics { return e.eng.Metrics() }
 
-// convert builds the sched job for b: engine options merged with the shared
-// cache. A partitioned job stays one sched job, whose attempts run its
-// partitions.
-func (e *Engine) convert(b Batch) sched.Job {
+// job builds the sched job for b. A partitioned job stays one sched job,
+// whose attempts run its partitions.
+func (b Batch) job() sched.Job {
 	o := b.Options
-	if e.opts.SharedCache != nil {
-		o.Cache = e.opts.SharedCache
-	}
 	return sched.Job{
 		Name:       b.Name,
 		AIG:        b.AIG.aig,

@@ -35,7 +35,6 @@ func TestGoldenShapes(t *testing.T) {
 			Workers: 4, Finished: 5, Failed: 1, Cancelled: 2, TimedOut: 1, Quarantined: 1, Retries: 3,
 			PeakWorkers: 4, PeakQueueDepth: 6, Wall: 2 * time.Second, JobWall: 5 * time.Second,
 			Modeled: 300 * time.Millisecond, Utilization: 0.625,
-			CacheStats: &aigre.CacheStats{Hits: 10, Misses: 4, Evictions: 1, NpnHits: 200, NpnMisses: 22, Entries: 3},
 		}},
 	} {
 		got, err := json.Marshal(c.v)

@@ -119,56 +119,40 @@ func TestOutputIdentity(t *testing.T) {
 	}
 }
 
-// TestNpnCountersExact checks that batching the NPN hit/miss counters in the
-// evaluation workers loses nothing: every evaluated cut is one NPN probe, so
-// hits+misses of an rw pass is a fixed number — the one the per-cut counters
-// produced — at any worker count, and a shared-cache batch reports the sum
-// over its jobs even when the cache carried traffic before the batch started.
-func TestNpnCountersExact(t *testing.T) {
+// TestSharedCacheTrafficExact: every refactoring cone is one program-cache
+// probe, hit or miss, so the probes of an rf pass are a fixed number at any
+// worker count, and a cache shared by a batch's jobs through Options.Cache
+// counts the sum over its lifetime: the traffic before the batch plus every
+// job's.
+func TestSharedCacheTrafficExact(t *testing.T) {
 	ctx := context.Background()
-	probes := func(s aigre.CacheStats) int64 { return s.NpnHits + s.NpnMisses }
-	// Evaluated cuts of sequential rw and of the parallel evaluation kernel.
-	// On multiplier no replacement changes a later node's cuts, so the two
-	// agree; on mem_ctrl the sequential pass sees the graph change under it.
-	cases := []struct {
-		name             string
-		seqCuts, parCuts int64
-	}{
-		{"multiplier", 76275, 76275},
-		{"mem_ctrl", 10431, 11022},
-	}
-	for _, c := range cases {
-		n := suiteCase(t, c.name)
-		res, err := n.Rewrite(ctx, aigre.Options{Cache: aigre.NewCache()})
+	n := suiteCase(t, "mem_ctrl")
+	probes := func(opts aigre.Options) int64 {
+		t.Helper()
+		opts.Cache = aigre.NewCache()
+		res, err := n.Refactor(ctx, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := probes(res.CacheStats); got != c.seqCuts {
-			t.Errorf("%s, sequential rw: %d NPN probes, want %d", c.name, got, c.seqCuts)
-		}
-		for _, workers := range []int{1, 2, 4} {
-			res, err := n.Rewrite(ctx, aigre.Options{Parallel: true, Workers: workers, Cache: aigre.NewCache()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := probes(res.CacheStats); got != c.parCuts {
-				t.Errorf("%s, parallel rw at %d workers: %d NPN probes, want %d", c.name, workers, got, c.parCuts)
-			}
+		return res.CacheStats.Lookups()
+	}
+	seq, par := probes(aigre.Options{}), probes(aigre.Options{Parallel: true, Workers: 1})
+	for _, workers := range []int{2, 4} {
+		if got := probes(aigre.Options{Parallel: true, Workers: workers}); got != par {
+			t.Errorf("parallel rf at %d workers: %d probes, at 1 worker %d", workers, got, par)
 		}
 	}
 
-	c := cases[1]
-	n := suiteCase(t, c.name)
 	shared := aigre.NewCache()
-	if _, err := n.Rewrite(ctx, aigre.Options{Cache: shared}); err != nil { // traffic before the batch
+	if _, err := n.Refactor(ctx, aigre.Options{Cache: shared}); err != nil { // traffic before the batch
 		t.Fatal(err)
 	}
 	jobs := []aigre.Batch{
-		{Name: "seq", AIG: n, Script: "rw"},
-		{Name: "par", AIG: n, Script: "rw", Options: aigre.Options{Parallel: true}},
-		{Name: "par2", AIG: n, Script: "rw", Options: aigre.Options{Parallel: true}},
+		{Name: "seq", AIG: n, Script: "rf", Options: aigre.Options{Cache: shared}},
+		{Name: "par", AIG: n, Script: "rf", Options: aigre.Options{Parallel: true, Cache: shared}},
+		{Name: "par2", AIG: n, Script: "rf", Options: aigre.Options{Parallel: true, Cache: shared}},
 	}
-	results, m, err := aigre.RunBatch(ctx, jobs, aigre.BatchOptions{Workers: 4, SharedCache: shared})
+	results, _, err := aigre.RunBatch(ctx, jobs, aigre.BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +161,12 @@ func TestNpnCountersExact(t *testing.T) {
 			t.Fatalf("batch job %s: %v", r.Name, r.Err)
 		}
 	}
-	if got, want := probes(*m.CacheStats), c.seqCuts+2*c.parCuts; got != want {
-		t.Errorf("shared-cache batch: %d NPN probes, want %d", got, want)
+	st := shared.Stats()
+	if got, want := st.Lookups(), 2*seq+2*par; got != want {
+		t.Errorf("shared cache lifetime: %d probes, want %d", got, want)
 	}
-	if got, want := probes(shared.Stats()), 2*c.seqCuts+2*c.parCuts; got != want {
-		t.Errorf("shared cache lifetime: %d NPN probes, want %d", got, want)
+	if st.Hits == 0 {
+		t.Errorf("repeated jobs on one cache produced no hits: %+v", st)
 	}
 }
 

@@ -50,8 +50,9 @@ func ApplyReplacements(d *gpu.Device, a *aig.AIG, reps []Replacement) *aig.AIG {
 	firstNew := work.ExtendSlots(int(total))
 
 	// Phase 3: initialize the hash table with the kept nodes and the cut
-	// nodes of the replaced cones (Figure 1c).
-	ht := hashtable.New(work.NumObjs() + int(total))
+	// nodes of the replaced cones (Figure 1c). Its keys are at most the
+	// network's slots, the new ones included since ExtendSlots.
+	ht := hashtable.New(work.NumObjs())
 	d.Launch("replace/ht-init", a.NumObjs(), func(tid int) int64 {
 		id := int32(tid)
 		if !work.IsAnd(id) || work.IsDeleted(id) {

@@ -65,17 +65,10 @@ type Config struct {
 	// internal/cec). This is the CLI -verify flag; it is complete but can be
 	// much slower than the default sampling gate.
 	Verify bool
-	// Cache is the resynthesis cache shared by the rewriting and refactoring
-	// commands (nil = the process-wide rcache.Default). Optimization results
-	// are identical with or without it; it only cuts host wall-clock.
+	// Cache is the refactoring commands' resynthesis cache (nil: the
+	// process-wide default). Optimization results are identical with or
+	// without it; it only cuts host wall-clock.
 	Cache *rcache.Cache
-}
-
-func (c Config) normalized() Config {
-	if c.Cache == nil {
-		c.Cache = rcache.Default
-	}
-	return c
 }
 
 // CommandTiming is the per-command record behind Figure 8, and a row of the
@@ -172,11 +165,11 @@ func rewriteCommand(zero bool) command {
 	}
 	return command{Kind: "rw", ParPasses: passes,
 		Seq: func(a *aig.AIG, cfg Config) *aig.AIG {
-			out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: zero, Cache: cfg.Cache})
+			out, _ := rewrite.Sequential(a, rewrite.Options{ZeroGain: zero})
 			return out
 		},
 		Par: func(d *gpu.Device, a *aig.AIG, cfg Config) *aig.AIG {
-			out, _ := rewrite.Parallel(d, a, rewrite.Options{ZeroGain: zero, Cache: cfg.Cache})
+			out, _ := rewrite.Parallel(d, a, rewrite.Options{ZeroGain: zero})
 			return out
 		}}
 }
@@ -251,7 +244,6 @@ func Run(ctx context.Context, d *gpu.Device, a *aig.AIG, script string, cfg Conf
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.normalized()
 	if d != nil {
 		d.Bind(ctx)
 	}

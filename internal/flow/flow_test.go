@@ -206,7 +206,7 @@ func TestEnginesReturnCleanNetworks(t *testing.T) {
 	d := gpu.New(2)
 	for _, name := range []string{"b", "rw", "rwz", "rf", "rfz", "rs", "dedup"} {
 		for _, parallel := range []bool{false, true} {
-			cfg := Config{Parallel: parallel}.normalized()
+			cfg := Config{Parallel: parallel}
 			for in, a := range inputs {
 				out, _, err := execute(context.Background(), d, a, name, commands[name], cfg)
 				if err != nil {

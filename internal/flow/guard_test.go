@@ -89,7 +89,7 @@ func TestGuardSkipsWhenBothEnginesFail(t *testing.T) {
 	// An unknown command slips past Parse only through runGuarded directly;
 	// both attempts must fail and the checkpoint must come back untouched.
 	a := testAIG()
-	cfg := Config{Parallel: true}.normalized()
+	cfg := Config{Parallel: true}
 	out, _, incs, err := runGuarded(context.Background(), gpu.New(0), a, "frobnicate", 3, cfg)
 	if err != nil {
 		t.Fatalf("non-cancellation failure surfaced as an error: %v", err)
@@ -113,10 +113,10 @@ func TestGuardSkipsWhenBothEnginesFail(t *testing.T) {
 // command of an unknown name fails in the executor on either engine.
 func TestRunSequentialUnknownCommandNoPanic(t *testing.T) {
 	ctx := context.Background()
-	if _, _, err := execute(ctx, nil, testAIG(), "frobnicate", commands["frobnicate"], Config{}.normalized()); err == nil {
+	if _, _, err := execute(ctx, nil, testAIG(), "frobnicate", commands["frobnicate"], Config{}); err == nil {
 		t.Error("unknown command did not error")
 	}
-	cfg := Config{Parallel: true}.normalized()
+	cfg := Config{Parallel: true}
 	if _, _, err := execute(ctx, gpu.New(0), testAIG(), "frobnicate", commands["frobnicate"], cfg); err == nil {
 		t.Error("unknown parallel command did not error")
 	}
@@ -197,7 +197,7 @@ func TestDegradeLadder(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			cfg := Config{Parallel: c.parallel}.normalized()
+			cfg := Config{Parallel: c.parallel}
 			var dev *gpu.Device
 			if c.parallel {
 				dev = gpu.New(0)

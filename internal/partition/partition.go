@@ -37,7 +37,6 @@ import (
 	"aigre/internal/aig"
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
-	"aigre/internal/rcache"
 )
 
 // Mode selects how the network is split (the public aigre.PartitionMode is
@@ -99,8 +98,8 @@ type Options struct {
 	// job cannot oversubscribe the host.
 	Pool *gpu.Pool
 	// Flow is the partitions' execution config: Verify selects the gates'
-	// full CEC, and Flow.Cache (nil = rcache.Default) is the cache whose
-	// traffic Result.CacheStats reports.
+	// full CEC, and Flow.Cache (nil: the process-wide default) is the cache
+	// whose traffic Result.CacheStats reports.
 	Flow flow.Config
 }
 
@@ -119,9 +118,6 @@ func (o Options) normalized() Options {
 	}
 	if o.TargetSize < 16 {
 		o.TargetSize = 16
-	}
-	if o.Flow.Cache == nil {
-		o.Flow.Cache = rcache.Default
 	}
 	return o
 }

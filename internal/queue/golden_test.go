@@ -33,7 +33,7 @@ func goldenWAL() []Record {
 					Attempt: 1, Time: at.Add(time.Second)}},
 				Profile: []gpu.KernelProfile{{Kernel: "balance/collect", Launches: 3, Threads: 360, Work: 1440,
 					Span: 12, Modeled: 5 * time.Millisecond, Seq: time.Millisecond, Wall: 9 * time.Millisecond}},
-				CacheStats: rcache.Stats{Hits: 10, Misses: 4, Evictions: 1, NpnHits: 200, NpnMisses: 22, Entries: 3},
+				CacheStats: rcache.Stats{Hits: 10, Misses: 4, Evictions: 1, Entries: 3},
 			},
 			Attempts: 2, Preemptions: 1, Queued: 1500 * time.Microsecond,
 			NodesBefore: 120, LevelsBefore: 14, NodesAfter: 96, LevelsAfter: 11,

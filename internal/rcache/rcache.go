@@ -1,39 +1,32 @@
 // Package rcache provides the cross-pass resynthesis cache: a memoized
-// mapping from cones to their factored implementations.
+// mapping from refactoring cones to their factored implementations.
 //
 // Arithmetic circuits are built from repeated bit slices, so the same cone
 // functions recur thousands of times — within one pass, across the repeated
-// passes of resyn2/rf_resyn, and across concurrent jobs in the batch engine.
-// ABC and mockturtle both ship a memoized resynthesis database for exactly
-// this reason. The cache has two compartments tuned to the two consumers:
+// passes of resyn2/rf_resyn, and across concurrent jobs. The key is the
+// cone's exact structural encoding (cut.Scratch.ConeKey: the leaf count, the
+// root's phase and every AND node's operands in post-order), the value the
+// factored core.Program and its operation estimate. A hit costs one walk of
+// the cone and skips its truth table altogether. Entries live in
+// mutex-protected shards selected by a 64-bit hash of the key; the map
+// lookup itself uses the compiler's no-allocation string(buf) form, so hits
+// allocate nothing. Keying on the full encoding (not the hash) makes
+// collisions impossible: equal keys are the same DAG over the same leaves,
+// hence the same function, and the program is a deterministic function of
+// that and the leaf count, which is what keeps cached and uncached runs
+// bit-identical. Lookup and Store encode a truth table instead, under a first
+// byte no structural key uses, into the same maps.
 //
-//   - 4-input rewrite cuts: the key is the raw 16-bit truth table and the
-//     value its NPN-canonical representative plus the transform, stored in a
-//     fixed 65536-entry array of packed uint32 words accessed atomically
-//     (idempotent writes — Npn4Canon is deterministic, so racing writers
-//     store identical values). Lookups are wait-free and allocation-free.
+// Programs are immutable once built, so the cache never needs invalidation:
+// a cached entry is valid for the lifetime of the process, for any AIG, on
+// any goroutine. Capacity is bounded per shard; insertion over the bound
+// evicts the shard's oldest entry (counted in Stats.Evictions), which affects
+// only speed, never results, and depends only on the order of stores, so a
+// sequential run's counters repeat.
 //
-//   - Large refactor cones (up to truth.MaxVars leaves): the key is the
-//     cone's exact structural encoding (cut.Scratch.ConeKey: the leaf count,
-//     the root's phase and every AND node's operands in post-order), the
-//     value the factored core.Program and its operation estimate. A hit
-//     costs one walk of the cone and skips its truth table altogether.
-//     Entries live in mutex-protected shards selected by a 64-bit hash of
-//     the key; the map lookup itself uses the compiler's no-allocation
-//     string(buf) form, so hits allocate nothing. Keying on the full
-//     encoding (not the hash) makes collisions impossible: equal keys are
-//     the same DAG over the same leaves, hence the same function, and the
-//     program is a deterministic function of that and the leaf count, which
-//     is what keeps cached and uncached runs bit-identical. Lookup and Store
-//     encode a truth table instead, under a first byte no structural key
-//     uses, into the same maps.
-//
-// Programs are immutable once built and Npn4Canon is deterministic, so the
-// cache never needs invalidation: a cached entry is valid for the lifetime
-// of the process, for any AIG, on any goroutine. Capacity is bounded per
-// shard; insertion over the bound evicts the shard's oldest entry (counted
-// in Stats.Evictions), which affects only speed, never results, and depends
-// only on the order of stores, so a sequential run's counters repeat.
+// A nil *Cache is Default, in every method: callers pass what they were
+// given. The 4-input NPN classes rewriting needs are not cached here: they
+// are a pure function, memoized process-wide by truth.Npn4.
 package rcache
 
 import (
@@ -69,11 +62,6 @@ const (
 	// sequential resyn2 passes over the suite visit fit with room to spare,
 	// in 10.5 MB.
 	DefaultMaxEntries = 32 << 10
-
-	npnPermShift  = 16
-	npnInNegShift = 21
-	npnOutNegBit  = 1 << 25
-	npnValidBit   = 1 << 26
 )
 
 // Entry is one memoized resynthesis result.
@@ -95,11 +83,13 @@ type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
-	// NpnHits/NpnMisses count the 4-input NPN canonization compartment.
-	NpnHits   int64 `json:"npn_hits"`
-	NpnMisses int64 `json:"npn_misses"`
 	// Entries is the number of resident program entries at snapshot time.
 	Entries int `json:"entries"`
+	// NpnHits and NpnMisses are always 0: NPN canonization is truth.Npn4,
+	// which keeps no counters. Kept for the frozen benchmark harness, which
+	// reads them.
+	NpnHits   int64 `json:"-"`
+	NpnMisses int64 `json:"-"`
 }
 
 // Sub returns the counter deltas s - o (Entries from s, the later snapshot).
@@ -110,8 +100,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Hits:      s.Hits - o.Hits,
 		Misses:    s.Misses - o.Misses,
 		Evictions: s.Evictions - o.Evictions,
-		NpnHits:   s.NpnHits - o.NpnHits,
-		NpnMisses: s.NpnMisses - o.NpnMisses,
 		Entries:   s.Entries,
 	}
 }
@@ -141,20 +129,13 @@ type shard struct {
 
 // Cache is a sharded, concurrency-safe resynthesis cache. The zero value is
 // not usable; construct with New, NewWithCapacity, or Disabled. All methods
-// are safe for concurrent use and tolerate a nil receiver (nil behaves like
-// a disabled cache).
+// are safe for concurrent use; a nil receiver is Default.
 type Cache struct {
 	disabled    bool
 	maxPerShard int
 	shards      []shard // len is numShards (a power of two); nil when disabled
 
-	// npn is the packed 4-input canonization table: bits 0-15 the canonical
-	// table, 16-20 the permutation index, 21-24 the input negation mask,
-	// 25 the output negation, 26 the valid bit.
-	npn [1 << 16]uint32
-
 	hits, misses, evictions atomic.Int64
-	npnHits, npnMisses      atomic.Int64
 }
 
 // New returns a cache with the default capacity bound.
@@ -177,15 +158,24 @@ func NewWithCapacity(maxEntries int) *Cache {
 	return c
 }
 
-// Disabled returns a cache that never stores and never hits — every probe
-// is a miss and Npn4 recanonizes from scratch. Used for cached-vs-uncached
+// Disabled returns a cache that never stores and never hits: every probe is
+// a miss and the cone is factored again. Used for cached-vs-uncached
 // ablations; results are identical either way, only the work repeats.
 func Disabled() *Cache { return &Cache{disabled: true} }
 
-// Default is the process-wide cache used by engines that are handed no
-// explicit cache: direct refactor/rewrite calls, flow.Run with a zero Config,
-// and runs through the aigre public API whose Options.Cache is nil.
+// Default is the process-wide cache, the one a nil *Cache stands for: direct
+// refactor calls, flow.Run with a zero Config, and every job whose
+// aigre.Options.Cache is nil share it.
 var Default = New()
+
+// orDefault resolves a nil receiver to Default: the one place the default
+// cache is chosen.
+func (c *Cache) orDefault() *Cache {
+	if c == nil {
+		return Default
+	}
+	return c
+}
 
 // appendKey serializes the cone function (tt, nLeaves) into dst: the leaf
 // count, below any structural key's first byte, then the table words. Tables
@@ -222,10 +212,9 @@ func (c *Cache) shardFor(key []byte) *shard {
 // LookupKey probes the program compartment for key, a cut.Scratch.ConeKey
 // encoding. The hit path performs no allocation.
 func (c *Cache) LookupKey(key []byte) (Entry, bool) {
-	if c == nil || c.disabled {
-		if c != nil {
-			c.misses.Add(1)
-		}
+	c = c.orDefault()
+	if c.disabled {
+		c.misses.Add(1)
 		return Entry{}, false
 	}
 	s := c.shardFor(key)
@@ -243,7 +232,8 @@ func (c *Cache) LookupKey(key []byte) (Entry, bool) {
 // StoreKey records the resynthesis result for key unless it is resident.
 // When the shard is full its oldest entry is evicted first.
 func (c *Cache) StoreKey(key []byte, e Entry) {
-	if c == nil || c.disabled {
+	c = c.orDefault()
+	if c.disabled {
 		return
 	}
 	// An entry lives as long as the process: keep the program at its exact
@@ -281,66 +271,13 @@ func (c *Cache) Store(tt truth.TT, nLeaves int, e Entry) {
 	c.StoreKey(appendKey(buf[:0], tt, nLeaves), e)
 }
 
-// Npn4 returns the NPN-canonical representative of tt and the transform
-// mapping tt onto it, memoized in the packed table. Equivalent to
-// truth.Npn4Canon (which enumerates all 768 transforms) on a miss. Each call
-// counts one NPN hit or miss; per-cut callers use Npn4Uncounted and AddNpn.
-func (c *Cache) Npn4(tt uint16) (uint16, truth.Npn4Transform) {
-	canon, tr, hit := c.Npn4Uncounted(tt)
-	if hit {
-		c.AddNpn(1, 0)
-	} else {
-		c.AddNpn(0, 1)
-	}
-	return canon, tr
-}
-
-// Npn4Uncounted is Npn4 without touching the shared hit/miss counters, so a
-// hit reads one table word and writes nothing other workers read. It reports
-// whether the probe hit; the caller owes the cache one AddNpn for it, which
-// evaluation workers pay in batches.
-func (c *Cache) Npn4Uncounted(tt uint16) (canon uint16, tr truth.Npn4Transform, hit bool) {
-	if c == nil || c.disabled {
-		canon, tr = truth.Npn4Canon(tt)
-		return canon, tr, false
-	}
-	if e := atomic.LoadUint32(&c.npn[tt]); e&npnValidBit != 0 {
-		return uint16(e), truth.Npn4Transform{
-			Perm:      truth.Npn4Perm(int(e >> npnPermShift & 31)),
-			InputNeg:  uint8(e >> npnInNegShift & 15),
-			OutputNeg: e&npnOutNegBit != 0,
-		}, true
-	}
-	canon, tr = truth.Npn4Canon(tt)
-	e := uint32(canon) |
-		uint32(truth.Npn4PermIndex(tr.Perm))<<npnPermShift |
-		uint32(tr.InputNeg)<<npnInNegShift |
-		npnValidBit
-	if tr.OutputNeg {
-		e |= npnOutNegBit
-	}
-	atomic.StoreUint32(&c.npn[tt], e)
-	return canon, tr, false
-}
-
-// AddNpn adds a batch of Npn4Uncounted outcomes to the NPN counters.
-func (c *Cache) AddNpn(hits, misses int64) {
-	if c == nil {
-		return
-	}
-	if hits != 0 {
-		c.npnHits.Add(hits)
-	}
-	if misses != 0 {
-		c.npnMisses.Add(misses)
-	}
-}
+// Npn4 is truth.Npn4. Kept for the frozen benchmark harness, whose
+// rcache.npn4_ns probe calls it.
+func (c *Cache) Npn4(tt uint16) (uint16, truth.Npn4Transform) { return truth.Npn4(tt) }
 
 // Entries returns the number of resident program entries.
 func (c *Cache) Entries() int {
-	if c == nil || c.disabled {
-		return 0
-	}
+	c = c.orDefault()
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -353,15 +290,11 @@ func (c *Cache) Entries() int {
 
 // Snapshot returns the current counter values.
 func (c *Cache) Snapshot() Stats {
-	if c == nil {
-		return Stats{}
-	}
+	c = c.orDefault()
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		NpnHits:   c.npnHits.Load(),
-		NpnMisses: c.npnMisses.Load(),
 		Entries:   c.Entries(),
 	}
 }

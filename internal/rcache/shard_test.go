@@ -15,7 +15,7 @@ import (
 // most distinct cones (multiplier has a hundred) — and checks that shard
 // selection spreads them: the fullest shard holds at most twice the mean, and
 // nothing is evicted from a cache a tenth full. The run is sequential, so its
-// traffic is exact and pinned, in the style of TestNpnCountersExact.
+// traffic is exact and pinned.
 func TestShardSpread(t *testing.T) {
 	a, ok := bench.ByName("sixteen", 4)
 	if !ok {
@@ -30,7 +30,7 @@ func TestShardSpread(t *testing.T) {
 	if fullest, mean := slices.Max(sizes), float64(st.Entries)/float64(len(sizes)); float64(fullest) > 2*mean {
 		t.Errorf("fullest shard holds %d entries, the mean is %.0f: %v", fullest, mean, sizes)
 	}
-	want := rcache.Stats{Hits: 1624, Misses: 3156, Entries: 3156, NpnHits: 141845, NpnMisses: 727}
+	want := rcache.Stats{Hits: 1624, Misses: 3156, Entries: 3156}
 	if st != want {
 		t.Errorf("cache traffic of the run = %+v, want %+v", st, want)
 	}

@@ -36,19 +36,11 @@ type Options struct {
 	// gain is a lower bound (Section III-D); the flag only affects the
 	// sequential engine.
 	ZeroGain bool
-	// Cache memoizes resynthesis by cone structure (nil = the process-wide
-	// rcache.Default). Programs are immutable once built, so sharing a cache
-	// across passes, runs and concurrent jobs is safe; results are identical
-	// with or without it.
+	// Cache memoizes resynthesis by cone structure (nil: the process-wide
+	// default). Programs are immutable once built, so sharing a cache across
+	// passes, runs and concurrent jobs is safe; results are identical with
+	// or without it.
 	Cache *rcache.Cache
-}
-
-// normalized fills in defaults.
-func (o Options) normalized() Options {
-	if o.Cache == nil {
-		o.Cache = rcache.Default
-	}
-	return o
 }
 
 // Stats reports one refactoring pass.
@@ -121,7 +113,7 @@ func synthesize(tt truth.TT, s *scratch) (core.Program, int64) {
 // every command its input, and so is the result: the parallel replacement
 // (core.ApplyReplacements) ends with the Section III-F pass.
 func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
-	reps, st := resynthesizeCones(d, a, opts.normalized())
+	reps, st := resynthesizeCones(d, a, opts)
 	// Stage 3: parallel replacement (Section III-B b, Figures 1c-1f).
 	out := core.ApplyReplacements(d, a, reps)
 	st.NodesAfter = out.NumAnds()
@@ -185,7 +177,7 @@ func ParallelSeqReplace(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stat
 	var st Stats
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
 		var reps []core.Replacement
-		reps, st = resynthesizeCones(d, work, opts.normalized())
+		reps, st = resynthesizeCones(d, work, opts)
 		s := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(s)
 		var ops int64
@@ -207,7 +199,7 @@ func ParallelSeqReplace(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stat
 // its order, for a caller that applies them through core.Apply with
 // revalidation, in any order. work must be EditInPlace's kind of copy.
 func Candidates(d *gpu.Device, work *aig.AIG, opts Options) []core.Candidate {
-	reps, _ := resynthesizeCones(d, work, opts.normalized())
+	reps, _ := resynthesizeCones(d, work, opts)
 	cands := make([]core.Candidate, len(reps))
 	var s scratch
 	for i, r := range reps {
@@ -232,7 +224,6 @@ func (s *scratch) candidate(root int32, leaves []int32, prog core.Program, zeroG
 // opts.ZeroGain). Replacements are applied immediately, so later cones are
 // resynthesized against the already-improved network.
 func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
-	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)

@@ -185,9 +185,13 @@ func TestTwoPassesImproveOrMatch(t *testing.T) {
 	}
 }
 
+// TestOptionsNormalization: the zero Options refactor through rcache.Default
+// (a nil cache is the default inside rcache) with the paper's cut limit.
 func TestOptionsNormalization(t *testing.T) {
-	if o := (Options{}).normalized(); o.Cache != rcache.Default {
-		t.Errorf("default Cache = %p, want rcache.Default", o.Cache)
+	before := rcache.Default.Snapshot()
+	Sequential(redundantAIG(rand.New(rand.NewSource(5)), 10, 8), Options{})
+	if d := rcache.Default.Snapshot().Sub(before); d.Lookups() == 0 {
+		t.Errorf("a pass with no cache set probed rcache.Default %d times", d.Lookups())
 	}
 	if maxCut != 12 || maxCut > truth.MaxVars {
 		t.Errorf("maxCut = %d, want the paper's 12 (at most truth.MaxVars = %d)", maxCut, truth.MaxVars)

@@ -7,7 +7,6 @@ import (
 	"aigre/internal/alloctest"
 	"aigre/internal/bench"
 	"aigre/internal/gpu"
-	"aigre/internal/rcache"
 )
 
 // TestParallelAllocBudget pins the bytes one parallel rw pass and one rwz
@@ -33,7 +32,6 @@ func TestParallelAllocBudget(t *testing.T) {
 		{"rwz", Options{ZeroGain: true}, 225},
 	} {
 		opts := tc.opts
-		opts.Cache = rcache.New()
 		Parallel(d, a, opts)
 		perNode := float64(alloctest.Bytes(func() { Parallel(d, a, opts) })) / float64(a.NumAnds())
 		t.Logf("%s: %.0f B/node over %d ANDs (budget %.0f)", tc.name, perNode, a.NumAnds(), tc.budget)

@@ -8,7 +8,6 @@ import (
 
 	"aigre/internal/aig"
 	"aigre/internal/bench"
-	"aigre/internal/rcache"
 )
 
 // refScratch is the working memory of enumLocalCutsRef.
@@ -113,7 +112,7 @@ func TestEnumLocalCutsMatchesReference(t *testing.T) {
 		nets = append(nets, c.Build())
 	}
 	for _, zeroGain := range []bool{false, true} {
-		opts := Options{ZeroGain: zeroGain, Cache: rcache.New()}.normalized()
+		opts := Options{ZeroGain: zeroGain}
 		for _, a := range nets {
 			work := a.Rehash()
 			work.EnableStrash()

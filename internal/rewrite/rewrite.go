@@ -9,6 +9,7 @@ import (
 	"aigre/internal/cut"
 	"aigre/internal/gpu"
 	"aigre/internal/rcache"
+	"aigre/internal/truth"
 )
 
 // Options controls both engines.
@@ -16,20 +17,14 @@ type Options struct {
 	// ZeroGain accepts replacements that do not reduce the node count
 	// (ABC's rwz / the paper's modified [9]).
 	ZeroGain bool
-	// Cache memoizes NPN canonization (768 transforms per miss) across
-	// passes and runs (nil = the process-wide rcache.Default).
+	// Cache is ignored: rewriting canonizes cuts through the process-wide
+	// truth.Npn4 table and caches nothing else. Kept for the frozen
+	// benchmark harness, which sets it.
 	Cache *rcache.Cache
 }
 
 // maxCutsPerNode bounds the local cut enumeration.
 const maxCutsPerNode = 8
-
-func (o Options) normalized() Options {
-	if o.Cache == nil {
-		o.Cache = rcache.Default
-	}
-	return o
-}
 
 // Stats reports one rewriting pass.
 type Stats struct {
@@ -50,18 +45,6 @@ type evalScratch struct {
 	queue []leafSet // leaf sets reached from the current node, in order
 	seen  []leafSet // the distinct ones dequeued so far (a dozen at most)
 	cuts  []leafSet // the accepted ones, reused across nodes
-
-	// NPN cache outcomes not yet added to the cache's shared counters.
-	npnHits, npnMisses int64
-}
-
-// flushNpn adds the pending NPN outcomes to c's counters. The host calls it
-// once per slot after the evaluation launch, and the sequential engine once
-// per pass, so no evaluation thread writes the shared counters at all; a
-// scratch goes back to the pool flushed.
-func (s *evalScratch) flushNpn(c *rcache.Cache) {
-	c.AddNpn(s.npnHits, s.npnMisses)
-	s.npnHits, s.npnMisses = 0, 0
 }
 
 var scratchPool = sync.Pool{
@@ -200,12 +183,7 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 			continue
 		}
 		ops += int64(30 + 4*len(leaves))
-		canon, tr, hit := opts.Cache.Npn4Uncounted(tt16)
-		if hit {
-			s.npnHits++
-		} else {
-			s.npnMisses++
-		}
+		canon, tr := truth.Npn4(tt16)
 		prog, _ := DefaultLibrary.Best(canon)
 		members := len(s.es.MffcMembers(a, n, leaves))
 		ops += int64(2*len(prog.Ops) + members)
@@ -243,7 +221,6 @@ func progWithOutput(p core.Program, neg bool) core.Program {
 // Sequential runs one pass of ABC-style DAG-aware rewriting (drw; drw -z
 // with ZeroGain).
 func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
-	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
 	s := scratchPool.Get().(*evalScratch)
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
@@ -258,7 +235,6 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 			}
 		}
 	})
-	s.flushNpn(opts.Cache)
 	scratchPool.Put(s)
 	st.NodesAfter = out.NumAnds()
 	return out, st
@@ -267,7 +243,7 @@ func Sequential(a *aig.AIG, opts Options) (*aig.AIG, Stats) {
 // evaluate runs the evaluation kernel of Parallel: one device thread per AND
 // node of work finds its best candidate on the unchanged graph. It returns
 // the nodes in id order with their candidates (ok[i] when nodes[i] has one)
-// and slot 0's scratch, flushed, for the host step; the caller puts it back.
+// and slot 0's scratch for the host step; the caller puts it back.
 func evaluate(d *gpu.Device, work *aig.AIG, opts Options) (nodes []int32, cands []candidate, ok []bool, s *evalScratch) {
 	nodes = make([]int32, 0, work.NumAnds())
 	work.ForEachAnd(func(id int32) { nodes = append(nodes, id) })
@@ -284,10 +260,8 @@ func evaluate(d *gpu.Device, work *aig.AIG, opts Options) (nodes []int32, cands 
 		ok[tid] = found
 		return ops
 	})
-	for i, s := range slots {
-		if s.flushNpn(opts.Cache); i > 0 {
-			scratchPool.Put(s)
-		}
+	for _, s := range slots[1:] {
+		scratchPool.Put(s)
 	}
 	return nodes, cands, ok, slots[0]
 }
@@ -296,7 +270,6 @@ func evaluate(d *gpu.Device, work *aig.AIG, opts Options) (nodes []int32, cands 
 // id order, for a caller that applies them itself (through core.Apply with
 // revalidation, in any order). work must be EditInPlace's kind of copy.
 func Candidates(d *gpu.Device, work *aig.AIG, opts Options) []core.Candidate {
-	opts = opts.normalized()
 	nodes, cands, ok, s := evaluate(d, work, opts)
 	scratchPool.Put(s)
 	var out []core.Candidate
@@ -315,7 +288,6 @@ func Candidates(d *gpu.Device, work *aig.AIG, opts Options) []core.Candidate {
 // by core.Apply, whose strash-aware ReplaceNode merges any duplicate a
 // replacement makes, so the result needs no Section III-F pass.
 func Parallel(d *gpu.Device, a *aig.AIG, opts Options) (*aig.AIG, Stats) {
-	opts = opts.normalized()
 	st := Stats{NodesBefore: a.NumAnds()}
 	out := core.EditInPlace(a, func(work *aig.AIG) func(int32) {
 		nodes, cands, ok, s := evaluate(d, work, opts)

@@ -15,7 +15,6 @@ import (
 	"aigre/internal/flow"
 	"aigre/internal/gpu"
 	"aigre/internal/partition"
-	"aigre/internal/rcache"
 )
 
 // Job is one batch-optimization request: run Script over AIG under Config.
@@ -157,10 +156,6 @@ type Metrics struct {
 	// kernel bodies: busy-time / (Wall * Workers). Zero before any job
 	// finishes.
 	Utilization float64 `json:"utilization"`
-	// CacheStats is the fleet-wide resynthesis-cache traffic delta. The
-	// engine does not know the cache; the public aigre.Engine fills it when
-	// BatchOptions.SharedCache is set (nil otherwise).
-	CacheStats *rcache.Stats `json:"cache,omitempty"`
 
 	Submitted int `json:"-"`
 	Started   int `json:"-"`

@@ -4,7 +4,10 @@ package truth
 // tables. Rewriting classifies every 4-feasible cut function into one of the
 // 222 NPN classes so that one optimized subgraph per class can be reused.
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Npn4Transform describes how a function was mapped to its canonical
 // representative: apply the permutation, complement the inputs in InputNeg,
@@ -16,26 +19,9 @@ type Npn4Transform struct {
 	OutputNeg bool
 }
 
-// Npn4NumPerms is the number of input permutations enumerated by Npn4Canon.
-const Npn4NumPerms = 24
-
-var perms4 = [Npn4NumPerms][4]uint8{}
-
-// Npn4Perm returns the i-th input permutation (0 <= i < Npn4NumPerms). The
-// enumeration order is fixed, so an index is a compact stand-in for the
-// permutation (used by the packed NPN cache in internal/rcache).
-func Npn4Perm(i int) [4]uint8 { return perms4[i] }
-
-// Npn4PermIndex returns the index of perm within the enumeration, or -1 if
-// perm is not a permutation of {0,1,2,3}.
-func Npn4PermIndex(perm [4]uint8) int {
-	for i := range perms4 {
-		if perms4[i] == perm {
-			return i
-		}
-	}
-	return -1
-}
+// perms4 holds the 24 input permutations in Npn4Canon's enumeration order,
+// so an index is a compact stand-in for a permutation.
+var perms4 [24][4]uint8
 
 func init() {
 	i := 0
@@ -64,7 +50,7 @@ func init() {
 // b and whose other byte is zero. A permutation moves each minterm to exactly
 // one place, so it distributes over OR: permuting tt is one lookup per byte
 // (24 KB for all 24 permutations, instead of 64 bit moves per transform).
-var npn4PermTab [Npn4NumPerms][2][256]uint16
+var npn4PermTab [len(perms4)][2][256]uint16
 
 // npn4FlipVar complements variable v of a 16-bit truth table.
 func npn4FlipVar(tt uint16, v int) uint16 {
@@ -105,7 +91,13 @@ func npn4Permute(tt uint16, perm [4]uint8) uint16 {
 // the original function onto the canonical one. Transforms are tried
 // permutation-major, then input negation, then output negation, and the first
 // smallest table wins, so the transform returned for a tie is always the same.
+// Npn4 is the same function, computed once per table.
 func Npn4Canon(tt uint16) (uint16, Npn4Transform) {
+	return npn4Unpack(npn4Canon(tt))
+}
+
+// npn4Canon is Npn4Canon in npn4Table's packed form.
+func npn4Canon(tt uint16) uint32 {
 	// The 16 input-negated tables, each one flip from a smaller mask.
 	var negated [16]uint16
 	negated[0] = tt
@@ -128,5 +120,43 @@ func Npn4Canon(tt uint16) (uint16, Npn4Transform) {
 			}
 		}
 	}
-	return best, Npn4Transform{Perm: perms4[bestPerm], InputNeg: uint8(bestNeg), OutputNeg: bestOneg}
+	e := uint32(best) | uint32(bestPerm)<<npnPermShift | uint32(bestNeg)<<npnInNegShift | npnValidBit
+	if bestOneg {
+		e |= npnOutNegBit
+	}
+	return e
+}
+
+// npn4Table memoizes Npn4Canon for every 16-bit table, filled on first use.
+// A word packs the canonical table (bits 0-15), the permutation index (16-20),
+// the input negation mask (21-24), the output negation (25) and a valid bit
+// (26); Npn4Canon is deterministic, so racing writers store identical words.
+var npn4Table [1 << 16]uint32
+
+const (
+	npnPermShift  = 16
+	npnInNegShift = 21
+	npnOutNegBit  = 1 << 25
+	npnValidBit   = 1 << 26
+)
+
+// Npn4 returns Npn4Canon(tt), canonizing each table once per process: every
+// later call is one atomic load, wait-free and allocation-free, on any
+// goroutine. Rewriting canonizes every 4-input cut through it.
+func Npn4(tt uint16) (uint16, Npn4Transform) {
+	e := atomic.LoadUint32(&npn4Table[tt])
+	if e&npnValidBit == 0 {
+		e = npn4Canon(tt)
+		atomic.StoreUint32(&npn4Table[tt], e)
+	}
+	return npn4Unpack(e)
+}
+
+// npn4Unpack decodes a packed npn4Table word.
+func npn4Unpack(e uint32) (uint16, Npn4Transform) {
+	return uint16(e), Npn4Transform{
+		Perm:      perms4[e>>npnPermShift&31],
+		InputNeg:  uint8(e >> npnInNegShift & 15),
+		OutputNeg: e&npnOutNegBit != 0,
+	}
 }

@@ -3,6 +3,7 @@ package truth
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -311,6 +312,40 @@ func TestNpn4CanonMatchesLoop(t *testing.T) {
 	}
 }
 
+// TestNpn4MatchesDirectCanonization checks the process-wide table against
+// Npn4Canon on all 65,536 functions, the same canonical table and transform
+// through the packed encoding, on the filling pass and again warm. Four
+// goroutines walk the functions from different offsets, so fills race with
+// each other and with reads (run under -race by scripts/check.sh).
+func TestNpn4MatchesDirectCanonization(t *testing.T) {
+	type result struct {
+		canon uint16
+		tr    Npn4Transform
+	}
+	want := make([]result, 1<<16)
+	for f := range want {
+		want[f].canon, want[f].tr = Npn4Canon(uint16(f))
+	}
+	const goroutines = 4
+	for _, pass := range []string{"cold", "warm"} {
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 1 << 16 {
+					f := uint16(i + g<<14)
+					if canon, tr := Npn4(f); canon != want[f].canon || tr != want[f].tr {
+						t.Errorf("%s: Npn4(%04x) = %04x %+v, Npn4Canon gives %04x %+v", pass, f, canon, tr, want[f].canon, want[f].tr)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 func TestNpn4ClassCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enumerates all 65536 functions")
@@ -378,4 +413,21 @@ func TestISOPSingleWordAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { ISOP(f, TT{}) }); got > 1 {
 		t.Errorf("single-word ISOP: %v allocs/op, want at most the result slice", got)
 	}
+}
+
+// BenchmarkNpn4Parallel is the table's hit path under contention, the way the
+// rewrite workers use it.
+func BenchmarkNpn4Parallel(b *testing.B) {
+	for f := 0; f < 1<<12; f++ { // a miss costs 768 transforms; 4096 entries span 256 lines of the table
+		Npn4(uint16(f))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		f := uint16(1)
+		for pb.Next() {
+			Npn4(f & (1<<12 - 1))
+			f = f*25173 + 13849
+		}
+	})
 }

@@ -229,6 +229,16 @@ if grep -rnw --include='*.go' --exclude='*_test.go' 'ErrTableFull' . ||
     echo "check: a full-table error, a table occupancy counter, Table.Rehash/Dump/Len or gpu.Stats grew back (see above); size the table for its keys and read device totals with gpu.TotalProfile" >&2
     exit 1
 fi
+# The resynthesis cache memoizes factoring only: NPN canonization is the pure,
+# process-wide truth.Npn4 (no per-cache compartment, no hit/miss counters to
+# batch: Npn4Uncounted, AddNpn, flushNpn), a nil *rcache.Cache means
+# rcache.Default inside internal/rcache alone, and jobs share a cache by
+# passing it in Options.Cache (no SharedCache beside it).
+if grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'Npn4Uncounted|AddNpn|flushNpn|SharedCache' . ||
+    grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=rcache 'rcache\.Default' .; then
+    echo "check: an NPN cache compartment, a SharedCache option, or a cache default outside internal/rcache grew back (see above); call truth.Npn4, pass nil for the default cache, and share a cache through Options.Cache" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
