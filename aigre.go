@@ -243,12 +243,16 @@ func (n *Network) SetName(name string) { n.aig.Name = name }
 func (n *Network) Clone() *Network { return &Network{aig: n.aig.Clone()} }
 
 // Read parses an AIGER stream (binary "aig" or ASCII "aag", auto-detected).
+// A parse that is already Clean is kept as it is; any other is rehashed.
 func Read(r io.Reader) (*Network, error) {
 	a, err := aiger.Read(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Network{aig: a.Rehash()}, nil
+	if !a.Clean() {
+		a = a.Rehash()
+	}
+	return &Network{aig: a}, nil
 }
 
 // ReadFile reads an AIGER file.

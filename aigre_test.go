@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"aigre"
+	"aigre/internal/aiger"
 	"aigre/internal/bench"
 	"aigre/internal/gpu"
 )
@@ -125,6 +126,43 @@ func TestPublicAPIAIGERRoundTrip(t *testing.T) {
 		if eq, err := back.EquivalentTo(n); err != nil || !eq {
 			t.Fatalf("%s round trip changed function: %v", name, err)
 		}
+	}
+}
+
+// TestReadRehashesOnlyUncleanParses: Read keeps a Clean parse as it is, so a
+// Clean AIGER reads back byte-identical, and rehashes any other parse:
+// DeepNarrow(64, 40)'s chains c and c+32 coincide, so its 10,240 raw ANDs
+// read back as 5,112, Clean.
+func TestReadRehashesOnlyUncleanParses(t *testing.T) {
+	var clean bytes.Buffer
+	if err := aiger.WriteBinary(&clean, bench.Suite(1)[0].Build().Rehash()); err != nil {
+		t.Fatal(err)
+	}
+	n, err := aigre.Read(bytes.NewReader(clean.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back bytes.Buffer
+	if err := n.Write(&back); err != nil {
+		t.Fatal(err)
+	}
+	if !n.Internal().Clean() || !bytes.Equal(back.Bytes(), clean.Bytes()) {
+		t.Errorf("a Clean AIGER did not read back byte-identical and Clean (Clean: %v)", n.Internal().Clean())
+	}
+
+	raw := bench.DeepNarrow(64, 40)
+	if raw.NumAnds() != 10240 {
+		t.Fatalf("DeepNarrow(64, 40) has %d ANDs, want 10,240", raw.NumAnds())
+	}
+	var deep bytes.Buffer
+	if err := aiger.WriteBinary(&deep, raw); err != nil {
+		t.Fatal(err)
+	}
+	if n, err = aigre.Read(&deep); err != nil {
+		t.Fatal(err)
+	}
+	if a := n.Internal(); a.NumAnds() != 5112 || !a.Clean() {
+		t.Errorf("DeepNarrow(64, 40) read back with %d ANDs (Clean: %v), want 5,112, Clean", a.NumAnds(), a.Clean())
 	}
 }
 

@@ -19,11 +19,9 @@ import (
 
 // Stats reports one balancing pass.
 type Stats struct {
-	Subtrees     int
-	NodesBefore  int
-	NodesAfter   int
-	LevelsBefore int
-	LevelsAfter  int
+	Subtrees    int
+	NodesBefore int
+	NodesAfter  int
 }
 
 // item is one pending input of a subtree under reconstruction.
@@ -115,7 +113,7 @@ func gatherSubtree(a *aig.AIG, refs []int32, root int32, out []aig.Lit, stack []
 // iteratively to tolerate very deep networks) and returns a freshly built
 // network.
 func Sequential(a *aig.AIG) (*aig.AIG, Stats) {
-	st := Stats{NodesBefore: a.NumAnds(), LevelsBefore: a.Levels()}
+	st := Stats{NodesBefore: a.NumAnds()}
 	refs := a.FanoutCounts()
 	out := aig.NewCap(a.NumPIs(), a.NumObjs())
 	out.Name = a.Name
@@ -206,7 +204,6 @@ func Sequential(a *aig.AIG) (*aig.AIG, Stats) {
 	final, _ := out.Compact()
 	out.ReleaseStrash()
 	st.NodesAfter = final.NumAnds()
-	st.LevelsAfter = final.Levels()
 	return final, st
 }
 

@@ -51,8 +51,8 @@ func TestSequentialBalancesChain(t *testing.T) {
 	if out.NumAnds() != 7 {
 		t.Errorf("nodes = %d, want 7", out.NumAnds())
 	}
-	if st.LevelsBefore != 7 || st.LevelsAfter != 3 {
-		t.Errorf("stats = %+v", st)
+	if a.Levels() != 7 || st.NodesBefore != 7 || st.NodesAfter != 7 {
+		t.Errorf("input levels = %d, stats = %+v; want 7 levels, 7 nodes before and after", a.Levels(), st)
 	}
 	if !simEqual(a, out) {
 		t.Errorf("function changed")

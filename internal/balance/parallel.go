@@ -34,7 +34,7 @@ func combineStep(a, b item, mk func(f0, f1 aig.Lit) aig.Lit) item {
 // POs where each insertion pass concurrently creates one node per subtree
 // through the shared hash table.
 func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
-	st := Stats{NodesBefore: a.NumAnds(), LevelsBefore: a.Levels()}
+	st := Stats{NodesBefore: a.NumAnds()}
 	n := a.NumObjs()
 	reach := a.TopoOrder(true)
 
@@ -226,7 +226,6 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 	}
 	final, _ := out.Compact()
 	st.NodesAfter = final.NumAnds()
-	st.LevelsAfter = final.Levels()
 	return final, st
 }
 

@@ -1,7 +1,7 @@
 // Package cut provides cut computation on AIGs: the reconvergence-driven
 // large cuts used by (sequential) refactoring and resubstitution, cone
-// truth-table evaluation over reusable scratch memory, and 4-feasible cut
-// enumeration with truth tables for rewriting.
+// truth-table evaluation over reusable scratch memory, and the 4-feasible cut
+// enumeration of rewriting (Scratch.Cuts4).
 package cut
 
 import "aigre/internal/aig"

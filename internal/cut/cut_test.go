@@ -134,100 +134,3 @@ func TestConeTruthComplementedRoot(t *testing.T) {
 		t.Errorf("complemented cone truth wrong")
 	}
 }
-
-func TestEnumCuts4Basic(t *testing.T) {
-	a, n3 := buildDiamond()
-	cuts := EnumCuts4(a, 8)
-	cs := cuts[n3.Var()]
-	if len(cs) == 0 {
-		t.Fatal("no cuts for root")
-	}
-	// Must contain the PI cut {a,b,c} with truth a&b&c = 0x80 pattern over
-	// 3 vars, padded to 4.
-	found := false
-	for _, c := range cs {
-		if c.NLeaves == 3 {
-			want := uint16(0x8080) // minterms where x0&x1&x2, any x3
-			if c.TT == want {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Errorf("PI cut with correct truth not found: %+v", cs)
-	}
-}
-
-func TestEnumCuts4TruthCorrect(t *testing.T) {
-	// Cut truths carry circuit-consistent semantics (see Cut4 docs), so the
-	// check evaluates realizable assignments: for random PI vectors, the
-	// node's value must equal TT applied to the leaves' values.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := aig.Random(rng, 5, 60, 2)
-		cuts := EnumCuts4(a, 8)
-		for trial := 0; trial < 16; trial++ {
-			in := make([]bool, a.NumPIs())
-			for i := range in {
-				in[i] = rng.Intn(2) == 0
-			}
-			vals := evalAll(a, in)
-			bad := false
-			a.ForEachAnd(func(id int32) {
-				if bad {
-					return
-				}
-				for _, c := range cuts[id] {
-					if c.NLeaves == 0 {
-						continue
-					}
-					m := 0
-					for i, l := range c.LeafSlice() {
-						if vals[l] {
-							m |= 1 << i
-						}
-					}
-					if (c.TT>>uint(m)&1 != 0) != vals[id] {
-						bad = true
-						return
-					}
-				}
-			})
-			if bad {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEnumCuts4Limit(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := aig.Random(rng, 8, 200, 4)
-	for _, limit := range []int{2, 4, 8} {
-		cuts := EnumCuts4(a, limit)
-		a.ForEachAnd(func(id int32) {
-			if len(cuts[id]) > limit {
-				t.Fatalf("node %d has %d cuts, limit %d", id, len(cuts[id]), limit)
-			}
-		})
-	}
-}
-
-func TestDominates(t *testing.T) {
-	a := Cut4{Leaves: [4]int32{1, 3}, NLeaves: 2}
-	b := Cut4{Leaves: [4]int32{1, 2, 3}, NLeaves: 3}
-	if !dominates(&a, &b) {
-		t.Errorf("{1,3} must dominate {1,2,3}")
-	}
-	if dominates(&b, &a) {
-		t.Errorf("{1,2,3} must not dominate {1,3}")
-	}
-	c := Cut4{Leaves: [4]int32{1, 4}, NLeaves: 2}
-	if dominates(&a, &c) || dominates(&c, &a) {
-		t.Errorf("incomparable cuts")
-	}
-}

@@ -1,207 +1,131 @@
 package cut
 
-// 4-feasible cut enumeration with truth tables, the front end of rewriting.
+// 4-feasible cut enumeration, the front end of rewriting.
 
 import (
+	"slices"
+
 	"aigre/internal/aig"
 )
 
-// Cut4 is a cut with at most four leaves and the 16-bit truth table of its
-// root over those leaves (leaf i is variable i; unused variables are
-// don't-care in TT's padding).
-//
-// TT carries circuit-consistent semantics, as in ABC's cut enumeration:
-// when one leaf lies inside the cone bounded by the other leaves, TT is the
-// composition through that leaf's function, which agrees with the circuit on
-// every realizable leaf assignment but may differ from the
-// independent-variable cone function on infeasible ones. A subgraph built
-// from TT on the leaf signals is therefore functionally correct in place.
-type Cut4 struct {
-	Leaves  [4]int32
-	NLeaves uint8
-	TT      uint16
+// Set4 is a cut's leaf ids, ascending and distinct, padded with -1: two sets
+// are equal exactly when the arrays are.
+type Set4 [4]int32
+
+var noLeaves = Set4{-1, -1, -1, -1}
+
+// Leaves returns the set's ids as a slice into c.
+func (c *Set4) Leaves() []int32 {
+	n := 4
+	for n > 0 && c[n-1] < 0 {
+		n--
+	}
+	return c[:n]
 }
 
-// LeafSlice returns the active leaves.
-func (c *Cut4) LeafSlice() []int32 { return c.Leaves[:c.NLeaves] }
-
-// sameLeaves reports whether two cuts have identical leaf sets.
-func sameLeaves(a, b *Cut4) bool {
-	if a.NLeaves != b.NLeaves {
-		return false
+// expand returns the set with the leaf at index i replaced by f0 and f1 (the
+// fanins of that leaf), by a sorted merge that drops duplicates; ok is false
+// when the result would have more than four leaves.
+func (c *Set4) expand(i int, f0, f1 int32) (out Set4, ok bool) {
+	if f0 > f1 {
+		f0, f1 = f1, f0
 	}
-	for i := uint8(0); i < a.NLeaves; i++ {
-		if a.Leaves[i] != b.Leaves[i] {
-			return false
+	pair, np := [2]int32{f0, f1}, 2
+	if f0 == f1 {
+		np = 1
+	} else if c[3] >= 0 {
+		// Four leaves keep three: two distinct fanins fit only if one of
+		// them is already among those three.
+		known := false
+		for j, x := range c {
+			known = known || j != i && (x == f0 || x == f1)
+		}
+		if !known {
+			return out, false
 		}
 	}
-	return true
-}
-
-// mergeLeaves unions two sorted leaf sets into out, returning false when the
-// union exceeds four leaves.
-func mergeLeaves(a, b *Cut4, out *Cut4) bool {
-	i, j := uint8(0), uint8(0)
-	n := uint8(0)
-	for i < a.NLeaves || j < b.NLeaves {
-		if n == 4 {
-			return false
+	out = noLeaves
+	for j, k, n := 0, 0, 0; ; n++ {
+		if j == i {
+			j++
 		}
-		var next int32
+		var x int32
 		switch {
-		case i >= a.NLeaves:
-			next = b.Leaves[j]
-			j++
-		case j >= b.NLeaves:
-			next = a.Leaves[i]
-			i++
-		case a.Leaves[i] < b.Leaves[j]:
-			next = a.Leaves[i]
-			i++
-		case a.Leaves[i] > b.Leaves[j]:
-			next = b.Leaves[j]
-			j++
-		default:
-			next = a.Leaves[i]
-			i++
-			j++
-		}
-		out.Leaves[n] = next
-		n++
-	}
-	out.NLeaves = n
-	return true
-}
-
-// expand16 remaps tt from the variable order of cut c onto the union cut u
-// (whose leaves are a superset of c's).
-func expand16(tt uint16, c, u *Cut4) uint16 {
-	// posMap[i] = position of c's leaf i within u's leaves.
-	var posMap [4]uint8
-	j := uint8(0)
-	for i := uint8(0); i < c.NLeaves; i++ {
-		for u.Leaves[j] != c.Leaves[i] {
-			j++
-		}
-		posMap[i] = j
-	}
-	var out uint16
-	for m := 0; m < 16; m++ {
-		orig := 0
-		for i := uint8(0); i < c.NLeaves; i++ {
-			if m>>posMap[i]&1 != 0 {
-				orig |= 1 << i
+		case j < 4 && c[j] >= 0 && (k == np || c[j] <= pair[k]):
+			x = c[j]
+			if k < np && pair[k] == x {
+				k++
 			}
+			j++
+		case k < np:
+			x = pair[k]
+			k++
+		default:
+			return out, true
 		}
-		if tt>>uint(orig)&1 != 0 {
-			out |= 1 << uint(m)
+		if n == 4 {
+			return out, false
 		}
+		out[n] = x
 	}
-	return out
 }
 
-const var0TT = uint16(0xAAAA)
-
-// EnumCuts4 enumerates up to maxCuts 4-feasible cuts per node (the trivial
-// cut included) for all live nodes, in increasing node id order (the AIG
-// must be in topological id order). cuts[id] lists the cuts of node id.
-func EnumCuts4(a *aig.AIG, maxCuts int) [][]Cut4 {
-	if maxCuts < 2 {
-		maxCuts = 2
-	}
-	n := a.NumObjs()
-	cuts := make([][]Cut4, n)
-	cuts[0] = []Cut4{{NLeaves: 0, TT: 0}}
-	for i := 1; i <= a.NumPIs(); i++ {
-		cuts[i] = []Cut4{trivialCut(int32(i))}
-	}
-	for id := int32(a.NumPIs() + 1); int(id) < n; id++ {
-		if a.IsDeleted(id) {
+// Cuts4 enumerates the 4-feasible cuts of AND node n on the current graph by
+// breadth-first leaf expansion from its fanins, capped at maxCuts: the
+// trivial cut, cuts with a constant leaf and single-leaf cuts are left out.
+// The graph may be mid-edit (deleted nodes, ids out of topological order).
+// This is the one 4-cut enumerator: both rewriting engines run it. The
+// returned sets are owned by the scratch and valid until its next Cuts4 call.
+func (s *Scratch) Cuts4(a *aig.AIG, n int32, maxCuts int) []Set4 {
+	first, _ := noLeaves.expand(-1, a.Fanin0(n).Var(), a.Fanin1(n).Var())
+	s.queue = append(s.queue[:0], first)
+	s.seen = s.seen[:0]
+	s.cuts = s.cuts[:0]
+	for head := 0; head < len(s.queue) && len(s.cuts) < maxCuts; head++ {
+		cur := s.queue[head]
+		if slices.Contains(s.seen, cur) {
 			continue
 		}
-		cuts[id] = enumNode(a, id, cuts, maxCuts)
-	}
-	return cuts
-}
-
-func trivialCut(id int32) Cut4 {
-	return Cut4{Leaves: [4]int32{id}, NLeaves: 1, TT: var0TT}
-}
-
-func enumNode(a *aig.AIG, id int32, cuts [][]Cut4, maxCuts int) []Cut4 {
-	f0, f1 := a.Fanin0(id), a.Fanin1(id)
-	c0s, c1s := cuts[f0.Var()], cuts[f1.Var()]
-	result := make([]Cut4, 0, maxCuts)
-	for i := range c0s {
-		for j := range c1s {
-			var u Cut4
-			if !mergeLeaves(&c0s[i], &c1s[j], &u) {
+		s.seen = append(s.seen, cur)
+		if cur[0] != 0 && cur[1] >= 0 { // no constant leaf, at least two leaves
+			s.cuts = append(s.cuts, cur)
+		}
+		// Expand each AND leaf.
+		for i, v := range cur.Leaves() {
+			if !a.IsAnd(v) {
 				continue
 			}
-			t0 := expand16(c0s[i].TT, &c0s[i], &u)
-			t1 := expand16(c1s[j].TT, &c1s[j], &u)
-			if f0.IsCompl() {
-				t0 = ^t0
+			if next, ok := cur.expand(i, a.Fanin0(v).Var(), a.Fanin1(v).Var()); ok {
+				s.queue = append(s.queue, next)
 			}
-			if f1.IsCompl() {
-				t1 = ^t1
-			}
-			u.TT = t0 & t1
-			result = insertCut(result, u, maxCuts-1)
 		}
 	}
-	// The trivial cut is always kept (needed to seed fanout merges).
-	result = append(result, trivialCut(id))
-	return result
+	return s.cuts
 }
 
-// insertCut adds u to the size-bounded cut set, preferring smaller cuts and
-// dropping duplicates and dominated cuts (a cut whose leaves are a superset
-// of another's is redundant).
-func insertCut(set []Cut4, u Cut4, limit int) []Cut4 {
-	for i := range set {
-		if sameLeaves(&set[i], &u) || dominates(&set[i], &u) {
-			return set
-		}
-	}
-	// Remove cuts dominated by u.
-	kept := set[:0]
-	for i := range set {
-		if !dominates(&u, &set[i]) {
-			kept = append(kept, set[i])
-		}
-	}
-	set = kept
-	if len(set) < limit {
-		return append(set, u)
-	}
-	// Replace the largest cut if u is smaller.
-	worst := -1
-	for i := range set {
-		if worst < 0 || set[i].NLeaves > set[worst].NLeaves {
-			worst = i
-		}
-	}
-	if worst >= 0 && u.NLeaves < set[worst].NLeaves {
-		set[worst] = u
-	}
-	return set
+// Cut4 is a cut rewriting evaluates, with the 16-bit truth table of its root
+// over its leaves (leaf i is variable i). TT is the ConeTruth16 walk: the
+// cone from the root down to the leaves, each leaf an independent variable,
+// so it agrees with the circuit on every realizable leaf assignment.
+type Cut4 struct {
+	Leaves Set4
+	TT     uint16
 }
 
-// dominates reports whether a's leaves are a subset of b's.
-func dominates(a, b *Cut4) bool {
-	if a.NLeaves > b.NLeaves {
-		return false
-	}
-	j := uint8(0)
-	for i := uint8(0); i < a.NLeaves; i++ {
-		for j < b.NLeaves && b.Leaves[j] < a.Leaves[i] {
-			j++
+// EnumCuts4 lists, for every AND node of a, the cuts rewriting evaluates on
+// it: Cuts4's sets whose ConeTruth16 walk succeeds, in Cuts4's order, at most
+// maxCuts of them. cuts[id] is nil for the constant, the PIs and deleted
+// nodes. Kept for the frozen benchmark harness, whose cut.enum4 probe calls
+// it; rewriting calls Cuts4 itself.
+func EnumCuts4(a *aig.AIG, maxCuts int) [][]Cut4 {
+	var s Scratch
+	cuts := make([][]Cut4, a.NumObjs())
+	a.ForEachAnd(func(id int32) {
+		for _, c := range s.Cuts4(a, id, maxCuts) {
+			if tt, ok := s.ConeTruth16(a, aig.MakeLit(id, false), c.Leaves()); ok {
+				cuts[id] = append(cuts[id], Cut4{Leaves: c, TT: tt})
+			}
 		}
-		if j >= b.NLeaves || b.Leaves[j] != a.Leaves[i] {
-			return false
-		}
-		j++
-	}
-	return true
+	})
+	return cuts
 }

@@ -7,12 +7,13 @@ import (
 	"aigre/internal/truth"
 )
 
-// Scratch is the working memory of cone evaluation: traversal-stamped node
-// arrays instead of per-call maps, and wide truth tables from a
-// per-leaf-count arena instead of truth.New. Tables returned by ConeTruth and
-// KeyedTruth, and the walk ConeKey records, are owned by the scratch and
-// valid only until its next call. A Scratch is not safe for concurrent use;
-// a parallel kernel holds one per worker slot of its launch
+// Scratch is the working memory of 4-cut enumeration and cone evaluation:
+// reused leaf-set buffers, traversal-stamped node arrays instead of per-call
+// maps, and wide truth tables from a per-leaf-count arena instead of
+// truth.New. Sets returned by Cuts4 are owned by the scratch and valid until
+// its next Cuts4 call; tables returned by ConeTruth and KeyedTruth, and the
+// walk ConeKey records, until its next cone call. A Scratch is not safe for
+// concurrent use; a parallel kernel holds one per worker slot of its launch
 // (gpu.Device.LaunchSlots).
 type Scratch struct {
 	stamp []int32 // node id -> trav when the node has a value this cone
@@ -31,15 +32,18 @@ type Scratch struct {
 	// sizes vary call to call, so one arena per leaf count keeps reuse
 	// effective without reallocation churn.
 	arenas [truth.MaxVars + 1]ttArena
+
+	// Cuts4's leaf sets: those reached from the current node, in order; the
+	// distinct ones dequeued so far (a dozen at most); the accepted ones.
+	queue []Set4
+	seen  []Set4
+	cuts  []Set4
 }
 
 type ttArena struct {
 	free int
 	tts  [][]uint64
 }
-
-// NewScratch returns an empty scratch; arrays grow on first use.
-func NewScratch() *Scratch { return &Scratch{} }
 
 func (s *Scratch) ensure(n int) {
 	if n <= len(s.stamp) {

@@ -17,7 +17,7 @@ import (
 // or, worse, alias distinct functions.
 func TestScratchConeTruthMatchesMapVersion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewScratch()
+	s := new(Scratch)
 	for trial := 0; trial < 30; trial++ {
 		a := aig.Random(rng, 8, 200, 4).Rehash()
 		a.EnableFanouts()
@@ -64,7 +64,7 @@ func TestScratchConeTruth16RejectsEscapingCone(t *testing.T) {
 	n1 := a.NewAnd(a.PI(0), a.PI(1))
 	n2 := a.NewAnd(n1, a.PI(2))
 	a.AddPO(n2)
-	s := NewScratch()
+	s := new(Scratch)
 	// Leaves {n1} do not bound the cone of n2 (PI 2 escapes).
 	if _, ok := s.ConeTruth16(a, n2, []int32{n1.Var()}); ok {
 		t.Error("escaping cone accepted")
@@ -81,7 +81,7 @@ func TestConeTruth16IgnoresUnusedVariables(t *testing.T) {
 	// Negative-cofactor masks of variables 0..3.
 	masks := [4]uint16{0x5555, 0x3333, 0x0F0F, 0x00FF}
 	rng := rand.New(rand.NewSource(11))
-	s := NewScratch()
+	s := new(Scratch)
 	checked := 0
 	for trial := 0; trial < 20; trial++ {
 		a := aig.Random(rng, 6, 150, 4).Rehash()
@@ -126,7 +126,7 @@ func TestScratchCutTruth(t *testing.T) {
 	n2 := a.NewAnd(a.PI(2), a.PI(3))
 	n3 := a.NewAnd(n1, n2)
 	a.AddPO(n3)
-	s := NewScratch()
+	s := new(Scratch)
 	cut := []int32{n1.Var(), n2.Var()}
 	for _, c := range []struct {
 		name   string
@@ -181,7 +181,7 @@ func TestConeKeyImpliesConeTruth(t *testing.T) {
 	for _, c := range bench.Suite(1) {
 		nets[c.Name] = c.Build()
 	}
-	s := NewScratch()
+	s := new(Scratch)
 	truths := map[string]string{} // key -> truth-table bytes
 	var key, words []byte
 	cones := 0
@@ -223,7 +223,7 @@ func TestConeKeyImpliesConeTruth(t *testing.T) {
 // no AND node, so its own code must tell the leaves apart.
 func TestConeKeyRootOnBoundary(t *testing.T) {
 	a, _ := buildDiamond()
-	s := NewScratch()
+	s := new(Scratch)
 	leaves := []int32{a.PI(0).Var(), a.PI(1).Var()}
 	k0 := string(s.ConeKey(a, a.PI(0), leaves, nil))
 	k1 := string(s.ConeKey(a, a.PI(1), leaves, nil))
@@ -247,7 +247,7 @@ func TestConeKeyUnencodable(t *testing.T) {
 		x = a.Xor(x, a.PI(1+i%2))
 	}
 	leaves := []int32{a.PI(0).Var(), a.PI(1).Var(), a.PI(2).Var()}
-	s := NewScratch()
+	s := new(Scratch)
 	if key := s.ConeKey(a, x, leaves, nil); key != nil {
 		t.Fatalf("%d-node cone encoded to a %d-byte key", a.NumAnds(), len(key))
 	}

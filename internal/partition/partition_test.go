@@ -234,3 +234,38 @@ func TestPartitionInvalidInput(t *testing.T) {
 		}
 	}
 }
+
+// TestExtractedPartitionsAreClean: extraction replays members through
+// AddAndUnchecked, which sorts fanins, so every partition of a Clean base is
+// Clean and flow.Run only checks it instead of rebuilding it. Over the suite
+// split both ways at three sizes, and rehashed random bases.
+func TestExtractedPartitionsAreClean(t *testing.T) {
+	bases := []*aig.AIG{}
+	for _, c := range bench.Suite(1) {
+		bases = append(bases, c.Build().Rehash())
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		bases = append(bases, aig.Random(rng, 8+int(seed)*4, 1500*int(seed), 6*int(seed)).Rehash())
+	}
+	d := testPool(t, 2).Lease(0)
+	settings := 0
+	for _, base := range bases {
+		if !base.Clean() {
+			t.Fatalf("%s: base is not Clean", base.Name)
+		}
+		for _, target := range []int{200, 1000, 5000} {
+			for mode, parts := range map[Mode][]*part{Cones: buildCones(base, target), Levels: buildWindows(base, target)} {
+				settings++
+				for i, c := range extractAll(d, base, parts) {
+					if !c.Clean() {
+						t.Errorf("%s, %v, target %d: partition %d of %d is not Clean", base.Name, mode, target, i, len(parts))
+					}
+				}
+			}
+		}
+	}
+	if settings != (14+4)*3*2 {
+		t.Errorf("%d settings checked, want %d", settings, (14+4)*3*2)
+	}
+}

@@ -83,8 +83,8 @@ func evaluatedCuts(a *aig.AIG, maxCuts int) int64 {
 	s := new(evalScratch)
 	var n int64
 	work.ForEachAnd(func(id int32) {
-		for _, c := range enumLocalCuts(work, id, maxCuts, s) {
-			if _, ok := s.cs.ConeTruth16(work, aig.MakeLit(id, false), c.leaves()); ok {
+		for _, c := range s.cs.Cuts4(work, id, maxCuts) {
+			if _, ok := s.cs.ConeTruth16(work, aig.MakeLit(id, false), c.Leaves()); ok {
 				n++
 			}
 		}

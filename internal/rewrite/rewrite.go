@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"slices"
 	"sync"
 
 	"aigre/internal/aig"
@@ -23,7 +22,7 @@ type Options struct {
 	Cache *rcache.Cache
 }
 
-// maxCutsPerNode bounds the local cut enumeration.
+// maxCutsPerNode bounds the cut enumeration of a node.
 const maxCutsPerNode = 8
 
 // Stats reports one rewriting pass.
@@ -35,119 +34,23 @@ type Stats struct {
 }
 
 // evalScratch bundles the reusable working memory of one evaluation worker:
-// cut enumeration storage, cone-truth stamps, and MFFC/dry-run stamps.
-// In steady state a node evaluation allocates nothing. The parallel kernel
-// holds one per worker slot for the whole launch.
+// cut enumeration and cone-truth scratch, and MFFC/dry-run stamps. In steady
+// state a node evaluation allocates nothing. The parallel kernel holds one
+// per worker slot for the whole launch.
 type evalScratch struct {
 	cs cut.Scratch
 	es core.EvalScratch
-
-	queue []leafSet // leaf sets reached from the current node, in order
-	seen  []leafSet // the distinct ones dequeued so far (a dozen at most)
-	cuts  []leafSet // the accepted ones, reused across nodes
 }
 
 var scratchPool = sync.Pool{
 	New: func() any { return new(evalScratch) },
 }
 
-// leafSet is a cut's leaf ids, ascending and distinct, padded with -1: two
-// sets are equal exactly when the arrays are.
-type leafSet [4]int32
-
-var noLeaves = leafSet{-1, -1, -1, -1}
-
-// leaves returns the set's ids as a slice into c.
-func (c *leafSet) leaves() []int32 {
-	n := 4
-	for n > 0 && c[n-1] < 0 {
-		n--
-	}
-	return c[:n]
-}
-
-// expand returns the set with the leaf at index i replaced by f0 and f1 (the
-// fanins of that leaf), by a sorted merge that drops duplicates; ok is false
-// when the result would have more than four leaves.
-func (c *leafSet) expand(i int, f0, f1 int32) (out leafSet, ok bool) {
-	if f0 > f1 {
-		f0, f1 = f1, f0
-	}
-	pair, np := [2]int32{f0, f1}, 2
-	if f0 == f1 {
-		np = 1
-	} else if c[3] >= 0 {
-		// Four leaves keep three: two distinct fanins fit only if one of
-		// them is already among those three.
-		known := false
-		for j, x := range c {
-			known = known || j != i && (x == f0 || x == f1)
-		}
-		if !known {
-			return out, false
-		}
-	}
-	out = noLeaves
-	for j, k, n := 0, 0, 0; ; n++ {
-		if j == i {
-			j++
-		}
-		var x int32
-		switch {
-		case j < 4 && c[j] >= 0 && (k == np || c[j] <= pair[k]):
-			x = c[j]
-			if k < np && pair[k] == x {
-				k++
-			}
-			j++
-		case k < np:
-			x = pair[k]
-			k++
-		default:
-			return out, true
-		}
-		if n == 4 {
-			return out, false
-		}
-		out[n] = x
-	}
-}
-
-// enumLocalCuts enumerates 4-feasible cuts of n on the current graph by
-// breadth-first leaf expansion (the trivial cut excluded), capped at maxCuts.
-// The returned sets are owned by the scratch and valid until its next call.
-func enumLocalCuts(a *aig.AIG, n int32, maxCuts int, s *evalScratch) []leafSet {
-	first, _ := noLeaves.expand(-1, a.Fanin0(n).Var(), a.Fanin1(n).Var())
-	s.queue = append(s.queue[:0], first)
-	s.seen = s.seen[:0]
-	s.cuts = s.cuts[:0]
-	for head := 0; head < len(s.queue) && len(s.cuts) < maxCuts; head++ {
-		cur := s.queue[head]
-		if slices.Contains(s.seen, cur) {
-			continue
-		}
-		s.seen = append(s.seen, cur)
-		if cur[0] != 0 && cur[1] >= 0 { // no constant leaf, at least two leaves
-			s.cuts = append(s.cuts, cur)
-		}
-		// Expand each AND leaf.
-		for i, v := range cur.leaves() {
-			if !a.IsAnd(v) {
-				continue
-			}
-			if next, ok := cur.expand(i, a.Fanin0(v).Var(), a.Fanin1(v).Var()); ok {
-				s.queue = append(s.queue, next)
-			}
-		}
-	}
-	return s.cuts
-}
-
 // candidate is the best rewriting found for a node. It holds no pointer:
 // the program is looked up again by canon when the candidate is applied, so
 // the kernel's per-node candidate array is plain memory the collector skips.
 type candidate struct {
-	leaves leafSet
+	leaves cut.Set4
 	mapped [4]aig.Lit
 	canon  uint16 // NPN class of the cut function: DefaultLibrary key of the program
 	outNeg bool
@@ -158,7 +61,7 @@ type candidate struct {
 // library program, output complement folded in, over the mapped leaves.
 func (c *candidate) forApply(n int32, zeroGain bool) core.Candidate {
 	p, _ := DefaultLibrary.Best(c.canon)
-	return core.Candidate{Root: n, Leaves: c.leaves.leaves(), Inputs: c.mapped[:],
+	return core.Candidate{Root: n, Leaves: c.leaves.Leaves(), Inputs: c.mapped[:],
 		Prog: progWithOutput(p, c.outNeg), ZeroGain: zeroGain}
 }
 
@@ -173,11 +76,11 @@ func evaluateNode(a *aig.AIG, n int32, opts Options, s *evalScratch) (candidate,
 	// gain wins, so a cut short of need cannot, and its dry run stops as
 	// soon as its cost shows that (or is skipped when its MFFC alone does).
 	need := core.LeastGain(opts.ZeroGain)
-	cuts := enumLocalCuts(a, n, maxCutsPerNode, s)
+	cuts := s.cs.Cuts4(a, n, maxCutsPerNode)
 	// Cut enumeration explores roughly a handful of expansions per kept cut.
 	ops := int64(1 + 20*len(cuts))
 	for i := range cuts {
-		leaves := cuts[i].leaves()
+		leaves := cuts[i].Leaves()
 		tt16, ok := s.cs.ConeTruth16(a, aig.MakeLit(n, false), leaves)
 		if !ok {
 			continue

@@ -2,11 +2,13 @@ package rewrite
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"aigre/internal/aig"
 	"aigre/internal/core"
+	"aigre/internal/cut"
 	"aigre/internal/gpu"
 	"aigre/internal/truth"
 )
@@ -96,15 +98,16 @@ func TestEnumLocalCuts(t *testing.T) {
 	a.AddPO(n3)
 	s := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(s)
-	cuts := enumLocalCuts(a, n3.Var(), 8, s)
-	// Expect {n1,n2}, {n1,x2,x3}, {x0,x1,n2}, {x0,x1,x2,x3}.
-	if len(cuts) != 4 {
-		t.Errorf("cuts = %v, want 4", cuts)
+	cuts := s.cs.Cuts4(a, n3.Var(), 8)
+	// {n1,n2}, then n1 expanded, then n2, then the four PIs; ids ascending.
+	want := []cut.Set4{
+		{n1.Var(), n2.Var(), -1, -1},
+		{1, 2, n2.Var(), -1},
+		{3, 4, n1.Var(), -1},
+		{1, 2, 3, 4},
 	}
-	for _, c := range cuts {
-		if len(c.leaves()) < 2 {
-			t.Errorf("bad cut size: %v", c)
-		}
+	if !slices.Equal(cuts, want) {
+		t.Errorf("cuts = %v, want %v", cuts, want)
 	}
 }
 

@@ -239,6 +239,16 @@ if grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'Np
     echo "check: an NPN cache compartment, a SharedCache option, or a cache default outside internal/rcache grew back (see above); call truth.Npn4, pass nil for the default cache, and share a cache through Options.Cache" >&2
     exit 1
 fi
+# One 4-cut enumerator: (*cut.Scratch).Cuts4 is what both rewriting engines
+# run and cut.EnumCuts4 is a loop over it, so non-test Go outside internal/cut
+# declares no enumerator of its own (enumLocalCuts, leafSet), and the
+# bottom-up engine (enumNode, insertCut, mergeLeaves, expand16, dominates)
+# must not grow back in internal/cut.
+if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=cut '^(func|type)[[:space:]]+(\([^)]*\)[[:space:]]*)?(enumLocalCuts|leafSet)\b' . ||
+    grep -nE '^func (\([^)]*\) )?(enumNode|insertCut|mergeLeaves|expand16|dominates)\(' $(find internal/cut -name '*.go' ! -name '*_test.go'); then
+    echo "check: a second 4-cut enumerator grew back (see above); enumerate through (*cut.Scratch).Cuts4" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
