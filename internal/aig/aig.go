@@ -115,9 +115,6 @@ func (a *AIG) NumAnds() int { return len(a.fanin0) - int(a.numPIs) - 1 - int(a.n
 // IsConst reports whether id is the constant node.
 func (a *AIG) IsConst(id int32) bool { return id == 0 }
 
-// IsPI reports whether id is a primary input node.
-func (a *AIG) IsPI(id int32) bool { return id >= 1 && id <= a.numPIs }
-
 // IsAnd reports whether id is an AND node (possibly deleted).
 func (a *AIG) IsAnd(id int32) bool { return id > a.numPIs && int(id) < len(a.fanin0) }
 

@@ -97,36 +97,17 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 	st.Subtrees = len(roots)
 
 	// Dependency levels of the collapsed network (the level of a subtree is
-	// 1 + the maximum level of the subtrees feeding it). Computed on the
-	// host in topological order; on a real GPU this falls out of the
+	// 1 + the maximum level of the subtrees feeding it, PIs at 0). Computed on
+	// the host over roots, which are in reach's topological order, so inputs
+	// precede the subtrees they feed; on a real GPU this falls out of the
 	// POs-to-PIs collapse itself.
-	level := make([]int32, n)
-	rootIdx := make([]int32, n)
-	for i := range rootIdx {
-		rootIdx[i] = -1
-	}
-	maxLevel := int32(0)
+	level := make([]int32, n) // per node: its subtree's level, 0 if it roots none
+	rootLevel := make([]int32, len(roots))
 	for i, r := range roots {
-		rootIdx[r] = int32(i)
-	}
-	for _, r := range reach { // topological: inputs precede roots
-		if rootIdx[r] < 0 {
-			continue
+		for _, f := range inputs[i] {
+			rootLevel[i] = max(rootLevel[i], level[f.Var()]+1)
 		}
-		var lv int32
-		for _, f := range inputs[rootIdx[r]] {
-			if l := level[f.Var()]; l >= lv {
-				lv = l + 1
-			}
-		}
-		level[r] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-	byLevel := make([][]int32, maxLevel+1)
-	for i, r := range roots {
-		byLevel[level[r]] = append(byLevel[level[r]], int32(i))
+		level[r] = rootLevel[i]
 	}
 
 	// Reconstruction: allocate the output network and the shared hash
@@ -159,8 +140,7 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 	itemStore := make([]item, itemOff[len(roots)])
 	heapLen := make([]int32, len(roots))
 
-	for lv := int32(1); lv <= maxLevel; lv++ {
-		batch := byLevel[lv]
+	d.Waves(rootLevel, func(batch []int32) {
 		// Initialize the reconstruction table for this batch (Figure 6a).
 		d.Launch("balance/recon-init", len(batch), func(tid int) int64 {
 			ri := batch[tid]
@@ -181,17 +161,14 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 			return int64(len(ins))
 		})
 		// Insertion passes: one new node per subtree per pass (Figure 6b-c)
-		// until every subtree in the batch is reduced to a single literal.
-		for {
-			active := 0
-			for _, ri := range batch {
-				if heapLen[ri] > 1 {
-					active++
-				}
-			}
-			if active == 0 {
-				break
-			}
+		// until every subtree in the batch is reduced to a single literal. A
+		// pass shortens every heap of two or more items by one, so the
+		// largest heap sets the number of passes.
+		passes := int32(0)
+		for _, ri := range batch {
+			passes = max(passes, heapLen[ri]-1)
+		}
+		for range passes {
 			d.Launch("balance/insert-pass", len(batch), func(tid int) int64 {
 				ri := batch[tid]
 				if heapLen[ri] < 2 {
@@ -218,7 +195,7 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 				newItem[roots[ri]] = itemStore[itemOff[ri]]
 			}
 		})
-	}
+	})
 
 	for _, p := range a.POs() {
 		m := newItem[p.Var()]

@@ -320,3 +320,14 @@ func TestDeepNarrow(t *testing.T) {
 		t.Errorf("strash collapsed the chains: %d of %d nodes survive", r.NumAnds(), a.NumAnds())
 	}
 }
+
+// BarrelShiftRight is the right-shifting counterpart of BarrelShiftLeft,
+// used only by the tests.
+func (b *Builder) BarrelShiftRight(value Word, amt Word) Word {
+	out := value
+	for s := 0; s < len(amt); s++ {
+		shifted := b.ShiftRightConst(out, 1<<uint(s))
+		out = b.MuxWord(amt[s], shifted, out)
+	}
+	return out
+}

@@ -207,16 +207,6 @@ func (b *Builder) BarrelShiftLeft(value Word, amt Word) Word {
 	return out
 }
 
-// BarrelShiftRight is the right-shifting counterpart.
-func (b *Builder) BarrelShiftRight(value Word, amt Word) Word {
-	out := value
-	for s := 0; s < len(amt); s++ {
-		shifted := b.ShiftRightConst(out, 1<<uint(s))
-		out = b.MuxWord(amt[s], shifted, out)
-	}
-	return out
-}
-
 // Eq returns the equality of two words.
 func (b *Builder) Eq(x, y Word) aig.Lit {
 	res := aig.ConstTrue

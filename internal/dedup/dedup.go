@@ -17,8 +17,6 @@
 package dedup
 
 import (
-	"sync/atomic"
-
 	"aigre/internal/aig"
 	"aigre/internal/gpu"
 	"aigre/internal/hashtable"
@@ -29,7 +27,6 @@ type Stats struct {
 	DuplicatesMerged int
 	TriviallyReduced int // nodes removed by constant propagation
 	DanglingRemoved  int
-	Levels           int // level batches processed
 	// Rehashes is always 0: the table is sized for one key per AND and never
 	// grows. The field stays for the benchmark's dedup.rehashes probe.
 	Rehashes int
@@ -47,44 +44,22 @@ func Run(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 // returns the final literal of every node of work (a survivor maps to
 // itself), in the id space of work.
 //
-// Every class of structural duplicates keeps its member of lowest rank, the
-// (level, id) order: the earliest level the class appears at, then the
-// lowest id there — the conflict breaking by fixed priority of "Parallel AIG
-// Refactoring via Conflict Breaking". The level kernel resolves fanins
-// through plain reads of remap and inserts each node once with InsertUnique;
-// whichever member's insert lands first is the class's resident, and every
-// other member lowers the resident's rank slot to its own rank with one
-// atomic min. The classes do not depend on which member is resident, so only
-// the representatives can differ between schedules; when some resident is
-// not its class's minimum-rank member, the closing sweep relabels every
-// fanin, and remap, to those members. With one worker the resident always is
-// that member and the sweep has nothing to do.
+// Every class of structural duplicates keeps its member of lowest (level, id)
+// rank: the earliest level the class appears at, then the lowest id there —
+// the conflict breaking by fixed priority of "Parallel AIG Refactoring via
+// Conflict Breaking". The level kernel resolves fanins through plain reads of
+// remap and inserts each node once with InsertUnique. A class's first insert
+// lands in the first wave that holds a member, so its resident is at the
+// class's level, but on more than one worker not always the lowest id there;
+// a member of the resident's level with a lower id is recorded by its worker
+// slot, and the closing sweep relabels every fanin, and remap, to each class's
+// lowest such member. The classes do not depend on which member is resident,
+// so only the representatives can differ between schedules; with one worker
+// the resident always is the minimum and the sweep has nothing to do.
 func Merge(d *gpu.Device, work *aig.AIG) (*aig.AIG, []aig.Lit, Stats) {
 	var st Stats
 	n := work.NumObjs()
-	// Bucket the nodes by level (a counting sort: id order within a level).
-	// order lists every node, const, PIs and deleted nodes at level 0; the
-	// level array becomes each node's rank, its position in order.
-	rank := work.NodeLevels()
-	maxLevel := int32(0)
-	for _, l := range rank {
-		maxLevel = max(maxLevel, l)
-	}
-	start := make([]int32, maxLevel+2)
-	for _, l := range rank {
-		start[l+1]++
-	}
-	for lv := range maxLevel + 1 {
-		start[lv+1] += start[lv]
-	}
-	order := make([]int32, n)
-	fill := append([]int32(nil), start[:maxLevel+1]...)
-	for id, l := range rank {
-		order[fill[l]] = int32(id)
-		rank[id] = fill[l]
-		fill[l]++
-	}
-
+	level := work.NodeLevels()
 	remap := make([]aig.Lit, n)
 	for i := range remap {
 		remap[i] = aig.MakeLit(int32(i), false)
@@ -92,28 +67,15 @@ func Merge(d *gpu.Device, work *aig.AIG) (*aig.AIG, []aig.Lit, Stats) {
 	// At most one key per AND, so the table is never more than half full.
 	ht := hashtable.Acquire(work.NumAnds() + 16)
 	defer hashtable.Release(ht)
-	// Per-thread counters are sized for the largest level once, instead of
-	// being reallocated for every level batch.
-	maxBatch := int32(0)
-	for lv := int32(1); lv <= maxLevel; lv++ {
-		maxBatch = max(maxBatch, start[lv+1]-start[lv])
-	}
-	mergedPer := make([]int32, maxBatch)
-	trivialPer := make([]int32, maxBatch)
-	var relabel atomic.Bool // some class's minimum-rank member is not its resident
+	// Per worker slot: merge counts, and the (resident, member) pairs where
+	// the member has the lower (level, id) rank.
+	merged := make([]int, d.Workers())
+	trivial := make([]int, d.Workers())
+	lower := make([][][2]int32, d.Workers())
 
-	for lv := int32(1); lv <= maxLevel; lv++ {
-		first := start[lv]
-		batch := order[first:start[lv+1]]
-		if len(batch) == 0 {
-			continue
-		}
-		st.Levels++
-		merged, trivial := mergedPer[:len(batch)], trivialPer[:len(batch)]
-		clear(merged)
-		clear(trivial)
-		d.Launch("dedup/level", len(batch), func(tid int) int64 {
-			id := batch[tid]
+	d.Waves(level, func(wave []int32) {
+		d.LaunchSlots("dedup/level", len(wave), func(slot, tid int) int64 {
+			id := wave[tid]
 			f0 := work.Fanin0(id)
 			f1 := work.Fanin1(id)
 			// Fanins are at lower levels, so their remaps are final.
@@ -122,30 +84,34 @@ func Merge(d *gpu.Device, work *aig.AIG) (*aig.AIG, []aig.Lit, Stats) {
 			work.SetFanins(id, nf0, nf1)
 			if lit, ok := aig.SimplifyAnd(nf0, nf1); ok {
 				remap[id] = lit
-				trivial[tid] = 1
+				trivial[slot]++
 				return 2
 			}
 			got, inserted := ht.InsertUnique(aig.Key(nf0, nf1), uint32(id))
-			if !inserted && got != uint32(id) {
-				remap[id] = aig.MakeLit(int32(got), false)
-				merged[tid] = 1
-				// The resident's own rank needs no min: it starts there.
-				for slot, mine := &rank[got], first+int32(tid); ; {
-					cur := atomic.LoadInt32(slot)
-					if mine >= cur {
-						break
-					}
-					if atomic.CompareAndSwapInt32(slot, cur, mine) {
-						relabel.Store(true)
-						break
-					}
+			if r := int32(got); !inserted && r != id {
+				remap[id] = aig.MakeLit(r, false)
+				merged[slot]++
+				if id < r && level[r] == level[id] {
+					lower[slot] = append(lower[slot], [2]int32{r, id})
 				}
 			}
 			return 3
 		})
-		for i := range batch {
-			st.DuplicatesMerged += int(merged[i])
-			st.TriviallyReduced += int(trivial[i])
+	})
+	// nil unless some resident is not its class's minimum; then each
+	// resident's minimum member (every other node maps to itself).
+	var winner []int32
+	for slot := range merged {
+		st.DuplicatesMerged += merged[slot]
+		st.TriviallyReduced += trivial[slot]
+		for _, p := range lower[slot] {
+			if winner == nil {
+				winner = make([]int32, n)
+				for i := range winner {
+					winner[i] = int32(i)
+				}
+			}
+			winner[p[0]] = min(winner[p[0]], p[1])
 		}
 	}
 	// The sweep relabels to the minimum-rank members, when a resident is
@@ -153,16 +119,16 @@ func Merge(d *gpu.Device, work *aig.AIG) (*aig.AIG, []aig.Lit, Stats) {
 	// zero-fanout node to delete its MFFC; compaction from the POs removes
 	// exactly the same nodes, so the sweep is accounted as that kernel.
 	sweep := func(int) {}
-	if relabel.Load() {
-		winner := func(l aig.Lit) aig.Lit {
-			return aig.MakeLit(order[rank[l.Var()]], l.IsCompl())
+	if winner != nil {
+		relabel := func(l aig.Lit) aig.Lit {
+			return aig.MakeLit(winner[l.Var()], l.IsCompl())
 		}
 		sweep = func(tid int) {
 			id := int32(tid)
 			if work.IsAnd(id) {
-				work.SetFanins(id, winner(work.Fanin0(id)), winner(work.Fanin1(id)))
+				work.SetFanins(id, relabel(work.Fanin0(id)), relabel(work.Fanin1(id)))
 			}
-			remap[tid] = winner(remap[tid])
+			remap[tid] = relabel(remap[tid])
 		}
 	}
 	d.Launch1("dedup/dangling", n, sweep)

@@ -56,6 +56,25 @@ func TestDedupMergesCascade(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsEarliestLevel pins the level half of the survivor rule: a
+// class keeps its member of the earliest level even when a member of a later
+// level has the lower id.
+func TestMergeKeepsEarliestLevel(t *testing.T) {
+	a := aig.New(2)
+	x, y := a.PI(0), a.PI(1)
+	p := a.AddAndUnchecked(x, x) // level 1, reduces to x
+	m := a.AddAndUnchecked(p, y) // level 2, becomes x & y
+	r := a.AddAndUnchecked(x, y) // level 1, a higher id than m
+	a.AddPO(m)
+	a.AddPO(r)
+	for _, w := range []int{1, 2} {
+		_, remap, st := Merge(gpu.New(w), a.Clone())
+		if st.DuplicatesMerged != 1 || remap[m.Var()] != r || remap[r.Var()] != r {
+			t.Errorf("W=%d: merged %d, remap m=%v r=%v, want both %v", w, st.DuplicatesMerged, remap[m.Var()], remap[r.Var()], r)
+		}
+	}
+}
+
 func TestDedupRemovesDangling(t *testing.T) {
 	a := aig.New(2)
 	a.EnableStrash()

@@ -392,6 +392,36 @@ func Compact[T any](d *Device, name string, src []T, keep []bool) []T {
 	return out
 }
 
+// Waves runs a level-synchronous pass over the indices of level: step is
+// called once per non-empty level from 1 up to the highest, in order, with
+// the indices i whose level[i] is that level, ascending. Level 0 (inputs,
+// constants, absent entries) gets no step. The steps launch the pass's
+// kernels; the bucketing is a host counting sort and costs no modeled time.
+func (d *Device) Waves(level []int32, step func(wave []int32)) {
+	top := int32(0)
+	for _, l := range level {
+		top = max(top, l)
+	}
+	start := make([]int32, top+2)
+	for _, l := range level {
+		start[l+1]++
+	}
+	for lv := range top + 1 {
+		start[lv+1] += start[lv]
+	}
+	order := make([]int32, len(level))
+	fill := append([]int32(nil), start[:top+1]...)
+	for i, l := range level {
+		order[fill[l]] = int32(i)
+		fill[l]++
+	}
+	for lv := int32(1); lv <= top; lv++ {
+		if wave := order[start[lv]:start[lv+1]]; len(wave) > 0 {
+			step(wave)
+		}
+	}
+}
+
 // SortUniqueInt32 returns a freshly allocated sorted slice of the distinct
 // values of ids, leaving ids untouched. Modeled as a device radix sort +
 // unique compaction, attributed to name. Used for frontier de-duplication.

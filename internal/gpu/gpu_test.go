@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -225,6 +226,61 @@ func TestMidChunkPanic(t *testing.T) {
 		}
 		if w == 1 && returned.Load() != bad {
 			t.Errorf("W=1: %d threads returned, want the %d before the panic", returned.Load(), bad)
+		}
+	}
+}
+
+// TestWaves pins the level-synchronous loop: one step per non-empty level,
+// levels in order from 1, indices ascending within a wave, level 0 skipped,
+// and nothing charged to the profile.
+func TestWaves(t *testing.T) {
+	d := New(2)
+	level := []int32{0, 3, 1, 3, 0, 1, 5, 3, 1}
+	var got [][]int32
+	d.Waves(level, func(wave []int32) {
+		got = append(got, append([]int32(nil), wave...))
+		// A step launches kernels over its wave, as balance and dedup do.
+		d.Launch1("wave", len(wave), func(int) {})
+	})
+	want := [][]int32{{2, 5, 8}, {1, 3, 7}, {6}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("waves = %v, want %v", got, want)
+	}
+	if p := TotalProfile(d.Profile()); p.Launches != 3 || p.Threads != 7 {
+		t.Errorf("launches/threads = %d/%d, want the steps' 3/7 only", p.Launches, p.Threads)
+	}
+	for _, level := range [][]int32{nil, {}, {0, 0, 0}} {
+		d.Waves(level, func(wave []int32) { t.Errorf("level %v: step ran on %v", level, wave) })
+	}
+}
+
+// TestWavesRandom checks Waves against a direct scan on random levels:
+// every index of level >= 1 appears once, in its level's wave, and the
+// waves come in increasing level order.
+func TestWavesRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := New(1)
+	for trial := 0; trial < 50; trial++ {
+		level := make([]int32, rng.Intn(300))
+		for i := range level {
+			level[i] = int32(rng.Intn(12))
+		}
+		var want [][]int32
+		for lv := int32(1); lv < 12; lv++ {
+			var wave []int32
+			for i, l := range level {
+				if l == lv {
+					wave = append(wave, int32(i))
+				}
+			}
+			if wave != nil {
+				want = append(want, wave)
+			}
+		}
+		var got [][]int32
+		d.Waves(level, func(wave []int32) { got = append(got, append([]int32(nil), wave...)) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: waves = %v, want %v", trial, got, want)
 		}
 	}
 }

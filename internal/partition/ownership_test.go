@@ -33,7 +33,7 @@ func checkOwnership(t *testing.T, a *aig.AIG, parts []*part) {
 				t.Errorf("part %d lists input %d twice", k, in)
 			}
 			avail[in] = k + 1
-			if a.IsPI(in) {
+			if in >= 1 && in <= int32(a.NumPIs()) {
 				continue
 			}
 			if !a.IsAnd(in) || owner[in] == 0 {

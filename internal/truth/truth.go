@@ -3,10 +3,7 @@
 // (ISOP) computation used by refactoring to resynthesize cone functions.
 package truth
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // MaxVars is the largest supported number of variables. The paper uses
 // maximum cut sizes of 11–12 for refactoring; 16 leaves headroom.
@@ -234,27 +231,9 @@ func (t TT) IsConst1() bool {
 	return true
 }
 
-// CountOnes returns the number of minterms.
-func (t TT) CountOnes() int {
-	m := usedMask(t.NVars)
-	c := 0
-	for _, w := range t.Words {
-		if t.NVars < 6 {
-			w &= m
-		}
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // Bit returns minterm m of the table.
 func (t TT) Bit(m int) bool {
 	return t.Words[m>>6]>>(uint(m)&63)&1 != 0
-}
-
-// SetBit sets minterm m.
-func (t TT) SetBit(m int) {
-	t.Words[m>>6] |= 1 << (uint(m) & 63)
 }
 
 // Cofactor0 stores into t the negative cofactor of x with respect to v
@@ -351,12 +330,6 @@ func (t TT) SupportInto(dst []int) []int {
 		}
 	}
 	return dst
-}
-
-// Support returns the indices of the variables the function depends on.
-// Allocating convenience wrapper around SupportInto.
-func (t TT) Support() []int {
-	return t.SupportInto(nil)
 }
 
 // String renders the table as a hex string (most significant word first),

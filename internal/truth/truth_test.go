@@ -2,6 +2,7 @@ package truth
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -430,4 +431,30 @@ func BenchmarkNpn4Parallel(b *testing.B) {
 			f = f*25173 + 13849
 		}
 	})
+}
+
+// Test-only helpers over TT.
+
+// CountOnes returns the number of minterms.
+func (t TT) CountOnes() int {
+	m := usedMask(t.NVars)
+	c := 0
+	for _, w := range t.Words {
+		if t.NVars < 6 {
+			w &= m
+		}
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// SetBit sets minterm m.
+func (t TT) SetBit(m int) {
+	t.Words[m>>6] |= 1 << (uint(m) & 63)
+}
+
+// Support returns the indices of the variables the function depends on.
+// Allocating convenience wrapper around SupportInto.
+func (t TT) Support() []int {
+	return t.SupportInto(nil)
 }

@@ -249,6 +249,14 @@ if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=cut '^(func|ty
     echo "check: a second 4-cut enumerator grew back (see above); enumerate through (*cut.Scratch).Cuts4" >&2
     exit 1
 fi
+# One level-synchronous loop: gpu.(*Device).Waves buckets by level and calls
+# each wave's step in order, so balancing's reconstruction and dedup's merge
+# bucket nothing by level and loop over no levels themselves (no byLevel, no
+# maxLevel, no `for lv`).
+if grep -rnE --include='*.go' --exclude='*_test.go' '\b(byLevel|maxLevel)\b|\bfor lv\b' internal/balance internal/dedup; then
+    echo "check: a hand-written level bucketing or level loop grew back in internal/balance or internal/dedup (see above); run the pass through gpu.(*Device).Waves" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
