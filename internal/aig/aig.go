@@ -285,9 +285,10 @@ func (a *AIG) AddAndUnchecked(f0, f1 Lit) Lit {
 
 // ExtendSlots appends n uninitialized AND-node slots (fanins constant-false)
 // and returns the id of the first. This is a low-level bulk-allocation hook
-// for the parallel replacement engine: slots are later filled concurrently
-// with SetFanins, and slots that lose a sharing race stay unused until the
-// next Compact. Not compatible with enabled strash/fanout tracking.
+// for the parallel replacement and balancing engines: slots are later filled
+// concurrently with SetFanins, and slots left unused (an op that folds, or in
+// balancing one that loses a sharing race) stay until the next Compact. Not
+// compatible with enabled strash/fanout tracking.
 func (a *AIG) ExtendSlots(n int) int32 {
 	if a.strash != nil || a.fanouts != nil {
 		panic("aig: ExtendSlots requires plain mode (no strash/fanout tracking)")

@@ -177,12 +177,15 @@ func Parallel(d *gpu.Device, a *aig.AIG) (*aig.AIG, Stats) {
 				h := itemHeap{s: itemStore[itemOff[ri] : itemOff[ri]+heapLen[ri] : itemOff[ri+1]]}
 				x := h.pop()
 				y := h.pop()
+				// The first insert wins; a loser's slot stays unused.
 				res := combineStep(x, y, func(f0, f1 aig.Lit) aig.Lit {
-					lit, created := ht.ShareOrCreate(out, f0, f1, base+offsets[ri]+used[ri])
+					slot := base + offsets[ri] + used[ri]
+					got, created := ht.InsertUnique(aig.Key(f0, f1), uint32(slot))
 					if created {
+						out.SetFanins(slot, f0, f1)
 						used[ri]++
 					}
-					return lit
+					return aig.MakeLit(int32(got), false)
 				})
 				h.push(res)
 				heapLen[ri] = int32(h.len())

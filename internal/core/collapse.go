@@ -5,10 +5,10 @@
 //     cones from POs to PIs using frontier arrays (Section III-B),
 //   - the fanout-free-cone (FFC) traversal with best-first expansion and
 //     cut-size early stop (Section III-C, Theorem 1),
-//   - the data-race-free parallel replacement engine built on the
-//     GPU-parallel hash table, with lower-bound gain accounting
-//     (Sections III-B(b), III-D, III-E), which runs the de-duplication and
-//     dangling-node pass (Section III-F, package dedup) on its output,
+//   - the data-race-free parallel replacement engine, with lower-bound gain
+//     accounting (Sections III-B(b), III-D), whose new nodes meet the
+//     existing ones only in the de-duplication and dangling-node pass
+//     (Sections III-E/F, package dedup) that it runs on its output,
 //   - the host in-place editor and applier (EditInPlace, Apply) that
 //     rewriting, resubstitution and [9]-style replacement go through.
 //

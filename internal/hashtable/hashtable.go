@@ -1,9 +1,9 @@
 // Package hashtable implements the paper's GPU-parallel hash table
 // (Section III-E): an open-addressing table with linear probing whose
 // batched insert and query operations are lock-free and safe to call from
-// thousands of concurrent kernel threads. It is the backbone of
-// sharing-aware node creation during parallel replacement, of parallel
-// structural hashing, and of the de-duplication pass.
+// thousands of concurrent kernel threads. It is the backbone of the
+// de-duplication pass, where the new nodes of parallel replacement meet the
+// existing ones, and of sharing-aware node creation in parallel balancing.
 //
 // As on the device, a table's capacity is fixed before its kernel runs: every
 // caller sizes it for the keys it can insert (New allocates at least twice
@@ -148,20 +148,6 @@ func (t *Table) InsertUnique(key uint64, val uint32) (uint32, bool) {
 	}
 	t.overflow()
 	return invalidVal, false
-}
-
-// ShareOrCreate is the sharing-aware node creation step of parallel
-// replacement (Section III-E): a kernel thread wanting the AND of f0 and f1 in
-// a claims the structure with InsertUnique and either wins — the provisional
-// node gets the fanins, created is true — or takes the node that owns it,
-// leaving the provisional id unused. Between racing threads the first insert
-// wins.
-func (t *Table) ShareOrCreate(a *aig.AIG, f0, f1 aig.Lit, provisional int32) (lit aig.Lit, created bool) {
-	got, inserted := t.InsertUnique(aig.Key(f0, f1), uint32(provisional))
-	if inserted {
-		a.SetFanins(provisional, f0, f1)
-	}
-	return aig.MakeLit(int32(got), false), inserted
 }
 
 // InsertMin inserts (key, val) if key is absent; when key is present it

@@ -8,7 +8,8 @@
 // replacements. Parallel is the paper's GPU algorithm (Section III): the AIG
 // is partitioned into disjoint FFCs by level-wise collapsing, all cones are
 // resynthesized concurrently, and the replacement itself is performed in
-// parallel without data races through the concurrent hash table.
+// parallel without data races, each cone writing its own slots, before the
+// de-duplication pass shares the new nodes with the existing ones.
 package refactor
 
 import (

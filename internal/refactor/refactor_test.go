@@ -3,6 +3,7 @@ package refactor
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -127,6 +128,53 @@ func TestParallelSequentialReplacementAblation(t *testing.T) {
 	if seq := gpu.TotalProfile(dp.Profile()).Seq; seq != 0 {
 		t.Errorf("proposed replacement reported sequential part %v", seq)
 	}
+}
+
+// TestRefactorWorkerIndependence runs parallel rf at 1, 2 and 4 workers and
+// wants the same network every time: the replacement writes each cone into
+// its own slots and leaves every share to the Section III-F pass, whose
+// survivors do not depend on the schedule. ac97_ctrl at scale 4 is where a
+// first-insert-wins sharing step once gave three networks in six runs at two
+// workers.
+func TestRefactorWorkerIndependence(t *testing.T) {
+	cases := bench.Suite(1)
+	for _, c := range bench.Suite(4) {
+		if c.Name == "ac97_ctrl" {
+			c.Name += "@4"
+			cases = append(cases, c)
+		}
+	}
+	cache := rcache.New()
+	for _, c := range cases {
+		in := c.Build().Rehash()
+		var want *aig.AIG
+		for _, w := range []int{1, 2, 4} {
+			for run := 0; run < 4; run++ {
+				got, _ := Parallel(gpu.New(w), in, Options{Cache: cache})
+				if want == nil {
+					if want = got; !simEqual(in, want) {
+						t.Fatalf("%s: function changed", c.Name)
+					}
+				} else if !sameNetwork(got, want) {
+					t.Errorf("%s: W=%d run %d differs from W=1 (%d vs %d ANDs)",
+						c.Name, w, run, got.NumAnds(), want.NumAnds())
+				}
+			}
+		}
+	}
+}
+
+// sameNetwork reports whether a and b are the same network node for node.
+func sameNetwork(a, b *aig.AIG) bool {
+	if a.NumPIs() != b.NumPIs() || a.NumObjs() != b.NumObjs() || !slices.Equal(a.POs(), b.POs()) {
+		return false
+	}
+	for id := int32(a.NumPIs() + 1); int(id) < a.NumObjs(); id++ {
+		if a.Fanin0(id) != b.Fanin0(id) || a.Fanin1(id) != b.Fanin1(id) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSequentialPreservesFunction(t *testing.T) {

@@ -2,8 +2,10 @@ package aigre_test
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,10 @@ import (
 	"aigre/internal/refactor"
 )
 
+var updatePaper = flag.Bool("update", false, "rewrite "+paperGolden+" and the EXPERIMENTS.md blocks from TestPaperClaims' output")
+
+const paperGolden = "testdata/paper_claims.golden"
+
 // TestPaperClaims is the one way to regenerate the paper's Section V results
 // (Tables I-III, Figs. 7-8) and the resubstitution extension: it runs the 14
 // suite families at scale 1 and the doubled multiplier sweep on one worker,
@@ -24,8 +30,10 @@ import (
 // and prints the paper-vs-measured tables under -v. Assertions read only
 // modeled device time, exact at one worker (TestCommandGoldens pins it to the
 // nanosecond), and AND and level counts; nothing printed or asserted reads a
-// wall clock, so the tables are identical run to run. EXPERIMENTS.md records
-// the output and how to read it.
+// wall clock, so the tables are identical run to run. The output is pinned:
+// its three blocks (claims, families, sweep) must equal testdata's golden and
+// the marked blocks of EXPERIMENTS.md, which explains them; -update rewrites
+// both.
 func TestPaperClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper tables skipped in -short mode")
@@ -36,19 +44,79 @@ func TestPaperClaims(t *testing.T) {
 	m := measurePaper(t)
 	var summary strings.Builder
 	for _, c := range paperClaims {
+		got, ok := c.check(m)
+		mark := "ok"
+		if !ok {
+			mark = "FAIL"
+		}
+		fmt.Fprintf(&summary, "%-4s %-4s %s\n     paper %s | measured %s | tolerance %s\n",
+			c.name, mark, c.claim, c.paper, got, c.tol)
 		t.Run(c.name, func(t *testing.T) {
-			got, ok := c.check(m)
-			mark := "ok"
 			if !ok {
-				mark = "FAIL"
 				t.Errorf("%s: paper %s, measured %s, tolerance %s", c.claim, c.paper, got, c.tol)
 			}
-			fmt.Fprintf(&summary, "%-4s %-4s %s\n     paper %s | measured %s | tolerance %s\n",
-				c.name, mark, c.claim, c.paper, got, c.tol)
 		})
 	}
+	blocks := []paperBlock{{"claims", summary.String()}, {"families", m.familyTable()}, {"sweep", m.sweepTable()}}
 	if testing.Verbose() {
-		fmt.Printf("--- paper claims (scale 1, Workers 1) ---\n%s\n%s\n%s", summary.String(), m.familyTable(), m.sweepTable())
+		fmt.Printf("--- paper claims (scale 1, Workers 1) ---\n")
+		for _, b := range blocks {
+			fmt.Printf("%s\n", b.text)
+		}
+	}
+	checkPaperGolden(t, blocks)
+}
+
+// paperBlock is one block of TestPaperClaims' output.
+type paperBlock struct{ name, text string }
+
+// marked renders a block as the golden and EXPERIMENTS.md carry it: a fenced
+// code block between a begin and an end comment.
+func (b paperBlock) marked() string {
+	return fmt.Sprintf("<!-- begin paper_claims: %s -->\n```\n%s```\n<!-- end paper_claims: %s -->\n", b.name, b.text, b.name)
+}
+
+// checkPaperGolden fails t unless the golden and every marked block of
+// EXPERIMENTS.md equal the blocks; under -update it rewrites both instead.
+func checkPaperGolden(t *testing.T, blocks []paperBlock) {
+	t.Helper()
+	var golden strings.Builder
+	for _, b := range blocks {
+		golden.WriteString(b.marked())
+	}
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	experiments := string(doc)
+	for _, b := range blocks {
+		begin, end := fmt.Sprintf("<!-- begin paper_claims: %s -->", b.name), fmt.Sprintf("<!-- end paper_claims: %s -->\n", b.name)
+		i, j := strings.Index(experiments, begin), strings.Index(experiments, end)
+		if i < 0 || j < i {
+			t.Fatalf("EXPERIMENTS.md has no %q ... %q block", begin, strings.TrimSpace(end))
+		}
+		if cur := experiments[i : j+len(end)]; cur != b.marked() {
+			if !*updatePaper {
+				t.Errorf("EXPERIMENTS.md block %q differs from the output; rerun with -update and review the diff:\n%s", b.name, b.text)
+			}
+			experiments = experiments[:i] + b.marked() + experiments[j+len(end):]
+		}
+	}
+	if *updatePaper {
+		if err := os.WriteFile(paperGolden, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile("EXPERIMENTS.md", []byte(experiments), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(paperGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(want) != golden.String() {
+		t.Errorf("%s differs from the output; rerun with -update and review the diff", paperGolden)
 	}
 }
 

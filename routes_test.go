@@ -102,7 +102,10 @@ func through(t *testing.T, rt jobRoute, job aigre.Batch, pol aigre.Policy) strin
 // digest stayed. The digests of 13 rows, and the modeled time of the
 // multiplier device rows, were re-pinned when Compact began keeping the ids
 // of a canonical network with nothing dangling and flow.Run began rehashing
-// an input that is not Clean.
+// an input that is not Clean. The profile and modeled fields of the parallel
+// rows that run rf or rfz were re-pinned when the parallel replacement
+// stopped sharing through its own hash table (two launches fewer per pass);
+// every output digest stayed.
 func TestJobRoutes(t *testing.T) {
 	const fault = "refactor/resynth:1:panic"
 	plan, err := gpu.ParseFaultPlan(fault)
@@ -179,20 +182,20 @@ func TestJobRoutes(t *testing.T) {
 var routeGoldens = map[string]string{
 	"deep/cones":                          "2a6a1569a3a0c21896f72809868a35e28fcc63a47b47d77e7269da73971d582a timings=0 events=[deep attempt,done]",
 	"deep/levels":                         "eec4e606dc55e2034a48541057c8874eeea6ce0ac7bf3fd63c1dab1308b66a18 timings=0 events=[deep attempt,done]",
-	"mem_ctrl/par/b-rw-rfz":               "cf7f578b121f6027004db7de11ce412397248c4cbcdd8fd18ba5845fa5ae97bc 2bdc4bda62ba76d6 14771216 timings=3 events=[mem_ctrl attempt,done]",
+	"mem_ctrl/par/b-rw-rfz":               "cf7f578b121f6027004db7de11ce412397248c4cbcdd8fd18ba5845fa5ae97bc 527bf5a43243e2e3 14710976 timings=3 events=[mem_ctrl attempt,done]",
 	"mem_ctrl/par/b-rw-rfz/fault":         "82944a252e523c40d4b238d1abd4c08015b1911ad3e0a6406ff30f64f428552d 89093206f16b5066 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
-	"mem_ctrl/par/b-rw-rfz/fault+retry":   "cf7f578b121f6027004db7de11ce412397248c4cbcdd8fd18ba5845fa5ae97bc 2bdc4bda62ba76d6 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",
-	"mem_ctrl/par/resyn2":                 "5187be72936e6ce32bc3cf9baa3a6e7c17741ca9b89641cc85eef4ab251e2c27 7f1b0681edacb7be 46013966 timings=10 events=[mem_ctrl attempt,done]",
-	"mem_ctrl/par/resyn2/fault":           "8c6cac6d31f0ef303b7aac31602e462e0fcd9bfa7d2ef97cb96a4a990c00247b fd045ce844b9bfaf timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
-	"mem_ctrl/par/resyn2/fault+retry":     "5187be72936e6ce32bc3cf9baa3a6e7c17741ca9b89641cc85eef4ab251e2c27 7f1b0681edacb7be timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",
+	"mem_ctrl/par/b-rw-rfz/fault+retry":   "cf7f578b121f6027004db7de11ce412397248c4cbcdd8fd18ba5845fa5ae97bc 527bf5a43243e2e3 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",
+	"mem_ctrl/par/resyn2":                 "5187be72936e6ce32bc3cf9baa3a6e7c17741ca9b89641cc85eef4ab251e2c27 3ba9e71151f946bc 45893486 timings=10 events=[mem_ctrl attempt,done]",
+	"mem_ctrl/par/resyn2/fault":           "8c6cac6d31f0ef303b7aac31602e462e0fcd9bfa7d2ef97cb96a4a990c00247b aa5a83e25750d68b timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,done]",
+	"mem_ctrl/par/resyn2/fault+retry":     "5187be72936e6ce32bc3cf9baa3a6e7c17741ca9b89641cc85eef4ab251e2c27 3ba9e71151f946bc timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[mem_ctrl attempt,incident,retry,attempt,done]",
 	"mem_ctrl/seq/b-rw-rfz":               "5a22e1f5aabdf831f67c310a8e9139767ba60a2617532bb36b00de6205af2a97 timings=3 events=[mem_ctrl attempt,done]",
 	"mem_ctrl/seq/resyn2":                 "5b15b6c05a86ef36fd6e8040e16d98571c58a81d4a25f0b8e56a89a18abba52c timings=10 events=[mem_ctrl attempt,done]",
-	"multiplier/par/b-rw-rfz":             "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe b928072c030112c8 55892090 timings=3 events=[multiplier attempt,done]",
+	"multiplier/par/b-rw-rfz":             "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe f23501dccb76793e 55831950 timings=3 events=[multiplier attempt,done]",
 	"multiplier/par/b-rw-rfz/fault":       "61ce1eaddbfd7f2e1eddaf3989f11bc0c3761f8a7c04af8b424463c337e548fc f3ba2431ed020b08 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,done]",
-	"multiplier/par/b-rw-rfz/fault+retry": "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe b928072c030112c8 timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,retry,attempt,done]",
-	"multiplier/par/resyn2":               "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe 58c6acbd69fbb089 179045760 timings=10 events=[multiplier attempt,done]",
-	"multiplier/par/resyn2/fault":         "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe f514dfbb81772a76 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,done]",
-	"multiplier/par/resyn2/fault+retry":   "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe 58c6acbd69fbb089 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,retry,attempt,done]",
+	"multiplier/par/b-rw-rfz/fault+retry": "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe f23501dccb76793e timings=3 {command 2 (rfz): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,retry,attempt,done]",
+	"multiplier/par/resyn2":               "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe b7c86b6c89026fd9 178925520 timings=10 events=[multiplier attempt,done]",
+	"multiplier/par/resyn2/fault":         "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe 2d20b716ea7a59d0 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,done]",
+	"multiplier/par/resyn2/fault+retry":   "c17637e5f3f3e7d1b93ad68a8a90fe2c5af12935c96d5af13a8ec80c9da2abbe b7c86b6c89026fd9 timings=10 {command 2 (rf): launch failure, retried-sequential: gpu: kernel \"refactor/resynth\": thread 0 panicked: gpu: injected fault: kernel \"refactor/resynth\" class=transient kernel=refactor/resynth} events=[multiplier attempt,incident,retry,attempt,done]",
 	"multiplier/seq/b-rw-rfz":             "61ce1eaddbfd7f2e1eddaf3989f11bc0c3761f8a7c04af8b424463c337e548fc timings=3 events=[multiplier attempt,done]",
 	"multiplier/seq/resyn2":               "fb2820006372c8c4d8e55f77cf0af6442cd9c6e924ce730d80150c79a6b5b5fa timings=10 events=[multiplier attempt,done]",
 }

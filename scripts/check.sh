@@ -257,6 +257,16 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '\b(byLevel|maxLevel)\b|\bfo
     echo "check: a hand-written level bucketing or level loop grew back in internal/balance or internal/dedup (see above); run the pass through gpu.(*Device).Waves" >&2
     exit 1
 fi
+# One sharing step in the parallel replacement: each cone writes its own
+# slots and dedup.Merge finds every share, so internal/core builds no hash
+# table, no ShareOrCreate is declared, and the replace/mark and
+# replace/ht-init kernels do not come back.
+if grep -nF '"aigre/internal/hashtable"' $(find internal/core -name '*.go' ! -name '*_test.go') ||
+    grep -rnE --include='*.go' '^func (\([^)]*\) )?ShareOrCreate\(' . ||
+    grep -rnE --include='*.go' --exclude='*_test.go' '"replace/(mark|ht-init)"' .; then
+    echo "check: the parallel replacement shares new nodes its own way again (see above); leave every share to dedup.Merge" >&2
+    exit 1
+fi
 set -x
 go build ./...
 go vet ./...
